@@ -7,18 +7,23 @@ package cluster
 // sqlparser.Expr nodes) — must be registered identically in every process.
 // The payload round-trip conformance test (codec_test.go) walks this
 // registry, so adding a message type here is what puts it under test.
+//
+// gob reflects only over control fields and plan trees: everything that
+// carries rows or groups (exec.TaskResult, shuffleFrameMsg) encodes itself
+// with the columnar batch codec and rides gob as one opaque byte field.
 
 import (
-	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/sqlparser"
 	"repro/internal/transport"
+	"repro/internal/types"
 )
-
-func durationFromWire(n int64) time.Duration { return time.Duration(n) }
 
 func init() {
 	// Requests and replies, by value: the receivers type-assert value
@@ -28,7 +33,7 @@ func init() {
 	transport.RegisterPayload(heartbeatMsg{})
 	transport.RegisterPayload(taskMsg{})
 	transport.RegisterPayload(taskReply{})
-	transport.RegisterPayload(stemJobMsg{})
+	transport.RegisterPayload(wireStemJob{})
 	transport.RegisterPayload(stemReply{})
 	transport.RegisterPayload(catalogOp{})
 	transport.RegisterPayload(catalogSnapshot{})
@@ -52,37 +57,38 @@ func init() {
 	gob.Register(&sqlparser.FuncCall{})
 }
 
-// wireStemJob is stemJobMsg's wire form. gob does not preserve pointer
-// aliasing, and every TaskSpec in a job points at the job's own
-// PhysicalPlan — naively encoding the struct would ship the plan (and its
-// broadcast dimension data) once per task. The wire form nils out aliased
-// task plans and relinks them after decode; a task plan that genuinely
-// differs from the job plan is shipped inline.
+// wireStemJob is stemJobMsg's wire form, and the registered payload type:
+// the master converts with wire() before the call and the stem converts back
+// with job() on receipt. gob does not preserve pointer aliasing, and every
+// TaskSpec in a job points at the job's own PhysicalPlan — naively encoding
+// the struct would ship the plan (and its broadcast dimension data) once per
+// task. The wire form nils out aliased task plans and relinks them on
+// receipt; a task plan that genuinely differs from the job plan is shipped
+// inline.
 type wireStemJob struct {
 	Plan        *plan.PhysicalPlan
 	Tasks       []plan.TaskSpec
-	SharedPlan  []bool // Tasks[i].Plan == Plan before encoding
+	SharedPlan  []bool // Tasks[i].Plan == Plan before conversion
 	Assign      map[int]string
 	QueryID     string
-	TaskTimeout int64 // time.Duration
+	TaskTimeout time.Duration
 	PerTask     bool
 	Backup      map[int]string
-	HedgeDelay  int64 // time.Duration
+	HedgeDelay  time.Duration
 	LeafSlots   int
 }
 
-// GobEncode implements gob.GobEncoder.
-func (j stemJobMsg) GobEncode() ([]byte, error) {
+func (j stemJobMsg) wire() wireStemJob {
 	w := wireStemJob{
 		Plan:        j.Plan,
 		Tasks:       make([]plan.TaskSpec, len(j.Tasks)),
 		SharedPlan:  make([]bool, len(j.Tasks)),
 		Assign:      j.Assign,
 		QueryID:     j.QueryID,
-		TaskTimeout: int64(j.TaskTimeout),
+		TaskTimeout: j.TaskTimeout,
 		PerTask:     j.PerTask,
 		Backup:      j.Backup,
-		HedgeDelay:  int64(j.HedgeDelay),
+		HedgeDelay:  j.HedgeDelay,
 		LeafSlots:   j.LeafSlots,
 	}
 	for i, t := range j.Tasks {
@@ -92,34 +98,68 @@ func (j stemJobMsg) GobEncode() ([]byte, error) {
 		}
 		w.Tasks[i] = t
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return w
 }
 
-// GobDecode implements gob.GobDecoder.
-func (j *stemJobMsg) GobDecode(b []byte) error {
-	var w wireStemJob
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return err
-	}
+func (w wireStemJob) job() stemJobMsg {
 	for i := range w.Tasks {
 		if i < len(w.SharedPlan) && w.SharedPlan[i] {
 			w.Tasks[i].Plan = w.Plan
 		}
 	}
-	*j = stemJobMsg{
+	return stemJobMsg{
 		Plan:        w.Plan,
 		Tasks:       w.Tasks,
 		Assign:      w.Assign,
 		QueryID:     w.QueryID,
-		TaskTimeout: durationFromWire(w.TaskTimeout),
+		TaskTimeout: w.TaskTimeout,
 		PerTask:     w.PerTask,
 		Backup:      w.Backup,
-		HedgeDelay:  durationFromWire(w.HedgeDelay),
+		HedgeDelay:  w.HedgeDelay,
 		LeafSlots:   w.LeafSlots,
 	}
+}
+
+// GobEncode implements gob.GobEncoder with the columnar batch form: the
+// frame's identity hand-packed, then its rows and groups as column batches.
+func (m shuffleFrameMsg) GobEncode() ([]byte, error) {
+	b := types.AppendString(nil, m.Exchange)
+	b = types.AppendString(b, m.QueryID)
+	b = types.AppendString(b, m.Side)
+	for _, v := range []int64{int64(m.Ordinal), int64(m.Attempt), int64(m.Partition), m.Size} {
+		b = binary.AppendVarint(b, v)
+	}
+	b = types.AppendRows(b, m.Rows)
+	return exec.AppendGroups(b, m.Groups)
+}
+
+// GobDecode implements gob.GobDecoder.
+func (m *shuffleFrameMsg) GobDecode(b []byte) error {
+	var (
+		out shuffleFrameMsg
+		err error
+	)
+	for _, s := range []*string{&out.Exchange, &out.QueryID, &out.Side} {
+		if *s, b, err = types.ReadString(b); err != nil {
+			return err
+		}
+	}
+	var nums [4]int64
+	for i := range nums {
+		if nums[i], b, err = types.ReadVarint(b); err != nil {
+			return err
+		}
+	}
+	out.Ordinal, out.Attempt, out.Partition, out.Size = int(nums[0]), int(nums[1]), int(nums[2]), nums[3]
+	if out.Rows, b, err = types.DecodeRows(b); err != nil {
+		return err
+	}
+	if out.Groups, b, err = exec.DecodeGroups(b); err != nil {
+		return err
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after shuffle frame", types.ErrCorruptBatch, len(b))
+	}
+	*m = out
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/sqlparser"
 	"repro/internal/transport"
@@ -99,6 +100,24 @@ func fillStruct(t *testing.T, v reflect.Value, seed *int, depth int, onPath map[
 			types.Field{Name: fmt.Sprintf("b%d", *seed), Type: types.String, Repeated: true},
 		)))
 		return
+	case reflect.TypeOf(types.Value{}):
+		// A Value is a tagged union: only the field its type selects is
+		// state, and only that crosses the wire.
+		*seed++
+		v.Set(reflect.ValueOf(sampleValue(*seed)))
+		return
+	case reflect.TypeOf(exec.Groups{}):
+		// The map keys are derived from the group keys.
+		g := exec.NewGroups(2)
+		for i := 0; i < 2; i++ {
+			*seed++
+			grp := g.Get([]types.Value{sampleValue(*seed), sampleValue(*seed + 1)})
+			for c := range grp.Cells {
+				fillValue(t, reflect.ValueOf(&grp.Cells[c]).Elem(), seed, depth+1, onPath)
+			}
+		}
+		v.Set(reflect.ValueOf(*g))
+		return
 	}
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Type().Field(i)
@@ -109,6 +128,22 @@ func fillStruct(t *testing.T, v reflect.Value, seed *int, depth int, onPath map[
 			t.Fatalf("%v has unexported field %q and no GobEncoder: it would be silently dropped on the wire", v.Type(), f.Name)
 		}
 		fillValue(t, v.Field(i), seed, depth+1, onPath)
+	}
+}
+
+// sampleValue cycles through every value type, NULL included.
+func sampleValue(n int) types.Value {
+	switch n % 5 {
+	case 0:
+		return types.NullValue()
+	case 1:
+		return types.NewInt(int64(n))
+	case 2:
+		return types.NewFloat(float64(n) + 0.5)
+	case 3:
+		return types.NewBool(n%2 == 1)
+	default:
+		return types.NewString(fmt.Sprintf("v%d", n))
 	}
 }
 
@@ -239,7 +274,7 @@ func TestPayloadRoundTripConformance(t *testing.T) {
 }
 
 // A stem job's tasks all point at the job's plan; the wire form must ship
-// the plan once and relink the pointers on decode (gob alone would ship one
+// the plan once and relink the pointers on receipt (gob alone would ship one
 // copy per task — including the broadcast dimension data).
 func TestStemJobPlanAliasingOverWire(t *testing.T) {
 	p := &plan.PhysicalPlan{SQL: "SELECT 1", Fingerprint: "fp"}
@@ -253,7 +288,7 @@ func TestStemJobPlanAliasingOverWire(t *testing.T) {
 		QueryID:     "q1",
 		TaskTimeout: 3 * time.Second,
 	}
-	b, err := transport.EncodePayload(job)
+	b, err := transport.EncodePayload(job.wire())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +296,7 @@ func TestStemJobPlanAliasingOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := out.(stemJobMsg)
+	got := out.(wireStemJob).job()
 	if got.Plan == nil || got.Plan.SQL != "SELECT 1" {
 		t.Fatalf("plan lost: %+v", got.Plan)
 	}
@@ -281,7 +316,7 @@ func TestStemJobPlanAliasingOverWire(t *testing.T) {
 	for i := range big.Tasks {
 		big.Tasks[i] = plan.TaskSpec{Plan: p, Ordinal: i}
 	}
-	bb, err := transport.EncodePayload(big)
+	bb, err := transport.EncodePayload(big.wire())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1130,7 +1130,7 @@ func (m *Master) callStem(ctx context.Context, stemName string, job stemJobMsg) 
 	if stemName == m.cfg.Name {
 		raw, err = m.localStem.runJob(ctx, job)
 	} else {
-		raw, err = m.cfg.Fabric.Call(ctx, m.cfg.Name, stemName, transport.Control, job, 512)
+		raw, err = m.cfg.Fabric.Call(ctx, m.cfg.Name, stemName, transport.Control, job.wire(), 512)
 	}
 	if err != nil {
 		return stemCallReply{}, err

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -82,7 +80,8 @@ type shuffleTaskReply struct {
 }
 
 // shuffleFrameMsg is one keyed frame of map output for a single partition.
-// Exactly one of Rows/Groups is set (join vs group-by shuffle).
+// Exactly one of Rows/Groups is set (join vs group-by shuffle). It crosses
+// the wire in the columnar batch form (codec.go).
 type shuffleFrameMsg struct {
 	Exchange  string
 	QueryID   string
@@ -91,7 +90,7 @@ type shuffleFrameMsg struct {
 	Attempt   int
 	Partition int
 	Rows      [][]types.Value
-	Groups    *exec.Groups
+	Groups    []exec.Group
 	Size      int64
 }
 
@@ -192,17 +191,16 @@ func (l *LeafServer) routeShuffle(ctx context.Context, msg shuffleTaskMsg, res *
 	if parts <= 0 {
 		parts = 1
 	}
+	// Route every row or group straight into its partition's list; frames
+	// are then consecutive runs of at most shuffleFrameRows of that list.
 	rowParts := make([][][]types.Value, parts)
-	groupParts := make([]*exec.Groups, parts)
+	groupParts := make([][]exec.Group, parts)
 	if msg.Side == shuffleSideGroup {
 		if res.Groups != nil {
 			reply.Rows = len(res.Groups.M)
 			for k, g := range res.Groups.M {
-				pi := exec.GroupShufflePartition(g.Keys, parts)
-				if groupParts[pi] == nil {
-					groupParts[pi] = exec.NewGroups(res.Groups.NumAggs)
-				}
-				groupParts[pi].M[k] = g
+				pi := exec.KeyShufflePartition(k, parts)
+				groupParts[pi] = append(groupParts[pi], *g)
 			}
 		}
 	} else {
@@ -220,55 +218,28 @@ func (l *LeafServer) routeShuffle(ctx context.Context, msg shuffleTaskMsg, res *
 			}
 			partBill := sim.NewBill()
 			sctx := storage.WithBill(ctx, partBill)
-			send := func(fr shuffleFrameMsg, size int64) error {
+			send := func(fr shuffleFrameMsg) error {
 				fr.Exchange, fr.QueryID, fr.Side = msg.Exchange, msg.QueryID, msg.Side
 				fr.Ordinal, fr.Attempt, fr.Partition = msg.Task.Ordinal, msg.Attempt, pi
-				fr.Size = size
-				if _, err := l.Fabric.Call(sctx, l.Name, reducer, transport.Shuffle, fr, size); err != nil {
+				if _, err := l.Fabric.Call(sctx, l.Name, reducer, transport.Shuffle, fr, fr.Size); err != nil {
 					return err
 				}
 				frames[pi]++
-				reply.PartBytes[pi] += size
+				reply.PartBytes[pi] += fr.Size
 				return nil
 			}
-			if msg.Side == shuffleSideGroup {
-				if g := groupParts[pi]; g != nil {
-					chunk := exec.NewGroups(g.NumAggs)
-					flush := func() error {
-						if len(chunk.M) == 0 {
-							return nil
-						}
-						size := (&exec.TaskResult{Groups: chunk}).EstimateBytes()
-						if err := send(shuffleFrameMsg{Groups: chunk}, size); err != nil {
-							return err
-						}
-						chunk = exec.NewGroups(g.NumAggs)
-						return nil
-					}
-					for k, grp := range g.M {
-						chunk.M[k] = grp
-						if len(chunk.M) >= shuffleFrameRows {
-							if err := flush(); err != nil {
-								return reply, err
-							}
-						}
-					}
-					if err := flush(); err != nil {
-						return reply, err
-					}
+			groups, rows := groupParts[pi], rowParts[pi]
+			for off := 0; off < len(groups); off += shuffleFrameRows {
+				chunk := groups[off:min(off+shuffleFrameRows, len(groups))]
+				if err := send(shuffleFrameMsg{Groups: chunk, Size: exec.EstimateGroups(chunk)}); err != nil {
+					return reply, err
 				}
-			} else {
-				rows := rowParts[pi]
-				for off := 0; off < len(rows); off += shuffleFrameRows {
-					end := off + shuffleFrameRows
-					if end > len(rows) {
-						end = len(rows)
-					}
-					chunk := rows[off:end]
-					size := (&exec.TaskResult{Rows: chunk}).EstimateBytes()
-					if err := send(shuffleFrameMsg{Rows: chunk}, size); err != nil {
-						return reply, err
-					}
+			}
+			for off := 0; off < len(rows); off += shuffleFrameRows {
+				chunk := rows[off:min(off+shuffleFrameRows, len(rows))]
+				size := (&exec.TaskResult{Rows: chunk}).EstimateBytes()
+				if err := send(shuffleFrameMsg{Rows: chunk, Size: size}); err != nil {
+					return reply, err
 				}
 			}
 			reply.TransferSim[pi] += partBill.Time()
@@ -301,7 +272,7 @@ type shuffleStageKey struct {
 // stagedShuffle accumulates one attempt's frames, per partition.
 type stagedShuffle struct {
 	rows   map[int][][]types.Value
-	groups map[int]*exec.Groups
+	groups map[int][]exec.Group
 	frames map[int]int
 	bytes  map[int]int64
 	leaf   string
@@ -310,7 +281,7 @@ type stagedShuffle struct {
 func newStagedShuffle() *stagedShuffle {
 	return &stagedShuffle{
 		rows:   map[int][][]types.Value{},
-		groups: map[int]*exec.Groups{},
+		groups: map[int][]exec.Group{},
 		frames: map[int]int{},
 		bytes:  map[int]int64{},
 	}
@@ -354,11 +325,7 @@ func (s *StemServer) handleShuffleFrame(msg shuffleFrameMsg) (any, error) {
 		ex.staged[key] = st
 	}
 	if msg.Groups != nil {
-		if g := st.groups[msg.Partition]; g == nil {
-			st.groups[msg.Partition] = msg.Groups
-		} else {
-			g.Merge(msg.Groups)
-		}
+		st.groups[msg.Partition] = append(st.groups[msg.Partition], msg.Groups...)
 	} else {
 		st.rows[msg.Partition] = append(st.rows[msg.Partition], msg.Rows...)
 	}
@@ -474,10 +441,8 @@ func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceM
 			for _, ord := range msg.GroupOrdinals {
 				st := group[ord]
 				inBytes += st.bytes[pi]
-				if g := st.groups[pi]; g != nil {
-					if err := agg.Push(g); err != nil {
-						return nil, err
-					}
+				if err := agg.PushGroups(st.groups[pi]); err != nil {
+					return nil, err
 				}
 			}
 			groups, err := agg.Flush()
@@ -544,16 +509,13 @@ type routerSpillStore struct {
 }
 
 func (s *routerSpillStore) Write(rows [][]types.Value) (string, int64, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rows); err != nil {
-		return "", 0, fmt.Errorf("cluster: encode shuffle spill: %w", err)
-	}
+	data := types.AppendRows(nil, rows)
 	s.seq++
 	path := fmt.Sprintf("%s/chunk-%d", s.prefix, s.seq)
-	if err := s.router.WriteFile(context.WithoutCancel(s.ctx), path, buf.Bytes()); err != nil {
+	if err := s.router.WriteFile(context.WithoutCancel(s.ctx), path, data); err != nil {
 		return "", 0, fmt.Errorf("cluster: shuffle spill %s: %w", path, err)
 	}
-	return path, int64(buf.Len()), nil
+	return path, int64(len(data)), nil
 }
 
 func (s *routerSpillStore) Read(handle string) ([][]types.Value, int64, error) {
@@ -561,8 +523,11 @@ func (s *routerSpillStore) Read(handle string) ([][]types.Value, int64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: shuffle spill read %s: %w", handle, err)
 	}
-	var rows [][]types.Value
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rows); err != nil {
+	rows, rest, err := types.DecodeRows(data)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%w: %d trailing bytes", types.ErrCorruptBatch, len(rest))
+	}
+	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: decode shuffle spill %s: %w", handle, err)
 	}
 	return rows, int64(len(data)), nil

@@ -53,8 +53,8 @@ func (s *StemServer) handle(ctx context.Context, from string, payload any) (any,
 	switch msg := payload.(type) {
 	case pingMsg:
 		return pingReply{Kind: KindStem, ActiveTasks: int(s.active.Load())}, nil
-	case stemJobMsg:
-		return s.runJob(ctx, msg)
+	case wireStemJob:
+		return s.runJob(ctx, msg.job())
 	case shuffleFrameMsg:
 		return s.handleShuffleFrame(msg)
 	case shuffleEndMsg:

@@ -3,7 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/plan"
 	"repro/internal/sqlparser"
@@ -127,6 +127,13 @@ type Group struct {
 	Cells []Cell
 }
 
+// mergeCells folds another partial state of the same group into g.
+func (g *Group) mergeCells(o *Group) {
+	for i := range g.Cells {
+		g.Cells[i].Merge(o.Cells[i])
+	}
+}
+
 // Groups is a partial aggregation result, keyed by encoded group key.
 type Groups struct {
 	NumAggs int
@@ -147,15 +154,44 @@ func GroupKey(keys []types.Value) string {
 	if len(keys) == 0 {
 		return ""
 	}
-	var sb strings.Builder
-	var lenBuf [binary.MaxVarintLen64]byte
-	for _, k := range keys {
-		sb.WriteByte(byte(k.T))
-		s := k.String()
-		sb.Write(lenBuf[:binary.PutUvarint(lenBuf[:], uint64(len(s)))])
-		sb.WriteString(s)
+	return string(AppendGroupKey(make([]byte, 0, 16*len(keys)), keys))
+}
+
+// AppendGroupKey appends GroupKey(keys) to dst, so that a caller probing a
+// map or deriving many keys renders into one reused buffer.
+func AppendGroupKey(dst []byte, keys []types.Value) []byte {
+	for i := range keys {
+		k := &keys[i]
+		dst = append(dst, byte(k.T), 0)
+		at := len(dst)
+		switch k.T {
+		case types.Null:
+			dst = append(dst, "NULL"...)
+		case types.Int64:
+			dst = strconv.AppendInt(dst, k.I, 10)
+		case types.Float64:
+			dst = strconv.AppendFloat(dst, k.F, 'g', -1, 64)
+		case types.Bool:
+			dst = strconv.AppendBool(dst, k.B)
+		case types.String:
+			dst = strconv.AppendQuote(dst, k.S)
+		default:
+			dst = append(dst, k.String()...)
+		}
+		n := len(dst) - at
+		if n < 0x80 {
+			dst[at-1] = byte(n)
+			continue
+		}
+		// A rendering of 128 bytes or more needs a longer length prefix:
+		// make room and move the rendering up.
+		var lenBuf [binary.MaxVarintLen64]byte
+		ln := binary.PutUvarint(lenBuf[:], uint64(n))
+		dst = append(dst, lenBuf[:ln-1]...)
+		copy(dst[at+ln-1:], dst[at:at+n])
+		copy(dst[at-1:], lenBuf[:ln])
 	}
-	return sb.String()
+	return dst
 }
 
 // Get returns (creating if needed) the group for the keys.
@@ -174,13 +210,10 @@ func (g *Groups) Get(keys []types.Value) *Group {
 // Merge folds another partial result into g (the stem server's job).
 func (g *Groups) Merge(o *Groups) {
 	for k, og := range o.M {
-		grp, ok := g.M[k]
-		if !ok {
+		if grp, ok := g.M[k]; ok {
+			grp.mergeCells(og)
+		} else {
 			g.M[k] = og
-			continue
-		}
-		for i := range grp.Cells {
-			grp.Cells[i].Merge(og.Cells[i])
 		}
 	}
 }

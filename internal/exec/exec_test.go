@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/bitmap"
@@ -380,13 +381,16 @@ func TestDivisionByZeroYieldsNull(t *testing.T) {
 
 // mapIndex is a trivial IndexSource for tests.
 type mapIndex struct {
-	m map[string]*bitmap.Bitmap
+	mu sync.Mutex // parallel scan workers share the index
+	m  map[string]*bitmap.Bitmap
 }
 
 func newMapIndex() *mapIndex { return &mapIndex{m: make(map[string]*bitmap.Bitmap)} }
 
 func (mi *mapIndex) Lookup(_ context.Context, blockID string, a plan.Atom, n int) (*bitmap.Bitmap, bool) {
+	mi.mu.Lock()
 	bm, ok := mi.m[blockID+"|"+a.Key()]
+	mi.mu.Unlock()
 	if !ok || bm.Len() != n {
 		return nil, false
 	}
@@ -399,6 +403,8 @@ func (mi *mapIndex) Lookup(_ context.Context, blockID string, a plan.Atom, n int
 }
 
 func (mi *mapIndex) Store(blockID string, a plan.Atom, bm *bitmap.Bitmap, _ colstore.Stats) {
+	mi.mu.Lock()
+	defer mi.mu.Unlock()
 	mi.m[blockID+"|"+a.Key()] = bm.Clone() // Store's contract: copy if retained
 }
 
@@ -442,8 +448,10 @@ type stripedMapIndex struct {
 }
 
 func (si *stripedMapIndex) LookupStriped(_ context.Context, blockID string, a plan.Atom, n int) (*bitmap.Striped, bool) {
+	si.mu.Lock()
 	si.stripedLookups++
 	bm, ok := si.m[blockID+"|"+a.Key()]
+	si.mu.Unlock()
 	if !ok || bm.Len() != n {
 		return nil, false
 	}
@@ -809,7 +817,7 @@ func TestGroupsMergeDirect(t *testing.T) {
 }
 
 func TestAggEnvErrorPaths(t *testing.T) {
-	env := &aggEnv{subs: map[string]types.Value{}}
+	env := &aggEnv{}
 	if _, err := env.Col("t", "c"); err == nil {
 		t.Error("aggEnv.Col should fail")
 	}

@@ -2,7 +2,8 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/plan"
 	"repro/internal/sqlparser"
@@ -49,10 +50,12 @@ func MergeResults(p *plan.PhysicalPlan, acc, next *TaskResult) *TaskResult {
 func Finalize(p *plan.PhysicalPlan, merged *TaskResult) (*Result, error) {
 	a := p.A
 	res := &Result{}
-	for _, oi := range a.Outputs {
+	visible := make([]int, 0, len(a.Outputs))
+	for i, oi := range a.Outputs {
 		if oi.Hidden {
 			continue
 		}
+		visible = append(visible, i)
 		res.Columns = append(res.Columns, oi.Name)
 		res.Types = append(res.Types, oi.Type)
 	}
@@ -70,9 +73,21 @@ func Finalize(p *plan.PhysicalPlan, merged *TaskResult) (*Result, error) {
 		if len(groups.M) == 0 && len(p.GroupBy) == 0 {
 			groups.Get(nil)
 		}
+		env := newAggEnv(p)
+		// An output that is itself a group key or an aggregate — the common
+		// case — is copied from its slot without entering the evaluator.
+		outSlot := make([]int, len(a.Outputs))
+		for i, oi := range a.Outputs {
+			outSlot[i] = -1
+			if s, ok := env.slots[oi.Expr]; ok {
+				outSlot[i] = s
+			}
+		}
+		nOut := len(a.Outputs)
+		wide = make([][]types.Value, 0, len(groups.M))
+		var slab []types.Value
 		for _, grp := range groups.M {
-			env, err := newAggEnv(p, grp)
-			if err != nil {
+			if err := env.bind(p, grp); err != nil {
 				return nil, err
 			}
 			if a.Having != nil {
@@ -84,8 +99,16 @@ func Finalize(p *plan.PhysicalPlan, merged *TaskResult) (*Result, error) {
 					continue
 				}
 			}
-			row := make([]types.Value, len(a.Outputs))
+			if len(slab) < nOut {
+				slab = make([]types.Value, nOut*min(len(groups.M)-len(wide), 1024))
+			}
+			row := slab[:nOut:nOut]
+			slab = slab[nOut:]
 			for i, oi := range a.Outputs {
+				if s := outSlot[i]; s >= 0 {
+					row[i] = env.vals[s]
+					continue
+				}
 				v, err := Eval(oi.Expr, env)
 				if err != nil {
 					return nil, err
@@ -94,55 +117,65 @@ func Finalize(p *plan.PhysicalPlan, merged *TaskResult) (*Result, error) {
 			}
 			wide = append(wide, row)
 		}
-	} else {
-		if merged != nil {
-			wide = merged.Rows
-		}
+	} else if merged != nil {
+		wide = merged.Rows
 	}
 
-	if len(a.OrderBy) > 0 {
+	var err error
+	switch {
+	case len(a.OrderBy) > 0:
 		var sortErr error
-		sort.SliceStable(wide, func(i, j int) bool {
+		wide = orderRows(wide, a.Limit, func(i, j int) int {
 			for _, k := range a.OrderBy {
-				cmp, err := types.Compare(wide[i][k.Output], wide[j][k.Output])
+				c, err := types.Compare(wide[i][k.Output], wide[j][k.Output])
 				if err != nil {
 					sortErr = err
-					return false
+					return 0
 				}
-				if cmp == 0 {
+				if c == 0 {
 					continue
 				}
 				if k.Desc {
-					return cmp > 0
+					return -c
 				}
-				return cmp < 0
+				return c
 			}
-			return false
+			return 0
 		})
-		if sortErr != nil {
-			return nil, sortErr
+		err = sortErr
+	case p.Mode == plan.ModeAgg:
+		// Deterministic output for unordered aggregations: order by the
+		// rows' encoded form, rendered once per row into one shared string.
+		var buf []byte
+		ends := make([]int, len(wide))
+		for i, row := range wide {
+			buf = AppendGroupKey(buf, row)
+			ends[i] = len(buf)
 		}
-	} else if p.Mode == plan.ModeAgg {
-		// Deterministic output for unordered aggregations.
-		sort.SliceStable(wide, func(i, j int) bool {
-			return rowKey(wide[i]) < rowKey(wide[j])
-		})
-	}
-
-	if a.Limit >= 0 && int64(len(wide)) > a.Limit {
+		all := string(buf)
+		key := func(i int) string {
+			if i == 0 {
+				return all[:ends[0]]
+			}
+			return all[ends[i-1]:ends[i]]
+		}
+		wide = orderRows(wide, a.Limit, func(i, j int) int { return strings.Compare(key(i), key(j)) })
+	case a.Limit >= 0 && int64(len(wide)) > a.Limit:
 		wide = wide[:a.Limit]
 	}
-
-	// Drop hidden columns.
-	visible := make([]int, 0, len(a.Outputs))
-	for i, oi := range a.Outputs {
-		if !oi.Hidden {
-			visible = append(visible, i)
-		}
+	if err != nil {
+		return nil, err
 	}
+
+	if p.Mode == plan.ModeAgg && len(visible) == len(a.Outputs) {
+		res.Rows = wide // built above, owned by no one else
+		return res, nil
+	}
+	// Drop hidden columns; rows of a task result are copied, not handed on.
 	res.Rows = make([][]types.Value, len(wide))
+	slab := make([]types.Value, len(wide)*len(visible))
 	for ri, row := range wide {
-		out := make([]types.Value, len(visible))
+		out := slab[ri*len(visible) : (ri+1)*len(visible) : (ri+1)*len(visible)]
 		for i, ci := range visible {
 			out[i] = row[ci]
 		}
@@ -151,33 +184,129 @@ func Finalize(p *plan.PhysicalPlan, merged *TaskResult) (*Result, error) {
 	return res, nil
 }
 
-func rowKey(row []types.Value) string {
-	return GroupKey(row)
+// orderRows returns rows in the order cmp defines over their indices, ties
+// kept in input order, cut to limit when limit >= 0. With a limit below the
+// row count it selects the first limit rows with a bounded heap, O(n log
+// limit), instead of sorting them all.
+func orderRows(rows [][]types.Value, limit int64, cmp func(i, j int) int) [][]types.Value {
+	before := func(i, j int) int {
+		if c := cmp(i, j); c != 0 {
+			return c
+		}
+		return i - j
+	}
+	n := len(rows)
+	var idx []int
+	if limit >= 0 && limit < int64(n) {
+		// Max-heap of the best limit indices seen so far: the root is the
+		// one a better candidate evicts.
+		k := int(limit)
+		idx = make([]int, 0, k)
+		down := func(at int) {
+			for {
+				worst := at
+				for c := 2*at + 1; c <= 2*at+2 && c < len(idx); c++ {
+					if before(idx[c], idx[worst]) > 0 {
+						worst = c
+					}
+				}
+				if worst == at {
+					return
+				}
+				idx[at], idx[worst] = idx[worst], idx[at]
+				at = worst
+			}
+		}
+		for i := 0; i < n && k > 0; i++ {
+			if len(idx) < k {
+				idx = append(idx, i)
+				if len(idx) == k {
+					for at := k/2 - 1; at >= 0; at-- {
+						down(at)
+					}
+				}
+			} else if before(i, idx[0]) < 0 {
+				idx[0] = i
+				down(0)
+			}
+		}
+	} else {
+		idx = make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+	}
+	slices.SortFunc(idx, before)
+	out := make([][]types.Value, len(idx))
+	for i, at := range idx {
+		out[i] = rows[at]
+	}
+	return out
 }
 
 // aggEnv substitutes aggregate results and group keys into output
-// expressions.
+// expressions. Which sub-expression stands for which aggregate or group key
+// is resolved once per statement, by node identity; each group then only
+// refreshes the slot values.
 type aggEnv struct {
-	subs map[string]types.Value
+	slots map[sqlparser.Expr]int // expression node → index into vals
+	vals  []types.Value          // current group: aggregate finals, then keys
 }
 
-func newAggEnv(p *plan.PhysicalPlan, grp *Group) (*aggEnv, error) {
-	env := &aggEnv{subs: make(map[string]types.Value, len(p.Aggs)+len(p.GroupBy))}
+func newAggEnv(p *plan.PhysicalPlan) *aggEnv {
+	byText := make(map[string]int, len(p.Aggs)+len(p.GroupBy))
+	for i, spec := range p.Aggs {
+		byText[spec.Key] = i
+	}
+	for i, g := range p.GroupBy {
+		byText[g.String()] = len(p.Aggs) + i
+	}
+	env := &aggEnv{slots: make(map[sqlparser.Expr]int), vals: make([]types.Value, len(p.Aggs)+len(p.GroupBy))}
+	for _, oi := range p.A.Outputs {
+		env.resolve(oi.Expr, byText)
+	}
+	if p.A.Having != nil {
+		env.resolve(p.A.Having, byText)
+	}
+	return env
+}
+
+// resolve records the slot of every node the evaluator can reach that
+// renders as an aggregate call or a group key; it stops at such a node, as
+// Eval does.
+func (e *aggEnv) resolve(expr sqlparser.Expr, byText map[string]int) {
+	if s, ok := byText[expr.String()]; ok {
+		e.slots[expr] = s
+		return
+	}
+	switch x := expr.(type) {
+	case *sqlparser.NegExpr:
+		e.resolve(x.X, byText)
+	case *sqlparser.NotExpr:
+		e.resolve(x.X, byText)
+	case *sqlparser.IsNullExpr:
+		e.resolve(x.X, byText)
+	case *sqlparser.BinaryExpr:
+		e.resolve(x.L, byText)
+		e.resolve(x.R, byText)
+	}
+}
+
+// bind loads one group's aggregate finals and keys into the slots.
+func (e *aggEnv) bind(p *plan.PhysicalPlan, grp *Group) error {
 	for i, spec := range p.Aggs {
 		v, err := grp.Cells[i].Final(spec.Func)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		env.subs[spec.Key] = v
+		e.vals[i] = v
 	}
-	for i, g := range p.GroupBy {
-		env.subs[g.String()] = grp.Keys[i]
-	}
-	return env, nil
+	copy(e.vals[len(p.Aggs):], grp.Keys)
+	return nil
 }
 
 // Col implements Env: bare column references are valid only when they are
-// grouping keys, which the substitution map already covers.
+// grouping keys, which the slots already cover.
 func (e *aggEnv) Col(table, col string) (types.Value, error) {
 	return types.Value{}, fmt.Errorf("exec: column %s.%s referenced outside GROUP BY", table, col)
 }
@@ -189,6 +318,8 @@ func (e *aggEnv) Repeated(table, col string) ([]types.Value, error) {
 
 // Sub implements Env.
 func (e *aggEnv) Sub(expr sqlparser.Expr) (types.Value, bool) {
-	v, ok := e.subs[expr.String()]
-	return v, ok
+	if s, ok := e.slots[expr]; ok {
+		return e.vals[s], true
+	}
+	return types.Value{}, false
 }

@@ -102,10 +102,25 @@ func (r *TaskResult) EstimateBytes() int64 {
 	}
 	if r.Groups != nil {
 		for _, g := range r.Groups.M {
-			n += estimateRow(g.Keys) + int64(len(g.Cells))*48
+			n += g.estimate()
 		}
 	}
 	return n + 64
+}
+
+// EstimateGroups is EstimateBytes for a result holding just these groups
+// (one shuffle frame).
+func EstimateGroups(groups []Group) int64 {
+	n := int64(64)
+	for i := range groups {
+		n += groups[i].estimate()
+	}
+	return n
+}
+
+// estimate is one group's share of a result's estimated wire size.
+func (g *Group) estimate() int64 {
+	return estimateRow(g.Keys) + int64(len(g.Cells))*48
 }
 
 func estimateRow(vals []types.Value) int64 {

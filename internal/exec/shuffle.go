@@ -56,6 +56,12 @@ func GroupShufflePartition(keys []types.Value, parts int) int {
 	return hashPartKey(GroupKey(keys), 0, parts)
 }
 
+// KeyShufflePartition is GroupShufflePartition for a caller that already
+// holds the group's encoded key (the Groups map key).
+func KeyShufflePartition(key string, parts int) int {
+	return hashPartKey(key, 0, parts)
+}
+
 // SpillStore persists row chunks for grace-hash spilling. Implementations
 // must return exactly the rows written for a handle, in order.
 type SpillStore interface {
@@ -533,6 +539,7 @@ type PartitionedAgg struct {
 	billing ShuffleBilling
 
 	mem     *Groups
+	keyBuf  []byte // scratch for deriving pushed groups' map keys
 	bytes   int64
 	spilled bool
 	chunks  [][]string
@@ -562,28 +569,56 @@ func (a *PartitionedAgg) Push(g *Groups) error {
 		return a.spillGroups(g)
 	}
 	for k, og := range g.M {
-		grp, ok := a.mem.M[k]
-		if !ok {
-			kc := make([]types.Value, len(og.Keys))
-			copy(kc, og.Keys)
-			cc := make([]Cell, len(og.Cells))
-			copy(cc, og.Cells)
-			a.mem.M[k] = &Group{Keys: kc, Cells: cc}
-			a.bytes += estimateRow(og.Keys) + int64(len(og.Cells))*48
-			continue
-		}
-		for i := range grp.Cells {
-			grp.Cells[i].Merge(og.Cells[i])
+		if grp, ok := a.mem.M[k]; ok {
+			grp.mergeCells(og)
+		} else {
+			a.mem.M[k] = a.own(og)
 		}
 	}
-	if a.spill != nil && a.bytes > a.grant {
-		a.spilled = true
-		a.chunks = make([][]string, spillFanout)
-		staged := a.mem
-		a.mem, a.bytes = NewGroups(a.numAggs), 0
-		return a.spillGroups(staged)
+	return a.checkGrant()
+}
+
+// PushGroups folds one shuffle frame's groups, as decoded off the wire: the
+// map key of each is derived here, once, on its way into the merged state.
+func (a *PartitionedAgg) PushGroups(groups []Group) error {
+	if a.flushed {
+		return fmt.Errorf("exec: Push after Flush")
 	}
-	return nil
+	if a.spilled {
+		g := NewGroups(a.numAggs)
+		g.adopt(groups)
+		return a.spillGroups(g)
+	}
+	for i := range groups {
+		og := &groups[i]
+		a.keyBuf = AppendGroupKey(a.keyBuf[:0], og.Keys)
+		if grp, ok := a.mem.M[string(a.keyBuf)]; ok {
+			grp.mergeCells(og)
+		} else {
+			a.mem.M[string(a.keyBuf)] = a.own(og)
+		}
+	}
+	return a.checkGrant()
+}
+
+// own copies a pushed group into the operator's state (the caller's groups
+// may be shared with a retried or duplicated delivery) and accounts for it.
+func (a *PartitionedAgg) own(og *Group) *Group {
+	a.bytes += og.estimate()
+	return &Group{Keys: append([]types.Value(nil), og.Keys...), Cells: append([]Cell(nil), og.Cells...)}
+}
+
+// checkGrant grace-hash spills the resident groups once they outgrow the
+// memory grant.
+func (a *PartitionedAgg) checkGrant() error {
+	if a.spill == nil || a.bytes <= a.grant {
+		return nil
+	}
+	a.spilled = true
+	a.chunks = make([][]string, spillFanout)
+	staged := a.mem
+	a.mem, a.bytes = NewGroups(a.numAggs), 0
+	return a.spillGroups(staged)
 }
 
 // Flush returns the partition's fully merged groups.

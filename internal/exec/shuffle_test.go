@@ -416,7 +416,9 @@ func TestShufflePartitionDeterministicAndInRange(t *testing.T) {
 }
 
 // runGroupShuffle executes a group-by shuffle locally: map tasks run the
-// top plan, partial groups are routed by group key, reducers merge.
+// top plan, partial groups are routed by group key, reducers merge. Odd
+// tasks' frames cross the wire codec and enter through PushGroups, as on
+// the TCP fabric; even tasks' partial maps are pushed as they are.
 func (h *shuffleHarness) runGroupShuffle(sql string, opts plan.Options, spill SpillStore, billing ShuffleBilling) (*Result, []*PartitionedAgg) {
 	h.t.Helper()
 	p := h.plan(sql, opts)
@@ -428,21 +430,39 @@ func (h *shuffleHarness) runGroupShuffle(sql string, opts plan.Options, spill Sp
 	for i := range aggs {
 		aggs[i] = NewPartitionedAgg(len(p.Aggs), sh.MemoryGrant, spill, billing)
 	}
-	for _, task := range p.Tasks() {
+	for ti, task := range p.Tasks() {
 		tr, err := RunTask(context.Background(), task, h.reader, nil)
 		if err != nil {
 			h.t.Fatal(err)
 		}
 		parts := make([]*Groups, sh.Partitions)
+		frames := make([][]Group, sh.Partitions)
 		for i := range parts {
 			parts[i] = NewGroups(len(p.Aggs))
 		}
 		for k, g := range tr.Groups.M {
 			i := GroupShufflePartition(g.Keys, sh.Partitions)
+			if i != KeyShufflePartition(k, sh.Partitions) {
+				h.t.Fatalf("key %q routes to %d by key and %d by values", k, KeyShufflePartition(k, sh.Partitions), i)
+			}
 			parts[i].M[k] = g
+			frames[i] = append(frames[i], *g)
 		}
 		for i, g := range parts {
-			if err := aggs[i].Push(g); err != nil {
+			if ti%2 == 0 {
+				err = aggs[i].Push(g)
+			} else {
+				var enc []byte
+				if enc, err = AppendGroups(nil, frames[i]); err != nil {
+					h.t.Fatal(err)
+				}
+				var back []Group
+				if back, _, err = DecodeGroups(enc); err != nil {
+					h.t.Fatal(err)
+				}
+				err = aggs[i].PushGroups(back)
+			}
+			if err != nil {
 				h.t.Fatal(err)
 			}
 		}

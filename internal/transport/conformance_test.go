@@ -394,3 +394,154 @@ func TestConformanceConcurrentCalls(t *testing.T) {
 		})
 	}
 }
+
+// confPoison encodes fine and cannot be decoded: over a socket it reaches
+// the peer as bytes the peer's codec rejects.
+type confPoison struct{ N int }
+
+func (p confPoison) GobEncode() ([]byte, error) { return []byte{byte(p.N)}, nil }
+func (p *confPoison) GobDecode([]byte) error    { return errors.New("poison: undecodable payload") }
+
+func init() { RegisterPayload(confPoison{}) }
+
+// A thousand sequential calls of mixed payload types — structs, bare
+// strings, nil, a payload big enough to stream in chunks — return the right
+// replies, and handler errors in between leave the transport usable. Over
+// TCP all of them ride one connection, whose codec stream therefore has to
+// stay in step through every one.
+func TestConformanceManyMixedCallsOneConnection(t *testing.T) {
+	for _, nc := range netCases() {
+		t.Run(nc.name, func(t *testing.T) {
+			n := nc.mk(t, nil, Options{})
+			n.Register("x", func(ctx context.Context, from string, payload any) (any, error) {
+				switch p := payload.(type) {
+				case nil:
+					return nil, nil
+				case string:
+					if p == "fail" {
+						return nil, fmt.Errorf("handler refused: %w", ErrInjected)
+					}
+					return "echo:" + p, nil
+				case confPayload:
+					return confReply{N: p.N + len(p.Blob), Echo: p.S}, nil
+				case confReply:
+					return confPayload{N: -p.N}, nil
+				default:
+					return nil, fmt.Errorf("unexpected payload %T", payload)
+				}
+			})
+			ctx := context.Background()
+			big := make([]byte, maxFrameBody+streamResetBytes)
+			for i := 0; i < 1000; i++ {
+				var (
+					got any
+					err error
+				)
+				switch i % 7 {
+				case 0:
+					got, err = n.Call(ctx, "m", "x", Control, confPayload{N: i, S: "s"}, 8)
+					if r, ok := got.(confReply); err != nil || !ok || r.N != i || r.Echo != "s" {
+						t.Fatalf("call %d: %v, %v", i, got, err)
+					}
+				case 1:
+					got, err = n.Call(ctx, "m", "x", Control, fmt.Sprint("str", i), 8)
+					if err != nil || got != fmt.Sprint("echo:str", i) {
+						t.Fatalf("call %d: %v, %v", i, got, err)
+					}
+				case 2:
+					got, err = n.Call(ctx, "m", "x", Control, nil, 0)
+					if err != nil || got != nil {
+						t.Fatalf("call %d: %v, %v", i, got, err)
+					}
+				case 3:
+					_, err = n.Call(ctx, "m", "x", Control, "fail", 8)
+					if !errors.Is(err, ErrInjected) || !strings.Contains(err.Error(), "handler refused") {
+						t.Fatalf("call %d: handler error = %v", i, err)
+					}
+				case 4:
+					got, err = n.Call(ctx, "m", "x", Control, confReply{N: i}, 8)
+					if r, ok := got.(confPayload); err != nil || !ok || r.N != -i {
+						t.Fatalf("call %d: %v, %v", i, got, err)
+					}
+				case 5:
+					if i%70 != 5 {
+						continue // the chunked payload only now and then
+					}
+					got, err = n.Call(ctx, "m", "x", Control, confPayload{N: 1, Blob: big}, int64(len(big)))
+					if r, ok := got.(confReply); err != nil || !ok || r.N != 1+len(big) {
+						t.Fatalf("call %d: %v, %v", i, got, err)
+					}
+				case 6:
+					got, err = n.Call(ctx, "m", "x", Control, "", 0)
+					if err != nil || got != "echo:" {
+						t.Fatalf("call %d: %v, %v", i, got, err)
+					}
+				}
+			}
+			if tr, ok := n.(*TCP); ok {
+				pool := tr.poolFor(tr.Addr())
+				pool.mu.Lock()
+				live := len(pool.live)
+				pool.mu.Unlock()
+				if live != 1 {
+					t.Errorf("%d connections opened for sequential calls, want 1", live)
+				}
+			}
+		})
+	}
+}
+
+// A payload the receiver cannot decode fails that call only. Over TCP the
+// connection's stream is poisoned by it: the server says so and hangs up,
+// the caller drops the connection, and the next call dials a fresh one.
+func TestConformanceUndecodablePayloadRedials(t *testing.T) {
+	for _, nc := range netCases() {
+		t.Run(nc.name, func(t *testing.T) {
+			n := nc.mk(t, nil, Options{})
+			n.Register("x", func(ctx context.Context, from string, payload any) (any, error) {
+				return "ok", nil
+			})
+			ctx := context.Background()
+			if got, err := n.Call(ctx, "m", "x", Control, "warm", 1); err != nil || got != "ok" {
+				t.Fatalf("warm-up call = %v, %v", got, err)
+			}
+			tr, wire := n.(*TCP)
+			var before *wireConn
+			if wire {
+				pool := tr.poolFor(tr.Addr())
+				pool.mu.Lock()
+				before = pool.control[0]
+				pool.mu.Unlock()
+			}
+			_, err := n.Call(ctx, "m", "x", Control, confPoison{N: 1}, 1)
+			if wire {
+				if err == nil || !strings.Contains(err.Error(), "poison") {
+					t.Fatalf("undecodable payload: err = %v, want the decode error", err)
+				}
+				pool := tr.poolFor(tr.Addr())
+				pool.mu.Lock()
+				_, alive := pool.live[before]
+				idle := len(pool.control)
+				pool.mu.Unlock()
+				if alive || idle != 0 {
+					t.Fatalf("poisoned connection kept: alive=%v idle=%d", alive, idle)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				if got, err := n.Call(ctx, "m", "x", Control, "again", 1); err != nil || got != "ok" {
+					t.Fatalf("call %d after the poisoned one = %v, %v", i, got, err)
+				}
+			}
+			if wire {
+				pool := tr.poolFor(tr.Addr())
+				pool.mu.Lock()
+				after := pool.control[0]
+				live := len(pool.live)
+				pool.mu.Unlock()
+				if after == before || live != 1 {
+					t.Fatalf("no fresh connection after the poisoned one (live=%d)", live)
+				}
+			}
+		})
+	}
+}

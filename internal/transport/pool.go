@@ -10,15 +10,12 @@ package transport
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync"
 )
 
-// wireConn is one framed connection, dedicated to a single in-flight call
-// at a time (checkout → request/reply → return).
-type wireConn struct {
-	c net.Conn
-}
+// hotConnsPerLane is how many idle connections of a lane keep their stream
+// state (compiled codecs, buffers); idle connections beyond it are stripped.
+const hotConnsPerLane = 8
 
 // peerPool manages connections to one peer address.
 type peerPool struct {
@@ -93,21 +90,46 @@ func (p *peerPool) checkout(ctx context.Context, class Class) (*wireConn, error)
 	return wc, nil
 }
 
-// put returns a connection after a call. A broken conn (any framing or I/O
-// error mid-call) is closed rather than reused. The data-lane slot is
+// put returns a connection after a call. A broken conn (any framing, codec
+// or I/O error mid-call, or a call abandoned half-way: its payload stream is
+// poisoned) is closed rather than reused. The data-lane slot is
 // released either way — the cap bounds in-flight calls, not idle sockets.
+//
+// Checkout is last-in first-out, so steady traffic lives on the top few
+// connections of a lane and the rest are what a burst left behind. Those
+// keep their socket — a burst that recurs must not redial — but not their
+// stream state: a connection returned to a lane that already holds
+// hotConnsPerLane idle connections with state is stripped at both ends and
+// goes to the bottom of the stack.
 func (p *peerPool) put(wc *wireConn, class Class, broken bool) {
+	idle := &p.data
+	if class == Control {
+		idle = &p.control
+	}
 	p.mu.Lock()
-	if broken || p.closed {
+	hot := 0
+	for _, c := range *idle {
+		if c.hasState() {
+			hot++
+		}
+	}
+	surplus := hot >= hotConnsPerLane
+	p.mu.Unlock()
+	if surplus && !broken {
+		wc.strip()
+		broken = wc.sendFrame(frame{kind: frameStrip}) != nil
+	}
+	p.mu.Lock()
+	switch {
+	case broken || p.closed:
 		delete(p.live, wc)
 		p.mu.Unlock()
 		wc.c.Close()
-	} else {
-		if class == Control {
-			p.control = append(p.control, wc)
-		} else {
-			p.data = append(p.data, wc)
-		}
+	case surplus:
+		*idle = append([]*wireConn{wc}, *idle...)
+		p.mu.Unlock()
+	default:
+		*idle = append(*idle, wc)
 		p.mu.Unlock()
 	}
 	if class != Control && p.dataSem != nil {

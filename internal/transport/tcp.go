@@ -44,8 +44,8 @@ type TCP struct {
 	addr   string
 
 	ClassCounters
-	// WireBytes counts real encoded bytes per class (requests + replies,
-	// measured after gob encoding). The embedded ClassCounters mirror the
+	// WireBytes counts real encoded payload bytes per class (requests +
+	// replies, as framed on this process's client connections). The embedded ClassCounters mirror the
 	// Fabric contract and count the caller-declared simulated sizes.
 	WireBytes [4]metrics.Counter
 
@@ -264,12 +264,9 @@ func (t *TCP) Call(ctx context.Context, from, to string, class Class, payload an
 	if err != nil {
 		return nil, err
 	}
-	body, err := EncodePayload(payload)
-	if err != nil {
-		return nil, err
-	}
 	bag := stashBaggage(ctx)
 	defer unstashBaggage(bag)
+	hdr := callHeader{From: from, To: to, Class: class, Size: size, Baggage: bag}
 
 	deliveries := 1
 	if duplicate {
@@ -287,7 +284,9 @@ func (t *TCP) Call(ctx context.Context, from, to string, class Class, payload an
 				b.ChargeTransfer(t.opt.Model, size, hops)
 			}
 		}
-		r, err := t.roundTrip(ctx, addr, from, to, class, payload == nil, body, size, bag)
+		// Each delivery encodes the payload anew: the encoding belongs to
+		// the stream of the connection that carries it.
+		r, err := t.roundTrip(ctx, addr, hdr, payload)
 		if err != nil {
 			lastErr = err
 			continue
@@ -301,15 +300,16 @@ func (t *TCP) Call(ctx context.Context, from, to string, class Class, payload an
 }
 
 // roundTrip performs one request/reply exchange on a pooled connection.
-func (t *TCP) roundTrip(ctx context.Context, addr, from, to string, class Class, nilPayload bool, body []byte, size int64, bag uint64) (any, error) {
+func (t *TCP) roundTrip(ctx context.Context, addr string, hdr callHeader, payload any) (reply any, err error) {
+	class := hdr.Class
 	pool := t.poolFor(addr)
 	wc, err := pool.get(ctx, class)
 	if err != nil {
-		return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, from, to, err)
+		return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, hdr.From, hdr.To, err)
 	}
+	// Anything short of a complete exchange leaves the connection's payload
+	// streams in an unknown position: it is closed, not returned.
 	broken := true
-	defer func() { pool.put(wc, class, broken) }()
-
 	// Context plumbing: honor the deadline directly, and unblock the
 	// socket (via an immediate deadline) if the context is canceled while
 	// the call is in flight. A canceled call abandons the connection.
@@ -318,68 +318,66 @@ func (t *TCP) roundTrip(ctx context.Context, addr, from, to string, class Class,
 	} else {
 		wc.c.SetDeadline(time.Time{})
 	}
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			wc.c.SetDeadline(time.Unix(1, 0))
-		case <-watchDone:
+	stopWatch := func() bool { return true }
+	if ctx.Done() != nil {
+		stopWatch = context.AfterFunc(ctx, func() { wc.c.SetDeadline(time.Unix(1, 0)) })
+	}
+	defer func() {
+		// A watcher that already fired may still be about to set its
+		// deadline; such a connection cannot go back to the pool.
+		if !stopWatch() {
+			broken = true
 		}
+		pool.put(wc, class, broken)
 	}()
 
-	hdr, err := encodeGob(callHeader{From: from, To: to, Class: int(class), Size: size, Baggage: bag})
-	if err != nil {
-		return nil, err
-	}
-	cf := frame{kind: frameCall, class: byte(class), body: hdr}
-	if nilPayload {
+	var hb [96]byte
+	cf := frame{kind: frameCall, class: byte(class), body: hdr.append(hb[:0])}
+	if payload == nil {
 		cf.flags |= flagNilPayload
 	}
-	if err := writeFrame(wc.c, cf); err != nil {
-		return nil, callErr(ctx, class, from, to, err)
-	}
-	if !nilPayload {
-		if err := writeChunks(wc.c, byte(class), body); err != nil {
-			return nil, callErr(ctx, class, from, to, err)
+	wc.queueFrame(cf)
+	if payload != nil {
+		n, err := wc.queuePayload(byte(class), payload)
+		if err != nil {
+			return nil, err
 		}
-		t.WireBytes[class].Add(int64(len(body)))
+		t.WireBytes[class].Add(n)
+	}
+	if err := wc.flush(); err != nil {
+		return nil, callErr(ctx, hdr, err)
 	}
 
-	rf, err := readFrame(wc.c)
+	rf, err := wc.readFrame()
 	if err != nil {
-		return nil, callErr(ctx, class, from, to, err)
+		return nil, callErr(ctx, hdr, err)
 	}
 	switch rf.kind {
 	case frameError:
-		broken = false
+		broken = rf.flags&flagClose != 0
 		return nil, decodeErrorFrame(rf)
 	case frameReply:
 		if rf.flags&flagNilPayload != 0 {
 			broken = false
 			return nil, nil
 		}
-		rb, err := readChunks(wc.c)
+		out, n, err := wc.readPayload()
 		if err != nil {
-			return nil, callErr(ctx, class, from, to, err)
+			return nil, callErr(ctx, hdr, err)
 		}
-		t.WireBytes[class].Add(int64(len(rb)))
-		out, err := DecodePayload(rb)
-		if err != nil {
-			return nil, err
-		}
+		t.WireBytes[class].Add(n)
 		broken = false
 		return out, nil
 	default:
-		return nil, fmt.Errorf("transport: %s call %s->%s: unexpected reply frame kind %d", class, from, to, rf.kind)
+		return nil, fmt.Errorf("transport: %s call %s->%s: unexpected reply frame kind %d", class, hdr.From, hdr.To, rf.kind)
 	}
 }
 
-func callErr(ctx context.Context, class Class, from, to string, err error) error {
+func callErr(ctx context.Context, hdr callHeader, err error) error {
 	if ctx.Err() != nil {
 		err = ctx.Err()
 	}
-	return fmt.Errorf("transport: %s call %s->%s: %w", class, from, to, err)
+	return fmt.Errorf("transport: %s call %s->%s: %w", hdr.Class, hdr.From, hdr.To, err)
 }
 
 func (t *TCP) poolFor(addr string) *peerPool {
@@ -411,19 +409,15 @@ func (t *TCP) dialPeer(ctx context.Context, addr string) (*wireConn, error) {
 		break
 	}
 	t.mu.RUnlock()
-	hello, err := encodeGob(helloMsg{Version: CodecVersion, From: self})
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
 	if d, ok := ctx.Deadline(); ok {
 		c.SetDeadline(d)
 	}
-	if err := writeFrame(c, frame{kind: frameHello, body: hello}); err != nil {
+	wc := newWireConn(c)
+	if err := wc.sendFrame(frame{kind: frameHello, body: helloMsg{Version: CodecVersion, From: self}.append(nil)}); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("transport: handshake write to %s: %w", addr, err)
 	}
-	af, err := readFrame(c)
+	af, err := wc.readFrame()
 	if err != nil {
 		c.Close()
 		return nil, fmt.Errorf("transport: handshake read from %s: %w", addr, err)
@@ -436,10 +430,10 @@ func (t *TCP) dialPeer(ctx context.Context, addr string) (*wireConn, error) {
 		c.Close()
 		return nil, fmt.Errorf("transport: handshake with %s: unexpected frame kind %d", addr, af.kind)
 	}
-	var ack helloAck
-	if err := decodeGob(af.body, &ack); err != nil {
+	ack, err := parseHelloAck(af.body)
+	if err != nil {
 		c.Close()
-		return nil, err
+		return nil, fmt.Errorf("transport: handshake with %s: %w", addr, err)
 	}
 	if ack.Version != CodecVersion {
 		c.Close()
@@ -454,7 +448,7 @@ func (t *TCP) dialPeer(ctx context.Context, addr string) (*wireConn, error) {
 		}
 	}
 	t.mu.Unlock()
-	return &wireConn{c: c}, nil
+	return wc, nil
 }
 
 // --- server side -----------------------------------------------------------
@@ -487,17 +481,18 @@ func (t *TCP) serveConn(c net.Conn) {
 	stop := context.AfterFunc(t.baseCtx, func() { c.SetDeadline(time.Unix(1, 0)) })
 	defer stop()
 
+	wc := newWireConn(c)
 	// Handshake first: version check, then advertise hosted nodes.
-	hf, err := readFrame(c)
+	hf, err := wc.readFrame()
 	if err != nil || hf.kind != frameHello {
 		return
 	}
-	var hello helloMsg
-	if err := decodeGob(hf.body, &hello); err != nil {
+	hello, err := parseHello(hf.body)
+	if err != nil {
 		return
 	}
 	if hello.Version != CodecVersion {
-		writeFrame(c, encodeErrorFrame(0, fmt.Errorf("transport: codec version %d not supported (want %d)", hello.Version, CodecVersion)))
+		wc.sendFrame(encodeErrorFrame(0, flagClose, fmt.Errorf("transport: codec version %d not supported (want %d)", hello.Version, CodecVersion)))
 		return
 	}
 	t.mu.RLock()
@@ -506,67 +501,56 @@ func (t *TCP) serveConn(c net.Conn) {
 		nodes = append(nodes, n)
 	}
 	t.mu.RUnlock()
-	ab, err := encodeGob(helloAck{Version: CodecVersion, Nodes: nodes})
-	if err != nil {
-		return
-	}
-	if err := writeFrame(c, frame{kind: frameHelloAck, body: ab}); err != nil {
+	if err := wc.sendFrame(frame{kind: frameHelloAck, body: helloAck{Version: CodecVersion, Nodes: nodes}.append(nil)}); err != nil {
 		return
 	}
 
 	// One request at a time per connection; the pools on the caller side
-	// provide the concurrency.
+	// provide the concurrency. A handler error is an ordinary reply and the
+	// connection lives on; a payload that cannot be decoded, or a reply that
+	// cannot be encoded, poisons the stream: the error frame says so
+	// (flagClose) and the connection ends.
 	for {
-		cf, err := readFrame(c)
+		cf, err := wc.readFrame()
+		if err == nil && cf.kind == frameStrip {
+			wc.strip()
+			continue
+		}
+		if err != nil || cf.kind != frameCall {
+			return
+		}
+		hdr, err := parseCallHeader(cf.body)
 		if err != nil {
-			return
-		}
-		if cf.kind != frameCall {
-			return
-		}
-		var hdr callHeader
-		if err := decodeGob(cf.body, &hdr); err != nil {
 			return
 		}
 		var payload any
 		if cf.flags&flagNilPayload == 0 {
-			pb, err := readChunks(c)
-			if err != nil {
+			if payload, _, err = wc.readPayload(); err != nil {
+				wc.sendFrame(encodeErrorFrame(cf.class, flagClose, err))
 				return
-			}
-			payload, err = DecodePayload(pb)
-			if err != nil {
-				writeFrame(c, encodeErrorFrame(cf.class, err))
-				continue
 			}
 		}
 		reply, err := t.serveCall(ctx, hdr, payload)
 		if err != nil {
-			if writeFrame(c, encodeErrorFrame(cf.class, err)) != nil {
+			if wc.sendFrame(encodeErrorFrame(cf.class, 0, err)) != nil {
 				return
 			}
 			continue
 		}
 		rf := frame{kind: frameReply, class: cf.class}
-		var rb []byte
 		if reply == nil {
 			rf.flags |= flagNilPayload
-		} else {
-			rb, err = EncodePayload(reply)
-			if err != nil {
-				if writeFrame(c, encodeErrorFrame(cf.class, err)) != nil {
-					return
-				}
-				continue
-			}
 		}
-		if err := writeFrame(c, rf); err != nil {
-			return
-		}
+		wc.queueFrame(rf)
 		if reply != nil {
-			if err := writeChunks(c, cf.class, rb); err != nil {
+			if _, err := wc.queuePayload(cf.class, reply); err != nil {
+				wc.out.discard() // the half-built reply
+				wc.sendFrame(encodeErrorFrame(cf.class, flagClose, err))
 				return
 			}
+		}
+		if wc.flush() != nil {
+			return
 		}
 	}
 }
@@ -583,7 +567,7 @@ func (t *TCP) serveCall(ctx context.Context, hdr callHeader, payload any) (any, 
 	if !ok || down {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, hdr.To)
 	}
-	class := Class(hdr.Class)
+	class := hdr.Class
 	if class != Control && ep.slots != nil {
 		select {
 		case ep.slots <- struct{}{}:

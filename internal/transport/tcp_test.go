@@ -71,15 +71,13 @@ func TestTCPHandshakeVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	body, err := encodeGob(helloMsg{Version: CodecVersion + 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(c, frame{kind: frameHello, body: body}); err != nil {
+	hello := frame{kind: frameHello, body: helloMsg{Version: CodecVersion + 99}.append(nil)}
+	if _, err := c.Write(appendFrame(nil, hello)); err != nil {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	f, err := readFrame(c)
+	var buf []byte
+	f, err := readFrame(c, &buf)
 	if err != nil {
 		t.Fatalf("want an error frame, got %v", err)
 	}
@@ -295,5 +293,36 @@ func TestFabricStaleEndpointInSlotQueue(t *testing.T) {
 	}
 	if got := oldCalls.Load(); got != 1 {
 		t.Errorf("old handler calls = %d, want only the pre-restart one", got)
+	}
+}
+
+// A reply the server cannot encode fails the call with the encoder's error
+// and retires the connection (its half-written stream is not trusted); the
+// next call dials again and succeeds.
+func TestTCPUnencodableReplyRetiresConnection(t *testing.T) {
+	type unregistered struct{ N int }
+	tr := newTestTCP(t, nil, Options{}, TCPOptions{})
+	tr.Register("x", func(ctx context.Context, from string, payload any) (any, error) {
+		if payload.(string) == "bad" {
+			return unregistered{N: 1}, nil
+		}
+		return "ok", nil
+	})
+	ctx := context.Background()
+	if got, err := tr.Call(ctx, "m", "x", Control, "good", 1); err != nil || got != "ok" {
+		t.Fatalf("warm-up = %v, %v", got, err)
+	}
+	if _, err := tr.Call(ctx, "m", "x", Control, "bad", 1); err == nil || !strings.Contains(err.Error(), "unregistered") {
+		t.Fatalf("unencodable reply: err = %v", err)
+	}
+	pool := tr.poolFor(tr.Addr())
+	pool.mu.Lock()
+	live := len(pool.live)
+	pool.mu.Unlock()
+	if live != 0 {
+		t.Fatalf("%d connections kept after an unencodable reply", live)
+	}
+	if got, err := tr.Call(ctx, "m", "x", Control, "good", 1); err != nil || got != "ok" {
+		t.Fatalf("call after redial = %v, %v", got, err)
 	}
 }

@@ -8,8 +8,7 @@
 package types
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -244,23 +243,40 @@ func NewSchema(fields ...Field) (*Schema, error) {
 	return s, nil
 }
 
-// GobEncode serializes only the field list; the name index is derived
-// state. Without this, gob would silently drop the unexported byName map
-// and a schema shipped over the wire transport could not resolve columns.
+// GobEncode serializes only the field list (name, type, repeated flag per
+// field, hand-packed); the name index is derived state. Without this, gob
+// would silently drop the unexported byName map and a schema shipped over
+// the wire transport could not resolve columns.
 func (s *Schema) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.Fields); err != nil {
-		return nil, err
+	b := binary.AppendUvarint(nil, uint64(len(s.Fields)))
+	for _, f := range s.Fields {
+		b = AppendString(b, f.Name)
+		rep := byte(0)
+		if f.Repeated {
+			rep = 1
+		}
+		b = append(b, byte(f.Type), rep)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // GobDecode rebuilds the schema, including the name index, from the field
 // list written by GobEncode.
 func (s *Schema) GobDecode(b []byte) error {
-	var fields []Field
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&fields); err != nil {
+	n, b, err := ReadCount(b)
+	if err != nil {
 		return err
+	}
+	fields := make([]Field, n)
+	for i := range fields {
+		if fields[i].Name, b, err = ReadString(b); err != nil {
+			return err
+		}
+		if len(b) < 2 || b[0] > byte(String) || b[1] > 1 {
+			return corrupt("bad schema field")
+		}
+		fields[i].Type, fields[i].Repeated = Type(b[0]), b[1] == 1
+		b = b[2:]
 	}
 	ns, err := NewSchema(fields...)
 	if err != nil {

@@ -23,6 +23,12 @@ go build ./...
 echo "== go test ./...  (tier-1)"
 go test ./...
 
+# bench/ is its own module (replace repro => ../), so tier-1 does not notice
+# when a transport/exec signature the benchmark calls changes.
+echo "== benchmark module (go -C bench vet + test)"
+go -C bench vet ./...
+go -C bench test ./...
+
 echo "== go test -race ./..."
 go test -race ./...
 
@@ -109,8 +115,10 @@ if awk "BEGIN{exit !($ccov < $core_cov_floor)}"; then
 fi
 echo "coverage: internal/core at ${ccov}%"
 
-echo "== fuzz smoke (FuzzParse, 10s)"
+echo "== fuzz smoke (FuzzParse, FuzzDecodeBatch, FuzzWireStream; 10s each)"
 go test -fuzz=FuzzParse -fuzztime=10s -run='^$' ./internal/sqlparser
+go test -fuzz=FuzzDecodeBatch -fuzztime=10s -run='^$' ./internal/types
+go test -fuzz=FuzzWireStream -fuzztime=10s -run='^$' ./internal/transport
 
 echo "== telemetry smoke (exporter on an ephemeral port)"
 go run ./cmd/feisu -smoke-telemetry -rows 256 -parts 2
