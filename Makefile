@@ -26,4 +26,3 @@ bench-smoke:
 	go run ./cmd/feisu-bench -exp chaos -seed 1 -short -scale small
 	go run ./cmd/feisu-bench -exp parscan -short -scale small
 	go run ./cmd/feisu-bench -exp rescache -short -scale small
-	go run ./cmd/feisu-bench -exp zipfidx -short -scale small

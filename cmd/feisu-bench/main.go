@@ -43,7 +43,6 @@ var registry = []struct {
 	{"flightrec", "flight recorder overhead: identical stream, recorder off vs on", experiments.Flightrec},
 	{"shuffle", "general joins: broadcast vs hash repartition across build-side scales", experiments.Shuffle},
 	{"wire", "scale-out over real TCP sockets vs the simulated fabric", experiments.Wire},
-	{"zipfidx", "skew-aware SmartIndex: heat-aware vs uniform-LRU budget across Zipf exponents", experiments.Zipfidx},
 }
 
 func main() {
@@ -64,7 +63,6 @@ func main() {
 	experiments.FlightrecShort = *short
 	experiments.ShuffleShort = *short
 	experiments.WireShort = *short
-	experiments.ZipfidxShort = *short
 
 	if *list {
 		for _, e := range registry {

@@ -143,17 +143,6 @@ type Config struct {
 	// IndexNoDerivation disables SmartIndex's complement/range derived
 	// answers (ablation of the paper's Fig. 7 rewriting).
 	IndexNoDerivation bool
-	// IndexHeavyHitters enables skew-aware index budgeting: each leaf's
-	// SmartIndex tracks predicate-atom heat with a space-saving sketch of
-	// this many counters, auto-pins entries for guaranteed-heavy atoms in a
-	// cache-line-striped hot tier (negations pre-materialized), and shares
-	// the LRU budget in proportion to observed heat. 0 keeps the uniform
-	// LRU of the paper.
-	IndexHeavyHitters int
-	// IndexHotShare caps the hot tier's fraction of IndexMemoryBytes
-	// (further scaled by the observed heavy-hitter mass); <=0 defaults to
-	// 0.5. Only meaningful with IndexHeavyHitters > 0.
-	IndexHotShare float64
 	// CacheBytes enables the SSD column cache per leaf; 0 disables.
 	CacheBytes int64
 	// CachePrefixes are the manually preferred paths admitted to the SSD
@@ -550,20 +539,6 @@ func New(cfg Config) (*System, error) {
 			if cfg.IndexMemoryBytes > 0 {
 				sys.metrics.GaugeWith("feisu_index_budget_bytes", leafLabel).Set(float64(cfg.IndexMemoryBytes))
 			}
-			if cfg.IndexHeavyHitters > 0 {
-				sys.metrics.RegisterGaugeFunc("feisu_smartindex_hot_entries", func() float64 {
-					entries, _, _ := si.HeatLoad()
-					return float64(entries)
-				}, leafLabel)
-				sys.metrics.RegisterGaugeFunc("feisu_smartindex_hot_bytes", func() float64 {
-					_, bytes, _ := si.HeatLoad()
-					return float64(bytes)
-				}, leafLabel)
-				sys.metrics.RegisterGaugeFunc("feisu_smartindex_hot_budget_bytes", func() float64 {
-					_, _, budget := si.HeatLoad()
-					return float64(budget)
-				}, leafLabel)
-			}
 		}
 		leaf := &cluster.LeafServer{
 			Name:           leafName(i),
@@ -674,8 +649,6 @@ func (s *System) newIndex() exec.IndexSource {
 			TTL:               s.cfg.IndexTTL,
 			Compress:          s.cfg.IndexCompress,
 			DisableDerivation: s.cfg.IndexNoDerivation,
-			HeavyHitters:      s.cfg.IndexHeavyHitters,
-			HotShare:          s.cfg.IndexHotShare,
 			Model:             s.model,
 		})
 		s.smart = append(s.smart, si)
@@ -769,10 +742,30 @@ func (s *System) WireTransport() *transport.TCP { return s.tcpNet }
 // "master.queries", "leaf0.index.hits", "leaf0.cache.misses".
 func (s *System) Metrics() *metrics.Registry { return s.metrics }
 
-// RegisterTable installs a catalog entry directly (NewLoader does this for
-// generated data).
+// RegisterTable installs or replaces a catalog entry (Loader.Close does this
+// for generated data). Partition files the table listed before and no
+// longer lists are retired: everything cached from them is released through
+// InvalidatePath, so a sliding retention window holds memory flat. meta must
+// be a new value: the catalog keeps the registered pointer, so editing that
+// one in place hides what left.
 func (s *System) RegisterTable(ctx context.Context, meta *plan.TableMeta) error {
-	return s.master.RegisterTable(ctx, meta)
+	prev, lookupErr := s.master.Jobs.Lookup(meta.Name)
+	if err := s.master.RegisterTable(ctx, meta); err != nil {
+		return err
+	}
+	if lookupErr != nil {
+		return nil // first registration: nothing to retire
+	}
+	kept := make(map[string]bool, len(meta.Partitions))
+	for _, p := range meta.Partitions {
+		kept[p.Path] = true
+	}
+	for _, p := range prev.Partitions {
+		if !kept[p.Path] {
+			s.InvalidatePath(meta.Name, p.Path)
+		}
+	}
+	return nil
 }
 
 // Query runs one SQL statement.
@@ -904,14 +897,6 @@ func (s *System) IndexStats() core.Stats {
 		total.EvictedTTL += st.EvictedTTL
 		total.Bytes += st.Bytes
 		total.Entries += st.Entries
-		total.HotEntries += st.HotEntries
-		total.HotBytes += st.HotBytes
-		total.HotBudget += st.HotBudget
-		total.Promoted += st.Promoted
-		total.Demoted += st.Demoted
-		total.EvictedLRUHot += st.EvictedLRUHot
-		total.EvictedLRUCold += st.EvictedLRUCold
-		total.StripedHits += st.StripedHits
 	}
 	return total
 }
@@ -929,11 +914,12 @@ func (s *System) ResetIndexCounters() {
 func (s *System) ResultCache() *resultcache.Cache { return s.rescache }
 
 // InvalidatePath drops every cached artifact derived from the partition
-// file at path after an out-of-band rewrite: the master's and every leaf's
-// cached footers, each leaf's SSD column chunks, and — when table is
-// non-empty — the semantic result-cache entries reading that table. The
-// ingest pipeline calls this automatically; callers rewriting partition
-// files through Router() directly should too.
+// file at path after a rewrite or retirement: the master's and every leaf's
+// cached footers, each leaf's SSD column chunks and SmartIndex entries, and
+// — when table is non-empty — the semantic result-cache entries reading
+// that table. Loader, the ingest pipeline and RegisterTable call this
+// themselves; callers rewriting partition files through Router() directly
+// should too.
 func (s *System) InvalidatePath(table, path string) {
 	s.master.InvalidatePartition(table, path)
 	for _, sr := range s.readers {
@@ -941,6 +927,9 @@ func (s *System) InvalidatePath(table, path string) {
 	}
 	for _, c := range s.caches {
 		c.InvalidatePath(path)
+	}
+	for _, si := range s.smart {
+		si.Invalidate(path + "#") // block ids are path#ordinal
 	}
 }
 

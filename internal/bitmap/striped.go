@@ -1,27 +1,18 @@
 package bitmap
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
-// Cache-line-striped bitmap layout for the SmartIndex hot tier.
+// Cache-line-striped bitmap layout. Nothing in the engine uses it: the
+// SmartIndex hot tier it served was deleted (DESIGN.md, "SmartIndex: one
+// tier"), and what remains is exactly what bench/layers.go compiles against
+// for `bitmap.striped_and_ns_per_kbit`. The benchmark-only PR that drops
+// that metric deletes this file.
 //
 // A Striped bitmap groups the word stream into stripes of 8 words — one
 // 64-byte cache line each — and classifies every stripe as all-zeros,
 // all-ones or mixed. Only mixed stripes occupy backing storage, packed
-// contiguously in stripe order in a single arena slice, so combining a hot
-// bitmap into a selection walks sequential cache lines and skips uniform
-// lines without touching memory at all ("Fast Query Processing by
-// Distributing an Index over CPU Caches": keep the hot index resident in
-// cache and access it without pointer chasing).
-//
-// Predicate-result bitmaps are typically heavily skewed (a hot predicate
-// selects almost none or almost all rows of a block), so most stripes are
-// uniform: the striped form usually costs a few tag bytes per cache line of
-// the dense form while AND/NOT over it degenerates to a handful of word
-// writes. The layout is immutable after construction — the SmartIndex hands
-// the same *Striped to concurrent readers.
+// contiguously in stripe order in a single arena slice. The layout is
+// immutable after construction.
 const (
 	stripeWords = 8 // 8 × 8-byte words = one 64-byte cache line
 	stripeBits  = stripeWords * wordBits
@@ -43,10 +34,7 @@ type Striped struct {
 	words  []uint64 // mixed stripes only, stripeWords words each, stripe order
 }
 
-// Stripe converts a dense bitmap into the striped layout. The tail stripe
-// (which may cover fewer than stripeWords valid words) is classified
-// all-zeros or mixed, never all-ones, so Word can synthesize uniform
-// stripes without consulting the tail mask.
+// Stripe converts a dense bitmap into the striped layout.
 func Stripe(b *Bitmap) *Striped {
 	nWords := len(b.words)
 	nStripes := (nWords + stripeWords - 1) / stripeWords
@@ -59,11 +47,10 @@ func Stripe(b *Bitmap) *Striped {
 	mixed := 0
 	for si := 0; si < nStripes; si++ {
 		lo, hi := si*stripeWords, (si+1)*stripeWords
-		full := hi <= nWords
 		if hi > nWords {
 			hi = nWords
 		}
-		zeros, ones := true, full
+		zeros, ones := true, true
 		for wi := lo; wi < hi; wi++ {
 			w := b.words[wi]
 			if w != 0 {
@@ -103,47 +90,13 @@ func Stripe(b *Bitmap) *Striped {
 	return s
 }
 
-// storagePos maps a logical word index to its arena position, ok=false for
-// words inside uniform (unstored) stripes. The mapping is injective over
-// stored words — the stripe-index guard test asserts it.
-func (s *Striped) storagePos(wi int) (int, bool) {
-	si := wi / stripeWords
-	if s.tags[si] != stripeMixed {
-		return 0, false
-	}
-	return int(s.offs[si])*stripeWords + wi%stripeWords, true
-}
-
-// Len returns the number of valid bits.
-func (s *Striped) Len() int { return s.n }
-
-// Word returns the dense form's word wi.
-func (s *Striped) Word(wi int) uint64 {
-	if wi < 0 || wi >= s.nWords {
-		panic(fmt.Sprintf("bitmap: striped word %d out of range [0,%d)", wi, s.nWords))
-	}
-	switch s.tags[wi/stripeWords] {
-	case stripeZeros:
-		return 0
-	case stripeOnes:
-		return ^uint64(0) // never the (masked) tail word: Stripe tags the tail zeros/mixed
-	default:
-		return s.words[int(s.offs[wi/stripeWords])*stripeWords+wi%stripeWords]
-	}
-}
-
-// checkDst verifies the destination shape once per bulk op.
-func (s *Striped) checkDst(dst *Bitmap) {
-	if dst.n != s.n {
-		panic(fmt.Sprintf("bitmap: striped length mismatch %d vs %d", s.n, dst.n))
-	}
-}
-
 // AndInto sets dst = dst AND s word-at-a-time: all-ones stripes are skipped
 // without a memory touch, all-zero stripes clear the destination line, and
 // only mixed stripes read the arena.
 func (s *Striped) AndInto(dst *Bitmap) {
-	s.checkDst(dst)
+	if dst.n != s.n {
+		panic(fmt.Sprintf("bitmap: striped length mismatch %d vs %d", s.n, dst.n))
+	}
 	for si, tag := range s.tags {
 		lo, hi := si*stripeWords, (si+1)*stripeWords
 		if hi > s.nWords {
@@ -162,106 +115,4 @@ func (s *Striped) AndInto(dst *Bitmap) {
 			}
 		}
 	}
-}
-
-// AndNotInto sets dst = dst AND NOT s word-at-a-time (the Fig. 7 bit-NOT
-// composed with the running selection in one pass).
-func (s *Striped) AndNotInto(dst *Bitmap) {
-	s.checkDst(dst)
-	for si, tag := range s.tags {
-		lo, hi := si*stripeWords, (si+1)*stripeWords
-		if hi > s.nWords {
-			hi = s.nWords
-		}
-		switch tag {
-		case stripeZeros: // dst AND NOT 0 = dst
-		case stripeOnes:
-			for wi := lo; wi < hi; wi++ {
-				dst.words[wi] = 0
-			}
-		default:
-			arena := s.words[int(s.offs[si])*stripeWords:]
-			for wi := lo; wi < hi; wi++ {
-				dst.words[wi] &^= arena[wi-lo]
-			}
-		}
-	}
-}
-
-// OrInto sets dst = dst OR s word-at-a-time. All-ones stripes never cover
-// the tail (Stripe classifies it zeros/mixed), so whole-line fills cannot
-// set bits past Len.
-func (s *Striped) OrInto(dst *Bitmap) {
-	s.checkDst(dst)
-	for si, tag := range s.tags {
-		lo, hi := si*stripeWords, (si+1)*stripeWords
-		if hi > s.nWords {
-			hi = s.nWords
-		}
-		switch tag {
-		case stripeZeros: // dst OR 0 = dst
-		case stripeOnes:
-			for wi := lo; wi < hi; wi++ {
-				dst.words[wi] = ^uint64(0)
-			}
-		default:
-			arena := s.words[int(s.offs[si])*stripeWords:]
-			for wi := lo; wi < hi; wi++ {
-				dst.words[wi] |= arena[wi-lo]
-			}
-		}
-	}
-}
-
-// ToBitmap materializes the dense form.
-func (s *Striped) ToBitmap() *Bitmap {
-	b := New(s.n)
-	for si, tag := range s.tags {
-		lo, hi := si*stripeWords, (si+1)*stripeWords
-		if hi > s.nWords {
-			hi = s.nWords
-		}
-		switch tag {
-		case stripeZeros:
-		case stripeOnes:
-			for wi := lo; wi < hi; wi++ {
-				b.words[wi] = ^uint64(0)
-			}
-		default:
-			arena := s.words[int(s.offs[si])*stripeWords:]
-			for wi := lo; wi < hi; wi++ {
-				b.words[wi] = arena[wi-lo]
-			}
-		}
-	}
-	b.clearTail()
-	return b
-}
-
-// Count returns the number of set bits without materializing.
-func (s *Striped) Count() int {
-	c := 0
-	for si, tag := range s.tags {
-		lo, hi := si*stripeWords, (si+1)*stripeWords
-		if hi > s.nWords {
-			hi = s.nWords
-		}
-		switch tag {
-		case stripeZeros:
-		case stripeOnes:
-			c += (hi - lo) * wordBits
-		default:
-			arena := s.words[int(s.offs[si])*stripeWords:]
-			for wi := lo; wi < hi; wi++ {
-				c += bits.OnesCount64(arena[wi-lo])
-			}
-		}
-	}
-	return c
-}
-
-// SizeBytes returns the in-memory footprint: the mixed-stripe arena plus
-// one tag byte and one offset per stripe.
-func (s *Striped) SizeBytes() int {
-	return 8*len(s.words) + len(s.tags) + 4*len(s.offs) + 48
 }

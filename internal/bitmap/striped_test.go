@@ -86,38 +86,6 @@ func forEachPattern(t *testing.T, fn func(t *testing.T, name string, n int, b *B
 	}
 }
 
-func TestStripedRoundTrip(t *testing.T) {
-	forEachPattern(t, func(t *testing.T, name string, n int, b *Bitmap) {
-		got := Stripe(b).ToBitmap()
-		if !got.Equal(b) {
-			t.Fatalf("%s n=%d: ToBitmap(Stripe(b)) != b", name, n)
-		}
-	})
-}
-
-func TestStripedCountAndLen(t *testing.T) {
-	forEachPattern(t, func(t *testing.T, name string, n int, b *Bitmap) {
-		s := Stripe(b)
-		if s.Len() != n {
-			t.Fatalf("%s n=%d: Len = %d", name, n, s.Len())
-		}
-		if s.Count() != b.Count() {
-			t.Fatalf("%s n=%d: Count = %d, dense %d", name, n, s.Count(), b.Count())
-		}
-	})
-}
-
-func TestStripedWordIteration(t *testing.T) {
-	forEachPattern(t, func(t *testing.T, name string, n int, b *Bitmap) {
-		s := Stripe(b)
-		for wi := range b.words {
-			if got, want := s.Word(wi), b.words[wi]; got != want {
-				t.Fatalf("%s n=%d: Word(%d) = %#x, dense %#x", name, n, wi, got, want)
-			}
-		}
-	})
-}
-
 func TestStripedCombineKernels(t *testing.T) {
 	forEachPattern(t, func(t *testing.T, name string, n int, b *Bitmap) {
 		s := Stripe(b)
@@ -138,85 +106,7 @@ func TestStripedCombineKernels(t *testing.T) {
 		if !and.Equal(wantAnd) {
 			t.Fatalf("%s n=%d: AndInto mismatch", name, n)
 		}
-
-		andNot := dst.Clone()
-		s.AndNotInto(andNot)
-		wantAndNot := dst.Clone()
-		wantAndNot.AndNot(b)
-		if !andNot.Equal(wantAndNot) {
-			t.Fatalf("%s n=%d: AndNotInto mismatch", name, n)
-		}
-
-		or := dst.Clone()
-		s.OrInto(or)
-		wantOr := dst.Clone()
-		wantOr.Or(b)
-		if !or.Equal(wantOr) {
-			t.Fatalf("%s n=%d: OrInto mismatch", name, n)
-		}
-		// Whole-line ones fills must not leak bits past Len (the tail-stripe
-		// classification rule).
-		if or.Count() > n {
-			t.Fatalf("%s n=%d: OrInto set %d bits past length", name, n, or.Count()-n)
-		}
 	})
-}
-
-// TestStripedStoragePosInjective is the stripe-index-math guard: every mixed
-// word maps to a distinct in-range arena slot holding exactly the dense word,
-// and every uniform word maps nowhere.
-func TestStripedStoragePosInjective(t *testing.T) {
-	forEachPattern(t, func(t *testing.T, name string, n int, b *Bitmap) {
-		s := Stripe(b)
-		seen := make(map[int]int)
-		for wi := range b.words {
-			pos, ok := s.storagePos(wi)
-			if s.tags[wi/stripeWords] != stripeMixed {
-				if ok {
-					t.Fatalf("%s n=%d: uniform word %d reported stored", name, n, wi)
-				}
-				continue
-			}
-			if !ok {
-				t.Fatalf("%s n=%d: mixed word %d reported unstored", name, n, wi)
-			}
-			if pos < 0 || pos >= len(s.words) {
-				t.Fatalf("%s n=%d: word %d arena pos %d out of range [0,%d)", name, n, wi, pos, len(s.words))
-			}
-			if prev, dup := seen[pos]; dup {
-				t.Fatalf("%s n=%d: words %d and %d collide at arena pos %d", name, n, prev, wi, pos)
-			}
-			seen[pos] = wi
-			if s.words[pos] != b.words[wi] {
-				t.Fatalf("%s n=%d: arena[%d] = %#x, dense word %d = %#x", name, n, pos, s.words[pos], wi, b.words[wi])
-			}
-		}
-	})
-}
-
-// TestStripedTailNeverOnes: the tail stripe is classified zeros or mixed even
-// when every valid bit is set, so uniform-stripe synthesis (Word, OrInto,
-// Count) never has to consult the tail mask.
-func TestStripedTailNeverOnes(t *testing.T) {
-	for _, n := range stripedLens {
-		if n%stripeBits == 0 {
-			continue // no partial tail stripe
-		}
-		s := Stripe(NewFull(n))
-		if last := s.tags[len(s.tags)-1]; last == stripeOnes {
-			t.Fatalf("n=%d: partial tail stripe tagged all-ones", n)
-		}
-	}
-	// A full-length all-ones bitmap may (and should) tag every stripe ones.
-	s := Stripe(NewFull(4 * stripeBits))
-	for si, tag := range s.tags {
-		if tag != stripeOnes {
-			t.Fatalf("aligned full bitmap: stripe %d tag = %d, want ones", si, tag)
-		}
-	}
-	if len(s.words) != 0 {
-		t.Fatalf("aligned full bitmap should store no arena words, got %d", len(s.words))
-	}
 }
 
 func TestStripedPanics(t *testing.T) {
@@ -230,25 +120,5 @@ func TestStripedPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("Word(-1)", func() { s.Word(-1) })
-	mustPanic("Word(past end)", func() { s.Word(2) })
 	mustPanic("AndInto length mismatch", func() { s.AndInto(New(101)) })
-}
-
-func TestStripedSizeBytesSkewedIsCompact(t *testing.T) {
-	// A heavily skewed bitmap (the hot-predicate shape) must stripe to well
-	// under its dense footprint: uniform lines cost tag+offset only.
-	n := 64 * stripeBits
-	b := New(n)
-	for i := 0; i < stripeBits; i++ {
-		b.Set(i) // first stripe all-ones
-	}
-	b.Set(n - 1) // last stripe mixed; everything between stays zeros
-	s := Stripe(b)
-	if got, dense := s.SizeBytes(), b.SizeBytes(); got >= dense/4 {
-		t.Fatalf("skewed striped size %d not compact vs dense %d", got, dense)
-	}
-	if !s.ToBitmap().Equal(b) {
-		t.Fatal("compact form round-trip failed")
-	}
 }

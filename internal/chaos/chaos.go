@@ -6,10 +6,10 @@
 // Every fault decision is drawn from a rand stream derived from one seed,
 // so a failure schedule can be replayed exactly by constructing a new Plane
 // with the same seed and driving it with the same workload. Streams are
-// keyed by decision *site* (one per transport link, storage scheme and the
-// lifecycle controller), so concurrent sites do not perturb each other's
-// schedules: the per-site fault sequences are identical across runs even
-// when goroutine interleavings differ.
+// keyed by decision *site* (one per transport link, one per storage extent
+// and fault family, one for the lifecycle controller), so concurrent sites
+// do not perturb each other's schedules: the per-site fault sequences are
+// identical across runs even when goroutine interleavings differ.
 //
 // The Plane plugs into the rest of the system through three surfaces:
 //
@@ -193,6 +193,21 @@ type stream struct {
 	seq int
 }
 
+// splitmix is the streams' rand.Source64: SplitMix64, eight bytes of state
+// where math/rand's own source is ~5 KB, so that a stream per storage
+// extent stays affordable.
+type splitmix struct{ x uint64 }
+
+func (s *splitmix) Uint64() uint64 {
+	s.x += 0x9E3779B97F4A7C15
+	z := s.x
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+func (s *splitmix) Int63() int64    { return int64(s.Uint64() >> 1) }
+func (s *splitmix) Seed(seed int64) { s.x = uint64(seed) }
+
 // New builds a Plane from the config.
 func New(cfg Config) *Plane {
 	return &Plane{
@@ -218,8 +233,7 @@ func (p *Plane) site(name string) *stream {
 	if !ok {
 		h := fnv.New64a()
 		h.Write([]byte(name))
-		src := int64(h.Sum64() ^ (uint64(p.cfg.Seed) * 0x9E3779B97F4A7C15))
-		s = &stream{rng: rand.New(rand.NewSource(src))}
+		s = &stream{rng: rand.New(&splitmix{h.Sum64() ^ (uint64(p.cfg.Seed) * 0x9E3779B97F4A7C15)})}
 		p.streams[name] = s
 	}
 	return s

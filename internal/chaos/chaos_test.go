@@ -117,35 +117,52 @@ func TestScheduleReplay(t *testing.T) {
 	}
 }
 
-// TestScheduleIndependentOfInterleaving drives the same per-link workloads
-// sequentially on one plane and concurrently on another: the canonical
-// Events() order must match, because each decision site owns a private
-// stream.
+// TestScheduleIndependentOfInterleaving drives the same per-link and
+// per-extent workloads sequentially on one plane and concurrently on
+// another: the canonical Events() order must match, because each decision
+// site — a transport link, a storage extent — owns a private stream.
 func TestScheduleIndependentOfInterleaving(t *testing.T) {
 	cfg := *Default(7)
+	cfg.Storage.SlowReadDelay = time.Microsecond
 	ctx := context.Background()
 	links := [][2]string{{"master", "leaf0"}, {"master", "leaf1"}, {"master", "leaf2"}, {"stem0", "leaf1"}}
-
-	seq := New(cfg)
-	for _, l := range links {
-		for i := 0; i < 300; i++ {
-			seq.Intercept(ctx, l[0], l[1], transport.Read, 64)
+	mem := storage.NewMemFS("", nil)
+	for i := range links {
+		if err := mem.WriteFile(ctx, fmt.Sprintf("/blk%d", i), []byte("0123456789abcdef")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Worker i owns link i and two extents of file i.
+	work := func(p *Plane, store storage.RangeReader, i int) {
+		path := fmt.Sprintf("/blk%d", i)
+		for n := 0; n < 300; n++ {
+			p.Intercept(ctx, links[i][0], links[i][1], transport.Read, 64)
+			store.ReadRange(ctx, path, 0, 8)
+			store.ReadRange(ctx, path, 8, 8)
 		}
 	}
 
+	seq := New(cfg)
+	seqStore := seq.WrapStore(mem).(storage.RangeReader)
+	for i := range links {
+		work(seq, seqStore, i)
+	}
+
 	conc := New(cfg)
+	concStore := conc.WrapStore(mem).(storage.RangeReader)
 	var wg sync.WaitGroup
-	for _, l := range links {
+	for i := range links {
 		wg.Add(1)
-		go func(from, to string) {
+		go func(i int) {
 			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				conc.Intercept(ctx, from, to, transport.Read, 64)
-			}
-		}(l[0], l[1])
+			work(conc, concStore, i)
+		}(i)
 	}
 	wg.Wait()
 
+	if conc.ReadErrs.Value() == 0 || conc.Corruptions.Value() == 0 {
+		t.Fatal("no storage faults fired; the storage half of the comparison is vacuous")
+	}
 	if !reflect.DeepEqual(seq.Events(), conc.Events()) {
 		t.Fatal("goroutine interleaving changed the canonical fault schedule")
 	}

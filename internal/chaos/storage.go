@@ -43,14 +43,23 @@ func (c *chaosStore) List(ctx context.Context, prefix string) ([]string, error) 
 	return c.inner.List(ctx, prefix)
 }
 
+// site names one fault family's decision stream for one extent (off is -1
+// for a whole-file read). A stream per extent makes the k-th read of that
+// extent draw the same value on every run; a stream per scheme would hand
+// its k-th draw to whichever concurrent task's read arrived k-th, so the
+// same seed could land three faults on one partition in one run and spread
+// them over three in the next.
+func (c *chaosStore) site(family, path string, off int64) string {
+	return fmt.Sprintf("storage/%s/%s:%s@%d", schemeSite(c.inner.Scheme()), family, path, off)
+}
+
 // readFault draws the slow-read and read-error decisions for one read.
-func (c *chaosStore) readFault(ctx context.Context, path string) error {
+func (c *chaosStore) readFault(ctx context.Context, path string, off int64) error {
 	st := c.p.cfg.Storage
 	if !st.Enabled() {
 		return nil
 	}
-	site := "storage/" + schemeSite(c.inner.Scheme())
-	if st.SlowReadDelay > 0 && c.p.decide(site+"/slow", st.SlowRead, "slowread", path) {
+	if st.SlowReadDelay > 0 && c.p.decide(c.site("slow", path, off), st.SlowRead, "slowread", path) {
 		c.p.SlowReads.Inc()
 		select {
 		case <-time.After(st.SlowReadDelay):
@@ -58,7 +67,7 @@ func (c *chaosStore) readFault(ctx context.Context, path string) error {
 			return ctx.Err()
 		}
 	}
-	if c.p.decide(site+"/err", st.ReadErr, "readerr", path) {
+	if c.p.decide(c.site("err", path, off), st.ReadErr, "readerr", path) {
 		c.p.ReadErrs.Inc()
 		return fmt.Errorf("%w: %s", ErrInjectedRead, path)
 	}
@@ -68,36 +77,36 @@ func (c *chaosStore) readFault(ctx context.Context, path string) error {
 // maybeCorrupt flips one byte of a copy of data (the store's own buffers
 // are never mutated). Detection is downstream: colstore column checksums
 // fail the read, and the task is retried.
-func (c *chaosStore) maybeCorrupt(path string, data []byte) []byte {
+func (c *chaosStore) maybeCorrupt(path string, off int64, data []byte) []byte {
 	st := c.p.cfg.Storage
 	if st.Corrupt <= 0 || len(data) == 0 {
 		return data
 	}
-	site := "storage/" + schemeSite(c.inner.Scheme())
-	if !c.p.decide(site+"/corrupt", st.Corrupt, "corrupt", path) {
+	site := c.site("corrupt", path, off)
+	if !c.p.decide(site, st.Corrupt, "corrupt", path) {
 		return data
 	}
 	c.p.Corruptions.Inc()
 	out := append([]byte(nil), data...)
-	out[c.p.intn(site+"/corrupt", len(out))] ^= 0xFF
+	out[c.p.intn(site, len(out))] ^= 0xFF
 	return out
 }
 
 func (c *chaosStore) ReadFile(ctx context.Context, path string) ([]byte, error) {
-	if err := c.readFault(ctx, path); err != nil {
+	if err := c.readFault(ctx, path, -1); err != nil {
 		return nil, err
 	}
 	data, err := c.inner.ReadFile(ctx, path)
 	if err != nil {
 		return nil, err
 	}
-	return c.maybeCorrupt(path, data), nil
+	return c.maybeCorrupt(path, -1, data), nil
 }
 
 // ReadRange implements storage.RangeReader, delegating to the inner store's
 // range support when present.
 func (c *chaosStore) ReadRange(ctx context.Context, path string, off, length int64) ([]byte, error) {
-	if err := c.readFault(ctx, path); err != nil {
+	if err := c.readFault(ctx, path, off); err != nil {
 		return nil, err
 	}
 	var data []byte
@@ -116,7 +125,7 @@ func (c *chaosStore) ReadRange(ctx context.Context, path string, off, length int
 	if err != nil {
 		return nil, err
 	}
-	return c.maybeCorrupt(path, data), nil
+	return c.maybeCorrupt(path, off, data), nil
 }
 
 // schemeSite names the local store's site ("" scheme) readably.

@@ -28,13 +28,6 @@ type LoadSnapshot struct {
 	IndexBytes   int64
 	IndexBudget  int64 // <=0 means unbounded
 
-	// SmartIndex heat tier (zero when heat-aware budgeting is disabled):
-	// entries auto-pinned for heavy-hitter atoms, their resident bytes, and
-	// the current heat-proportional share of the index budget.
-	IndexHotEntries int64
-	IndexHotBytes   int64
-	IndexHotBudget  int64
-
 	// SSD-cache pressure.
 	CacheHits      int64
 	CacheMisses    int64
@@ -57,14 +50,6 @@ func (s LoadSnapshot) CacheHitRatio() float64 {
 // it via a type assertion without the index package importing cluster.
 type IndexLoadReporter interface {
 	IndexLoad() (entries, bytes, budget int64)
-}
-
-// HeatLoadReporter is optionally implemented by index managers whose budget
-// is heat-aware (core.SmartIndex with heavy-hitter tracking enabled). Kept
-// separate from IndexLoadReporter so baselines (the B-tree index) need not
-// grow a heat concept.
-type HeatLoadReporter interface {
-	HeatLoad() (hotEntries, hotBytes, hotBudget int64)
 }
 
 // CacheLoadReporter is implemented by caching readers (cache.Reader) that
@@ -190,8 +175,8 @@ func (h ClusterHealth) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "cluster: %d alive, %d degraded, %d dead\n", h.Alive, h.Degraded, h.Dead)
 	sb.WriteString(h.Admission.Render())
-	fmt.Fprintf(&sb, "%-8s %-5s %-9s %6s %6s %6s %10s %12s %7s %9s %9s %s\n",
-		"NODE", "KIND", "STATE", "ACTIVE", "QUEUE", "INFLT", "TASKS", "IDX_BYTES", "IDX_N", "IDX_HOT", "CACHE_HIT", "AGE")
+	fmt.Fprintf(&sb, "%-8s %-5s %-9s %6s %6s %6s %10s %12s %7s %9s %s\n",
+		"NODE", "KIND", "STATE", "ACTIVE", "QUEUE", "INFLT", "TASKS", "IDX_BYTES", "IDX_N", "CACHE_HIT", "AGE")
 	for _, n := range h.Nodes {
 		state := n.State.String()
 		if n.Stale {
@@ -201,17 +186,13 @@ func (h ClusterHealth) Render() string {
 		if n.Load.IndexBudget > 0 {
 			idxBytes = fmt.Sprintf("%d/%d", n.Load.IndexBytes, n.Load.IndexBudget)
 		}
-		hot := "-"
-		if n.Load.IndexHotEntries > 0 || n.Load.IndexHotBudget > 0 {
-			hot = fmt.Sprintf("%d/%dB", n.Load.IndexHotEntries, n.Load.IndexHotBytes)
-		}
 		hit := "-"
 		if n.Load.CacheHits+n.Load.CacheMisses > 0 {
 			hit = fmt.Sprintf("%.1f%%", 100*n.Load.CacheHitRatio())
 		}
-		fmt.Fprintf(&sb, "%-8s %-5s %-9s %6d %6d %6d %10d %12s %7d %9s %9s %s\n",
+		fmt.Fprintf(&sb, "%-8s %-5s %-9s %6d %6d %6d %10d %12s %7d %9s %s\n",
 			n.Name, n.Kind, state, n.Load.ActiveTasks, n.Load.QueueDepth, n.Inflight,
-			n.Load.TasksDone, idxBytes, n.Load.IndexEntries, hot, hit,
+			n.Load.TasksDone, idxBytes, n.Load.IndexEntries, hit,
 			n.Age.Round(time.Millisecond))
 	}
 	if len(h.Nodes) == 0 {

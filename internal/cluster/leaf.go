@@ -207,9 +207,6 @@ func (l *LeafServer) LoadSnapshot() LoadSnapshot {
 	if rep, ok := l.Index.(IndexLoadReporter); ok && rep != nil {
 		s.IndexEntries, s.IndexBytes, s.IndexBudget = rep.IndexLoad()
 	}
-	if rep, ok := l.Index.(HeatLoadReporter); ok && rep != nil {
-		s.IndexHotEntries, s.IndexHotBytes, s.IndexHotBudget = rep.HeatLoad()
-	}
 	if rep, ok := l.Reader.(CacheLoadReporter); ok && rep != nil {
 		s.CacheHits, s.CacheMisses, s.CacheEvictions, s.CacheBytes, s.CacheCapacity = rep.CacheLoad()
 	}

@@ -140,7 +140,6 @@ type Master struct {
 	mu      sync.Mutex
 	standby bool
 	backups []string
-	oplog   []catalogOp
 
 	// Queries counts submissions; QueryErrs counts the ones that failed.
 	Queries   metrics.Counter
@@ -238,9 +237,6 @@ func (m *Master) handle(ctx context.Context, from string, payload any) (any, err
 		if msg.Table != nil {
 			m.cfg.ResultCache.InvalidateTable(msg.Table.Name)
 		}
-		m.mu.Lock()
-		m.oplog = append(m.oplog, msg)
-		m.mu.Unlock()
 		return nil, nil
 	case catalogSnapshot:
 		m.Jobs.Restore(msg)
@@ -321,7 +317,6 @@ func (m *Master) RegisterTable(ctx context.Context, meta *plan.TableMeta) error 
 	// over the table stale.
 	m.cfg.ResultCache.InvalidateTable(meta.Name)
 	m.mu.Lock()
-	m.oplog = append(m.oplog, op)
 	backups := append([]string(nil), m.backups...)
 	m.mu.Unlock()
 	for _, b := range backups {
@@ -723,6 +718,8 @@ type taskDone struct {
 	hedged   bool
 	hedgeWon bool
 	devBytes map[string]int64
+	// unreachable: the first dispatch never ran (its leaf was down).
+	unreachable bool
 }
 
 // runAll executes the task set with dedup, backup tasks and the early
@@ -829,6 +826,7 @@ func (m *Master) runAll(ctx context.Context, p *plan.PhysicalPlan, tasks []plan.
 							// Dispatch hit an unknown/down node: suspect it now
 							// rather than waiting out the liveness window.
 							m.Manager.MarkSuspect(st.Leaf)
+							d.unreachable = true
 						}
 					} else {
 						d.err = fmt.Errorf("cluster: stem %s lost task %d", stemName, t.Ordinal)
@@ -1011,7 +1009,15 @@ func (m *Master) completeOwned(opts QueryOptions, t plan.TaskSpec, f *taskFuture
 // failures does not hammer the survivors in lockstep.
 func (m *Master) retryTask(ctx context.Context, p *plan.PhysicalPlan, t plan.TaskSpec, firstLeaf string, timeout time.Duration, d taskDone, qid string) taskDone {
 	exclude := map[string]bool{firstLeaf: true}
-	for attempt := 0; attempt < m.cfg.MaxTaskRetries; attempt++ {
+	// The budget is the partition's: it counts executions that ran and
+	// failed. A dispatch that found its leaf down ran nothing, costs nothing
+	// and cannot repeat (the leaf is excluded), so it is not charged —
+	// otherwise one dead leaf halves the tolerance to real read faults.
+	budget := m.cfg.MaxTaskRetries
+	if d.unreachable {
+		budget++
+	}
+	for attempt := 0; attempt < budget; attempt++ {
 		if m.cfg.RetryBackoff > 0 {
 			if !sleepCtx(ctx, retryDelay(m.cfg.RetryBackoff, t.Key(), attempt)) {
 				return d
@@ -1039,6 +1045,7 @@ func (m *Master) retryTask(ctx context.Context, p *plan.PhysicalPlan, t plan.Tas
 		}
 		if st.Unreachable {
 			m.Manager.MarkSuspect(leaf)
+			budget++
 		}
 		d.err = errors.New(st.Err)
 		d.leaf = leaf

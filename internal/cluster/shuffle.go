@@ -809,6 +809,7 @@ func (m *Master) runShuffleMap(ctx context.Context, mt shuffleMapTask, leaf stri
 	msg.Task = mt.task
 	msg.Side = mt.side
 	exclude := map[string]bool{}
+	budget := m.cfg.MaxTaskRetries
 	for attempt := 0; ; attempt++ {
 		d.leaf = leaf
 		msg.Attempt = attempt
@@ -829,8 +830,9 @@ func (m *Master) runShuffleMap(ctx context.Context, mt shuffleMapTask, leaf stri
 		d.err = err
 		if errors.Is(err, transport.ErrUnknownNode) {
 			m.Manager.MarkSuspect(leaf)
+			budget++ // nothing ran on a down leaf: not charged (see retryTask)
 		}
-		if attempt >= m.cfg.MaxTaskRetries || ctx.Err() != nil {
+		if attempt >= budget || ctx.Err() != nil {
 			results <- d
 			return
 		}

@@ -10,21 +10,11 @@
 // Management follows §IV-C2: a memory budget with LRU eviction, a
 // time-to-live (72 h by default), and user preferences that can pin entries
 // past their TTL while memory lasts.
-//
-// On top of the paper's uniform LRU the manager runs a skew-aware tier
-// split ("Exploiting Data Skew for Improved Query Performance"): a
-// space-saving sketch tracks predicate-atom heat across lookups, entries
-// for guaranteed-heavy atoms are auto-pinned in a hot tier laid out in
-// cache-line-striped form with pre-materialized negations ("Fast Query
-// Processing by Distributing an Index over CPU Caches"), and the hot tier's
-// budget share follows the observed heavy-hitter mass so a near-uniform
-// workload degenerates back to plain LRU.
 package core
 
 import (
 	"container/list"
 	"context"
-	"math"
 	"strings"
 	"sync"
 	"time"
@@ -44,10 +34,6 @@ import (
 // our experiences").
 const DefaultTTL = 72 * time.Hour
 
-// DefaultDecayInterval is the number of sketch touches between heat decay
-// and tier rebalance cycles.
-const DefaultDecayInterval = 4096
-
 // Options configure a SmartIndex manager.
 type Options struct {
 	// MemoryBudget caps resident index bytes; <=0 means unlimited.
@@ -60,17 +46,6 @@ type Options struct {
 	// DisableDerivation turns off complement/range derived answers
 	// (ablation of the Fig. 7 rewriting).
 	DisableDerivation bool
-	// HeavyHitters sizes the space-saving heat sketch (counters per leaf);
-	// <=0 disables heat-aware management entirely — budget behavior is then
-	// exactly the uniform LRU of §IV-C2.
-	HeavyHitters int
-	// HotShare caps the fraction of MemoryBudget the hot tier may claim
-	// (scaled further by the observed heavy-hitter mass); <=0 defaults to
-	// 0.5, values above 1 clamp to 1.
-	HotShare float64
-	// DecayInterval is the number of sketch touches between decay/rebalance
-	// cycles; <=0 uses DefaultDecayInterval.
-	DecayInterval int
 	// Model prices index lookups as in-memory reads; nil disables cost
 	// accounting.
 	Model *sim.CostModel
@@ -84,68 +59,42 @@ type Stats struct {
 	DerivedHits int64 // answered via complement entry, negation, or range metadata
 	Misses      int64
 	Stored      int64
-	EvictedLRU  int64 // total budget evictions (hot + cold)
+	EvictedLRU  int64
 	EvictedTTL  int64
 	Bytes       int64
 	Entries     int64
-
-	// Heat-tier counters (zero when HeavyHitters is disabled).
-	HotEntries     int64 // entries currently in the hot tier
-	HotBytes       int64 // resident bytes of the hot tier
-	HotBudget      int64 // current heat-proportional hot-tier cap (0 = uncapped/none)
-	Promoted       int64 // cold→hot transitions
-	Demoted        int64 // hot→cold transitions
-	EvictedLRUHot  int64 // budget evictions attributed to the hot tier
-	EvictedLRUCold int64 // budget evictions attributed to the cold tier
-	StripedHits    int64 // lookups served in striped form (fast kernel path)
 }
 
 // SmartIndex is a leaf server's index manager. It implements
-// exec.IndexSource (and exec.StripedSource when heat is enabled).
+// exec.IndexSource.
 type SmartIndex struct {
 	opt Options
 
 	mu       sync.Mutex
 	entries  map[string]*entry
-	cold     *list.List // plain-LRU tier; front = most recent
-	hot      *list.List // heat-pinned striped tier; front = most recent
+	lru      *list.List // front = most recent
 	bytes    int64
-	hotBytes int64
 	pins     []string        // pinned key prefixes (user preferences)
 	pinAtoms map[string]bool // pinned atom keys, any block
 
-	// Heat model (nil sketch = disabled).
-	sketch     *SpaceSaving
-	hotKeys    map[string]bool // atom keys currently classified hot
-	hotBudget  int64           // heat-proportional cap, valid when MemoryBudget > 0
-	sinceDecay int
-
-	hits, derived, misses  metrics.Counter
-	stored, evLRU, evTTL   metrics.Counter
-	promoted, demoted      metrics.Counter
-	evHot, evCold, striped metrics.Counter
+	hits, derived, misses metrics.Counter
+	stored, evLRU, evTTL  metrics.Counter
 }
 
-// entry is one cached predicate-evaluation result. Cold entries hold the
-// dense or RLE form; hot entries hold the cache-line-striped form plus the
-// pre-materialized negation (NULL-free columns only).
+// entry is one cached predicate-evaluation result, held dense or — with
+// Options.Compress — in RLE form.
 type entry struct {
-	key     string // blockID + "|" + atom.Key()
-	atomKey string // positive atom key, shared across blocks — the heat key
+	key     string // blockID + "|" + positive-form atom key
 	dense   *bitmap.Bitmap
 	packed  *bitmap.Compressed
-	striped *bitmap.Striped // hot tier: positive-form striped layout
-	neg     *bitmap.Striped // hot tier: pre-materialized negation (nil if column has NULLs)
 	numRows int
 	// stats is the column's block-level range metadata ("range" in the
 	// paper's index schema) used for derived answers.
 	stats   colstore.Stats
 	created time.Time
-	lastUse time.Time
 	size    int64
 	elem    *list.Element
 	pinned  bool
-	hot     bool
 }
 
 // New returns a SmartIndex with the given options.
@@ -156,30 +105,16 @@ func New(opt Options) *SmartIndex {
 	if opt.Now == nil {
 		opt.Now = time.Now
 	}
-	s := &SmartIndex{opt: opt, entries: make(map[string]*entry), cold: list.New(), hot: list.New(), pinAtoms: make(map[string]bool)}
-	if opt.HeavyHitters > 0 {
-		if s.opt.HotShare <= 0 {
-			s.opt.HotShare = 0.5
-		}
-		if s.opt.HotShare > 1 {
-			s.opt.HotShare = 1
-		}
-		if s.opt.DecayInterval <= 0 {
-			s.opt.DecayInterval = DefaultDecayInterval
-		}
-		s.sketch = NewSpaceSaving(opt.HeavyHitters)
-		s.hotKeys = make(map[string]bool)
-	}
-	return s
+	return &SmartIndex{opt: opt, entries: make(map[string]*entry), lru: list.New(), pinAtoms: make(map[string]bool)}
 }
 
+// key is the entry key of the atom's positive form: a negated atom shares
+// its positive entry and is answered by bit-NOT.
 func key(blockID string, a plan.Atom) string {
-	return blockID + "|" + atomHeatKey(a)
+	return blockID + "|" + positiveKey(a)
 }
 
-// atomHeatKey is the positive-form atom key: the per-atom identity used for
-// both entry keys (with a block prefix) and sketch heat accounting (without).
-func atomHeatKey(a plan.Atom) string {
+func positiveKey(a plan.Atom) string {
 	a.Negated = false
 	return a.Key()
 }
@@ -239,176 +174,6 @@ func (s *SmartIndex) prefixPinned(key string) bool {
 	return false
 }
 
-// --- Heat model -----------------------------------------------------------
-
-// heatWarmupMultiple delays hot classification until the sketch has seen at
-// least this many touches per counter. With a tiny observed total every
-// counter trivially clears the N/k bar (N/k rounds to 1), so an unwarmed
-// sketch would promote the first k atoms it meets — on a uniform workload
-// that wastes budget on striped layouts nothing will reuse. After warmup the
-// guaranteed-heavy test has enough mass behind it to separate skew from
-// noise; decay halves counts and total together, so a warmed sketch never
-// re-enters warmup under steady traffic.
-const heatWarmupMultiple = 4
-
-// heatReady reports whether the sketch has warmed up enough for hot
-// classification to be meaningful. Caller holds s.mu.
-func (s *SmartIndex) heatReady() bool {
-	return s.sketch != nil && s.sketch.Total() >= int64(heatWarmupMultiple*s.opt.HeavyHitters)
-}
-
-// touchHeat records one logical lookup of an atom in the sketch, upgrades
-// the atom to hot the moment its guaranteed frequency clears the N/k bar,
-// and runs the decay/rebalance cycle every DecayInterval touches. Caller
-// holds s.mu. Exactly one touch happens per logical lookup: LookupStriped
-// touches only when it answers (its probe-miss falls back to Lookup, which
-// touches on every path).
-func (s *SmartIndex) touchHeat(atomKey string) {
-	if s.sketch == nil {
-		return
-	}
-	s.sketch.Touch(atomKey)
-	if !s.hotKeys[atomKey] && s.heatReady() {
-		if c, e, ok := s.sketch.Estimate(atomKey); ok && c-e >= s.sketch.Threshold() {
-			s.hotKeys[atomKey] = true
-			s.recomputeHotBudget()
-		}
-	}
-	s.sinceDecay++
-	if s.sinceDecay >= s.opt.DecayInterval {
-		s.sinceDecay = 0
-		s.sketch.Decay()
-		s.rebalance()
-	}
-}
-
-// recomputeHotBudget sets the hot tier's cap to
-// MemoryBudget × HotShare × guaranteedHeavyMass: under a near-uniform
-// workload no counter clears the guaranteed bar, the mass is ~0 and the
-// hot tier claims nothing — the index degenerates to the uniform LRU.
-// Caller holds s.mu.
-func (s *SmartIndex) recomputeHotBudget() {
-	if s.opt.MemoryBudget <= 0 {
-		return
-	}
-	total := s.sketch.Total()
-	if total == 0 || !s.heatReady() {
-		s.hotBudget = 0
-		return
-	}
-	var mass int64
-	for _, h := range s.sketch.GuaranteedHeavy() {
-		mass += h.Count - h.Err
-	}
-	frac := float64(mass) / float64(total)
-	if frac > 1 {
-		frac = 1
-	}
-	s.hotBudget = int64(s.opt.HotShare * frac * float64(s.opt.MemoryBudget))
-}
-
-// hotCap is the current hot-tier byte limit. Caller holds s.mu.
-func (s *SmartIndex) hotCap() int64 {
-	if s.opt.MemoryBudget <= 0 {
-		return math.MaxInt64
-	}
-	return s.hotBudget
-}
-
-// rebalance refreshes the hot classification after a decay: the hot key
-// set is recomputed from the guaranteed-heavy survivors, entries whose atom
-// cooled off are demoted back to the cold LRU, and the hot tier is shrunk
-// to its (possibly smaller) heat-proportional cap. Caller holds s.mu.
-func (s *SmartIndex) rebalance() {
-	s.hotKeys = make(map[string]bool)
-	if s.heatReady() {
-		for _, h := range s.sketch.GuaranteedHeavy() {
-			s.hotKeys[h.Key] = true
-		}
-	}
-	s.recomputeHotBudget()
-	for el := s.hot.Back(); el != nil; {
-		prev := el.Prev()
-		if e := el.Value.(*entry); !s.hotKeys[e.atomKey] {
-			s.demote(e)
-		}
-		el = prev
-	}
-	for s.hotBytes > s.hotCap() && s.hot.Len() > 0 {
-		s.demote(s.hot.Back().Value.(*entry))
-	}
-	// Demotion restores the dense/RLE form, which can be larger than the
-	// striped one; settle the global budget afterwards.
-	s.enforceBudget(nil)
-}
-
-// stripedSize is a hot entry's accounted footprint.
-func stripedSize(key string, pos, neg *bitmap.Striped) int64 {
-	n := int64(pos.SizeBytes() + len(key) + 96)
-	if neg != nil {
-		n += int64(neg.SizeBytes())
-	}
-	return n
-}
-
-// promote moves a cold entry into the hot tier: the bitmap is re-laid-out
-// in cache-line-striped form, its negation is pre-materialized when the
-// column is NULL-free (bit-NOT soundness, same gate as the Fig. 7
-// invertible path), and the entry becomes TTL-exempt. Promotion is
-// budget-gated: it is skipped when the striped forms would overflow the hot
-// cap, so cold-scan churn cannot thrash the hot tier. Caller holds s.mu.
-func (s *SmartIndex) promote(e *entry) {
-	dense, ok := s.coldDense(e)
-	if !ok {
-		return
-	}
-	pos := bitmap.Stripe(dense)
-	var neg *bitmap.Striped
-	if e.stats.NullCount == 0 {
-		nd := dense.Clone()
-		nd.Not()
-		neg = bitmap.Stripe(nd)
-	}
-	size := stripedSize(e.key, pos, neg)
-	if s.opt.MemoryBudget > 0 && (s.hotBytes+size > s.hotCap() || size > s.opt.MemoryBudget) {
-		return
-	}
-	s.bytes += size - e.size
-	s.cold.Remove(e.elem)
-	e.dense, e.packed = nil, nil
-	e.striped, e.neg = pos, neg
-	e.size = size
-	e.hot = true
-	e.elem = s.hot.PushFront(e)
-	s.hotBytes += size
-	s.promoted.Inc()
-	s.enforceBudget(e)
-}
-
-// demote returns a hot entry to the cold LRU in its dense/RLE form,
-// dropping the striped layouts and the pre-materialized negation. Caller
-// holds s.mu.
-func (s *SmartIndex) demote(e *entry) {
-	dense := e.striped.ToBitmap()
-	s.hot.Remove(e.elem)
-	s.hotBytes -= e.size
-	s.bytes -= e.size
-	e.striped, e.neg = nil, nil
-	if s.opt.Compress {
-		e.packed = bitmap.Compress(dense)
-		e.size = int64(e.packed.SizeBytes() + len(e.key) + 96)
-	} else {
-		e.dense = dense
-		e.size = int64(e.dense.SizeBytes() + len(e.key) + 96)
-	}
-	e.hot = false
-	e.elem = s.cold.PushFront(e)
-	s.bytes += e.size
-	s.demoted.Inc()
-}
-
-// --- Lookup paths ---------------------------------------------------------
-
 // Lookup implements exec.IndexSource. The returned bitmap is owned by the
 // index and must not be mutated by the caller. It answers from an exact
 // entry, from a complementary entry via bit-NOT (Fig. 7), or from range
@@ -422,7 +187,6 @@ func (s *SmartIndex) Lookup(ctx context.Context, blockID string, a plan.Atom, n 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.opt.Now()
-	s.touchHeat(atomHeatKey(a))
 
 	if a.Negated {
 		if bm, ok := s.fetchNegation(key(blockID, a), n, now); ok {
@@ -469,55 +233,13 @@ func (s *SmartIndex) Lookup(ctx context.Context, blockID string, a plan.Atom, n 
 	return nil, false
 }
 
-// LookupStriped implements exec.StripedSource: the zero-copy fast path for
-// hot entries. A negated atom is answered by the pre-materialized negation
-// (nil when the column has NULLs — bit-NOT would be unsound, so the probe
-// misses and the caller's Lookup fallback takes the scan path). A probe
-// miss neither touches the sketch nor counts an index miss: the fallback
-// Lookup accounts for the logical lookup.
-func (s *SmartIndex) LookupStriped(ctx context.Context, blockID string, a plan.Atom, n int) (*bitmap.Striped, bool) {
-	if s.sketch == nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.opt.Now()
-	e, ok := s.fetchEntry(key(blockID, a), n, now)
-	if !ok || !e.hot {
-		return nil, false
-	}
-	out := e.striped
-	if a.Negated {
-		if e.neg == nil {
-			return nil, false
-		}
-		out = e.neg
-		s.derived.Inc()
-		trace.FromContext(ctx).Count("index.derived", 1)
-	} else {
-		s.hits.Inc()
-	}
-	s.touchHeat(atomHeatKey(a))
-	s.striped.Inc()
-	s.chargeLookup(ctx, n)
-	return out, true
-}
-
-// fetchNegation answers NOT(atom at key k): via the hot tier's
-// pre-materialized negation, or by bit-NOT over the cold form when that is
-// sound (NULL-free column). Caller holds s.mu.
+// fetchNegation answers NOT(atom at key k) by bit-NOT over the stored
+// vector when that is sound (NULL-free column). Caller holds s.mu.
 func (s *SmartIndex) fetchNegation(k string, n int, now time.Time) (*bitmap.Bitmap, bool) {
 	if e, ok := s.entries[k]; ok && e.stats.NullCount > 0 {
 		return nil, false
 	}
-	e, ok := s.fetchEntry(k, n, now)
-	if !ok {
-		return nil, false
-	}
-	if e.hot && e.neg != nil {
-		return e.neg.ToBitmap(), true
-	}
-	bm, ok := s.entryBitmap(e)
+	bm, ok := s.fetch(k, n, now)
 	if !ok {
 		return nil, false
 	}
@@ -536,10 +258,9 @@ func (s *SmartIndex) chargeLookup(ctx context.Context, n int) {
 	}
 }
 
-// fetchEntry returns the live entry for k, refreshing recency in its tier
-// and promoting a cold entry whose atom is currently classified hot.
-// Caller holds s.mu.
-func (s *SmartIndex) fetchEntry(k string, n int, now time.Time) (*entry, bool) {
+// fetch returns a live entry's dense bitmap (decompressing if parked in
+// RLE), refreshing recency. Caller holds s.mu.
+func (s *SmartIndex) fetch(k string, n int, now time.Time) (*bitmap.Bitmap, bool) {
 	e, ok := s.entries[k]
 	if !ok {
 		return nil, false
@@ -554,30 +275,7 @@ func (s *SmartIndex) fetchEntry(k string, n int, now time.Time) (*entry, bool) {
 		s.drop(e)
 		return nil, false
 	}
-	e.lastUse = now
-	if e.hot {
-		s.hot.MoveToFront(e.elem)
-	} else {
-		s.cold.MoveToFront(e.elem)
-		if s.sketch != nil && s.hotKeys[e.atomKey] {
-			s.promote(e)
-		}
-	}
-	return e, true
-}
-
-// entryBitmap materializes an entry's positive-form dense bitmap. Caller
-// holds s.mu.
-func (s *SmartIndex) entryBitmap(e *entry) (*bitmap.Bitmap, bool) {
-	if e.hot {
-		return e.striped.ToBitmap(), true
-	}
-	return s.coldDense(e)
-}
-
-// coldDense returns a cold entry's dense form, decompressing if parked in
-// RLE. Caller holds s.mu.
-func (s *SmartIndex) coldDense(e *entry) (*bitmap.Bitmap, bool) {
+	s.lru.MoveToFront(e.elem)
 	if e.dense != nil {
 		return e.dense, true
 	}
@@ -587,15 +285,6 @@ func (s *SmartIndex) coldDense(e *entry) (*bitmap.Bitmap, bool) {
 		return nil, false
 	}
 	return dense, true
-}
-
-// fetch returns a live entry's dense bitmap, refreshing recency.
-func (s *SmartIndex) fetch(k string, n int, now time.Time) (*bitmap.Bitmap, bool) {
-	e, ok := s.fetchEntry(k, n, now)
-	if !ok {
-		return nil, false
-	}
-	return s.entryBitmap(e)
 }
 
 // rangeAnswer scans the block+column's entries for range metadata proving
@@ -645,99 +334,54 @@ func atomAlwaysTrue(a plan.Atom, st colstore.Stats) bool {
 }
 
 // Store implements exec.IndexSource: it caches the positive-form result for
-// the (block, atom) pair. An atom currently classified hot is stored
-// straight into the hot tier (striped, negation pre-materialized) when the
-// hot budget allows.
+// the (block, atom) pair.
 func (s *SmartIndex) Store(blockID string, a plan.Atom, bm *bitmap.Bitmap, stats colstore.Stats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := key(blockID, a)
+	atomKey := positiveKey(a)
+	k := blockID + "|" + atomKey
 	now := s.opt.Now()
 	if old, ok := s.entries[k]; ok {
 		s.drop(old)
 	}
-	e := &entry{key: k, atomKey: atomHeatKey(a), numRows: bm.Len(), stats: stats, created: now, lastUse: now}
-	if s.sketch != nil && s.hotKeys[e.atomKey] {
-		pos := bitmap.Stripe(bm)
-		var neg *bitmap.Striped
-		if stats.NullCount == 0 {
-			nd := bm.Clone()
-			nd.Not()
-			neg = bitmap.Stripe(nd)
-		}
-		if size := stripedSize(k, pos, neg); s.opt.MemoryBudget <= 0 || s.hotBytes+size <= s.hotCap() {
-			e.striped, e.neg, e.size, e.hot = pos, neg, size, true
-		}
+	e := &entry{key: k, numRows: bm.Len(), stats: stats, created: now}
+	if s.opt.Compress {
+		e.packed = bitmap.Compress(bm)
+		e.size = int64(e.packed.SizeBytes() + len(k) + 96)
+	} else {
+		e.dense = bm.Clone()
+		e.size = int64(e.dense.SizeBytes() + len(k) + 96)
 	}
-	if !e.hot {
-		if s.opt.Compress {
-			e.packed = bitmap.Compress(bm)
-			e.size = int64(e.packed.SizeBytes() + len(k) + 96)
-		} else {
-			e.dense = bm.Clone()
-			e.size = int64(e.dense.SizeBytes() + len(k) + 96)
-		}
-	}
-	if s.prefixPinned(k) || s.pinAtoms[e.atomKey] {
-		e.pinned = true
-	}
+	e.pinned = s.prefixPinned(k) || s.pinAtoms[atomKey]
 	// Never admit an entry bigger than the whole budget.
 	if s.opt.MemoryBudget > 0 && e.size > s.opt.MemoryBudget {
 		return
 	}
-	if e.hot {
-		e.elem = s.hot.PushFront(e)
-		s.hotBytes += e.size
-	} else {
-		e.elem = s.cold.PushFront(e)
-	}
+	e.elem = s.lru.PushFront(e)
 	s.entries[k] = e
 	s.bytes += e.size
 	s.stored.Inc()
-	if e.hot {
-		// A direct-to-hot store counts as a promotion: Promoted tracks every
-		// cold-path→hot-tier transition.
-		s.promoted.Inc()
-	}
 	s.enforceBudget(e)
 }
 
 // enforceBudget evicts least-recently-used entries until the budget holds:
-// cold unpinned first, then cold pinned, then the hot tier. The entry just
-// stored or promoted (except) is never evicted while any other candidate
-// exists — a store under a full budget must not churn out its own entry
-// before its first lookup — and is only dropped as a true last resort.
-// Eviction attribution is per-tier (EvictedLRUHot/EvictedLRUCold always sum
-// to EvictedLRU). Caller holds s.mu.
-func (s *SmartIndex) enforceBudget(except *entry) {
+// unpinned first, then pinned, never the entry just stored (incoming) — a
+// store under a full budget must not churn out its own entry before its
+// first lookup. incoming alone always fits: Store rejects an entry larger
+// than the whole budget. Caller holds s.mu.
+func (s *SmartIndex) enforceBudget(incoming *entry) {
 	if s.opt.MemoryBudget <= 0 {
 		return
 	}
-	evictFrom := func(l *list.List, allowPinned bool, tier *metrics.Counter) {
-		for el := l.Back(); el != nil && s.bytes > s.opt.MemoryBudget; {
+	for _, allowPinned := range []bool{false, true} {
+		for el := s.lru.Back(); el != nil && s.bytes > s.opt.MemoryBudget; {
 			prev := el.Prev()
-			e := el.Value.(*entry)
-			if (e.pinned && !allowPinned) || e == except {
-				el = prev
-				continue
+			if e := el.Value.(*entry); e != incoming && (allowPinned || !e.pinned) {
+				s.drop(e)
+				s.evLRU.Inc()
 			}
-			s.drop(e)
-			s.evLRU.Inc()
-			tier.Inc()
 			el = prev
 		}
-	}
-	evictFrom(s.cold, false, &s.evCold)
-	evictFrom(s.cold, true, &s.evCold)
-	evictFrom(s.hot, true, &s.evHot)
-	if s.bytes > s.opt.MemoryBudget && except != nil && except.elem != nil {
-		tier := &s.evCold
-		if except.hot {
-			tier = &s.evHot
-		}
-		s.drop(except)
-		s.evLRU.Inc()
-		tier.Inc()
 	}
 }
 
@@ -759,25 +403,16 @@ func (s *SmartIndex) Sweep() int {
 
 // expired applies the TTL; pinned entries never expire by time (paper:
 // "indices with preferences can remain in the memory when their TTL expire
-// if the cache memory is not full"), and hot entries are auto-pinned while
-// their atom stays heavy (demotion restores normal aging).
+// if the cache memory is not full").
 func (s *SmartIndex) expired(e *entry, now time.Time) bool {
-	if e.pinned || e.hot {
-		return false
-	}
-	return now.Sub(e.created) > s.opt.TTL
+	return !e.pinned && now.Sub(e.created) > s.opt.TTL
 }
 
-// drop removes an entry from its tier. Caller holds s.mu.
+// drop removes an entry. Caller holds s.mu.
 func (s *SmartIndex) drop(e *entry) {
 	delete(s.entries, e.key)
 	if e.elem != nil {
-		if e.hot {
-			s.hot.Remove(e.elem)
-			s.hotBytes -= e.size
-		} else {
-			s.cold.Remove(e.elem)
-		}
+		s.lru.Remove(e.elem)
 		e.elem = nil
 	}
 	s.bytes -= e.size
@@ -802,7 +437,7 @@ func (s *SmartIndex) Invalidate(prefix string) int {
 func (s *SmartIndex) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{
+	return Stats{
 		Hits:        s.hits.Value(),
 		DerivedHits: s.derived.Value(),
 		Misses:      s.misses.Value(),
@@ -811,19 +446,7 @@ func (s *SmartIndex) Stats() Stats {
 		EvictedTTL:  s.evTTL.Value(),
 		Bytes:       s.bytes,
 		Entries:     int64(len(s.entries)),
-
-		HotEntries:     int64(s.hot.Len()),
-		HotBytes:       s.hotBytes,
-		Promoted:       s.promoted.Value(),
-		Demoted:        s.demoted.Value(),
-		EvictedLRUHot:  s.evHot.Value(),
-		EvictedLRUCold: s.evCold.Value(),
-		StripedHits:    s.striped.Value(),
 	}
-	if s.opt.MemoryBudget > 0 {
-		st.HotBudget = s.hotBudget
-	}
-	return st
 }
 
 // IndexLoad reports the index's heartbeat gauges: cached bitmap count and
@@ -835,19 +458,6 @@ func (s *SmartIndex) IndexLoad() (entries, bytes, budget int64) {
 	return int64(len(s.entries)), s.bytes, s.opt.MemoryBudget
 }
 
-// HeatLoad reports the hot tier's heartbeat gauges: hot entry count, hot
-// resident bytes, and the current heat-proportional budget. It implements
-// cluster.HeatLoadReporter without importing the cluster package.
-func (s *SmartIndex) HeatLoad() (hotEntries, hotBytes, hotBudget int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := int64(0)
-	if s.opt.MemoryBudget > 0 {
-		b = s.hotBudget
-	}
-	return int64(s.hot.Len()), s.hotBytes, b
-}
-
 // RegisterMetrics publishes the index's counters into a central registry
 // under the given name prefix (e.g. "leaf0.index.").
 func (s *SmartIndex) RegisterMetrics(reg *metrics.Registry, prefix string) {
@@ -857,11 +467,6 @@ func (s *SmartIndex) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Register(prefix+"stored", &s.stored)
 	reg.Register(prefix+"evicted_lru", &s.evLRU)
 	reg.Register(prefix+"evicted_ttl", &s.evTTL)
-	reg.Register(prefix+"promoted", &s.promoted)
-	reg.Register(prefix+"demoted", &s.demoted)
-	reg.Register(prefix+"evicted_lru_hot", &s.evHot)
-	reg.Register(prefix+"evicted_lru_cold", &s.evCold)
-	reg.Register(prefix+"striped_hits", &s.striped)
 }
 
 // ResetCounters zeroes hit/miss counters (between benchmark phases) while
@@ -875,9 +480,4 @@ func (s *SmartIndex) ResetCounters() {
 	s.stored = metrics.Counter{}
 	s.evLRU = metrics.Counter{}
 	s.evTTL = metrics.Counter{}
-	s.promoted = metrics.Counter{}
-	s.demoted = metrics.Counter{}
-	s.evHot = metrics.Counter{}
-	s.evCold = metrics.Counter{}
-	s.striped = metrics.Counter{}
 }

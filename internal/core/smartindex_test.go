@@ -390,3 +390,29 @@ func TestUnpinAtom(t *testing.T) {
 		t.Error("unpinned entry should expire again")
 	}
 }
+
+// TestEnforceBudgetIncomingSurvives is the regression for the two-pass
+// eviction bug: storing into a full budget must evict older entries — even
+// pinned ones — before the entry being stored, never churning it out ahead
+// of its first lookup.
+func TestEnforceBudgetIncomingSurvives(t *testing.T) {
+	s := New(Options{MemoryBudget: 600}) // fits two ~260-byte dense entries
+	a0 := atom("c", sqlparser.OpGt, 0)
+	a1 := atom("c", sqlparser.OpGt, 1)
+	a2 := atom("c", sqlparser.OpGt, 2)
+	s.Pin("b0|") // everything resident is pinned: the old first pass found
+	// no unpinned victim and the second evicted the just-stored entry
+	s.Store("b0", a0, bm(1024, 0), stats(0, 9, 0))
+	s.Store("b0", a1, bm(1024, 1), stats(0, 9, 0))
+	s.Store("b1", a2, bm(1024, 2), stats(0, 9, 0)) // unpinned incoming
+	if _, ok := s.Lookup(ctxb, "b1", a2, 1024); !ok {
+		t.Fatal("just-stored entry was evicted while older candidates existed")
+	}
+	st := s.Stats()
+	if st.EvictedLRU == 0 {
+		t.Fatalf("expected pinned victims to be shed: %+v", st)
+	}
+	if st.Bytes > 600 {
+		t.Fatalf("budget violated: %+v", st)
+	}
+}

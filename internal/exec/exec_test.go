@@ -440,97 +440,6 @@ func TestIndexNegatedContains(t *testing.T) {
 	}
 }
 
-// stripedMapIndex extends mapIndex with the StripedSource hot path: every
-// stored entry is also served in cache-line-striped form.
-type stripedMapIndex struct {
-	mapIndex
-	stripedLookups int
-}
-
-func (si *stripedMapIndex) LookupStriped(_ context.Context, blockID string, a plan.Atom, n int) (*bitmap.Striped, bool) {
-	si.mu.Lock()
-	si.stripedLookups++
-	bm, ok := si.m[blockID+"|"+a.Key()]
-	si.mu.Unlock()
-	if !ok || bm.Len() != n {
-		return nil, false
-	}
-	if a.Negated { // NULL-free test data: complement is sound
-		bm = bm.Clone()
-		bm.Not()
-	}
-	return bitmap.Stripe(bm), true
-}
-
-func TestScanStripedFastPath(t *testing.T) {
-	h := newHarness(t)
-	si := &stripedMapIndex{mapIndex: *newMapIndex()}
-	h.idx = si
-
-	cold, first := h.run("SELECT COUNT(*) FROM logs WHERE clicks > 2")
-	if first.Stats.IndexMisses == 0 {
-		t.Fatalf("first run should miss: %+v", first.Stats)
-	}
-	warm, second := h.run("SELECT COUNT(*) FROM logs WHERE clicks > 2")
-	if second.Stats.IndexHits == 0 || second.Stats.ColumnReads != 0 {
-		t.Fatalf("striped run should answer from the index: %+v", second.Stats)
-	}
-	if si.stripedLookups == 0 {
-		t.Fatal("striped source was never probed")
-	}
-	if cold.Rows[0][0].I != warm.Rows[0][0].I {
-		t.Fatalf("striped path changed the answer: %v vs %v", cold.Rows[0][0], warm.Rows[0][0])
-	}
-
-	// The pre-negated striped form folds into the selection the same way.
-	neg, _ := h.run("SELECT COUNT(*) FROM logs WHERE NOT (clicks > 2)")
-	if cold.Rows[0][0].I+neg.Rows[0][0].I != 8 {
-		t.Fatalf("striped complement counts: %v + %v", cold.Rows[0][0], neg.Rows[0][0])
-	}
-
-	// An all-zeros striped answer empties the selection before any later
-	// clause or output work (CONTAINS is not stats-prunable, so the block
-	// reaches the index).
-	h.run("SELECT COUNT(*) FROM logs WHERE query CONTAINS 'nosuch'")
-	before := si.stripedLookups
-	empty, stats := h.run("SELECT COUNT(*) FROM logs WHERE query CONTAINS 'nosuch' AND clicks > 0")
-	if empty.Rows[0][0].I != 0 {
-		t.Fatalf("empty striped selection = %+v", empty.Rows)
-	}
-	if si.stripedLookups == before {
-		t.Fatal("empty-clause run never touched the striped source")
-	}
-	if stats.Stats.BlocksEmpty == 0 {
-		t.Fatalf("all-zeros striped answer did not empty the block selection: %+v", stats.Stats)
-	}
-}
-
-// brokenStripedIndex serves a striped bitmap of the wrong length — the
-// corruption guard in the scanner must fail the task, not mis-select.
-type brokenStripedIndex struct{ mapIndex }
-
-func (bi *brokenStripedIndex) LookupStriped(context.Context, string, plan.Atom, int) (*bitmap.Striped, bool) {
-	return bitmap.Stripe(bitmap.New(3)), true
-}
-
-func TestScanStripedLengthMismatchFails(t *testing.T) {
-	h := newHarness(t)
-	h.idx = &brokenStripedIndex{mapIndex: *newMapIndex()}
-	stmt, err := sqlparser.Parse("SELECT COUNT(*) FROM logs WHERE clicks > 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := plan.Plan(stmt, h.cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, task := range p.Tasks() {
-		if _, err := RunTask(context.Background(), task, h.reader, h.idx); err == nil {
-			t.Fatal("length-mismatched striped bitmap did not fail the scan")
-		}
-	}
-}
-
 func TestMergeResultsSelectLimit(t *testing.T) {
 	h := newHarness(t)
 	stmt, _ := sqlparser.Parse("SELECT url FROM logs LIMIT 2")
@@ -592,6 +501,11 @@ func TestStoreReaderMetaCaching(t *testing.T) {
 		t.Error("meta should be cached")
 	}
 	h.reader.InvalidateMeta("/logs/p0")
+	// A retired partition is never read again: the footer must be released
+	// by the invalidation itself, not by the re-read replacing it.
+	if _, held := h.reader.metas["/logs/p0"]; held || len(h.reader.metas) != 0 {
+		t.Errorf("invalidate left %d footers cached", len(h.reader.metas))
+	}
 	m3, err := h.reader.Meta(ctx, "/logs/p0")
 	if err != nil || m3 == m1 {
 		t.Error("invalidate should re-read")

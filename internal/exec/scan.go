@@ -40,17 +40,6 @@ type IndexSource interface {
 	Store(blockID string, atom plan.Atom, bm *bitmap.Bitmap, stats colstore.Stats)
 }
 
-// StripedSource is optionally implemented by index sources that keep hot
-// entries in the cache-line-striped layout. LookupStriped returns the
-// atom's evaluation result in striped form (negation already applied for a
-// negated atom, pre-materialized by the index) so single-atom clauses fold
-// into the selection word-at-a-time without materializing a dense bitmap.
-// A probe miss is silent: the caller falls back to Lookup, which does the
-// full hit/miss accounting.
-type StripedSource interface {
-	LookupStriped(ctx context.Context, blockID string, atom plan.Atom, n int) (*bitmap.Striped, bool)
-}
-
 // ColumnObserver is implemented by index sources that index raw columns as
 // the executor reads them (the B-tree baseline of paper Fig. 9b).
 type ColumnObserver interface {
@@ -164,9 +153,6 @@ func RunTaskModel(ctx context.Context, task plan.TaskSpec, reader PartitionReade
 		idx:    idx,
 		model:  model,
 		fact:   p.Fact().Ref.Binding(),
-	}
-	if idx != nil {
-		s.sidx, _ = idx.(StripedSource)
 	}
 	if err := s.resolveColumns(); err != nil {
 		return nil, err
@@ -340,7 +326,6 @@ type scanner struct {
 	meta   *colstore.FileMeta
 	reader PartitionReader
 	idx    IndexSource
-	sidx   StripedSource  // idx's striped fast path, when it has one
 	model  *sim.CostModel // nil: predicate CPU time is not billed
 	fact   string
 
@@ -580,24 +565,6 @@ func (s *scanner) selection(bm colstore.BlockMeta) (*bitmap.Bitmap, bool, error)
 	sel := bitmap.NewFull(n)
 	allIndexed := true
 	for _, cl := range s.plan.Filter.Clauses {
-		// Single-atom clauses take the striped hot path when the index holds
-		// the entry in cache-line layout: the (pre-negated) striped form is
-		// folded into the running selection word-at-a-time, skipping the
-		// dense materialization of the generic path. The selection content
-		// is identical either way; only hit accounting differs.
-		if s.sidx != nil && len(cl.Atoms) == 1 && len(cl.Opaque) == 0 {
-			if sb, ok := s.sidx.LookupStriped(s.ctx, s.blockID(s.block), cl.Atoms[0], n); ok {
-				if sb.Len() != n {
-					return nil, false, fmt.Errorf("exec: striped index bitmap length %d != block rows %d", sb.Len(), n)
-				}
-				s.stats.IndexHits++
-				sb.AndInto(sel)
-				if !sel.Any() {
-					return sel, allIndexed, nil
-				}
-				continue
-			}
-		}
 		// clauseBm accumulates the OR of the clause's leaves. Bitmaps
 		// fetched from the index are owned by the cache and must never be
 		// mutated; owned tracks whether clauseBm is safe to OR into, and a

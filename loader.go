@@ -132,6 +132,9 @@ func (l *Loader) flushPartition() error {
 	if err := l.sys.router.WriteFile(context.Background(), path, data); err != nil {
 		return err
 	}
+	// Reloading a table at the same prefix rewrites its partition files:
+	// nothing cached from the superseded bytes may answer a later query.
+	l.sys.InvalidatePath(l.name, path)
 	l.meta.Partitions = append(l.meta.Partitions, plan.PartitionMeta{
 		Path:  path,
 		Rows:  int64(l.inPart),
@@ -151,7 +154,7 @@ func (l *Loader) Close() error {
 		return err
 	}
 	l.closed = true
-	return l.sys.master.RegisterTable(context.Background(), l.meta)
+	return l.sys.RegisterTable(context.Background(), l.meta)
 }
 
 // Meta returns the catalog entry being built (complete after Close).
