@@ -3,6 +3,7 @@ package feisu
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -14,45 +15,121 @@ import (
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/sqlparser"
+	"repro/internal/types"
 	"repro/internal/workload"
 )
 
 // TestClusterMatchesSingleNode is the distribution-correctness invariant:
 // for a broad set of generated queries, running through the full
-// master/stem/leaf pipeline (with SmartIndex, result sharing, partial
-// aggregation and merging) must produce exactly the rows of a direct
-// single-process execution over the same partitions.
+// master/stem/leaf pipeline (with SmartIndex, partial aggregation and the
+// stem fold) must produce the rows of a direct single-process execution
+// over the same partitions. With one stem group — one stem, or none and the
+// master's local stem — the tree's fold is the single node's left fold and
+// the rows are bit-identical. With two groups the fold is a two-leaf tree:
+// float aggregates may differ from the left fold in their last digits
+// (within 1e-12 relative; every other cell is exact), but the same
+// statement must return the same bits every time it runs.
 func TestClusterMatchesSingleNode(t *testing.T) {
-	sys, err := New(Config{Leaves: 4})
-	if err != nil {
-		t.Fatal(err)
+	arms := []struct {
+		name       string
+		cfg        Config
+		partitions int
+		bitExact   bool
+	}{
+		{"one-stem", Config{Leaves: 4}, 4, true},
+		{"no-stems", Config{Leaves: 4, Stems: -1}, 4, true},
+		// No background heartbeats: placement, and with it the grouping of
+		// tasks under stems, then depends on the statement alone.
+		{"two-stems", Config{Leaves: 8, Stems: 2, HeartbeatInterval: -1}, 8, false},
 	}
-	defer sys.Close()
-	spec := workload.T1Spec()
-	spec.Partitions = 4
-	spec.RowsPerPart = 512
-	ctx := context.Background()
-	meta, err := workload.Generate(ctx, sys.Router(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.RegisterTable(ctx, meta); err != nil {
-		t.Fatal(err)
-	}
-	cat := plan.MapCatalog{"T1": meta}
-	reader := exec.NewStoreReader(sys.Router())
-
 	queries := generateEquivalenceQueries(60, 1234)
-	for _, q := range queries {
-		clusterRes, err := sys.Query(ctx, q)
-		if err != nil {
-			t.Fatalf("cluster %q: %v", q, err)
-		}
-		localRes := runLocal(t, cat, reader, q)
-		if got, want := renderRows(clusterRes), renderRows(localRes); got != want {
-			t.Fatalf("divergence on %q:\ncluster: %s\nlocal:   %s", q, got, want)
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			sys, err := New(arm.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			spec := workload.T1Spec()
+			spec.Partitions = arm.partitions
+			spec.RowsPerPart = 2048 / arm.partitions
+			ctx := context.Background()
+			meta, err := workload.Generate(ctx, sys.Router(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.RegisterTable(ctx, meta); err != nil {
+				t.Fatal(err)
+			}
+			cat := plan.MapCatalog{"T1": meta}
+			reader := exec.NewStoreReader(sys.Router())
+
+			for _, q := range queries {
+				clusterRes, err := sys.Query(ctx, q)
+				if err != nil {
+					t.Fatalf("cluster %q: %v", q, err)
+				}
+				localRes := runLocal(t, cat, reader, q)
+				got, want := renderRows(clusterRes), renderRows(localRes)
+				if arm.bitExact {
+					if got != want {
+						t.Fatalf("divergence on %q:\ncluster: %s\nlocal:   %s", q, got, want)
+					}
+					continue
+				}
+				if err := rowsWithin(clusterRes, localRes, 1e-12); err != nil {
+					t.Fatalf("divergence on %q: %v\ncluster: %s\nlocal:   %s", q, err, got, want)
+				}
+				for run := 1; run < 20; run++ {
+					again, err := sys.Query(ctx, q)
+					if err != nil {
+						t.Fatalf("cluster %q (run %d): %v", q, run, err)
+					}
+					if r := renderRows(again); r != got {
+						t.Fatalf("%q is not deterministic:\nrun 0:  %s\nrun %d: %s", q, got, run, r)
+					}
+				}
+			}
+			if !arm.bitExact {
+				_, stats, err := sys.QueryStats(ctx, queries[0], WithTrace())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := len(stats.Trace.FindAll("stem/")); n != 2 {
+					t.Fatalf("statement ran under %d stem group(s), want 2; the arm proves nothing:\n%s", n, stats.Trace.Render())
+				}
+			}
+		})
+	}
+}
+
+// rowsWithin compares two results cell by cell after sorting their rows by
+// rendering (group keys come first and are distinct, so nearly-equal floats
+// cannot reorder rows): DOUBLE cells may differ by tol relative, every other
+// cell must render identically.
+func rowsWithin(a, b *Result, tol float64) error {
+	if len(a.Rows) != len(b.Rows) {
+		return fmt.Errorf("%d rows vs %d", len(a.Rows), len(b.Rows))
+	}
+	sorted := func(res *Result) [][]types.Value {
+		rows := append([][]types.Value(nil), res.Rows...)
+		sort.Slice(rows, func(i, j int) bool { return fmt.Sprint(rows[i]) < fmt.Sprint(rows[j]) })
+		return rows
+	}
+	ra, rb := sorted(a), sorted(b)
+	for i := range ra {
+		for j, x := range ra[i] {
+			y := rb[i][j]
+			if x.T == types.Float64 && y.T == types.Float64 {
+				if diff := math.Abs(x.F - y.F); diff > tol*math.Max(math.Abs(x.F), math.Abs(y.F)) {
+					return fmt.Errorf("row %d col %d: %v vs %v", i, j, x.F, y.F)
+				}
+			} else if x.String() != y.String() {
+				return fmt.Errorf("row %d col %d: %s vs %s", i, j, x.String(), y.String())
+			}
 		}
 	}
+	return nil
 }
 
 // runLocal executes the query in-process, no cluster machinery.

@@ -970,11 +970,6 @@ func WithTaskTimeout(d time.Duration) QueryOption {
 	return func(o *cluster.QueryOptions) { o.TaskTimeout = d }
 }
 
-// WithoutResultReuse disables identical-task result sharing (ablation).
-func WithoutResultReuse() QueryOption {
-	return func(o *cluster.QueryOptions) { o.DisableReuse = true }
-}
-
 // WithoutResultCache bypasses the semantic result cache for this query —
 // no lookup, no store. For ablations and freshness-sensitive reads.
 func WithoutResultCache() QueryOption {

@@ -184,7 +184,7 @@ func TestSystemCacheOption(t *testing.T) {
 	if _, err := sys.Query(ctx, "SELECT SUM(id) FROM visits"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Query(ctx, "SELECT SUM(id) FROM visits", WithoutResultReuse()); err != nil {
+	if _, err := sys.Query(ctx, "SELECT SUM(id) FROM visits"); err != nil {
 		t.Fatal(err)
 	}
 	if sys.CacheMissRatio() >= 1 {

@@ -58,8 +58,6 @@ type QueryOptions struct {
 	// TaskTimeout is the per-task straggler threshold that triggers a
 	// backup task; 0 uses the cluster default.
 	TaskTimeout time.Duration
-	// DisableReuse turns off identical-task result reuse (ablation).
-	DisableReuse bool
 	// DisableResultCache bypasses the master's semantic result cache for
 	// this query (no lookup, no store) — for ablations and freshness-
 	// sensitive reads.
@@ -203,10 +201,6 @@ type stemJobMsg struct {
 	QueryID string
 	// TaskTimeout bounds each leaf call.
 	TaskTimeout time.Duration
-	// PerTask asks the stem to return per-task results instead of a
-	// merged partial, so the master's identical-task futures hold exact
-	// payloads (result sharing, §III-C).
-	PerTask bool
 	// Backup maps task ordinals to a second leaf for hedged execution:
 	// the stem launches a speculative duplicate there after HedgeDelay
 	// unless the primary has already answered (first result wins).
@@ -229,8 +223,10 @@ type taskStatus struct {
 	// plus predicate CPU, before spill-fetch and reply-transfer costs are
 	// folded in. This is the part intra-task scan parallelism divides.
 	ScanSim  time.Duration
-	Size     int64
 	DevBytes map[string]int64
+	// Rows is the task's result row count (0 for partial aggregates): the
+	// master reports it per task but only ever sees the rows folded.
+	Rows int
 	// Wall is the stem-observed wall time of the winning attempt, the
 	// input to the master's straggler EWMA.
 	Wall time.Duration
@@ -244,12 +240,14 @@ type taskStatus struct {
 	Unreachable bool
 }
 
-// stemReply is a stem's answer: merged bottom-up, or per task when the
-// job asked for PerTask granularity.
+// stemReply is a stem's answer. Merged is the left fold, in ascending
+// ordinal, of the job's tasks up to its first failure — all of them when
+// nothing failed. Tail holds the successful tasks after that failure,
+// unmerged, so the master's retry folds in at its own ordinal.
 type stemReply struct {
-	Merged  *exec.TaskResult
-	PerTask map[int]*exec.TaskResult
-	Status  map[int]taskStatus
+	Merged *exec.TaskResult
+	Tail   map[int]*exec.TaskResult
+	Status map[int]taskStatus
 }
 
 // pingMsg checks liveness and reports load.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -296,90 +295,6 @@ func TestNoLeavesError(t *testing.T) {
 	tc.master.Manager.Forget("leaf0")
 	if _, _, err := tc.master.Submit(context.Background(), "SELECT COUNT(*) FROM logs", QueryOptions{}); err == nil {
 		t.Fatal("no leaves should fail")
-	}
-}
-
-// gatedReader blocks leaf task execution at the first storage read until the
-// gate opens, giving tests a deterministic window in which a query's task
-// futures are registered but not yet complete. Column calls pass through
-// untouched (they only happen after Meta unblocks).
-type gatedReader struct {
-	exec.PartitionReader
-	gate chan struct{}
-}
-
-func (g *gatedReader) Meta(ctx context.Context, path string) (*colstore.FileMeta, error) {
-	select {
-	case <-g.gate:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	return g.PartitionReader.Meta(ctx, path)
-}
-
-// TestResultReuseAcrossConcurrentQueries pins task-result sharing without
-// timing assumptions: a gate on both leaves' storage readers holds the first
-// query's two tasks in flight, monotone counters (InflightTasks, Reused)
-// gate each phase, and only then does the gate open. Previously this test
-// stalled the leaves 40ms and hoped the sharer queries arrived inside the
-// window.
-func TestResultReuseAcrossConcurrentQueries(t *testing.T) {
-	tc := newTestCluster(t, 2, 0, 2, nil)
-	gate := make(chan struct{})
-	for _, l := range tc.leaves {
-		l.Reader = &gatedReader{PartitionReader: l.Reader, gate: gate}
-	}
-
-	const q = "SELECT COUNT(*) FROM logs WHERE v = 7"
-	const sharers = 3
-	counts := make([]int64, 1+sharers)
-	var wg sync.WaitGroup
-	submit := func(i int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, _, err := tc.master.Submit(context.Background(), q, QueryOptions{})
-			if err != nil {
-				t.Errorf("submit %d: %v", i, err)
-				return
-			}
-			counts[i] = res.Rows[0][0].I
-		}()
-	}
-
-	// Phase 1: the owner query claims its two task futures (registered
-	// synchronously before dispatch) and its tasks block at the gate.
-	submit(0)
-	waitFor(t, func() bool { return tc.master.Jobs.InflightTasks() == 2 })
-
-	// Phase 2: the sharers claim the same futures; every claim of an
-	// in-flight key bumps Reused synchronously, so 3 sharers × 2 tasks = 6.
-	for i := 1; i <= sharers; i++ {
-		submit(i)
-	}
-	waitFor(t, func() bool { return tc.master.Jobs.Reused.Value() >= 2*sharers })
-
-	// Phase 3: let the owner's tasks run; every query gets the shared result.
-	close(gate)
-	wg.Wait()
-	for i, c := range counts {
-		if c != 20 { // 10 matches per 100-row partition, 2 partitions
-			t.Errorf("query %d count = %d", i, c)
-		}
-	}
-	if got := tc.master.Jobs.Reused.Value(); got != 2*sharers {
-		t.Errorf("reused = %d, want exactly %d (2 tasks x %d sharers)", got, 2*sharers, sharers)
-	}
-}
-
-func TestDisableReuse(t *testing.T) {
-	tc := newTestCluster(t, 2, 0, 2, nil)
-	res, _ := tc.query("SELECT COUNT(*) FROM logs", QueryOptions{DisableReuse: true})
-	if res.Rows[0][0].I != 200 {
-		t.Errorf("count = %v", res.Rows[0][0])
-	}
-	if tc.master.Jobs.Reused.Value() != 0 {
-		t.Error("reuse disabled but counter moved")
 	}
 }
 
@@ -721,9 +636,6 @@ func TestJobManagerHelpers(t *testing.T) {
 	jm.RegisterTable(&plan.TableMeta{Name: "a"})
 	if got := jm.Tables(); len(got) != 2 || got[0] != "a" {
 		t.Errorf("tables = %v", got)
-	}
-	if id1, id2 := jm.NewJobID(), jm.NewJobID(); id1 == id2 {
-		t.Error("job ids should be unique")
 	}
 	if KindLeaf.String() != "leaf" || KindStem.String() != "stem" {
 		t.Error("kind strings")

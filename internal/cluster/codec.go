@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/plan"
@@ -66,58 +65,30 @@ func init() {
 // receipt; a task plan that genuinely differs from the job plan is shipped
 // inline.
 type wireStemJob struct {
-	Plan        *plan.PhysicalPlan
-	Tasks       []plan.TaskSpec
-	SharedPlan  []bool // Tasks[i].Plan == Plan before conversion
-	Assign      map[int]string
-	QueryID     string
-	TaskTimeout time.Duration
-	PerTask     bool
-	Backup      map[int]string
-	HedgeDelay  time.Duration
-	LeafSlots   int
+	Job        stemJobMsg
+	SharedPlan []bool // Job.Tasks[i].Plan == Job.Plan before conversion
 }
 
 func (j stemJobMsg) wire() wireStemJob {
-	w := wireStemJob{
-		Plan:        j.Plan,
-		Tasks:       make([]plan.TaskSpec, len(j.Tasks)),
-		SharedPlan:  make([]bool, len(j.Tasks)),
-		Assign:      j.Assign,
-		QueryID:     j.QueryID,
-		TaskTimeout: j.TaskTimeout,
-		PerTask:     j.PerTask,
-		Backup:      j.Backup,
-		HedgeDelay:  j.HedgeDelay,
-		LeafSlots:   j.LeafSlots,
-	}
+	w := wireStemJob{Job: j, SharedPlan: make([]bool, len(j.Tasks))}
+	w.Job.Tasks = make([]plan.TaskSpec, len(j.Tasks))
 	for i, t := range j.Tasks {
 		if t.Plan == j.Plan && j.Plan != nil {
 			t.Plan = nil
 			w.SharedPlan[i] = true
 		}
-		w.Tasks[i] = t
+		w.Job.Tasks[i] = t
 	}
 	return w
 }
 
 func (w wireStemJob) job() stemJobMsg {
-	for i := range w.Tasks {
+	for i := range w.Job.Tasks {
 		if i < len(w.SharedPlan) && w.SharedPlan[i] {
-			w.Tasks[i].Plan = w.Plan
+			w.Job.Tasks[i].Plan = w.Job.Plan
 		}
 	}
-	return stemJobMsg{
-		Plan:        w.Plan,
-		Tasks:       w.Tasks,
-		Assign:      w.Assign,
-		QueryID:     w.QueryID,
-		TaskTimeout: w.TaskTimeout,
-		PerTask:     w.PerTask,
-		Backup:      w.Backup,
-		HedgeDelay:  w.HedgeDelay,
-		LeafSlots:   w.LeafSlots,
-	}
+	return w.Job
 }
 
 // GobEncode implements gob.GobEncoder with the columnar batch form: the

@@ -2,37 +2,56 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/plan"
-	"repro/internal/types"
 )
 
-// JobManager owns the catalog and running-job state, and deduplicates
-// identical tasks across concurrent jobs (paper §III-C: "job manager tries
-// to reuse other running job's task result if tasks are identical").
+// JobManager owns the catalog and running-job state, and lets identical
+// concurrent statements share one execution (paper §III-C: "job manager tries
+// to reuse other running job's task result if tasks are identical" — two
+// tasks are identical only when their whole statements are, so the unit
+// shared is the statement).
 type JobManager struct {
 	mu      sync.Mutex
 	catalog plan.MapCatalog
-	// inflight maps task keys to shared futures.
-	inflight map[string]*taskFuture
-	nextJob  int64
+	// epoch counts invalidations (catalog changes and partition rewrites);
+	// moved maps a table to the epoch of its latest one. A plan bound while
+	// the epoch read e is current for as long as none of its tables has
+	// moved[t] > e.
+	epoch uint64
+	moved map[string]uint64
+	// flights maps a statement key to its executing leader.
+	flights map[string]*flight
 
+	// Reused counts tasks followers did not execute.
 	Reused metrics.Counter
 }
 
-// taskFuture is one running task shared across identical submissions.
-type taskFuture struct {
+// flight is one executing statement that identical submissions wait on
+// instead of executing.
+type flight struct {
+	key    string
+	leader string // the executing statement's query ID
 	done   chan struct{}
-	result *exec.TaskResult
-	err    error
+	// followers is guarded by JobManager.mu. res and tasks are written by
+	// the leader before done closes; res stays nil when the leader had
+	// nothing to share.
+	followers int
+	res       *exec.Result
+	tasks     int
 }
 
 // NewJobManager returns an empty manager.
 func NewJobManager() *JobManager {
-	return &JobManager{catalog: plan.MapCatalog{}, inflight: make(map[string]*taskFuture)}
+	return &JobManager{
+		catalog: plan.MapCatalog{},
+		moved:   make(map[string]uint64),
+		flights: make(map[string]*flight),
+	}
 }
 
 // RegisterTable installs or replaces a catalog entry and returns the op for
@@ -40,8 +59,46 @@ func NewJobManager() *JobManager {
 func (j *JobManager) RegisterTable(meta *plan.TableMeta) catalogOp {
 	j.mu.Lock()
 	j.catalog[meta.Name] = meta
+	j.epoch++
+	j.moved[meta.Name] = j.epoch
 	j.mu.Unlock()
 	return catalogOp{Table: meta}
+}
+
+// invalidate records that a table's data changed under an unchanged catalog
+// entry (a partition file rewritten in place).
+func (j *JobManager) invalidate(table string) {
+	j.mu.Lock()
+	j.epoch++
+	j.moved[table] = j.epoch
+	j.mu.Unlock()
+}
+
+// epochNow reads the invalidation epoch; read it before binding a plan.
+func (j *JobManager) epochNow() uint64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.epoch
+}
+
+// current reports whether no table the plan reads has been invalidated
+// since the epoch read boundAt.
+func (j *JobManager) current(p *plan.PhysicalPlan, boundAt uint64) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.tablesEpochLocked(p) <= boundAt
+}
+
+// tablesEpochLocked returns the latest invalidation among the tables the
+// plan reads.
+func (j *JobManager) tablesEpochLocked(p *plan.PhysicalPlan) uint64 {
+	var latest uint64
+	for _, bt := range p.A.Tables {
+		if e := j.moved[bt.Meta.Name]; e > latest {
+			latest = e
+		}
+	}
+	return latest
 }
 
 // Lookup implements plan.Catalog.
@@ -61,45 +118,41 @@ func (j *JobManager) Tables() []string {
 	return j.catalog.Tables()
 }
 
-// NewJobID allocates a job identifier.
-func (j *JobManager) NewJobID() string {
+// join returns the flight executing the plan's statement — same shape, same
+// literals, same epoch of every table it reads — registering the caller
+// (query ID qid) as its leader when there is none. The leader executes and
+// must land the flight; everyone else waits on done. A plan whose tables
+// moved after boundAt may be stale already and gets no flight (nil).
+func (j *JobManager) join(p *plan.PhysicalPlan, boundAt uint64, qid string) (f *flight, leader bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.nextJob++
-	return fmt.Sprintf("job-%d", j.nextJob)
-}
-
-// claimTask either registers a new future for the task (owner=true: the
-// caller must run it and complete the future) or returns the future of an
-// identical running task (owner=false: the caller waits on it).
-func (j *JobManager) claimTask(key string) (*taskFuture, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if f, ok := j.inflight[key]; ok {
-		j.Reused.Inc()
+	epoch := j.tablesEpochLocked(p)
+	if epoch > boundAt {
+		return nil, false
+	}
+	key := p.Fingerprint + "\x00" + p.LiteralKey + "\x00" + strconv.FormatUint(epoch, 10)
+	if f, ok := j.flights[key]; ok {
+		f.followers++
 		return f, false
 	}
-	f := &taskFuture{done: make(chan struct{})}
-	j.inflight[key] = f
+	f = &flight{key: key, leader: qid, done: make(chan struct{})}
+	j.flights[key] = f
 	return f, true
 }
 
-// InflightTasks returns the number of task futures currently registered —
-// a monotone-while-blocked gauge deterministic test barriers poll to know
-// every task of a gated query has been claimed.
-func (j *JobManager) InflightTasks() int {
+// land retires the leader's flight and releases its followers. res is the
+// leader's result if it may be shared, nil if the followers must execute
+// the statement themselves; the leader's caller owns res, so followers get
+// a copy — made only when someone is waiting.
+func (j *JobManager) land(f *flight, res *exec.Result, tasks int) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.inflight)
-}
-
-// completeTask publishes a task result and retires the future.
-func (j *JobManager) completeTask(key string, f *taskFuture, res *exec.TaskResult, err error) {
-	f.result, f.err = res, err
-	close(f.done)
-	j.mu.Lock()
-	delete(j.inflight, key)
+	delete(j.flights, f.key)
+	waiting := f.followers > 0
 	j.mu.Unlock()
+	if waiting && res != nil {
+		f.res, f.tasks = res.Clone(), tasks
+	}
+	close(f.done)
 }
 
 // catalogOp is the replicated operation-log entry for master HA.
@@ -131,32 +184,4 @@ func (j *JobManager) Restore(snap catalogSnapshot) {
 	for _, t := range snap.Tables {
 		j.catalog[t.Name] = t
 	}
-}
-
-// cloneResult deep-copies a task result so shared (reused) results cannot
-// be mutated by one consumer's merge while another reads it.
-func cloneResult(r *exec.TaskResult) *exec.TaskResult {
-	if r == nil {
-		return nil
-	}
-	out := &exec.TaskResult{Stats: r.Stats}
-	if r.Rows != nil {
-		out.Rows = make([][]types.Value, len(r.Rows))
-		for i, row := range r.Rows {
-			cp := make([]types.Value, len(row))
-			copy(cp, row)
-			out.Rows[i] = cp
-		}
-	}
-	if r.Groups != nil {
-		out.Groups = exec.NewGroups(r.Groups.NumAggs)
-		for k, g := range r.Groups.M {
-			keys := make([]types.Value, len(g.Keys))
-			copy(keys, g.Keys)
-			cells := make([]exec.Cell, len(g.Cells))
-			copy(cells, g.Cells)
-			out.Groups.M[k] = &exec.Group{Keys: keys, Cells: cells}
-		}
-	}
-	return out
 }

@@ -258,6 +258,8 @@ func (m *Master) handle(ctx context.Context, from string, payload any) (any, err
 // caches are invalidated by the system wiring).
 func (m *Master) InvalidatePartition(table, path string) {
 	m.cfg.Events.Emit("ingest", events.IngestInvalidate, "", -1, table+" "+path)
+	// The epoch moves before the cache is invalidated (see StoreIf).
+	m.Jobs.invalidate(table)
 	m.reader.InvalidateMeta(path)
 	m.cfg.ResultCache.InvalidateTable(table)
 }
@@ -314,7 +316,8 @@ func (m *Master) RegisterTable(ctx context.Context, meta *plan.TableMeta) error 
 	}
 	op := m.Jobs.RegisterTable(meta)
 	// Catalog changes (new or grown partition sets) make cached results
-	// over the table stale.
+	// over the table stale. Jobs.RegisterTable has already moved the
+	// table's epoch (see StoreIf).
 	m.cfg.ResultCache.InvalidateTable(meta.Name)
 	m.mu.Lock()
 	backups := append([]string(nil), m.backups...)
@@ -378,6 +381,9 @@ func (m *Master) submit(ctx context.Context, sql string, opts QueryOptions) (res
 	if err != nil {
 		return nil, nil, err
 	}
+	// The plan is current while no table it reads is invalidated past
+	// boundAt; the read must precede the catalog lookups inside PlanWith.
+	boundAt := m.Jobs.epochNow()
 	p, err := plan.PlanWith(stmt, m.Jobs, m.cfg.Planner)
 	if err != nil {
 		return nil, nil, err
@@ -416,13 +422,8 @@ func (m *Master) submit(ctx context.Context, sql string, opts QueryOptions) (res
 			m.cfg.Events.Emit(qsite, kind, qid, -1, p.Fingerprint)
 			var root *trace.Span
 			if opts.Trace {
-				root = trace.New("master/query")
+				root = servedTrace("master/result-cache", "status", outcome.String(), len(res.Rows))
 				stats.Trace = root
-				cspan := root.Child("master/result-cache")
-				cspan.SetAttr("status", outcome.String())
-				cspan.Count("rows", int64(len(res.Rows)))
-				cspan.Finish()
-				root.Finish()
 			}
 			stats.WallTime = time.Since(start)
 			if stmt.Analyze {
@@ -431,6 +432,31 @@ func (m *Master) submit(ctx context.Context, sql string, opts QueryOptions) (res
 			return res, stats, nil
 		}
 		stats.ResultCache = resultcache.Miss.String()
+	}
+
+	// Statement flight: while an identical statement (same shape, same
+	// literals, same version of every table) is executing, wait for its
+	// result instead of executing — like a cache hit, a follower takes no
+	// execution slot. A statement that must trace its own execution or
+	// answer by a deadline executes itself, and so does one whose tables
+	// moved while it was being planned.
+	var shared *exec.Result // the leader's result, once it may be shared
+	if !stmt.Analyze && opts.TimeLimit == 0 {
+		if f, leader := m.Jobs.join(p, boundAt, qid); leader {
+			st := stats // error returns nil out the named result
+			defer func() { m.Jobs.land(f, shared, st.Tasks) }()
+		} else if f != nil {
+			res, err := m.follow(ctx, f, qsite, opts.Trace, stats)
+			if err != nil {
+				return nil, nil, err
+			}
+			if res != nil {
+				stats.WallTime = time.Since(start)
+				return res, stats, nil
+			}
+			// The leader failed, degraded or was cancelled: execute the
+			// statement here after all.
+		}
 	}
 
 	// Admission control: wait for an execution slot (weighted-fair between
@@ -561,9 +587,6 @@ func (m *Master) submit(ctx context.Context, sql string, opts QueryOptions) (res
 	if root != nil {
 		root.SetSim(stats.SimTime)
 		root.Count("tasks", int64(stats.Tasks))
-		if stats.ReusedTasks > 0 {
-			root.Count("tasks.reused", int64(stats.ReusedTasks))
-		}
 		if stats.BackupTasks > 0 {
 			root.Count("tasks.backup", int64(stats.BackupTasks))
 		}
@@ -578,16 +601,53 @@ func (m *Master) submit(ctx context.Context, sql string, opts QueryOptions) (res
 		}
 		root.Finish()
 	}
-	// Store only complete results: no failed tasks, no partial/ratio
-	// degradation — a cache must never replay a truncated answer.
-	if m.cfg.ResultCache != nil && !opts.DisableResultCache &&
-		stats.TasksFailed == 0 && !res.Partial && res.ProcessedRatio >= 1 {
-		m.cfg.ResultCache.Store(p, cred.User, res)
+	// Share and store only complete results: no failed tasks, no
+	// partial/ratio degradation — neither a follower nor the cache may
+	// replay a truncated answer.
+	if stats.TasksFailed == 0 && !res.Partial && res.ProcessedRatio >= 1 {
+		shared = res
+		if !opts.DisableResultCache {
+			m.cfg.ResultCache.StoreIf(p, cred.User, res, func() bool { return m.Jobs.current(p, boundAt) })
+		}
 	}
 	if stmt.Analyze {
 		return textResult("EXPLAIN ANALYZE", p.DescribeAnalyze(root)), stats, nil
 	}
 	return res, stats, nil
+}
+
+// follow waits for the flight's leader and returns the caller's own copy
+// of its result — nil when the leader had none to share. Every task is
+// accounted as reused.
+func (m *Master) follow(ctx context.Context, f *flight, qsite string, traced bool, stats *QueryStats) (*exec.Result, error) {
+	select {
+	case <-f.done:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	if f.res == nil {
+		return nil, nil
+	}
+	res := f.res.Clone()
+	stats.Tasks, stats.ReusedTasks = f.tasks, f.tasks
+	m.Jobs.Reused.Add(int64(f.tasks))
+	m.cfg.Events.Emit(qsite, events.QueryFollowed, stats.QueryID, -1, f.leader)
+	if traced {
+		stats.Trace = servedTrace("master/flight", "leader", f.leader, len(res.Rows))
+	}
+	return res, nil
+}
+
+// servedTrace is the span tree of a statement answered without executing:
+// the root and one child that says where the rows came from.
+func servedTrace(name, attr, value string, rows int) *trace.Span {
+	root := trace.New("master/query")
+	span := root.Child(name)
+	span.SetAttr(attr, value)
+	span.Count("rows", int64(rows))
+	span.Finish()
+	root.Finish()
+	return root
 }
 
 // trimSQL collapses query text onto one line and truncates it for event
@@ -629,8 +689,8 @@ func (m *Master) rpcLatency() time.Duration {
 // authorize checks every storage domain the plan reads.
 func (m *Master) authorize(cred auth.Credential, p *plan.PhysicalPlan) error {
 	seen := make(map[string]bool)
-	checkTable := func(t *plan.TableMeta) error {
-		for _, part := range t.Partitions {
+	for _, bt := range p.A.Tables {
+		for _, part := range bt.Meta.Partitions {
 			store, _ := m.cfg.Router.Resolve(part.Path)
 			scheme := store.Scheme()
 			if seen[scheme] {
@@ -640,20 +700,6 @@ func (m *Master) authorize(cred auth.Credential, p *plan.PhysicalPlan) error {
 			if err := m.cfg.Authority.Authorize(cred, scheme); err != nil {
 				return err
 			}
-		}
-		return nil
-	}
-	if err := checkTable(p.Fact().Meta); err != nil {
-		return err
-	}
-	for _, d := range p.Dims {
-		if err := checkTable(d.Table.Meta); err != nil {
-			return err
-		}
-	}
-	if sh := p.Shuffle; sh != nil && sh.Build != nil {
-		if err := checkTable(sh.Build.Meta); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -705,220 +751,173 @@ func (m *Master) loadDims(ctx context.Context, p *plan.PhysicalPlan) error {
 	return nil
 }
 
-// taskDone is one task's terminal outcome inside runAll.
+// taskDone is one task's terminal outcome inside runAll: the status of its
+// last attempt (of the winning one when it succeeded), the error that ended
+// it otherwise, and the backup tasks it took.
 type taskDone struct {
-	ordinal  int
-	res      *exec.TaskResult
-	simTime  time.Duration
-	scanSim  time.Duration
-	leaf     string
-	err      error
-	reused   bool
-	backups  int
-	hedged   bool
-	hedgeWon bool
-	devBytes map[string]int64
-	// unreachable: the first dispatch never ran (its leaf was down).
-	unreachable bool
+	ordinal int
+	taskStatus
+	err     error
+	backups int
 }
 
-// runAll executes the task set with dedup, backup tasks and the early
-// return policy, and merges the results.
+// groupDone is one stem group's outcome: its tasks in ascending ordinal and
+// the left fold of their results in that order.
+type groupDone struct {
+	tasks  []taskDone
+	merged *exec.TaskResult
+}
+
+// runAll executes the task set — one job per stem group, backup tasks for
+// what fails there, the early-return policy — and folds the results. The
+// fold is by ordinal, never by arrival: within a group ascending, the
+// groups in ascending first ordinal. Float aggregates are not associative,
+// so any other rule makes the same statement return different last digits
+// run to run; with one group the fold is exactly a single node's.
 func (m *Master) runAll(ctx context.Context, p *plan.PhysicalPlan, tasks []plan.TaskSpec, opts QueryOptions, stats *QueryStats, qid string, prog *progressHandle) (*exec.TaskResult, error) {
-	results := make(chan taskDone, len(tasks))
-
-	// Split into owned tasks (we execute) and reused tasks (an identical
-	// task is already running in another job).
-	var owned []plan.TaskSpec
-	futures := make(map[int]*taskFuture, len(tasks))
-	owner := make(map[int]*taskFuture)
-	for _, t := range tasks {
-		if opts.DisableReuse {
-			f := &taskFuture{done: make(chan struct{})}
-			owner[t.Ordinal] = f
-			futures[t.Ordinal] = f
-			owned = append(owned, t)
-			continue
-		}
-		f, isOwner := m.Jobs.claimTask(t.Key())
-		futures[t.Ordinal] = f
-		if isOwner {
-			owner[t.Ordinal] = f
-			owned = append(owned, t)
-		} else {
-			stats.ReusedTasks++
-			go func(t plan.TaskSpec, f *taskFuture) {
-				select {
-				case <-f.done:
-					results <- taskDone{ordinal: t.Ordinal, res: f.result, err: f.err, reused: true}
-				case <-ctx.Done():
-					results <- taskDone{ordinal: t.Ordinal, err: ctx.Err(), reused: true}
-				}
-			}(t, f)
-		}
+	if len(tasks) == 0 {
+		return nil, nil
 	}
-
 	timeout := opts.TaskTimeout
 	if timeout == 0 {
 		timeout = m.cfg.DefaultTaskTimeout
 	}
 
-	// Dispatch owned tasks grouped per stem; fall back to direct leaf
-	// calls when no stem servers are alive.
-	// heldSlots tracks owned tasks' placement slots (charged by PlanAll);
-	// each is released when the task's terminal outcome is collected, so
+	assign, err := m.Scheduler.PlanAll(tasks)
+	if err != nil {
+		return nil, err
+	}
+	// heldSlots tracks the tasks' placement slots (charged by PlanAll); each
+	// is released when the task's terminal outcome is collected, so
 	// concurrent queries' placements see each other's live claims. Only the
 	// collection loop below touches it.
-	heldSlots := make(map[int]string)
+	heldSlots := make(map[int]string, len(assign))
+	for ord, leaf := range assign {
+		heldSlots[ord] = leaf
+	}
 	defer func() {
 		for _, leaf := range heldSlots {
 			m.Scheduler.ReleaseTask(leaf)
 		}
 	}()
-	if len(owned) > 0 {
-		assign, err := m.Scheduler.PlanAll(owned)
-		if err != nil {
-			// Complete owned futures so concurrent sharers unblock.
-			for _, t := range owned {
-				if f := owner[t.Ordinal]; f != nil {
-					m.completeOwned(opts, t, f, nil, err)
+	for _, t := range tasks {
+		m.cfg.Events.Emit(events.TaskSite(qid, t.Ordinal), events.TaskScheduled,
+			qid, t.Ordinal, assign[t.Ordinal])
+	}
+
+	// Dispatch grouped per stem; the master's local stem stands in when no
+	// stem servers are alive. Each goroutine sends exactly one groupDone and
+	// the channel holds them all, so a collector that gave up at the
+	// deadline strands nobody.
+	backup, hedgeDelay := m.planHedges(tasks, assign, opts)
+	byStem := m.groupByStem(tasks, assign)
+	results := make(chan groupDone, len(byStem))
+	for stemName, group := range byStem {
+		go func(stemName string, group []plan.TaskSpec) {
+			prog.update(func(p *QueryProgress) { p.TasksDispatched += len(group) })
+			job := stemJobMsg{Plan: p, Tasks: group, Assign: assign, TaskTimeout: timeout,
+				Backup: backup, HedgeDelay: hedgeDelay,
+				LeafSlots: m.Scheduler.SlotsPerLeaf, QueryID: qid}
+			reply, err := m.callStem(ctx, stemName, job)
+			// reply.Merged already holds the tasks before the stem's first
+			// failure; from there on each result — the backup task's, then
+			// the tail the stem relayed — folds in here, in the same order.
+			g := groupDone{tasks: make([]taskDone, len(group)), merged: reply.Merged}
+			for i, t := range group {
+				st, ok := reply.Status[t.Ordinal]
+				d := taskDone{ordinal: t.Ordinal, taskStatus: st}
+				res := reply.Tail[t.Ordinal]
+				switch {
+				case err != nil:
+					d.err = err
+				case !ok:
+					d.err = fmt.Errorf("cluster: stem %s lost task %d", stemName, t.Ordinal)
+				case st.OK:
+					m.Manager.ReportTaskTime(st.Leaf, st.Wall)
+				default:
+					d.err = errors.New(st.Err)
+					if st.Unreachable {
+						// Dispatch hit an unknown/down node: suspect it now
+						// rather than waiting out the liveness window.
+						m.Manager.MarkSuspect(st.Leaf)
+					}
 				}
+				// Backup tasks: reschedule failures on other leaves.
+				if d.err != nil {
+					d.Leaf = assign[t.Ordinal]
+					d, res = m.retryTask(ctx, p, t, timeout, d, qid)
+				}
+				g.merged = exec.MergeResults(p, g.merged, res)
+				g.tasks[i] = d
 			}
-			return nil, err
-		}
-		// Each dispatch goroutine reports every task of its group on the
-		// results channel (buffered to len(tasks)), so the collection loop
-		// below is the synchronization point — no WaitGroup needed, and the
-		// `go func() { wg.Wait() }()` this used to launch leaked a goroutine
-		// per query.
-		for ord, leaf := range assign {
-			heldSlots[ord] = leaf
-		}
-		for _, t := range owned {
-			m.cfg.Events.Emit(events.TaskSite(qid, t.Ordinal), events.TaskScheduled,
-				qid, t.Ordinal, assign[t.Ordinal])
-		}
-		backup, hedgeDelay := m.planHedges(owned, assign, opts)
-		byStem := m.groupByStem(owned, assign)
-		for stemName, group := range byStem {
-			go func(stemName string, group []plan.TaskSpec) {
-				prog.update(func(p *QueryProgress) { p.TasksDispatched += len(group) })
-				job := stemJobMsg{Plan: p, Tasks: group, Assign: assign, TaskTimeout: timeout,
-					PerTask: !opts.DisableReuse, Backup: backup, HedgeDelay: hedgeDelay,
-					LeafSlots: m.Scheduler.SlotsPerLeaf, QueryID: qid}
-				reply, err := m.callStem(ctx, stemName, job)
-				for _, t := range group {
-					d := taskDone{ordinal: t.Ordinal, leaf: assign[t.Ordinal]}
-					if err != nil {
-						d.err = err
-					} else if st, ok := reply.Status[t.Ordinal]; ok && st.OK {
-						d.simTime = st.SimTime
-						d.scanSim = st.ScanSim
-						d.devBytes = st.DevBytes
-						d.res = reply.PerTask[t.Ordinal]
-						d.leaf = st.Leaf // the winning attempt's leaf (may be the hedge backup)
-						d.hedged, d.hedgeWon = st.Hedged, st.HedgeWon
-						m.Manager.ReportTaskTime(st.Leaf, st.Wall)
-					} else if ok {
-						d.err = errors.New(st.Err)
-						d.hedged = st.Hedged
-						if st.Unreachable {
-							// Dispatch hit an unknown/down node: suspect it now
-							// rather than waiting out the liveness window.
-							m.Manager.MarkSuspect(st.Leaf)
-							d.unreachable = true
-						}
-					} else {
-						d.err = fmt.Errorf("cluster: stem %s lost task %d", stemName, t.Ordinal)
-					}
-					// Backup tasks: reschedule failures on other leaves.
-					if d.err != nil {
-						d = m.retryTask(ctx, p, t, assign[t.Ordinal], timeout, d, qid)
-					}
-					if f := owner[t.Ordinal]; f != nil {
-						m.completeOwned(opts, t, f, d.res, d.err)
-					}
-					results <- d
-				}
-			}(stemName, group)
-		}
+			results <- g
+		}(stemName, group)
 	}
 
 	// Collect.
-	var merged *exec.TaskResult
+	groups := make([]groupDone, 0, len(byStem))
 	completed := 0
 	leafBusy := make(map[string]time.Duration)
 	leafScan := make(map[string]time.Duration)
 	devBytes := make(map[string]int64)
 	deadlineHit := false
-	for i := 0; i < len(tasks); i++ {
+	for len(groups) < len(byStem) && !deadlineHit {
 		select {
-		case d := <-results:
-			if leaf, ok := heldSlots[d.ordinal]; ok {
-				m.Scheduler.ReleaseTask(leaf)
-				delete(heldSlots, d.ordinal)
-			}
-			if d.hedged {
-				stats.HedgedTasks++
-				m.HedgesFired.Inc()
-			}
-			if d.hedgeWon {
-				stats.HedgesWon++
-				m.HedgesWon.Inc()
-			}
-			if d.err != nil {
-				stats.TasksFailed++
-				stats.TaskErrors = append(stats.TaskErrors, TaskError{Ordinal: d.ordinal, Leaf: d.leaf, Err: d.err.Error()})
-				m.cfg.Events.Emit(events.TaskSite(qid, d.ordinal), events.TaskPartial,
-					qid, d.ordinal, d.err.Error())
+		case g := <-results:
+			groups = append(groups, g)
+			for _, d := range g.tasks {
+				if leaf, ok := heldSlots[d.ordinal]; ok {
+					m.Scheduler.ReleaseTask(leaf)
+					delete(heldSlots, d.ordinal)
+				}
+				if d.Hedged {
+					stats.HedgedTasks++
+					m.HedgesFired.Inc()
+				}
+				if d.HedgeWon {
+					stats.HedgesWon++
+					m.HedgesWon.Inc()
+				}
+				if d.err != nil {
+					stats.TasksFailed++
+					stats.TaskErrors = append(stats.TaskErrors, TaskError{Ordinal: d.ordinal, Leaf: d.Leaf, Err: d.err.Error()})
+					m.cfg.Events.Emit(events.TaskSite(qid, d.ordinal), events.TaskPartial,
+						qid, d.ordinal, d.err.Error())
+				} else {
+					completed++
+					stats.BackupTasks += d.backups
+					if d.Leaf != "" {
+						leafBusy[d.Leaf] += d.SimTime
+						leafScan[d.Leaf] += d.ScanSim
+					}
+					for dev, n := range d.DevBytes {
+						devBytes[dev] += n
+					}
+					m.cfg.Events.EmitSim(events.TaskSite(qid, d.ordinal), events.TaskCollected,
+						qid, d.ordinal, d.SimTime, fmt.Sprintf("%s rows=%d", d.Leaf, d.Rows))
+				}
 				prog.update(func(p *QueryProgress) {
-					p.TasksFailed++
-					if d.hedged {
+					if d.err != nil {
+						p.TasksFailed++
+					} else {
+						p.TasksDone++
+						p.Rows += int64(d.Rows)
+					}
+					if d.Hedged {
 						p.TasksHedged++
 					}
 					p.TasksRetried += d.backups
 				})
-				continue
 			}
-			completed++
-			stats.BackupTasks += d.backups
-			if d.leaf != "" {
-				leafBusy[d.leaf] += d.simTime
-				leafScan[d.leaf] += d.scanSim
-			}
-			for dev, n := range d.devBytes {
-				devBytes[dev] += n
-			}
-			rows := 0
-			if d.res != nil {
-				rows = len(d.res.Rows)
-			}
-			detail := fmt.Sprintf("%s rows=%d", d.leaf, rows)
-			if d.reused {
-				detail = fmt.Sprintf("reused rows=%d", rows)
-			}
-			m.cfg.Events.EmitSim(events.TaskSite(qid, d.ordinal), events.TaskCollected,
-				qid, d.ordinal, d.simTime, detail)
-			prog.update(func(p *QueryProgress) {
-				p.TasksDone++
-				if d.hedged {
-					p.TasksHedged++
-				}
-				p.TasksRetried += d.backups
-				if d.reused {
-					p.TasksReused++
-				}
-				p.Rows += int64(rows)
-			})
-			merged = exec.MergeResults(p, merged, cloneResult(d.res))
 		case <-ctx.Done():
 			deadlineHit = true
 			stats.TasksFailed = len(tasks) - completed
-			i = len(tasks) // drain no further
 		}
-		if deadlineHit {
-			break
-		}
+	}
+	sort.Slice(groups, func(i, j int) bool { return groups[i].tasks[0].ordinal < groups[j].tasks[0].ordinal })
+	var merged *exec.TaskResult
+	for _, g := range groups {
+		merged = exec.MergeResults(p, merged, g.merged)
 	}
 
 	var busiest time.Duration
@@ -954,11 +953,11 @@ func (m *Master) runAll(ctx context.Context, p *plan.PhysicalPlan, tasks []plan.
 	return merged, nil
 }
 
-// planHedges picks a backup leaf for every owned task placed on a
+// planHedges picks a backup leaf for every task placed on a
 // straggler-flagged leaf (smoothed task time above StragglerFactor × the
 // fleet median). The stem fires the backup after hedgeDelay, first result
 // wins — the paper's backup-task defense, armed before the timeout fires.
-func (m *Master) planHedges(owned []plan.TaskSpec, assign map[int]string, opts QueryOptions) (map[int]string, time.Duration) {
+func (m *Master) planHedges(tasks []plan.TaskSpec, assign map[int]string, opts QueryOptions) (map[int]string, time.Duration) {
 	hedgeDelay := opts.HedgeDelay
 	if hedgeDelay == 0 {
 		hedgeDelay = m.cfg.HedgeDelay
@@ -975,7 +974,7 @@ func (m *Master) planHedges(owned []plan.TaskSpec, assign map[int]string, opts Q
 		slow[s] = true
 	}
 	var backup map[int]string
-	for _, t := range owned {
+	for _, t := range tasks {
 		leaf := assign[t.Ordinal]
 		if !slow[leaf] {
 			continue
@@ -992,66 +991,56 @@ func (m *Master) planHedges(owned []plan.TaskSpec, assign map[int]string, opts Q
 	return backup, hedgeDelay
 }
 
-// completeOwned publishes an owned task's outcome to sharers.
-func (m *Master) completeOwned(opts QueryOptions, t plan.TaskSpec, f *taskFuture, res *exec.TaskResult, err error) {
-	if opts.DisableReuse {
-		f.result, f.err = res, err
-		close(f.done)
-		return
-	}
-	m.Jobs.completeTask(t.Key(), f, res, err)
-}
-
 // retryTask issues backup tasks on other leaves until one succeeds or the
-// retry budget runs out. Leaves the cluster manager no longer reports alive
-// (dead, degraded or suspect) are excluded from every attempt, and attempts
-// are spaced by exponential backoff with deterministic jitter so a burst of
-// failures does not hammer the survivors in lockstep.
-func (m *Master) retryTask(ctx context.Context, p *plan.PhysicalPlan, t plan.TaskSpec, firstLeaf string, timeout time.Duration, d taskDone, qid string) taskDone {
-	exclude := map[string]bool{firstLeaf: true}
+// retry budget runs out; d.Leaf is the leaf the first dispatch failed on.
+// Leaves the cluster manager no longer reports alive (dead, degraded or
+// suspect) are excluded from every attempt, and attempts are spaced by
+// exponential backoff with deterministic jitter so a burst of failures does
+// not hammer the survivors in lockstep.
+func (m *Master) retryTask(ctx context.Context, p *plan.PhysicalPlan, t plan.TaskSpec, timeout time.Duration, d taskDone, qid string) (taskDone, *exec.TaskResult) {
+	exclude := map[string]bool{d.Leaf: true}
 	// The budget is the partition's: it counts executions that ran and
 	// failed. A dispatch that found its leaf down ran nothing, costs nothing
 	// and cannot repeat (the leaf is excluded), so it is not charged —
 	// otherwise one dead leaf halves the tolerance to real read faults.
 	budget := m.cfg.MaxTaskRetries
-	if d.unreachable {
+	if d.Unreachable {
 		budget++
 	}
 	for attempt := 0; attempt < budget; attempt++ {
 		if m.cfg.RetryBackoff > 0 {
 			if !sleepCtx(ctx, retryDelay(m.cfg.RetryBackoff, t.Key(), attempt)) {
-				return d
+				return d, nil
 			}
 		}
 		if ctx.Err() != nil {
-			return d
+			return d, nil
 		}
 		m.excludeUnhealthy(exclude)
 		leaf, err := m.Scheduler.Place(t, exclude)
 		if err != nil {
-			return d
+			return d, nil
 		}
 		d.backups++
 		m.Retries.Inc()
 		m.cfg.Events.Emit(events.TaskSite(qid, t.Ordinal), events.TaskRetry,
 			qid, t.Ordinal, fmt.Sprintf("attempt %d on %s: %s", attempt+1, leaf, d.err))
 		res, st := m.localStem.runOne(ctx, stemJobMsg{Plan: p, TaskTimeout: timeout, QueryID: qid}, t, leaf)
+		st.Hedged = d.Hedged // what the first dispatch fired still counts
+		d.taskStatus = st
 		if st.OK {
-			d.res, d.err, d.leaf, d.simTime = res, nil, leaf, st.SimTime
-			d.scanSim = st.ScanSim
-			d.devBytes = st.DevBytes
+			d.err = nil
 			m.Manager.ReportTaskTime(leaf, st.Wall)
-			return d
+			return d, res
 		}
 		if st.Unreachable {
 			m.Manager.MarkSuspect(leaf)
 			budget++
 		}
 		d.err = errors.New(st.Err)
-		d.leaf = leaf
 		exclude[leaf] = true
 	}
-	return d
+	return d, nil
 }
 
 // excludeUnhealthy adds every leaf the manager does not report alive to the
@@ -1090,8 +1079,8 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// groupByStem maps each owned task to a stem server (by its assigned
-// leaf), or to the master itself when no stems are alive.
+// groupByStem maps each task to a stem server (by its assigned leaf), or to
+// the master itself when no stems are alive. Groups keep task order.
 func (m *Master) groupByStem(tasks []plan.TaskSpec, assign map[int]string) map[string][]plan.TaskSpec {
 	stems := m.Manager.AliveWorkers(KindStem)
 	out := make(map[string][]plan.TaskSpec)
@@ -1120,18 +1109,9 @@ func (m *Master) groupByStem(tasks []plan.TaskSpec, assign map[int]string) map[s
 	return out
 }
 
-// stemCallReply wraps a stem's reply with per-task results split out.
-type stemCallReply struct {
-	Status  map[int]taskStatus
-	PerTask map[int]*exec.TaskResult
-}
-
 // callStem runs a stem job remotely, or locally when addressed to the
-// master itself. With result sharing on, stems return per-task results so
-// identical-task futures hold exact payloads; with sharing off, stems merge
-// bottom-up and the merged result is attributed to the first successful
-// ordinal (correct under the master's final merge).
-func (m *Master) callStem(ctx context.Context, stemName string, job stemJobMsg) (stemCallReply, error) {
+// master itself.
+func (m *Master) callStem(ctx context.Context, stemName string, job stemJobMsg) (stemReply, error) {
 	var raw any
 	var err error
 	if stemName == m.cfg.Name {
@@ -1140,39 +1120,13 @@ func (m *Master) callStem(ctx context.Context, stemName string, job stemJobMsg) 
 		raw, err = m.cfg.Fabric.Call(ctx, m.cfg.Name, stemName, transport.Control, job.wire(), 512)
 	}
 	if err != nil {
-		return stemCallReply{}, err
+		return stemReply{}, err
 	}
 	reply, ok := raw.(stemReply)
 	if !ok {
-		return stemCallReply{}, fmt.Errorf("cluster: unexpected stem reply %T", raw)
+		return stemReply{}, fmt.Errorf("cluster: unexpected stem reply %T", raw)
 	}
-	out := stemCallReply{Status: reply.Status, PerTask: reply.PerTask}
-	if job.PerTask {
-		return out, nil
-	}
-	out.PerTask = make(map[int]*exec.TaskResult, len(job.Tasks))
-	attributed := false
-	for _, t := range job.Tasks {
-		st := reply.Status[t.Ordinal]
-		if !st.OK {
-			continue
-		}
-		if !attributed {
-			out.PerTask[t.Ordinal] = reply.Merged
-			attributed = true
-		} else {
-			out.PerTask[t.Ordinal] = emptyResult(job.Plan)
-		}
-	}
-	return out, nil
-}
-
-func emptyResult(p *plan.PhysicalPlan) *exec.TaskResult {
-	r := &exec.TaskResult{}
-	if p.Mode == plan.ModeAgg {
-		r.Groups = exec.NewGroups(len(p.Aggs))
-	}
-	return r
+	return reply, nil
 }
 
 // colColumn wraps a column chunk for dimension materialization, exposing

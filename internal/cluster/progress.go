@@ -27,7 +27,6 @@ type QueryProgress struct {
 	TasksRetried    int `json:"tasksRetried"`
 	TasksHedged     int `json:"tasksHedged"`
 	TasksFailed     int `json:"tasksFailed"`
-	TasksReused     int `json:"tasksReused"`
 
 	// Rows counts result rows merged at the master so far.
 	Rows int64 `json:"rows"`

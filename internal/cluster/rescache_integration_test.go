@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -127,34 +128,104 @@ func TestMasterResultCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestStoreAfterInvalidateRefused is the stale-hit regression: a statement
+// planned before an ingest finishes after it, and its result — correct for
+// the snapshot it was planned on — must not enter the cache, because the
+// ingest's InvalidateTable has already run and nothing else would ever drop
+// the entry. Before the fix the next statement got outcome=hit with the old
+// count until the TTL.
+func TestStoreAfterInvalidateRefused(t *testing.T) {
+	tc := newCachedCluster(t)
+	gate := tc.gateLeaves("")
+	ctx := context.Background()
+	const q = "SELECT COUNT(*) FROM logs"
+
+	inflight := tc.submitAsync(ctx, q, QueryOptions{})
+	tc.waitFlights(1, 0)
+	tc.dropLastPartition("logs")
+	close(gate)
+	if got := (<-inflight).count(t); got != 200 {
+		t.Fatalf("in-flight statement = %d, want its own snapshot's 200", got)
+	}
+	if snap := tc.master.ResultCache().Snapshot(); snap.Entries != 0 || snap.StoreSkips != 1 {
+		t.Errorf("cache after the late store: %+v, want it refused and counted", snap)
+	}
+	res, stats := tc.query(q, QueryOptions{})
+	if got := res.Rows[0][0].I; got != 100 || stats.ResultCache != "miss" {
+		t.Errorf("statement after the ingest = %d (outcome %s), want a fresh 100", got, stats.ResultCache)
+	}
+}
+
+// TestStoreSurvivesOtherTablesIngest: the refusal is per table. An ingest
+// into a table the statement does not read leaves its store alone.
+func TestStoreSurvivesOtherTablesIngest(t *testing.T) {
+	tc := newCachedCluster(t)
+	gate := tc.gateLeaves("")
+	ctx := context.Background()
+	const q = "SELECT COUNT(*) FROM logs"
+
+	inflight := tc.submitAsync(ctx, q, QueryOptions{})
+	tc.waitFlights(1, 0)
+	tc.addUsersDim(t) // registers "names"
+	close(gate)
+	if got := (<-inflight).count(t); got != 200 {
+		t.Fatalf("count = %d", got)
+	}
+	if _, stats := tc.query(q, QueryOptions{}); stats.ResultCache != "hit" {
+		t.Errorf("outcome after an unrelated ingest = %q, want hit", stats.ResultCache)
+	}
+}
+
+// TestMasterResultCacheInvalidatesBuildTable: a repartitioned join reads its
+// build side too; re-registering that table must drop the cached join.
+func TestMasterResultCacheInvalidatesBuildTable(t *testing.T) {
+	sc := newShuffleCluster(t, 4, 2, 4, 2, func(cfg *MasterConfig) {
+		cfg.Planner = repartitionOpts()
+		cfg.ResultCache = resultcache.New(resultcache.Config{CapacityBytes: 1 << 20})
+	})
+	const q = "SELECT COUNT(*) FROM orders JOIN users ON orders.uid = users.uid"
+	before, _ := sc.query(q, QueryOptions{})
+	meta, err := sc.master.Jobs.Lookup("users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := *meta
+	half.Partitions = meta.Partitions[:1]
+	if err := sc.master.RegisterTable(context.Background(), &half); err != nil {
+		t.Fatal(err)
+	}
+	after, stats := sc.query(q, QueryOptions{})
+	if stats.ResultCache != "miss" || after.Rows[0][0].I >= before.Rows[0][0].I {
+		t.Errorf("join after halving users = %v (outcome %s), cached %v", after.Rows, stats.ResultCache, before.Rows)
+	}
+}
+
 // TestMasterResultCacheSkipsPartial ensures degraded results never populate
-// the cache: a partial result (dead leaf, PartialResults on) must not be
-// served to the next caller.
+// the cache: a partial result (one partition unreadable on every leaf,
+// PartialResults on) must not be served to the next caller.
 func TestMasterResultCacheSkipsPartial(t *testing.T) {
 	tc := newTestCluster(t, 2, 0, 4, func(cfg *MasterConfig) {
 		cfg.ResultCache = resultcache.New(resultcache.Config{CapacityBytes: 1 << 20})
 		cfg.MaxTaskRetries = 1
 	})
-	// Kill one leaf so some tasks drop under PartialResults.
-	tc.fabric.SetDown("leaf1", true)
-	tc.master.Manager.MarkSuspect("leaf1")
+	close(tc.gateLeaves("/hdfs/logs/p1"))
 
 	res, stats, err := tc.master.Submit(t.Context(), "SELECT COUNT(*) FROM logs",
 		QueryOptions{PartialResults: true})
 	if err != nil {
 		t.Fatalf("partial run: %v", err)
 	}
-	if !res.Partial && stats.TasksFailed == 0 {
-		t.Skip("no task failed; partial-store gate not exercised")
+	if !res.Partial || stats.TasksFailed != 1 {
+		t.Fatalf("partial=%v failed=%d, want one dropped task", res.Partial, stats.TasksFailed)
 	}
 	if snap := tc.master.ResultCache().Snapshot(); snap.Entries != 0 {
 		t.Fatalf("partial result was cached: %+v", snap)
 	}
 }
 
-// TestTaskKeyCarriesLiteralIdentity pins the job-manager dedup fix at the
-// cluster level: concurrent-identical literals share task keys, different
-// literals never do.
+// TestTaskKeyCarriesLiteralIdentity pins literal identity at the cluster
+// level: literal variants of one shape never share a task key (the retry
+// jitter's seed), though they share the fingerprint.
 func TestTaskKeyCarriesLiteralIdentity(t *testing.T) {
 	tc := newCachedCluster(t)
 	p1 := tc.plan("SELECT id FROM logs WHERE v > 3")

@@ -68,7 +68,7 @@ func (s *StemServer) handle(ctx context.Context, from string, payload any) (any,
 	}
 }
 
-// runJob fans the tasks out to their assigned leaves and merges what comes
+// runJob fans the tasks out to their assigned leaves and folds what comes
 // back. Failed or timed-out tasks are reported per ordinal; the master's
 // scheduler issues backup tasks for them.
 func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
@@ -101,24 +101,18 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 			}
 		}
 	}
-	var (
-		mu      sync.Mutex
-		merged  *exec.TaskResult
-		perTask map[int]*exec.TaskResult
-		status  = make(map[int]taskStatus, len(job.Tasks))
-		wg      sync.WaitGroup
-	)
-	if job.PerTask {
-		perTask = make(map[int]*exec.TaskResult, len(job.Tasks))
-	}
-	for _, task := range job.Tasks {
+	// Every task writes its own slot; the fold below runs after wg.Wait.
+	results := make([]*exec.TaskResult, len(job.Tasks))
+	status := make([]taskStatus, len(job.Tasks))
+	var wg sync.WaitGroup
+	for i, task := range job.Tasks {
 		leaf := job.Assign[task.Ordinal]
 		wg.Add(1)
 		s.queued.Add(1)
 		sem <- struct{}{}
 		s.queued.Add(-1)
 		s.tasks.Add(1)
-		go func(task plan.TaskSpec, leaf string) {
+		go func(i int, task plan.TaskSpec, leaf string) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			if ls := leafSem[leaf]; ls != nil {
@@ -131,30 +125,39 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 				s.Events.Emit(events.TaskSite(job.QueryID, task.Ordinal), events.TaskDispatched,
 					job.QueryID, task.Ordinal, leaf+" via "+s.Name)
 			}
-			res, st := s.runOne(ctx, job, task, leaf)
-			mu.Lock()
-			status[task.Ordinal] = st
-			if st.OK {
-				if job.PerTask {
-					perTask[task.Ordinal] = res
-				} else {
-					merged = exec.MergeResults(job.Plan, merged, res)
-				}
-			}
-			mu.Unlock()
-		}(task, leaf)
+			results[i], status[i] = s.runOne(ctx, job, task, leaf)
+		}(i, task, leaf)
 	}
 	wg.Wait()
+	// Fold in job order (ascending ordinal), never in arrival order: float
+	// aggregates are not associative, so the order of the fold is part of
+	// the answer. Past the first failed task nothing is folded — the
+	// master's backup task has to land at that ordinal first.
+	reply := stemReply{Status: make(map[int]taskStatus, len(job.Tasks))}
 	// The stem's simulated time is its critical path: the slowest task it
 	// waited on (tasks run in parallel under the cost model).
 	var busiest time.Duration
-	for _, st := range status {
+	failed := false
+	for i, task := range job.Tasks {
+		st := status[i]
+		reply.Status[task.Ordinal] = st
+		switch {
+		case !st.OK:
+			failed = true
+		case !failed:
+			reply.Merged = exec.MergeResults(job.Plan, reply.Merged, results[i])
+		default:
+			if reply.Tail == nil {
+				reply.Tail = make(map[int]*exec.TaskResult)
+			}
+			reply.Tail[task.Ordinal] = results[i]
+		}
 		if st.OK && st.SimTime > busiest {
 			busiest = st.SimTime
 		}
 	}
 	span.SetSim(busiest)
-	return stemReply{Merged: merged, PerTask: perTask, Status: status}, nil
+	return reply, nil
 }
 
 // runOne executes one task, hedging a speculative duplicate on the job's
@@ -296,8 +299,10 @@ func (s *StemServer) attempt(ctx context.Context, job stemJobMsg, task plan.Task
 	span.SetSim(reply.SimTime)
 	st.OK = true
 	st.SimTime = reply.SimTime
-	st.Size = reply.Size
 	st.DevBytes = reply.DevBytes
+	if res != nil {
+		st.Rows = len(res.Rows)
+	}
 	return res, st
 }
 

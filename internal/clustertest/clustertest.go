@@ -55,6 +55,9 @@ type Outcome struct {
 	Shed bool
 	// QueueWait is the admission wait the master recorded.
 	QueueWait time.Duration
+	// Followed reports that an identical executing statement answered this
+	// one: it was never admitted, because it never executed.
+	Followed bool
 }
 
 // Result is a full harness run.
@@ -289,6 +292,7 @@ func Run(opts Options) (*Result, error) {
 			}
 			if stats != nil {
 				o.QueueWait = stats.QueueWait
+				o.Followed = stats.Tasks > 0 && stats.ReusedTasks == stats.Tasks
 			}
 			out.Outcomes[i] = o
 		}(i)

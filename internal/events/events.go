@@ -45,6 +45,7 @@ const (
 	QueryQueued   Kind = "query.queued"   // admission made it wait
 	QueryAdmitted Kind = "query.admitted" // admission granted a slot
 	QueryShed     Kind = "query.shed"     // admission rejected it
+	QueryFollowed Kind = "query.followed" // answered by an identical executing statement (Detail = its query ID)
 	QueryDone     Kind = "query.done"     // finished (Detail carries row count)
 	QueryError    Kind = "query.error"    // finished with an error
 
@@ -93,8 +94,9 @@ type Event struct {
 	// journal as it happened on this host; it is NOT stable across runs.
 	Seq uint64 `json:"seq"`
 	// Site names the emitting decision stream; SiteSeq is the event's
-	// 1-based position within it. The (Site, SiteSeq) order of a seeded
-	// run is deterministic.
+	// 1-based position within it (counted anew once the ring retains none
+	// of the site's events). The (Site, SiteSeq) order of a seeded run is
+	// deterministic.
 	Site    string `json:"site"`
 	SiteSeq uint64 `json:"siteSeq"`
 
@@ -187,12 +189,18 @@ func (r *Recorder) Record(e Event) {
 		e.Site = "unknown"
 	}
 	r.mu.Lock()
+	if r.wrap {
+		r.dropped.Add(1)
+		// A site whose last retained event is being overwritten has nothing
+		// left to order against: drop its counter, or the map grows by one
+		// entry per query and per task for the life of the process.
+		if old := r.ring[r.next]; r.sites[old.Site] == old.SiteSeq {
+			delete(r.sites, old.Site)
+		}
+	}
 	r.sites[e.Site]++
 	e.SiteSeq = r.sites[e.Site]
 	e.Seq = r.total.Add(1)
-	if r.wrap {
-		r.dropped.Add(1)
-	}
 	r.ring[r.next] = e
 	r.next++
 	if r.next == len(r.ring) {

@@ -181,3 +181,38 @@ func TestConcurrentRecordKeepsInvariants(t *testing.T) {
 		last[e.Site] = e.SiteSeq
 	}
 }
+
+// TestSiteCountersBoundedByRing: every query and every task is its own
+// site, so a long-lived master emits over an unbounded set of them. A site's
+// counter must go when the ring overwrites the site's last retained event —
+// the map then never outgrows the ring — and a site that comes back after
+// that starts again at 1 without breaking per-site order among what is
+// retained.
+func TestSiteCountersBoundedByRing(t *testing.T) {
+	const capacity = 256
+	r := New(capacity)
+	for i := 0; i < 100000; i++ {
+		site := fmt.Sprintf("query/q%06d", i)
+		r.Emit(site, QuerySubmit, "", -1, "")
+		r.Emit(site, QueryDone, "", -1, "")
+		if i%1000 == 999 {
+			r.Emit("rescache", CacheStore, "", -1, "") // a long-lived site, seen rarely
+		}
+	}
+	r.mu.Lock()
+	n := len(r.sites)
+	r.mu.Unlock()
+	if n > capacity {
+		t.Fatalf("%d site counters retained for a %d-event ring", n, capacity)
+	}
+	last := map[string]uint64{}
+	for _, e := range r.Canonical() {
+		if e.SiteSeq <= last[e.Site] {
+			t.Fatalf("site %s: seq %d follows %d among retained events", e.Site, e.SiteSeq, last[e.Site])
+		}
+		last[e.Site] = e.SiteSeq
+	}
+	if last["rescache"] != 1 {
+		t.Errorf("rescache restarted at %d, want 1: its earlier events all left the ring", last["rescache"])
+	}
+}

@@ -22,6 +22,27 @@ type Result struct {
 	ProcessedRatio float64
 }
 
+// Clone deep-copies the result, so that a holder that shares it out (the
+// result cache, a statement flight) is isolated from what each client does
+// to its copy.
+func (r *Result) Clone() *Result {
+	out := &Result{
+		Columns:        append([]string(nil), r.Columns...),
+		Types:          append([]types.Type(nil), r.Types...),
+		Partial:        r.Partial,
+		ProcessedRatio: r.ProcessedRatio,
+	}
+	if r.Rows != nil {
+		out.Rows = make([][]types.Value, len(r.Rows))
+		for i, row := range r.Rows {
+			cp := make([]types.Value, len(row))
+			copy(cp, row)
+			out.Rows[i] = cp
+		}
+	}
+	return out
+}
+
 // MergeResults folds leaf/stem partial results together — the stem server's
 // aggregation step. Select-mode rows are concatenated (bounded by limit when
 // non-negative and no ordering is pending); agg-mode groups are merged.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	feisu "repro"
@@ -11,7 +12,7 @@ import (
 
 // Ablations runs the design-choice studies called out in DESIGN.md §5:
 // bitmap compression, negation derivation, locality-aware scheduling, and
-// identical-task result reuse.
+// identical-statement result reuse.
 func Ablations(scale Scale) (*Report, error) {
 	rep := &Report{
 		ID:      "ablations",
@@ -127,43 +128,41 @@ func Ablations(scale Scale) (*Report, error) {
 		rep.Rows = append(rep.Rows, []string{"locality scheduling", label, "sim total (8 scans)", total.String()})
 	}
 
-	// 4. Result reuse: total leaf work for concurrent identical queries.
-	for _, disable := range []bool{false, true} {
-		sys, err := buildSystem(scale, nil)
-		if err != nil {
-			return nil, err
-		}
-		ctx := context.Background()
-		const q = "SELECT COUNT(*) FROM T1 WHERE uid < 50000"
-		var wg sync.WaitGroup
-		errs := make(chan error, 8)
-		for i := 0; i < 8; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var opts []feisu.QueryOption
-				if disable {
-					opts = append(opts, feisu.WithoutResultReuse())
-				}
-				if _, err := sys.Query(ctx, q, opts...); err != nil {
-					errs <- err
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			sys.Close()
-			return nil, err
-		}
-		reused := sys.Master().Jobs.Reused.Value()
-		sys.Close()
-		label := "on"
-		if disable {
-			label = "off"
-		}
-		rep.Rows = append(rep.Rows, []string{"result reuse", label, "tasks reused", d(reused)})
+	// 4. Result reuse: leaf work for concurrent identical statements. A
+	// statement that arrives while an identical one executes follows it and
+	// executes nothing, so "executed" falls below "planned" by however many
+	// arrived in time.
+	sys, err := buildSystem(scale, nil)
+	if err != nil {
+		return nil, err
 	}
+	const q = "SELECT COUNT(*) FROM T1 WHERE uid < 50000"
+	var planned, executed atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, stats, err := sys.QueryStats(context.Background(), q)
+			if err != nil {
+				errs <- err
+				return
+			}
+			planned.Add(int64(stats.Tasks))
+			executed.Add(int64(stats.Tasks - stats.ReusedTasks))
+		}()
+	}
+	wg.Wait()
+	sys.Close()
+	close(errs)
+	for err := range errs {
+		return nil, err
+	}
+	const variant = "8 concurrent identical statements"
+	rep.Rows = append(rep.Rows,
+		[]string{"result reuse", variant, "leaf tasks planned", d(planned.Load())},
+		[]string{"result reuse", variant, "leaf tasks executed", d(executed.Load())})
 
 	return rep, nil
 }

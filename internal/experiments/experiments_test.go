@@ -232,13 +232,14 @@ func TestAblations(t *testing.T) {
 	if onHits <= 0 || offHits != 0 {
 		t.Errorf("derivation hits on=%v off=%v", onHits, offHits)
 	}
-	// Reuse shares tasks when on, none when off.
+	// Followers execute nothing; at least the first statement executes.
 	reuse := byStudy["result reuse"]
 	if len(reuse) != 2 {
 		t.Fatalf("reuse rows = %v", reuse)
 	}
-	if reuse[1][3] != "0" {
-		t.Errorf("reuse-off should report 0, got %v", reuse[1][3])
+	planned, executed := parseF(t, reuse[0][3]), parseF(t, reuse[1][3])
+	if executed <= 0 || executed > planned {
+		t.Errorf("reuse executed %v of %v planned leaf tasks", executed, planned)
 	}
 }
 

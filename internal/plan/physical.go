@@ -88,7 +88,7 @@ func (p *PhysicalPlan) Tasks() []TaskSpec {
 }
 
 // TaskSpec is one leaf sub-plan: scan one fact partition under the shared
-// plan. Its Key is the dedup identity for result reuse.
+// plan.
 type TaskSpec struct {
 	Plan      *PhysicalPlan
 	Partition PartitionMeta
@@ -103,7 +103,9 @@ type TaskSpec struct {
 // Key identifies the task's work content; identical keys compute identical
 // results (same logical plan, same partition). The normalized fingerprint
 // alone is NOT enough — literal variants share it — so the bound-literal
-// key is part of the identity.
+// key is part of the identity. Everything before the '@' is the statement's
+// identity, which is why concurrent identical work is shared per statement
+// (cluster.JobManager) and this key only seeds the retry jitter.
 func (t TaskSpec) Key() string {
 	return t.Plan.Fingerprint + "|" + t.Plan.LiteralKey + "@" + t.Partition.Path
 }

@@ -157,7 +157,7 @@ func (c *Cache) Lookup(p *plan.PhysicalPlan) (*exec.Result, Outcome) {
 		} else {
 			c.touchLocked(e)
 			c.hits++
-			return cloneResult(e.res), Hit
+			return e.res.Clone(), Hit
 		}
 	}
 
@@ -202,6 +202,17 @@ func (c *Cache) Lookup(p *plan.PhysicalPlan) (*exec.Result, Outcome) {
 // the tenant. The result is deep-copied; partial or truncated results must
 // not be stored (the master gates on that).
 func (c *Cache) Store(p *plan.PhysicalPlan, tenant string, res *exec.Result) {
+	c.StoreIf(p, tenant, res, nil)
+}
+
+// StoreIf is Store, refused (counted in StoreSkips) when current reports
+// that a table the plan read has been invalidated since the plan was bound.
+// current runs under the cache's lock: an invalidator that records its move
+// first and calls InvalidateTable second is then either ahead of this store,
+// which sees the move, or behind it, and drops the entry. Without the check
+// a result planned before an ingest could be stored after the ingest's
+// InvalidateTable and be served until its TTL.
+func (c *Cache) StoreIf(p *plan.PhysicalPlan, tenant string, res *exec.Result, current func() bool) {
 	if c == nil || p == nil || res == nil {
 		return
 	}
@@ -220,11 +231,15 @@ func (c *Cache) Store(p *plan.PhysicalPlan, tenant string, res *exec.Result) {
 		slots:  append([]plan.LitSlot(nil), p.ReuseSlots...),
 		tables: planTables(p),
 		tenant: tenant,
-		res:    cloneResult(res),
+		res:    res.Clone(),
 		bytes:  size,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if current != nil && !current() {
+		c.storeSkips++
+		return
+	}
 	if c.cfg.TTL > 0 {
 		e.expires = c.cfg.Now().Add(c.cfg.TTL)
 	}
@@ -500,30 +515,14 @@ func implies(slots []plan.LitSlot, newLits, oldLits []types.Value) bool {
 	return true
 }
 
+// planTables names every table the plan reads: the fact table, broadcast
+// dimensions and a repartitioned build side alike.
 func planTables(p *plan.PhysicalPlan) []string {
-	tables := []string{p.Fact().Meta.Name}
-	for _, d := range p.Dims {
-		tables = append(tables, d.Table.Meta.Name)
+	tables := make([]string, len(p.A.Tables))
+	for i, bt := range p.A.Tables {
+		tables[i] = bt.Meta.Name
 	}
 	return tables
-}
-
-func cloneResult(r *exec.Result) *exec.Result {
-	out := &exec.Result{
-		Columns:        append([]string(nil), r.Columns...),
-		Types:          append([]types.Type(nil), r.Types...),
-		Partial:        r.Partial,
-		ProcessedRatio: r.ProcessedRatio,
-	}
-	if r.Rows != nil {
-		out.Rows = make([][]types.Value, len(r.Rows))
-		for i, row := range r.Rows {
-			cp := make([]types.Value, len(row))
-			copy(cp, row)
-			out.Rows[i] = cp
-		}
-	}
-	return out
 }
 
 // resultBytes estimates the in-memory footprint of a result.

@@ -210,6 +210,37 @@ func TestInvalidateTable(t *testing.T) {
 	}
 }
 
+// TestStoreIfAsksUnderTheLock pins the store-after-invalidate rule: the
+// freshness verdict is taken inside the cache's critical section, so an
+// invalidator that moves its version first and calls InvalidateTable second
+// can never be overtaken by a stale store. A refused store is counted and
+// leaves whatever was cached alone.
+func TestStoreIfAsksUnderTheLock(t *testing.T) {
+	c, _ := newTestCache(1 << 20)
+	p := planSQL(t, "SELECT url, clicks FROM logs WHERE clicks > 10")
+	fresh := selectResult([2]interface{}{"u", 11})
+
+	c.StoreIf(p, "a", fresh, func() bool {
+		if c.mu.TryLock() {
+			c.mu.Unlock()
+			t.Error("current() ran outside the cache's lock")
+		}
+		return true
+	})
+	if _, out := c.Lookup(p); out != Hit {
+		t.Fatal("a current result must be stored")
+	}
+
+	c.StoreIf(p, "a", selectResult([2]interface{}{"stale", 99}), func() bool { return false })
+	res, out := c.Lookup(p)
+	if out != Hit || res.Rows[0][0].S != "u" {
+		t.Fatalf("refused store replaced the entry: %v, %v", res, out)
+	}
+	if s := c.Snapshot(); s.StoreSkips != 1 || s.Entries != 1 {
+		t.Fatalf("stats = %+v, want the refusal counted", s)
+	}
+}
+
 func TestLRUEvictionAndShadow(t *testing.T) {
 	// Budget fits roughly two entries of this size.
 	one := selectResult([2]interface{}{"uuuuuuuu", 1})

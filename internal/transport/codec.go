@@ -1,6 +1,6 @@
 package transport
 
-// Wire codec for the TCP transport, version 2: length-prefixed frames with
+// Wire codec for the TCP transport (CodecVersion): length-prefixed frames with
 // a version byte, hand-packed handshake and call headers, and a gob payload
 // envelope. Every cluster RPC payload and reply type must be registered via
 // RegisterPayload before it can cross a socket; the in-process Fabric passes
@@ -33,8 +33,10 @@ import (
 // Both ends carry it in every frame header and refuse mismatches during the
 // handshake; bump it whenever the frame layout or payload encoding changes
 // incompatibly. Version 2: per-connection payload streams, binary call
-// header and handshake, columnar row/group batches.
-const CodecVersion = 2
+// header and handshake, columnar row/group batches. Version 3: a stem reply
+// carries its group folded (prefix + unmerged tail), never one result per
+// task, and stem jobs lost the flag that chose.
+const CodecVersion = 3
 
 const frameMagic = 0xFE15
 

@@ -40,6 +40,12 @@ go test -race -count=2 ./internal/cluster/... ./internal/chaos/... ./internal/cl
 echo "== chaos equivalence x20 (same seeds, same schedule, every run)"
 go test -count=20 -run TestEquivalenceUnderChaos .
 
+# The fold and the statement flight are contracts about concurrency: the
+# answer may not depend on which leaf replied first, nor a follower on when
+# it joined. Twenty raced runs each.
+echo "== flight, fold and store-after-invalidate x20 (race)"
+go test -race -count=20 -run 'TestResultReuseAcrossConcurrentQueries|TestFlight|TestRetriedTaskFolds|TestHedgedTaskFolds|TestStore' ./internal/cluster/
+
 # Coverage floors, set when each package's subsystem landed (cluster:
 # admission, scheduling, recovery; resultcache: normalization, subsumption,
 # quotas, invalidation; events: the flight-recorder ring; exec: expressions,
