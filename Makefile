@@ -1,4 +1,4 @@
-.PHONY: build test race vet verify bench bench-smoke
+.PHONY: build test race vet verify bench figures
 
 build:
 	go build ./...
@@ -13,16 +13,16 @@ vet:
 	go vet ./...
 
 # verify is the full pre-merge gate: gofmt + vet + build + tier-1 tests +
-# race suite + internal/cluster coverage floor + experiment smokes.
+# benchmark module + race suite + repeated chaos/flight runs + coverage
+# floors + fuzz smoke + TCP suites + multi-process cluster + doc references.
 verify:
 	./scripts/verify.sh
 
+# bench is the repository's benchmark: wall-clock, end to end, four workloads.
 bench:
-	go test -bench=. -benchmem ./...
+	bash bench/run.sh --all
 
-# bench-smoke runs the trimmed experiment streams that gate on a floor
-# (chaos correctness, parscan 2x scan-time speedup) — fast enough for CI.
-bench-smoke:
-	go run ./cmd/feisu-bench -exp chaos -seed 1 -short -scale small
-	go run ./cmd/feisu-bench -exp parscan -short -scale small
-	go run ./cmd/feisu-bench -exp rescache -short -scale small
+# figures regenerates the paper's §VI tables and figures in simulated time
+# (shapes only; speed is `make bench`).
+figures:
+	go run ./cmd/feisu-figures

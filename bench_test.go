@@ -1,11 +1,11 @@
 package feisu_test
 
-// One benchmark per table/figure of the paper's evaluation (§VI), wrapping
-// the same harness entry points that cmd/feisu-bench runs, plus
-// micro-benchmarks of the hot query path. Regenerate the full reports with:
+// Micro-benchmarks of the hot query path, for use while working on a change:
 //
-//	go run ./cmd/feisu-bench
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem .
+//
+// The repository's benchmark is `bash bench/run.sh` (wall-clock, end to end);
+// the paper's figures are `go run ./cmd/feisu-figures` (simulated time).
 
 import (
 	"context"
@@ -13,57 +13,9 @@ import (
 	"testing"
 
 	feisu "repro"
-	"repro/internal/experiments"
 	"repro/internal/sqlparser"
 	"repro/internal/workload"
 )
-
-func benchScale() experiments.Scale { return experiments.SmallScale() }
-
-func runExperiment(b *testing.B, fn func(experiments.Scale) (*experiments.Report, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rep, err := fn(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Rows) == 0 {
-			b.Fatal("empty report")
-		}
-	}
-}
-
-// BenchmarkTable1Datasets regenerates the Table I dataset inventory.
-func BenchmarkTable1Datasets(b *testing.B) { runExperiment(b, experiments.Table1) }
-
-// BenchmarkFig4Locality regenerates the repeated-column analysis.
-func BenchmarkFig4Locality(b *testing.B) { runExperiment(b, experiments.Fig4) }
-
-// BenchmarkFig5Similarity regenerates the predicate-sharing analysis.
-func BenchmarkFig5Similarity(b *testing.B) { runExperiment(b, experiments.Fig5) }
-
-// BenchmarkFig8Keywords regenerates the keyword histogram.
-func BenchmarkFig8Keywords(b *testing.B) { runExperiment(b, experiments.Fig8) }
-
-// BenchmarkFig9aSmartIndex regenerates the with/without-index series.
-func BenchmarkFig9aSmartIndex(b *testing.B) { runExperiment(b, experiments.Fig9a) }
-
-// BenchmarkFig9bBTree regenerates the SmartIndex-vs-B-tree comparison.
-func BenchmarkFig9bBTree(b *testing.B) { runExperiment(b, experiments.Fig9b) }
-
-// BenchmarkFig10Federated regenerates the two-storage throughput run.
-func BenchmarkFig10Federated(b *testing.B) { runExperiment(b, experiments.Fig10) }
-
-// BenchmarkFig11Memory regenerates the index-memory sensitivity sweep.
-func BenchmarkFig11Memory(b *testing.B) { runExperiment(b, experiments.Fig11) }
-
-// BenchmarkFig12Scalability regenerates the node-count scaling run.
-func BenchmarkFig12Scalability(b *testing.B) { runExperiment(b, experiments.Fig12) }
-
-// BenchmarkAblations regenerates the DESIGN.md §5 ablation studies.
-func BenchmarkAblations(b *testing.B) { runExperiment(b, experiments.Ablations) }
-
-// --- micro-benchmarks of the hot path ---
 
 func benchSystem(b *testing.B, mut func(*feisu.Config)) *feisu.System {
 	b.Helper()

@@ -13,10 +13,9 @@
 //	feisu-node -role stem   -name stem0 -listen 127.0.0.1:7001 -peers ...
 //	feisu-node -role leaf   -name leaf0 -listen 127.0.0.1:7002 -peers ...
 //
-// -smoke orchestrates a 1-master/2-stem/4-leaf cluster of child processes on
-// loopback, runs smoke queries (including a repartition join) over the
-// master's HTTP endpoint, and asserts each query's journaled submit→done
-// chain in the flight recorder.
+// This package's TestMultiProcessCluster boots a 1-master/2-stem/4-leaf
+// cluster of these processes on loopback and queries it over the master's
+// HTTP endpoint.
 package main
 
 import (
@@ -27,7 +26,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"strings"
 	"syscall"
@@ -74,12 +72,8 @@ func main() {
 	flag.Int64Var(&cfg.broadcast, "broadcast-threshold", 0, "planner broadcast threshold in bytes; 1 forces repartition joins, 0 keeps the default")
 	flag.DurationVar(&cfg.beat, "heartbeat", 2*time.Second, "worker heartbeat interval")
 	flag.BoolVar(&cfg.verbose, "v", false, "verbose logging")
-	smoke := flag.Bool("smoke", false, "orchestrate a 1-master/2-stem/4-leaf loopback cluster, run smoke queries, exit")
 	flag.Parse()
 
-	if *smoke {
-		os.Exit(runSmoke(cfg.verbose))
-	}
 	if err := runNode(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "feisu-node:", err)
 		os.Exit(1)
@@ -322,174 +316,4 @@ func serveHTTP(addr string, m *cluster.Master, rec *events.Recorder, logf func(s
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// --- smoke orchestration ---------------------------------------------------
-
-// freeAddr reserves an ephemeral loopback port and returns it. The listener
-// is closed before the child binds, which is racy in principle; on loopback
-// in CI the window is negligible and a collision fails loudly.
-func freeAddr() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr, nil
-}
-
-// runSmoke boots a 1-master/2-stem/4-leaf cluster of feisu-node child
-// processes on loopback, runs three queries (scan-agg, group-by and a forced
-// repartition join) over the master's HTTP endpoint, and asserts each query's
-// journaled submit→done chain. Exit code 0 on success.
-func runSmoke(verbose bool) int {
-	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "smoke: FAIL: "+format+"\n", args...)
-		return 1
-	}
-	bin, err := os.Executable()
-	if err != nil {
-		return fail("executable: %v", err)
-	}
-
-	roles := map[string]string{"master": "master", "stem0": "stem", "stem1": "stem", "leaf0": "leaf", "leaf1": "leaf", "leaf2": "leaf", "leaf3": "leaf"}
-	order := []string{"master", "stem0", "stem1", "leaf0", "leaf1", "leaf2", "leaf3"}
-	addrs := make(map[string]string, len(order))
-	for _, n := range order {
-		a, err := freeAddr()
-		if err != nil {
-			return fail("port: %v", err)
-		}
-		addrs[n] = a
-	}
-	httpAddr, err := freeAddr()
-	if err != nil {
-		return fail("port: %v", err)
-	}
-	var peerList []string
-	for _, n := range order {
-		peerList = append(peerList, n+"="+addrs[n])
-	}
-	peers := strings.Join(peerList, ",")
-
-	var procs []*exec.Cmd
-	stop := func() {
-		for _, p := range procs {
-			if p.Process != nil {
-				_ = p.Process.Signal(syscall.SIGTERM)
-			}
-		}
-		for _, p := range procs {
-			_ = p.Wait()
-		}
-	}
-	defer stop()
-	for _, n := range order {
-		args := []string{
-			"-role", roles[n], "-name", n, "-listen", addrs[n], "-peers", peers,
-			"-leaves", "4", "-stems", "2", "-dataset", "join", "-heartbeat", "500ms",
-		}
-		if n == "master" {
-			args = append(args, "-http", httpAddr, "-broadcast-threshold", "1")
-		}
-		if verbose {
-			args = append(args, "-v")
-		}
-		cmd := exec.Command(bin, args...)
-		if verbose {
-			cmd.Stdout = os.Stderr
-			cmd.Stderr = os.Stderr
-		}
-		if err := cmd.Start(); err != nil {
-			return fail("start %s: %v", n, err)
-		}
-		procs = append(procs, cmd)
-	}
-
-	// Wait for every worker (2 stems + 4 leaves) to heartbeat in.
-	base := "http://" + httpAddr
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var h healthResponse
-		if err := getJSON(base+"/healthz", &h); err == nil && h.Alive >= 6 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fail("cluster did not become healthy within 30s")
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	fmt.Fprintln(os.Stderr, "smoke: cluster healthy (1 master, 2 stems, 4 leaves)")
-
-	queries := []string{
-		"SELECT COUNT(*) FROM orders",
-		"SELECT grp, SUM(v) FROM orders GROUP BY grp",
-		// -broadcast-threshold 1 forces this join through the repartition
-		// shuffle: map tasks on leaves, hash frames to stem reducers.
-		"SELECT users.cat, COUNT(*) FROM orders JOIN users ON orders.k = users.k GROUP BY users.cat",
-	}
-	var ids []string
-	for i, q := range queries {
-		var resp queryResponse
-		if err := getJSON(base+"/query?sql="+urlQueryEscape(q), &resp); err != nil {
-			return fail("query %q: %v", q, err)
-		}
-		if len(resp.Rows) == 0 {
-			return fail("query %q returned no rows", q)
-		}
-		if resp.QueryID == "" {
-			return fail("query %q carried no query ID", q)
-		}
-		if i == 2 && !resp.Shuffled {
-			return fail("join query did not run through the repartition shuffle")
-		}
-		fmt.Fprintf(os.Stderr, "smoke: %s → %d row(s), %d task(s), wall %s, shuffled=%v\n", resp.QueryID, len(resp.Rows), resp.Tasks, resp.Wall, resp.Shuffled)
-		ids = append(ids, resp.QueryID)
-	}
-
-	// The flight recorder must journal each query's full lifecycle chain.
-	var evs []events.Event
-	if err := getJSON(base+"/debug/events", &evs); err != nil {
-		return fail("events: %v", err)
-	}
-	for _, id := range ids {
-		var submit, done uint64
-		for _, e := range evs {
-			if e.Query != id {
-				continue
-			}
-			switch e.Kind {
-			case events.QuerySubmit:
-				submit = e.Seq
-			case events.QueryDone:
-				done = e.Seq
-			}
-		}
-		if submit == 0 || done == 0 || submit >= done {
-			return fail("query %s: journaled chain broken (submit seq %d, done seq %d)", id, submit, done)
-		}
-	}
-
-	fmt.Fprintln(os.Stderr, "smoke: PASS — 3 queries over real sockets, journaled submit→done chains intact")
-	return 0
-}
-
-func getJSON(url string, out any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var msg strings.Builder
-		_, _ = fmt.Fprintf(&msg, "status %s", resp.Status)
-		return fmt.Errorf("%s", msg.String())
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func urlQueryEscape(q string) string {
-	r := strings.NewReplacer(" ", "%20", "*", "%2A", "+", "%2B", "=", "%3D", ",", "%2C", "(", "%28", ")", "%29")
-	return r.Replace(q)
 }

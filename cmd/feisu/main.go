@@ -29,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -37,7 +36,6 @@ import (
 	feisu "repro"
 	"repro/internal/chaos"
 	"repro/internal/cluster"
-	"repro/internal/events"
 	"repro/internal/telemetry"
 	tracepkg "repro/internal/trace"
 	"repro/internal/workload"
@@ -55,9 +53,6 @@ func main() {
 	pprofFlag := flag.Bool("pprof", false, "also mount /debug/pprof on the telemetry server")
 	slowWall := flag.Duration("slow", 0, "record queries with wall time >= this in the slow-query log")
 	slowSim := flag.Duration("slow-sim", 0, "record queries with simulated time >= this in the slow-query log")
-	smoke := flag.Bool("smoke-telemetry", false, "start the exporter on an ephemeral port, scrape it once, and exit (CI smoke test)")
-	smokeFR := flag.Bool("smoke-flightrec", false, "run one query and assert the flight recorder journaled its admitted->dispatched->collected chain, then exit (CI smoke test)")
-	smokeShuffle := flag.Bool("smoke-shuffle", false, "force the repartition path, run join and GROUP BY queries, and assert they match the broadcast path and journaled shuffle events, then exit (CI smoke test)")
 	traceExport := flag.String("trace-export", "", "append every finished query trace to this file as Jaeger-compatible JSON, one document per line (implies per-query tracing)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "enable the deterministic fault-injection plane with this seed (0 = off); same seed = same failure schedule")
 	maxQueries := flag.Int("max-queries", 0, "admission control: max concurrent queries (0 = unlimited, no admission queue)")
@@ -88,18 +83,6 @@ func main() {
 		cfg.Chaos.Lifecycle.TickInterval = 500 * time.Millisecond
 		cfg.TaskTimeout = 250 * time.Millisecond
 		fmt.Fprintf(os.Stderr, "chaos: fault injection enabled, seed %d\n", *chaosSeed)
-	}
-	if *smoke {
-		smokeTelemetry(cfg, *rows, *parts)
-		return
-	}
-	if *smokeFR {
-		smokeFlightrec(cfg, *rows, *parts)
-		return
-	}
-	if *smokeShuffle {
-		smokeShuffleRun(cfg)
-		return
 	}
 
 	sys, err := feisu.New(cfg)
@@ -195,18 +178,15 @@ func main() {
 				fmt.Print(telemetry.RenderSlowlog(sl.Entries()))
 			}
 		case line == `\events`:
-			if rec := sys.Events(); rec == nil {
-				fmt.Fprintln(os.Stderr, "flight recorder disabled (EventLogCapacity < 0)")
-			} else {
-				evs := rec.Events()
-				if len(evs) > 40 {
-					evs = evs[len(evs)-40:]
-				}
-				fmt.Printf("events recorded: %d, overwritten: %d (showing last %d)\n",
-					rec.Total(), rec.Dropped(), len(evs))
-				for _, e := range evs {
-					fmt.Println(e.String())
-				}
+			rec := sys.Events()
+			evs := rec.Events()
+			if len(evs) > 40 {
+				evs = evs[len(evs)-40:]
+			}
+			fmt.Printf("events recorded: %d, overwritten: %d (showing last %d)\n",
+				rec.Total(), rec.Dropped(), len(evs))
+			for _, e := range evs {
+				fmt.Println(e.String())
 			}
 		case line == `\q` || line == `\quit`:
 			return
@@ -289,248 +269,7 @@ func printResult(res *feisu.Result) {
 	}
 }
 
-// smokeTelemetry is the CI smoke test behind -smoke-telemetry: build a
-// tiny system, run one query, start the exporter on an ephemeral port,
-// scrape /metrics and /healthz, and assert both respond with real content.
-func smokeTelemetry(cfg feisu.Config, rows, parts int) {
-	cfg.Leaves = 2
-	if cfg.SlowQueryWallThreshold == 0 && cfg.SlowQuerySimThreshold == 0 {
-		cfg.SlowQuerySimThreshold = time.Nanosecond // populate the slowlog
-	}
-	sys, err := feisu.New(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	defer sys.Close()
-
-	ctx := context.Background()
-	spec := workload.T1Spec()
-	spec.Partitions = parts
-	spec.RowsPerPart = rows
-	meta, err := workload.Generate(ctx, sys.Router(), spec)
-	if err != nil {
-		fatal(err)
-	}
-	if err := sys.RegisterTable(ctx, meta); err != nil {
-		fatal(err)
-	}
-	if _, err := sys.Query(ctx, "SELECT COUNT(*) FROM T1 WHERE clicks > 2"); err != nil {
-		fatal(err)
-	}
-
-	srv, err := sys.StartTelemetry("127.0.0.1:0", false)
-	if err != nil {
-		fatal(err)
-	}
-	defer srv.Close()
-
-	get := func(path string) string {
-		resp, err := http.Get(srv.URL() + path)
-		if err != nil {
-			fatal(fmt.Errorf("GET %s: %w", path, err))
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			fatal(fmt.Errorf("GET %s: status %d: %s", path, resp.StatusCode, body))
-		}
-		if len(body) == 0 {
-			fatal(fmt.Errorf("GET %s: empty body", path))
-		}
-		return string(body)
-	}
-	metricsBody := get("/metrics")
-	for _, want := range []string{"feisu_queries_total", "feisu_node_up", "feisu_query_wall_seconds_bucket"} {
-		if !strings.Contains(metricsBody, want) {
-			fatal(fmt.Errorf("/metrics missing %q", want))
-		}
-	}
-	get("/healthz")
-	get("/debug/slowlog")
-	fmt.Printf("telemetry smoke OK: scraped %s (%d bytes of metrics)\n", srv.Addr(), len(metricsBody))
-}
-
-// smokeFlightrec is the CI smoke test behind -smoke-flightrec: build a
-// tiny system, run one query, and assert the flight recorder journaled the
-// query's full admitted -> scheduled -> dispatched -> collected -> done
-// chain, then scrape the /debug/queries, /debug/trace and /debug/events
-// endpoints to prove the observability surface is wired end to end.
-func smokeFlightrec(cfg feisu.Config, rows, parts int) {
-	cfg.Leaves = 2
-	sys, err := feisu.New(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	defer sys.Close()
-
-	ctx := context.Background()
-	spec := workload.T1Spec()
-	spec.Partitions = parts
-	spec.RowsPerPart = rows
-	meta, err := workload.Generate(ctx, sys.Router(), spec)
-	if err != nil {
-		fatal(err)
-	}
-	if err := sys.RegisterTable(ctx, meta); err != nil {
-		fatal(err)
-	}
-	_, stats, err := sys.QueryStats(ctx, "SELECT COUNT(*) FROM T1 WHERE clicks > 2", feisu.WithTrace())
-	if err != nil {
-		fatal(err)
-	}
-	if stats.QueryID == "" {
-		fatal(fmt.Errorf("query finished without a query ID"))
-	}
-
-	rec := sys.Events()
-	if rec == nil {
-		fatal(fmt.Errorf("flight recorder not enabled by default"))
-	}
-	seen := make(map[events.Kind]bool)
-	for _, e := range rec.ForQuery(stats.QueryID) {
-		seen[e.Kind] = true
-	}
-	for _, want := range []events.Kind{
-		events.QuerySubmit, events.QueryAdmitted, events.TaskScheduled,
-		events.TaskDispatched, events.TaskCollected, events.LeafExec,
-		events.QueryDone,
-	} {
-		if !seen[want] {
-			fatal(fmt.Errorf("journal for %s is missing kind %q (have %v)", stats.QueryID, want, seen))
-		}
-	}
-
-	srv, err := sys.StartTelemetry("127.0.0.1:0", false)
-	if err != nil {
-		fatal(err)
-	}
-	defer srv.Close()
-	get := func(path string) string {
-		resp, err := http.Get(srv.URL() + path)
-		if err != nil {
-			fatal(fmt.Errorf("GET %s: %w", path, err))
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			fatal(fmt.Errorf("GET %s: status %d: %s", path, resp.StatusCode, body))
-		}
-		return string(body)
-	}
-	if body := get("/debug/queries?format=json"); !strings.Contains(body, `"active"`) {
-		fatal(fmt.Errorf("/debug/queries?format=json lacks the active count: %s", body))
-	}
-	if body := get("/debug/trace/" + stats.QueryID); !strings.Contains(body, `"spans"`) {
-		fatal(fmt.Errorf("/debug/trace/%s is not a Jaeger document: %s", stats.QueryID, body))
-	}
-	if body := get("/debug/events?query=" + stats.QueryID); !strings.Contains(body, string(events.TaskCollected)) {
-		fatal(fmt.Errorf("/debug/events?query=%s lacks the task.collected event: %s", stats.QueryID, body))
-	}
-	fmt.Printf("flightrec smoke OK: %s journaled %d events (%d total, %d dropped)\n",
-		stats.QueryID, len(rec.ForQuery(stats.QueryID)), rec.Total(), rec.Dropped())
-}
-
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "feisu: %v\n", err)
 	os.Exit(1)
-}
-
-// smokeShuffleRun is the CI smoke test behind -smoke-shuffle: load the
-// generated join pair twice — once with the broadcast threshold forced to
-// one byte (every join repartitions) and once with defaults (the small
-// dimension broadcasts) — run the same join and GROUP BY queries on both,
-// and assert the plans diverge, the rows agree, and the flight recorder
-// journaled the shuffle's map/commit/reduce chain.
-func smokeShuffleRun(cfg feisu.Config) {
-	build := func(force bool) *feisu.System {
-		c := cfg
-		c.Leaves = 4
-		if force {
-			c.BroadcastThreshold = 1
-			c.ShufflePartitions = 4
-		}
-		sys, err := feisu.New(c)
-		if err != nil {
-			fatal(err)
-		}
-		ctx := context.Background()
-		factMeta, dimMeta, _, _, err := workload.GenerateJoin(ctx, sys.Router(), workload.DefaultJoinSpec())
-		if err != nil {
-			fatal(err)
-		}
-		if err := sys.RegisterTable(ctx, factMeta); err != nil {
-			fatal(err)
-		}
-		if err := sys.RegisterTable(ctx, dimMeta); err != nil {
-			fatal(err)
-		}
-		return sys
-	}
-	shuffleSys := build(true)
-	defer shuffleSys.Close()
-	broadcastSys := build(false)
-	defer broadcastSys.Close()
-
-	spec := workload.DefaultJoinSpec()
-	queries := []string{
-		"SELECT f.id AS a, f.v AS b, d.name AS c FROM " + spec.FactName + " f JOIN " + spec.DimName + " d ON f.k = d.k ORDER BY a",
-		"SELECT d.cat AS g, COUNT(*) AS n, SUM(f.v) AS s FROM " + spec.FactName + " f, " + spec.DimName + " d WHERE f.k = d.k GROUP BY d.cat ORDER BY g",
-		"SELECT f.id AS a, d.name AS b FROM " + spec.FactName + " f RIGHT OUTER JOIN " + spec.DimName + " d ON f.k = d.k ORDER BY b DESC, a LIMIT 20",
-	}
-	render := func(res *feisu.Result) string {
-		var sb strings.Builder
-		for _, row := range res.Rows {
-			for j, v := range row {
-				if j > 0 {
-					sb.WriteByte('|')
-				}
-				sb.WriteString(v.String())
-			}
-			sb.WriteByte('\n')
-		}
-		return sb.String()
-	}
-
-	explain, err := shuffleSys.Explain(queries[0])
-	if err != nil {
-		fatal(err)
-	}
-	if !strings.Contains(explain, "repartition") {
-		fatal(fmt.Errorf("forced-shuffle plan did not repartition:\n%s", explain))
-	}
-
-	ctx := context.Background()
-	var lastQID string
-	for _, q := range queries {
-		a, stats, err := shuffleSys.QueryStats(ctx, q)
-		if err != nil {
-			fatal(fmt.Errorf("shuffle path %q: %w", q, err))
-		}
-		b, err := broadcastSys.Query(ctx, q)
-		if err != nil {
-			fatal(fmt.Errorf("broadcast path %q: %w", q, err))
-		}
-		if render(a) != render(b) {
-			fatal(fmt.Errorf("shuffle and broadcast paths diverged on %q:\nshuffle:\n%s\nbroadcast:\n%s", q, render(a), render(b)))
-		}
-		lastQID = stats.QueryID
-	}
-
-	seen := make(map[events.Kind]int)
-	for _, e := range shuffleSys.Events().ForQuery(lastQID) {
-		seen[e.Kind]++
-	}
-	for _, want := range []events.Kind{events.ShuffleMap, events.ShuffleCommit, events.ShuffleReduce} {
-		if seen[want] == 0 {
-			fatal(fmt.Errorf("journal for %s is missing kind %q (have %v)", lastQID, want, seen))
-		}
-	}
-	fmt.Printf("shuffle smoke OK: %d queries agree across paths; last query journaled %d map, %d commit, %d reduce events\n",
-		len(queries), seen[events.ShuffleMap], seen[events.ShuffleCommit], seen[events.ShuffleReduce])
 }

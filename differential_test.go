@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/events"
 	"repro/internal/sqltest"
 	"repro/internal/workload"
 )
@@ -120,8 +121,9 @@ func TestDifferentialShuffleVsBroadcast(t *testing.T) {
 
 // TestDifferentialRepartitionActuallyUsed guards the harness against
 // vacuity: under the forced threshold the join queries must execute more
-// tasks than the pure broadcast plan (map tasks on both sides), proving
-// the shuffle path — not broadcast — produced the compared rows.
+// tasks than the pure broadcast plan (map tasks on both sides) and journal
+// shuffle events, proving the shuffle path — not broadcast — produced the
+// compared rows.
 func TestDifferentialRepartitionActuallyUsed(t *testing.T) {
 	sys, _ := newJoinSystem(t, forceShuffle)
 	spec := workload.DefaultJoinSpec()
@@ -142,5 +144,16 @@ func TestDifferentialRepartitionActuallyUsed(t *testing.T) {
 	}
 	if !strings.Contains(explain, "repartition") {
 		t.Fatalf("forced-shuffle plan is not repartitioned:\n%s", explain)
+	}
+	// The flight recorder journals the shuffle's map/commit/reduce chain
+	// under the query's ID.
+	seen := make(map[events.Kind]int)
+	for _, e := range sys.Events().ForQuery(stats.QueryID) {
+		seen[e.Kind]++
+	}
+	for _, want := range []events.Kind{events.ShuffleMap, events.ShuffleCommit, events.ShuffleReduce} {
+		if seen[want] == 0 {
+			t.Errorf("journal for %s is missing kind %q (have %v)", stats.QueryID, want, seen)
+		}
 	}
 }

@@ -174,17 +174,12 @@ type Config struct {
 	EnableAuth bool
 	// MaxConcurrentQueriesPerUser is the entry-guard quota (with auth).
 	MaxConcurrentQueriesPerUser int
-	// CostModel overrides the simulated-hardware model.
-	CostModel *sim.CostModel
 	// LocalityOff disables locality-aware scheduling (ablation).
 	LocalityOff bool
 	// PersonalizeThreshold enables client-history personalization: a
 	// predicate repeated this many times is pinned in SmartIndex as a
 	// private index (paper §III-C). 0 disables.
 	PersonalizeThreshold int
-	// Racks groups leaves into racks of this size for the topology and
-	// replica placement (default 4).
-	Racks int
 	// HeartbeatInterval paces the workers' liveness heartbeats (and the
 	// SmartIndex TTL sweeper). 0 uses 10s; negative disables background
 	// heartbeats entirely (tests drive them manually via Heartbeat).
@@ -201,17 +196,11 @@ type Config struct {
 	// query is traced so slow entries carry a per-stage breakdown (the
 	// trace also becomes visible in QueryStats.Trace).
 	SlowQuerySimThreshold time.Duration
-	// SlowlogCapacity bounds the slow-query ring buffer (default 128).
-	SlowlogCapacity int
 	// Chaos enables the deterministic fault-injection plane (internal/chaos)
 	// over the deployment's transport, stores and leaf lifecycle. nil runs
 	// fault-free. With Chaos.Lifecycle.TickInterval > 0 the controller ticks
 	// in the background; otherwise drive it via ChaosTick.
 	Chaos *chaos.Config
-	// RetryBackoff is the base of the exponential backoff between backup
-	// task attempts; 0 defaults to 1ms when chaos is enabled (immediate
-	// retries otherwise).
-	RetryBackoff time.Duration
 	// HedgeDelay is how long a stem waits on a straggler-flagged leaf
 	// before firing a speculative duplicate task; 0 uses the master's
 	// default, negative disables hedging.
@@ -236,14 +225,6 @@ type Config struct {
 	// prefers leaves with spare slots and stems bound in-flight calls per
 	// leaf. <=0 means unbounded.
 	LeafSlots int
-	// EventLogCapacity sizes the cluster flight recorder's bounded event
-	// journal (query/task lifecycle, cache, worker and chaos events). 0 uses
-	// the default (4096 events); negative disables the recorder entirely.
-	EventLogCapacity int
-	// TraceStoreCapacity bounds the ring of retained finished query traces
-	// (/debug/trace/{id}, Jaeger export). 0 uses the default (32 traces);
-	// negative disables retention.
-	TraceStoreCapacity int
 	// BroadcastThreshold is the cataloged byte size above which a join's
 	// build table is hash-repartitioned across the stems instead of
 	// broadcast to every leaf. 0 uses the default (16 MB); negative
@@ -268,6 +249,10 @@ type Config struct {
 	// chaos, schedulers and tests behave identically on either.
 	Transport string
 }
+
+// rackSize groups leaves into racks of this size for the topology and
+// replica placement.
+const rackSize = 4
 
 // System is an in-process Feisu deployment.
 type System struct {
@@ -326,13 +311,7 @@ func New(cfg Config) (*System, error) {
 	if cfg.Stems < 0 { // explicit "no stems": master drives leaves directly
 		cfg.Stems = 0
 	}
-	if cfg.Racks <= 0 {
-		cfg.Racks = 4
-	}
-	model := cfg.CostModel
-	if model == nil {
-		model = sim.DefaultCostModel()
-	}
+	model := sim.DefaultCostModel()
 
 	topo := transport.NewTopology()
 	mode := cfg.Transport
@@ -355,12 +334,13 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("feisu: unknown transport %q (want \"sim\" or \"tcp\")", mode)
 	}
 
+	// Backup-task attempts back off exponentially from 1ms under injected
+	// faults; a fault-free deployment retries immediately.
 	var plane *chaos.Plane
+	var retryBackoff time.Duration
 	if cfg.Chaos != nil {
 		plane = chaos.New(*cfg.Chaos)
-		if cfg.RetryBackoff == 0 {
-			cfg.RetryBackoff = time.Millisecond
-		}
+		retryBackoff = time.Millisecond
 	}
 	// wrapStore threads every store through the chaos plane so injected
 	// read faults hit all tiers (local FS, HDFS, Fatman) uniformly.
@@ -388,25 +368,21 @@ func New(cfg Config) (*System, error) {
 	sys := &System{
 		cfg: cfg, model: model, fabric: fabric, tcpNet: tcpNet, router: router, hdfs: hdfs, ffs: ffs,
 		metrics: metrics.NewRegistry(),
+		events:  events.New(events.DefaultCapacity),
+		traces:  trace.NewStore(trace.DefaultStoreSize),
 	}
 	sys.latWall = sys.metrics.HistogramWith("feisu_query_wall_seconds")
 	sys.latSim = sys.metrics.HistogramWith("feisu_query_sim_seconds")
 	if cfg.SlowQueryWallThreshold > 0 || cfg.SlowQuerySimThreshold > 0 {
-		sys.slowlog = telemetry.NewSlowlog(cfg.SlowlogCapacity, cfg.SlowQueryWallThreshold, cfg.SlowQuerySimThreshold)
+		// Capacity 0: the ring's own default, 128 entries.
+		sys.slowlog = telemetry.NewSlowlog(0, cfg.SlowQueryWallThreshold, cfg.SlowQuerySimThreshold)
 	}
-	if cfg.EventLogCapacity >= 0 {
-		sys.events = events.New(cfg.EventLogCapacity)
-		rec := sys.events
-		sys.metrics.RegisterGaugeFunc("feisu_events_recorded_total", func() float64 { return float64(rec.Total()) })
-		sys.metrics.RegisterGaugeFunc("feisu_events_dropped_total", func() float64 { return float64(rec.Dropped()) })
-	}
-	if cfg.TraceStoreCapacity >= 0 {
-		sys.traces = trace.NewStore(cfg.TraceStoreCapacity)
-	}
+	sys.metrics.RegisterGaugeFunc("feisu_events_recorded_total", func() float64 { return float64(sys.events.Total()) })
+	sys.metrics.RegisterGaugeFunc("feisu_events_dropped_total", func() float64 { return float64(sys.events.Dropped()) })
 
 	leafName := func(i int) string { return fmt.Sprintf("leaf%d", i) }
 	for i := 0; i < cfg.Leaves; i++ {
-		rack := fmt.Sprintf("rack%d", i/cfg.Racks)
+		rack := fmt.Sprintf("rack%d", i/rackSize)
 		topo.Place(leafName(i), rack, "dc1")
 		hdfs.AddNode(leafName(i), rack)
 		ffs.AddNode(leafName(i), rack)
@@ -457,7 +433,7 @@ func New(cfg Config) (*System, error) {
 		Quotas:             quotas,
 		MaxQueryBytes:      1 << 20,
 		DefaultTaskTimeout: cfg.TaskTimeout,
-		RetryBackoff:       cfg.RetryBackoff,
+		RetryBackoff:       retryBackoff,
 		HedgeDelay:         cfg.HedgeDelay,
 		ScanWorkers:        cfg.ScanWorkers,
 		LivenessWindow:     time.Minute,
@@ -582,15 +558,13 @@ func New(cfg Config) (*System, error) {
 		sys.StartHeartbeats(interval)
 	}
 	if plane != nil {
-		if rec := sys.events; rec != nil {
-			// Mirror every fired fault into the flight recorder so incident
-			// timelines interleave faults with the decisions they caused. The
-			// chaos plane's own per-site sequence is deterministic; the bridge
-			// keeps each chaos site distinct ("chaos/<site>").
-			plane.SetSink(func(e chaos.Event) {
-				rec.Emit("chaos/"+e.Site, events.Kind(events.ChaosPrefix+e.Kind), "", -1, e.Detail)
-			})
-		}
+		// Mirror every fired fault into the flight recorder so incident
+		// timelines interleave faults with the decisions they caused. The
+		// chaos plane's own per-site sequence is deterministic; the bridge
+		// keeps each chaos site distinct ("chaos/<site>").
+		plane.SetSink(func(e chaos.Event) {
+			sys.events.Emit("chaos/"+e.Site, events.Kind(events.ChaosPrefix+e.Kind), "", -1, e.Detail)
+		})
 		// Arm the interceptor only after boot: the initial heartbeat round
 		// that registers every worker must not itself be dropped, or the
 		// deployment would start with phantom-dead leaves.
@@ -832,8 +806,8 @@ func (s *System) ClusterHealth() cluster.ClusterHealth {
 // threshold is configured.
 func (s *System) Slowlog() *telemetry.Slowlog { return s.slowlog }
 
-// Events returns the cluster flight recorder, or nil when
-// Config.EventLogCapacity is negative. Read the journal with Events().Events()
+// Events returns the cluster flight recorder (always on, the last
+// events.DefaultCapacity events). Read the journal with Events().Events()
 // (arrival order) or Events().Canonical() (deterministic (site, seq) order).
 func (s *System) Events() *events.Recorder { return s.events }
 
@@ -844,9 +818,9 @@ func (s *System) ActiveQueries() []cluster.QueryProgress {
 	return s.master.ActiveQueries()
 }
 
-// Traces returns the ring of retained finished query traces, or nil when
-// Config.TraceStoreCapacity is negative. Only traced queries (EXPLAIN
-// ANALYZE, WithTrace, or any query when the slowlog is enabled) are retained.
+// Traces returns the ring of retained finished query traces (the last
+// trace.DefaultStoreSize). Only traced queries (EXPLAIN ANALYZE, WithTrace,
+// or any query when the slowlog is enabled) are retained.
 func (s *System) Traces() *trace.Store { return s.traces }
 
 // Chaos returns the fault-injection plane, or nil when Config.Chaos was not

@@ -116,10 +116,10 @@ func TestFlightRecorderDeterministicJournal(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderJournalChain asserts the per-query causal chain the CI
-// smoke test relies on: one clean query journals submit -> admitted ->
-// scheduled -> dispatched -> leaf exec -> collected -> done, all stitched
-// by the same query ID, and ForQuery returns them in causal site order.
+// TestFlightRecorderJournalChain asserts the per-query causal chain: one
+// clean query journals submit -> admitted -> scheduled -> dispatched -> leaf
+// exec -> collected -> done, all stitched by the same query ID, and the
+// exporter serves that query's progress, trace and events under /debug/.
 func TestFlightRecorderJournalChain(t *testing.T) {
 	sys, err := New(Config{Leaves: 2, HeartbeatInterval: -1})
 	if err != nil {
@@ -129,7 +129,7 @@ func TestFlightRecorderJournalChain(t *testing.T) {
 	loadVisits(t, sys, "/hdfs/visits", 200)
 
 	_, stats, err := sys.QueryStats(context.Background(),
-		"SELECT COUNT(*) FROM visits WHERE clicks > 5")
+		"SELECT COUNT(*) FROM visits WHERE clicks > 5", WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +151,22 @@ func TestFlightRecorderJournalChain(t *testing.T) {
 	} {
 		if !seen[want] {
 			t.Errorf("journal missing %q; got %d events:\n%s", want, len(evs), renderEvents(evs))
+		}
+	}
+
+	// The same query is reachable through the exporter's debug surface.
+	srv, err := sys.StartTelemetry("127.0.0.1:0", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, ep := range []struct{ path, want string }{
+		{"/debug/queries?format=json", `"active"`},
+		{"/debug/trace/" + stats.QueryID, `"spans"`}, // a Jaeger document
+		{"/debug/events?query=" + stats.QueryID, string(events.TaskCollected)},
+	} {
+		if code, body := scrape(t, srv.URL()+ep.path); code != 200 || !strings.Contains(body, ep.want) {
+			t.Errorf("%s = %d, want 200 with %s:\n%s", ep.path, code, ep.want, body)
 		}
 	}
 }

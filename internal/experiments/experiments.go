@@ -1,10 +1,11 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§VI) against the in-process reproduction. Each experiment
-// returns a Report that cmd/feisu-bench renders; bench_test.go wraps the
-// same entry points as testing.B benchmarks. Absolute numbers differ from
-// the paper's 4,000-node production cluster — the *shapes* (who wins, by
-// what factor, where curves bend) are the reproduction target; see
-// EXPERIMENTS.md for the recorded comparison.
+// Package experiments regenerates the tables and figures of the paper's
+// evaluation (§VI: Table I, fig 4/5/8, fig 9–12) and the DESIGN.md ablations
+// against the in-process reproduction, and nothing else. Every number is
+// simulated cost-model time: the *shapes* (who wins, by what factor, where
+// curves bend) are the reproduction target, not speed — speed is a
+// wall-clock number from `bash bench/run.sh`. Each experiment returns a
+// Report that cmd/feisu-figures renders; see EXPERIMENTS.md for the recorded
+// comparison with the paper.
 package experiments
 
 import (
@@ -62,9 +63,8 @@ func (r *Report) String() string {
 	return sb.String()
 }
 
-// Scale sizes an experiment run. Tests use Small; the bench harness uses
-// Default (still laptop-friendly; pass -scale big to cmd/feisu-bench for
-// longer runs).
+// Scale sizes an experiment run. Tests use Small; cmd/feisu-figures uses
+// Default (still laptop-friendly; pass -scale big for longer runs).
 type Scale struct {
 	// DataRowsPerPartition sizes generated fact tables.
 	DataRowsPerPartition int
@@ -83,7 +83,7 @@ func SmallScale() Scale {
 	return Scale{DataRowsPerPartition: 512, Partitions: 4, Queries: 120, Window: 30, Leaves: 4}
 }
 
-// DefaultScale is the bench harness size.
+// DefaultScale is what cmd/feisu-figures runs without -scale.
 func DefaultScale() Scale {
 	return Scale{DataRowsPerPartition: 4096, Partitions: 8, Queries: 1200, Window: 100, Leaves: 8}
 }

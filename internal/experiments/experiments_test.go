@@ -270,66 +270,3 @@ func TestAblationTTLPinning(t *testing.T) {
 		t.Errorf("pinning should produce hits despite the TTL: %v", rows[1])
 	}
 }
-
-func TestShuffleShape(t *testing.T) {
-	ShuffleShort = true
-	defer func() { ShuffleShort = false }()
-	rep, err := Shuffle(SmallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 build scales x {broadcast, repartition} + the spill arm.
-	if len(rep.Rows) != 7 {
-		t.Fatalf("want 7 arms, got %d:\n%s", len(rep.Rows), rep)
-	}
-	// At each build scale the strategies must return identical row totals
-	// (Shuffle itself enforces bag equality per query), and repartition
-	// must schedule strictly more tasks: the map side of the shuffle runs
-	// on both inputs.
-	for s := 0; s < 3; s++ {
-		bc, rp := rep.Rows[2*s], rep.Rows[2*s+1]
-		if bc[7] != rp[7] {
-			t.Fatalf("scale %s: strategies returned different row totals:\n%s", bc[0], rep)
-		}
-		if parseF(t, rp[3]) <= parseF(t, bc[3]) {
-			t.Fatalf("scale %s: repartition tasks %s <= broadcast tasks %s; shuffle path did not engage:\n%s",
-				bc[0], rp[3], bc[3], rep)
-		}
-	}
-	spill := rep.Rows[6]
-	if spill[1] != "repartition-spill" {
-		t.Fatalf("last row should be the spill arm:\n%s", rep)
-	}
-	if parseF(t, spill[6]) <= 0 {
-		t.Fatalf("memory-starved arm reported no spill:\n%s", rep)
-	}
-}
-
-func TestWireShape(t *testing.T) {
-	WireShort = true
-	defer func() { WireShort = false }()
-	rep, err := Wire(SmallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 node counts x {sim, tcp}. Wire itself gates that sim predictions
-	// agree exactly between transports; here check the tcp arms actually
-	// moved encoded bytes and the sim arms did not.
-	if len(rep.Rows) != 4 {
-		t.Fatalf("want 4 arms, got %d:\n%s", len(rep.Rows), rep)
-	}
-	for i, row := range rep.Rows {
-		switch row[1] {
-		case "sim":
-			if row[4] != "-" {
-				t.Fatalf("row %d: sim fabric reported wire bytes:\n%s", i, rep)
-			}
-		case "tcp":
-			if row[4] == "-" || row[4] == "0/0/0/0" {
-				t.Fatalf("row %d: tcp arm moved no encoded bytes:\n%s", i, rep)
-			}
-		default:
-			t.Fatalf("row %d: unknown transport %q", i, row[1])
-		}
-	}
-}

@@ -108,14 +108,12 @@ type streamResult struct {
 	// queries per simulated second.
 	windowThroughput []float64
 	totalSim         time.Duration
-	wall             time.Duration
 }
 
 // runStream executes the queries sequentially, recording per-window means.
 func runStream(sys *feisu.System, queries []string, window int) (*streamResult, error) {
 	ctx := context.Background()
 	res := &streamResult{}
-	start := time.Now()
 	var winSim time.Duration
 	inWin := 0
 	for _, q := range queries {
@@ -134,7 +132,6 @@ func runStream(sys *feisu.System, queries []string, window int) (*streamResult, 
 	if inWin > 0 {
 		res.windowThroughput = append(res.windowThroughput, float64(inWin)/winSim.Seconds())
 	}
-	res.wall = time.Since(start)
 	return res, nil
 }
 

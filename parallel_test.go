@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -13,10 +14,11 @@ import (
 
 // parallelScanRun executes a deterministic query stream on a fresh system
 // with the given intra-task scan parallelism and returns per-query rendered
-// rows and ScanStats plus the final aggregated SmartIndex counters. Hedging
-// is disabled: it duplicates tasks off wall-clock EWMAs, which would make
-// the strict stat comparison racy.
-func parallelScanRun(t *testing.T, workers int, wlSeed, qSeed int64) ([]string, []exec.ScanStats, core.Stats) {
+// rows and ScanStats, the stream's summed ScanSimTime (the busiest leaf's
+// execution-only simulated time: what workers divide) and the final
+// aggregated SmartIndex counters. Hedging is disabled: it duplicates tasks
+// off wall-clock EWMAs, which would make the strict stat comparison racy.
+func parallelScanRun(t *testing.T, workers int, wlSeed, qSeed int64) ([]string, []exec.ScanStats, time.Duration, core.Stats) {
 	t.Helper()
 	sys, err := New(Config{
 		Leaves:            4,
@@ -32,7 +34,10 @@ func parallelScanRun(t *testing.T, workers int, wlSeed, qSeed int64) ([]string, 
 	ctx := context.Background()
 	spec := workload.T1Spec()
 	spec.Partitions = 4
-	spec.RowsPerPart = 384
+	// Blocks (1024 rows) are the unit of intra-task parallelism: four per
+	// partition, and only the core columns the queries touch.
+	spec.RowsPerPart = 4096
+	spec.Fields = len(workload.CoreColumns)
 	spec.Seed = wlSeed
 	meta, err := workload.Generate(ctx, sys.Router(), spec)
 	if err != nil {
@@ -44,6 +49,7 @@ func parallelScanRun(t *testing.T, workers int, wlSeed, qSeed int64) ([]string, 
 	queries := generateEquivalenceQueries(30, qSeed)
 	rows := make([]string, len(queries))
 	scans := make([]exec.ScanStats, len(queries))
+	var scanSim time.Duration
 	for i, q := range queries {
 		res, stats, err := sys.QueryStats(ctx, q)
 		if err != nil {
@@ -51,22 +57,31 @@ func parallelScanRun(t *testing.T, workers int, wlSeed, qSeed int64) ([]string, 
 		}
 		rows[i] = renderRows(res)
 		scans[i] = stats.Scan
+		scanSim += stats.ScanSimTime
 	}
-	return rows, scans, sys.IndexStats()
+	return rows, scans, scanSim, sys.IndexStats()
 }
 
 // TestParallelScanEquivalence is the tentpole invariant: the parallel leaf
 // scan (8 workers striping blocks) must be bit-identical to the serial path
 // (1 worker) — same rows, same per-query ScanStats, same SmartIndex
-// hit/miss/store counters — across three workload seeds. Run under -race by
+// hit/miss/store counters — across three workload seeds, while the simulated
+// scan time falls by at least 2x. Run under -race by
 // scripts/verify.sh, this doubles as the concurrency-safety check for
 // SmartIndex and the SSD cache under concurrent scanners.
 func TestParallelScanEquivalence(t *testing.T) {
 	for _, seed := range []int64{11, 22, 33} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			serialRows, serialScans, serialIdx := parallelScanRun(t, 1, seed, seed*7)
-			parRows, parScans, parIdx := parallelScanRun(t, 8, seed, seed*7)
+			serialRows, serialScans, serialSim, serialIdx := parallelScanRun(t, 1, seed, seed*7)
+			parRows, parScans, parSim, parIdx := parallelScanRun(t, 8, seed, seed*7)
+			// Four blocks per partition bound the stripe at four workers; their
+			// bills compose along the critical path, so the busiest leaf's
+			// simulated scan time must at least halve. It also proves the
+			// parallel path ran: a one-block partition clamps to serial.
+			if parSim*2 > serialSim {
+				t.Fatalf("scan sim time %v at 8 workers vs %v serial: below the 2x floor", parSim, serialSim)
+			}
 			queries := generateEquivalenceQueries(30, seed*7)
 			for i := range serialRows {
 				if parRows[i] != serialRows[i] {

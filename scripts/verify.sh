@@ -76,33 +76,6 @@ go test -fuzz=FuzzParse -fuzztime=10s -run='^$' ./internal/sqlparser
 go test -fuzz=FuzzDecodeBatch -fuzztime=10s -run='^$' ./internal/types
 go test -fuzz=FuzzWireStream -fuzztime=10s -run='^$' ./internal/transport
 
-echo "== telemetry smoke (exporter on an ephemeral port)"
-go run ./cmd/feisu -smoke-telemetry -rows 256 -parts 2
-
-echo "== chaos smoke (seeded fault injection, seed 1)"
-go run ./cmd/feisu-bench -exp chaos -seed 1 -short -scale small
-
-echo "== parscan smoke (intra-task parallel scan, 2x scan-time floor at 4 workers)"
-go run ./cmd/feisu-bench -exp parscan -short -scale small
-
-echo "== admission smoke (bounded tail latency under offered overload)"
-go run ./cmd/feisu-bench -exp admission -short -scale small
-
-echo "== rescache smoke (semantic result cache, off vs on)"
-go run ./cmd/feisu-bench -exp rescache -short -scale small
-
-echo "== flightrec smoke (journaled query chain + observability endpoints)"
-go run ./cmd/feisu -smoke-flightrec -rows 256 -parts 2
-
-echo "== flightrec overhead smoke (recorder off vs on)"
-go run ./cmd/feisu-bench -exp flightrec -short -scale small
-
-echo "== shuffle smoke (repartition vs broadcast equivalence + journaled shuffle chain)"
-go run ./cmd/feisu -smoke-shuffle
-
-echo "== shuffle bench smoke (broadcast vs repartition vs spill across build scales)"
-go run ./cmd/feisu-bench -exp shuffle -short -scale small
-
 # The TCP wire transport must be semantically invisible: the transport
 # conformance battery runs against both fabrics inside the transport package,
 # and the root differential/equivalence suites rerun with every cluster RPC
@@ -113,10 +86,19 @@ go test -race -count=1 ./internal/transport/
 echo "== differential + equivalence suites over TCP (FEISU_TRANSPORT=tcp)"
 FEISU_TRANSPORT=tcp go test -count=1 -run 'TestTCPTransport|TestDifferential|TestClusterMatchesSingleNode|TestEquivalenceUnderChaos|TestMetamorphic' .
 
-echo "== multi-process smoke (1 master / 2 stems / 4 leaves as OS processes on loopback)"
-go run ./cmd/feisu-node -smoke
+echo "== multi-process cluster (1 master / 2 stems / 4 leaves as OS processes on loopback)"
+go test -count=1 -run TestMultiProcessCluster ./cmd/feisu-node
 
-echo "== wire bench smoke (scale-out over real sockets vs sim prediction)"
-go run ./cmd/feisu-bench -exp wire -short -scale small
+# A doc may only name a BENCH_*.json that is in the tree and an -exp id that
+# the figures binary lists.
+echo "== doc references (BENCH_*.json files, -exp ids)"
+docs="README.md DESIGN.md EXPERIMENTS.md docs/*.md .claude/skills/verify/SKILL.md"
+ids=$(go run ./cmd/feisu-figures -list | awk '!/^#/ {print $1}')
+for f in $(grep -oh 'BENCH_[A-Za-z0-9_]*\.json' $docs | sort -u); do
+	[ -e "$f" ] || { echo "docs name $f, which is not in the tree" >&2; exit 1; }
+done
+for id in $(grep -oh -- '-exp [a-z0-9]*' $docs | awk '{print $2}' | sort -u); do
+	echo "$ids" | grep -qx "$id" || { echo "docs name -exp $id, which feisu-figures -list does not print" >&2; exit 1; }
+done
 
 echo "verify: OK"

@@ -34,9 +34,10 @@ func newEquivSystem(t *testing.T, mode string) (*System, *plan.TableMeta) {
 
 // TestTCPTransportMatchesSim runs the same generated query battery through
 // two identical deployments — one on the deterministic sim fabric, one on
-// real loopback sockets — and requires bit-identical results. This is the
-// root-level transport-equivalence gate: the wire codec, framing, pooling and
-// server-side dispatch must be invisible to query semantics.
+// real loopback sockets — and requires bit-identical results and identical
+// simulated time per statement. This is the root-level transport-equivalence
+// gate: the wire codec, framing, pooling and server-side dispatch must be
+// invisible to query semantics and to the cost model.
 func TestTCPTransportMatchesSim(t *testing.T) {
 	simSys, _ := newEquivSystem(t, "sim")
 	tcpSys, _ := newEquivSystem(t, "tcp")
@@ -52,16 +53,21 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 	ctx := context.Background()
 	queries := generateEquivalenceQueries(40, 99)
 	for _, q := range queries {
-		simRes, err := simSys.Query(ctx, q)
+		simRes, simStats, err := simSys.QueryStats(ctx, q)
 		if err != nil {
 			t.Fatalf("sim %q: %v", q, err)
 		}
-		tcpRes, err := tcpSys.Query(ctx, q)
+		tcpRes, tcpStats, err := tcpSys.QueryStats(ctx, q)
 		if err != nil {
 			t.Fatalf("tcp %q: %v", q, err)
 		}
 		if got, want := renderRows(tcpRes), renderRows(simRes); got != want {
 			t.Fatalf("transport divergence on %q:\ntcp: %s\nsim: %s", q, got, want)
+		}
+		// The cost model is transport-blind: the sim fabric and the wire
+		// codec bill the same declared sizes.
+		if tcpStats.SimTime != simStats.SimTime {
+			t.Fatalf("sim prediction diverged on %q: tcp %v vs sim fabric %v", q, tcpStats.SimTime, simStats.SimTime)
 		}
 	}
 
