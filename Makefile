@@ -1,4 +1,4 @@
-.PHONY: build test race vet verify bench figures
+.PHONY: build test race vet verify bench pairs figures
 
 build:
 	go build ./...
@@ -21,6 +21,12 @@ verify:
 # bench is the repository's benchmark: wall-clock, end to end, four workloads.
 bench:
 	bash bench/run.sh --all
+
+# pairs runs one workload on BASE (default HEAD~1) and on the working tree in
+# alternating pairs and prints medians, quartiles and wins per metric:
+#   make pairs W=scan_hot [N=10] [SEED=1] [BASE=<commit>]
+pairs:
+	./scripts/bench-pairs.sh $(W) $(or $(N),10) $(or $(SEED),1)
 
 # figures regenerates the paper's §VI tables and figures in simulated time
 # (shapes only; speed is `make bench`).

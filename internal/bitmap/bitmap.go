@@ -34,12 +34,27 @@ func New(n int) *Bitmap {
 
 // NewFull returns an all-ones bitmap of n bits.
 func NewFull(n int) *Bitmap {
-	b := New(n)
+	b := &Bitmap{}
+	b.Fill(n)
+	return b
+}
+
+// Fill makes b an all-ones bitmap of n bits, reusing its words when they
+// suffice: a scan starts every block's selection vector this way. The zero
+// Bitmap is ready for it.
+func (b *Bitmap) Fill(n int) {
+	if n < 0 {
+		panic("bitmap: negative length")
+	}
+	nw := (n + wordBits - 1) / wordBits
+	if cap(b.words) < nw {
+		b.words = make([]uint64, nw)
+	}
+	b.n, b.words = n, b.words[:nw]
 	for i := range b.words {
 		b.words[i] = ^uint64(0)
 	}
 	b.clearTail()
-	return b
 }
 
 // FromBools builds a bitmap from a bool slice.

@@ -93,9 +93,12 @@ func (l *LeafServer) runTask(ctx context.Context, msg taskMsg) (any, error) {
 	l.active.Add(1)
 	defer l.active.Add(-1)
 	l.Tasks.Inc()
-	ctx, span := trace.StartSpan(ctx, "leaf/"+l.Name)
-	defer span.Finish()
-	span.SetAttr("partition", msg.Task.Partition.Path)
+	var span *trace.Span
+	if trace.FromContext(ctx) != nil { // the name is rendered only for a live trace
+		ctx, span = trace.StartSpan(ctx, "leaf/"+l.Name)
+		defer span.Finish()
+		span.SetAttr("partition", msg.Task.Partition.Path)
+	}
 	if d := l.Stall(); d > 0 {
 		select {
 		case <-time.After(d):
@@ -113,7 +116,7 @@ func (l *LeafServer) runTask(ctx context.Context, msg taskMsg) (any, error) {
 	// read:*/transfer children decompose it per device class.
 	span.SetSim(bill.Time())
 	billSpans(span, bill)
-	if msg.QueryID != "" {
+	if msg.QueryID != "" && l.Events.Enabled() {
 		l.Events.EmitSim(events.TaskSite(msg.QueryID, msg.Task.Ordinal), events.LeafExec,
 			msg.QueryID, msg.Task.Ordinal, bill.Time(), l.Name+" "+msg.Task.Partition.Path)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -800,9 +801,11 @@ func (m *Master) runAll(ctx context.Context, p *plan.PhysicalPlan, tasks []plan.
 			m.Scheduler.ReleaseTask(leaf)
 		}
 	}()
-	for _, t := range tasks {
-		m.cfg.Events.Emit(events.TaskSite(qid, t.Ordinal), events.TaskScheduled,
-			qid, t.Ordinal, assign[t.Ordinal])
+	if m.cfg.Events.Enabled() {
+		for _, t := range tasks {
+			m.cfg.Events.Emit(events.TaskSite(qid, t.Ordinal), events.TaskScheduled,
+				qid, t.Ordinal, assign[t.Ordinal])
+		}
 	}
 
 	// Dispatch grouped per stem; the master's local stem stands in when no
@@ -893,8 +896,10 @@ func (m *Master) runAll(ctx context.Context, p *plan.PhysicalPlan, tasks []plan.
 					for dev, n := range d.DevBytes {
 						devBytes[dev] += n
 					}
-					m.cfg.Events.EmitSim(events.TaskSite(qid, d.ordinal), events.TaskCollected,
-						qid, d.ordinal, d.SimTime, fmt.Sprintf("%s rows=%d", d.Leaf, d.Rows))
+					if m.cfg.Events.Enabled() {
+						m.cfg.Events.EmitSim(events.TaskSite(qid, d.ordinal), events.TaskCollected,
+							qid, d.ordinal, d.SimTime, d.Leaf+" rows="+strconv.FormatInt(int64(d.Rows), 10))
+					}
 				}
 				prog.update(func(p *QueryProgress) {
 					if d.err != nil {

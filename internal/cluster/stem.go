@@ -121,7 +121,7 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 				s.queued.Add(-1)
 				defer func() { <-ls }()
 			}
-			if job.QueryID != "" {
+			if job.QueryID != "" && s.Events.Enabled() {
 				s.Events.Emit(events.TaskSite(job.QueryID, task.Ordinal), events.TaskDispatched,
 					job.QueryID, task.Ordinal, leaf+" via "+s.Name)
 			}
@@ -245,8 +245,11 @@ func (s *StemServer) attempt(ctx context.Context, job stemJobMsg, task plan.Task
 		tctx, cancel = context.WithTimeout(ctx, job.TaskTimeout)
 		defer cancel()
 	}
-	tctx, span := trace.StartSpan(tctx, fmt.Sprintf("task#%d @ %s", task.Ordinal, leaf))
-	defer span.Finish()
+	var span *trace.Span
+	if trace.FromContext(tctx) != nil { // the name is rendered only for a live trace
+		tctx, span = trace.StartSpan(tctx, fmt.Sprintf("task#%d @ %s", task.Ordinal, leaf))
+		defer span.Finish()
+	}
 	raw, err := s.Fabric.Call(tctx, s.Name, leaf, transport.Control, taskMsg{Task: task, QueryID: job.QueryID}, 256)
 	if err != nil {
 		st.Err = err.Error()

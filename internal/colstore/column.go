@@ -168,7 +168,7 @@ type Stats struct {
 
 // BloomKey canonicalizes a value for bloom membership so that values equal
 // under types.Compare share a key (2 and 2.0 both render "2").
-func BloomKey(v types.Value) []byte { return []byte(v.String()) }
+func BloomKey(v types.Value) []byte { return v.AppendString(nil) }
 
 // ComputeStats scans the column and returns its stats.
 func (c *Column) ComputeStats() Stats {

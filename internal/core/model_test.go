@@ -95,6 +95,40 @@ func (b *modelBlock) eval(col int, a plan.Atom) *bitmap.Bitmap {
 	return out
 }
 
+// key is the identity of an entry as pins and Invalidate see it.
+func key(blockID string, a plan.Atom) string { return blockID + "|" + a.Key() }
+
+// flat lists the two-level index as one map from "<block id>|<atom key>",
+// checking on the way that every entry is filed under its own block, key and
+// column and that no block is kept empty.
+func flat(t *testing.T, s *SmartIndex) map[string]*entry {
+	out := make(map[string]*entry)
+	for id, b := range s.blocks {
+		if b.id != id || len(b.byKey) == 0 {
+			t.Fatalf("block %q filed under %q with %d entries", b.id, id, len(b.byKey))
+		}
+		inCols := 0
+		for col, list := range b.byCol {
+			inCols += len(list)
+			for _, e := range list {
+				if e.col != col || b.byKey[e.key] != e {
+					t.Fatalf("block %s column %s lists a stranger: %s", id, col, e.key)
+				}
+			}
+		}
+		if inCols != len(b.byKey) {
+			t.Fatalf("block %s: %d entries by key, %d by column", id, len(b.byKey), inCols)
+		}
+		for k, e := range b.byKey {
+			if e.key != k || e.blk != b {
+				t.Fatalf("block %s: entry %q filed under %q", id, e.key, k)
+			}
+			out[id+"|"+k] = e
+		}
+	}
+	return out
+}
+
 // TestModelRandomOps drives 10 000 seeded random operations against the
 // index and the never-evicting reference. After every step the budget
 // accounting, the LRU list, every answer and the conservation identity
@@ -123,11 +157,13 @@ func runModel(t *testing.T, opt Options, seed int64) {
 	s := New(opt)
 
 	// Two partitions of three blocks; block ids are path#ordinal as in the
-	// executor. p1#2 is large enough that a dense entry exceeds the budget.
+	// executor, and one path is a string prefix of the other. /t/p10#2 is
+	// large enough that a dense entry exceeds the budget.
+	paths := []string{"/t/p1", "/t/p10"}
 	var blocks []*modelBlock
-	for p := 0; p < 2; p++ {
+	for _, path := range paths {
 		for o := 0; o < 3; o++ {
-			b := &modelBlock{id: fmt.Sprintf("p%d#%d", p, o)}
+			b := &modelBlock{id: fmt.Sprintf("%s#%d", path, o)}
 			b.regen(rng, 100+rng.Intn(100))
 			blocks = append(blocks, b)
 		}
@@ -147,16 +183,17 @@ func runModel(t *testing.T, opt Options, seed int64) {
 		rows    int
 	}
 	for step := 0; step < 10000; step++ {
-		resident := make(map[string]before, len(s.entries))
-		for k, e := range s.entries {
+		resident := make(map[string]before)
+		for k, e := range flat(t, s) {
 			resident[k] = before{expired: s.expired(e, clk.now()), rows: e.numRows}
 		}
 		st0 := s.Stats()
 		// left lists the keys resident before the step and gone after it.
 		left := func() []string {
 			var out []string
+			now := flat(t, s)
 			for k := range resident {
-				if _, ok := s.entries[k]; !ok {
+				if _, ok := now[k]; !ok {
 					out = append(out, k)
 				}
 			}
@@ -182,7 +219,7 @@ func runModel(t *testing.T, opt Options, seed int64) {
 			if _, was := resident[k]; was {
 				replaced++ // whether or not the new entry is admitted
 			}
-			if _, in := s.entries[k]; in != (st.Stored > st0.Stored) {
+			if _, in := flat(t, s)[k]; in != (st.Stored > st0.Stored) {
 				t.Fatalf("step %d %s: Stored moved by %d but resident=%v", step, what, st.Stored-st0.Stored, in)
 			}
 			if evicted != st.EvictedLRU-st0.EvictedLRU {
@@ -227,12 +264,13 @@ func runModel(t *testing.T, opt Options, seed int64) {
 			nextRows++
 			b.regen(rng, nextRows)
 
-		case r < 85: // the partition is rewritten and invalidated (same shape allowed)
-			p := rng.Intn(2)
-			prefix := fmt.Sprintf("p%d#", p)
+		case r < 85: // one partition, or both by the bare path prefix, rewritten and invalidated (same shape allowed)
+			prefix := []string{"/t/p1#", "/t/p10#", "/t/p1"}[rng.Intn(3)]
 			what = "Invalidate " + prefix
-			for _, b := range blocks[3*p : 3*p+3] {
-				b.regen(rng, b.rows)
+			for _, b := range blocks {
+				if strings.HasPrefix(b.id, prefix) {
+					b.regen(rng, b.rows)
+				}
 			}
 			n := s.Invalidate(prefix)
 			gone := left()
@@ -241,7 +279,7 @@ func runModel(t *testing.T, opt Options, seed int64) {
 					t.Fatalf("step %d %s: dropped %s", step, what, k)
 				}
 			}
-			for k := range s.entries {
+			for k := range flat(t, s) {
 				if strings.HasPrefix(k, prefix) {
 					t.Fatalf("step %d %s: kept %s", step, what, k)
 				}
@@ -260,7 +298,7 @@ func runModel(t *testing.T, opt Options, seed int64) {
 					t.Fatalf("step %d Sweep: dropped live entry %s", step, k)
 				}
 			}
-			for k, e := range s.entries {
+			for k, e := range flat(t, s) {
 				if s.expired(e, clk.now()) {
 					t.Fatalf("step %d Sweep: kept expired entry %s", step, k)
 				}
@@ -269,8 +307,9 @@ func runModel(t *testing.T, opt Options, seed int64) {
 				t.Fatalf("step %d Sweep: returned %d, %d left, EvictedTTL moved by %d", step, n, len(gone), st.EvictedTTL-st0.EvictedTTL)
 			}
 
-		case r < 89: // rare: prefix pins only accumulate
-			prefix := blocks[rng.Intn(len(blocks))].id + "|"
+		case r < 89: // rare: prefix pins only accumulate — a block, one column of a block, a partition
+			b := blocks[rng.Intn(len(blocks))]
+			prefix := []string{b.id + "|", b.id + "|c1 ", b.id[:strings.Index(b.id, "#")+1]}[rng.Intn(3)]
 			what, mayDrop = "Pin "+prefix, false
 			s.Pin(prefix)
 		case r < 93:
@@ -291,12 +330,17 @@ func runModel(t *testing.T, opt Options, seed int64) {
 			t.Fatalf("step %d %s: entries left: %v", step, what, left())
 		}
 		var sum int64
-		for k, e := range s.entries {
+		now := flat(t, s)
+		for k, e := range now {
 			sum += e.size
-			if e.key != k || e.elem == nil || e.elem.Value.(*entry) != e {
+			if e.elem == nil || e.elem.Value.(*entry) != e {
 				t.Fatalf("step %d %s: entry %s is not linked to its list element", step, what, k)
 			}
-			if want := s.prefixPinned(k) || s.pinAtoms[k[strings.Index(k, "|")+1:]]; e.pinned != want {
+			want := s.pinAtoms[k[strings.Index(k, "|")+1:]]
+			for _, p := range s.pins {
+				want = want || strings.HasPrefix(k, p)
+			}
+			if e.pinned != want {
 				t.Fatalf("step %d %s: entry %s pinned=%v, preferences say %v", step, what, k, e.pinned, want)
 			}
 		}
@@ -307,8 +351,8 @@ func runModel(t *testing.T, opt Options, seed int64) {
 		if opt.MemoryBudget > 0 && sum > opt.MemoryBudget {
 			t.Fatalf("step %d %s: %d resident bytes over the %d budget", step, what, sum, opt.MemoryBudget)
 		}
-		if s.lru.Len() != len(s.entries) || st.Entries != int64(len(s.entries)) {
-			t.Fatalf("step %d %s: list holds %d, map %d, Stats.Entries %d", step, what, s.lru.Len(), len(s.entries), st.Entries)
+		if s.lru.Len() != len(now) || st.Entries != int64(len(now)) {
+			t.Fatalf("step %d %s: list holds %d, blocks %d, Stats.Entries %d", step, what, s.lru.Len(), len(now), st.Entries)
 		}
 		if got := st.Entries + replaced + st.EvictedLRU + st.EvictedTTL + invalidated + reshaped; st.Stored != got {
 			t.Fatalf("step %d %s: Stored = %d, but resident %d + replaced %d + LRU %d + TTL %d + invalidated %d + reshaped %d = %d",

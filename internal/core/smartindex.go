@@ -15,6 +15,7 @@ package core
 import (
 	"container/list"
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -66,25 +67,38 @@ type Stats struct {
 }
 
 // SmartIndex is a leaf server's index manager. It implements
-// exec.IndexSource.
+// exec.IndexSource. The index is two-level: block id → that block's entries
+// by positive-form atom key, so a probe hashes two short strings and
+// whatever works on one block or one partition visits blocks, not entries.
 type SmartIndex struct {
 	opt Options
 
 	mu       sync.Mutex
-	entries  map[string]*entry
+	blocks   map[string]*block
+	entries  int64
 	lru      *list.List // front = most recent
 	bytes    int64
-	pins     []string        // pinned key prefixes (user preferences)
+	pins     []string        // pinned "<block id>|<atom key>" prefixes (user preferences)
 	pinAtoms map[string]bool // pinned atom keys, any block
 
 	hits, derived, misses metrics.Counter
 	stored, evLRU, evTTL  metrics.Counter
 }
 
+// block holds one data block's entries. byCol lists them per column: the
+// candidates whose range metadata may answer another atom on that column.
+type block struct {
+	id    string
+	byKey map[string]*entry
+	byCol map[string][]*entry
+}
+
 // entry is one cached predicate-evaluation result, held dense or — with
 // Options.Compress — in RLE form.
 type entry struct {
-	key     string // blockID + "|" + positive-form atom key
+	blk     *block
+	key     string // positive-form atom key
+	col     string
 	dense   *bitmap.Bitmap
 	packed  *bitmap.Compressed
 	numRows int
@@ -105,18 +119,36 @@ func New(opt Options) *SmartIndex {
 	if opt.Now == nil {
 		opt.Now = time.Now
 	}
-	return &SmartIndex{opt: opt, entries: make(map[string]*entry), lru: list.New(), pinAtoms: make(map[string]bool)}
+	return &SmartIndex{opt: opt, blocks: make(map[string]*block), lru: list.New(), pinAtoms: make(map[string]bool)}
 }
 
-// key is the entry key of the atom's positive form: a negated atom shares
-// its positive entry and is answered by bit-NOT.
-func key(blockID string, a plan.Atom) string {
-	return blockID + "|" + positiveKey(a)
+// atomPrefix matches prefix against the entry keys "<id>|<atom key>" of one
+// block: ok reports whether any can match, rest is the prefix their atom
+// keys must then carry ("" when the block id alone decides).
+func atomPrefix(id, prefix string) (rest string, ok bool) {
+	if len(prefix) <= len(id) {
+		return "", strings.HasPrefix(id, prefix)
+	}
+	if !strings.HasPrefix(prefix, id) || prefix[len(id)] != '|' {
+		return "", false
+	}
+	return prefix[len(id)+1:], true
 }
 
-func positiveKey(a plan.Atom) string {
-	a.Negated = false
-	return a.Key()
+// eachWithPrefix calls f for every entry whose key starts with prefix.
+// Caller holds mu; f may drop the entry it is handed.
+func (s *SmartIndex) eachWithPrefix(prefix string, f func(*entry)) {
+	for _, b := range s.blocks {
+		rest, ok := atomPrefix(b.id, prefix)
+		if !ok {
+			continue
+		}
+		for k, e := range b.byKey {
+			if strings.HasPrefix(k, rest) {
+				f(e)
+			}
+		}
+	}
 }
 
 // Pin registers a key-prefix preference: matching entries survive TTL
@@ -126,11 +158,7 @@ func (s *SmartIndex) Pin(prefix string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pins = append(s.pins, prefix)
-	for _, e := range s.entries {
-		if strings.HasPrefix(e.key, prefix) {
-			e.pinned = true
-		}
-	}
+	s.eachWithPrefix(prefix, func(e *entry) { e.pinned = true })
 }
 
 // PinAtom pins every current and future entry for the predicate atom
@@ -142,9 +170,8 @@ func (s *SmartIndex) PinAtom(atomKey string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pinAtoms[atomKey] = true
-	suffix := "|" + atomKey
-	for _, e := range s.entries {
-		if strings.HasSuffix(e.key, suffix) {
+	for _, b := range s.blocks {
+		if e := b.byKey[atomKey]; e != nil {
 			e.pinned = true
 		}
 	}
@@ -156,18 +183,18 @@ func (s *SmartIndex) UnpinAtom(atomKey string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.pinAtoms, atomKey)
-	suffix := "|" + atomKey
-	for _, e := range s.entries {
-		if strings.HasSuffix(e.key, suffix) {
-			e.pinned = s.prefixPinned(e.key)
+	for _, b := range s.blocks {
+		if e := b.byKey[atomKey]; e != nil {
+			e.pinned = s.prefixPinned(b.id, atomKey)
 		}
 	}
 }
 
-// prefixPinned reports whether a key matches a prefix pin. Caller holds mu.
-func (s *SmartIndex) prefixPinned(key string) bool {
+// prefixPinned reports whether a block's atom key matches a prefix pin.
+// Caller holds mu.
+func (s *SmartIndex) prefixPinned(blockID, atomKey string) bool {
 	for _, p := range s.pins {
-		if strings.HasPrefix(key, p) {
+		if rest, ok := atomPrefix(blockID, p); ok && strings.HasPrefix(atomKey, rest) {
 			return true
 		}
 	}
@@ -186,20 +213,26 @@ func (s *SmartIndex) prefixPinned(key string) bool {
 func (s *SmartIndex) Lookup(ctx context.Context, blockID string, a plan.Atom, n int) (*bitmap.Bitmap, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	b := s.blocks[blockID]
+	if b == nil {
+		s.misses.Inc()
+		return nil, false
+	}
 	now := s.opt.Now()
+	// The probe key is rendered on the stack: a lookup allocates nothing.
+	var buf [64]byte
+	e := b.byKey[string(a.AppendKey(buf[:0]))]
 
+	// A negated atom shares its positive form's entry (Key ignores Negated).
 	if a.Negated {
-		if bm, ok := s.fetchNegation(key(blockID, a), n, now); ok {
-			s.derived.Inc()
-			trace.FromContext(ctx).Count("index.derived", 1)
-			s.chargeLookup(ctx, n)
-			return bm, true
+		if bm, ok := s.fetchNegation(e, n, now); ok {
+			return bm, s.derivedHit(ctx, n)
 		}
 		s.misses.Inc()
 		return nil, false
 	}
 
-	if bm, ok := s.fetch(key(blockID, a), n, now); ok {
+	if bm, ok := s.fetch(e, n, now); ok {
 		s.hits.Inc()
 		s.chargeLookup(ctx, n)
 		return bm, true
@@ -211,35 +244,36 @@ func (s *SmartIndex) Lookup(ctx context.Context, blockID string, a plan.Atom, n 
 	// Complement derivation: an entry for the negated comparison answers
 	// this atom via bit-NOT (e.g. cached "c > 5" serves "c <= 5").
 	if comp, invertible := a.Op.Negate(); invertible {
-		ca := a
-		ca.Op = comp
-		if bm, ok := s.fetchNegation(key(blockID, ca), n, now); ok {
-			s.derived.Inc()
-			trace.FromContext(ctx).Count("index.derived", 1)
-			s.chargeLookup(ctx, n)
-			return bm, true
+		ca := plan.Atom{Col: a.Col, Op: comp, Val: a.Val}
+		if bm, ok := s.fetchNegation(b.byKey[string(ca.AppendKey(buf[:0]))], n, now); ok {
+			return bm, s.derivedHit(ctx, n)
 		}
 	}
 	// Range metadata: any cached entry for the same block+column carries
 	// the column's min/max; if they prove the atom all-true, answer
 	// without a stored vector.
-	if bm, ok := s.rangeAnswer(blockID, a, n, now); ok {
-		s.derived.Inc()
-		trace.FromContext(ctx).Count("index.derived", 1)
-		s.chargeLookup(ctx, n)
-		return bm, true
+	if bm, ok := s.rangeAnswer(b, a, n, now); ok {
+		return bm, s.derivedHit(ctx, n)
 	}
 	s.misses.Inc()
 	return nil, false
 }
 
-// fetchNegation answers NOT(atom at key k) by bit-NOT over the stored
-// vector when that is sound (NULL-free column). Caller holds s.mu.
-func (s *SmartIndex) fetchNegation(k string, n int, now time.Time) (*bitmap.Bitmap, bool) {
-	if e, ok := s.entries[k]; ok && e.stats.NullCount > 0 {
+// derivedHit accounts for an answer derived from another entry.
+func (s *SmartIndex) derivedHit(ctx context.Context, n int) bool {
+	s.derived.Inc()
+	trace.FromContext(ctx).Count("index.derived", 1)
+	s.chargeLookup(ctx, n)
+	return true
+}
+
+// fetchNegation answers NOT(e's atom) by bit-NOT over the stored vector
+// when that is sound (NULL-free column). Caller holds s.mu.
+func (s *SmartIndex) fetchNegation(e *entry, n int, now time.Time) (*bitmap.Bitmap, bool) {
+	if e != nil && e.stats.NullCount > 0 {
 		return nil, false
 	}
-	bm, ok := s.fetch(k, n, now)
+	bm, ok := s.fetch(e, n, now)
 	if !ok {
 		return nil, false
 	}
@@ -259,10 +293,10 @@ func (s *SmartIndex) chargeLookup(ctx context.Context, n int) {
 }
 
 // fetch returns a live entry's dense bitmap (decompressing if parked in
-// RLE), refreshing recency. Caller holds s.mu.
-func (s *SmartIndex) fetch(k string, n int, now time.Time) (*bitmap.Bitmap, bool) {
-	e, ok := s.entries[k]
-	if !ok {
+// RLE), refreshing recency; e is nil when the probe found none. Caller
+// holds s.mu.
+func (s *SmartIndex) fetch(e *entry, n int, now time.Time) (*bitmap.Bitmap, bool) {
+	if e == nil {
 		return nil, false
 	}
 	if s.expired(e, now) {
@@ -290,13 +324,12 @@ func (s *SmartIndex) fetch(k string, n int, now time.Time) (*bitmap.Bitmap, bool
 // rangeAnswer scans the block+column's entries for range metadata proving
 // the atom matches all rows (min/max within the predicate and no NULLs).
 // The all-false case is already handled by the executor's stats pruning.
-func (s *SmartIndex) rangeAnswer(blockID string, a plan.Atom, n int, now time.Time) (*bitmap.Bitmap, bool) {
+func (s *SmartIndex) rangeAnswer(b *block, a plan.Atom, n int, now time.Time) (*bitmap.Bitmap, bool) {
 	if a.Negated || a.Op == sqlparser.OpContains || a.Op == sqlparser.OpNe {
 		return nil, false
 	}
-	prefix := blockID + "|" + a.Col + " "
-	for k, e := range s.entries {
-		if !strings.HasPrefix(k, prefix) || s.expired(e, now) || e.numRows != n {
+	for _, e := range b.byCol[a.Col] {
+		if s.expired(e, now) || e.numRows != n {
 			continue
 		}
 		if e.stats.NullCount > 0 || e.stats.Min.IsNull() {
@@ -338,27 +371,39 @@ func atomAlwaysTrue(a plan.Atom, st colstore.Stats) bool {
 func (s *SmartIndex) Store(blockID string, a plan.Atom, bm *bitmap.Bitmap, stats colstore.Stats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	atomKey := positiveKey(a)
-	k := blockID + "|" + atomKey
+	atomKey := a.Key()
 	now := s.opt.Now()
-	if old, ok := s.entries[k]; ok {
-		s.drop(old)
+	b := s.blocks[blockID]
+	if b != nil {
+		if old := b.byKey[atomKey]; old != nil {
+			s.drop(old)
+		}
 	}
-	e := &entry{key: k, numRows: bm.Len(), stats: stats, created: now}
+	e := &entry{key: atomKey, col: a.Col, numRows: bm.Len(), stats: stats, created: now}
+	// An entry is charged for its vector, its "<block id>|<atom key>"
+	// identity and a fixed overhead.
+	overhead := int64(len(blockID) + 1 + len(atomKey) + 96)
 	if s.opt.Compress {
 		e.packed = bitmap.Compress(bm)
-		e.size = int64(e.packed.SizeBytes() + len(k) + 96)
+		e.size = int64(e.packed.SizeBytes()) + overhead
 	} else {
 		e.dense = bm.Clone()
-		e.size = int64(e.dense.SizeBytes() + len(k) + 96)
+		e.size = int64(e.dense.SizeBytes()) + overhead
 	}
-	e.pinned = s.prefixPinned(k) || s.pinAtoms[atomKey]
+	e.pinned = s.prefixPinned(blockID, atomKey) || s.pinAtoms[atomKey]
 	// Never admit an entry bigger than the whole budget.
 	if s.opt.MemoryBudget > 0 && e.size > s.opt.MemoryBudget {
 		return
 	}
+	if b == nil {
+		b = &block{id: blockID, byKey: make(map[string]*entry), byCol: make(map[string][]*entry)}
+	}
+	s.blocks[blockID] = b // new, or unfiled by the drop above when old was its only entry
+	e.blk = b
+	b.byKey[atomKey] = e
+	b.byCol[e.col] = append(b.byCol[e.col], e)
 	e.elem = s.lru.PushFront(e)
-	s.entries[k] = e
+	s.entries++
 	s.bytes += e.size
 	s.stored.Inc()
 	s.enforceBudget(e)
@@ -391,11 +436,13 @@ func (s *SmartIndex) Sweep() int {
 	defer s.mu.Unlock()
 	now := s.opt.Now()
 	removed := 0
-	for _, e := range s.entries {
-		if s.expired(e, now) {
-			s.drop(e)
-			s.evTTL.Inc()
-			removed++
+	for _, b := range s.blocks {
+		for _, e := range b.byKey {
+			if s.expired(e, now) {
+				s.drop(e)
+				s.evTTL.Inc()
+				removed++
+			}
 		}
 	}
 	return removed
@@ -408,13 +455,19 @@ func (s *SmartIndex) expired(e *entry, now time.Time) bool {
 	return !e.pinned && now.Sub(e.created) > s.opt.TTL
 }
 
-// drop removes an entry. Caller holds s.mu.
+// drop removes an entry, and its block with the last one. Caller holds s.mu.
 func (s *SmartIndex) drop(e *entry) {
-	delete(s.entries, e.key)
+	b := e.blk
+	delete(b.byKey, e.key)
+	b.byCol[e.col] = slices.DeleteFunc(b.byCol[e.col], func(x *entry) bool { return x == e })
+	if len(b.byKey) == 0 {
+		delete(s.blocks, b.id)
+	}
 	if e.elem != nil {
 		s.lru.Remove(e.elem)
 		e.elem = nil
 	}
+	s.entries--
 	s.bytes -= e.size
 }
 
@@ -424,12 +477,10 @@ func (s *SmartIndex) Invalidate(prefix string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	removed := 0
-	for k, e := range s.entries {
-		if strings.HasPrefix(k, prefix) {
-			s.drop(e)
-			removed++
-		}
-	}
+	s.eachWithPrefix(prefix, func(e *entry) {
+		s.drop(e)
+		removed++
+	})
 	return removed
 }
 
@@ -445,7 +496,7 @@ func (s *SmartIndex) Stats() Stats {
 		EvictedLRU:  s.evLRU.Value(),
 		EvictedTTL:  s.evTTL.Value(),
 		Bytes:       s.bytes,
-		Entries:     int64(len(s.entries)),
+		Entries:     s.entries,
 	}
 }
 
@@ -455,7 +506,7 @@ func (s *SmartIndex) Stats() Stats {
 func (s *SmartIndex) IndexLoad() (entries, bytes, budget int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return int64(len(s.entries)), s.bytes, s.opt.MemoryBudget
+	return s.entries, s.bytes, s.opt.MemoryBudget
 }
 
 // RegisterMetrics publishes the index's counters into a central registry

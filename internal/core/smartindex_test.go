@@ -270,13 +270,11 @@ func TestPinnedSurviveTTLAndEvictLast(t *testing.T) {
 	s2 := New(Options{})
 	s2.Store("b0", hot, bm(4, 0), stats(0, 9, 0))
 	s2.Pin("b0|hot ")
-	s2.mu.Lock()
-	for _, e := range s2.entries {
+	for _, e := range flat(t, s2) {
 		if !e.pinned {
 			t.Error("existing entry should be pinned retroactively")
 		}
 	}
-	s2.mu.Unlock()
 }
 
 func TestPinnedEvictedUnderPressure(t *testing.T) {

@@ -29,6 +29,7 @@ package events
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -286,5 +287,5 @@ func (r *Recorder) Dropped() uint64 {
 // chain is causally ordered within its own site, which keeps the canonical
 // journal deterministic even when sibling tasks race.
 func TaskSite(query string, ordinal int) string {
-	return fmt.Sprintf("task/%s#%d", query, ordinal)
+	return "task/" + query + "#" + strconv.Itoa(ordinal)
 }

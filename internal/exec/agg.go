@@ -195,15 +195,45 @@ func AppendGroupKey(dst []byte, keys []types.Value) []byte {
 }
 
 // Get returns (creating if needed) the group for the keys.
-func (g *Groups) Get(keys []types.Value) *Group {
-	k := GroupKey(keys)
-	grp, ok := g.M[k]
+func (g *Groups) Get(keys []types.Value) *Group { return g.get(keys, &groupSlabs{}) }
+
+// get is Get with new groups carved from the caller's slabs. The probe
+// renders the key into a stack buffer, so finding an existing group allocates
+// nothing and a new one, beyond itself, only its map key.
+func (g *Groups) get(keys []types.Value, slabs *groupSlabs) *Group {
+	var arr [64]byte
+	buf := AppendGroupKey(arr[:0], keys)
+	grp, ok := g.M[string(buf)]
 	if !ok {
-		kc := make([]types.Value, len(keys))
-		copy(kc, keys)
-		grp = &Group{Keys: kc, Cells: make([]Cell, g.NumAggs)}
-		g.M[k] = grp
+		grp = slabs.newGroup(keys, g.NumAggs)
+		g.M[string(buf)] = grp
 	}
+	return grp
+}
+
+// groupSlabs hands out the groups one scan creates (all of one key width
+// and aggregate count) from chunks that grow with the group count, up to 64
+// at a time: a high-cardinality GROUP BY allocates per chunk, and a
+// one-group result holds one group.
+type groupSlabs struct {
+	made   int
+	groups []Group
+	keys   []types.Value
+	cells  []Cell
+}
+
+func (sl *groupSlabs) newGroup(keys []types.Value, numAggs int) *Group {
+	if len(sl.groups) == 0 {
+		n := min(max(sl.made, 1), 64)
+		sl.groups = make([]Group, n)
+		sl.keys = make([]types.Value, n*len(keys))
+		sl.cells = make([]Cell, n*numAggs)
+	}
+	grp := &sl.groups[0]
+	grp.Keys, grp.Cells = sl.keys[:len(keys):len(keys)], sl.cells[:numAggs:numAggs]
+	copy(grp.Keys, keys)
+	sl.groups, sl.keys, sl.cells = sl.groups[1:], sl.keys[len(keys):], sl.cells[numAggs:]
+	sl.made++
 	return grp
 }
 
@@ -221,13 +251,14 @@ func (g *Groups) Merge(o *Groups) {
 // UpdateRow folds one joined row into the group state: group keys and
 // aggregate arguments are evaluated against env.
 func (g *Groups) UpdateRow(groupBy []sqlparser.Expr, aggs []plan.AggSpec, env Env) error {
-	keys := make([]types.Value, len(groupBy))
-	for i, expr := range groupBy {
+	var arr [4]types.Value
+	keys := arr[:0]
+	for _, expr := range groupBy {
 		v, err := Eval(expr, env)
 		if err != nil {
 			return err
 		}
-		keys[i] = v
+		keys = append(keys, v)
 	}
 	grp := g.Get(keys)
 	for i, spec := range aggs {

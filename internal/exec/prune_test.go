@@ -76,7 +76,7 @@ func TestAtomImpossibleBoundaries(t *testing.T) {
 		for _, o := range ops {
 			for pi, probe := range probes {
 				a := plan.Atom{Table: "t", Col: "c", Op: o.op, Val: types.NewInt(probe)}
-				got := atomImpossible(a, ch.stats)
+				got := impossible(a, ch.stats)
 				if got && anyRowMatches(a, ch.col) {
 					t.Fatalf("%s: pruned c %s %d but a row matches", ch.name, o.name, probe)
 				}
@@ -95,7 +95,7 @@ func TestAtomImpossibleBoundaries(t *testing.T) {
 			}
 			// NULL literal matches nothing for any operator.
 			a := plan.Atom{Table: "t", Col: "c", Op: o.op, Val: types.NullValue()}
-			if !atomImpossible(a, ch.stats) {
+			if !impossible(a, ch.stats) {
 				t.Errorf("%s: c %s NULL not pruned", ch.name, o.name)
 			}
 		}
@@ -105,10 +105,10 @@ func TestAtomImpossibleBoundaries(t *testing.T) {
 	ne := func(v int64) plan.Atom {
 		return plan.Atom{Table: "t", Col: "c", Op: sqlparser.OpNe, Val: types.NewInt(v)}
 	}
-	if !atomImpossible(ne(5), constantStats) {
+	if !impossible(ne(5), constantStats) {
 		t.Error("constant chunk: c != 5 should be pruned (min==max==5, NULLs match nothing)")
 	}
-	if atomImpossible(ne(6), constantStats) {
+	if impossible(ne(6), constantStats) {
 		t.Error("constant chunk: c != 6 must not be pruned")
 	}
 
@@ -116,49 +116,59 @@ func TestAtomImpossibleBoundaries(t *testing.T) {
 	// cannot see what the negation misses), but an all-NULL chunk prunes
 	// even negations — EvalAtom rejects NULL before the negation applies.
 	notContains := plan.Atom{Table: "t", Col: "c", Op: sqlparser.OpContains, Negated: true, Val: types.NewString("x")}
-	if atomImpossible(notContains, plainStats) {
+	if impossible(notContains, plainStats) {
 		t.Error("NOT CONTAINS pruned on a chunk with values")
 	}
-	if !atomImpossible(notContains, allNullStats) {
+	if !impossible(notContains, allNullStats) {
 		t.Error("NOT CONTAINS not pruned on an all-NULL chunk")
 	}
 
 	// Incomparable literal: stats prove nothing, no pruning.
-	if atomImpossible(plan.Atom{Table: "t", Col: "c", Op: sqlparser.OpLt, Val: types.NewString("z")}, plainStats) {
+	if impossible(plan.Atom{Table: "t", Col: "c", Op: sqlparser.OpLt, Val: types.NewString("z")}, plainStats) {
 		t.Error("incomparable literal pruned")
 	}
 
 	// Bloom: equality on a value inside the range but absent from the chunk.
-	if !atomImpossible(plan.Atom{Table: "t", Col: "c", Op: sqlparser.OpEq, Val: types.NewInt(3)}, plainStats) {
+	if !impossible(plan.Atom{Table: "t", Col: "c", Op: sqlparser.OpEq, Val: types.NewInt(3)}, plainStats) {
 		t.Error("bloom should prune c = 3 (in range 2..7 but absent)")
 	}
+}
+
+// impossible binds the atom as a task would and asks atomImpossible.
+func impossible(a plan.Atom, st colstore.Stats) bool {
+	t := &scanTask{plan: &plan.PhysicalPlan{FactCols: []string{a.Col}}}
+	return atomImpossible(&t.bindClause(plan.Clause{Atoms: []plan.Atom{a}}).atoms[0], &st)
 }
 
 // TestClauseImpossible: a clause is pruned only when every OR-leaf is
 // impossible and nothing opaque hides in it.
 func TestClauseImpossible(t *testing.T) {
 	_, stats := pruneColumn([]int64{2, 4, 7}, nil)
-	s := &scanner{colIdx: map[string]int{"c": 0}}
-	bm := colstore.BlockMeta{Stats: colstore.BlockStats{NumRows: 3, Columns: []colstore.Stats{stats}}}
+	s := &scanTask{plan: &plan.PhysicalPlan{FactCols: []string{"c"}}, ords: []int{0}}
+	bm := &colstore.BlockMeta{Stats: colstore.BlockStats{NumRows: 3, Columns: []colstore.Stats{stats}}}
 
+	bound := func(cl plan.Clause) *scanClause {
+		b := s.bindClause(cl)
+		return &b
+	}
 	below := plan.Atom{Table: "t", Col: "c", Op: sqlparser.OpLt, Val: types.NewInt(2)}
 	inside := plan.Atom{Table: "t", Col: "c", Op: sqlparser.OpEq, Val: types.NewInt(4)}
 
-	if !s.clauseImpossible(plan.Clause{Atoms: []plan.Atom{below}}, bm) {
+	if !clauseImpossible(bound(plan.Clause{Atoms: []plan.Atom{below}}), s.ords, bm) {
 		t.Error("clause with a single impossible atom not pruned")
 	}
-	if s.clauseImpossible(plan.Clause{Atoms: []plan.Atom{below, inside}}, bm) {
+	if clauseImpossible(bound(plan.Clause{Atoms: []plan.Atom{below, inside}}), s.ords, bm) {
 		t.Error("OR with a satisfiable leaf was pruned")
 	}
-	if s.clauseImpossible(plan.Clause{}, bm) {
+	if clauseImpossible(bound(plan.Clause{}), s.ords, bm) {
 		t.Error("empty clause pruned")
 	}
-	if s.clauseImpossible(plan.Clause{Atoms: []plan.Atom{below}, Opaque: []sqlparser.Expr{&sqlparser.Literal{}}}, bm) {
+	if clauseImpossible(bound(plan.Clause{Atoms: []plan.Atom{below}, Opaque: []sqlparser.Expr{&sqlparser.Literal{}}}), s.ords, bm) {
 		t.Error("clause with an opaque leaf pruned")
 	}
 	// Unknown column: stats unavailable, no pruning.
 	unknown := plan.Atom{Table: "t", Col: "zz", Op: sqlparser.OpLt, Val: types.NewInt(2)}
-	if s.clauseImpossible(plan.Clause{Atoms: []plan.Atom{unknown}}, bm) {
+	if clauseImpossible(bound(plan.Clause{Atoms: []plan.Atom{unknown}}), s.ords, bm) {
 		t.Error("clause over unknown column pruned")
 	}
 }

@@ -2,8 +2,11 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/bitmap"
@@ -140,60 +143,36 @@ func RunTaskModel(ctx context.Context, task plan.TaskSpec, reader PartitionReade
 	ctx, span := trace.StartSpan(ctx, "scan")
 	span.SetAttr("partition", task.Partition.Path)
 	defer span.Finish()
-	meta, err := reader.Meta(ctx, task.Partition.Path)
+	s, err := newScanner(ctx, task, reader, idx, model)
 	if err != nil {
-		return nil, fmt.Errorf("exec: meta %s: %w", task.Partition.Path, err)
-	}
-	s := &scanner{
-		ctx:    ctx,
-		plan:   p,
-		path:   task.Partition.Path,
-		meta:   meta,
-		reader: reader,
-		idx:    idx,
-		model:  model,
-		fact:   p.Fact().Ref.Binding(),
-	}
-	if err := s.resolveColumns(); err != nil {
 		return nil, err
 	}
-	if err := s.buildDimTables(); err != nil {
-		return nil, err
-	}
-
 	res := &TaskResult{}
 	if p.Mode == plan.ModeAgg {
 		res.Groups = NewGroups(len(p.Aggs))
 	}
-	nb := len(meta.Blocks)
+	nb := len(s.meta.Blocks)
 	workers := effectiveWorkers(task.Workers, nb, p)
 	switch {
-	case p.ScanLimit >= 0:
-		// Pushed-down LIMIT stops mid-stream; its cross-block early exit
-		// is inherently serial, so it keeps the direct-accumulation path.
-		for bi := 0; bi < nb; bi++ {
-			res.Stats.BlocksTotal++
-			done, err := s.scanBlock(bi, res)
-			if err != nil {
-				return nil, err
-			}
-			if done {
-				break
-			}
-		}
 	case workers <= 1:
 		// Serial reference path: per-block partials merged in block order —
 		// the same result structure the parallel path produces, so both are
-		// bit-identical (float aggregation order included).
-		for bi := 0; bi < nb; bi++ {
-			part, err := s.scanBlockPartial(bi)
-			if err != nil {
+		// bit-identical (float aggregation order included). A pushed-down
+		// LIMIT stops mid-stream (which is why it is serial) and gathers
+		// every block into one partial.
+		var part blockPartial
+		for bi, done := 0, false; bi < nb && !done; bi++ {
+			if done, err = s.scanBlock(bi, &part); err != nil {
 				return nil, err
 			}
-			mergePartial(res, part)
+			if p.ScanLimit < 0 {
+				res.fold(&part)
+				part = blockPartial{}
+			}
 		}
+		res.fold(&part)
 	default:
-		if err := s.scanParallel(ctx, workers, nb, res); err != nil {
+		if _, err := s.scanParallel(ctx, workers, res); err != nil {
 			return nil, err
 		}
 	}
@@ -229,137 +208,286 @@ func effectiveWorkers(requested, blocks int, p *plan.PhysicalPlan) int {
 	return w
 }
 
-// scanBlockPartial scans one block into a fresh partial result. Partials are
-// merged in ascending block order by both the serial and parallel paths, so
-// float aggregation order — and therefore every output bit — is independent
-// of the worker count.
-func (s *scanner) scanBlockPartial(bi int) (*TaskResult, error) {
-	part := &TaskResult{}
-	if s.plan.Mode == plan.ModeAgg {
-		part.Groups = NewGroups(len(s.plan.Aggs))
-	}
-	part.Stats.BlocksTotal++
-	if _, err := s.scanBlock(bi, part); err != nil {
-		return nil, err
-	}
-	return part, nil
+// blockPartial is what scanning one block yields. Serial and parallel paths
+// both fold partials into the task result in ascending block order, so float
+// aggregation order — and every output bit — is independent of the workers.
+type blockPartial struct {
+	stats  ScanStats
+	rows   [][]types.Value
+	groups *Groups // nil until a row is aggregated
+	count  int64   // rows of a block answered as a pure COUNT(*)
+	err    error
 }
 
-// mergePartial folds one block's partial into the task result.
-func mergePartial(res, part *TaskResult) {
-	res.Stats.Add(part.Stats)
-	res.Rows = append(res.Rows, part.Rows...)
-	if part.Groups != nil && res.Groups != nil {
-		res.Groups.Merge(part.Groups)
+// fold merges one block's partial into the task result.
+func (r *TaskResult) fold(part *blockPartial) {
+	r.Stats.Add(part.stats)
+	r.Rows = append(r.Rows, part.rows...)
+	if part.count > 0 {
+		cells := r.Groups.Get(nil).Cells
+		for i := range cells {
+			cells[i].Count += part.count
+		}
+	}
+	if part.groups != nil {
+		r.Groups.Merge(part.groups)
 	}
 }
 
-// scanParallel fans the task's blocks over a bounded worker pool. Blocks are
-// statically striped (worker w takes blocks w, w+N, w+2N, ...) so each
-// worker's charge set — and hence its bill — is deterministic regardless of
-// goroutine scheduling. Worker bills compose into the task bill along the
-// critical path: resource totals sum, elapsed time advances by the slowest
-// worker, which is what models intra-node parallel speedup in simulation.
-func (s *scanner) scanParallel(ctx context.Context, workers, nb int, res *TaskResult) error {
-	partials := make([]*TaskResult, nb)
-	errs := make([]error, nb)
+// errNeedsColumn stops a block scanned on the task's own goroutine at its
+// first column read; the stripe then moves to a goroutine of its own.
+var errNeedsColumn = errors.New("exec: block needs a column read")
+
+// scanParallel splits the task's blocks over workers. Blocks are statically
+// striped (worker w takes blocks w, w+N, w+2N, ...) so each worker's charge
+// set — and hence its bill — is deterministic regardless of goroutine
+// scheduling. Worker bills compose into the task bill along the critical
+// path: resource totals sum, elapsed time advances by the slowest worker,
+// which is what models intra-node parallel speedup in simulation. A stripe
+// runs on the caller's goroutine while footers prune its blocks or bitmaps
+// answer them, and from its first column read on one of its own (spawned
+// counts those): a warm task starts none.
+func (s *scanner) scanParallel(ctx context.Context, workers int, res *TaskResult) (spawned int, err error) {
+	partials := make([]blockPartial, len(s.meta.Blocks))
 	parentBill := storage.BillFrom(ctx)
 	bills := make([]*sim.Bill, 0, workers)
+	stripes := make([]scanner, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range stripes {
 		wctx := ctx
 		if parentBill != nil {
 			b := sim.NewBill()
 			bills = append(bills, b)
 			wctx = storage.WithBill(ctx, b)
 		}
-		ws := s.forWorker(wctx)
-		wg.Add(1)
-		go func(w int, ws *scanner) {
-			defer wg.Done()
-			for bi := w; bi < nb; bi += workers {
-				part, err := ws.scanBlockPartial(bi)
-				if err != nil {
-					errs[bi] = err
-					return
-				}
-				partials[bi] = part
-			}
-		}(w, ws)
+		ws := &stripes[w]
+		*ws = s.newStripe(wctx)
+		ws.inline = true
+		if bi := ws.scanStripe(w, workers, partials); bi < len(partials) {
+			spawned++
+			ws.inline = false
+			wg.Add(1)
+			go func(bi int) {
+				defer wg.Done()
+				ws.scanStripe(bi, workers, partials)
+			}(bi)
+		}
 	}
 	wg.Wait()
 	if parentBill != nil {
 		parentBill.AddParallel(bills...)
 	}
-	for bi := 0; bi < nb; bi++ {
-		// Errors surface in block order: the lowest failing block wins, so
-		// the reported error does not depend on worker interleaving. A nil
-		// partial past a failing block belongs to the same stripe and is
-		// never reached.
-		if errs[bi] != nil {
-			return errs[bi]
+	for bi := range partials {
+		// Errors surface in block order: the lowest failing block wins,
+		// whatever the interleaving. An unscanned partial past it belongs to
+		// the same stripe and is never reached.
+		if partials[bi].err != nil {
+			return spawned, partials[bi].err
 		}
-		if partials[bi] != nil {
-			mergePartial(res, partials[bi])
+		res.fold(&partials[bi])
+	}
+	return spawned, nil
+}
+
+// scanStripe scans blocks from, from+step, ... into their partials. It
+// returns len(partials) when done or failed, or — only while s.inline — the
+// first block that has to read a column; that block's index answers stay in
+// s.replay, so scanning it again probes (bills, counts) nothing twice.
+func (s *scanner) scanStripe(from, step int, partials []blockPartial) int {
+	for bi := from; bi < len(partials); bi += step {
+		_, err := s.scanBlock(bi, &partials[bi])
+		if err == errNeedsColumn {
+			partials[bi] = blockPartial{}
+			return bi
+		}
+		s.replay = s.replay[:0]
+		if err != nil {
+			partials[bi].err = err
+			break
 		}
 	}
-	return nil
+	return len(partials)
 }
 
-// forWorker derives a worker-private scanner: shared read-only task state
-// (plan, meta, resolved columns, dimension hash tables), private context
-// (carrying the worker's bill) and per-block scratch.
-func (s *scanner) forWorker(ctx context.Context) *scanner {
-	ws := *s
-	ws.ctx = ctx
-	ws.block = 0
-	ws.cols = nil
-	ws.stats = nil
-	return &ws
-}
-
-// scanner carries per-task state.
-type scanner struct {
-	ctx    context.Context
+// scanTask is what newScanner resolves once per task, so that the per-block
+// and per-row loops look nothing up and render nothing. It is read-only
+// while blocks are scanned and shared by the task's stripes.
+type scanTask struct {
 	plan   *plan.PhysicalPlan
 	path   string
 	meta   *colstore.FileMeta
 	reader PartitionReader
 	idx    IndexSource
+	obs    ColumnObserver // idx, when it also indexes raw columns
 	model  *sim.CostModel // nil: predicate CPU time is not billed
 	fact   string
 
-	colIdx map[string]int // fact column name -> file ordinal
-	dims   []*dimTable
+	blockIDs  []string // SmartIndex block ids, by block ordinal
+	ords      []int    // position in plan.FactCols -> file ordinal
+	filter    []scanClause
+	ungrouped bool // agg mode with no GROUP BY, dims or post filter
+	countStar bool // ungrouped, and every aggregate is COUNT(*)
+	dims      []*dimTable
+	outs      []boundExpr // select mode: output expressions
+	keys      []boundExpr // agg mode: group-by keys
+	args      []boundExpr // agg mode: aggregate arguments, aligned with plan.Aggs
+}
+
+// scanner scans a task, or one stripe of it, on one bill. It holds the block
+// and row being scanned and is the Env of every expression the task
+// evaluates: the current fact row plus the dimension rows matched to it.
+type scanner struct {
+	*scanTask
+	ctx context.Context
 
 	// per-block state
-	block int
-	cols  map[int]*colstore.Column
-	stats *ScanStats
+	block   int
+	cols    []*colstore.Column // by FactCols position; nil until fetched
+	part    *blockPartial
+	sel     bitmap.Bitmap    // the block's selection vector
+	inline  bool             // a column read stops the block with errNeedsColumn
+	replay  []*bitmap.Bitmap // index answers (nil: miss) of the block stopped that way
+	replays int              // how many of them the rescan has consumed
+	slabs   groupSlabs       // where the blocks' new groups come from
+	keyVals []types.Value    // group-by or join key of the current row
+	keyBuf  []byte           // its encoding
+
+	// per-row state
+	row     int
+	dimRows []int // per dimension: the matched row, -1 while none is bound
+}
+
+// newStripe returns a scanner over the task's blocks billing ctx.
+func (t *scanTask) newStripe(ctx context.Context) scanner {
+	s := scanner{scanTask: t, ctx: ctx, cols: make([]*colstore.Column, len(t.ords))}
+	for range t.dims {
+		s.dimRows = append(s.dimRows, -1)
+	}
+	return s
+}
+
+// colPos returns the fact column's position in plan.FactCols, or -1: the
+// per-task ordinal table is the (short) column list itself.
+func (t *scanTask) colPos(name string) int { return slices.Index(t.plan.FactCols, name) }
+
+// scanAtom is a filter atom resolved for the task.
+type scanAtom struct {
+	plan.Atom        // as planned, negation intact
+	col       int    // position in plan.FactCols, -1 for an unknown column
+	bloom     []byte // equality atoms: the literal's bloom key
+}
+
+type scanClause struct {
+	atoms  []scanAtom
+	opaque []sqlparser.Expr
+}
+
+// boundExpr is an output expression, aggregate argument, group-by or join
+// key bound once per task: a plain fact column to its FactCols position, read
+// from the block's typed slices; anything else to Eval over the scanner.
+type boundExpr struct {
+	col  int // -1: evaluate expr
+	expr sqlparser.Expr
 }
 
 type dimTable struct {
-	plan    *plan.DimPlan
-	colIdx  map[string]int // dim column -> index in Data rows
-	hash    map[string][]int
-	binding string
+	plan     *plan.DimPlan
+	colIdx   map[string]int // dim column -> index in Data rows
+	hash     map[string][]int
+	factKeys []boundExpr
+	binding  string
 }
 
-func (s *scanner) resolveColumns() error {
-	s.colIdx = make(map[string]int, len(s.plan.FactCols))
-	for _, name := range s.plan.FactCols {
-		ord := s.meta.Schema.Index(name)
-		if ord < 0 {
-			return fmt.Errorf("exec: partition %s lacks column %q", s.path, name)
-		}
-		s.colIdx[name] = ord
+// newScanner resolves the task and returns the scanner of its serial paths.
+func newScanner(ctx context.Context, task plan.TaskSpec, reader PartitionReader, idx IndexSource, model *sim.CostModel) (*scanner, error) {
+	p, path := task.Plan, task.Partition.Path
+	meta, err := reader.Meta(ctx, path)
+	if err != nil {
+		return nil, fmt.Errorf("exec: meta %s: %w", path, err)
 	}
-	return nil
+	t := &scanTask{plan: p, path: path, meta: meta, reader: reader, idx: idx, model: model, fact: p.Fact().Ref.Binding()}
+	t.obs, _ = idx.(ColumnObserver)
+	t.ords = make([]int, len(p.FactCols))
+	for i, name := range p.FactCols {
+		if t.ords[i] = meta.Schema.Index(name); t.ords[i] < 0 {
+			return nil, fmt.Errorf("exec: partition %s lacks column %q", path, name)
+		}
+	}
+	if nb := len(meta.Blocks); idx != nil {
+		// Block ids are "<path>#<block>" (Invalidate(path+"#") relies on it),
+		// cut from one rendering of them all.
+		all, ends := make([]byte, 0, nb*(len(path)+4)), make([]int, nb+1)
+		for bi := 0; bi < nb; bi++ {
+			all = strconv.AppendInt(append(append(all, path...), '#'), int64(bi), 10)
+			ends[bi+1] = len(all)
+		}
+		t.blockIDs = make([]string, nb)
+		for bi, str := 0, string(all); bi < nb; bi++ {
+			t.blockIDs[bi] = str[ends[bi]:ends[bi+1]]
+		}
+	}
+	t.filter = make([]scanClause, len(p.Filter.Clauses))
+	for i, cl := range p.Filter.Clauses {
+		t.filter[i] = t.bindClause(cl)
+	}
+	// With no grouping, dims or post filter a block is aggregated column by
+	// column; with only COUNT(*) aggregates on top, it is just counted.
+	t.ungrouped = p.Mode == plan.ModeAgg && len(p.GroupBy) == 0 && len(p.Dims) == 0 && len(p.Post) == 0
+	t.countStar = t.ungrouped && len(p.Aggs) > 0
+	for _, a := range p.Aggs {
+		t.countStar = t.countStar && a.Star
+	}
+	if err := t.buildDimTables(); err != nil {
+		return nil, err
+	}
+	t.keys = t.bindAll(p.GroupBy)
+	if p.Mode != plan.ModeAgg {
+		t.outs = make([]boundExpr, len(p.A.Outputs))
+		for i, oi := range p.A.Outputs {
+			t.outs[i] = t.bind(oi.Expr)
+		}
+	}
+	t.args = make([]boundExpr, len(p.Aggs))
+	for i, a := range p.Aggs {
+		if !a.Star {
+			t.args[i] = t.bind(a.Arg)
+		}
+	}
+	s := t.newStripe(ctx)
+	return &s, nil
 }
 
-func (s *scanner) buildDimTables() error {
-	for _, d := range s.plan.Dims {
-		dt := &dimTable{plan: d, binding: d.Table.Ref.Binding(), colIdx: make(map[string]int)}
+func (t *scanTask) bindClause(cl plan.Clause) scanClause {
+	out := scanClause{atoms: make([]scanAtom, len(cl.Atoms)), opaque: cl.Opaque}
+	for i, a := range cl.Atoms {
+		out.atoms[i] = scanAtom{Atom: a, col: t.colPos(a.Col)}
+		if a.Op == sqlparser.OpEq {
+			out.atoms[i].bloom = colstore.BloomKey(a.Val)
+		}
+	}
+	return out
+}
+
+func (t *scanTask) bind(e sqlparser.Expr) boundExpr {
+	if c, ok := e.(*sqlparser.ColumnRef); ok && c.Table == t.fact {
+		if pos := t.colPos(c.Column); pos >= 0 {
+			return boundExpr{col: pos}
+		}
+	}
+	return boundExpr{col: -1, expr: e}
+}
+
+func (t *scanTask) bindAll(exprs []sqlparser.Expr) []boundExpr {
+	out := make([]boundExpr, len(exprs))
+	for i, e := range exprs {
+		out[i] = t.bind(e)
+	}
+	return out
+}
+
+func (t *scanTask) buildDimTables() error {
+	for _, d := range t.plan.Dims {
+		dt := &dimTable{plan: d, binding: d.Table.Ref.Binding(), colIdx: make(map[string]int), factKeys: t.bindAll(d.FactKeys)}
 		for i, c := range d.Needed {
 			dt.colIdx[c] = i
 		}
@@ -382,28 +510,27 @@ func (s *scanner) buildDimTables() error {
 				dt.hash[k] = append(dt.hash[k], ri)
 			}
 		}
-		s.dims = append(s.dims, dt)
+		t.dims = append(t.dims, dt)
 	}
 	return nil
 }
 
-// blockID identifies a block for SmartIndex keys.
-func (s *scanner) blockID(block int) string {
-	return fmt.Sprintf("%s#%d", s.path, block)
-}
-
-// column fetches (and caches for the current block) a fact column chunk.
-func (s *scanner) column(name string) (*colstore.Column, error) {
-	ord := s.colIdx[name]
-	if c, ok := s.cols[ord]; ok {
+// column fetches (and keeps for the current block) the fact column chunk at
+// a FactCols position.
+func (s *scanner) column(pos int) (*colstore.Column, error) {
+	if c := s.cols[pos]; c != nil {
 		return c, nil
 	}
+	if s.inline {
+		return nil, errNeedsColumn
+	}
+	ord := s.ords[pos]
 	c, err := s.reader.Column(s.ctx, s.path, s.meta, s.block, ord)
 	if err != nil {
 		return nil, err
 	}
-	s.cols[ord] = c
-	s.stats.ColumnReads++
+	s.cols[pos] = c
+	s.part.stats.ColumnReads++
 	if s.model != nil {
 		// Predicate evaluation over the chunk is CPU work, priced per byte
 		// fetched; with several workers this lands on per-worker bills and
@@ -415,94 +542,147 @@ func (s *scanner) column(name string) (*colstore.Column, error) {
 	return c, nil
 }
 
-// scanBlock processes one block; it returns done=true when a pushed-down
-// LIMIT is satisfied.
-func (s *scanner) scanBlock(bi int, res *TaskResult) (bool, error) {
-	bm := s.meta.Blocks[bi]
-	s.block = bi
-	s.cols = make(map[int]*colstore.Column)
-	s.stats = &res.Stats
-
+// scanBlock scans one block into part; it returns done=true when a
+// pushed-down LIMIT is satisfied.
+func (s *scanner) scanBlock(bi int, part *blockPartial) (bool, error) {
+	bm := &s.meta.Blocks[bi]
+	s.block, s.part, s.replays = bi, part, 0
+	clear(s.cols)
+	part.stats.BlocksTotal++
 	// Footer-stats pruning: a block where some clause cannot be satisfied
 	// by any row is skipped without touching data or indexes.
-	for _, cl := range s.plan.Filter.Clauses {
-		if s.clauseImpossible(cl, bm) {
-			res.Stats.BlocksPruned++
+	for i := range s.filter {
+		if clauseImpossible(&s.filter[i], s.ords, bm) {
+			part.stats.BlocksPruned++
 			return false, nil
 		}
 	}
 
-	sel, decided, err := s.selection(bm)
+	sel, decided, err := s.selection(bm.Stats.NumRows)
 	if err != nil {
 		return false, err
 	}
-	res.Stats.RowsScanned += int64(bm.Stats.NumRows)
+	part.stats.RowsScanned += int64(bm.Stats.NumRows)
 	selected := sel.Count()
-	res.Stats.RowsSelected += int64(selected)
+	part.stats.RowsSelected += int64(selected)
 	if selected == 0 {
-		res.Stats.BlocksEmpty++
+		part.stats.BlocksEmpty++
 		return false, nil
 	}
 
 	// The paper's headline shortcut (Fig. 7): a fully indexed COUNT(*)
 	// needs no data access at all.
-	if s.plan.Mode == plan.ModeAgg && s.pureCountStar() {
-		if decided && len(s.cols) == 0 {
-			res.Stats.ShortCircuits++
+	if s.countStar {
+		if decided {
+			part.stats.ShortCircuits++
 		}
-		grp := res.Groups.Get(nil)
-		for i := range s.plan.Aggs {
-			grp.Cells[i].Count += int64(selected)
-		}
+		part.count += int64(selected)
 		return false, nil
 	}
 
-	// Row-wise output over selected records.
-	emitDone := false
-	var rowErr error
+	if s.plan.Mode == plan.ModeAgg && part.groups == nil {
+		part.groups = NewGroups(len(s.plan.Aggs))
+	}
+	if s.ungrouped {
+		return false, s.foldSelection(sel, int64(selected))
+	}
+	// Row-wise output over selected records, in ascending row order.
+	done := false
 	sel.ForEachSet(func(r int) {
-		if emitDone || rowErr != nil {
-			return
-		}
-		done, err := s.emitRecord(r, res)
-		if err != nil {
-			rowErr = err
-			return
-		}
-		if done {
-			emitDone = true
+		if !done && err == nil {
+			s.row = r
+			done, err = s.joinFrom(0)
 		}
 	})
-	return emitDone, rowErr
+	return done, err
 }
 
-// pureCountStar reports whether the block's work reduces to counting
-// selected rows: aggregation with no grouping, no dims, no post filter and
-// only COUNT(*) aggregates.
-func (s *scanner) pureCountStar() bool {
-	if len(s.plan.GroupBy) != 0 || len(s.plan.Dims) != 0 || len(s.plan.Post) != 0 {
-		return false
-	}
-	for _, a := range s.plan.Aggs {
-		if !a.Star {
-			return false
+// foldSelection aggregates the selected rows of a statement with no GROUP
+// BY, join or post-join clause one aggregate at a time. Each cell still sees
+// its rows in ascending order, so its float sum is bit-identical to the
+// row-by-row one.
+func (s *scanner) foldSelection(sel *bitmap.Bitmap, selected int64) (err error) {
+	s.part.stats.RowsEmitted += selected
+	cells := s.part.groups.get(nil, &s.slabs).Cells
+	for i, spec := range s.plan.Aggs {
+		cell, arg := &cells[i], s.args[i]
+		if spec.Star {
+			cell.Count += selected
+			continue
+		}
+		if arg.col >= 0 {
+			c, err := s.column(arg.col)
+			if err != nil {
+				return err
+			}
+			if foldFlat(cell, c, sel) {
+				continue
+			}
+		}
+		sel.ForEachSet(func(r int) {
+			if s.row = r; err == nil {
+				var v types.Value
+				if v, err = s.value(arg); err == nil {
+					cell.Update(v, false)
+				}
+			}
+		})
+		if err != nil {
+			return err
 		}
 	}
-	return len(s.plan.Aggs) > 0
+	return nil
+}
+
+// foldFlat folds the selected values of a flat, NULL-free numeric column
+// into an empty cell straight from the typed slice, and reports whether it
+// could.
+func foldFlat(cell *Cell, c *colstore.Column, sel *bitmap.Bitmap) bool {
+	if c.Offsets != nil || c.Nulls != nil || *cell != (Cell{}) {
+		return false
+	}
+	switch c.Type {
+	case types.Int64:
+		n, sum, lo, hi := foldValues(c.Ints, sel)
+		*cell = Cell{Count: n, SumI: sum, Min: types.NewInt(lo), Max: types.NewInt(hi)}
+	case types.Float64:
+		n, sum, lo, hi := foldValues(c.Floats, sel)
+		*cell = Cell{Count: n, SumF: sum, Float: true, Min: types.NewFloat(lo), Max: types.NewFloat(hi)}
+	default:
+		return false
+	}
+	return true
+}
+
+// foldValues does what Cell.Update does value by value: the sum grows from
+// zero in row order, min and max move on < and > only (a leading NaN stays).
+func foldValues[T int64 | float64](vals []T, sel *bitmap.Bitmap) (n int64, sum, lo, hi T) {
+	sel.ForEachSet(func(r int) {
+		v := vals[r]
+		if n == 0 {
+			lo, hi = v, v
+		}
+		n++
+		sum += v
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	})
+	return n, sum, lo, hi
 }
 
 // clauseImpossible prunes via footer min/max: true when every leaf of the
 // clause is an atom that no row in the block can satisfy.
-func (s *scanner) clauseImpossible(cl plan.Clause, bm colstore.BlockMeta) bool {
-	if len(cl.Opaque) > 0 || len(cl.Atoms) == 0 {
+func clauseImpossible(cl *scanClause, ords []int, bm *colstore.BlockMeta) bool {
+	if len(cl.opaque) > 0 || len(cl.atoms) == 0 {
 		return false
 	}
-	for _, a := range cl.Atoms {
-		ord, ok := s.colIdx[a.Col]
-		if !ok {
-			return false
-		}
-		if !atomImpossible(a, bm.Stats.Columns[ord]) {
+	for i := range cl.atoms {
+		a := &cl.atoms[i]
+		if a.col < 0 || !atomImpossible(a, &bm.Stats.Columns[ords[a.col]]) {
 			return false
 		}
 	}
@@ -515,7 +695,7 @@ func (s *scanner) clauseImpossible(cl plan.Clause, bm colstore.BlockMeta) bool {
 // EvalAtom's guard ordering: a NULL value (or NULL literal) is false before
 // negation applies, so NULL rows satisfy neither an atom nor its negation
 // and never block pruning on their own.
-func atomImpossible(a plan.Atom, st colstore.Stats) bool {
+func atomImpossible(a *scanAtom, st *colstore.Stats) bool {
 	if st.Min.IsNull() {
 		// Min is NULL exactly when the chunk has no non-NULL value; an
 		// all-NULL (or empty) chunk satisfies no atom, negated included.
@@ -530,7 +710,7 @@ func atomImpossible(a plan.Atom, st colstore.Stats) bool {
 		// negation misses in a mixed-NULL chunk.
 		return false
 	}
-	if a.Op == sqlparser.OpEq && st.Bloom != nil && !st.Bloom.MayContain(colstore.BloomKey(a.Val)) {
+	if a.Op == sqlparser.OpEq && st.Bloom != nil && !st.Bloom.MayContain(a.bloom) {
 		return true
 	}
 	cmpMin, errMin := types.Compare(a.Val, st.Min)
@@ -560,11 +740,12 @@ func atomImpossible(a plan.Atom, st colstore.Stats) bool {
 
 // selection computes the block's selection bitmap from the pushed-down CNF.
 // decided reports whether every clause was answered from bitmaps.
-func (s *scanner) selection(bm colstore.BlockMeta) (*bitmap.Bitmap, bool, error) {
-	n := bm.Stats.NumRows
-	sel := bitmap.NewFull(n)
+func (s *scanner) selection(n int) (*bitmap.Bitmap, bool, error) {
+	sel := &s.sel
+	sel.Fill(n)
 	allIndexed := true
-	for _, cl := range s.plan.Filter.Clauses {
+	for ci := range s.filter {
+		cl := &s.filter[ci]
 		// clauseBm accumulates the OR of the clause's leaves. Bitmaps
 		// fetched from the index are owned by the cache and must never be
 		// mutated; owned tracks whether clauseBm is safe to OR into, and a
@@ -582,8 +763,8 @@ func (s *scanner) selection(bm colstore.BlockMeta) (*bitmap.Bitmap, bool, error)
 			}
 			clauseBm.Or(bm)
 		}
-		for _, a := range cl.Atoms {
-			abm, fromIndex, err := s.atomBitmap(a, n)
+		for ai := range cl.atoms {
+			abm, fromIndex, err := s.atomBitmap(&cl.atoms[ai], n)
 			if err != nil {
 				return nil, false, err
 			}
@@ -594,7 +775,7 @@ func (s *scanner) selection(bm colstore.BlockMeta) (*bitmap.Bitmap, bool, error)
 			// borrowed from the cache.
 			or(abm, !fromIndex)
 		}
-		for _, op := range cl.Opaque {
+		for _, op := range cl.opaque {
 			allIndexed = false
 			obm, err := s.opaqueBitmap(op, n)
 			if err != nil {
@@ -612,48 +793,65 @@ func (s *scanner) selection(bm colstore.BlockMeta) (*bitmap.Bitmap, bool, error)
 	return sel, allIndexed, nil
 }
 
+// lookup asks the index for the atom over the current block — or, for a
+// block being scanned again off the task's goroutine, takes the answer the
+// first scan got.
+func (s *scanner) lookup(a *scanAtom, n int) (*bitmap.Bitmap, bool) {
+	if s.replays < len(s.replay) {
+		s.replays++
+		return s.replay[s.replays-1], s.replay[s.replays-1] != nil
+	}
+	bm, ok := s.idx.Lookup(s.ctx, s.blockIDs[s.block], a.Atom, n)
+	if !ok {
+		bm = nil
+	}
+	if s.inline {
+		s.replay = append(s.replay, bm)
+		s.replays++
+	}
+	return bm, ok
+}
+
 // atomBitmap resolves one atom: SmartIndex hit, or evaluate + store.
 // fromIndex reports a cache hit. The atom is passed to the index with its
 // negation intact: only the index knows whether bit-NOT is sound for the
 // block (it is not when the column has NULLs, which satisfy neither the
 // predicate nor its negation).
-func (s *scanner) atomBitmap(a plan.Atom, n int) (*bitmap.Bitmap, bool, error) {
-	blockID := s.blockID(s.block)
+func (s *scanner) atomBitmap(a *scanAtom, n int) (*bitmap.Bitmap, bool, error) {
 	if s.idx != nil {
-		if cached, ok := s.idx.Lookup(s.ctx, blockID, a, n); ok {
-			s.stats.IndexHits++
+		if cached, ok := s.lookup(a, n); ok {
+			s.part.stats.IndexHits++
 			if cached.Len() != n {
 				return nil, false, fmt.Errorf("exec: index bitmap length %d != block rows %d", cached.Len(), n)
 			}
 			return cached, true, nil
 		}
-		s.stats.IndexMisses++
+		s.part.stats.IndexMisses++
 	}
-	col, err := s.column(a.Col)
+	if a.col < 0 {
+		return nil, false, fmt.Errorf("exec: filter column %q is not among the plan's fact columns", a.Col)
+	}
+	col, err := s.column(a.col)
 	if err != nil {
 		return nil, false, err
 	}
-	if obs, ok := s.idx.(ColumnObserver); ok {
-		obs.ObserveColumn(blockID, a.Col, col, n)
+	if s.obs != nil {
+		s.obs.ObserveColumn(s.blockIDs[s.block], a.Col, col, n)
 	}
-	pos := evalAtomOverColumn(positive(a), col, n)
+	// The index stores the canonical, positive form.
+	positive := a.Atom
+	positive.Negated = false
+	pos := evalAtomOverColumn(positive, col, n)
 	if s.idx != nil {
-		ord := s.colIdx[a.Col]
-		s.idx.Store(blockID, positive(a), pos, s.meta.Blocks[s.block].Stats.Columns[ord])
+		s.idx.Store(s.blockIDs[s.block], positive, pos, s.meta.Blocks[s.block].Stats.Columns[s.ords[a.col]])
 	}
 	if a.Negated {
 		// Evaluate the negated form directly over the column: NULLs (and
 		// for repeated columns, records with no matching element) follow
 		// EvalAtom's semantics rather than a blind bit-NOT.
-		return evalAtomOverColumn(a, col, n), false, nil
+		return evalAtomOverColumn(a.Atom, col, n), false, nil
 	}
 	return pos, false, nil
-}
-
-// positive strips negation so the index stores the canonical form.
-func positive(a plan.Atom) plan.Atom {
-	a.Negated = false
-	return a
 }
 
 // evalAtomOverColumn evaluates the atom for every record. Simple
@@ -688,10 +886,9 @@ func evalAtomOverColumn(a plan.Atom, col *colstore.Column, n int) *bitmap.Bitmap
 // opaqueBitmap evaluates a non-atom leaf row-wise over fact columns.
 func (s *scanner) opaqueBitmap(e sqlparser.Expr, n int) (*bitmap.Bitmap, error) {
 	out := bitmap.New(n)
-	env := &factEnv{s: s}
 	for r := 0; r < n; r++ {
-		env.row = r
-		ok, err := EvalBool(e, env)
+		s.row = r
+		ok, err := EvalBool(e, s)
 		if err != nil {
 			return nil, err
 		}
@@ -702,172 +899,173 @@ func (s *scanner) opaqueBitmap(e sqlparser.Expr, n int) (*bitmap.Bitmap, error) 
 	return out, nil
 }
 
-// emitRecord joins record r against the dimensions and emits outputs or
-// updates partial aggregates. done=true when the pushed-down limit is hit.
-func (s *scanner) emitRecord(r int, res *TaskResult) (bool, error) {
-	env := &joinEnv{fact: &factEnv{s: s, row: r}, dimRows: make([]int, len(s.dims))}
-	return s.joinFrom(0, env, res)
+// value reads a bound expression for the current row.
+func (s *scanner) value(b boundExpr) (types.Value, error) {
+	if b.col < 0 {
+		return Eval(b.expr, s)
+	}
+	c, err := s.column(b.col)
+	if err != nil {
+		return types.Value{}, err
+	}
+	return scalarAt(c, s.row), nil
 }
 
-// joinFrom recursively expands dimension matches (star join fan-out).
-func (s *scanner) joinFrom(di int, env *joinEnv, res *TaskResult) (bool, error) {
+// scalarAt is record r's value in scalar position: a repeated column yields
+// its first element, or NULL for an empty record.
+func scalarAt(c *colstore.Column, r int) types.Value {
+	if c.Offsets != nil {
+		start, end := c.Offsets[r], c.Offsets[r+1]
+		if start == end {
+			return types.NullValue()
+		}
+		r = int(start)
+	}
+	return c.Value(r)
+}
+
+// joinFrom expands the current fact row's dimension matches from dimension
+// di on (star join fan-out) and emits what survives. done=true when the
+// pushed-down limit is hit.
+func (s *scanner) joinFrom(di int) (bool, error) {
 	if di == len(s.dims) {
-		return s.emitJoined(env, res)
+		return s.emitJoined()
 	}
 	dt := s.dims[di]
 	d := dt.plan
 
 	var candidates []int
-	switch {
-	case len(d.DimKeys) == 0: // cross join
-		candidates = make([]int, len(d.Data))
-		for i := range d.Data {
-			candidates[i] = i
-		}
-	default:
-		keyVals := make([]types.Value, len(d.FactKeys))
-		for i, fk := range d.FactKeys {
-			v, err := Eval(fk, env.fact)
+	n := len(d.Data) // cross join: every row is a candidate
+	if len(d.DimKeys) > 0 {
+		s.keyVals = s.keyVals[:0]
+		for _, fk := range dt.factKeys {
+			v, err := s.value(fk)
 			if err != nil {
 				return false, err
 			}
 			if v.IsNull() { // NULL keys never join
-				candidates = nil
-				keyVals = nil
 				break
 			}
-			keyVals[i] = v
+			s.keyVals = append(s.keyVals, v)
 		}
-		if keyVals != nil {
-			candidates = dt.hash[GroupKey(keyVals)]
+		n = 0
+		if len(s.keyVals) == len(dt.factKeys) {
+			s.keyBuf = AppendGroupKey(s.keyBuf[:0], s.keyVals)
+			candidates = dt.hash[string(s.keyBuf)]
+			n = len(candidates)
 		}
 	}
 
+	// The dimension is bound only while one of its candidates is expanded:
+	// a LEFT OUTER non-match, and the next fact row, must read it NULL.
 	matched := false
-	for _, ri := range candidates {
-		env.dimRows[di] = ri
-		env.present = append(env.present, di)
-		ok, err := s.residualOK(dt, env)
-		if err != nil {
-			return false, err
+	for i := 0; i < n; i++ {
+		s.dimRows[di] = i
+		if candidates != nil {
+			s.dimRows[di] = candidates[i]
 		}
+		done := false
+		ok, err := clausesTrue(d.Residual, s)
 		if ok {
-			done, err := s.joinFrom(di+1, env, res)
-			if err != nil || done {
-				env.present = env.present[:len(env.present)-1]
-				return done, err
-			}
 			matched = true
+			done, err = s.joinFrom(di + 1)
 		}
-		env.present = env.present[:len(env.present)-1]
+		if done || err != nil {
+			s.dimRows[di] = -1
+			return done, err
+		}
 	}
+	s.dimRows[di] = -1
 	if !matched && d.Type == sqlparser.JoinLeftOuter {
 		// Preserve the fact row with NULL dimension columns.
-		return s.joinFrom(di+1, env, res)
+		return s.joinFrom(di + 1)
 	}
 	return false, nil
 }
 
-func (s *scanner) residualOK(dt *dimTable, env *joinEnv) (bool, error) {
-	for _, cl := range dt.plan.Residual {
-		ok, err := s.clauseHolds(cl, env)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
+// emitJoined applies post-join clauses then emits the joined row: into the
+// block's groups, or as a projected row.
+func (s *scanner) emitJoined() (bool, error) {
+	if ok, err := clausesTrue(s.plan.Post, s); err != nil || !ok {
+		return false, err
 	}
-	return true, nil
-}
-
-func (s *scanner) clauseHolds(cl plan.Clause, env Env) (bool, error) {
-	for _, a := range cl.Atoms {
-		v, err := env.Col(a.Table, a.Col)
-		if err != nil {
-			return false, err
-		}
-		if plan.EvalAtom(a, v) {
-			return true, nil
-		}
-	}
-	for _, op := range cl.Opaque {
-		ok, err := EvalBool(op, env)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// emitJoined applies post-join clauses then emits the joined row.
-func (s *scanner) emitJoined(env *joinEnv, res *TaskResult) (bool, error) {
-	for _, cl := range s.plan.Post {
-		ok, err := s.clauseHolds(cl, env)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	res.Stats.RowsEmitted++
+	part := s.part
+	part.stats.RowsEmitted++
 	if s.plan.Mode == plan.ModeAgg {
-		return false, res.Groups.UpdateRow(s.plan.GroupBy, s.plan.Aggs, env)
+		s.keyVals = s.keyVals[:0]
+		for _, k := range s.keys {
+			v, err := s.value(k)
+			if err != nil {
+				return false, err
+			}
+			s.keyVals = append(s.keyVals, v)
+		}
+		cells := part.groups.get(s.keyVals, &s.slabs).Cells
+		for i, spec := range s.plan.Aggs {
+			if spec.Star {
+				cells[i].Count++
+				continue
+			}
+			v, err := s.value(s.args[i])
+			if err != nil {
+				return false, err
+			}
+			cells[i].Update(v, false)
+		}
+		return false, nil
 	}
-	row := make([]types.Value, len(s.plan.A.Outputs))
-	for i, oi := range s.plan.A.Outputs {
-		v, err := Eval(oi.Expr, env)
+	row := make([]types.Value, len(s.outs))
+	for i, o := range s.outs {
+		v, err := s.value(o)
 		if err != nil {
 			return false, err
 		}
 		row[i] = v
 	}
-	res.Rows = append(res.Rows, row)
-	return s.plan.ScanLimit >= 0 && int64(len(res.Rows)) >= s.plan.ScanLimit, nil
+	part.rows = append(part.rows, row)
+	return s.plan.ScanLimit >= 0 && int64(len(part.rows)) >= s.plan.ScanLimit, nil
 }
 
-// factEnv exposes the current fact record's columns.
-type factEnv struct {
-	s   *scanner
-	row int
-}
-
-// Col implements Env over the fact block.
-func (e *factEnv) Col(table, col string) (types.Value, error) {
-	if table != e.s.fact {
-		return types.Value{}, fmt.Errorf("exec: column %s.%s not available in fact scan", table, col)
-	}
-	c, err := e.s.column(col)
-	if err != nil {
-		return types.Value{}, err
-	}
-	if c.Offsets != nil {
-		start, end := c.Offsets[e.row], c.Offsets[e.row+1]
-		if start == end {
-			return types.NullValue(), nil
+// Col implements Env for the expressions bind leaves to Eval: the current
+// fact row's columns, resolved through the task's ordinal table, and the
+// dimension rows bound to it.
+func (s *scanner) Col(table, col string) (types.Value, error) {
+	if table == s.fact {
+		if pos := s.colPos(col); pos >= 0 {
+			return s.value(boundExpr{col: pos})
 		}
-		return c.Value(int(start)), nil
+		return types.Value{}, fmt.Errorf("exec: column %s.%s is not among the plan's fact columns", table, col)
 	}
-	return c.Value(e.row), nil
+	for di, dt := range s.dims {
+		if dt.binding != table {
+			continue
+		}
+		if s.dimRows[di] < 0 {
+			return types.NullValue(), nil // left-outer non-match
+		}
+		ci, ok := dt.colIdx[col]
+		if !ok {
+			return types.Value{}, fmt.Errorf("exec: dimension %s has no shipped column %q", table, col)
+		}
+		return dt.plan.Data[s.dimRows[di]][ci], nil
+	}
+	return types.Value{}, fmt.Errorf("exec: unknown table %q", table)
 }
 
-// Repeated implements Env.
-func (e *factEnv) Repeated(table, col string) ([]types.Value, error) {
-	if table != e.s.fact {
+// Repeated implements Env (fact table only).
+func (s *scanner) Repeated(table, col string) ([]types.Value, error) {
+	pos := s.colPos(col)
+	if table != s.fact || pos < 0 {
 		return nil, fmt.Errorf("exec: repeated column %s.%s outside fact table", table, col)
 	}
-	c, err := e.s.column(col)
+	c, err := s.column(pos)
 	if err != nil {
 		return nil, err
 	}
 	if c.Offsets == nil {
-		return []types.Value{c.Value(e.row)}, nil
+		return []types.Value{c.Value(s.row)}, nil
 	}
-	start, end := c.Offsets[e.row], c.Offsets[e.row+1]
+	start, end := c.Offsets[s.row], c.Offsets[s.row+1]
 	out := make([]types.Value, 0, end-start)
 	for i := start; i < end; i++ {
 		out = append(out, c.Value(int(i)))
@@ -876,51 +1074,4 @@ func (e *factEnv) Repeated(table, col string) ([]types.Value, error) {
 }
 
 // Sub implements Env; leaves have no substitutions.
-func (e *factEnv) Sub(sqlparser.Expr) (types.Value, bool) { return types.Value{}, false }
-
-// joinEnv exposes fact columns plus the currently matched dimension rows.
-type joinEnv struct {
-	fact    *factEnv
-	dimRows []int
-	present []int // dim ordinals currently bound (in join order)
-}
-
-// Col implements Env across fact and joined dimensions.
-func (e *joinEnv) Col(table, col string) (types.Value, error) {
-	if table == e.s().fact {
-		return e.fact.Col(table, col)
-	}
-	for di, dt := range e.s().dims {
-		if dt.binding != table {
-			continue
-		}
-		if !e.bound(di) {
-			return types.NullValue(), nil // left-outer non-match
-		}
-		ci, ok := dt.colIdx[col]
-		if !ok {
-			return types.Value{}, fmt.Errorf("exec: dimension %s has no shipped column %q", table, col)
-		}
-		return dt.plan.Data[e.dimRows[di]][ci], nil
-	}
-	return types.Value{}, fmt.Errorf("exec: unknown table %q", table)
-}
-
-func (e *joinEnv) bound(di int) bool {
-	for _, p := range e.present {
-		if p == di {
-			return true
-		}
-	}
-	return false
-}
-
-func (e *joinEnv) s() *scanner { return e.fact.s }
-
-// Repeated implements Env (fact table only).
-func (e *joinEnv) Repeated(table, col string) ([]types.Value, error) {
-	return e.fact.Repeated(table, col)
-}
-
-// Sub implements Env.
-func (e *joinEnv) Sub(sqlparser.Expr) (types.Value, bool) { return types.Value{}, false }
+func (s *scanner) Sub(sqlparser.Expr) (types.Value, bool) { return types.Value{}, false }

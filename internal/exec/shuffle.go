@@ -175,6 +175,17 @@ func clauseTrue(cl plan.Clause, env Env) (bool, error) {
 	return false, nil
 }
 
+// clausesTrue reports whether every clause holds (a conjunction: residual ON
+// conditions, post-join filters).
+func clausesTrue(cls []plan.Clause, env Env) (bool, error) {
+	for _, cl := range cls {
+		if ok, err := clauseTrue(cl, env); err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
 // joinState sequences the operator's push protocol.
 type joinState int
 
@@ -426,7 +437,7 @@ func (j *PartitionedHashJoin) probeRow(table map[string][]int, build [][]types.V
 	any := false
 	for _, bi := range cands {
 		env := j.envFor(row, build[bi])
-		ok, err := j.residualOK(env)
+		ok, err := clausesTrue(j.sh.Residual, env)
 		if err != nil {
 			return err
 		}
@@ -485,31 +496,12 @@ func (j *PartitionedHashJoin) envFor(probe, build []types.Value) *shuffleEnv {
 	return &shuffleEnv{cols: cols}
 }
 
-func (j *PartitionedHashJoin) residualOK(env Env) (bool, error) {
-	for _, cl := range j.sh.Residual {
-		ok, err := clauseTrue(cl, env)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
 // emit applies the top plan's post-join clauses, then either folds the row
 // into the partial aggregation or projects the output expressions —
 // mirroring the broadcast scanner's emitJoined.
 func (j *PartitionedHashJoin) emit(env Env) error {
-	for _, cl := range j.p.Post {
-		ok, err := clauseTrue(cl, env)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
+	if ok, err := clausesTrue(j.p.Post, env); err != nil || !ok {
+		return err
 	}
 	j.out.Stats.RowsEmitted++
 	if j.p.Mode == plan.ModeAgg {

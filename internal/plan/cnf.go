@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"fmt"
-
 	"repro/internal/sqlparser"
 	"repro/internal/types"
 )
@@ -27,7 +25,16 @@ type Atom struct {
 // which is the SmartIndex cache key ("op/colname/colvalue" in the paper's
 // index schema, Fig. 6).
 func (a Atom) Key() string {
-	return fmt.Sprintf("%s %s %s", a.Col, a.Op, a.Val.String())
+	var buf [64]byte
+	return string(a.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key() to dst: a caller probing a map with it renders
+// into a buffer of its own and allocates nothing.
+func (a Atom) AppendKey(dst []byte) []byte {
+	dst = append(append(dst, a.Col...), ' ')
+	dst = append(append(dst, a.Op.String()...), ' ')
+	return a.Val.AppendString(dst)
 }
 
 // String renders the atom including negation.

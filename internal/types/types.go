@@ -134,6 +134,24 @@ func (v Value) String() string {
 	}
 }
 
+// AppendString appends String() to dst, byte for byte.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.T {
+	case Null:
+		return append(dst, "NULL"...)
+	case Int64:
+		return strconv.AppendInt(dst, v.I, 10)
+	case Float64:
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case Bool:
+		return strconv.AppendBool(dst, v.B)
+	case String:
+		return strconv.AppendQuote(dst, v.S)
+	default:
+		return fmt.Appendf(dst, "Value(%d)", uint8(v.T))
+	}
+}
+
 // Compare compares two values. NULLs compare less than everything and equal
 // to each other (total order for sorting). Numeric types compare across
 // Int64/Float64. Comparing incompatible non-null types returns an error.

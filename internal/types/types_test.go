@@ -52,9 +52,17 @@ func TestValueConstructorsAndString(t *testing.T) {
 		{NewString("a b"), `"a b"`},
 		{NullValue(), "NULL"},
 	}
+	cases = append(cases, struct {
+		v    Value
+		want string
+	}{Value{T: Type(99)}, "Value(99)"})
 	for _, c := range cases {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("%#v.String() = %q, want %q", c.v, got, c.want)
+		}
+		// AppendString is String's append form, byte for byte.
+		if got := string(c.v.AppendString([]byte("x="))); got != "x="+c.want {
+			t.Errorf("%#v.AppendString = %q, want %q after the prefix", c.v, got, c.want)
 		}
 	}
 }
