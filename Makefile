@@ -1,4 +1,4 @@
-.PHONY: build test race vet verify bench pairs figures
+.PHONY: build test race vet verify bench pairs figures loc
 
 build:
 	go build ./...
@@ -32,3 +32,8 @@ pairs:
 # (shapes only; speed is `make bench`).
 figures:
 	go run ./cmd/feisu-figures
+
+# loc prints non-test Go lines per package and for the root module — the
+# number the ROADMAP's "non-test LoC" gates quote: make loc [P=internal/cluster]
+loc:
+	./scripts/loc.sh $(P)

@@ -17,6 +17,13 @@ import (
 // line), and T1 resident on the in-memory store so placement never depends
 // on replica choice.
 func newGoldenSystem(t *testing.T) *System {
+	return newGoldenSystemParts(t, 1)
+}
+
+// newGoldenSystemParts is newGoldenSystem with T1 split into the given
+// number of partitions (placed leaf0, leaf1, leaf0, … — the in-memory store
+// has no replica holders, so ties break by load and then by name).
+func newGoldenSystemParts(t *testing.T, partitions int) *System {
 	t.Helper()
 	sys, err := New(Config{
 		Leaves:               2,
@@ -31,7 +38,7 @@ func newGoldenSystem(t *testing.T) *System {
 
 	spec := workload.T1Spec()
 	spec.PathPrefix = "/mem/t1"
-	spec.Partitions = 1
+	spec.Partitions = partitions
 	spec.RowsPerPart = 256
 	spec.Fields = 10
 	ctx := context.Background()
@@ -128,6 +135,20 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		t.Fatalf("EXPLAIN ANALYZE trace lacks the admission queue-wait line:\n%s", text)
 	}
 	checkGolden(t, "explain_analyze", text)
+}
+
+// TestExplainAnalyzeMultiTaskGolden pins the order of a scatter statement's
+// task spans: four tasks over two leaves list as task#0..task#3 whatever
+// order their goroutines ran in, because the stem creates first-attempt
+// spans serially at dispatch (verify.sh repeats it 20 times).
+func TestExplainAnalyzeMultiTaskGolden(t *testing.T) {
+	sys := newGoldenSystemParts(t, 4)
+	res, err := sys.Query(context.Background(),
+		"EXPLAIN ANALYZE SELECT COUNT(*), SUM(clicks) FROM T1 WHERE clicks > 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "explain_analyze_multitask", normalizeTrace(resultText(res)))
 }
 
 // TestExplainAnalyzeResultCacheGolden pins the EXPLAIN ANALYZE trace for

@@ -175,6 +175,9 @@ type taskMsg struct {
 	// QueryID is the owning query's causal ID, carried so the leaf's
 	// flight-recorder events join the query's task event chain.
 	QueryID string
+	// Route, when set, makes this a shuffle's map task: the leaf ships the
+	// scan's output to the reducers and replies with the transfer accounting.
+	Route *shuffleRoute
 }
 
 // taskReply is a leaf's answer.
@@ -190,6 +193,10 @@ type taskReply struct {
 	SimTime time.Duration
 	// DevBytes reports simulated bytes read per device class on the leaf.
 	DevBytes map[string]int64
+	// TransferSim and PartBytes are a map task's per-partition simulated
+	// ship time and bytes shipped; its reply carries no Result.
+	TransferSim map[int]time.Duration
+	PartBytes   map[int]int64
 }
 
 // stemJobMsg asks a stem to run and merge a set of tasks.
@@ -211,6 +218,12 @@ type stemJobMsg struct {
 	// LeafSlots bounds the stem's concurrent calls per leaf — the stem-side
 	// half of the scheduler's per-leaf slot accounting. <=0 means unbounded.
 	LeafSlots int
+	// Route, when set, makes every task a map task (taskMsg.Route): Sides
+	// names each ordinal's side, and Attempt — 0 for the job's own dispatch,
+	// n for the master's n-th backup task — is the attempt's staging key.
+	Route   *shuffleRoute
+	Sides   []string
+	Attempt int
 }
 
 // taskStatus reports one task's outcome inside a stem reply.
@@ -238,16 +251,20 @@ type taskStatus struct {
 	// the fabric — the master turns this into an immediate suspicion
 	// instead of waiting out the liveness window.
 	Unreachable bool
+	// TransferSim and PartBytes relay a map task's taskReply to the master.
+	TransferSim map[int]time.Duration
+	PartBytes   map[int]int64
 }
 
 // stemReply is a stem's answer. Merged is the left fold, in ascending
 // ordinal, of the job's tasks up to its first failure — all of them when
 // nothing failed. Tail holds the successful tasks after that failure,
-// unmerged, so the master's retry folds in at its own ordinal.
+// unmerged, so the master's retry folds in at its own ordinal. Status has
+// one entry per task, in job order.
 type stemReply struct {
 	Merged *exec.TaskResult
 	Tail   map[int]*exec.TaskResult
-	Status map[int]taskStatus
+	Status []taskStatus
 }
 
 // pingMsg checks liveness and reports load.

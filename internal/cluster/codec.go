@@ -36,8 +36,6 @@ func init() {
 	transport.RegisterPayload(stemReply{})
 	transport.RegisterPayload(catalogOp{})
 	transport.RegisterPayload(catalogSnapshot{})
-	transport.RegisterPayload(shuffleTaskMsg{})
-	transport.RegisterPayload(shuffleTaskReply{})
 	transport.RegisterPayload(shuffleFrameMsg{})
 	transport.RegisterPayload(shuffleEndMsg{})
 	transport.RegisterPayload(shuffleReduceMsg{})

@@ -56,6 +56,21 @@ func (tc *testCluster) flights() (leaders, followers int) {
 	return len(j.flights), followers
 }
 
+// theFlight returns the one registered flight.
+func (tc *testCluster) theFlight() *flight {
+	tc.t.Helper()
+	j := tc.master.Jobs
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if len(j.flights) != 1 {
+		tc.t.Fatalf("%d flights registered, want 1", len(j.flights))
+	}
+	for _, f := range j.flights {
+		return f
+	}
+	return nil
+}
+
 func (tc *testCluster) waitFlights(leaders, followers int) {
 	tc.t.Helper()
 	waitFor(tc.t, func() bool {
@@ -117,6 +132,7 @@ func TestResultReuseAcrossConcurrentQueries(t *testing.T) {
 		followers = append(followers, tc.submitAsync(ctx, q, QueryOptions{}))
 	}
 	tc.waitFlights(1, 3)
+	fl := tc.theFlight()
 	if run, queued := tc.master.Admission.Running(), tc.master.Admission.QueueDepth(PriorityInteractive); run != 1 || queued != 0 {
 		t.Errorf("admission running=%d queued=%d, want the leader alone: followers take no slot", run, queued)
 	}
@@ -129,6 +145,10 @@ func TestResultReuseAcrossConcurrentQueries(t *testing.T) {
 	if l.stats.ReusedTasks != 0 || l.stats.Tasks != 2 {
 		t.Errorf("leader stats = %+v", l.stats)
 	}
+	// Three followers cost three copies, not four: the leader makes one for
+	// the flight, two followers clone it, and the last one off takes it.
+	took := 0
+	results := []*exec.Result{l.res}
 	for i, ch := range followers {
 		f := <-ch
 		if got := f.count(t); got != 20 {
@@ -137,8 +157,24 @@ func TestResultReuseAcrossConcurrentQueries(t *testing.T) {
 		if f.stats.Tasks != 2 || f.stats.ReusedTasks != f.stats.Tasks {
 			t.Errorf("follower %d: tasks=%d reused=%d, want every task reused", i, f.stats.Tasks, f.stats.ReusedTasks)
 		}
-		if f.res == l.res || &f.res.Rows[0][0] == &l.res.Rows[0][0] {
-			t.Errorf("follower %d shares the leader's result memory", i)
+		if f.res == fl.res {
+			took++
+		}
+		for _, other := range results {
+			if f.res == other || &f.res.Rows[0][0] == &other.Rows[0][0] {
+				t.Errorf("follower %d shares result memory with another caller", i)
+			}
+		}
+		results = append(results, f.res)
+	}
+	if took != 1 {
+		t.Errorf("%d followers took the flight's own copy, want exactly the last one off", took)
+	}
+	// The results are independent: scribbling on one leaves the others intact.
+	results[1].Rows[0][0].I = -1
+	for i, r := range results {
+		if i != 1 && r.Rows[0][0].I != 20 {
+			t.Errorf("caller %d's count changed to %d when another caller's rows were mutated", i, r.Rows[0][0].I)
 		}
 	}
 	if got := tc.leafTasks(); got != 2 {
@@ -227,14 +263,21 @@ func TestFlightFollowerCancelled(t *testing.T) {
 	fctx, cancel := context.WithCancel(context.Background())
 	follower := tc.submitAsync(fctx, q, QueryOptions{})
 	tc.waitFlights(1, 1)
+	fl := tc.theFlight()
 
 	cancel()
 	if f := <-follower; !errors.Is(f.err, context.Canceled) {
 		t.Fatalf("cancelled follower: err = %v", f.err)
 	}
+	// The follower that gave up is off the flight, so the leader lands with
+	// nobody waiting and copies nothing.
+	tc.waitFlights(1, 0)
 	close(gate)
 	if got := (<-leader).count(t); got != 200 {
 		t.Errorf("leader count = %d", got)
+	}
+	if fl.res != nil {
+		t.Error("the leader copied its result for a flight nobody was waiting on")
 	}
 }
 

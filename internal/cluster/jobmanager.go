@@ -37,9 +37,10 @@ type flight struct {
 	key    string
 	leader string // the executing statement's query ID
 	done   chan struct{}
-	// followers is guarded by JobManager.mu. res and tasks are written by
-	// the leader before done closes; res stays nil when the leader had
-	// nothing to share.
+	// followers counts the statements still waiting on or collecting from
+	// the flight, guarded by JobManager.mu. res and tasks are written by the
+	// leader before done closes; res stays nil when the leader had nothing
+	// to share.
 	followers int
 	res       *exec.Result
 	tasks     int
@@ -142,8 +143,8 @@ func (j *JobManager) join(p *plan.PhysicalPlan, boundAt uint64, qid string) (f *
 
 // land retires the leader's flight and releases its followers. res is the
 // leader's result if it may be shared, nil if the followers must execute
-// the statement themselves; the leader's caller owns res, so followers get
-// a copy — made only when someone is waiting.
+// the statement themselves; the leader's caller owns res, so the followers
+// get a copy — made only when someone is still waiting.
 func (j *JobManager) land(f *flight, res *exec.Result, tasks int) {
 	j.mu.Lock()
 	delete(j.flights, f.key)
@@ -153,6 +154,24 @@ func (j *JobManager) land(f *flight, res *exec.Result, tasks int) {
 		f.res, f.tasks = res.Clone(), tasks
 	}
 	close(f.done)
+}
+
+// collect takes a follower off the flight and returns its own copy of the
+// leader's result: nil when the leader shared none, or when the follower
+// gave up before the flight landed. The last one off takes the flight's copy
+// itself, so n followers cost n copies; the others clone under the lock,
+// which is what keeps that copy unshared until then.
+func (j *JobManager) collect(f *flight, landed bool) *exec.Result {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	f.followers--
+	if !landed || f.res == nil { // f.res is the leader's to write until it lands
+		return nil
+	}
+	if f.followers == 0 {
+		return f.res
+	}
+	return f.res.Clone()
 }
 
 // catalogOp is the replicated operation-log entry for master HA.

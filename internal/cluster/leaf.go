@@ -81,14 +81,15 @@ func (l *LeafServer) handle(ctx context.Context, from string, payload any) (any,
 		return pingReply{Kind: KindLeaf, ActiveTasks: int(l.active.Load())}, nil
 	case taskMsg:
 		return l.runTask(ctx, msg)
-	case shuffleTaskMsg:
-		return l.runShuffleTask(ctx, msg)
 	default:
 		return nil, fmt.Errorf("cluster: leaf %s: unknown message %T", l.Name, payload)
 	}
 }
 
-// runTask executes one sub-plan, billing simulated I/O to a private bill.
+// runTask executes one sub-plan, billing simulated I/O to a private bill. A
+// scatter task returns its result (through global storage past the spill
+// threshold); a map task ships it to the reducers and returns the transfer
+// accounting.
 func (l *LeafServer) runTask(ctx context.Context, msg taskMsg) (any, error) {
 	l.active.Add(1)
 	defer l.active.Add(-1)
@@ -99,12 +100,8 @@ func (l *LeafServer) runTask(ctx context.Context, msg taskMsg) (any, error) {
 		defer span.Finish()
 		span.SetAttr("partition", msg.Task.Partition.Path)
 	}
-	if d := l.Stall(); d > 0 {
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	if !sleepCtx(ctx, l.Stall()) {
+		return nil, ctx.Err()
 	}
 	bill := sim.NewBill()
 	res, err := exec.RunTaskModel(storage.WithBill(ctx, bill), msg.Task, l.Reader, l.Index, l.Model)
@@ -116,11 +113,25 @@ func (l *LeafServer) runTask(ctx context.Context, msg taskMsg) (any, error) {
 	// read:*/transfer children decompose it per device class.
 	span.SetSim(bill.Time())
 	billSpans(span, bill)
-	if msg.QueryID != "" && l.Events.Enabled() {
+	reply := taskReply{SimTime: bill.Time(), DevBytes: deviceBytes(bill)}
+	journal := msg.QueryID != "" && l.Events.Enabled()
+	if r := msg.Route; r != nil {
+		rows, err := l.routeShuffle(ctx, msg, res, &reply)
+		if err != nil {
+			return nil, err
+		}
+		if journal {
+			l.Events.EmitSim(events.TaskSite(msg.QueryID, msg.Task.Ordinal), events.ShuffleMap,
+				msg.QueryID, msg.Task.Ordinal, bill.Time(),
+				fmt.Sprintf("%s side=%s attempt=%d rows=%d", l.Name, r.Side, r.Attempt, rows))
+		}
+		return reply, nil
+	}
+	if journal {
 		l.Events.EmitSim(events.TaskSite(msg.QueryID, msg.Task.Ordinal), events.LeafExec,
 			msg.QueryID, msg.Task.Ordinal, bill.Time(), l.Name+" "+msg.Task.Partition.Path)
 	}
-	reply := taskReply{Result: res, Size: res.EstimateBytes(), SimTime: bill.Time(), DevBytes: deviceBytes(bill)}
+	reply.Result, reply.Size = res, res.EstimateBytes()
 	if l.SpillThreshold > 0 && reply.Size > l.SpillThreshold && l.Router != nil {
 		l.Spills.Inc()
 		data, err := encodeResult(res)

@@ -199,27 +199,24 @@ func contains(list []string, s string) bool {
 }
 
 // PlanAll assigns every task, spreading load as it goes. The provisional
-// per-leaf in-flight counts stay charged until the caller invokes the
-// returned release function per task (ReleaseTask) or wholesale — they are
-// the dispatch-side half of the per-leaf slot accounting, so concurrent
-// queries planning against the same fleet see each other's assignments.
-// On error nothing stays charged.
+// per-leaf in-flight counts stay charged until the caller returns them
+// (ReleaseTask, once per task) — they are the dispatch-side half of the
+// per-leaf slot accounting, so concurrent queries planning against the same
+// fleet see each other's assignments. On error nothing stays charged.
 func (s *JobScheduler) PlanAll(tasks []plan.TaskSpec) (map[int]string, error) {
 	assign := make(map[int]string, len(tasks))
-	bumped := make([]string, 0, len(tasks))
 	for _, t := range tasks {
 		leaf, err := s.Place(t, nil)
 		if err != nil {
-			for _, b := range bumped {
-				s.Manager.AddInflight(b, -1)
+			for _, l := range assign {
+				s.Manager.AddInflight(l, -1)
 			}
 			return nil, err
 		}
-		assign[t.Ordinal] = leaf
 		// Count the pending dispatch so subsequent placements spread and
 		// other queries' slot checks see this one's claim.
+		assign[t.Ordinal] = leaf
 		s.Manager.AddInflight(leaf, 1)
-		bumped = append(bumped, leaf)
 	}
 	return assign, nil
 }

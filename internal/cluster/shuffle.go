@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -55,28 +57,15 @@ const (
 	shuffleFrameRows = 256
 )
 
-// shuffleTaskMsg asks a leaf to run one map task: scan the partition with
-// the side's sub-plan, hash-partition the output, and ship keyed frames to
-// the reducers.
-type shuffleTaskMsg struct {
-	Task       plan.TaskSpec
-	QueryID    string
+// shuffleRoute is what turns a task into a map task (taskMsg.Route): where
+// its output goes and under which key the reducers stage it.
+type shuffleRoute struct {
 	Exchange   string // exchange ID, unique per query
 	Side       string // shuffleSideProbe | shuffleSideBuild | shuffleSideGroup
 	Attempt    int
 	Partitions int
 	Keys       int // leading key columns in each map-output row (join sides)
 	Reducers   []string
-}
-
-// shuffleTaskReply carries no data — rows went sideways to the reducers.
-// It reports the scan cost and the per-partition transfer accounting.
-type shuffleTaskReply struct {
-	SimTime     time.Duration         // scan + local CPU, excluding shipping
-	TransferSim map[int]time.Duration // per-partition simulated ship time
-	PartBytes   map[int]int64         // per-partition bytes shipped
-	Rows        int
-	DevBytes    map[string]int64
 }
 
 // shuffleFrameMsg is one keyed frame of map output for a single partition.
@@ -139,88 +128,45 @@ type shuffleAck struct{}
 // ---------------------------------------------------------------------------
 // Leaf side: map tasks.
 
-// runShuffleTask executes one map task: scan like a normal task, then
-// hash-partition the output and ship frames to the reducers. Each
-// partition's frames are billed to a private bill so the reply can report
-// per-partition transfer sim (Fabric.Call charges transfer automatically
-// from the context bill when the route crosses racks).
-func (l *LeafServer) runShuffleTask(ctx context.Context, msg shuffleTaskMsg) (any, error) {
-	l.active.Add(1)
-	defer l.active.Add(-1)
-	l.Tasks.Inc()
-	ctx, span := trace.StartSpan(ctx, "leaf/"+l.Name)
-	defer span.Finish()
-	span.SetAttr("partition", msg.Task.Partition.Path)
-	if d := l.Stall(); d > 0 {
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	bill := sim.NewBill()
-	res, err := exec.RunTaskModel(storage.WithBill(ctx, bill), msg.Task, l.Reader, l.Index, l.Model)
-	if err != nil {
-		return nil, err
-	}
-	l.chargeRemoteRead(ctx, bill, msg.Task.Partition.Path)
-	span.SetSim(bill.Time())
-	billSpans(span, bill)
-
-	reply, err := l.routeShuffle(ctx, msg, res)
-	if err != nil {
-		return nil, err
-	}
-	reply.SimTime = bill.Time()
-	reply.DevBytes = deviceBytes(bill)
-	if msg.QueryID != "" {
-		l.Events.EmitSim(events.TaskSite(msg.QueryID, msg.Task.Ordinal), events.ShuffleMap,
-			msg.QueryID, msg.Task.Ordinal, bill.Time(),
-			fmt.Sprintf("%s side=%s attempt=%d rows=%d", l.Name, msg.Side, msg.Attempt, reply.Rows))
-	}
-	return reply, nil
-}
-
-// routeShuffle hash-partitions the map output and ships it reducer by
+// routeShuffle hash-partitions a map task's output and ships it reducer by
 // reducer: all owned partitions' frames, then the end-marker carrying the
 // exact frame counts. The end-marker goes to every reducer — including
-// those that received zero frames — so each can commit this ordinal.
-func (l *LeafServer) routeShuffle(ctx context.Context, msg shuffleTaskMsg, res *exec.TaskResult) (shuffleTaskReply, error) {
-	reply := shuffleTaskReply{TransferSim: map[int]time.Duration{}, PartBytes: map[int]int64{}}
-	parts := msg.Partitions
-	if parts <= 0 {
-		parts = 1
-	}
+// those that received zero frames — so each can commit this ordinal. Each
+// partition's frames are billed to a private bill so the reply can report
+// per-partition transfer sim (Fabric.Call charges transfer from the context
+// bill when the route crosses racks). It returns the rows or groups routed.
+func (l *LeafServer) routeShuffle(ctx context.Context, msg taskMsg, res *exec.TaskResult, reply *taskReply) (int, error) {
+	r := msg.Route
+	reply.TransferSim, reply.PartBytes = map[int]time.Duration{}, map[int]int64{}
+	parts := max(r.Partitions, 1)
 	// Route every row or group straight into its partition's list; frames
 	// are then consecutive runs of at most shuffleFrameRows of that list.
 	rowParts := make([][][]types.Value, parts)
 	groupParts := make([][]exec.Group, parts)
-	if msg.Side == shuffleSideGroup {
+	routed := 0
+	if r.Side == shuffleSideGroup {
 		if res.Groups != nil {
-			reply.Rows = len(res.Groups.M)
+			routed = len(res.Groups.M)
 			for k, g := range res.Groups.M {
 				pi := exec.KeyShufflePartition(k, parts)
 				groupParts[pi] = append(groupParts[pi], *g)
 			}
 		}
 	} else {
-		reply.Rows = len(res.Rows)
+		routed = len(res.Rows)
 		for _, row := range res.Rows {
-			pi := exec.ShufflePartition(row, msg.Keys, parts)
+			pi := exec.ShufflePartition(row, r.Keys, parts)
 			rowParts[pi] = append(rowParts[pi], row)
 		}
 	}
-	for ri, reducer := range msg.Reducers {
+	for ri, reducer := range r.Reducers {
 		frames := make(map[int]int)
-		for pi := 0; pi < parts; pi++ {
-			if pi%len(msg.Reducers) != ri {
-				continue
-			}
+		for pi := ri; pi < parts; pi += len(r.Reducers) {
 			partBill := sim.NewBill()
 			sctx := storage.WithBill(ctx, partBill)
 			send := func(fr shuffleFrameMsg) error {
-				fr.Exchange, fr.QueryID, fr.Side = msg.Exchange, msg.QueryID, msg.Side
-				fr.Ordinal, fr.Attempt, fr.Partition = msg.Task.Ordinal, msg.Attempt, pi
+				fr.Exchange, fr.QueryID, fr.Side = r.Exchange, msg.QueryID, r.Side
+				fr.Ordinal, fr.Attempt, fr.Partition = msg.Task.Ordinal, r.Attempt, pi
 				if _, err := l.Fabric.Call(sctx, l.Name, reducer, transport.Shuffle, fr, fr.Size); err != nil {
 					return err
 				}
@@ -232,25 +178,25 @@ func (l *LeafServer) routeShuffle(ctx context.Context, msg shuffleTaskMsg, res *
 			for off := 0; off < len(groups); off += shuffleFrameRows {
 				chunk := groups[off:min(off+shuffleFrameRows, len(groups))]
 				if err := send(shuffleFrameMsg{Groups: chunk, Size: exec.EstimateGroups(chunk)}); err != nil {
-					return reply, err
+					return routed, err
 				}
 			}
 			for off := 0; off < len(rows); off += shuffleFrameRows {
 				chunk := rows[off:min(off+shuffleFrameRows, len(rows))]
 				size := (&exec.TaskResult{Rows: chunk}).EstimateBytes()
 				if err := send(shuffleFrameMsg{Rows: chunk, Size: size}); err != nil {
-					return reply, err
+					return routed, err
 				}
 			}
 			reply.TransferSim[pi] += partBill.Time()
 		}
-		end := shuffleEndMsg{Exchange: msg.Exchange, QueryID: msg.QueryID, Side: msg.Side,
-			Ordinal: msg.Task.Ordinal, Attempt: msg.Attempt, Frames: frames, Leaf: l.Name}
+		end := shuffleEndMsg{Exchange: r.Exchange, QueryID: msg.QueryID, Side: r.Side,
+			Ordinal: msg.Task.Ordinal, Attempt: r.Attempt, Frames: frames, Leaf: l.Name}
 		if _, err := l.Fabric.Call(ctx, l.Name, reducer, transport.Shuffle, end, 64); err != nil {
-			return reply, err
+			return routed, err
 		}
 	}
-	return reply, nil
+	return routed, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -391,29 +337,17 @@ func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceM
 	// Snapshot the committed staging under the lock; committed entries are
 	// never mutated after commit (late frames check committed first).
 	s.shuffleMu.Lock()
-	ex := s.exchangeLocked(msg.Exchange)
-	committed := func(side string, ords []int) (map[int]*stagedShuffle, error) {
-		out := make(map[int]*stagedShuffle, len(ords))
-		for _, ord := range ords {
-			st := ex.committed[shuffleSideOrd{side, ord}]
-			if st == nil {
-				return nil, fmt.Errorf("cluster: shuffle %s: %s#%d never committed at %s", msg.Exchange, side, ord, s.Name)
-			}
-			out[ord] = st
-		}
-		return out, nil
-	}
-	probe, err := committed(shuffleSideProbe, msg.ProbeOrdinals)
-	var build, group map[int]*stagedShuffle
-	if err == nil {
-		build, err = committed(shuffleSideBuild, msg.BuildOrdinals)
-	}
-	if err == nil {
-		group, err = committed(shuffleSideGroup, msg.GroupOrdinals)
-	}
+	committed := maps.Clone(s.exchangeLocked(msg.Exchange).committed)
 	s.shuffleMu.Unlock()
-	if err != nil {
-		return nil, err
+	for _, side := range []struct {
+		name string
+		ords []int
+	}{{shuffleSideProbe, msg.ProbeOrdinals}, {shuffleSideBuild, msg.BuildOrdinals}, {shuffleSideGroup, msg.GroupOrdinals}} {
+		for _, ord := range side.ords {
+			if committed[shuffleSideOrd{side.name, ord}] == nil {
+				return nil, fmt.Errorf("cluster: shuffle %s: %s#%d never committed at %s", msg.Exchange, side.name, ord, s.Name)
+			}
+		}
 	}
 
 	var spill exec.SpillStore
@@ -439,7 +373,7 @@ func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceM
 		if sh.GroupShuffle {
 			agg := exec.NewPartitionedAgg(len(msg.Plan.Aggs), sh.MemoryGrant, spill, billing)
 			for _, ord := range msg.GroupOrdinals {
-				st := group[ord]
+				st := committed[shuffleSideOrd{shuffleSideGroup, ord}]
 				inBytes += st.bytes[pi]
 				if err := agg.PushGroups(st.groups[pi]); err != nil {
 					return nil, err
@@ -454,14 +388,14 @@ func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceM
 		} else {
 			j := exec.NewPartitionedHashJoin(msg.Plan, spill, billing)
 			for _, ord := range msg.BuildOrdinals {
-				st := build[ord]
+				st := committed[shuffleSideOrd{shuffleSideBuild, ord}]
 				inBytes += st.bytes[pi]
 				if err := j.PushBuild(st.rows[pi]); err != nil {
 					return nil, err
 				}
 			}
 			for _, ord := range msg.ProbeOrdinals {
-				st := probe[ord]
+				st := committed[shuffleSideOrd{shuffleSideProbe, ord}]
 				inBytes += st.bytes[pi]
 				if err := j.PushProbe(st.rows[pi]); err != nil {
 					return nil, err
@@ -536,205 +470,111 @@ func (s *routerSpillStore) Read(handle string) ([][]types.Value, int64, error) {
 // ---------------------------------------------------------------------------
 // Master side: the shuffle driver.
 
-type shuffleMapTask struct {
-	side string
-	task plan.TaskSpec
-}
-
-type shuffleMapDone struct {
-	ordinal     int
-	side        string
-	leaf        string
-	retries     int
-	err         error
-	simTime     time.Duration
-	transferSim map[int]time.Duration
-	partBytes   map[int]int64
-	devBytes    map[string]int64
-}
-
-// runShuffle executes a repartitioned query: map tasks on the leaves
-// (placed and retried like ordinary tasks), keyed frames to the reducers,
-// then one reduce per reducer. SimTime models the three phases as
-// sequential: busiest map leaf + slowest reducer's inbound transfer +
-// slowest reducer's reduce work.
-func (m *Master) runShuffle(ctx context.Context, p *plan.PhysicalPlan, opts QueryOptions, stats *QueryStats, qid string, prog *progressHandle) (*exec.TaskResult, error) {
-	sh := p.Shuffle
-	exchange := qid + "/shuffle"
-	reducers := m.Manager.AliveWorkers(KindStem) // sorted by name
-	if len(reducers) == 0 {
-		reducers = []string{m.cfg.Name}
+// shuffle executes a repartitioned statement: map tasks on the leaves —
+// placed, sent, retried and accounted like any other task (runTasks) — keyed
+// frames to the reducers, then one reduce per reducer. SimTime models the
+// three phases as sequential: busiest map leaf + slowest reducer's inbound
+// transfer + slowest reducer's reduce work.
+func (q *statement) shuffle(ctx context.Context) (*exec.TaskResult, error) {
+	m, sh := q.m, q.p.Shuffle
+	route := &shuffleRoute{Exchange: q.qid + "/shuffle", Partitions: max(sh.Partitions, 1), Keys: sh.Keys,
+		Reducers: m.Manager.AliveWorkers(KindStem)} // sorted by name
+	if len(route.Reducers) == 0 {
+		route.Reducers = []string{m.cfg.Name}
 	}
-	parts := sh.Partitions
-	if parts <= 0 {
-		parts = 1
-	}
-
 	// Map tasks, with globally unique ordinals across sides (build side
 	// first). TaskSpec.Key() ignores the ordinal, so renumbering is safe.
-	var maps []shuffleMapTask
-	addSide := func(side string, mp *plan.PhysicalPlan) {
-		for _, t := range mp.Tasks() {
-			t.Ordinal = len(maps)
-			if m.cfg.ScanWorkers != 0 {
-				w := m.cfg.ScanWorkers
-				if w < 0 {
-					w = 1
-				}
-				t.Workers = w
-			}
-			maps = append(maps, shuffleMapTask{side: side, task: t})
+	job := stemJobMsg{Plan: q.p, Route: route}
+	reduce := shuffleReduceMsg{Exchange: route.Exchange, QueryID: q.qid, Plan: q.p, SpillPrefix: "/hdfs/feisu-shuffle/" + q.qid}
+	addSide := func(side string, mp *plan.PhysicalPlan, ords *[]int) {
+		tasks := mp.Tasks()
+		job.Tasks, job.Sides, *ords = slices.Grow(job.Tasks, len(tasks)), slices.Grow(job.Sides, len(tasks)), make([]int, 0, len(tasks))
+		for _, t := range tasks {
+			t.Ordinal = len(job.Tasks)
+			job.Tasks = append(job.Tasks, t)
+			job.Sides = append(job.Sides, side)
+			*ords = append(*ords, t.Ordinal)
 		}
 	}
 	if sh.GroupShuffle {
-		addSide(shuffleSideGroup, p)
+		addSide(shuffleSideGroup, q.p, &reduce.GroupOrdinals)
 	} else {
-		addSide(shuffleSideBuild, sh.BuildPlan)
-		addSide(shuffleSideProbe, sh.ProbePlan)
+		addSide(shuffleSideBuild, sh.BuildPlan, &reduce.BuildOrdinals)
+		addSide(shuffleSideProbe, sh.ProbePlan, &reduce.ProbeOrdinals)
 	}
-	stats.Tasks = len(maps)
-	prog.update(func(qp *QueryProgress) {
-		qp.TasksPlanned = len(maps)
-		qp.TasksDispatched = len(maps)
-	})
-
 	// Best-effort cleanup on every exit path: reducers that ran no reduce
 	// (or a failed query's staging) must not leak exchange state.
 	defer func() {
-		for _, r := range reducers {
-			if r == m.cfg.Name {
-				m.localStem.handleShuffleCleanup(shuffleCleanupMsg{Exchange: exchange})
-				continue
-			}
-			m.cfg.Fabric.Call(context.WithoutCancel(ctx), m.cfg.Name, r, transport.Control,
-				shuffleCleanupMsg{Exchange: exchange}, 64)
+		for _, r := range route.Reducers {
+			callStem[shuffleAck](context.WithoutCancel(ctx), m, r, shuffleCleanupMsg{Exchange: route.Exchange})
 		}
 	}()
 
-	timeout := opts.TaskTimeout
-	if timeout == 0 {
-		timeout = m.cfg.DefaultTaskTimeout
+	// Phase 1: map. A lost map task loses join matches, not just its own
+	// partition's rows, so any failure fails the statement.
+	mctx, mspan := trace.StartSpan(ctx, "shuffle-map")
+	groups, deadline, err := q.runTasks(mctx, job)
+	mspan.SetSim(q.stats.SimTime)
+	mspan.Finish()
+	switch {
+	case err != nil:
+	case len(q.stats.TaskErrors) > 0:
+		te := q.stats.TaskErrors[0]
+		err = fmt.Errorf("map %s#%d on %s: %s", job.Sides[te.Ordinal], te.Ordinal, te.Leaf, te.Err)
+	case deadline:
+		err = ctx.Err()
 	}
-
-	specs := make([]plan.TaskSpec, len(maps))
-	for i, mt := range maps {
-		specs[i] = mt.task
-	}
-	assign, err := m.Scheduler.PlanAll(specs)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrShuffleFailed, err)
 	}
-	heldSlots := make(map[int]string, len(assign))
-	for ord, leaf := range assign {
-		heldSlots[ord] = leaf
+	transferMax := q.shuffleTransfer(ctx, route, groups)
+	merged, reduceMax, err := q.shuffleReduce(ctx, route, reduce)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrShuffleFailed, err)
 	}
-	defer func() {
-		for _, leaf := range heldSlots {
-			m.Scheduler.ReleaseTask(leaf)
-		}
-	}()
+	q.stats.SimTime += transferMax + reduceMax
+	return merged, nil
+}
 
-	// Phase 1: map. Dispatch every map task concurrently; each failure is
-	// retried on another leaf with the shared backoff/jitter policy.
-	mctx, mspan := trace.StartSpan(ctx, "shuffle-map")
-	results := make(chan shuffleMapDone, len(maps))
-	msgBase := shuffleTaskMsg{QueryID: qid, Exchange: exchange, Partitions: parts, Keys: sh.Keys, Reducers: reducers}
-	for _, mt := range maps {
-		// First-attempt spans are created here, serially, so the trace
-		// lists tasks in ordinal order regardless of goroutine scheduling
-		// (EXPLAIN ANALYZE output stays deterministic).
-		leaf := assign[mt.task.Ordinal]
-		span0 := trace.FromContext(mctx).Child(fmt.Sprintf("task#%d @ %s", mt.task.Ordinal, leaf))
-		go m.runShuffleMap(mctx, mt, leaf, msgBase, timeout, results, span0)
-	}
-	mapBusy := map[string]time.Duration{}
-	transferSim := make([]time.Duration, parts)
-	transferBytes := make([]int64, parts)
-	devBytes := map[string]int64{}
-	var firstErr error
-	for range maps {
-		d := <-results
-		if leaf, ok := heldSlots[d.ordinal]; ok {
-			m.Scheduler.ReleaseTask(leaf)
-			delete(heldSlots, d.ordinal)
-		}
-		stats.BackupTasks += d.retries
-		prog.update(func(qp *QueryProgress) {
-			qp.TasksRetried += d.retries
-			if d.err != nil {
-				qp.TasksFailed++
-			} else {
-				qp.TasksDone++
+// shuffleTransfer is phase 2, pure accounting. The frames already moved
+// (inside the map phase's wall clock), but the simulated transfer is modeled
+// as its own pipeline stage: the slowest reducer's total inbound transfer.
+func (q *statement) shuffleTransfer(ctx context.Context, route *shuffleRoute, groups []groupDone) time.Duration {
+	transferSim := make([]time.Duration, route.Partitions)
+	transferBytes := make([]int64, route.Partitions)
+	for _, g := range groups {
+		for _, d := range g.tasks {
+			for pi, dur := range d.TransferSim {
+				transferSim[pi] += dur
 			}
-		})
-		if d.err != nil {
-			stats.TasksFailed++
-			stats.TaskErrors = append(stats.TaskErrors, TaskError{Ordinal: d.ordinal, Leaf: d.leaf, Err: d.err.Error()})
-			if firstErr == nil {
-				firstErr = fmt.Errorf("map %s#%d on %s: %w", d.side, d.ordinal, d.leaf, d.err)
-			}
-			continue
-		}
-		mapBusy[d.leaf] += d.simTime
-		for pi, dur := range d.transferSim {
-			transferSim[pi] += dur
-		}
-		for pi, n := range d.partBytes {
-			transferBytes[pi] += n
-		}
-		for dev, n := range d.devBytes {
-			devBytes[dev] += n
-		}
-	}
-	var mapBusiest time.Duration
-	for _, dur := range mapBusy {
-		if dur > mapBusiest {
-			mapBusiest = dur
-		}
-	}
-	mspan.SetSim(mapBusiest)
-	mspan.Finish()
-	if firstErr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrShuffleFailed, firstErr)
-	}
-
-	// Phase 2: transfer accounting. The frames already moved (inside the
-	// map phase wall-clock), but the simulated transfer is modeled as its
-	// own pipeline stage: the slowest reducer's total inbound transfer.
-	_, tspan := trace.StartSpan(ctx, "shuffle-transfer")
-	reducerIn := make(map[string]time.Duration, len(reducers))
-	for pi := 0; pi < parts; pi++ {
-		r := reducers[pi%len(reducers)]
-		reducerIn[r] += transferSim[pi]
-		ps := tspan.Child(fmt.Sprintf("partition %d -> %s", pi, r))
-		ps.SetSim(transferSim[pi])
-		ps.Count("bytes", transferBytes[pi])
-		ps.Finish()
-	}
-	var transferMax time.Duration
-	for _, dur := range reducerIn {
-		if dur > transferMax {
-			transferMax = dur
-		}
-	}
-	tspan.SetSim(transferMax)
-	tspan.Finish()
-
-	// Phase 3: reduce, one request per reducer, concurrently.
-	ordinalsOf := func(side string) []int {
-		var out []int
-		for _, mt := range maps {
-			if mt.side == side {
-				out = append(out, mt.task.Ordinal)
+			for pi, n := range d.PartBytes {
+				transferBytes[pi] += n
 			}
 		}
-		return out
 	}
-	byReducer := make(map[string][]int, len(reducers))
-	for pi := 0; pi < parts; pi++ {
-		r := reducers[pi%len(reducers)]
-		byReducer[r] = append(byReducer[r], pi)
+	_, span := trace.StartSpan(ctx, "shuffle-transfer")
+	reducerIn := make([]time.Duration, len(route.Reducers))
+	var slowest time.Duration
+	for pi := range transferSim {
+		ri := pi % len(route.Reducers)
+		reducerIn[ri] += transferSim[pi]
+		slowest = max(slowest, reducerIn[ri])
+		if span != nil {
+			ps := span.Child(fmt.Sprintf("partition %d -> %s", pi, route.Reducers[ri]))
+			ps.SetSim(transferSim[pi])
+			ps.Count("bytes", transferBytes[pi])
+			ps.Finish()
+		}
 	}
+	span.SetSim(slowest)
+	span.Finish()
+	return slowest
+}
+
+// shuffleReduce is phase 3: one reduce request per reducer — msg with the
+// partitions it owns — concurrently. It returns the merged result and the
+// slowest reducer's simulated time.
+func (q *statement) shuffleReduce(ctx context.Context, route *shuffleRoute, msg shuffleReduceMsg) (*exec.TaskResult, time.Duration, error) {
 	rctx, rspan := trace.StartSpan(ctx, "shuffle-reduce")
 	var (
 		mu        sync.Mutex
@@ -743,18 +583,15 @@ func (m *Master) runShuffle(ctx context.Context, p *plan.PhysicalPlan, opts Quer
 		reduceMax time.Duration
 		wg        sync.WaitGroup
 	)
-	for r, owned := range byReducer {
+	for ri, r := range route.Reducers[:min(len(route.Reducers), route.Partitions)] { // the rest own no partition
+		msg.Partitions = nil
+		for pi := ri; pi < route.Partitions; pi += len(route.Reducers) {
+			msg.Partitions = append(msg.Partitions, pi)
+		}
 		wg.Add(1)
-		go func(r string, owned []int) {
+		go func(r string, msg shuffleReduceMsg) {
 			defer wg.Done()
-			msg := shuffleReduceMsg{
-				Exchange: exchange, QueryID: qid, Plan: p, Partitions: owned,
-				ProbeOrdinals: ordinalsOf(shuffleSideProbe),
-				BuildOrdinals: ordinalsOf(shuffleSideBuild),
-				GroupOrdinals: ordinalsOf(shuffleSideGroup),
-				SpillPrefix:   "/hdfs/feisu-shuffle/" + qid,
-			}
-			reply, err := m.callShuffleReduce(rctx, r, msg)
+			reply, err := callStem[shuffleReduceReply](rctx, q.m, r, msg)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -764,141 +601,27 @@ func (m *Master) runShuffle(ctx context.Context, p *plan.PhysicalPlan, opts Quer
 				return
 			}
 			var total time.Duration
-			pis := make([]int, 0, len(reply.PartSim))
-			for pi := range reply.PartSim {
-				pis = append(pis, pi)
-			}
-			sort.Ints(pis)
-			for _, pi := range pis {
+			for _, pi := range msg.Partitions { // ascending
 				total += reply.PartSim[pi]
-				ps := rspan.Child(fmt.Sprintf("partition %d @ %s", pi, r))
-				ps.SetSim(reply.PartSim[pi])
-				ps.Finish()
+				if rspan != nil {
+					ps := rspan.Child(fmt.Sprintf("partition %d @ %s", pi, r))
+					ps.SetSim(reply.PartSim[pi])
+					ps.Finish()
+				}
 			}
-			if total > reduceMax {
-				reduceMax = total
-			}
-			stats.ShuffleSpillBytes += reply.SpillBytes
+			reduceMax = max(reduceMax, total)
+			q.stats.ShuffleSpillBytes += reply.SpillBytes
 			for dev, n := range reply.DevBytes {
-				devBytes[dev] += n
+				q.stats.BytesByDevice[dev] += n
 			}
-			merged = exec.MergeResults(p, merged, reply.Result)
-		}(r, owned)
+			merged = exec.MergeResults(q.p, merged, reply.Result)
+		}(r, msg)
 	}
 	wg.Wait()
 	rspan.SetSim(reduceMax)
 	rspan.Finish()
-	if redErr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrShuffleFailed, redErr)
-	}
-
-	stats.ScanSimTime = mapBusiest
-	stats.SimTime = mapBusiest + transferMax + reduceMax
-	stats.BytesByDevice = devBytes
 	if merged == nil {
 		merged = &exec.TaskResult{}
 	}
-	return merged, nil
-}
-
-// runShuffleMap drives one map task to completion or permanent failure,
-// re-placing it on another leaf between attempts.
-func (m *Master) runShuffleMap(ctx context.Context, mt shuffleMapTask, leaf string, msgBase shuffleTaskMsg, timeout time.Duration, results chan<- shuffleMapDone, span0 *trace.Span) {
-	d := shuffleMapDone{ordinal: mt.task.Ordinal, side: mt.side}
-	msg := msgBase
-	msg.Task = mt.task
-	msg.Side = mt.side
-	exclude := map[string]bool{}
-	budget := m.cfg.MaxTaskRetries
-	for attempt := 0; ; attempt++ {
-		d.leaf = leaf
-		msg.Attempt = attempt
-		span := span0
-		if attempt > 0 {
-			span = nil
-		}
-		reply, err := m.callShuffleLeaf(ctx, leaf, msg, timeout, span)
-		if err == nil {
-			d.err = nil
-			d.simTime = reply.SimTime
-			d.transferSim = reply.TransferSim
-			d.partBytes = reply.PartBytes
-			d.devBytes = reply.DevBytes
-			results <- d
-			return
-		}
-		d.err = err
-		if errors.Is(err, transport.ErrUnknownNode) {
-			m.Manager.MarkSuspect(leaf)
-			budget++ // nothing ran on a down leaf: not charged (see retryTask)
-		}
-		if attempt >= budget || ctx.Err() != nil {
-			results <- d
-			return
-		}
-		if m.cfg.RetryBackoff > 0 && !sleepCtx(ctx, retryDelay(m.cfg.RetryBackoff, mt.task.Key(), attempt)) {
-			results <- d
-			return
-		}
-		exclude[leaf] = true
-		m.excludeUnhealthy(exclude)
-		next, perr := m.Scheduler.Place(mt.task, exclude)
-		if perr != nil {
-			results <- d
-			return
-		}
-		d.retries++
-		m.Retries.Inc()
-		m.cfg.Events.Emit(events.TaskSite(msg.QueryID, mt.task.Ordinal), events.ShuffleRetry,
-			msg.QueryID, mt.task.Ordinal,
-			fmt.Sprintf("side=%s attempt=%d %s -> %s: %v", mt.side, attempt+1, leaf, next, err))
-		leaf = next
-	}
-}
-
-// callShuffleLeaf runs one map attempt. span carries a pre-created task
-// span (first attempts, for deterministic trace ordering); nil creates
-// one here (retries).
-func (m *Master) callShuffleLeaf(ctx context.Context, leaf string, msg shuffleTaskMsg, timeout time.Duration, span *trace.Span) (shuffleTaskReply, error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	if span == nil {
-		ctx, span = trace.StartSpan(ctx, fmt.Sprintf("task#%d @ %s", msg.Task.Ordinal, leaf))
-	} else {
-		ctx = trace.NewContext(ctx, span)
-	}
-	defer span.Finish()
-	raw, err := m.cfg.Fabric.Call(ctx, m.cfg.Name, leaf, transport.Control, msg, 256)
-	if err != nil {
-		return shuffleTaskReply{}, err
-	}
-	reply, ok := raw.(shuffleTaskReply)
-	if !ok {
-		return shuffleTaskReply{}, fmt.Errorf("cluster: unexpected shuffle map reply %T from %s", raw, leaf)
-	}
-	span.SetSim(reply.SimTime)
-	return reply, nil
-}
-
-func (m *Master) callShuffleReduce(ctx context.Context, reducer string, msg shuffleReduceMsg) (shuffleReduceReply, error) {
-	var (
-		raw any
-		err error
-	)
-	if reducer == m.cfg.Name {
-		raw, err = m.localStem.handleShuffleReduce(ctx, msg)
-	} else {
-		raw, err = m.cfg.Fabric.Call(ctx, m.cfg.Name, reducer, transport.Control, msg, 512)
-	}
-	if err != nil {
-		return shuffleReduceReply{}, err
-	}
-	reply, ok := raw.(shuffleReduceReply)
-	if !ok {
-		return shuffleReduceReply{}, fmt.Errorf("cluster: unexpected shuffle reduce reply %T from %s", raw, reducer)
-	}
-	return reply, nil
+	return merged, reduceMax, redErr
 }

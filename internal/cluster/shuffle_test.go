@@ -424,14 +424,14 @@ func TestShuffleRetriesDroppedFrames(t *testing.T) {
 	retries, commits := 0, map[string]int{}
 	for _, e := range faulty.rec.ForQuery(qid) {
 		switch e.Kind {
-		case events.ShuffleRetry:
+		case events.TaskRetry:
 			retries++
 		case events.ShuffleCommit:
 			commits[e.Site]++
 		}
 	}
 	if retries == 0 {
-		t.Error("no shuffle.retry events in the flight recorder")
+		t.Error("no task.retry events in the flight recorder")
 	}
 	// Each reducer commits each map task exactly once, whatever the retry
 	// interleaving — the determinism guarantee the reduce relies on.
@@ -439,6 +439,24 @@ func TestShuffleRetriesDroppedFrames(t *testing.T) {
 		if n > 2 { // one commit per reducer, two reducers share a site key
 			t.Errorf("site %s committed %d times", site, n)
 		}
+	}
+}
+
+// TestMapTaskFeedsStragglerDetector: a map task is a task, so its wall time
+// reaches the straggler detector like any other's — a leaf that is slow only
+// while it runs map tasks is flagged (before the one task lifecycle, map
+// tasks never reported their time and such a leaf went unseen).
+func TestMapTaskFeedsStragglerDetector(t *testing.T) {
+	sc := newShuffleCluster(t, 4, 2, 4, 2, func(cfg *MasterConfig) {
+		cfg.Planner = repartitionOpts()
+	})
+	sc.leaves[0].SetStall(150 * time.Millisecond)
+	_, stats := sc.query("SELECT COUNT(*) AS n FROM orders o, users u WHERE o.uid = u.uid", QueryOptions{})
+	if stats.Tasks != 6 || stats.BackupTasks != 0 {
+		t.Fatalf("tasks=%d backups=%d, want the 6 map tasks, each run once", stats.Tasks, stats.BackupTasks)
+	}
+	if got := sc.master.Manager.Stragglers(KindLeaf, 3); len(got) != 1 || got[0] != "leaf0" {
+		t.Errorf("stragglers after a repartition join = %v, want [leaf0]", got)
 	}
 }
 

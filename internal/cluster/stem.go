@@ -55,6 +55,8 @@ func (s *StemServer) handle(ctx context.Context, from string, payload any) (any,
 		return pingReply{Kind: KindStem, ActiveTasks: int(s.active.Load())}, nil
 	case wireStemJob:
 		return s.runJob(ctx, msg.job())
+	case stemJobMsg: // the master to its own local stem: nothing crossed a wire
+		return s.runJob(ctx, msg)
 	case shuffleFrameMsg:
 		return s.handleShuffleFrame(msg)
 	case shuffleEndMsg:
@@ -74,16 +76,19 @@ func (s *StemServer) handle(ctx context.Context, from string, payload any) (any,
 func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 	s.active.Add(int32(len(job.Tasks)))
 	defer s.active.Add(-int32(len(job.Tasks)))
-	ctx, span := trace.StartSpan(ctx, "stem/"+s.Name)
-	defer span.Finish()
-	span.Count("tasks", int64(len(job.Tasks)))
+	var span *trace.Span
+	if job.Route == nil { // map tasks hang off the master's shuffle-map span: no stem ran them
+		ctx, span = trace.StartSpan(ctx, "stem/"+s.Name)
+		defer span.Finish()
+		span.Count("tasks", int64(len(job.Tasks)))
+	}
 
 	par := s.Parallelism
 	if par <= 0 || par > len(job.Tasks) {
 		par = len(job.Tasks)
 	}
 	if par == 0 {
-		return stemReply{Status: map[int]taskStatus{}}, nil
+		return stemReply{}, nil
 	}
 	sem := make(chan struct{}, par)
 	// Per-leaf slot bounding: the stem-side half of the scheduler's slot
@@ -112,6 +117,9 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 		sem <- struct{}{}
 		s.queued.Add(-1)
 		s.tasks.Add(1)
+		// First-attempt spans are created here, serially in job order, so a
+		// trace lists task#N by ordinal however the goroutines get scheduled.
+		tspan := taskSpan(ctx, task.Ordinal, leaf)
 		go func(i int, task plan.TaskSpec, leaf string) {
 			defer wg.Done()
 			defer func() { <-sem }()
@@ -125,7 +133,7 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 				s.Events.Emit(events.TaskSite(job.QueryID, task.Ordinal), events.TaskDispatched,
 					job.QueryID, task.Ordinal, leaf+" via "+s.Name)
 			}
-			results[i], status[i] = s.runOne(ctx, job, task, leaf)
+			results[i], status[i] = s.runOne(ctx, &job, task, leaf, tspan)
 		}(i, task, leaf)
 	}
 	wg.Wait()
@@ -133,14 +141,12 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 	// aggregates are not associative, so the order of the fold is part of
 	// the answer. Past the first failed task nothing is folded — the
 	// master's backup task has to land at that ordinal first.
-	reply := stemReply{Status: make(map[int]taskStatus, len(job.Tasks))}
+	reply := stemReply{Status: status}
 	// The stem's simulated time is its critical path: the slowest task it
 	// waited on (tasks run in parallel under the cost model).
 	var busiest time.Duration
 	failed := false
-	for i, task := range job.Tasks {
-		st := status[i]
-		reply.Status[task.Ordinal] = st
+	for i, st := range status {
 		switch {
 		case !st.OK:
 			failed = true
@@ -150,26 +156,36 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 			if reply.Tail == nil {
 				reply.Tail = make(map[int]*exec.TaskResult)
 			}
-			reply.Tail[task.Ordinal] = results[i]
+			reply.Tail[job.Tasks[i].Ordinal] = results[i]
 		}
-		if st.OK && st.SimTime > busiest {
-			busiest = st.SimTime
+		if st.OK {
+			busiest = max(busiest, st.SimTime)
 		}
 	}
 	span.SetSim(busiest)
 	return reply, nil
 }
 
+// taskSpan starts one attempt's span under the context's span; nil without a
+// live trace (the name is rendered only for one).
+func taskSpan(ctx context.Context, ordinal int, leaf string) *trace.Span {
+	parent := trace.FromContext(ctx)
+	if parent == nil {
+		return nil
+	}
+	return parent.Child(fmt.Sprintf("task#%d @ %s", ordinal, leaf))
+}
+
 // runOne executes one task, hedging a speculative duplicate on the job's
 // backup leaf when the scheduler flagged the primary's placement as a
 // straggler: the backup fires after HedgeDelay (or immediately if the
 // primary fails first) and the first successful attempt wins; the loser's
-// context is cancelled.
-func (s *StemServer) runOne(ctx context.Context, job stemJobMsg, task plan.TaskSpec, leaf string) (*exec.TaskResult, taskStatus) {
+// context is cancelled. span is the primary attempt's (taskSpan).
+func (s *StemServer) runOne(ctx context.Context, job *stemJobMsg, task plan.TaskSpec, leaf string, span *trace.Span) (*exec.TaskResult, taskStatus) {
 	start := time.Now()
 	backup, hedgeable := job.Backup[task.Ordinal]
 	if !hedgeable || backup == leaf || job.HedgeDelay <= 0 {
-		res, st := s.attempt(ctx, job, task, leaf)
+		res, st := s.attempt(ctx, job, task, leaf, span)
 		st.Wall = time.Since(start)
 		return res, st
 	}
@@ -181,13 +197,13 @@ func (s *StemServer) runOne(ctx context.Context, job stemJobMsg, task plan.TaskS
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan outcome, 2) // buffered: the abandoned loser must not block
-	launch := func(on string, isBackup bool) {
+	launch := func(on string, span *trace.Span, isBackup bool) {
 		go func() {
-			res, st := s.attempt(hctx, job, task, on)
+			res, st := s.attempt(hctx, job, task, on, span)
 			results <- outcome{res, st, isBackup}
 		}()
 	}
-	launch(leaf, false)
+	launch(leaf, span, false)
 	hedge := time.NewTimer(job.HedgeDelay)
 	defer hedge.Stop()
 	fire := func() {
@@ -196,7 +212,7 @@ func (s *StemServer) runOne(ctx context.Context, job stemJobMsg, task plan.TaskS
 			s.Events.Emit(events.TaskSite(job.QueryID, task.Ordinal), events.TaskHedge,
 				job.QueryID, task.Ordinal, "backup on "+backup)
 		}
-		launch(backup, true)
+		launch(backup, taskSpan(ctx, task.Ordinal, backup), true)
 	}
 	inflight, fired := 1, false
 	var lastFail outcome
@@ -236,21 +252,25 @@ func (s *StemServer) runOne(ctx context.Context, job stemJobMsg, task plan.TaskS
 	return lastFail.res, lastFail.st
 }
 
-// attempt executes a single task on one leaf with the per-task timeout.
-func (s *StemServer) attempt(ctx context.Context, job stemJobMsg, task plan.TaskSpec, leaf string) (*exec.TaskResult, taskStatus) {
+// attempt executes a single task on one leaf with the per-task timeout — the
+// one place a task is sent to a leaf, scatter or map, first attempt, hedge or
+// backup.
+func (s *StemServer) attempt(ctx context.Context, job *stemJobMsg, task plan.TaskSpec, leaf string, span *trace.Span) (*exec.TaskResult, taskStatus) {
 	st := taskStatus{Leaf: leaf}
-	tctx := ctx
+	tctx := trace.NewContext(ctx, span)
+	defer span.Finish()
 	if job.TaskTimeout > 0 {
 		var cancel context.CancelFunc
-		tctx, cancel = context.WithTimeout(ctx, job.TaskTimeout)
+		tctx, cancel = context.WithTimeout(tctx, job.TaskTimeout)
 		defer cancel()
 	}
-	var span *trace.Span
-	if trace.FromContext(tctx) != nil { // the name is rendered only for a live trace
-		tctx, span = trace.StartSpan(tctx, fmt.Sprintf("task#%d @ %s", task.Ordinal, leaf))
-		defer span.Finish()
+	msg := taskMsg{Task: task, QueryID: job.QueryID}
+	if job.Route != nil { // a map task: its side, and this attempt's staging key
+		r := *job.Route
+		r.Side, r.Attempt = job.Sides[task.Ordinal], job.Attempt
+		msg.Route = &r
 	}
-	raw, err := s.Fabric.Call(tctx, s.Name, leaf, transport.Control, taskMsg{Task: task, QueryID: job.QueryID}, 256)
+	raw, err := s.Fabric.Call(tctx, s.Name, leaf, transport.Control, msg, 256)
 	if err != nil {
 		st.Err = err.Error()
 		st.Unreachable = errors.Is(err, transport.ErrUnknownNode)
@@ -283,19 +303,23 @@ func (s *StemServer) attempt(ctx context.Context, job stemJobMsg, task plan.Task
 		sp.Count("bytes", int64(len(data)))
 		sp.Finish()
 	}
-	// The result rides the read flow back up the tree; charge its
-	// transfer into the task's simulated time.
-	s.Fabric.Counters().Msgs[transport.Read].Inc()
-	s.Fabric.Counters().Bytes[transport.Read].Add(reply.Size)
-	if s.Model != nil {
-		if hops := s.Fabric.Topology().Hops(leaf, s.Name); hops > 0 {
-			cost := s.Model.TransferCost(reply.Size, hops)
-			reply.SimTime += cost
-			sp := span.Child("reply-transfer")
-			sp.SetSim(cost)
-			sp.Count("bytes", reply.Size)
-			sp.Finish()
+	// The result rides the read flow back up the tree; charge its transfer
+	// into the task's simulated time. A map task's reply carries none: its
+	// rows went sideways, billed per partition by the leaf.
+	if res != nil {
+		s.Fabric.Counters().Msgs[transport.Read].Inc()
+		s.Fabric.Counters().Bytes[transport.Read].Add(reply.Size)
+		if s.Model != nil {
+			if hops := s.Fabric.Topology().Hops(leaf, s.Name); hops > 0 {
+				cost := s.Model.TransferCost(reply.Size, hops)
+				reply.SimTime += cost
+				sp := span.Child("reply-transfer")
+				sp.SetSim(cost)
+				sp.Count("bytes", reply.Size)
+				sp.Finish()
+			}
 		}
+		st.Rows = len(res.Rows)
 	}
 	// The task span's sim time is the full task response time: leaf
 	// execution plus spill fetch plus reply transfer.
@@ -303,9 +327,7 @@ func (s *StemServer) attempt(ctx context.Context, job stemJobMsg, task plan.Task
 	st.OK = true
 	st.SimTime = reply.SimTime
 	st.DevBytes = reply.DevBytes
-	if res != nil {
-		st.Rows = len(res.Rows)
-	}
+	st.TransferSim, st.PartBytes = reply.TransferSim, reply.PartBytes
 	return res, st
 }
 

@@ -79,7 +79,6 @@ const (
 	// Repartition shuffle (master orchestration + reducer commits; Sim on
 	// map/reduce events carries the stage's execution bill).
 	ShuffleMap    Kind = "shuffle.map"    // one map task finished on a leaf
-	ShuffleRetry  Kind = "shuffle.retry"  // map task re-dispatched after a failure
 	ShuffleCommit Kind = "shuffle.commit" // reducer committed a map attempt's frames
 	ShuffleReduce Kind = "shuffle.reduce" // reducer finished one partition
 	ShuffleSpill  Kind = "shuffle.spill"  // operator exceeded its memory grant

@@ -35,8 +35,10 @@ import (
 // incompatibly. Version 2: per-connection payload streams, binary call
 // header and handshake, columnar row/group batches. Version 3: a stem reply
 // carries its group folded (prefix + unmerged tail), never one result per
-// task, and stem jobs lost the flag that chose.
-const CodecVersion = 3
+// task, and stem jobs lost the flag that chose. Version 4: a shuffle map task
+// is an ordinary task message carrying a route; its own request and reply
+// types are gone.
+const CodecVersion = 4
 
 const frameMagic = 0xFE15
 

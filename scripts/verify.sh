@@ -37,8 +37,9 @@ go test -race -count=2 ./internal/cluster/... ./internal/chaos/... ./internal/cl
 
 # A seeded test that depends on goroutine interleaving is not seeded: the
 # chaos plane keys storage faults by extent, so twenty runs draw one schedule.
-echo "== chaos equivalence x20 (same seeds, same schedule, every run)"
-go test -count=20 -run TestEquivalenceUnderChaos .
+# Nor is a golden trace a golden if its task spans list in scheduling order.
+echo "== chaos equivalence + multi-task trace order x20 (same seeds, same schedule, same trace, every run)"
+go test -count=20 -run 'TestEquivalenceUnderChaos|TestExplainAnalyzeMultiTaskGolden' .
 
 # The fold and the statement flight are contracts about concurrency: the
 # answer may not depend on which leaf replied first, nor a follower on when
@@ -89,9 +90,10 @@ FEISU_TRANSPORT=tcp go test -count=1 -run 'TestTCPTransport|TestDifferential|Tes
 echo "== multi-process cluster (1 master / 2 stems / 4 leaves as OS processes on loopback)"
 go test -count=1 -run TestMultiProcessCluster ./cmd/feisu-node
 
-# A doc may only name a BENCH_*.json that is in the tree and an -exp id that
-# the figures binary lists.
-echo "== doc references (BENCH_*.json files, -exp ids)"
+# A doc may only name a BENCH_*.json that is in the tree, an -exp id that the
+# figures binary lists, and a flight-recorder event kind (`family.action` in
+# backticks, family one of internal/events') that internal/events defines.
+echo "== doc references (BENCH_*.json files, -exp ids, event kinds)"
 docs="README.md DESIGN.md EXPERIMENTS.md docs/*.md .claude/skills/verify/SKILL.md"
 ids=$(go run ./cmd/feisu-figures -list | awk '!/^#/ {print $1}')
 for f in $(grep -oh 'BENCH_[A-Za-z0-9_]*\.json' $docs | sort -u); do
@@ -99,6 +101,11 @@ for f in $(grep -oh 'BENCH_[A-Za-z0-9_]*\.json' $docs | sort -u); do
 done
 for id in $(grep -oh -- '-exp [a-z0-9]*' $docs | awk '{print $2}' | sort -u); do
 	echo "$ids" | grep -qx "$id" || { echo "docs name -exp $id, which feisu-figures -list does not print" >&2; exit 1; }
+done
+kinds=$(sed -n 's/.* Kind = "\([a-z.-]*\)".*/\1/p' internal/events/events.go)
+families=$(echo "$kinds" | sed 's/\..*//' | sort -u | paste -sd '|' -)
+for kind in $(grep -ohE "\`($families)\.[a-z-]+\`" $docs | tr -d '`' | grep -v '\.go$' | sort -u); do
+	echo "$kinds" | grep -qx "$kind" || { echo "docs name event kind $kind, which internal/events does not define" >&2; exit 1; }
 done
 
 echo "verify: OK"

@@ -93,7 +93,7 @@ func TestShuffleEquivalenceUnderChaos(t *testing.T) {
 			switch e.Kind {
 			case events.ShuffleMap:
 				mapsDone++
-			case events.ShuffleRetry:
+			case events.TaskRetry:
 				retries++
 			}
 		}
