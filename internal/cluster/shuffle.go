@@ -517,7 +517,7 @@ func (q *statement) shuffle(ctx context.Context) (*exec.TaskResult, error) {
 	mspan.SetSim(q.stats.SimTime)
 	mspan.Finish()
 	switch {
-	case err != nil:
+	case err != nil: // nowhere to place them
 	case len(q.stats.TaskErrors) > 0:
 		te := q.stats.TaskErrors[0]
 		err = fmt.Errorf("map %s#%d on %s: %s", job.Sides[te.Ordinal], te.Ordinal, te.Leaf, te.Err)

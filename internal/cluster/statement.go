@@ -103,7 +103,7 @@ func (q *statement) run(ctx context.Context) (*exec.Result, error) {
 		return nil, err
 	}
 	q.publish(res)
-	return q.answer(res, q.root), nil
+	return q.answer(res), nil
 }
 
 // close gives back what the stages took, latest first, and journals how the
@@ -141,9 +141,9 @@ func (q *statement) close(res *exec.Result, err error) {
 
 // answer is what the caller gets for an executed or served statement: the
 // rows, or for EXPLAIN ANALYZE the plan with the trace that produced them.
-func (q *statement) answer(res *exec.Result, root *trace.Span) *exec.Result {
+func (q *statement) answer(res *exec.Result) *exec.Result {
 	if q.stmt.Analyze {
-		return textResult("EXPLAIN ANALYZE", q.p.DescribeAnalyze(root))
+		return textResult("EXPLAIN ANALYZE", q.p.DescribeAnalyze(q.stats.Trace))
 	}
 	return res
 }
@@ -217,7 +217,7 @@ func (q *statement) probeCache() *exec.Result {
 	if q.opts.Trace {
 		q.stats.Trace = servedTrace("master/result-cache", "status", outcome.String(), len(res.Rows))
 	}
-	return q.answer(res, q.stats.Trace)
+	return q.answer(res)
 }
 
 // flight is statement-level sharing: while an identical statement (same
