@@ -175,9 +175,15 @@ type taskMsg struct {
 	// QueryID is the owning query's causal ID, carried so the leaf's
 	// flight-recorder events join the query's task event chain.
 	QueryID string
-	// Route, when set, makes this a shuffle's map task: the leaf ships the
-	// scan's output to the reducers and replies with the transfer accounting.
-	Route *shuffleRoute
+	// The shuffle route. Set (Exchange != ""), it makes this a shuffle's map
+	// task: the leaf ships the scan's output to the reducers, staged there
+	// under (Side, ordinal, Attempt), and replies with the transfer accounting.
+	Exchange   string // exchange ID, unique per query
+	Side       string // shuffleSideProbe | shuffleSideBuild | shuffleSideGroup
+	Attempt    int
+	Partitions int
+	Keys       int // leading key columns in each map-output row (join sides)
+	Reducers   []string
 }
 
 // taskReply is a leaf's answer.
@@ -193,10 +199,10 @@ type taskReply struct {
 	SimTime time.Duration
 	// DevBytes reports simulated bytes read per device class on the leaf.
 	DevBytes map[string]int64
-	// TransferSim and PartBytes are a map task's per-partition simulated
-	// ship time and bytes shipped; its reply carries no Result.
-	TransferSim map[int]time.Duration
-	PartBytes   map[int]int64
+	// TransferSim and PartBytes are a map task's simulated ship time and
+	// bytes shipped, by partition; its reply carries no Result.
+	TransferSim []time.Duration
+	PartBytes   []int64
 }
 
 // stemJobMsg asks a stem to run and merge a set of tasks.
@@ -218,10 +224,10 @@ type stemJobMsg struct {
 	// LeafSlots bounds the stem's concurrent calls per leaf — the stem-side
 	// half of the scheduler's per-leaf slot accounting. <=0 means unbounded.
 	LeafSlots int
-	// Route, when set, makes every task a map task (taskMsg.Route): Sides
-	// names each ordinal's side, and Attempt — 0 for the job's own dispatch,
-	// n for the master's n-th backup task — is the attempt's staging key.
-	Route   *shuffleRoute
+	// Route, when set, makes every task a map task: the message each is sent
+	// as, but for its Task, its Side (Sides, by ordinal) and its Attempt — 0
+	// for the job's own dispatch, n for the master's n-th backup task.
+	Route   *taskMsg
 	Sides   []string
 	Attempt int
 }
@@ -252,8 +258,8 @@ type taskStatus struct {
 	// instead of waiting out the liveness window.
 	Unreachable bool
 	// TransferSim and PartBytes relay a map task's taskReply to the master.
-	TransferSim map[int]time.Duration
-	PartBytes   map[int]int64
+	TransferSim []time.Duration
+	PartBytes   []int64
 }
 
 // stemReply is a stem's answer. Merged is the left fold, in ascending

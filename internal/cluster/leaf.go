@@ -115,7 +115,7 @@ func (l *LeafServer) runTask(ctx context.Context, msg taskMsg) (any, error) {
 	billSpans(span, bill)
 	reply := taskReply{SimTime: bill.Time(), DevBytes: deviceBytes(bill)}
 	journal := msg.QueryID != "" && l.Events.Enabled()
-	if r := msg.Route; r != nil {
+	if msg.Exchange != "" {
 		rows, err := l.routeShuffle(ctx, msg, res, &reply)
 		if err != nil {
 			return nil, err
@@ -123,7 +123,7 @@ func (l *LeafServer) runTask(ctx context.Context, msg taskMsg) (any, error) {
 		if journal {
 			l.Events.EmitSim(events.TaskSite(msg.QueryID, msg.Task.Ordinal), events.ShuffleMap,
 				msg.QueryID, msg.Task.Ordinal, bill.Time(),
-				fmt.Sprintf("%s side=%s attempt=%d rows=%d", l.Name, r.Side, r.Attempt, rows))
+				fmt.Sprintf("%s side=%s attempt=%d rows=%d", l.Name, msg.Side, msg.Attempt, rows))
 		}
 		return reply, nil
 	}

@@ -57,17 +57,6 @@ const (
 	shuffleFrameRows = 256
 )
 
-// shuffleRoute is what turns a task into a map task (taskMsg.Route): where
-// its output goes and under which key the reducers stage it.
-type shuffleRoute struct {
-	Exchange   string // exchange ID, unique per query
-	Side       string // shuffleSideProbe | shuffleSideBuild | shuffleSideGroup
-	Attempt    int
-	Partitions int
-	Keys       int // leading key columns in each map-output row (join sides)
-	Reducers   []string
-}
-
 // shuffleFrameMsg is one keyed frame of map output for a single partition.
 // Exactly one of Rows/Groups is set (join vs group-by shuffle). It crosses
 // the wire in the columnar batch form (codec.go).
@@ -131,20 +120,19 @@ type shuffleAck struct{}
 // routeShuffle hash-partitions a map task's output and ships it reducer by
 // reducer: all owned partitions' frames, then the end-marker carrying the
 // exact frame counts. The end-marker goes to every reducer — including
-// those that received zero frames — so each can commit this ordinal. Each
-// partition's frames are billed to a private bill so the reply can report
-// per-partition transfer sim (Fabric.Call charges transfer from the context
-// bill when the route crosses racks). It returns the rows or groups routed.
+// those that received zero frames — so each can commit this ordinal. The
+// reply reports transfer sim per partition (Fabric.Call charges transfer to
+// the context bill when the route crosses racks). It returns the rows or
+// groups routed.
 func (l *LeafServer) routeShuffle(ctx context.Context, msg taskMsg, res *exec.TaskResult, reply *taskReply) (int, error) {
-	r := msg.Route
-	reply.TransferSim, reply.PartBytes = map[int]time.Duration{}, map[int]int64{}
-	parts := max(r.Partitions, 1)
+	parts := max(msg.Partitions, 1)
+	reply.TransferSim, reply.PartBytes = make([]time.Duration, parts), make([]int64, parts)
 	// Route every row or group straight into its partition's list; frames
 	// are then consecutive runs of at most shuffleFrameRows of that list.
 	rowParts := make([][][]types.Value, parts)
 	groupParts := make([][]exec.Group, parts)
 	routed := 0
-	if r.Side == shuffleSideGroup {
+	if msg.Side == shuffleSideGroup {
 		if res.Groups != nil {
 			routed = len(res.Groups.M)
 			for k, g := range res.Groups.M {
@@ -155,43 +143,46 @@ func (l *LeafServer) routeShuffle(ctx context.Context, msg taskMsg, res *exec.Ta
 	} else {
 		routed = len(res.Rows)
 		for _, row := range res.Rows {
-			pi := exec.ShufflePartition(row, r.Keys, parts)
+			pi := exec.ShufflePartition(row, msg.Keys, parts)
 			rowParts[pi] = append(rowParts[pi], row)
 		}
 	}
-	for ri, reducer := range r.Reducers {
+	// One bill for everything shipped; a partition's share is what its
+	// frames added to it (frames go out one after another).
+	shipBill := sim.NewBill()
+	sctx := storage.WithBill(ctx, shipBill)
+	for ri, reducer := range msg.Reducers {
 		frames := make(map[int]int)
-		for pi := ri; pi < parts; pi += len(r.Reducers) {
-			partBill := sim.NewBill()
-			sctx := storage.WithBill(ctx, partBill)
-			send := func(fr shuffleFrameMsg) error {
-				fr.Exchange, fr.QueryID, fr.Side = r.Exchange, msg.QueryID, r.Side
-				fr.Ordinal, fr.Attempt, fr.Partition = msg.Task.Ordinal, r.Attempt, pi
-				if _, err := l.Fabric.Call(sctx, l.Name, reducer, transport.Shuffle, fr, fr.Size); err != nil {
-					return err
-				}
-				frames[pi]++
-				reply.PartBytes[pi] += fr.Size
-				return nil
+		send := func(pi int, fr shuffleFrameMsg) error {
+			fr.Exchange, fr.QueryID, fr.Side = msg.Exchange, msg.QueryID, msg.Side
+			fr.Ordinal, fr.Attempt, fr.Partition = msg.Task.Ordinal, msg.Attempt, pi
+			if _, err := l.Fabric.Call(sctx, l.Name, reducer, transport.Shuffle, fr, fr.Size); err != nil {
+				return err
 			}
+			frames[pi]++
+			reply.PartBytes[pi] += fr.Size
+			return nil
+		}
+		for pi := ri; pi < parts; pi += len(msg.Reducers) {
+			before := shipBill.Time()
 			groups, rows := groupParts[pi], rowParts[pi]
 			for off := 0; off < len(groups); off += shuffleFrameRows {
 				chunk := groups[off:min(off+shuffleFrameRows, len(groups))]
-				if err := send(shuffleFrameMsg{Groups: chunk, Size: exec.EstimateGroups(chunk)}); err != nil {
+				if err := send(pi, shuffleFrameMsg{Groups: chunk, Size: exec.EstimateGroups(chunk)}); err != nil {
 					return routed, err
 				}
 			}
 			for off := 0; off < len(rows); off += shuffleFrameRows {
 				chunk := rows[off:min(off+shuffleFrameRows, len(rows))]
 				size := (&exec.TaskResult{Rows: chunk}).EstimateBytes()
-				if err := send(shuffleFrameMsg{Rows: chunk, Size: size}); err != nil {
+				if err := send(pi, shuffleFrameMsg{Rows: chunk, Size: size}); err != nil {
 					return routed, err
 				}
 			}
-			reply.TransferSim[pi] += partBill.Time()
+			reply.TransferSim[pi] = shipBill.Time() - before
 		}
-		end := shuffleEndMsg{Exchange: r.Exchange, QueryID: msg.QueryID, Side: r.Side,
-			Ordinal: msg.Task.Ordinal, Attempt: r.Attempt, Frames: frames, Leaf: l.Name}
+		end := shuffleEndMsg{Exchange: msg.Exchange, QueryID: msg.QueryID, Side: msg.Side,
+			Ordinal: msg.Task.Ordinal, Attempt: msg.Attempt, Frames: frames, Leaf: l.Name}
 		if _, err := l.Fabric.Call(ctx, l.Name, reducer, transport.Shuffle, end, 64); err != nil {
 			return routed, err
 		}
@@ -477,7 +468,7 @@ func (s *routerSpillStore) Read(handle string) ([][]types.Value, int64, error) {
 // transfer + slowest reducer's reduce work.
 func (q *statement) shuffle(ctx context.Context) (*exec.TaskResult, error) {
 	m, sh := q.m, q.p.Shuffle
-	route := &shuffleRoute{Exchange: q.qid + "/shuffle", Partitions: max(sh.Partitions, 1), Keys: sh.Keys,
+	route := &taskMsg{QueryID: q.qid, Exchange: q.qid + "/shuffle", Partitions: max(sh.Partitions, 1), Keys: sh.Keys,
 		Reducers: m.Manager.AliveWorkers(KindStem)} // sorted by name
 	if len(route.Reducers) == 0 {
 		route.Reducers = []string{m.cfg.Name}
@@ -539,7 +530,7 @@ func (q *statement) shuffle(ctx context.Context) (*exec.TaskResult, error) {
 // shuffleTransfer is phase 2, pure accounting. The frames already moved
 // (inside the map phase's wall clock), but the simulated transfer is modeled
 // as its own pipeline stage: the slowest reducer's total inbound transfer.
-func (q *statement) shuffleTransfer(ctx context.Context, route *shuffleRoute, groups []groupDone) time.Duration {
+func (q *statement) shuffleTransfer(ctx context.Context, route *taskMsg, groups []groupDone) time.Duration {
 	transferSim := make([]time.Duration, route.Partitions)
 	transferBytes := make([]int64, route.Partitions)
 	for _, g := range groups {
@@ -574,7 +565,7 @@ func (q *statement) shuffleTransfer(ctx context.Context, route *shuffleRoute, gr
 // shuffleReduce is phase 3: one reduce request per reducer — msg with the
 // partitions it owns — concurrently. It returns the merged result and the
 // slowest reducer's simulated time.
-func (q *statement) shuffleReduce(ctx context.Context, route *shuffleRoute, msg shuffleReduceMsg) (*exec.TaskResult, time.Duration, error) {
+func (q *statement) shuffleReduce(ctx context.Context, route *taskMsg, msg shuffleReduceMsg) (*exec.TaskResult, time.Duration, error) {
 	rctx, rspan := trace.StartSpan(ctx, "shuffle-reduce")
 	var (
 		mu        sync.Mutex

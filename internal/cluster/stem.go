@@ -266,9 +266,8 @@ func (s *StemServer) attempt(ctx context.Context, job *stemJobMsg, task plan.Tas
 	}
 	msg := taskMsg{Task: task, QueryID: job.QueryID}
 	if job.Route != nil { // a map task: its side, and this attempt's staging key
-		r := *job.Route
-		r.Side, r.Attempt = job.Sides[task.Ordinal], job.Attempt
-		msg.Route = &r
+		msg = *job.Route
+		msg.Task, msg.Side, msg.Attempt = task, job.Sides[task.Ordinal], job.Attempt
 	}
 	raw, err := s.Fabric.Call(tctx, s.Name, leaf, transport.Control, msg, 256)
 	if err != nil {

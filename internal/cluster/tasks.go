@@ -19,7 +19,7 @@ import (
 // The task lifecycle (paper §III-B/C): one job scheduler places sub-plans on
 // leaves and re-issues a failed one as a backup task on another leaf. A
 // scatter task and a shuffle's map task differ in what the leaf does with the
-// scan's output (taskMsg.Route), not in how they are placed, sent, retried or
+// scan's output (taskMsg.Exchange), not in how they are placed, sent, retried or
 // accounted: every task of every statement goes through runTasks.
 
 // taskDone is one task's terminal outcome: the status of its last attempt
