@@ -34,6 +34,7 @@ figures:
 	go run ./cmd/feisu-figures
 
 # loc prints non-test Go lines per package and for the root module — the
-# number the ROADMAP's "non-test LoC" gates quote: make loc [P=internal/cluster]
+# number the ROADMAP's "non-test LoC" gates quote — then the knob counts
+# (config-struct fields, feisu.With* options): make loc [P=internal/cluster]
 loc:
 	./scripts/loc.sh $(P)

@@ -288,12 +288,7 @@ func lifecycleEvents(events []chaos.Event) []chaos.Event {
 func TestEquivalenceUnderChaos(t *testing.T) {
 	queries := generateEquivalenceQueries(20, 777)
 
-	// Hedging duplicates work nondeterministically (it is keyed off
-	// wall-clock EWMAs), so the strict index-count comparison disables it
-	// on both sides.
-	baseRows, baseHits, _ := chaosStream(t, queries, func(c *Config) {
-		c.HedgeDelay = -1
-	})
+	baseRows, baseHits, _ := chaosStream(t, queries, nil)
 	warm := int64(0)
 	for _, h := range baseHits {
 		warm += h
@@ -309,7 +304,6 @@ func TestEquivalenceUnderChaos(t *testing.T) {
 			// never lost, so execution is identical modulo time. Rows and
 			// per-query index hits must match the baseline exactly.
 			rows, hits, _ := chaosStream(t, queries, func(c *Config) {
-				c.HedgeDelay = -1
 				c.Chaos = &chaos.Config{
 					Seed: seed,
 					Transport: chaos.TransportChaos{
@@ -332,9 +326,9 @@ func TestEquivalenceUnderChaos(t *testing.T) {
 			}
 
 			// Phase 2 — full chaos: kills, drops, duplicates, read errors
-			// and corrupting reads (caught by block checksums). Retries and
-			// hedges may reorder and re-execute work, so index counts are
-			// off the table, but the rows must still be byte-identical.
+			// and corrupting reads (caught by block checksums). Retries may
+			// reorder and re-execute work, so index counts are off the
+			// table, but the rows must still be byte-identical.
 			fullChaos := func(c *Config) {
 				c.Chaos = chaos.Default(seed)
 				c.Chaos.Lifecycle.TickInterval = 0 // ChaosTick per query

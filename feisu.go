@@ -201,10 +201,6 @@ type Config struct {
 	// fault-free. With Chaos.Lifecycle.TickInterval > 0 the controller ticks
 	// in the background; otherwise drive it via ChaosTick.
 	Chaos *chaos.Config
-	// HedgeDelay is how long a stem waits on a straggler-flagged leaf
-	// before firing a speculative duplicate task; 0 uses the master's
-	// default, negative disables hedging.
-	HedgeDelay time.Duration
 	// ScanWorkers bounds each leaf task's intra-task scan parallelism
 	// (goroutines scanning a partition's blocks concurrently). 0 defaults
 	// to GOMAXPROCS on the leaf; negative forces serial scans. Query
@@ -434,7 +430,6 @@ func New(cfg Config) (*System, error) {
 		MaxQueryBytes:      1 << 20,
 		DefaultTaskTimeout: cfg.TaskTimeout,
 		RetryBackoff:       retryBackoff,
-		HedgeDelay:         cfg.HedgeDelay,
 		ScanWorkers:        cfg.ScanWorkers,
 		LivenessWindow:     time.Minute,
 		LocalityOff:        cfg.LocalityOff,
@@ -470,8 +465,6 @@ func New(cfg Config) (*System, error) {
 	sys.metrics.RegisterCounterWith("feisu_queries_total", &sys.master.Queries)
 	sys.metrics.RegisterCounterWith("feisu_query_errors_total", &sys.master.QueryErrs)
 	sys.metrics.RegisterCounterWith("feisu_task_retries_total", &sys.master.Retries)
-	sys.metrics.RegisterCounterWith("feisu_hedges_fired_total", &sys.master.HedgesFired)
-	sys.metrics.RegisterCounterWith("feisu_hedges_won_total", &sys.master.HedgesWon)
 	sys.metrics.RegisterCounterWith("feisu_partial_results_total", &sys.master.Partials)
 
 	for i := 0; i < cfg.Leaves; i++ {
@@ -964,13 +957,6 @@ func WithTrace() QueryOption {
 // least one task must still succeed.
 func WithPartialResults() QueryOption {
 	return func(o *cluster.QueryOptions) { o.PartialResults = true }
-}
-
-// WithHedging overrides the hedge delay for this query: a speculative
-// duplicate of any task placed on a straggler-flagged leaf fires after d,
-// first result wins. Negative d disables hedging for the query.
-func WithHedging(d time.Duration) QueryOption {
-	return func(o *cluster.QueryOptions) { o.HedgeDelay = d }
 }
 
 // WithPriority sets the query's admission class (interactive by default).

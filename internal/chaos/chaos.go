@@ -117,8 +117,8 @@ func (l LifecycleChaos) Enabled() bool {
 }
 
 // Default returns a moderate all-families configuration: enough chaos to
-// exercise every recovery path while letting retries and hedges keep
-// queries completing.
+// exercise every recovery path while letting retries keep queries
+// completing.
 func Default(seed int64) *Config {
 	return &Config{
 		Seed: seed,

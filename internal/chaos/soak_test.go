@@ -1,7 +1,7 @@
 // Soak: concurrent queries race a chaos controller that kills, restarts,
 // slows and partitions leaves. Run with -race (scripts/verify.sh does); the
 // value of the test is that every lifecycle transition — fabric down-flags,
-// suspect marking, hedges, retries, heals on Close — happens while queries
+// suspect marking, retries, heals on Close — happens while queries
 // are in flight.
 package chaos_test
 
@@ -110,8 +110,8 @@ func TestSoakConcurrentQueriesUnderChaos(t *testing.T) {
 	if plane.Restarts.Value() == 0 {
 		t.Fatal("no leaf restarted during the soak")
 	}
-	t.Logf("soak seed %d: %d queries, %d partial, faults=%d (kills=%d restarts=%d straggles=%d retries=%d hedged=%d)",
+	t.Logf("soak seed %d: %d queries, %d partial, faults=%d (kills=%d restarts=%d straggles=%d retries=%d)",
 		plane.Seed(), workers*perWorker, partials.Load(), plane.FaultCount(),
 		plane.Kills.Value(), plane.Restarts.Value(), plane.Straggles.Value(),
-		sys.Master().Retries.Value(), sys.Master().HedgesFired.Value())
+		sys.Master().Retries.Value())
 }

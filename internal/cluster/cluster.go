@@ -70,10 +70,6 @@ type QueryOptions struct {
 	// retries are dropped from the result and reported per-leaf in
 	// QueryStats.TaskErrors. At least one task must succeed.
 	PartialResults bool
-	// HedgeDelay launches a speculative duplicate of a task placed on a
-	// straggler-flagged leaf after this pause, first result wins; 0 uses
-	// the cluster default, negative disables hedging for the query.
-	HedgeDelay time.Duration
 }
 
 // TaskError reports one task dropped from a partial result.
@@ -103,13 +99,13 @@ type QueryStats struct {
 	TasksFailed int
 	BackupTasks int
 	ReusedTasks int
-	// HedgedTasks counts speculative duplicates launched against
-	// straggler-flagged leaves; HedgesWon counts those that beat the
-	// primary attempt.
+	// HedgedTasks is always 0: the cluster launches no speculative
+	// duplicates (a straggler is backed up after TaskTimeout). It stays
+	// because the benchmark module still reports it.
 	HedgedTasks int
-	HedgesWon   int
-	// TaskErrors lists tasks dropped from a partial result (only populated
-	// under QueryOptions.PartialResults).
+	// TaskErrors lists every task that ran out of retries, on any result
+	// the query returned: a partial result under PartialResults, or an
+	// early return once MinProcessedRatio was met.
 	TaskErrors []TaskError
 	Scan       exec.ScanStats
 	// QueueWait is the time spent in the master's admission queue before an
@@ -214,13 +210,6 @@ type stemJobMsg struct {
 	QueryID string
 	// TaskTimeout bounds each leaf call.
 	TaskTimeout time.Duration
-	// Backup maps task ordinals to a second leaf for hedged execution:
-	// the stem launches a speculative duplicate there after HedgeDelay
-	// unless the primary has already answered (first result wins).
-	Backup map[int]string
-	// HedgeDelay is how long the stem waits on the primary before firing
-	// the backup; required when Backup is non-empty.
-	HedgeDelay time.Duration
 	// LeafSlots bounds the stem's concurrent calls per leaf — the stem-side
 	// half of the scheduler's per-leaf slot accounting. <=0 means unbounded.
 	LeafSlots int
@@ -246,13 +235,6 @@ type taskStatus struct {
 	// Rows is the task's result row count (0 for partial aggregates): the
 	// master reports it per task but only ever sees the rows folded.
 	Rows int
-	// Wall is the stem-observed wall time of the winning attempt, the
-	// input to the master's straggler EWMA.
-	Wall time.Duration
-	// Hedged marks a task that fired its backup; HedgeWon marks the backup
-	// as the winning attempt.
-	Hedged   bool
-	HedgeWon bool
 	// Unreachable marks a failure caused by the leaf being unknown/down on
 	// the fabric — the master turns this into an immediate suspicion
 	// instead of waiting out the liveness window.

@@ -655,12 +655,3 @@ func TestSubmitContextCancellation(t *testing.T) {
 		t.Fatal("canceled submit should fail")
 	}
 }
-
-func TestStemParallelismBound(t *testing.T) {
-	tc := newTestCluster(t, 2, 1, 4, nil)
-	tc.stems[0].Parallelism = 1 // serialize leaf calls
-	res, _ := tc.query("SELECT COUNT(*) FROM logs", QueryOptions{})
-	if res.Rows[0][0].I != 400 {
-		t.Errorf("count = %v", res.Rows[0][0])
-	}
-}

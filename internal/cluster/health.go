@@ -18,7 +18,7 @@ type LoadSnapshot struct {
 	// ActiveTasks is the number of sub-plans executing right now.
 	ActiveTasks int
 	// QueueDepth is the number of tasks admitted but waiting for an
-	// execution slot (stems bound concurrent leaf calls by Parallelism).
+	// execution slot (stems bound concurrent calls per leaf by LeafSlots).
 	QueueDepth int
 	// TasksDone is the lifetime count of completed sub-plans.
 	TasksDone int64

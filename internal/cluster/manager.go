@@ -36,15 +36,7 @@ type workerState struct {
 	// suspect marks a worker an unreachable dispatch flagged before its
 	// heartbeat lapses; cleared by the next heartbeat.
 	suspect bool
-	// taskEWMA smooths the worker's observed task wall times (nanoseconds)
-	// for straggler detection; 0 until the first report.
-	taskEWMA float64
 }
-
-// taskEWMAAlpha is the smoothing factor for per-worker task wall times:
-// recent tasks dominate, so a leaf that turns slow is flagged within a few
-// tasks and recovers as quickly once its times normalize.
-const taskEWMAAlpha = 0.3
 
 // NewClusterManager returns a manager with the given liveness window.
 func NewClusterManager(window time.Duration) *ClusterManager {
@@ -107,65 +99,6 @@ func (m *ClusterManager) MarkSuspect(name string) {
 	if flipped {
 		m.Events.Emit("worker/"+name, events.WorkerSuspect, "", -1, "dispatch unreachable")
 	}
-}
-
-// ReportTaskTime feeds a completed task's wall time into the worker's EWMA
-// for straggler detection.
-func (m *ClusterManager) ReportTaskTime(name string, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	m.mu.Lock()
-	if w, ok := m.workers[name]; ok {
-		if w.taskEWMA == 0 {
-			w.taskEWMA = float64(d)
-		} else {
-			w.taskEWMA = (1-taskEWMAAlpha)*w.taskEWMA + taskEWMAAlpha*float64(d)
-		}
-	}
-	m.mu.Unlock()
-}
-
-// Stragglers returns the workers of a kind whose smoothed task wall time
-// exceeds factor × the median across workers with data. With fewer than
-// two measured workers there is no population to compare against and the
-// result is empty.
-func (m *ClusterManager) Stragglers(kind WorkerKind, factor float64) []string {
-	if factor <= 0 {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	type sample struct {
-		name string
-		ewma float64
-	}
-	var samples []sample
-	for name, w := range m.workers {
-		if w.kind == kind && w.taskEWMA > 0 {
-			samples = append(samples, sample{name, w.taskEWMA})
-		}
-	}
-	if len(samples) < 2 {
-		return nil
-	}
-	sorted := make([]float64, len(samples))
-	for i, s := range samples {
-		sorted[i] = s.ewma
-	}
-	sort.Float64s(sorted)
-	median := sorted[len(sorted)/2]
-	if len(sorted)%2 == 0 {
-		median = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
-	}
-	var out []string
-	for _, s := range samples {
-		if s.ewma > factor*median {
-			out = append(out, s.name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Load returns the worker's known load: the last heartbeat's active plus

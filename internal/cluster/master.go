@@ -48,13 +48,6 @@ type MasterConfig struct {
 	// attempts (base<<attempt plus deterministic jitter); 0 retries
 	// immediately.
 	RetryBackoff time.Duration
-	// HedgeDelay is how long a stem waits on a straggler-flagged leaf
-	// before firing a speculative duplicate task; 0 uses a default,
-	// negative disables hedging.
-	HedgeDelay time.Duration
-	// StragglerFactor flags a leaf as a straggler when its smoothed task
-	// wall time exceeds this multiple of the fleet median; 0 uses 3.
-	StragglerFactor float64
 	// ScanWorkers sets the intra-task scan parallelism stamped on every
 	// dispatched task (plan.TaskSpec.Workers); 0 lets leaves default to
 	// GOMAXPROCS, negative forces serial scans.
@@ -140,28 +133,16 @@ type Master struct {
 	// Queries counts submissions; QueryErrs counts the ones that failed.
 	Queries   metrics.Counter
 	QueryErrs metrics.Counter
-	// Recovery counters: backup (retry) attempts, hedges fired and won,
-	// and queries that degraded to a partial result.
-	Retries     metrics.Counter
-	HedgesFired metrics.Counter
-	HedgesWon   metrics.Counter
-	Partials    metrics.Counter
+	// Recovery counters: backup (retry) attempts and queries that degraded
+	// to a partial result.
+	Retries  metrics.Counter
+	Partials metrics.Counter
 }
-
-// defaultHedgeDelay is how long a stem waits before firing a speculative
-// duplicate when the master's config leaves HedgeDelay zero.
-const defaultHedgeDelay = 30 * time.Millisecond
 
 // NewMaster builds and registers a master on the fabric.
 func NewMaster(cfg MasterConfig) *Master {
 	if cfg.MaxTaskRetries <= 0 {
 		cfg.MaxTaskRetries = 2
-	}
-	if cfg.HedgeDelay == 0 {
-		cfg.HedgeDelay = defaultHedgeDelay
-	}
-	if cfg.StragglerFactor <= 0 {
-		cfg.StragglerFactor = 3
 	}
 	m := &Master{
 		cfg:      cfg,
@@ -199,8 +180,6 @@ func NewMaster(cfg MasterConfig) *Master {
 	cfg.Metrics.Register("master.queries", &m.Queries)
 	cfg.Metrics.Register("master.query_errors", &m.QueryErrs)
 	cfg.Metrics.Register("master.task_retries", &m.Retries)
-	cfg.Metrics.Register("master.hedges_fired", &m.HedgesFired)
-	cfg.Metrics.Register("master.hedges_won", &m.HedgesWon)
 	cfg.Metrics.Register("master.partial_results", &m.Partials)
 	if m.Admission != nil && cfg.Metrics != nil {
 		m.queueWait = cfg.Metrics.HistogramWith("feisu_admission_wait_seconds")

@@ -25,7 +25,6 @@ type QueryProgress struct {
 	TasksDispatched int `json:"tasksDispatched"`
 	TasksDone       int `json:"tasksDone"`
 	TasksRetried    int `json:"tasksRetried"`
-	TasksHedged     int `json:"tasksHedged"`
 	TasksFailed     int `json:"tasksFailed"`
 
 	// Rows counts result rows merged at the master so far.
@@ -111,16 +110,16 @@ func RenderProgress(active []QueryProgress) string {
 		return "no active queries\n"
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-8s %-7s %-6s %5s %5s %5s %5s %5s %8s  %s\n",
-		"ID", "STATE", "CLASS", "PLAN", "DISP", "DONE", "RETRY", "HEDGE", "ROWS", "SQL")
+	fmt.Fprintf(&sb, "%-8s %-7s %-6s %5s %5s %5s %5s %8s  %s\n",
+		"ID", "STATE", "CLASS", "PLAN", "DISP", "DONE", "RETRY", "ROWS", "SQL")
 	for _, p := range active {
 		sql := p.SQL
 		if len(sql) > 48 {
 			sql = sql[:45] + "..."
 		}
-		fmt.Fprintf(&sb, "%-8s %-7s %-6s %5d %5d %5d %5d %5d %8d  %s\n",
+		fmt.Fprintf(&sb, "%-8s %-7s %-6s %5d %5d %5d %5d %8d  %s\n",
 			p.ID, p.State, p.Priority,
-			p.TasksPlanned, p.TasksDispatched, p.TasksDone, p.TasksRetried, p.TasksHedged,
+			p.TasksPlanned, p.TasksDispatched, p.TasksDone, p.TasksRetried,
 			p.Rows, sql)
 	}
 	return sb.String()

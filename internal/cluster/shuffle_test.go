@@ -442,22 +442,22 @@ func TestShuffleRetriesDroppedFrames(t *testing.T) {
 	}
 }
 
-// TestMapTaskFeedsStragglerDetector: a map task is a task, so its wall time
-// reaches the straggler detector like any other's — a leaf that is slow only
-// while it runs map tasks is flagged (before the one task lifecycle, map
-// tasks never reported their time and such a leaf went unseen).
-func TestMapTaskFeedsStragglerDetector(t *testing.T) {
+// TestMapTaskTimeoutBackup: a map task is a task, so a straggling leaf in a
+// repartition join is defended like any other — every map task stalled on it
+// past TaskTimeout is backed up on another leaf, the reducers commit the
+// backup attempt, and the rows equal the unstalled run.
+func TestMapTaskTimeoutBackup(t *testing.T) {
 	sc := newShuffleCluster(t, 4, 2, 4, 2, func(cfg *MasterConfig) {
 		cfg.Planner = repartitionOpts()
 	})
-	sc.leaves[0].SetStall(150 * time.Millisecond)
-	_, stats := sc.query("SELECT COUNT(*) AS n FROM orders o, users u WHERE o.uid = u.uid", QueryOptions{})
-	if stats.Tasks != 6 || stats.BackupTasks != 0 {
-		t.Fatalf("tasks=%d backups=%d, want the 6 map tasks, each run once", stats.Tasks, stats.BackupTasks)
+	sql := "SELECT u.region AS region, COUNT(*) AS n FROM orders o JOIN users u ON o.uid = u.uid GROUP BY region ORDER BY region"
+	want, _ := sc.query(sql, QueryOptions{})
+	sc.leaves[0].SetStall(time.Minute) // cut short by each attempt's timeout
+	got, stats := sc.query(sql, QueryOptions{TaskTimeout: 200 * time.Millisecond})
+	if stats.BackupTasks < 1 || stats.TasksFailed != 0 {
+		t.Fatalf("backups=%d failed=%d, want leaf0's map tasks backed up elsewhere", stats.BackupTasks, stats.TasksFailed)
 	}
-	if got := sc.master.Manager.Stragglers(KindLeaf, 3); len(got) != 1 || got[0] != "leaf0" {
-		t.Errorf("stragglers after a repartition join = %v, want [leaf0]", got)
-	}
+	assertSameRows(t, sql, want, got)
 }
 
 // TestShuffleFailsTypedWhenLeavesDie kills enough leaves that a map task

@@ -429,8 +429,6 @@ func (q *statement) finalize(merged *exec.TaskResult) (*exec.Result, error) {
 		root.SetSim(stats.SimTime)
 		root.Count("tasks", int64(stats.Tasks))
 		count("tasks.backup", stats.BackupTasks)
-		count("tasks.hedged", stats.HedgedTasks)
-		count("tasks.hedge_won", stats.HedgesWon)
 		count("tasks.dropped", len(stats.TaskErrors))
 		root.Finish()
 	}

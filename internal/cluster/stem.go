@@ -27,14 +27,11 @@ type StemServer struct {
 	Router *storage.Router
 	// Model prices reply transfers into per-task sim times.
 	Model *sim.CostModel
-	// Parallelism bounds concurrent leaf calls; <=0 means one per task.
-	Parallelism int
-	// Events, when set, journals task dispatch and hedge decisions into the
-	// flight recorder.
+	// Events, when set, journals task dispatch into the flight recorder.
 	Events *events.Recorder
 
 	active atomic.Int32
-	queued atomic.Int32 // tasks admitted but waiting for a parallelism slot
+	queued atomic.Int32 // tasks waiting for a per-leaf slot
 	tasks  atomic.Int64 // lifetime dispatched tasks
 	life   lifecycle
 
@@ -83,20 +80,11 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 		span.Count("tasks", int64(len(job.Tasks)))
 	}
 
-	par := s.Parallelism
-	if par <= 0 || par > len(job.Tasks) {
-		par = len(job.Tasks)
-	}
-	if par == 0 {
-		return stemReply{}, nil
-	}
-	sem := make(chan struct{}, par)
 	// Per-leaf slot bounding: the stem-side half of the scheduler's slot
-	// accounting. Each leaf gets its own semaphore so a deep backlog on one
-	// leaf throttles only that leaf's tasks; the slot is taken inside the
-	// task goroutine, so a saturated leaf never head-of-line-blocks dispatch
-	// to its siblings. Hedged backups bypass it (speculative duplicates are
-	// rare and latency-critical).
+	// accounting, and the stem's only concurrency bound. Each leaf gets its
+	// own semaphore so a deep backlog on one leaf throttles only that leaf's
+	// tasks; the slot is taken inside the task goroutine, so a saturated leaf
+	// never head-of-line-blocks dispatch to its siblings.
 	var leafSem map[string]chan struct{}
 	if job.LeafSlots > 0 {
 		leafSem = make(map[string]chan struct{})
@@ -113,16 +101,12 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 	for i, task := range job.Tasks {
 		leaf := job.Assign[task.Ordinal]
 		wg.Add(1)
-		s.queued.Add(1)
-		sem <- struct{}{}
-		s.queued.Add(-1)
 		s.tasks.Add(1)
 		// First-attempt spans are created here, serially in job order, so a
 		// trace lists task#N by ordinal however the goroutines get scheduled.
 		tspan := taskSpan(ctx, task.Ordinal, leaf)
 		go func(i int, task plan.TaskSpec, leaf string) {
 			defer wg.Done()
-			defer func() { <-sem }()
 			if ls := leafSem[leaf]; ls != nil {
 				s.queued.Add(1)
 				ls <- struct{}{}
@@ -133,7 +117,7 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 				s.Events.Emit(events.TaskSite(job.QueryID, task.Ordinal), events.TaskDispatched,
 					job.QueryID, task.Ordinal, leaf+" via "+s.Name)
 			}
-			results[i], status[i] = s.runOne(ctx, &job, task, leaf, tspan)
+			results[i], status[i] = s.attempt(ctx, &job, task, leaf, tspan)
 		}(i, task, leaf)
 	}
 	wg.Wait()
@@ -176,85 +160,9 @@ func taskSpan(ctx context.Context, ordinal int, leaf string) *trace.Span {
 	return parent.Child(fmt.Sprintf("task#%d @ %s", ordinal, leaf))
 }
 
-// runOne executes one task, hedging a speculative duplicate on the job's
-// backup leaf when the scheduler flagged the primary's placement as a
-// straggler: the backup fires after HedgeDelay (or immediately if the
-// primary fails first) and the first successful attempt wins; the loser's
-// context is cancelled. span is the primary attempt's (taskSpan).
-func (s *StemServer) runOne(ctx context.Context, job *stemJobMsg, task plan.TaskSpec, leaf string, span *trace.Span) (*exec.TaskResult, taskStatus) {
-	start := time.Now()
-	backup, hedgeable := job.Backup[task.Ordinal]
-	if !hedgeable || backup == leaf || job.HedgeDelay <= 0 {
-		res, st := s.attempt(ctx, job, task, leaf, span)
-		st.Wall = time.Since(start)
-		return res, st
-	}
-	type outcome struct {
-		res    *exec.TaskResult
-		st     taskStatus
-		backup bool
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan outcome, 2) // buffered: the abandoned loser must not block
-	launch := func(on string, span *trace.Span, isBackup bool) {
-		go func() {
-			res, st := s.attempt(hctx, job, task, on, span)
-			results <- outcome{res, st, isBackup}
-		}()
-	}
-	launch(leaf, span, false)
-	hedge := time.NewTimer(job.HedgeDelay)
-	defer hedge.Stop()
-	fire := func() {
-		s.tasks.Add(1)
-		if job.QueryID != "" {
-			s.Events.Emit(events.TaskSite(job.QueryID, task.Ordinal), events.TaskHedge,
-				job.QueryID, task.Ordinal, "backup on "+backup)
-		}
-		launch(backup, taskSpan(ctx, task.Ordinal, backup), true)
-	}
-	inflight, fired := 1, false
-	var lastFail outcome
-	for inflight > 0 {
-		select {
-		case <-hedge.C:
-			if !fired {
-				fired = true
-				inflight++
-				fire()
-			}
-		case out := <-results:
-			inflight--
-			if out.st.OK {
-				cancel() // first result wins
-				out.st.Hedged = fired
-				out.st.HedgeWon = out.backup
-				out.st.Wall = time.Since(start)
-				if out.backup && job.QueryID != "" {
-					s.Events.Emit(events.TaskSite(job.QueryID, task.Ordinal), events.TaskHedgeWon,
-						job.QueryID, task.Ordinal, "backup "+out.st.Leaf+" beat primary "+leaf)
-				}
-				return out.res, out.st
-			}
-			lastFail = out
-			if !fired {
-				// The primary failed before the hedge delay elapsed; fire
-				// the backup now instead of waiting out the timer.
-				fired = true
-				inflight++
-				fire()
-			}
-		}
-	}
-	lastFail.st.Hedged = fired
-	lastFail.st.Wall = time.Since(start)
-	return lastFail.res, lastFail.st
-}
-
 // attempt executes a single task on one leaf with the per-task timeout — the
-// one place a task is sent to a leaf, scatter or map, first attempt, hedge or
-// backup.
+// one place a task is sent to a leaf, scatter or map, first attempt or
+// backup. span is the attempt's (taskSpan).
 func (s *StemServer) attempt(ctx context.Context, job *stemJobMsg, task plan.TaskSpec, leaf string, span *trace.Span) (*exec.TaskResult, taskStatus) {
 	st := taskStatus{Leaf: leaf}
 	tctx := trace.NewContext(ctx, span)

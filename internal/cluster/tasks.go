@@ -74,10 +74,9 @@ func (q *statement) runTasks(ctx context.Context, job stemJobMsg) (groups []grou
 
 	// Each group's goroutine sends exactly one groupDone and the channel
 	// holds them all, so a collector that gave up at the deadline strands
-	// nobody. Map tasks are not hedged: a duplicate ships every frame twice.
+	// nobody.
 	byStem := map[string][]plan.TaskSpec{m.cfg.Name: tasks}
 	if job.Route == nil {
-		job.Backup, job.HedgeDelay = m.planHedges(tasks, job.Assign, q.opts)
 		byStem = m.groupByStem(tasks, job.Assign)
 	}
 	results := make(chan groupDone, len(byStem))
@@ -153,24 +152,15 @@ func (q *statement) runGroup(ctx context.Context, stemName string, job stemJobMs
 }
 
 // account books one task's terminal outcome into the statement's stats, the
-// journal, the progress entry and the straggler detector.
+// journal and the progress entry.
 func (q *statement) account(d *taskDone) {
 	m, stats := q.m, q.stats
-	if d.Hedged {
-		stats.HedgedTasks++
-		m.HedgesFired.Inc()
-	}
-	if d.HedgeWon {
-		stats.HedgesWon++
-		m.HedgesWon.Inc()
-	}
 	if d.err != nil {
 		stats.TasksFailed++
 		stats.TaskErrors = append(stats.TaskErrors, TaskError{Ordinal: d.ordinal, Leaf: d.Leaf, Err: d.err.Error()})
 		m.cfg.Events.Emit(events.TaskSite(q.qid, d.ordinal), events.TaskPartial, q.qid, d.ordinal, d.err.Error())
 	} else {
 		stats.BackupTasks += d.backups
-		m.Manager.ReportTaskTime(d.Leaf, d.Wall)
 		for dev, n := range d.DevBytes {
 			stats.BytesByDevice[dev] += n
 		}
@@ -185,9 +175,6 @@ func (q *statement) account(d *taskDone) {
 		} else {
 			p.TasksDone++
 			p.Rows += int64(d.Rows)
-		}
-		if d.Hedged {
-			p.TasksHedged++
 		}
 		p.TasksRetried += d.backups
 	})
@@ -230,37 +217,6 @@ func (q *statement) scatter(ctx context.Context) (*exec.TaskResult, error) {
 	return nil, fmt.Errorf("cluster: %d of %d tasks failed permanently", failed, len(tasks))
 }
 
-// planHedges picks a backup leaf for every task placed on a
-// straggler-flagged leaf (smoothed task time above StragglerFactor × the
-// fleet median). The stem fires the backup after hedgeDelay, first result
-// wins — the paper's backup-task defense, armed before the timeout fires.
-func (m *Master) planHedges(tasks []plan.TaskSpec, assign map[int]string, opts QueryOptions) (map[int]string, time.Duration) {
-	hedgeDelay := cmp.Or(opts.HedgeDelay, m.cfg.HedgeDelay)
-	if hedgeDelay <= 0 {
-		return nil, 0
-	}
-	slow := m.Manager.Stragglers(KindLeaf, m.cfg.StragglerFactor)
-	if len(slow) == 0 {
-		return nil, 0
-	}
-	var backup map[int]string
-	for _, t := range tasks {
-		leaf := assign[t.Ordinal]
-		if !contains(slow, leaf) {
-			continue
-		}
-		alt, err := m.Scheduler.Place(t, map[string]bool{leaf: true})
-		if err != nil || alt == leaf {
-			continue // nowhere else to hedge to
-		}
-		if backup == nil {
-			backup = make(map[int]string)
-		}
-		backup[t.Ordinal] = alt
-	}
-	return backup, hedgeDelay
-}
-
 // retryTask issues backup tasks on other leaves until one succeeds or the
 // retry budget runs out, and returns the winner's result (a map task has
 // none); d.Leaf is the leaf the first dispatch failed on, and d ends as the
@@ -297,8 +253,7 @@ func (q *statement) retryTask(ctx context.Context, job *stemJobMsg, t plan.TaskS
 		m.cfg.Events.Emit(events.TaskSite(q.qid, t.Ordinal), events.TaskRetry,
 			q.qid, t.Ordinal, fmt.Sprintf("attempt %d on %s: %s", attempt+1, leaf, d.err))
 		one.Attempt = attempt + 1
-		res, st := m.localStem.runOne(ctx, &one, t, leaf, taskSpan(ctx, t.Ordinal, leaf))
-		st.Hedged = d.Hedged // what the first dispatch fired still counts
+		res, st := m.localStem.attempt(ctx, &one, t, leaf, taskSpan(ctx, t.Ordinal, leaf))
 		d.taskStatus = st
 		if st.OK {
 			d.err = nil

@@ -1,9 +1,9 @@
 // Package events is Feisu's cluster flight recorder: an always-on, bounded
 // journal of the structured decisions a query passes through — admission
 // (queued / admitted / shed), scheduling (task scheduled / dispatched /
-// collected), recovery (retry / hedge / partial result), the semantic
-// result cache (hit / subsumed / store / evict / invalidate), worker state
-// transitions, ingest invalidations, and bridged chaos-plane faults.
+// collected), recovery (retry / partial result), the semantic result cache
+// (hit / subsumed / store / evict / invalidate), worker state transitions,
+// ingest invalidations, and bridged chaos-plane faults.
 //
 // Events carry causal identifiers (query ID, task ordinal) plus both a
 // wall-clock timestamp and, where known, the simulated-time charge of the
@@ -55,9 +55,7 @@ const (
 	TaskDispatched Kind = "task.dispatched"
 	TaskCollected  Kind = "task.collected"
 	TaskRetry      Kind = "task.retry"
-	TaskHedge      Kind = "task.hedge"     // backup attempt launched
-	TaskHedgeWon   Kind = "task.hedge-won" // the backup beat the primary
-	TaskPartial    Kind = "task.partial"   // gave up; query proceeds partial
+	TaskPartial    Kind = "task.partial" // gave up; query proceeds partial
 
 	// Semantic result cache.
 	CacheHit        Kind = "rescache.hit"
@@ -282,7 +280,7 @@ func (r *Recorder) Dropped() uint64 {
 }
 
 // TaskSite names the per-task decision stream used for task lifecycle
-// events: every task's scheduled → dispatched → (retry|hedge)* → collected
+// events: every task's scheduled → dispatched → retry* → collected
 // chain is causally ordered within its own site, which keeps the canonical
 // journal deterministic even when sibling tasks race.
 func TaskSite(query string, ordinal int) string {

@@ -37,8 +37,9 @@ import (
 // carries its group folded (prefix + unmerged tail), never one result per
 // task, and stem jobs lost the flag that chose. Version 4: a shuffle map task
 // is an ordinary task message carrying a route; its own request and reply
-// types are gone.
-const CodecVersion = 4
+// types are gone. Version 5: stem jobs carry no hedge plan (backup leaves,
+// hedge delay) and task statuses no wall time or hedge flags.
+const CodecVersion = 5
 
 const frameMagic = 0xFE15
 

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/storage"
 )
 
 // TCPOptions configure the wire transport on top of the shared Options.
@@ -232,77 +231,29 @@ func (t *TCP) resolve(to string) (string, error) {
 	return "", fmt.Errorf("%w: %q", ErrUnknownNode, to)
 }
 
-// Call delivers a message over the wire and waits for the reply. The
-// at-least-once duplicate semantics, billing, and counter behavior match
-// Fabric.Call exactly.
+// Call delivers a message over the wire and waits for the reply. Past the
+// destination lookup it is send, exactly as Fabric.Call: the same faults,
+// at-least-once duplicates, billing and counters.
 func (t *TCP) Call(ctx context.Context, from, to string, class Class, payload any, size int64) (any, error) {
-	t.mu.RLock()
-	icpt := t.interceptor
-	t.mu.RUnlock()
-
-	duplicate := false
-	if icpt != nil {
-		fault := icpt.Intercept(ctx, from, to, class, size)
-		if fault.Drop {
-			err := fault.Err
-			if err == nil {
-				err = ErrInjected
-			}
-			return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, from, to, err)
-		}
-		if fault.Delay > 0 {
-			select {
-			case <-time.After(fault.Delay):
-			case <-ctx.Done():
-				return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, from, to, ctx.Err())
-			}
-		}
-		duplicate = fault.Duplicate
-	}
-
 	addr, err := t.resolve(to)
 	if err != nil {
 		return nil, err
 	}
+	t.mu.RLock()
+	icpt := t.interceptor
+	t.mu.RUnlock()
 	bag := stashBaggage(ctx)
 	defer unstashBaggage(bag)
-	hdr := callHeader{From: from, To: to, Class: class, Size: size, Baggage: bag}
-
-	deliveries := 1
-	if duplicate {
-		deliveries = 2
-	}
-	var (
-		reply     any
-		lastErr   error
-		delivered bool
-	)
-	for i := 0; i < deliveries; i++ {
-		t.count(class, size)
-		if b := storage.BillFrom(ctx); b != nil && t.opt.Model != nil {
-			if hops := t.topo.Hops(from, to); hops > 0 {
-				b.ChargeTransfer(t.opt.Model, size, hops)
-			}
-		}
-		// Each delivery encodes the payload anew: the encoding belongs to
-		// the stream of the connection that carries it.
-		r, err := t.roundTrip(ctx, addr, hdr, payload)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		reply, delivered = r, true
-	}
-	if delivered {
-		return reply, nil
-	}
-	return nil, lastErr
+	c := call{callHeader: callHeader{From: from, To: to, Class: class, Size: size, Baggage: bag}, addr: addr}
+	return send(ctx, t, icpt, t.opt.Model, c, payload)
 }
 
-// roundTrip performs one request/reply exchange on a pooled connection.
-func (t *TCP) roundTrip(ctx context.Context, addr string, hdr callHeader, payload any) (reply any, err error) {
-	class := hdr.Class
-	pool := t.poolFor(addr)
+// carry performs one request/reply exchange on a pooled connection. Each
+// delivery encodes the payload anew: the encoding belongs to the stream of
+// the connection that carries it.
+func (t *TCP) carry(ctx context.Context, c call, payload any) (reply any, err error) {
+	hdr, class := c.callHeader, c.Class
+	pool := t.poolFor(c.addr)
 	wc, err := pool.get(ctx, class)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, hdr.From, hdr.To, err)

@@ -290,36 +290,75 @@ func (f *Fabric) Call(ctx context.Context, from, to string, class Class, payload
 	if !ok || down {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, to)
 	}
+	c := call{callHeader: callHeader{From: from, To: to, Class: class, Size: size}, ep: ep}
+	return send(ctx, f, icpt, f.opt.Model, c, payload)
+}
 
+// carry delivers one copy of a call. Write/Read traffic first waits for one
+// of the endpoint's worker slots; Control bypasses them (the
+// reserved-bandwidth lane). The handler runs only if the very endpoint
+// snapshotted at call time is still the live registration: without the
+// generation check a concurrent Deregister+Register (leaf restart) would hand
+// the message to the dead handler.
+func (f *Fabric) carry(ctx context.Context, c call, payload any) (any, error) {
+	ep := c.ep
+	if c.Class != Control && ep.slots != nil {
+		select {
+		case ep.slots <- struct{}{}:
+			defer func() { <-ep.slots }()
+		case <-ctx.Done():
+			return nil, fmt.Errorf("transport: %s call %s->%s: %w", c.Class, c.From, c.To, ctx.Err())
+		}
+	}
+	f.mu.RLock()
+	cur, ok := f.nodes[c.To]
+	stale := !ok || cur.gen != ep.gen || cur.down
+	f.mu.RUnlock()
+	if stale {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, c.To)
+	}
+	return ep.handler(ctx, c.From, payload)
+}
+
+// call is one message in flight: its header, and the destination as the
+// fabric resolved it — the endpoint snapshotted at call time (Fabric) or the
+// dial address (TCP).
+type call struct {
+	callHeader
+	ep   *endpoint
+	addr string
+}
+
+// carrier is the one part of a Call each fabric does its own way: a single
+// delivery of the payload to the destination it resolved.
+type carrier interface {
+	Network
+	carry(ctx context.Context, c call, payload any) (any, error)
+}
+
+// send is the front half of every Call on either fabric: the interceptor's
+// drop / delay / duplicate, then per delivery the class counters and the
+// transfer bill, then the last successful reply wins. c travels by value and
+// n is the fabric itself, so a delivered call allocates nothing here.
+func send(ctx context.Context, n carrier, icpt Interceptor, model *sim.CostModel, c call, payload any) (any, error) {
 	duplicate := false
 	if icpt != nil {
-		fault := icpt.Intercept(ctx, from, to, class, size)
+		fault := icpt.Intercept(ctx, c.From, c.To, c.Class, c.Size)
 		if fault.Drop {
 			err := fault.Err
 			if err == nil {
 				err = ErrInjected
 			}
-			return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, from, to, err)
+			return nil, fmt.Errorf("transport: %s call %s->%s: %w", c.Class, c.From, c.To, err)
 		}
 		if fault.Delay > 0 {
 			select {
 			case <-time.After(fault.Delay):
 			case <-ctx.Done():
-				return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, from, to, ctx.Err())
+				return nil, fmt.Errorf("transport: %s call %s->%s: %w", c.Class, c.From, c.To, ctx.Err())
 			}
 		}
 		duplicate = fault.Duplicate
-	}
-
-	// Write/Read traffic competes for the endpoint's worker slots;
-	// Control bypasses them (the reserved-bandwidth lane).
-	if class != Control && ep.slots != nil {
-		select {
-		case ep.slots <- struct{}{}:
-			defer func() { <-ep.slots }()
-		case <-ctx.Done():
-			return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, from, to, ctx.Err())
-		}
 	}
 
 	deliveries := 1
@@ -334,13 +373,13 @@ func (f *Fabric) Call(ctx context.Context, from, to string, class Class, payload
 		delivered bool
 	)
 	for i := 0; i < deliveries; i++ {
-		f.count(class, size)
-		if b := storage.BillFrom(ctx); b != nil && f.opt.Model != nil {
-			if hops := f.topo.Hops(from, to); hops > 0 {
-				b.ChargeTransfer(f.opt.Model, size, hops)
+		n.Counters().count(c.Class, c.Size)
+		if b := storage.BillFrom(ctx); b != nil && model != nil {
+			if hops := n.Topology().Hops(c.From, c.To); hops > 0 {
+				b.ChargeTransfer(model, c.Size, hops)
 			}
 		}
-		r, err := f.deliver(ctx, to, ep, from, payload)
+		r, err := n.carry(ctx, c, payload)
 		if err != nil {
 			lastErr = err
 			continue
@@ -353,21 +392,6 @@ func (f *Fabric) Call(ctx context.Context, from, to string, class Class, payload
 		return reply, nil
 	}
 	return nil, lastErr
-}
-
-// deliver invokes the endpoint's handler after re-checking that the very
-// endpoint snapshotted at call time is still the live registration. Without
-// the generation check a concurrent Deregister+Register (leaf restart)
-// would hand the message to the dead handler.
-func (f *Fabric) deliver(ctx context.Context, to string, ep *endpoint, from string, payload any) (any, error) {
-	f.mu.RLock()
-	cur, ok := f.nodes[to]
-	stale := !ok || cur.gen != ep.gen || cur.down
-	f.mu.RUnlock()
-	if stale {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, to)
-	}
-	return ep.handler(ctx, from, payload)
 }
 
 // Nodes returns the registered node names (live and down).

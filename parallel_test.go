@@ -16,8 +16,7 @@ import (
 // with the given intra-task scan parallelism and returns per-query rendered
 // rows and ScanStats, the stream's summed ScanSimTime (the busiest leaf's
 // execution-only simulated time: what workers divide) and the final
-// aggregated SmartIndex counters. Hedging is disabled: it duplicates tasks
-// off wall-clock EWMAs, which would make the strict stat comparison racy.
+// aggregated SmartIndex counters.
 func parallelScanRun(t *testing.T, workers int, wlSeed, qSeed int64) ([]string, []exec.ScanStats, time.Duration, core.Stats) {
 	t.Helper()
 	sys, err := New(Config{
@@ -25,7 +24,6 @@ func parallelScanRun(t *testing.T, workers int, wlSeed, qSeed int64) ([]string, 
 		ScanWorkers:       workers,
 		CacheBytes:        64 << 20,
 		HeartbeatInterval: -1,
-		HedgeDelay:        -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -43,9 +43,10 @@ go test -count=20 -run 'TestEquivalenceUnderChaos|TestExplainAnalyzeMultiTaskGol
 
 # The fold and the statement flight are contracts about concurrency: the
 # answer may not depend on which leaf replied first, nor a follower on when
-# it joined. Twenty raced runs each.
-echo "== flight, fold and store-after-invalidate x20 (race)"
-go test -race -count=20 -run 'TestResultReuseAcrossConcurrentQueries|TestFlight|TestRetriedTaskFolds|TestHedgedTaskFolds|TestStore' ./internal/cluster/
+# it joined, nor on how late a timed-out task's backup ran. Twenty raced
+# runs each.
+echo "== flight, fold, timeout backup and store-after-invalidate x20 (race)"
+go test -race -count=20 -run 'TestResultReuseAcrossConcurrentQueries|TestFlight|TestRetriedTaskFolds|TestStragglerTimeoutBackup|TestMapTaskTimeoutBackup|TestStore' ./internal/cluster/
 
 # Coverage floors, set when each package's subsystem landed (cluster:
 # admission, scheduling, recovery; resultcache: normalization, subsumption,
