@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -152,15 +153,13 @@ type Config struct {
 	// byte budget; 0 disables. Hits are keyed by the normalized plan
 	// fingerprint (literals lifted to placeholders), so `b > 10` and
 	// `b > 20` share a shape, and subsumption lets a cached wider range
-	// answer a narrower one by re-filtering. Entries invalidate on table
-	// registration and ingest.
+	// answer a narrower one by re-filtering. An entry is served only at the
+	// catalog versions of the tables it read, so every registration retires
+	// the table's entries.
 	ResultCacheBytes int64
 	// ResultCacheTTL bounds result-cache entry freshness (default 5m when
 	// the cache is enabled; negative disables expiry).
 	ResultCacheTTL time.Duration
-	// ResultCacheTenantBytes caps any one tenant's (auth user's) resident
-	// result-cache bytes; 0 means no per-tenant cap.
-	ResultCacheTenantBytes int64
 	// CacheAffinity routes tasks for the same partition to the same leaf
 	// (rendezvous hashing, data holders preferred) while slot caps allow,
 	// so leaf footer/SSD caches keep hitting across repeated queries.
@@ -267,7 +266,7 @@ type System struct {
 	auth   *auth.Authority
 	caches []*cache.Reader
 	// readers are the per-leaf store readers (inside any SSD cache wrapper);
-	// retained so ingest can invalidate their footer caches on rewrite.
+	// retained so release can drop their footers of retired partitions.
 	readers  []*exec.StoreReader
 	rescache *resultcache.Cache
 	// plannerOpts mirror the master's shuffle-planner tuning so Explain
@@ -403,7 +402,6 @@ func New(cfg Config) (*System, error) {
 		sys.rescache = resultcache.New(resultcache.Config{
 			CapacityBytes: cfg.ResultCacheBytes,
 			TTL:           ttl,
-			TenantBytes:   cfg.ResultCacheTenantBytes,
 			Events:        sys.events,
 		})
 		rc := sys.rescache
@@ -710,29 +708,39 @@ func (s *System) WireTransport() *transport.TCP { return s.tcpNet }
 func (s *System) Metrics() *metrics.Registry { return s.metrics }
 
 // RegisterTable installs or replaces a catalog entry (Loader.Close does this
-// for generated data). Partition files the table listed before and no
-// longer lists are retired: everything cached from them is released through
-// InvalidatePath, so a sliding retention window holds memory flat. meta must
-// be a new value: the catalog keeps the registered pointer, so editing that
-// one in place hides what left.
+// for generated data). The catalog stamps its own copy: a partition with
+// Gen 0 — new bytes, such as a file rewritten in place — gets a fresh
+// generation, so no cache serves it anything read from its path before; a
+// partition taken from the catalog keeps its Gen and stays warm. Each
+// (path, generation) the previous entry listed and this one does not —
+// retired or superseded — is released, so a sliding retention window holds
+// memory flat.
 func (s *System) RegisterTable(ctx context.Context, meta *plan.TableMeta) error {
-	prev, lookupErr := s.master.Jobs.Lookup(meta.Name)
+	prev, _ := s.master.Jobs.Lookup(meta.Name)
 	if err := s.master.RegisterTable(ctx, meta); err != nil {
 		return err
 	}
-	if lookupErr != nil {
-		return nil // first registration: nothing to retire
-	}
-	kept := make(map[string]bool, len(meta.Partitions))
-	for _, p := range meta.Partitions {
-		kept[p.Path] = true
-	}
-	for _, p := range prev.Partitions {
-		if !kept[p.Path] {
-			s.InvalidatePath(meta.Name, p.Path)
-		}
+	next, _ := s.master.Jobs.Lookup(meta.Name)
+	for _, p := range prev.Superseded(next) {
+		s.release(p.Path)
 	}
 	return nil
+}
+
+// release drops what this process caches from the partition file at path,
+// every generation of it: the master's and each leaf's footer and each
+// leaf's SmartIndex entries. It frees memory only — generations already keep
+// stale state from being served — so SSD chunks and result-cache entries are
+// left to age out under their own budgets.
+func (s *System) release(path string) {
+	s.master.ReleaseFooter(path)
+	for _, sr := range s.readers {
+		sr.Release(path)
+	}
+	blocks := path + "#" // block ids are path#gen#ordinal
+	for _, si := range s.smart {
+		si.Invalidate(blocks)
+	}
 }
 
 // Query runs one SQL statement.
@@ -880,24 +888,26 @@ func (s *System) ResetIndexCounters() {
 // counters and the shadow-budget gauge.
 func (s *System) ResultCache() *resultcache.Cache { return s.rescache }
 
-// InvalidatePath drops every cached artifact derived from the partition
-// file at path after a rewrite or retirement: the master's and every leaf's
-// cached footers, each leaf's SSD column chunks and SmartIndex entries, and
-// — when table is non-empty — the semantic result-cache entries reading
-// that table. Loader, the ingest pipeline and RegisterTable call this
-// themselves; callers rewriting partition files through Router() directly
-// should too.
-func (s *System) InvalidatePath(table, path string) {
-	s.master.InvalidatePartition(table, path)
-	for _, sr := range s.readers {
-		sr.InvalidateMeta(path)
+// InvalidatePath re-registers table with its partition at path at a fresh
+// generation, for a caller that rewrote that file in place through Router():
+// the next statement reads the new bytes on every node. The partition's Rows
+// and Bytes stay as cataloged; a rewrite that changes them registers a new
+// TableMeta with the partition's Gen 0 instead. It returns the registration's
+// error.
+func (s *System) InvalidatePath(table, path string) error {
+	meta, err := s.master.Jobs.Lookup(table)
+	if err != nil {
+		return err
 	}
-	for _, c := range s.caches {
-		c.InvalidatePath(path)
+	next := *meta
+	next.Partitions = slices.Clone(meta.Partitions)
+	i := slices.IndexFunc(next.Partitions, func(p plan.PartitionMeta) bool { return p.Path == path })
+	if i < 0 {
+		return fmt.Errorf("feisu: %s is not a partition of %s", path, table)
 	}
-	for _, si := range s.smart {
-		si.Invalidate(path + "#") // block ids are path#ordinal
-	}
+	p := next.Partitions[i]
+	next.Partitions[i] = plan.PartitionMeta{Path: p.Path, Rows: p.Rows, Bytes: p.Bytes} // new bytes: Gen 0
+	return s.RegisterTable(context.Background(), &next)
 }
 
 // CacheMissRatio averages the SSD cache miss ratio across leaves; 0 when

@@ -100,21 +100,13 @@ func (s *System) History() *History { return s.history }
 // from the start; each delivered batch re-registers it with the grown
 // partition list.
 func (s *System) WatchJSON(table string, schema *Schema, srcPrefix, dstPrefix string, interval time.Duration) (stop func(), err error) {
-	meta := &plan.TableMeta{Name: table, Schema: schema}
-	if err := s.master.RegisterTable(context.Background(), meta); err != nil {
+	if err := s.RegisterTable(context.Background(), &plan.TableMeta{Name: table, Schema: schema}); err != nil {
 		return nil, err
 	}
-	conv := s.converter(table, schema, srcPrefix, dstPrefix)
-	var mu sync.Mutex
-	parts := []plan.PartitionMeta{}
 	w := &ingest.Watcher{
-		Conv: conv,
+		Conv: s.converter(table, schema, srcPrefix, dstPrefix),
 		OnNew: func(ctx context.Context, fresh []plan.PartitionMeta) error {
-			mu.Lock()
-			parts = append(parts, fresh...)
-			grown := &plan.TableMeta{Name: table, Schema: schema, Partitions: append([]plan.PartitionMeta(nil), parts...)}
-			mu.Unlock()
-			return s.master.RegisterTable(ctx, grown)
+			return s.extend(ctx, table, schema, fresh)
 		},
 	}
 	w.Start(interval)
@@ -130,28 +122,33 @@ func (s *System) IngestOnce(ctx context.Context, table string, schema *Schema, s
 	if err != nil {
 		return 0, err
 	}
-	// A restarted converter can reuse sequence numbers and rewrite a path
-	// already in the catalog; the fresh scan's metadata supersedes the old
-	// entry (its row count and block layout changed with the file).
+	var rows int64
+	for _, p := range parts {
+		rows += p.Rows
+	}
+	return rows, s.extend(ctx, table, schema, parts)
+}
+
+// extend registers the table's catalog entry grown by freshly converted
+// partitions. A restarted converter can reuse sequence numbers and rewrite a
+// path already in the catalog; the fresh scan's metadata supersedes the old
+// entry (its row count and block layout changed with the file), and its Gen
+// 0 puts the path at a fresh generation.
+func (s *System) extend(ctx context.Context, table string, schema *Schema, parts []plan.PartitionMeta) error {
 	fresh := make(map[string]bool, len(parts))
 	for _, p := range parts {
 		fresh[p.Path] = true
 	}
-	existing, err := s.master.Jobs.Lookup(table)
 	meta := &plan.TableMeta{Name: table, Schema: schema}
-	if err == nil {
+	if existing, err := s.master.Jobs.Lookup(table); err == nil {
 		for _, p := range existing.Partitions {
 			if !fresh[p.Path] {
 				meta.Partitions = append(meta.Partitions, p)
 			}
 		}
 	}
-	var rows int64
-	for _, p := range parts {
-		rows += p.Rows
-	}
 	meta.Partitions = append(meta.Partitions, parts...)
-	return rows, s.master.RegisterTable(ctx, meta)
+	return s.RegisterTable(ctx, meta)
 }
 
 // converter returns the table's converter, creating it on first use so
@@ -170,11 +167,6 @@ func (s *System) converter(table string, schema *Schema, srcPrefix, dstPrefix st
 		Schema:    schema,
 		SrcPrefix: srcPrefix,
 		DstPrefix: dstPrefix,
-		// Ingest (re)wrote a partition file: drop every cached artifact
-		// derived from it — master/leaf footers, SSD column chunks and
-		// semantic result-cache entries — before the partition is reported
-		// upward, so no reader ever serves bytes of a superseded file.
-		Invalidate: func(path string) { s.InvalidatePath(table, path) },
 	}
 	s.convs[table] = c
 	return c

@@ -4,6 +4,11 @@
 // ("all of which incur more than 80% of cache miss rates"), so admission is
 // gated by manually configured preferences: only data under preferred path
 // prefixes is cached.
+//
+// A chunk is keyed by the footer it was read through, not by its path: a
+// rewritten partition file comes with a new footer (a new generation, see
+// plan.PartitionMeta.Gen), so its predecessor's chunks are never served for
+// it and age out under the LRU budget.
 package cache
 
 import (
@@ -14,6 +19,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/exec"
 	"repro/internal/metrics"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -40,8 +46,8 @@ type Reader struct {
 	opt   Options
 
 	mu       sync.Mutex
-	items    map[string]*item
-	inflight map[string]*inflightCall
+	items    map[chunk]*item
+	inflight map[chunk]*inflightCall
 	head     *item // most recent
 	tail     *item
 	bytes    int64
@@ -57,8 +63,14 @@ type Reader struct {
 	Evictions metrics.Counter
 }
 
+// chunk identifies one column chunk of one footer.
+type chunk struct {
+	meta       *colstore.FileMeta
+	block, col int
+}
+
 type item struct {
-	key        string
+	key        chunk
 	col        *colstore.Column
 	size       int64
 	prev, next *item
@@ -74,7 +86,7 @@ type inflightCall struct {
 
 // NewReader wraps inner with the cache.
 func NewReader(inner exec.PartitionReader, opt Options) *Reader {
-	return &Reader{inner: inner, opt: opt, items: make(map[string]*item), inflight: make(map[string]*inflightCall)}
+	return &Reader{inner: inner, opt: opt, items: make(map[chunk]*item), inflight: make(map[chunk]*inflightCall)}
 }
 
 // RegisterMetrics publishes the cache's counters into a central registry
@@ -88,8 +100,8 @@ func (r *Reader) RegisterMetrics(reg *metrics.Registry, prefix string) {
 }
 
 // Meta delegates to the wrapped reader.
-func (r *Reader) Meta(ctx context.Context, path string) (*colstore.FileMeta, error) {
-	return r.inner.Meta(ctx, path)
+func (r *Reader) Meta(ctx context.Context, part plan.PartitionMeta) (*colstore.FileMeta, error) {
+	return r.inner.Meta(ctx, part)
 }
 
 // admitted applies the manual preference rule.
@@ -109,7 +121,7 @@ func (r *Reader) Column(ctx context.Context, path string, meta *colstore.FileMet
 		trace.FromContext(ctx).Count("cache.bypass", 1)
 		return r.inner.Column(ctx, path, meta, block, col)
 	}
-	key := cacheKey(path, block, col)
+	key := chunk{meta, block, col}
 	size := chunkSize(meta, block, col)
 
 	r.mu.Lock()
@@ -174,24 +186,6 @@ func (r *Reader) chargeHit(ctx context.Context, size int64) {
 	}
 }
 
-func cacheKey(path string, block, col int) string {
-	return path + "#" + itoa(block) + "#" + itoa(col)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
 func chunkSize(meta *colstore.FileMeta, block, col int) int64 {
 	if block < len(meta.Blocks) && col < len(meta.Blocks[block].ColExtents) {
 		return meta.Blocks[block].ColExtents[col].Len
@@ -240,29 +234,6 @@ func (r *Reader) evict(it *item) {
 	delete(r.items, it.key)
 	r.bytes -= it.size
 	r.Evictions.Inc()
-}
-
-// InvalidatePath drops every cached chunk belonging to the partition file
-// at path (ingest rewrote it, so resident chunks are stale). Invalidation
-// does not count as eviction — the chunks were not pushed out by pressure.
-// Nil-safe. Returns the number of chunks dropped.
-func (r *Reader) InvalidatePath(path string) int {
-	if r == nil {
-		return 0
-	}
-	prefix := path + "#"
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for key, it := range r.items {
-		if strings.HasPrefix(key, prefix) {
-			r.unlink(it)
-			delete(r.items, key)
-			r.bytes -= it.size
-			n++
-		}
-	}
-	return n
 }
 
 // Bytes returns resident cached bytes.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -18,7 +19,7 @@ type fakeReader struct {
 	fail  bool
 }
 
-func (f *fakeReader) Meta(ctx context.Context, path string) (*colstore.FileMeta, error) {
+func (f *fakeReader) Meta(ctx context.Context, part plan.PartitionMeta) (*colstore.FileMeta, error) {
 	return f.meta, nil
 }
 
@@ -158,67 +159,45 @@ func TestErrorPassthrough(t *testing.T) {
 func TestMetaDelegates(t *testing.T) {
 	f := &fakeReader{meta: testMeta(1, 1, 100)}
 	r := NewReader(f, Options{})
-	m, err := r.Meta(context.Background(), "/t")
+	m, err := r.Meta(context.Background(), plan.PartitionMeta{Path: "/t"})
 	if err != nil || m != f.meta {
 		t.Error("Meta should delegate")
 	}
 }
 
-func TestInvalidatePathDropsStaleChunks(t *testing.T) {
+// TestChunksKeyedByFooter: a rewritten partition file is read through a new
+// footer (a new generation), and a chunk cached under the old footer is
+// never served for it — the path alone decides nothing. The old chunks are
+// not dropped; they age out under the LRU budget.
+func TestChunksKeyedByFooter(t *testing.T) {
 	f := &fakeReader{meta: testMeta(2, 2, 100)}
 	r := NewReader(f, Options{CapacityBytes: 10000, Prefixes: []string{"/hot/"}})
 	ctx := context.Background()
-
-	// Warm two files: 4 chunks of /hot/a, 1 chunk of /hot/b.
+	old, rewritten := f.meta, testMeta(2, 2, 100)
 	for b := 0; b < 2; b++ {
 		for c := 0; c < 2; c++ {
-			if _, err := r.Column(ctx, "/hot/a", f.meta, b, c); err != nil {
+			if _, err := r.Column(ctx, "/hot/a", old, b, c); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if _, err := r.Column(ctx, "/hot/b", f.meta, 0, 0); err != nil {
+	f.reads = 0
+	if _, err := r.Column(ctx, "/hot/a", rewritten, 1, 1); err != nil {
 		t.Fatal(err)
+	}
+	if f.reads != 1 || r.Hits.Value() != 0 {
+		t.Fatalf("a chunk cached under the old footer answered the new one: reads=%d hits=%d", f.reads, r.Hits.Value())
+	}
+	if _, err := r.Column(ctx, "/hot/a", old, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Column(ctx, "/hot/a", rewritten, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if f.reads != 1 || r.Hits.Value() != 2 {
+		t.Errorf("each footer should keep hitting its own chunk: reads=%d hits=%d", f.reads, r.Hits.Value())
 	}
 	if r.Bytes() != 500 {
-		t.Fatalf("warm bytes = %d, want 500", r.Bytes())
-	}
-
-	if n := r.InvalidatePath("/hot/a"); n != 4 {
-		t.Errorf("InvalidatePath dropped %d chunks, want 4", n)
-	}
-	if r.Bytes() != 100 {
-		t.Errorf("bytes after invalidation = %d, want 100 (only /hot/b)", r.Bytes())
-	}
-	if r.Evictions.Value() != 0 {
-		t.Errorf("invalidation counted as eviction: %d", r.Evictions.Value())
-	}
-
-	// The invalidated file re-reads from storage; the survivor still hits.
-	f.reads = 0
-	if _, err := r.Column(ctx, "/hot/a", f.meta, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Column(ctx, "/hot/b", f.meta, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if f.reads != 1 {
-		t.Errorf("underlying reads after invalidation = %d, want 1", f.reads)
-	}
-
-	// Prefix match is per-file: "/hot/a" must not drop "/hot/ab".
-	if _, err := r.Column(ctx, "/hot/ab", f.meta, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if n := r.InvalidatePath("/hot/a"); n != 1 {
-		t.Errorf("second invalidation dropped %d, want 1", n)
-	}
-	if n := r.InvalidatePath("/hot/ab"); n != 1 {
-		t.Errorf("sibling file dropped %d chunks, want its own 1", n)
-	}
-
-	var nilReader *Reader
-	if nilReader.InvalidatePath("/x") != 0 {
-		t.Error("nil reader should be a no-op")
+		t.Errorf("bytes = %d, want 500 (four old chunks and one new)", r.Bytes())
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/colstore"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -23,7 +24,7 @@ type blockingReader struct {
 	fail    bool
 }
 
-func (b *blockingReader) Meta(ctx context.Context, path string) (*colstore.FileMeta, error) {
+func (b *blockingReader) Meta(ctx context.Context, part plan.PartitionMeta) (*colstore.FileMeta, error) {
 	return b.meta, nil
 }
 

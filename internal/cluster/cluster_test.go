@@ -642,6 +642,61 @@ func TestJobManagerHelpers(t *testing.T) {
 	}
 }
 
+// TestCatalogStampsGenerations: the job manager stores its own stamped copy
+// of each registration. A fresh Version every time; a partition registered
+// with Gen 0 (new bytes) gets that value, one that carries a Gen keeps it;
+// and a backup that replays the primary's ops and snapshot never issues a
+// stamp the primary already used.
+func TestCatalogStampsGenerations(t *testing.T) {
+	jm := NewJobManager()
+	meta := &plan.TableMeta{Name: "t", Partitions: []plan.PartitionMeta{{Path: "/a"}, {Path: "/b"}}}
+	op, superseded := jm.RegisterTable(meta)
+	first := op.Table
+	if first == meta || meta.Version != 0 || meta.Partitions[0].Gen != 0 {
+		t.Fatal("the catalog stamped the caller's meta instead of its own copy")
+	}
+	if first.Version == 0 || first.Partitions[0].Gen != first.Version || first.Partitions[1].Gen != first.Version {
+		t.Fatalf("new bytes not stamped: %+v", first)
+	}
+	if len(superseded) != 0 {
+		t.Errorf("a first registration superseded %v", superseded)
+	}
+
+	// Keep /a as registered, rewrite /b in place (Gen 0), retire nothing.
+	next := &plan.TableMeta{Name: "t", Partitions: []plan.PartitionMeta{first.Partitions[0], {Path: "/b"}}}
+	op, superseded = jm.RegisterTable(next)
+	second := op.Table
+	if second.Version <= first.Version {
+		t.Errorf("version %d after %d", second.Version, first.Version)
+	}
+	if second.Partitions[0].Gen != first.Partitions[0].Gen {
+		t.Error("a carried Gen was restamped")
+	}
+	if second.Partitions[1].Gen != second.Version {
+		t.Error("a Gen 0 partition kept its old generation")
+	}
+	if len(superseded) != 1 || superseded[0] != first.Partitions[1] {
+		t.Errorf("superseded = %v, want /b at its first generation", superseded)
+	}
+
+	backup := NewJobManager()
+	backup.Restore(jm.Snapshot())
+	op, _ = backup.RegisterTable(&plan.TableMeta{Name: "u", Version: 40, Partitions: []plan.PartitionMeta{{Path: "/c", Gen: 90}}})
+	if op.Table.Version <= 90 {
+		t.Errorf("backup stamped version %d at or below a handed Gen 90", op.Table.Version)
+	}
+	op, _ = backup.RegisterTable(&plan.TableMeta{Name: "v", Partitions: []plan.PartitionMeta{{Path: "/d"}}})
+	if got := op.Table.Partitions[0].Gen; got <= 90 || got <= second.Version {
+		t.Errorf("backup reissued generation %d", got)
+	}
+	fresh := NewJobManager()
+	fresh.Restore(jm.Snapshot())
+	op, _ = fresh.RegisterTable(&plan.TableMeta{Name: "w"})
+	if op.Table.Version <= second.Version {
+		t.Errorf("a restored catalog reissued version %d (primary is at %d)", op.Table.Version, second.Version)
+	}
+}
+
 func TestSubmitContextCancellation(t *testing.T) {
 	tc := newTestCluster(t, 1, 0, 2, nil)
 	tc.leaves[0].SetStall(200 * time.Millisecond)

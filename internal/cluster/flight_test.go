@@ -22,16 +22,16 @@ type gatedReader struct {
 	bad  string
 }
 
-func (g *gatedReader) Meta(ctx context.Context, path string) (*colstore.FileMeta, error) {
+func (g *gatedReader) Meta(ctx context.Context, part plan.PartitionMeta) (*colstore.FileMeta, error) {
 	select {
 	case <-g.gate:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	if path == g.bad {
-		return nil, fmt.Errorf("gatedReader: %s is unreadable", path)
+	if part.Path == g.bad {
+		return nil, fmt.Errorf("gatedReader: %s is unreadable", part.Path)
 	}
-	return g.PartitionReader.Meta(ctx, path)
+	return g.PartitionReader.Meta(ctx, part)
 }
 
 // gateLeaves wraps every leaf's reader in one shared gate and returns it.

@@ -89,15 +89,15 @@ type failOnceReader struct {
 	stall bool
 }
 
-func (r *failOnceReader) Meta(ctx context.Context, path string) (*colstore.FileMeta, error) {
-	if path == r.path && r.done.CompareAndSwap(false, true) {
+func (r *failOnceReader) Meta(ctx context.Context, part plan.PartitionMeta) (*colstore.FileMeta, error) {
+	if part.Path == r.path && r.done.CompareAndSwap(false, true) {
 		if r.stall {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}
-		return nil, fmt.Errorf("failOnceReader: first read of %s", path)
+		return nil, fmt.Errorf("failOnceReader: first read of %s", part.Path)
 	}
-	return r.PartitionReader.Meta(ctx, path)
+	return r.PartitionReader.Meta(ctx, part)
 }
 
 // TestRetriedTaskFoldsAtItsOrdinal: with task k failing at the stem — a read

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -18,12 +19,10 @@ import (
 type JobManager struct {
 	mu      sync.Mutex
 	catalog plan.MapCatalog
-	// epoch counts invalidations (catalog changes and partition rewrites);
-	// moved maps a table to the epoch of its latest one. A plan bound while
-	// the epoch read e is current for as long as none of its tables has
-	// moved[t] > e.
+	// epoch is the last stamp issued, and at least every Version and Gen the
+	// catalog holds: a registration stamps its table's Version, and the Gen
+	// of each partition registered with Gen 0, with the next value.
 	epoch uint64
-	moved map[string]uint64
 	// flights maps a statement key to its executing leader.
 	flights map[string]*flight
 
@@ -50,56 +49,41 @@ type flight struct {
 func NewJobManager() *JobManager {
 	return &JobManager{
 		catalog: plan.MapCatalog{},
-		moved:   make(map[string]uint64),
 		flights: make(map[string]*flight),
 	}
 }
 
-// RegisterTable installs or replaces a catalog entry and returns the op for
-// replication to backup masters.
-func (j *JobManager) RegisterTable(meta *plan.TableMeta) catalogOp {
-	j.mu.Lock()
-	j.catalog[meta.Name] = meta
-	j.epoch++
-	j.moved[meta.Name] = j.epoch
-	j.mu.Unlock()
-	return catalogOp{Table: meta}
-}
-
-// invalidate records that a table's data changed under an unchanged catalog
-// entry (a partition file rewritten in place).
-func (j *JobManager) invalidate(table string) {
-	j.mu.Lock()
-	j.epoch++
-	j.moved[table] = j.epoch
-	j.mu.Unlock()
-}
-
-// epochNow reads the invalidation epoch; read it before binding a plan.
-func (j *JobManager) epochNow() uint64 {
+// RegisterTable installs or replaces a catalog entry: its own copy of meta,
+// stamped with a fresh Version, which is also the Gen of every partition
+// registered with Gen 0 (new bytes); a partition that carries a Gen keeps it.
+// It returns the op for replication to backup masters and the partitions of
+// the previous entry that the new one supersedes (plan.TableMeta.Superseded).
+func (j *JobManager) RegisterTable(meta *plan.TableMeta) (catalogOp, []plan.PartitionMeta) {
+	t := *meta
+	t.Partitions = slices.Clone(meta.Partitions)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.epoch
-}
-
-// current reports whether no table the plan reads has been invalidated
-// since the epoch read boundAt.
-func (j *JobManager) current(p *plan.PhysicalPlan, boundAt uint64) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.tablesEpochLocked(p) <= boundAt
-}
-
-// tablesEpochLocked returns the latest invalidation among the tables the
-// plan reads.
-func (j *JobManager) tablesEpochLocked(p *plan.PhysicalPlan) uint64 {
-	var latest uint64
-	for _, bt := range p.A.Tables {
-		if e := j.moved[bt.Meta.Name]; e > latest {
-			latest = e
+	// A backup replaying the primary's ops is handed stamps it never issued.
+	j.coverLocked(&t)
+	j.epoch++
+	t.Version = j.epoch
+	for i := range t.Partitions {
+		if t.Partitions[i].Gen == 0 {
+			t.Partitions[i].Gen = j.epoch
 		}
 	}
-	return latest
+	prev := j.catalog[t.Name]
+	j.catalog[t.Name] = &t
+	return catalogOp{Table: &t}, prev.Superseded(&t)
+}
+
+// coverLocked raises the counter to every stamp t carries, so that none is
+// issued twice.
+func (j *JobManager) coverLocked(t *plan.TableMeta) {
+	j.epoch = max(j.epoch, t.Version)
+	for _, p := range t.Partitions {
+		j.epoch = max(j.epoch, p.Gen)
+	}
 }
 
 // Lookup implements plan.Catalog.
@@ -120,18 +104,23 @@ func (j *JobManager) Tables() []string {
 }
 
 // join returns the flight executing the plan's statement — same shape, same
-// literals, same epoch of every table it reads — registering the caller
+// literals, same version of every table it reads — registering the caller
 // (query ID qid) as its leader when there is none. The leader executes and
-// must land the flight; everyone else waits on done. A plan whose tables
-// moved after boundAt may be stale already and gets no flight (nil).
-func (j *JobManager) join(p *plan.PhysicalPlan, boundAt uint64, qid string) (f *flight, leader bool) {
+// must land the flight; everyone else waits on done. A plan bound to a
+// version the catalog has since replaced may be stale already and gets no
+// flight (nil).
+func (j *JobManager) join(p *plan.PhysicalPlan, qid string) (f *flight, leader bool) {
+	var buf [128]byte
+	b := append(append(append(buf[:0], p.Fingerprint...), 0), p.LiteralKey...)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	epoch := j.tablesEpochLocked(p)
-	if epoch > boundAt {
-		return nil, false
+	for _, bt := range p.A.Tables {
+		if cur := j.catalog[bt.Meta.Name]; cur == nil || cur.Version != bt.Meta.Version {
+			return nil, false
+		}
+		b = strconv.AppendUint(append(b, 0), bt.Meta.Version, 10)
 	}
-	key := p.Fingerprint + "\x00" + p.LiteralKey + "\x00" + strconv.FormatUint(epoch, 10)
+	key := string(b)
 	if f, ok := j.flights[key]; ok {
 		f.followers++
 		return f, false
@@ -202,5 +191,6 @@ func (j *JobManager) Restore(snap catalogSnapshot) {
 	j.catalog = plan.MapCatalog{}
 	for _, t := range snap.Tables {
 		j.catalog[t.Name] = t
+		j.coverLocked(t)
 	}
 }

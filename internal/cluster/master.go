@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,8 +80,8 @@ type MasterConfig struct {
 	// Standby starts the master as a backup.
 	Standby bool
 	// ResultCache, when set, serves repeated (or subsumed) queries from
-	// the master without executing tasks, and is invalidated on catalog
-	// changes. Nil disables semantic result caching.
+	// the master without executing tasks, at the catalog versions of the
+	// tables they read. Nil disables semantic result caching.
 	ResultCache *resultcache.Cache
 	// CacheAffinity routes tasks for the same partition to the same leaf
 	// (rendezvous hashing) while slot caps allow, so leaf-local caches keep
@@ -207,9 +209,8 @@ func (m *Master) handle(ctx context.Context, from string, payload any) (any, err
 		m.Manager.HeartbeatLoad(msg.Name, msg.Kind, load)
 		return nil, nil
 	case catalogOp:
-		m.Jobs.RegisterTable(msg.Table)
 		if msg.Table != nil {
-			m.cfg.ResultCache.InvalidateTable(msg.Table.Name)
+			m.Jobs.RegisterTable(msg.Table)
 		}
 		return nil, nil
 	case catalogSnapshot:
@@ -226,17 +227,10 @@ func (m *Master) handle(ctx context.Context, from string, payload any) (any, err
 	}
 }
 
-// InvalidatePartition drops the master's cached footer for a rewritten
-// partition file and evicts result-cache entries over its table — the
-// master half of the ingest invalidation protocol (leaf readers and SSD
-// caches are invalidated by the system wiring).
-func (m *Master) InvalidatePartition(table, path string) {
-	m.cfg.Events.Emit("ingest", events.IngestInvalidate, "", -1, table+" "+path)
-	// The epoch moves before the cache is invalidated (see StoreIf).
-	m.Jobs.invalidate(table)
-	m.reader.InvalidateMeta(path)
-	m.cfg.ResultCache.InvalidateTable(table)
-}
+// ReleaseFooter drops the master's cached footer of the partition file at
+// path, every generation of it: memory only, for a partition the catalog
+// retired or superseded.
+func (m *Master) ReleaseFooter(path string) { m.reader.Release(path) }
 
 // ActiveQueries snapshots the in-flight queries (oldest first): the live
 // progress view behind System.ActiveQueries, `\watch` and /debug/queries.
@@ -283,16 +277,21 @@ func (m *Master) AddBackup(ctx context.Context, name string) error {
 	return nil
 }
 
-// RegisterTable installs a table and replicates the op to backups.
+// RegisterTable installs a table, stamped by the catalog (JobManager.
+// RegisterTable), journals each partition generation it supersedes, and
+// replicates the op to backups.
 func (m *Master) RegisterTable(ctx context.Context, meta *plan.TableMeta) error {
 	if m.Standby() {
 		return ErrStandby
 	}
-	op := m.Jobs.RegisterTable(meta)
-	// Catalog changes (new or grown partition sets) make cached results
-	// over the table stale. Jobs.RegisterTable has already moved the
-	// table's epoch (see StoreIf).
-	m.cfg.ResultCache.InvalidateTable(meta.Name)
+	op, superseded := m.Jobs.RegisterTable(meta)
+	for _, old := range superseded {
+		to := "retired"
+		if i := slices.IndexFunc(op.Table.Partitions, func(p plan.PartitionMeta) bool { return p.Path == old.Path }); i >= 0 {
+			to = strconv.FormatUint(op.Table.Partitions[i].Gen, 10)
+		}
+		m.cfg.Events.Emit("catalog", events.IngestInvalidate, "", -1, meta.Name+" "+old.Path+" "+strconv.FormatUint(old.Gen, 10)+"→"+to)
+	}
 	m.mu.Lock()
 	backups := append([]string(nil), m.backups...)
 	m.mu.Unlock()

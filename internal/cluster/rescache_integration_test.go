@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,9 +92,10 @@ func TestMasterResultCacheTraceSpan(t *testing.T) {
 	}
 }
 
-// TestMasterResultCacheInvalidation covers both invalidation entry points:
-// re-registering a table (the ingest path) and InvalidatePartition (the
-// rewrite fan-out) must each drop cached entries for the table.
+// TestMasterResultCacheInvalidation covers both ways a table changes:
+// re-registering it (the ingest path) and re-registering one partition with
+// its Gen cleared (a file rewritten in place) must each retire cached
+// entries for the table.
 func TestMasterResultCacheInvalidation(t *testing.T) {
 	tc := newCachedCluster(t)
 	ctx := t.Context()
@@ -118,9 +120,14 @@ func TestMasterResultCacheInvalidation(t *testing.T) {
 	if _, stats := tc.query(q, QueryOptions{}); stats.ResultCache != "hit" {
 		t.Fatal("cache did not rewarm")
 	}
-	tc.master.InvalidatePartition("logs", meta.Partitions[0].Path)
+	rewritten := *meta
+	rewritten.Partitions = slices.Clone(meta.Partitions)
+	rewritten.Partitions[0].Gen = 0
+	if err := tc.master.RegisterTable(ctx, &rewritten); err != nil {
+		t.Fatal(err)
+	}
 	if _, stats := tc.query(q, QueryOptions{}); stats.ResultCache != "miss" {
-		t.Fatal("InvalidatePartition left the cached entry alive")
+		t.Fatal("a rewritten partition left the cached entry alive")
 	}
 
 	if tc.master.ResultCache().Snapshot().Invalidations == 0 {
@@ -130,10 +137,10 @@ func TestMasterResultCacheInvalidation(t *testing.T) {
 
 // TestStoreAfterInvalidateRefused is the stale-hit regression: a statement
 // planned before an ingest finishes after it, and its result — correct for
-// the snapshot it was planned on — must not enter the cache, because the
-// ingest's InvalidateTable has already run and nothing else would ever drop
-// the entry. Before the fix the next statement got outcome=hit with the old
-// count until the TTL.
+// the snapshot it was planned on — must never be served after the ingest.
+// The late entry carries the catalog version it was planned at, so the next
+// lookup finds it older and drops it. Without that check the next statement
+// would get outcome=hit with the old count until the TTL.
 func TestStoreAfterInvalidateRefused(t *testing.T) {
 	tc := newCachedCluster(t)
 	gate := tc.gateLeaves("")
@@ -147,12 +154,12 @@ func TestStoreAfterInvalidateRefused(t *testing.T) {
 	if got := (<-inflight).count(t); got != 200 {
 		t.Fatalf("in-flight statement = %d, want its own snapshot's 200", got)
 	}
-	if snap := tc.master.ResultCache().Snapshot(); snap.Entries != 0 || snap.StoreSkips != 1 {
-		t.Errorf("cache after the late store: %+v, want it refused and counted", snap)
-	}
 	res, stats := tc.query(q, QueryOptions{})
 	if got := res.Rows[0][0].I; got != 100 || stats.ResultCache != "miss" {
 		t.Errorf("statement after the ingest = %d (outcome %s), want a fresh 100", got, stats.ResultCache)
+	}
+	if snap := tc.master.ResultCache().Snapshot(); snap.Invalidations != 1 || snap.Hits != 0 {
+		t.Errorf("cache after the late store: %+v, want the late entry dropped unserved", snap)
 	}
 }
 

@@ -31,13 +31,12 @@ type statement struct {
 	qsite string // the statement's flight-recorder site, "query/<qid>"
 	stats *QueryStats
 
-	cred    auth.Credential // guard
-	stmt    *sqlparser.SelectStmt
-	boundAt uint64 // plan: the catalog epoch the plan was bound at
-	p       *plan.PhysicalPlan
-	prog    *progressHandle // admit
-	root    *trace.Span     // admit: nil unless the statement is traced
-	bill    *sim.Bill       // loadDims: what the master itself read
+	cred auth.Credential // guard
+	stmt *sqlparser.SelectStmt
+	p    *plan.PhysicalPlan
+	prog *progressHandle // admit
+	root *trace.Span     // admit: nil unless the statement is traced
+	bill *sim.Bill       // loadDims: what the master itself read
 
 	// What close gives back, each set by the stage that took it.
 	unguard func()             // guard: the entry guard's quota
@@ -161,9 +160,6 @@ func (q *statement) plan() (err error) {
 	if q.stmt, err = sqlparser.Parse(q.sql); err != nil {
 		return err
 	}
-	// The plan is current while no table it reads is invalidated past
-	// boundAt; the read must precede the catalog lookups inside PlanWith.
-	q.boundAt = q.m.Jobs.epochNow()
 	if q.p, err = plan.PlanWith(q.stmt, q.m.Jobs, q.m.cfg.Planner); err != nil {
 		return err
 	}
@@ -224,15 +220,15 @@ func (q *statement) probeCache() *exec.Result {
 // shape, same literals, same version of every table) is executing, wait for
 // its result instead of executing — like a cache hit, a follower takes no
 // execution slot. A statement that must trace its own execution or answer by
-// a deadline executes itself, and so does one whose tables moved while it
-// was being planned. The first of its kind leads: it executes, and close
-// lands the flight with whatever publish let it share.
+// a deadline executes itself, and so does one whose tables were re-registered
+// while it was being planned. The first of its kind leads: it executes, and
+// close lands the flight with whatever publish let it share.
 func (q *statement) flight(ctx context.Context) (*exec.Result, error) {
 	if q.stmt.Analyze || q.opts.TimeLimit != 0 {
 		return nil, nil
 	}
 	m := q.m
-	f, leader := m.Jobs.join(q.p, q.boundAt, q.qid)
+	f, leader := m.Jobs.join(q.p, q.qid)
 	if leader {
 		q.led = f
 	}
@@ -333,7 +329,7 @@ func (q *statement) loadDims(ctx context.Context) error {
 		}
 		var rows [][]types.Value
 		for _, part := range d.Table.Meta.Partitions {
-			meta, err := reader.Meta(ctx, part.Path)
+			meta, err := reader.Meta(ctx, part)
 			if err != nil {
 				return fmt.Errorf("cluster: dimension %s: %w", d.Table.Meta.Name, err)
 			}
@@ -437,13 +433,14 @@ func (q *statement) finalize(merged *exec.TaskResult) (*exec.Result, error) {
 
 // publish shares and stores only complete results: no failed tasks, no
 // partial/ratio degradation — neither a follower nor the cache may replay a
-// truncated answer.
+// truncated answer. The entry records the versions the plan was bound at, so
+// a result stored after its tables were re-registered is never served.
 func (q *statement) publish(res *exec.Result) {
 	if q.stats.TasksFailed > 0 || res.Partial || res.ProcessedRatio < 1 {
 		return
 	}
 	q.shared = res
 	if !q.opts.DisableResultCache {
-		q.m.cfg.ResultCache.StoreIf(q.p, q.cred.User, res, func() bool { return q.m.Jobs.current(q.p, q.boundAt) })
+		q.m.cfg.ResultCache.Store(q.p, q.cred.User, res)
 	}
 }

@@ -492,37 +492,77 @@ func TestCellPropertyMergeEquivalence(t *testing.T) {
 func TestStoreReaderMetaCaching(t *testing.T) {
 	h := newHarness(t)
 	ctx := context.Background()
-	m1, err := h.reader.Meta(ctx, "/logs/p0")
+	p0 := plan.PartitionMeta{Path: "/logs/p0"}
+	m1, err := h.reader.Meta(ctx, p0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := h.reader.Meta(ctx, "/logs/p0")
+	m2, err := h.reader.Meta(ctx, p0)
 	if err != nil || m1 != m2 {
 		t.Error("meta should be cached")
 	}
-	h.reader.InvalidateMeta("/logs/p0")
+	h.reader.Release("/logs/p0")
 	// A retired partition is never read again: the footer must be released
-	// by the invalidation itself, not by the re-read replacing it.
+	// by the release itself, not by the re-read replacing it.
 	if _, held := h.reader.metas["/logs/p0"]; held || len(h.reader.metas) != 0 {
-		t.Errorf("invalidate left %d footers cached", len(h.reader.metas))
+		t.Errorf("release left %d footers cached", len(h.reader.metas))
 	}
-	m3, err := h.reader.Meta(ctx, "/logs/p0")
+	m3, err := h.reader.Meta(ctx, p0)
 	if err != nil || m3 == m1 {
-		t.Error("invalidate should re-read")
+		t.Error("release should re-read")
+	}
+}
+
+// TestStoreReaderGenerations: a footer is cached with the generation it was
+// read at. A newer generation of the path rereads it (the file was rewritten
+// in place); an older one — a task planned before the rewrite — is served the
+// newer footer and never replaces it.
+func TestStoreReaderGenerations(t *testing.T) {
+	h := newHarness(t)
+	ctx := context.Background()
+	at := func(gen uint64) *colstore.FileMeta {
+		t.Helper()
+		m, err := h.reader.Meta(ctx, plan.PartitionMeta{Path: "/logs/p0", Gen: gen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	old := at(1)
+	w := colstore.NewWriter(types.MustSchema(types.Field{Name: "x", Type: types.Int64}), 4)
+	if err := w.Append(types.Row{types.NewInt(7)}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.router.WriteFile(ctx, "/logs/p0", data); err != nil {
+		t.Fatal(err)
+	}
+	if at(1) != old {
+		t.Fatal("the same generation reread its footer")
+	}
+	fresh := at(2)
+	if fresh == old || fresh.Schema.Len() != 1 {
+		t.Fatalf("generation 2 served the superseded footer (%d columns)", fresh.Schema.Len())
+	}
+	if at(1) != fresh || at(2) != fresh {
+		t.Error("an older generation replaced the newer footer")
 	}
 }
 
 func TestStoreReaderErrors(t *testing.T) {
 	h := newHarness(t)
 	ctx := context.Background()
-	if _, err := h.reader.Meta(ctx, "/missing"); err == nil {
+	if _, err := h.reader.Meta(ctx, plan.PartitionMeta{Path: "/missing"}); err == nil {
 		t.Error("missing file should fail")
 	}
 	_ = h.router.WriteFile(ctx, "/tiny", []byte("x"))
-	if _, err := h.reader.Meta(ctx, "/tiny"); err == nil {
+	if _, err := h.reader.Meta(ctx, plan.PartitionMeta{Path: "/tiny"}); err == nil {
 		t.Error("tiny file should fail")
 	}
-	meta, _ := h.reader.Meta(ctx, "/logs/p0")
+	meta, _ := h.reader.Meta(ctx, plan.PartitionMeta{Path: "/logs/p0"})
 	if _, err := h.reader.Column(ctx, "/logs/p0", meta, 99, 0); err == nil {
 		t.Error("bad block should fail")
 	}

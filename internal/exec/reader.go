@@ -6,32 +6,40 @@ import (
 	"sync"
 
 	"repro/internal/colstore"
+	"repro/internal/plan"
 	"repro/internal/storage"
 )
 
 // StoreReader reads partition metadata and column chunks through the common
-// storage layer with range reads, caching footers (they are tiny and
-// immutable — the leaf's light-weight process holds them naturally, paper
-// §III-B).
+// storage layer with range reads, caching one footer per path with the
+// generation it was read at (footers are tiny and immutable per generation —
+// the leaf's light-weight process holds them naturally, paper §III-B).
 type StoreReader struct {
 	Router *storage.Router
 
 	mu    sync.Mutex
-	metas map[string]*colstore.FileMeta
+	metas map[string]cachedMeta
+}
+
+type cachedMeta struct {
+	gen  uint64
+	meta *colstore.FileMeta
 }
 
 // NewStoreReader wraps a storage router.
 func NewStoreReader(r *storage.Router) *StoreReader {
-	return &StoreReader{Router: r, metas: make(map[string]*colstore.FileMeta)}
+	return &StoreReader{Router: r, metas: make(map[string]cachedMeta)}
 }
 
 // Meta implements PartitionReader: the footer is located via the fixed-size
-// tail, then range-read and parsed once.
-func (sr *StoreReader) Meta(ctx context.Context, path string) (*colstore.FileMeta, error) {
+// tail, then range-read and parsed once per generation. A newer generation
+// rereads it; an older one is served the newer footer and never replaces it.
+func (sr *StoreReader) Meta(ctx context.Context, part plan.PartitionMeta) (*colstore.FileMeta, error) {
+	path := part.Path
 	sr.mu.Lock()
-	if m, ok := sr.metas[path]; ok {
+	if f, ok := sr.metas[path]; ok && f.gen >= part.Gen {
 		sr.mu.Unlock()
-		return m, nil
+		return f.meta, nil
 	}
 	sr.mu.Unlock()
 
@@ -63,7 +71,9 @@ func (sr *StoreReader) Meta(ctx context.Context, path string) (*colstore.FileMet
 		return nil, fmt.Errorf("exec: %s: %w", path, err)
 	}
 	sr.mu.Lock()
-	sr.metas[path] = meta
+	if sr.metas[path].gen <= part.Gen {
+		sr.metas[path] = cachedMeta{part.Gen, meta}
+	}
 	sr.mu.Unlock()
 	return meta, nil
 }
@@ -93,8 +103,9 @@ func (sr *StoreReader) Column(ctx context.Context, path string, meta *colstore.F
 	return c, nil
 }
 
-// InvalidateMeta drops a cached footer (tests and data refresh paths).
-func (sr *StoreReader) InvalidateMeta(path string) {
+// Release drops the cached footer of path, whatever its generation: memory
+// only, for a partition the catalog retired or superseded.
+func (sr *StoreReader) Release(path string) {
 	sr.mu.Lock()
 	delete(sr.metas, path)
 	sr.mu.Unlock()

@@ -21,9 +21,10 @@ import (
 
 // PartitionReader supplies partition metadata and individual column chunks.
 // The production implementation reads byte ranges through the common
-// storage layer (StoreReader); the SSD cache wraps it.
+// storage layer (StoreReader); the SSD cache wraps it. Meta returns the
+// footer of the partition's file at the partition's generation (its Gen).
 type PartitionReader interface {
-	Meta(ctx context.Context, path string) (*colstore.FileMeta, error)
+	Meta(ctx context.Context, part plan.PartitionMeta) (*colstore.FileMeta, error)
 	Column(ctx context.Context, path string, meta *colstore.FileMeta, block, col int) (*colstore.Column, error)
 }
 
@@ -400,8 +401,8 @@ type dimTable struct {
 
 // newScanner resolves the task and returns the scanner of its serial paths.
 func newScanner(ctx context.Context, task plan.TaskSpec, reader PartitionReader, idx IndexSource, model *sim.CostModel) (*scanner, error) {
-	p, path := task.Plan, task.Partition.Path
-	meta, err := reader.Meta(ctx, path)
+	p, part, path := task.Plan, task.Partition, task.Partition.Path
+	meta, err := reader.Meta(ctx, part)
 	if err != nil {
 		return nil, fmt.Errorf("exec: meta %s: %w", path, err)
 	}
@@ -414,11 +415,15 @@ func newScanner(ctx context.Context, task plan.TaskSpec, reader PartitionReader,
 		}
 	}
 	if nb := len(meta.Blocks); idx != nil {
-		// Block ids are "<path>#<block>" (Invalidate(path+"#") relies on it),
-		// cut from one rendering of them all.
-		all, ends := make([]byte, 0, nb*(len(path)+4)), make([]int, nb+1)
+		// Block ids are "<path>#<gen>#<block>", so a rewritten file's blocks
+		// never meet its predecessor's entries (Invalidate(path+"#") releases
+		// every generation), cut from one rendering of them all.
+		var genBuf [20]byte
+		gen := strconv.AppendUint(genBuf[:0], part.Gen, 10)
+		all, ends := make([]byte, 0, nb*(len(path)+len(gen)+5)), make([]int, nb+1)
 		for bi := 0; bi < nb; bi++ {
-			all = strconv.AppendInt(append(append(all, path...), '#'), int64(bi), 10)
+			all = append(append(append(append(all, path...), '#'), gen...), '#')
+			all = strconv.AppendInt(all, int64(bi), 10)
 			ends[bi+1] = len(all)
 		}
 		t.blockIDs = make([]string, nb)

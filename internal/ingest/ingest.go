@@ -41,14 +41,6 @@ type Converter struct {
 	// default malformed lines are counted and skipped (production logs
 	// are dirty).
 	Strict bool
-	// Invalidate, when set, is called with each partition path this
-	// converter (re)writes, before the partition is reported upward. It
-	// lets the embedding system drop stale cached state for the path —
-	// footer metadata, SSD column chunks, semantic result-cache entries —
-	// so readers never serve bytes from a superseded file. This matters
-	// when a restarted converter reuses sequence numbers and overwrites
-	// an earlier conversion's output.
-	Invalidate func(path string)
 
 	mu   sync.Mutex
 	done map[string]bool
@@ -157,9 +149,9 @@ func (c *Converter) convert(ctx context.Context, srcPath string) (*plan.Partitio
 	if err := c.Router.WriteFile(ctx, dst, data); err != nil {
 		return nil, err
 	}
-	if c.Invalidate != nil {
-		c.Invalidate(dst)
-	}
+	// Gen 0: new bytes. A restarted converter that reuses a sequence number
+	// overwrites dst, and registering it at a fresh generation is what keeps
+	// readers off the superseded file's cached state.
 	return &plan.PartitionMeta{Path: dst, Rows: rows, Bytes: int64(len(data))}, nil
 }
 

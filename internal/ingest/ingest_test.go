@@ -214,59 +214,3 @@ func TestManyFilesDeterministicOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestInvalidateHookFiresPerWrittenPartition pins the invalidation contract:
-// the hook fires once per written partition, with the destination path,
-// before ScanOnce returns it — and never for empty files (nothing written).
-func TestInvalidateHookFiresPerWrittenPartition(t *testing.T) {
-	conv, router := newConverter(t)
-	var invalidated []string
-	conv.Invalidate = func(path string) { invalidated = append(invalidated, path) }
-	ctx := context.Background()
-	writeRaw(t, router, "/var/log/app/a.json", `{"ts": 1}`)
-	writeRaw(t, router, "/var/log/app/b.json", `{"ts": 2}`)
-	writeRaw(t, router, "/var/log/app/empty.json", "")
-
-	parts, err := conv.ScanOnce(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 2 || len(invalidated) != 2 {
-		t.Fatalf("parts=%d invalidations=%d, want 2 and 2", len(parts), len(invalidated))
-	}
-	for i, p := range parts {
-		if invalidated[i] != p.Path {
-			t.Errorf("invalidation %d = %q, want partition path %q", i, invalidated[i], p.Path)
-		}
-	}
-}
-
-// A converter that lost its done/seq state (process restart) reuses sequence
-// numbers and overwrites earlier output; the hook must fire for the rewritten
-// path so stale cached bytes get dropped.
-func TestInvalidateHookFiresOnRewrite(t *testing.T) {
-	conv, router := newConverter(t)
-	ctx := context.Background()
-	writeRaw(t, router, "/var/log/app/a.json", `{"ts": 1, "user": {"name": "old"}}`)
-	first, err := conv.ScanOnce(ctx)
-	if err != nil || len(first) != 1 {
-		t.Fatalf("first scan = %v, %v", first, err)
-	}
-
-	// Restarted converter: same prefixes, fresh state, changed source.
-	writeRaw(t, router, "/var/log/app/a.json", `{"ts": 9, "user": {"name": "new"}}`)
-	conv2, _ := newConverter(t)
-	conv2.Router = router
-	var invalidated []string
-	conv2.Invalidate = func(path string) { invalidated = append(invalidated, path) }
-	second, err := conv2.ScanOnce(ctx)
-	if err != nil || len(second) != 1 {
-		t.Fatalf("second scan = %v, %v", second, err)
-	}
-	if second[0].Path != first[0].Path {
-		t.Fatalf("restart did not reuse the sequence: %q vs %q", second[0].Path, first[0].Path)
-	}
-	if len(invalidated) != 1 || invalidated[0] != first[0].Path {
-		t.Errorf("rewrite invalidated %v, want [%s]", invalidated, first[0].Path)
-	}
-}

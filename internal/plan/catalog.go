@@ -22,6 +22,12 @@ type PartitionMeta struct {
 	// scheduler; zero means unknown.
 	Rows  int64
 	Bytes int64
+	// Gen is the generation of the bytes at Path, stamped by the master's
+	// catalog and carried in every task; each cache built from the file
+	// (footers, SSD chunks, SmartIndex) keys by it. 0 means new bytes: the
+	// catalog stamps a fresh generation, so whoever rewrites a file in place
+	// registers it with Gen 0. A registered partition keeps its Gen.
+	Gen uint64
 }
 
 // TableMeta is the catalog entry for a table.
@@ -29,6 +35,32 @@ type TableMeta struct {
 	Name       string
 	Schema     *types.Schema
 	Partitions []PartitionMeta
+	// Version is stamped by the catalog on every registration of the table;
+	// a cached result is served only at the versions its plan was bound at.
+	Version uint64
+}
+
+// Superseded returns the partitions of t whose (Path, Gen) next does not
+// list: retired, or rewritten under a newer generation. A nil t lists none.
+func (t *TableMeta) Superseded(next *TableMeta) []PartitionMeta {
+	if t == nil {
+		return nil
+	}
+	type file struct {
+		path string
+		gen  uint64
+	}
+	kept := make(map[file]bool, len(next.Partitions))
+	for _, p := range next.Partitions {
+		kept[file{p.Path, p.Gen}] = true
+	}
+	var out []PartitionMeta
+	for _, p := range t.Partitions {
+		if !kept[file{p.Path, p.Gen}] {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // Rows returns the catalog row count across partitions.

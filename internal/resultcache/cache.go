@@ -5,13 +5,15 @@
 // cached result — e.g. `b > 10` answering `b > 20` — by re-filtering the
 // cached rows with the new query's own pushed-down predicate.
 //
-// The cache is bounded by a global byte budget with LRU eviction, per-tenant
-// byte quotas (extending the admission controller's multi-tenant story:
-// one tenant's bulky results cannot evict the whole fleet's working set),
-// a TTL, and table-level invalidation driven by ingest. A ghost list of
-// recently evicted keys — same byte budget, keys only — counts the hits a
-// cache twice the size would have served, exported as the shadow gauge so
-// /metrics answers "would more memory help".
+// An entry records the catalog version (plan.TableMeta.Version) of every
+// table its plan read and is served only to a plan bound at the same
+// versions; a lookup that finds it older removes it. So an ingest needs no
+// call into the cache, and a result stored after its tables were
+// re-registered is never served. The cache is bounded by a global byte
+// budget with LRU eviction and a TTL. A ghost list of recently evicted keys
+// — same byte budget, keys only — counts the hits a cache twice the size
+// would have served, exported as the shadow gauge so /metrics answers
+// "would more memory help".
 package resultcache
 
 import (
@@ -58,9 +60,6 @@ type Config struct {
 	CapacityBytes int64
 	// TTL bounds entry age; <= 0 means no TTL.
 	TTL time.Duration
-	// TenantBytes caps any one tenant's share of the budget; <= 0 means
-	// no per-tenant cap.
-	TenantBytes int64
 	// Now is injectable for tests; nil means time.Now.
 	Now func() time.Time
 	// Events, when set, journals store/evict/invalidate decisions into the
@@ -78,8 +77,7 @@ type entry struct {
 	litKey  string
 	lits    []types.Value
 	slots   []plan.LitSlot
-	tables  []string
-	tenant  string
+	tables  []boundTable
 	res     *exec.Result
 	bytes   int64
 	expires time.Time // zero when no TTL
@@ -87,10 +85,17 @@ type entry struct {
 	prev, next *entry
 }
 
+// boundTable is a table a plan read, with the catalog version it was bound
+// at.
+type boundTable struct {
+	name    string
+	version uint64
+}
+
 // ghost is an evicted entry's key with its old size — no rows.
 type ghost struct {
 	key        string
-	tables     []string
+	tables     []boundTable
 	bytes      int64
 	prev, next *ghost
 }
@@ -100,12 +105,11 @@ type ghost struct {
 type Cache struct {
 	cfg Config
 
-	mu          sync.Mutex
-	byKey       map[string]*entry
-	shapes      map[string][]*entry
-	head, tail  *entry // LRU: head = most recent
-	bytes       int64
-	tenantBytes map[string]int64
+	mu         sync.Mutex
+	byKey      map[string]*entry
+	shapes     map[string][]*entry
+	head, tail *entry // LRU: head = most recent
+	bytes      int64
 
 	ghosts               map[string]*ghost
 	ghostHead, ghostTail *ghost
@@ -127,11 +131,10 @@ func New(cfg Config) *Cache {
 		cfg.Now = time.Now
 	}
 	return &Cache{
-		cfg:         cfg,
-		byKey:       make(map[string]*entry),
-		shapes:      make(map[string][]*entry),
-		tenantBytes: make(map[string]int64),
-		ghosts:      make(map[string]*ghost),
+		cfg:    cfg,
+		byKey:  make(map[string]*entry),
+		shapes: make(map[string][]*entry),
+		ghosts: make(map[string]*ghost),
 	}
 }
 
@@ -139,22 +142,29 @@ func entryKey(p *plan.PhysicalPlan) string {
 	return p.Fingerprint + "\x00" + p.LiteralKey
 }
 
-// Lookup serves the query from cache if possible. The returned result is a
-// deep copy the caller owns. Results are shared across tenants: quotas are
-// write-side attribution, not read isolation (the master authorizes the
-// query against the catalog before it ever consults the cache).
+// Lookup serves the query from cache if possible: only an entry stored at
+// the catalog versions the plan was bound at. An exact entry from an older
+// version is removed and counted in Invalidations. The returned result is a
+// deep copy the caller owns. Results are shared across tenants (the master
+// authorizes the query against the catalog before it ever consults the
+// cache).
 func (c *Cache) Lookup(p *plan.PhysicalPlan) (*exec.Result, Outcome) {
 	if c == nil || p == nil {
 		return nil, Miss
 	}
+	key := entryKey(p)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.cfg.Now()
 
-	if e, ok := c.byKey[entryKey(p)]; ok {
-		if c.expiredLocked(e, t) {
+	if e, ok := c.byKey[key]; ok {
+		switch age := compareVersions(e.tables, p); {
+		case c.expiredLocked(e, t):
 			c.removeLocked(e, &c.expirations)
-		} else {
+		case age < 0:
+			c.removeLocked(e, &c.invalidations)
+			c.cfg.Events.Emit("rescache", events.CacheInvalidate, "", -1, e.fp)
+		case age == 0:
 			c.touchLocked(e)
 			c.hits++
 			return e.res.Clone(), Hit
@@ -165,7 +175,7 @@ func (c *Cache) Lookup(p *plan.PhysicalPlan) (*exec.Result, Outcome) {
 	// query implies, then re-filter its rows with this query's own filter.
 	if filter, ok := p.ReuseFilter(); ok {
 		for _, e := range c.shapes[p.Fingerprint] {
-			if c.expiredLocked(e, t) {
+			if c.expiredLocked(e, t) || compareVersions(e.tables, p) != 0 {
 				continue // removed lazily by the next exact lookup or sweep
 			}
 			if !implies(e.slots, p.Literals, e.lits) {
@@ -190,34 +200,28 @@ func (c *Cache) Lookup(p *plan.PhysicalPlan) (*exec.Result, Outcome) {
 	}
 
 	c.misses++
-	if g, ok := c.ghosts[entryKey(p)]; ok {
-		// A cache with twice the budget would (likely) still hold this.
-		c.shadowHits++
+	if g, ok := c.ghosts[key]; ok {
+		if compareVersions(g.tables, p) == 0 {
+			// A cache with twice the budget would (likely) still hold this.
+			c.shadowHits++
+		}
 		c.removeGhostLocked(g)
 	}
 	return nil, Miss
 }
 
-// Store caches a completed result under the plan's identity, attributed to
-// the tenant. The result is deep-copied; partial or truncated results must
-// not be stored (the master gates on that).
+// Store caches a completed result under the plan's identity and the catalog
+// versions it was bound at. The result is deep-copied; partial or truncated
+// results must not be stored (the master gates on that). A result too big
+// for the budget, or older than the entry it would replace, is refused and
+// counted in StoreSkips. tenant is unused: results are shared across
+// tenants.
 func (c *Cache) Store(p *plan.PhysicalPlan, tenant string, res *exec.Result) {
-	c.StoreIf(p, tenant, res, nil)
-}
-
-// StoreIf is Store, refused (counted in StoreSkips) when current reports
-// that a table the plan read has been invalidated since the plan was bound.
-// current runs under the cache's lock: an invalidator that records its move
-// first and calls InvalidateTable second is then either ahead of this store,
-// which sees the move, or behind it, and drops the entry. Without the check
-// a result planned before an ingest could be stored after the ingest's
-// InvalidateTable and be served until its TTL.
-func (c *Cache) StoreIf(p *plan.PhysicalPlan, tenant string, res *exec.Result, current func() bool) {
 	if c == nil || p == nil || res == nil {
 		return
 	}
 	size := resultBytes(res)
-	if size > c.cfg.CapacityBytes || (c.cfg.TenantBytes > 0 && size > c.cfg.TenantBytes) {
+	if size > c.cfg.CapacityBytes {
 		c.mu.Lock()
 		c.storeSkips++
 		c.mu.Unlock()
@@ -230,21 +234,20 @@ func (c *Cache) StoreIf(p *plan.PhysicalPlan, tenant string, res *exec.Result, c
 		lits:   append([]types.Value(nil), p.Literals...),
 		slots:  append([]plan.LitSlot(nil), p.ReuseSlots...),
 		tables: planTables(p),
-		tenant: tenant,
 		res:    res.Clone(),
 		bytes:  size,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if current != nil && !current() {
-		c.storeSkips++
-		return
+	if old, ok := c.byKey[e.key]; ok {
+		if compareVersions(old.tables, p) > 0 {
+			c.storeSkips++
+			return
+		}
+		c.removeLocked(old, nil)
 	}
 	if c.cfg.TTL > 0 {
 		e.expires = c.cfg.Now().Add(c.cfg.TTL)
-	}
-	if old, ok := c.byKey[e.key]; ok {
-		c.removeLocked(old, nil)
 	}
 	if g, ok := c.ghosts[e.key]; ok {
 		c.removeGhostLocked(g)
@@ -253,19 +256,6 @@ func (c *Cache) StoreIf(p *plan.PhysicalPlan, tenant string, res *exec.Result, c
 	c.shapes[e.fp] = append(c.shapes[e.fp], e)
 	c.pushFrontLocked(e)
 	c.bytes += e.bytes
-	c.tenantBytes[e.tenant] += e.bytes
-
-	// Tenant quota first (evict the tenant's own LRU tail), then the global
-	// budget.
-	if c.cfg.TenantBytes > 0 {
-		for c.tenantBytes[e.tenant] > c.cfg.TenantBytes {
-			victim := c.tailOfTenantLocked(e.tenant, e)
-			if victim == nil {
-				break
-			}
-			c.evictLocked(victim)
-		}
-	}
 	for c.bytes > c.cfg.CapacityBytes && c.tail != nil {
 		c.evictLocked(c.tail)
 	}
@@ -274,8 +264,8 @@ func (c *Cache) StoreIf(p *plan.PhysicalPlan, tenant string, res *exec.Result, c
 }
 
 // InvalidateTable drops every entry (and ghost) whose query read the table.
-// Called by the master on catalog changes and by ingest when partitions are
-// written or rewritten.
+// The engine does not call it — a re-registered table's entries are retired
+// by their versions on lookup — but the benchmark's replay does.
 func (c *Cache) InvalidateTable(table string) {
 	if c == nil {
 		return
@@ -285,7 +275,7 @@ func (c *Cache) InvalidateTable(table string) {
 	dropped := 0
 	for e := c.head; e != nil; {
 		next := e.next
-		if containsStr(e.tables, table) {
+		if reads(e.tables, table) {
 			c.removeLocked(e, &c.invalidations)
 			dropped++
 		}
@@ -297,7 +287,7 @@ func (c *Cache) InvalidateTable(table string) {
 	}
 	for g := c.ghostHead; g != nil; {
 		next := g.next
-		if containsStr(g.tables, table) {
+		if reads(g.tables, table) {
 			c.removeGhostLocked(g)
 		}
 		g = next
@@ -401,10 +391,6 @@ func (c *Cache) removeLocked(e *entry, counter *int64) {
 	delete(c.byKey, e.key)
 	c.dropShapeLocked(e)
 	c.bytes -= e.bytes
-	c.tenantBytes[e.tenant] -= e.bytes
-	if c.tenantBytes[e.tenant] <= 0 {
-		delete(c.tenantBytes, e.tenant)
-	}
 	if counter != nil {
 		*counter++
 	}
@@ -463,17 +449,6 @@ func (c *Cache) dropShapeLocked(e *entry) {
 	}
 }
 
-// tailOfTenantLocked finds the least-recently-used entry of the tenant,
-// excluding the just-inserted one.
-func (c *Cache) tailOfTenantLocked(tenant string, skip *entry) *entry {
-	for e := c.tail; e != nil; e = e.prev {
-		if e != skip && e.tenant == tenant {
-			return e
-		}
-	}
-	return nil
-}
-
 // implies reports whether the new literal vector's predicate implies the
 // cached one under the shared slot classification — i.e. every row the new
 // query accepts, the cached query accepted too.
@@ -515,14 +490,32 @@ func implies(slots []plan.LitSlot, newLits, oldLits []types.Value) bool {
 	return true
 }
 
-// planTables names every table the plan reads: the fact table, broadcast
-// dimensions and a repartitioned build side alike.
-func planTables(p *plan.PhysicalPlan) []string {
-	tables := make([]string, len(p.A.Tables))
+// planTables names every table the plan reads — the fact table, broadcast
+// dimensions and a repartitioned build side alike — with the catalog version
+// it was bound at.
+func planTables(p *plan.PhysicalPlan) []boundTable {
+	tables := make([]boundTable, len(p.A.Tables))
 	for i, bt := range p.A.Tables {
-		tables[i] = bt.Meta.Name
+		tables[i] = boundTable{bt.Meta.Name, bt.Meta.Version}
 	}
 	return tables
+}
+
+// compareVersions compares the versions an entry recorded with those plan p
+// (same statement shape, so the same tables) was bound at: 0 when all are
+// equal; -1 when the entry is older in some table, so the catalog has
+// re-registered that table since; +1 when it is only newer.
+func compareVersions(tables []boundTable, p *plan.PhysicalPlan) int {
+	cmp := 0
+	for i, bt := range p.A.Tables {
+		switch {
+		case tables[i].version < bt.Meta.Version:
+			return -1
+		case tables[i].version > bt.Meta.Version:
+			cmp = 1
+		}
+	}
+	return cmp
 }
 
 // resultBytes estimates the in-memory footprint of a result.
@@ -541,9 +534,9 @@ func resultBytes(r *exec.Result) int64 {
 	return size
 }
 
-func containsStr(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
+func reads(tables []boundTable, name string) bool {
+	for _, t := range tables {
+		if t.name == name {
 			return true
 		}
 	}

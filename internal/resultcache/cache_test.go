@@ -210,34 +210,86 @@ func TestInvalidateTable(t *testing.T) {
 	}
 }
 
-// TestStoreIfAsksUnderTheLock pins the store-after-invalidate rule: the
-// freshness verdict is taken inside the cache's critical section, so an
-// invalidator that moves its version first and calls InvalidateTable second
-// can never be overtaken by a stale store. A refused store is counted and
-// leaves whatever was cached alone.
-func TestStoreIfAsksUnderTheLock(t *testing.T) {
+// planAt plans sql against a catalog whose tables are at the given version.
+func planAt(t *testing.T, sql string, version uint64) *plan.PhysicalPlan {
+	t.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatalf("parse %q: %v", sql, err)
+	}
+	cat := testCatalog()
+	for _, meta := range cat {
+		meta.Version = version
+	}
+	p, err := plan.Plan(stmt, cat)
+	if err != nil {
+		t.Fatalf("plan %q: %v", sql, err)
+	}
+	return p
+}
+
+// TestVersionsRetireStaleEntries: an entry serves only plans bound at the
+// catalog versions it was stored at. A lookup at a newer version removes it
+// and counts an invalidation; a store that lands late, from a plan bound
+// before the re-registration, is never served at the new version and never
+// replaces the newer entry; subsumption and the shadow gauge skip stale
+// entries and ghosts.
+func TestVersionsRetireStaleEntries(t *testing.T) {
+	const q = "SELECT url, clicks FROM logs WHERE clicks > 10"
 	c, _ := newTestCache(1 << 20)
+	v1, v2 := planAt(t, q, 1), planAt(t, q, 2)
+	c.Store(v1, "a", selectResult([2]interface{}{"old", 11}))
+	if _, out := c.Lookup(v2); out != Miss {
+		t.Fatalf("entry from version 1 served at version 2: %v", out)
+	}
+	if s := c.Snapshot(); s.Invalidations != 1 || s.Entries != 0 {
+		t.Fatalf("stale entry not removed and counted: %+v", s)
+	}
+
+	c.Store(v1, "a", selectResult([2]interface{}{"late", 11})) // planned before, stored after
+	if _, out := c.Lookup(v2); out != Miss {
+		t.Fatalf("late store served at the new version: %v", out)
+	}
+	c.Store(v2, "a", selectResult([2]interface{}{"new", 12}))
+	c.Store(v1, "a", selectResult([2]interface{}{"late", 11}))
+	if res, out := c.Lookup(v2); out != Hit || res.Rows[0][0].S != "new" {
+		t.Fatalf("late store replaced the newer entry: %v, %v", res, out)
+	}
+	if _, out := c.Lookup(v1); out != Miss {
+		t.Fatal("a newer entry served a plan bound before it")
+	}
+	if s := c.Snapshot(); s.StoreSkips != 1 || s.Entries != 1 || s.Invalidations != 2 {
+		t.Fatalf("stats = %+v, want the late store refused", s)
+	}
+
+	sub, _ := newTestCache(1 << 20)
+	sub.Store(planAt(t, "SELECT url, clicks FROM logs WHERE clicks > 5", 1), "a", selectResult([2]interface{}{"u", 11}))
+	if _, out := sub.Lookup(planAt(t, q, 2)); out != Miss {
+		t.Fatalf("subsumption served a stale entry: %v", out)
+	}
+
+	one := selectResult([2]interface{}{"uuuuuuuu", 1})
+	ghosts, _ := newTestCache(resultBytes(one) + resultBytes(one)/2)
+	ghosts.Store(v1, "a", one)
+	ghosts.Store(planAt(t, "SELECT url, clicks FROM logs WHERE clicks > 11", 1), "a", one) // evicts v1's entry
+	if ghosts.Snapshot().Ghosts != 1 {
+		t.Fatal("no ghost to test")
+	}
+	if _, out := ghosts.Lookup(v2); out != Miss || ghosts.Snapshot().ShadowHits != 0 {
+		t.Fatalf("a stale ghost counted as a shadow hit: %+v", ghosts.Snapshot())
+	}
+}
+
+func TestStoreSkipsOversized(t *testing.T) {
+	one := selectResult([2]interface{}{"uuuuuuuu", 1})
+	c, _ := newTestCache(resultBytes(one) - 1)
 	p := planSQL(t, "SELECT url, clicks FROM logs WHERE clicks > 10")
-	fresh := selectResult([2]interface{}{"u", 11})
-
-	c.StoreIf(p, "a", fresh, func() bool {
-		if c.mu.TryLock() {
-			c.mu.Unlock()
-			t.Error("current() ran outside the cache's lock")
-		}
-		return true
-	})
-	if _, out := c.Lookup(p); out != Hit {
-		t.Fatal("a current result must be stored")
+	c.Store(p, "a", one)
+	if _, out := c.Lookup(p); out != Miss {
+		t.Fatal("a result over the budget must not be cached")
 	}
-
-	c.StoreIf(p, "a", selectResult([2]interface{}{"stale", 99}), func() bool { return false })
-	res, out := c.Lookup(p)
-	if out != Hit || res.Rows[0][0].S != "u" {
-		t.Fatalf("refused store replaced the entry: %v, %v", res, out)
-	}
-	if s := c.Snapshot(); s.StoreSkips != 1 || s.Entries != 1 {
-		t.Fatalf("stats = %+v, want the refusal counted", s)
+	if s := c.Snapshot(); s.StoreSkips != 1 || s.Bytes != 0 {
+		t.Fatalf("stats = %+v", s)
 	}
 }
 
@@ -266,45 +318,6 @@ func TestLRUEvictionAndShadow(t *testing.T) {
 	// The miss on a ghost key is the shadow signal.
 	if r := c.ShadowHitRatio(); r <= c.HitRatio() {
 		t.Fatalf("shadow ratio %v should exceed real ratio %v", r, c.HitRatio())
-	}
-}
-
-func TestTenantQuota(t *testing.T) {
-	one := selectResult([2]interface{}{"uuuuuuuu", 1})
-	per := resultBytes(one)
-	c, _ := newTestCache(100*per, func(cfg *Config) { cfg.TenantBytes = 2*per + per/2 })
-
-	var plansA []*plan.PhysicalPlan
-	for i := 0; i < 3; i++ {
-		p := planSQL(t, fmt.Sprintf("SELECT url, clicks FROM logs WHERE clicks > %d AND pos = %d", i, i))
-		plansA = append(plansA, p)
-		c.Store(p, "tenant-a", one)
-	}
-	pB := planSQL(t, "SELECT url, clicks FROM logs WHERE pos > 7")
-	c.Store(pB, "tenant-b", one)
-
-	// tenant-a exceeded its quota: its own LRU entry went, tenant-b's stayed.
-	if _, out := c.Lookup(plansA[0]); out != Miss {
-		t.Fatal("tenant-a's oldest entry should be evicted by its quota")
-	}
-	if _, out := c.Lookup(plansA[2]); out != Hit {
-		t.Fatal("tenant-a's newest entry should survive")
-	}
-	if _, out := c.Lookup(pB); out != Hit {
-		t.Fatal("tenant-b must be unaffected by tenant-a's quota")
-	}
-	// Oversized single results are skipped outright.
-	big := selectResult()
-	for i := 0; i < 200; i++ {
-		big.Rows = append(big.Rows, []types.Value{types.NewString("x"), types.NewInt(1)})
-	}
-	pBig := planSQL(t, "SELECT url, clicks FROM logs WHERE pos > 8")
-	c.Store(pBig, "tenant-b", big)
-	if _, out := c.Lookup(pBig); out != Miss {
-		t.Fatal("over-quota result must not be cached")
-	}
-	if s := c.Snapshot(); s.StoreSkips != 1 {
-		t.Fatalf("stats = %+v", s)
 	}
 }
 

@@ -38,8 +38,9 @@ import (
 // task, and stem jobs lost the flag that chose. Version 4: a shuffle map task
 // is an ordinary task message carrying a route; its own request and reply
 // types are gone. Version 5: stem jobs carry no hedge plan (backup leaves,
-// hedge delay) and task statuses no wall time or hedge flags.
-const CodecVersion = 5
+// hedge delay) and task statuses no wall time or hedge flags. Version 6:
+// partitions carry their generation and catalog entries their version.
+const CodecVersion = 6
 
 const frameMagic = 0xFE15
 

@@ -7,17 +7,19 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/plan"
 )
 
 // TestReloadSameTableInvalidatesIndex reloads a table through Loader at the
 // same prefix with different values in the same shape (same row, block and
-// partition counts). SmartIndex entries are keyed by path#block and guarded
-// only by the block's row count, so without invalidation the second query is
-// answered from bitmaps of the superseded files. Loader.flushPartition calls
-// InvalidatePath, which reaches every leaf's SmartIndex (and, with
-// CacheBytes, its SSD chunks). The B-tree baseline exists only for fig 9(b)
-// and never sees a rewrite; it is deliberately not covered.
+// partition counts). SmartIndex entries are guarded only by the block's row
+// count, so were they keyed by path#block alone the second query would be
+// answered from bitmaps of the superseded files. Loader registers its
+// partitions with Gen 0, so the reload puts every path at a fresh generation
+// and block ids (path#gen#block) and SSD chunks (keyed by footer) of the old
+// bytes are never hit. The B-tree baseline exists only for fig 9(b) and
+// never sees a rewrite; it is deliberately not covered.
 func TestReloadSameTableInvalidatesIndex(t *testing.T) {
 	for _, cfg := range []Config{
 		{Leaves: 2, Index: IndexSmart},
@@ -72,8 +74,8 @@ func TestReloadSameTableInvalidatesIndex(t *testing.T) {
 
 // TestRetiredPartitionsAreReleased runs ingest → filtered query →
 // retire-oldest cycles at a fixed retention window. RegisterTable diffs the
-// old partition list against the new one and calls InvalidatePath for every
-// path that left, so index entries and footers of retired partitions are
+// old entry against the new one by (path, generation) and releases every
+// pair that left, so index entries and footers of retired partitions are
 // dropped: resident entries and live heap at cycle 300 are within 10 % of
 // cycle 100. Without the diff both grow with every cycle.
 func TestRetiredPartitionsAreReleased(t *testing.T) {
@@ -165,5 +167,84 @@ func TestRetiredPartitionsAreReleased(t *testing.T) {
 	}
 	if float64(heap300) > 1.1*float64(heap100) {
 		t.Errorf("live heap grew with retired partitions: %d B at cycle 100, %d B at cycle 300", heap100, heap300)
+	}
+}
+
+// TestRewriteRegisteredInCatalogOnly is what a master in another process
+// does after a partition file is rewritten in place: it registers the table
+// with that partition at Gen 0, and nothing else — no call reaches the
+// leaves. With footers, SSD chunks, SmartIndex and the result cache all warm,
+// the next answer must come from the new bytes.
+func TestRewriteRegisteredInCatalogOnly(t *testing.T) {
+	sys, err := New(Config{
+		Leaves:           2,
+		CacheBytes:       1 << 20,
+		CachePrefixes:    []string{"/hdfs/"},
+		ResultCacheBytes: 1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	ctx := context.Background()
+	loadVisits(t, sys, "/hdfs/visits", 200) // 4 partitions of 50 rows, clicks = id % 10
+	const q = "SELECT SUM(id) FROM visits WHERE clicks > 4"
+	sum := func(opts ...QueryOption) int64 {
+		t.Helper()
+		res, err := sys.Query(ctx, q, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].I
+	}
+	for i := 0; i < 2; i++ {
+		if got := sum(); got != 10200 {
+			t.Fatalf("warm-up %d: SUM(id) = %d, want 10200", i, got)
+		}
+	}
+	if got := sum(WithoutResultCache()); got != 10200 {
+		t.Fatalf("uncached warm-up: SUM(id) = %d, want 10200", got)
+	}
+	var chunkHits int64
+	for _, c := range sys.caches {
+		chunkHits += c.Hits.Value()
+	}
+	if sys.IndexStats().Entries == 0 || chunkHits == 0 || sys.ResultCache().Snapshot().Hits == 0 {
+		t.Fatal("caches not warm; the test would prove nothing")
+	}
+
+	// Rewrite partition 0 (ids 0..49) in place: same shape, clicks reversed.
+	meta, err := sys.Master().Jobs.Lookup("visits")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := meta.Partitions[0].Path
+	w := colstore.NewWriter(visitSchema(), 32)
+	for i := 0; i < 50; i++ {
+		if err := w.Append(Row{Int(int64(i)), Str(fmt.Sprintf("http://u/%d", i%7)), Int(int64(9 - i%10)), Float(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Router().WriteFile(ctx, path, data); err != nil {
+		t.Fatal(err)
+	}
+	parts := []plan.PartitionMeta{{Path: path, Rows: 50, Bytes: int64(len(data))}}
+	parts = append(parts, meta.Partitions[1:]...)
+	if err := sys.Master().RegisterTable(ctx, &plan.TableMeta{Name: "visits", Schema: meta.Schema, Partitions: parts}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Partition 0 contributed ids 10d+5..10d+9 for d = 0..4 (675); after the
+	// rewrite it contributes ids 10d+0..10d+4 (550).
+	const want = 10200 - 675 + 550
+	if got := sum(); got != want {
+		t.Errorf("after the rewrite: SUM(id) = %d, want %d", got, want)
+	}
+	if got := sum(WithoutResultCache()); got != want {
+		t.Errorf("after the rewrite, uncached: SUM(id) = %d, want %d", got, want)
 	}
 }

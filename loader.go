@@ -132,9 +132,9 @@ func (l *Loader) flushPartition() error {
 	if err := l.sys.router.WriteFile(context.Background(), path, data); err != nil {
 		return err
 	}
-	// Reloading a table at the same prefix rewrites its partition files:
-	// nothing cached from the superseded bytes may answer a later query.
-	l.sys.InvalidatePath(l.name, path)
+	// Reloading a table at the same prefix rewrites its partition files; Gen
+	// 0 registers each at a fresh generation, so nothing cached from the
+	// superseded bytes answers a later query.
 	l.meta.Partitions = append(l.meta.Partitions, plan.PartitionMeta{
 		Path:  path,
 		Rows:  int64(l.inPart),

@@ -50,7 +50,7 @@ go test -race -count=20 -run 'TestResultReuseAcrossConcurrentQueries|TestFlight|
 
 # Coverage floors, set when each package's subsystem landed (cluster:
 # admission, scheduling, recovery; resultcache: normalization, subsumption,
-# quotas, invalidation; events: the flight-recorder ring; exec: expressions,
+# versions, invalidation; events: the flight-recorder ring; exec: expressions,
 # aggregation, partitioned join/agg, spill; core: SmartIndex derivation,
 # budget eviction, TTL, pins). Raise a floor when coverage improves; never
 # lower one to make a PR pass.
@@ -81,12 +81,13 @@ go test -fuzz=FuzzWireStream -fuzztime=10s -run='^$' ./internal/transport
 # The TCP wire transport must be semantically invisible: the transport
 # conformance battery runs against both fabrics inside the transport package,
 # and the root differential/equivalence suites rerun with every cluster RPC
-# crossing real loopback sockets.
+# crossing real loopback sockets, as do the freshness tests: a partition's
+# generation must reach the leaf inside the task it runs.
 echo "== transport conformance (sim + tcp fabrics, race)"
 go test -race -count=1 ./internal/transport/
 
-echo "== differential + equivalence suites over TCP (FEISU_TRANSPORT=tcp)"
-FEISU_TRANSPORT=tcp go test -count=1 -run 'TestTCPTransport|TestDifferential|TestClusterMatchesSingleNode|TestEquivalenceUnderChaos|TestMetamorphic' .
+echo "== differential + equivalence + freshness suites over TCP (FEISU_TRANSPORT=tcp)"
+FEISU_TRANSPORT=tcp go test -count=1 -run 'TestTCPTransport|TestDifferential|TestClusterMatchesSingleNode|TestEquivalenceUnderChaos|TestMetamorphic|TestRewriteRegisteredInCatalogOnly|TestReloadSameTableInvalidatesIndex|TestIngestRestartInvalidatesStaleReads|TestResultCacheInvalidatedByIngest' .
 
 echo "== multi-process cluster (1 master / 2 stems / 4 leaves as OS processes on loopback)"
 go test -count=1 -run TestMultiProcessCluster ./cmd/feisu-node
