@@ -216,9 +216,8 @@ type Config struct {
 	// QueueWaitDeadline sheds queries still queued after this wait; 0 lets
 	// them wait as long as their context allows.
 	QueueWaitDeadline time.Duration
-	// LeafSlots caps concurrent task dispatches per leaf: the scheduler
-	// prefers leaves with spare slots and stems bound in-flight calls per
-	// leaf. <=0 means unbounded.
+	// LeafSlots caps concurrent task placements per leaf: the scheduler
+	// prefers leaves with spare slots. <=0 means unbounded.
 	LeafSlots int
 	// BroadcastThreshold is the cataloged byte size above which a join's
 	// build table is hash-repartitioned across the stems instead of

@@ -115,9 +115,9 @@ func TestFlightRecorderDeterministicJournal(t *testing.T) {
 }
 
 // TestFlightRecorderJournalChain asserts the per-query causal chain: one
-// clean query journals submit -> admitted -> scheduled -> dispatched -> leaf
-// exec -> collected -> done, all stitched by the same query ID, and the
-// exporter serves that query's progress, trace and events under /debug/.
+// clean query journals submit -> admitted -> one task.done per task -> done,
+// all stitched by the same query ID, and the exporter serves that query's
+// progress, trace and events under /debug/.
 func TestFlightRecorderJournalChain(t *testing.T) {
 	sys, err := New(Config{Leaves: 2, HeartbeatInterval: -1})
 	if err != nil {
@@ -135,20 +135,26 @@ func TestFlightRecorderJournalChain(t *testing.T) {
 		t.Fatal("query finished without a QueryID")
 	}
 	evs := sys.Events().ForQuery(stats.QueryID)
-	seen := make(map[events.Kind]bool, len(evs))
+	seen := make(map[events.Kind]int, len(evs))
 	for _, e := range evs {
 		if e.Query != stats.QueryID {
 			t.Errorf("ForQuery leaked event for %q: %s", e.Query, e.String())
 		}
-		seen[e.Kind] = true
+		seen[e.Kind]++
 	}
-	for _, want := range []events.Kind{
-		events.QuerySubmit, events.QueryAdmitted, events.TaskScheduled,
-		events.TaskDispatched, events.LeafExec, events.TaskCollected,
-		events.QueryDone,
-	} {
-		if !seen[want] {
+	for _, want := range []events.Kind{events.QuerySubmit, events.QueryAdmitted, events.TaskDone, events.QueryDone} {
+		if seen[want] == 0 {
 			t.Errorf("journal missing %q; got %d events:\n%s", want, len(evs), renderEvents(evs))
+		}
+	}
+	// A clean task journals its task.done alone; the full chain is kept only
+	// for a task that retried or failed.
+	if seen[events.TaskDone] != stats.Tasks {
+		t.Errorf("%d task.done events for %d tasks:\n%s", seen[events.TaskDone], stats.Tasks, renderEvents(evs))
+	}
+	for _, chain := range []events.Kind{events.TaskScheduled, events.TaskDispatched, events.LeafExec, events.TaskCollected} {
+		if seen[chain] != 0 {
+			t.Errorf("clean statement journaled %q:\n%s", chain, renderEvents(evs))
 		}
 	}
 
@@ -161,7 +167,7 @@ func TestFlightRecorderJournalChain(t *testing.T) {
 	for _, ep := range []struct{ path, want string }{
 		{"/debug/queries?format=json", `"active"`},
 		{"/debug/trace/" + stats.QueryID, `"spans"`}, // a Jaeger document
-		{"/debug/events?query=" + stats.QueryID, string(events.TaskCollected)},
+		{"/debug/events?query=" + stats.QueryID, string(events.TaskDone)},
 	} {
 		if code, body := scrape(t, srv.URL()+ep.path); code != 200 || !strings.Contains(body, ep.want) {
 			t.Errorf("%s = %d, want 200 with %s:\n%s", ep.path, code, ep.want, body)

@@ -165,25 +165,36 @@ func (lc *lifecycle) halt() {
 	}
 }
 
-// taskMsg dispatches one sub-plan to a leaf.
-type taskMsg struct {
-	Task plan.TaskSpec
-	// QueryID is the owning query's causal ID, carried so the leaf's
-	// flight-recorder events join the query's task event chain.
-	QueryID string
-	// The shuffle route. Set (Exchange != ""), it makes this a shuffle's map
+// taskBatch sends a leaf all of its tasks of one job, in ascending ordinal:
+// one message per leaf per job. A backup task is a batch of one.
+type taskBatch struct {
+	// Plan is the job's plan; a task whose Plan is nil runs under it, so gob
+	// ships the plan once per batch instead of once per task.
+	Plan        *plan.PhysicalPlan
+	Tasks       []plan.TaskSpec
+	QueryID     string        // the owning query's, for the leaf's journal
+	TaskTimeout time.Duration // bounds each task, from that task's start
+	Attempt     int           // 0 for the job's dispatch, n for the n-th backup
+	// The shuffle route. Set (Exchange != ""), it makes every task a map
 	// task: the leaf ships the scan's output to the reducers, staged there
-	// under (Side, ordinal, Attempt), and replies with the transfer accounting.
-	Exchange   string // exchange ID, unique per query
-	Side       string // shuffleSideProbe | shuffleSideBuild | shuffleSideGroup
-	Attempt    int
+	// under (Sides[ordinal], ordinal, Attempt), and replies with the transfer
+	// accounting.
+	Exchange   string   // exchange ID, unique per query
+	Sides      []string // by ordinal: shuffleSideProbe | shuffleSideBuild | shuffleSideGroup
 	Partitions int
 	Keys       int // leading key columns in each map-output row (join sides)
 	Reducers   []string
 }
 
-// taskReply is a leaf's answer.
+// batchReply is a leaf's answer to a taskBatch, one taskReply per task.
+type batchReply struct {
+	Tasks []taskReply
+}
+
+// taskReply is one task's status on its leaf (SimTime is the leaf's bill
+// alone) and its result.
 type taskReply struct {
+	Status taskStatus
 	Result *exec.TaskResult
 	// SpillPath is set instead of Result when the payload exceeded the
 	// spill threshold and was written to global storage (paper §V-C's
@@ -191,14 +202,6 @@ type taskReply struct {
 	// location information is passed").
 	SpillPath string
 	Size      int64
-	// SimTime is the leaf-side simulated execution time for the task.
-	SimTime time.Duration
-	// DevBytes reports simulated bytes read per device class on the leaf.
-	DevBytes map[string]int64
-	// TransferSim and PartBytes are a map task's simulated ship time and
-	// bytes shipped, by partition; its reply carries no Result.
-	TransferSim []time.Duration
-	PartBytes   []int64
 }
 
 // stemJobMsg asks a stem to run and merge a set of tasks.
@@ -206,22 +209,12 @@ type stemJobMsg struct {
 	Plan   *plan.PhysicalPlan
 	Tasks  []plan.TaskSpec
 	Assign map[int]string // task ordinal -> leaf node
-	// QueryID tags the job's flight-recorder events with the owning query.
-	QueryID string
-	// TaskTimeout bounds each leaf call.
-	TaskTimeout time.Duration
-	// LeafSlots bounds the stem's concurrent calls per leaf — the stem-side
-	// half of the scheduler's per-leaf slot accounting. <=0 means unbounded.
-	LeafSlots int
-	// Route, when set, makes every task a map task: the message each is sent
-	// as, but for its Task, its Side (Sides, by ordinal) and its Attempt — 0
-	// for the job's own dispatch, n for the master's n-th backup task.
-	Route   *taskMsg
-	Sides   []string
-	Attempt int
+	// Batch is what each leaf is sent, but for its Plan and Tasks: the query
+	// ID, the per-task timeout, the attempt and, for map tasks, the route.
+	Batch taskBatch
 }
 
-// taskStatus reports one task's outcome inside a stem reply.
+// taskStatus reports one task's outcome inside a leaf or stem reply.
 type taskStatus struct {
 	OK      bool
 	Err     string
@@ -231,7 +224,7 @@ type taskStatus struct {
 	// plus predicate CPU, before spill-fetch and reply-transfer costs are
 	// folded in. This is the part intra-task scan parallelism divides.
 	ScanSim  time.Duration
-	DevBytes map[string]int64
+	DevBytes sim.DeviceBytes
 	// Rows is the task's result row count (0 for partial aggregates): the
 	// master reports it per task but only ever sees the rows folded.
 	Rows int
@@ -239,7 +232,8 @@ type taskStatus struct {
 	// the fabric — the master turns this into an immediate suspicion
 	// instead of waiting out the liveness window.
 	Unreachable bool
-	// TransferSim and PartBytes relay a map task's taskReply to the master.
+	// TransferSim and PartBytes are a map task's simulated ship time and
+	// bytes shipped, by partition.
 	TransferSim []time.Duration
 	PartBytes   []int64
 }
@@ -262,15 +256,4 @@ type pingMsg struct{}
 type pingReply struct {
 	Kind        WorkerKind
 	ActiveTasks int
-}
-
-// deviceBytes extracts per-device byte counters from a bill.
-func deviceBytes(b *sim.Bill) map[string]int64 {
-	out := make(map[string]int64)
-	for _, d := range []sim.DeviceClass{sim.DeviceHDD, sim.DeviceSSD, sim.DeviceMemory, sim.DeviceNetwork, sim.DeviceCold} {
-		if n := b.Bytes(d); n != 0 {
-			out[d.String()] = n
-		}
-	}
-	return out
 }

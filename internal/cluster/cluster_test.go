@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -213,7 +214,7 @@ func TestSchedulerPrefersDataHolders(t *testing.T) {
 			t.Fatal(err)
 		}
 		holders := tc.router.Locations(task.Partition.Path)
-		if !contains(holders, leaf) {
+		if !slices.Contains(holders, leaf) {
 			t.Errorf("task %s placed on %s, holders %v", task.Partition.Path, leaf, holders)
 		}
 	}
@@ -492,7 +493,7 @@ func TestRemoteReadChargesNetwork(t *testing.T) {
 
 	var local, remote *LeafServer
 	for _, l := range tc.leaves {
-		if contains(holders, l.Name) {
+		if slices.Contains(holders, l.Name) {
 			local = l
 		} else {
 			remote = l
@@ -503,19 +504,23 @@ func TestRemoteReadChargesNetwork(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	runOn := func(l *LeafServer) taskReply {
-		raw, err := l.handle(ctx, "test", taskMsg{Task: task})
+	runOn := func(l *LeafServer) taskStatus {
+		raw, err := l.handle(ctx, "test", taskBatch{Tasks: []plan.TaskSpec{task}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return raw.(taskReply)
+		st := raw.(batchReply).Tasks[0].Status
+		if st.Err != "" {
+			t.Fatal(st.Err)
+		}
+		return st
 	}
 	localReply := runOn(local)
 	remoteReply := runOn(remote)
-	if localReply.DevBytes["net"] != 0 {
+	if localReply.DevBytes[sim.DeviceNetwork] != 0 {
 		t.Errorf("local read should not charge network: %v", localReply.DevBytes)
 	}
-	if remoteReply.DevBytes["net"] == 0 {
+	if remoteReply.DevBytes[sim.DeviceNetwork] == 0 {
 		t.Errorf("remote read must charge network: %v", remoteReply.DevBytes)
 	}
 	if remoteReply.SimTime <= localReply.SimTime {
@@ -625,7 +630,7 @@ func TestSchedulerFallbackWhenHoldersDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if contains(holders, leaf) {
+	if slices.Contains(holders, leaf) {
 		t.Errorf("placed on dead holder %s", leaf)
 	}
 }

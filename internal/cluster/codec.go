@@ -13,6 +13,7 @@ package cluster
 // with the columnar batch codec and rides gob as one opaque byte field.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -26,12 +27,12 @@ import (
 
 func init() {
 	// Requests and replies, by value: the receivers type-assert value
-	// types (raw.(taskReply), raw.(stemReply), …).
+	// types (raw.(batchReply), raw.(stemReply), …).
 	transport.RegisterPayload(pingMsg{})
 	transport.RegisterPayload(pingReply{})
 	transport.RegisterPayload(heartbeatMsg{})
-	transport.RegisterPayload(taskMsg{})
-	transport.RegisterPayload(taskReply{})
+	transport.RegisterPayload(taskBatch{})
+	transport.RegisterPayload(batchReply{})
 	transport.RegisterPayload(wireStemJob{})
 	transport.RegisterPayload(stemReply{})
 	transport.RegisterPayload(catalogOp{})
@@ -56,24 +57,20 @@ func init() {
 
 // wireStemJob is stemJobMsg's wire form, and the registered payload type:
 // the master converts with wire() before the call and the stem converts back
-// with job() on receipt. gob does not preserve pointer aliasing, and every
-// TaskSpec in a job points at the job's own PhysicalPlan — naively encoding
-// the struct would ship the plan (and its broadcast dimension data) once per
-// task. The wire form nils out aliased task plans and relinks them on
-// receipt; a task plan that genuinely differs from the job plan is shipped
-// inline.
+// with job() on receipt. gob does not preserve pointer aliasing, so, as in a
+// taskBatch, a task plan that is the job's travels as nil and is relinked on
+// receipt: the plan (and its broadcast dimension data) ships once, not once
+// per task. A task plan that differs from the job plan is shipped inline.
 type wireStemJob struct {
-	Job        stemJobMsg
-	SharedPlan []bool // Job.Tasks[i].Plan == Job.Plan before conversion
+	Job stemJobMsg
 }
 
 func (j stemJobMsg) wire() wireStemJob {
-	w := wireStemJob{Job: j, SharedPlan: make([]bool, len(j.Tasks))}
+	w := wireStemJob{Job: j}
 	w.Job.Tasks = make([]plan.TaskSpec, len(j.Tasks))
 	for i, t := range j.Tasks {
-		if t.Plan == j.Plan && j.Plan != nil {
+		if t.Plan == j.Plan {
 			t.Plan = nil
-			w.SharedPlan[i] = true
 		}
 		w.Job.Tasks[i] = t
 	}
@@ -82,9 +79,7 @@ func (j stemJobMsg) wire() wireStemJob {
 
 func (w wireStemJob) job() stemJobMsg {
 	for i := range w.Job.Tasks {
-		if i < len(w.SharedPlan) && w.SharedPlan[i] {
-			w.Job.Tasks[i].Plan = w.Job.Plan
-		}
+		w.Job.Tasks[i].Plan = cmp.Or(w.Job.Tasks[i].Plan, w.Job.Plan)
 	}
 	return w.Job
 }

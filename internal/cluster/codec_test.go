@@ -63,6 +63,10 @@ func fillValue(t *testing.T, v reflect.Value, seed *int, depth int, onPath map[r
 			fillValue(t, s.Index(i), seed, depth+1, onPath)
 		}
 		v.Set(s)
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillValue(t, v.Index(i), seed, depth+1, onPath)
+		}
 	case reflect.Map:
 		m := reflect.MakeMap(v.Type())
 		for i := 0; i < 2; i++ {
@@ -285,8 +289,7 @@ func TestStemJobPlanAliasingOverWire(t *testing.T) {
 			{Plan: p, Ordinal: 1},
 			{Plan: p, Ordinal: 2},
 		},
-		QueryID:     "q1",
-		TaskTimeout: 3 * time.Second,
+		Batch: taskBatch{QueryID: "q1", TaskTimeout: 3 * time.Second},
 	}
 	b, err := transport.EncodePayload(job.wire())
 	if err != nil {
@@ -305,7 +308,7 @@ func TestStemJobPlanAliasingOverWire(t *testing.T) {
 			t.Errorf("task %d plan not relinked to the shared plan", i)
 		}
 	}
-	if got.TaskTimeout != 3*time.Second || got.QueryID != "q1" {
+	if got.Batch.TaskTimeout != 3*time.Second || got.Batch.QueryID != "q1" {
 		t.Errorf("scalar fields lost: %+v", got)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -106,19 +107,33 @@ func (r *failOnceReader) Meta(ctx context.Context, part plan.PartitionMeta) (*co
 // for bit: the stem folds only the prefix before k and relays the tail, so
 // the backup task's result lands between them however late it ran. Folding
 // it last (arrival order) would give different bits, which the test checks
-// so that it cannot pass by accident.
+// so that it cannot pass by accident. The batch-middle input fails the
+// middle task of a leaf's three-task batch: its siblings before and after it
+// in the one message still fold at their own ordinals.
 func TestRetriedTaskFoldsAtItsOrdinal(t *testing.T) {
 	n := len(foldValues)
 	for _, stems := range []int{0, 1} {
 		for _, stall := range []bool{false, true} {
-			for _, k := range []int{0, 3, n - 1} {
+			for _, input := range []string{"0", "3", "7", "batch-middle"} {
 				mode, opts := "fail", QueryOptions{}
 				if stall {
 					mode, opts = "stall", QueryOptions{TaskTimeout: 200 * time.Millisecond}
 				}
-				t.Run(fmt.Sprintf("stems%d/%s%d", stems, mode, k), func(t *testing.T) {
-					tc := newTestCluster(t, 4, stems, 1, nil)
+				name := fmt.Sprintf("stems%d/%s%s", stems, mode, input)
+				if input == "batch-middle" {
+					name = fmt.Sprintf("stems%d/%s-batch-middle", stems, mode)
+				}
+				t.Run(name, func(t *testing.T) {
+					leaves := 4
+					if input == "batch-middle" {
+						leaves = 3 // eight tasks: batches of three, three and two
+					}
+					tc := newTestCluster(t, leaves, stems, 1, nil)
 					tc.addFoldTable()
+					k, err := strconv.Atoi(input)
+					if err != nil {
+						k = tc.batchMiddle(3)
+					}
 					want := tc.foldInOrder(ascending(n))
 					if k != n-1 {
 						last := append(append(ascending(n)[:k:k], ascending(n)[k+1:]...), k)
@@ -141,4 +156,28 @@ func TestRetriedTaskFoldsAtItsOrdinal(t *testing.T) {
 			}
 		}
 	}
+}
+
+// batchMiddle places foldSQL's tasks as the statement will — placement is a
+// function of the catalog and the fleet's load, both idle here — and returns
+// the middle ordinal of the first leaf's batch of size tasks.
+func (tc *testCluster) batchMiddle(size int) int {
+	tc.t.Helper()
+	tasks := tc.plan(foldSQL).Tasks()
+	assign, err := tc.master.Scheduler.PlanAll(tasks)
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	batches := map[string][]int{}
+	for _, task := range tasks { // ascending ordinal, as a batch is sent
+		tc.master.Scheduler.ReleaseTask(assign[task.Ordinal])
+		batches[assign[task.Ordinal]] = append(batches[assign[task.Ordinal]], task.Ordinal)
+	}
+	for _, l := range tc.leaves {
+		if b := batches[l.Name]; len(b) == size {
+			return b[size/2]
+		}
+	}
+	tc.t.Fatalf("no leaf got a batch of %d tasks: %v", size, batches)
+	return -1
 }

@@ -17,8 +17,8 @@ import (
 type LoadSnapshot struct {
 	// ActiveTasks is the number of sub-plans executing right now.
 	ActiveTasks int
-	// QueueDepth is the number of tasks admitted but waiting for an
-	// execution slot (stems bound concurrent calls per leaf by LeafSlots).
+	// QueueDepth is the number of tasks a leaf has received in a batch and
+	// not yet started.
 	QueueDepth int
 	// TasksDone is the lifetime count of completed sub-plans.
 	TasksDone int64

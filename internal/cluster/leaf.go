@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync/atomic"
@@ -42,6 +43,8 @@ type LeafServer struct {
 	// atomic because the chaos controller flips it while tasks run.
 	stall    atomic.Int64
 	active   atomic.Int32
+	queued   atomic.Int32 // tasks received in a batch and not yet started
+	batches  atomic.Int64 // batches received (runBatch's run order)
 	spillSeq atomic.Int64
 	life     lifecycle
 
@@ -79,69 +82,101 @@ func (l *LeafServer) handle(ctx context.Context, from string, payload any) (any,
 	switch msg := payload.(type) {
 	case pingMsg:
 		return pingReply{Kind: KindLeaf, ActiveTasks: int(l.active.Load())}, nil
-	case taskMsg:
-		return l.runTask(ctx, msg)
+	case taskBatch:
+		return l.runBatch(ctx, &msg), nil
 	default:
 		return nil, fmt.Errorf("cluster: leaf %s: unknown message %T", l.Name, payload)
 	}
 }
 
-// runTask executes one sub-plan, billing simulated I/O to a private bill. A
-// scatter task returns its result (through global storage past the spill
-// threshold); a map task ships it to the reducers and returns the transfer
-// accounting.
-func (l *LeafServer) runTask(ctx context.Context, msg taskMsg) (any, error) {
+// runBatch executes a batch's tasks one after another on the caller's
+// goroutine — a task's own parallelism is its scan's (TaskSpec.Workers). A
+// failed task is reported in its own slot; the rest of the batch still runs.
+// Every other batch runs back to front: statements that read the same
+// partitions in one fixed order are the column cache's LRU worst case (each
+// chunk evicted just before it is read again).
+func (l *LeafServer) runBatch(ctx context.Context, b *taskBatch) batchReply {
+	reply := batchReply{Tasks: make([]taskReply, len(b.Tasks))}
+	l.queued.Add(int32(len(b.Tasks)))
+	first, step := 0, 1
+	if l.batches.Add(1)%2 == 0 {
+		first, step = len(b.Tasks)-1, -1
+	}
+	for i := first; 0 <= i && i < len(b.Tasks); i += step {
+		l.queued.Add(-1)
+		if err := l.runTask(ctx, b, i, &reply.Tasks[i]); err != nil {
+			reply.Tasks[i] = taskReply{Status: taskStatus{Err: err.Error()}}
+		}
+	}
+	return reply
+}
+
+// runTask executes the batch's task i into reply under its TaskTimeout and
+// its attempt span, billing simulated I/O to a private bill. A scatter task
+// returns its result (through global storage past the spill threshold); a
+// map task ships it to the reducers and returns the transfer accounting.
+func (l *LeafServer) runTask(ctx context.Context, b *taskBatch, i int, reply *taskReply) error {
+	if spans, _ := ctx.Value(taskSpansKey{}).([]*trace.Span); i < len(spans) {
+		ctx = trace.NewContext(ctx, spans[i])
+	}
 	l.active.Add(1)
 	defer l.active.Add(-1)
 	l.Tasks.Inc()
+	if b.TaskTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, b.TaskTimeout)
+		defer cancel()
+	}
+	task := b.Tasks[i]
+	task.Plan = cmp.Or(task.Plan, b.Plan)
 	var span *trace.Span
 	if trace.FromContext(ctx) != nil { // the name is rendered only for a live trace
 		ctx, span = trace.StartSpan(ctx, "leaf/"+l.Name)
 		defer span.Finish()
-		span.SetAttr("partition", msg.Task.Partition.Path)
+		span.SetAttr("partition", task.Partition.Path)
 	}
 	if !sleepCtx(ctx, l.Stall()) {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	bill := sim.NewBill()
-	res, err := exec.RunTaskModel(storage.WithBill(ctx, bill), msg.Task, l.Reader, l.Index, l.Model)
+	res, err := exec.RunTaskModel(storage.WithBill(ctx, bill), task, l.Reader, l.Index, l.Model)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	l.chargeRemoteRead(ctx, bill, msg.Task.Partition.Path)
+	l.chargeRemoteRead(ctx, bill, task.Partition.Path)
 	// The leaf span's sim time is the task's full simulated cost; the
 	// read:*/transfer children decompose it per device class.
 	span.SetSim(bill.Time())
 	billSpans(span, bill)
-	reply := taskReply{SimTime: bill.Time(), DevBytes: deviceBytes(bill)}
-	journal := msg.QueryID != "" && l.Events.Enabled()
-	if msg.Exchange != "" {
-		rows, err := l.routeShuffle(ctx, msg, res, &reply)
+	reply.Status.SimTime, reply.Status.DevBytes = bill.Time(), bill.DeviceBytes()
+	journal := b.QueryID != "" && l.Events.Enabled()
+	if b.Exchange != "" {
+		rows, err := l.routeShuffle(ctx, b, task.Ordinal, b.Sides[task.Ordinal], res, &reply.Status)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if journal {
-			l.Events.EmitSim(events.TaskSite(msg.QueryID, msg.Task.Ordinal), events.ShuffleMap,
-				msg.QueryID, msg.Task.Ordinal, bill.Time(),
-				fmt.Sprintf("%s side=%s attempt=%d rows=%d", l.Name, msg.Side, msg.Attempt, rows))
+			l.Events.EmitSim(events.TaskSite(b.QueryID, task.Ordinal), events.ShuffleMap,
+				b.QueryID, task.Ordinal, bill.Time(),
+				fmt.Sprintf("%s side=%s attempt=%d rows=%d", l.Name, b.Sides[task.Ordinal], b.Attempt, rows))
 		}
-		return reply, nil
+		return nil
 	}
-	if journal {
-		l.Events.EmitSim(events.TaskSite(msg.QueryID, msg.Task.Ordinal), events.LeafExec,
-			msg.QueryID, msg.Task.Ordinal, bill.Time(), l.Name+" "+msg.Task.Partition.Path)
+	if journal && b.Attempt > 0 { // a first attempt is summed up by task.done
+		l.Events.EmitSim(events.TaskSite(b.QueryID, task.Ordinal), events.LeafExec,
+			b.QueryID, task.Ordinal, bill.Time(), l.Name+" "+task.Partition.Path)
 	}
 	reply.Result, reply.Size = res, res.EstimateBytes()
 	if l.SpillThreshold > 0 && reply.Size > l.SpillThreshold && l.Router != nil {
 		l.Spills.Inc()
 		data, err := encodeResult(res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		path := fmt.Sprintf("%s/%s-%d", l.SpillPrefix, l.Name, l.spillSeq.Add(1))
 		// Spilling is write-flow traffic to global storage (§V-C).
 		if err := l.Router.WriteFile(ctx, path, data); err != nil {
-			return nil, fmt.Errorf("cluster: spill to %s: %w", path, err)
+			return fmt.Errorf("cluster: spill to %s: %w", path, err)
 		}
 		l.Fabric.Counters().Msgs[transport.Write].Inc()
 		l.Fabric.Counters().Bytes[transport.Write].Add(int64(len(data)))
@@ -149,7 +184,7 @@ func (l *LeafServer) runTask(ctx context.Context, msg taskMsg) (any, error) {
 		reply.SpillPath = path
 		reply.Size = int64(len(data))
 	}
-	return reply, nil
+	return nil
 }
 
 // chargeRemoteRead models the network cost of scheduling a task away from
@@ -164,25 +199,22 @@ func (l *LeafServer) chargeRemoteRead(ctx context.Context, bill *sim.Bill, path 
 	if l.Router == nil || l.Model == nil {
 		return
 	}
-	holders := l.Router.Locations(path)
-	if len(holders) == 0 {
-		return
-	}
-	hops := 1 << 30
-	topo := l.Fabric.Topology()
-	for _, h := range holders {
-		if h == l.Name {
-			return // local read
-		}
-		if hp := topo.Hops(l.Name, h); hp < hops {
-			hops = hp
-		}
-	}
 	moved := bill.Bytes(sim.DeviceHDD) + bill.Bytes(sim.DeviceCold)
 	if l.Router.Device(path) == sim.DeviceSSD {
 		moved += bill.Bytes(sim.DeviceSSD)
 	}
-	if moved > 0 && hops > 0 && hops < 1<<30 {
+	if moved == 0 {
+		return
+	}
+	hops := 1 << 30
+	topo := l.Fabric.Topology()
+	for _, h := range l.Router.Locations(path) {
+		if h == l.Name {
+			return // local read
+		}
+		hops = min(hops, topo.Hops(l.Name, h))
+	}
+	if hops > 0 && hops < 1<<30 {
 		trace.FromContext(ctx).Count("remote.bytes", moved)
 		bill.ChargeTransfer(l.Model, moved, hops)
 	}
@@ -214,10 +246,7 @@ func billSpans(span *trace.Span, bill *sim.Bill) {
 // index and cache gauges, discovered through the reporter interfaces so the
 // index/cache packages stay ignorant of the cluster layer.
 func (l *LeafServer) LoadSnapshot() LoadSnapshot {
-	s := LoadSnapshot{
-		ActiveTasks: int(l.active.Load()),
-		TasksDone:   l.Tasks.Value(),
-	}
+	s := LoadSnapshot{ActiveTasks: int(l.active.Load()), QueueDepth: int(l.queued.Load()), TasksDone: l.Tasks.Value()}
 	if rep, ok := l.Index.(IndexLoadReporter); ok && rep != nil {
 		s.IndexEntries, s.IndexBytes, s.IndexBudget = rep.IndexLoad()
 	}

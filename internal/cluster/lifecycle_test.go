@@ -124,55 +124,57 @@ func TestTaskLifecycleCharacterisation(t *testing.T) {
 // retried, at the commit that added the test — when a map task had a
 // lifecycle of its own (sites read "shuffle.commit shuffle.commit
 // shuffle.map", a retry "shuffle.retry" first). Since it goes through the one
-// task lifecycle it is journaled as every task is: task.scheduled,
-// task.dispatched, task.retry, task.collected. No number moved.
+// task lifecycle it is journaled as every task is. A task that ran once
+// journals one task.done; only a task that retried keeps the full chain —
+// task.scheduled, task.dispatched, task.retry, the backup's leaf.exec,
+// task.collected — before its task.done. No number moved.
 var lifecycleWant = map[string]string{
 	"scatter/clean": `tasks=3 backup=0 failed=0 sim=67016302 scan=64013394 bytes=[hdd:2569] spill=0
 query/q000001: query.submit query.admitted query.done
-task/q000001#0: task.scheduled task.dispatched leaf.exec task.collected
-task/q000001#1: task.scheduled task.dispatched leaf.exec task.collected
-task/q000001#2: task.scheduled task.dispatched leaf.exec task.collected
+task/q000001#0: task.done
+task/q000001#1: task.done
+task/q000001#2: task.done
 `,
 	"scatter/retried": `tasks=3 backup=1 failed=0 sim=101024493 scan=96020131 bytes=[hdd:2569] spill=0
 query/q000001: query.submit query.admitted query.done
-task/q000001#0: task.scheduled task.dispatched leaf.exec task.collected
-task/q000001#1: task.scheduled task.dispatched task.retry leaf.exec task.collected
-task/q000001#2: task.scheduled task.dispatched leaf.exec task.collected
+task/q000001#0: task.done
+task/q000001#1: task.scheduled task.dispatched task.retry leaf.exec task.collected task.done
+task/q000001#2: task.done
 `,
 	"group-shuffle/clean": `tasks=3 backup=0 failed=0 sim=103246026 scan=96014860 bytes=[hdd:2987] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
 shuffle/q000001#p2: shuffle.reduce
-task/q000001#0: task.scheduled task.dispatched shuffle.commit shuffle.commit shuffle.map task.collected
-task/q000001#1: task.scheduled task.dispatched shuffle.commit shuffle.commit shuffle.map task.collected
-task/q000001#2: task.scheduled task.dispatched shuffle.commit shuffle.commit shuffle.map task.collected
+task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
+task/q000001#1: shuffle.commit shuffle.commit shuffle.map task.done
+task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
 	"group-shuffle/retried": `tasks=3 backup=1 failed=0 sim=151253501 scan=144022335 bytes=[hdd:2987] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
 shuffle/q000001#p2: shuffle.reduce
-task/q000001#0: task.scheduled task.dispatched shuffle.commit shuffle.commit shuffle.map task.collected
-task/q000001#1: task.scheduled task.dispatched task.retry shuffle.commit shuffle.commit shuffle.map task.collected
-task/q000001#2: task.scheduled task.dispatched shuffle.commit shuffle.commit shuffle.map task.collected
+task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
+task/q000001#1: task.scheduled task.dispatched task.retry shuffle.commit shuffle.commit shuffle.map task.collected task.done
+task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
 	"repartition-join/clean": `tasks=3 backup=0 failed=0 sim=87057481 scan=80014722 bytes=[hdd:2913] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
 shuffle/q000001#p2: shuffle.reduce
-task/q000001#0: task.scheduled task.dispatched shuffle.commit shuffle.commit shuffle.map task.collected
-task/q000001#1: task.scheduled task.dispatched shuffle.commit shuffle.commit shuffle.map task.collected
-task/q000001#2: task.scheduled task.dispatched shuffle.commit shuffle.commit shuffle.map task.collected
+task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
+task/q000001#1: shuffle.commit shuffle.commit shuffle.map task.done
+task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
 	"repartition-join/retried": `tasks=3 backup=1 failed=0 sim=135064888 scan=128022129 bytes=[hdd:2913] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
 shuffle/q000001#p2: shuffle.reduce
-task/q000001#0: task.scheduled task.dispatched shuffle.commit shuffle.commit shuffle.map task.collected
-task/q000001#1: task.scheduled task.dispatched task.retry shuffle.commit shuffle.commit shuffle.map task.collected
-task/q000001#2: task.scheduled task.dispatched shuffle.commit shuffle.commit shuffle.map task.collected
+task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
+task/q000001#1: task.scheduled task.dispatched task.retry shuffle.commit shuffle.commit shuffle.map task.collected task.done
+task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
 }

@@ -69,9 +69,8 @@ type MasterConfig struct {
 	// 0 defaults to 4:1.
 	InteractiveWeight int
 	BatchWeight       int
-	// LeafSlots caps concurrent task placements per leaf (scheduler side)
-	// and concurrent in-flight leaf calls per stem job (stem side); <=0
-	// means unbounded.
+	// LeafSlots caps concurrent task placements per leaf; <=0 means
+	// unbounded.
 	LeafSlots int
 	// LivenessWindow configures the cluster manager.
 	LivenessWindow time.Duration

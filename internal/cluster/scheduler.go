@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/plan"
@@ -60,7 +61,11 @@ type JobScheduler struct {
 //  2. otherwise the candidate minimizing (network distance to the nearest
 //     holder, load, name).
 func (s *JobScheduler) Place(task plan.TaskSpec, exclude map[string]bool) (string, error) {
-	alive := s.Manager.AliveWorkers(KindLeaf)
+	return s.place(task, s.Manager.AliveWorkers(KindLeaf), exclude)
+}
+
+// place is Place over a given snapshot of the alive leaves.
+func (s *JobScheduler) place(task plan.TaskSpec, alive []string, exclude map[string]bool) (string, error) {
 	candidates := make([]string, 0, len(alive))
 	for _, l := range alive {
 		if !exclude[l] {
@@ -114,7 +119,7 @@ func (s *JobScheduler) Place(task plan.TaskSpec, exclude map[string]bool) (strin
 		// equal loads break by name so placement is deterministic.
 		best, bestLoad := "", 0
 		for _, h := range pool {
-			if !contains(holders, h) {
+			if !slices.Contains(holders, h) {
 				continue
 			}
 			l := s.Manager.Load(h)
@@ -165,7 +170,7 @@ func affinityPick(path string, pool, holders []string) (string, bool) {
 	if len(holders) > 0 {
 		hp := make([]string, 0, len(pool))
 		for _, c := range pool {
-			if contains(holders, c) {
+			if slices.Contains(holders, c) {
 				hp = append(hp, c)
 			}
 		}
@@ -189,24 +194,17 @@ func affinityPick(path string, pool, holders []string) (string, bool) {
 	return best, true
 }
 
-func contains(list []string, s string) bool {
-	for _, e := range list {
-		if e == s {
-			return true
-		}
-	}
-	return false
-}
-
 // PlanAll assigns every task, spreading load as it goes. The provisional
 // per-leaf in-flight counts stay charged until the caller returns them
 // (ReleaseTask, once per task) — they are the dispatch-side half of the
 // per-leaf slot accounting, so concurrent queries planning against the same
-// fleet see each other's assignments. On error nothing stays charged.
+// fleet see each other's assignments. On error nothing stays charged. The
+// alive leaves are read once, for the whole statement.
 func (s *JobScheduler) PlanAll(tasks []plan.TaskSpec) (map[int]string, error) {
 	assign := make(map[int]string, len(tasks))
+	alive := s.Manager.AliveWorkers(KindLeaf)
 	for _, t := range tasks {
-		leaf, err := s.Place(t, nil)
+		leaf, err := s.place(t, alive, nil)
 		if err != nil {
 			for _, l := range assign {
 				s.Manager.AddInflight(l, -1)

@@ -103,7 +103,7 @@ type shuffleReduceReply struct {
 	Result     *exec.TaskResult
 	PartSim    map[int]time.Duration // per-partition simulated reduce time
 	SpillBytes int64
-	DevBytes   map[string]int64
+	DevBytes   sim.DeviceBytes
 }
 
 // shuffleCleanupMsg drops all staged/committed state for an exchange
@@ -124,15 +124,15 @@ type shuffleAck struct{}
 // reply reports transfer sim per partition (Fabric.Call charges transfer to
 // the context bill when the route crosses racks). It returns the rows or
 // groups routed.
-func (l *LeafServer) routeShuffle(ctx context.Context, msg taskMsg, res *exec.TaskResult, reply *taskReply) (int, error) {
+func (l *LeafServer) routeShuffle(ctx context.Context, msg *taskBatch, ordinal int, side string, res *exec.TaskResult, st *taskStatus) (int, error) {
 	parts := max(msg.Partitions, 1)
-	reply.TransferSim, reply.PartBytes = make([]time.Duration, parts), make([]int64, parts)
+	st.TransferSim, st.PartBytes = make([]time.Duration, parts), make([]int64, parts)
 	// Route every row or group straight into its partition's list; frames
 	// are then consecutive runs of at most shuffleFrameRows of that list.
 	rowParts := make([][][]types.Value, parts)
 	groupParts := make([][]exec.Group, parts)
 	routed := 0
-	if msg.Side == shuffleSideGroup {
+	if side == shuffleSideGroup {
 		if res.Groups != nil {
 			routed = len(res.Groups.M)
 			for k, g := range res.Groups.M {
@@ -154,13 +154,13 @@ func (l *LeafServer) routeShuffle(ctx context.Context, msg taskMsg, res *exec.Ta
 	for ri, reducer := range msg.Reducers {
 		frames := make(map[int]int)
 		send := func(pi int, fr shuffleFrameMsg) error {
-			fr.Exchange, fr.QueryID, fr.Side = msg.Exchange, msg.QueryID, msg.Side
-			fr.Ordinal, fr.Attempt, fr.Partition = msg.Task.Ordinal, msg.Attempt, pi
+			fr.Exchange, fr.QueryID, fr.Side = msg.Exchange, msg.QueryID, side
+			fr.Ordinal, fr.Attempt, fr.Partition = ordinal, msg.Attempt, pi
 			if _, err := l.Fabric.Call(sctx, l.Name, reducer, transport.Shuffle, fr, fr.Size); err != nil {
 				return err
 			}
 			frames[pi]++
-			reply.PartBytes[pi] += fr.Size
+			st.PartBytes[pi] += fr.Size
 			return nil
 		}
 		for pi := ri; pi < parts; pi += len(msg.Reducers) {
@@ -179,10 +179,10 @@ func (l *LeafServer) routeShuffle(ctx context.Context, msg taskMsg, res *exec.Ta
 					return routed, err
 				}
 			}
-			reply.TransferSim[pi] = shipBill.Time() - before
+			st.TransferSim[pi] = shipBill.Time() - before
 		}
-		end := shuffleEndMsg{Exchange: msg.Exchange, QueryID: msg.QueryID, Side: msg.Side,
-			Ordinal: msg.Task.Ordinal, Attempt: msg.Attempt, Frames: frames, Leaf: l.Name}
+		end := shuffleEndMsg{Exchange: msg.Exchange, QueryID: msg.QueryID, Side: side,
+			Ordinal: ordinal, Attempt: msg.Attempt, Frames: frames, Leaf: l.Name}
 		if _, err := l.Fabric.Call(ctx, l.Name, reducer, transport.Shuffle, end, 64); err != nil {
 			return routed, err
 		}
@@ -419,7 +419,7 @@ func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceM
 	s.shuffleMu.Lock()
 	delete(s.shuffles, msg.Exchange)
 	s.shuffleMu.Unlock()
-	return shuffleReduceReply{Result: merged, PartSim: partSim, SpillBytes: spilled, DevBytes: deviceBytes(reduceBill)}, nil
+	return shuffleReduceReply{Result: merged, PartSim: partSim, SpillBytes: spilled, DevBytes: reduceBill.DeviceBytes()}, nil
 }
 
 // routerSpillStore backs grace-hash spills with the cluster's global
@@ -468,22 +468,22 @@ func (s *routerSpillStore) Read(handle string) ([][]types.Value, int64, error) {
 // transfer + slowest reducer's reduce work.
 func (q *statement) shuffle(ctx context.Context) (*exec.TaskResult, error) {
 	m, sh := q.m, q.p.Shuffle
-	route := &taskMsg{QueryID: q.qid, Exchange: q.qid + "/shuffle", Partitions: max(sh.Partitions, 1), Keys: sh.Keys,
+	route := taskBatch{Exchange: q.qid + "/shuffle", Partitions: max(sh.Partitions, 1), Keys: sh.Keys,
 		Reducers: m.Manager.AliveWorkers(KindStem)} // sorted by name
 	if len(route.Reducers) == 0 {
 		route.Reducers = []string{m.cfg.Name}
 	}
 	// Map tasks, with globally unique ordinals across sides (build side
 	// first). TaskSpec.Key() ignores the ordinal, so renumbering is safe.
-	job := stemJobMsg{Plan: q.p, Route: route}
+	job := stemJobMsg{Plan: q.p, Batch: route}
 	reduce := shuffleReduceMsg{Exchange: route.Exchange, QueryID: q.qid, Plan: q.p, SpillPrefix: "/hdfs/feisu-shuffle/" + q.qid}
 	addSide := func(side string, mp *plan.PhysicalPlan, ords *[]int) {
 		tasks := mp.Tasks()
-		job.Tasks, job.Sides, *ords = slices.Grow(job.Tasks, len(tasks)), slices.Grow(job.Sides, len(tasks)), make([]int, 0, len(tasks))
+		job.Tasks, job.Batch.Sides, *ords = slices.Grow(job.Tasks, len(tasks)), slices.Grow(job.Batch.Sides, len(tasks)), make([]int, 0, len(tasks))
 		for _, t := range tasks {
 			t.Ordinal = len(job.Tasks)
 			job.Tasks = append(job.Tasks, t)
-			job.Sides = append(job.Sides, side)
+			job.Batch.Sides = append(job.Batch.Sides, side)
 			*ords = append(*ords, t.Ordinal)
 		}
 	}
@@ -511,15 +511,15 @@ func (q *statement) shuffle(ctx context.Context) (*exec.TaskResult, error) {
 	case err != nil: // nowhere to place them
 	case len(q.stats.TaskErrors) > 0:
 		te := q.stats.TaskErrors[0]
-		err = fmt.Errorf("map %s#%d on %s: %s", job.Sides[te.Ordinal], te.Ordinal, te.Leaf, te.Err)
+		err = fmt.Errorf("map %s#%d on %s: %s", job.Batch.Sides[te.Ordinal], te.Ordinal, te.Leaf, te.Err)
 	case deadline:
 		err = ctx.Err()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrShuffleFailed, err)
 	}
-	transferMax := q.shuffleTransfer(ctx, route, groups)
-	merged, reduceMax, err := q.shuffleReduce(ctx, route, reduce)
+	transferMax := q.shuffleTransfer(ctx, &route, groups)
+	merged, reduceMax, err := q.shuffleReduce(ctx, &route, reduce)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrShuffleFailed, err)
 	}
@@ -530,7 +530,7 @@ func (q *statement) shuffle(ctx context.Context) (*exec.TaskResult, error) {
 // shuffleTransfer is phase 2, pure accounting. The frames already moved
 // (inside the map phase's wall clock), but the simulated transfer is modeled
 // as its own pipeline stage: the slowest reducer's total inbound transfer.
-func (q *statement) shuffleTransfer(ctx context.Context, route *taskMsg, groups []groupDone) time.Duration {
+func (q *statement) shuffleTransfer(ctx context.Context, route *taskBatch, groups []groupDone) time.Duration {
 	transferSim := make([]time.Duration, route.Partitions)
 	transferBytes := make([]int64, route.Partitions)
 	for _, g := range groups {
@@ -565,7 +565,7 @@ func (q *statement) shuffleTransfer(ctx context.Context, route *taskMsg, groups 
 // shuffleReduce is phase 3: one reduce request per reducer — msg with the
 // partitions it owns — concurrently. It returns the merged result and the
 // slowest reducer's simulated time.
-func (q *statement) shuffleReduce(ctx context.Context, route *taskMsg, msg shuffleReduceMsg) (*exec.TaskResult, time.Duration, error) {
+func (q *statement) shuffleReduce(ctx context.Context, route *taskBatch, msg shuffleReduceMsg) (*exec.TaskResult, time.Duration, error) {
 	rctx, rspan := trace.StartSpan(ctx, "shuffle-reduce")
 	var (
 		mu        sync.Mutex
@@ -602,9 +602,7 @@ func (q *statement) shuffleReduce(ctx context.Context, route *taskMsg, msg shuff
 			}
 			reduceMax = max(reduceMax, total)
 			q.stats.ShuffleSpillBytes += reply.SpillBytes
-			for dev, n := range reply.DevBytes {
-				q.stats.BytesByDevice[dev] += n
-			}
+			reply.DevBytes.AddTo(q.stats.BytesByDevice)
 			merged = exec.MergeResults(q.p, merged, reply.Result)
 		}(r, msg)
 	}

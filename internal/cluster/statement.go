@@ -413,9 +413,7 @@ func (q *statement) finalize(merged *exec.TaskResult) (*exec.Result, error) {
 	if model := q.m.cfg.Model; model != nil {
 		stats.SimTime += 2 * model.RPCLatency
 	}
-	for dev, n := range deviceBytes(q.bill) {
-		stats.BytesByDevice[dev] += n
-	}
+	q.bill.DeviceBytes().AddTo(stats.BytesByDevice)
 	if root := q.root; root != nil {
 		count := func(name string, n int) {
 			if n > 0 {

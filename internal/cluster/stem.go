@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,9 +18,9 @@ import (
 	"repro/internal/transport"
 )
 
-// StemServer is an internal node of the execution tree: it dispatches
-// sub-plans to leaves, pulls results (reading spilled payloads from global
-// storage when needed) and merges them bottom-up (paper §III-B).
+// StemServer is an internal node of the execution tree: it sends each leaf
+// one batch of sub-plans per job, pulls results (reading spilled payloads
+// from global storage when needed) and merges them bottom-up (paper §III-B).
 type StemServer struct {
 	Name   string
 	Fabric transport.Network
@@ -27,11 +28,11 @@ type StemServer struct {
 	Router *storage.Router
 	// Model prices reply transfers into per-task sim times.
 	Model *sim.CostModel
-	// Events, when set, journals task dispatch into the flight recorder.
+	// Events, when set, journals the reducer's shuffle commits and reduces
+	// into the flight recorder.
 	Events *events.Recorder
 
 	active atomic.Int32
-	queued atomic.Int32 // tasks waiting for a per-leaf slot
 	tasks  atomic.Int64 // lifetime dispatched tasks
 	life   lifecycle
 
@@ -67,58 +68,44 @@ func (s *StemServer) handle(ctx context.Context, from string, payload any) (any,
 	}
 }
 
-// runJob fans the tasks out to their assigned leaves and folds what comes
-// back. Failed or timed-out tasks are reported per ordinal; the master's
-// scheduler issues backup tasks for them.
+// runJob sends each assigned leaf one batch, its tasks of the job in
+// ascending ordinal, and folds what comes back. Failed or timed-out tasks are
+// reported per ordinal; the master's scheduler issues backup tasks for them.
 func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 	s.active.Add(int32(len(job.Tasks)))
 	defer s.active.Add(-int32(len(job.Tasks)))
 	var span *trace.Span
-	if job.Route == nil { // map tasks hang off the master's shuffle-map span: no stem ran them
+	if job.Batch.Exchange == "" { // map tasks hang off the master's shuffle-map span: no stem ran them
 		ctx, span = trace.StartSpan(ctx, "stem/"+s.Name)
 		defer span.Finish()
 		span.Count("tasks", int64(len(job.Tasks)))
 	}
-
-	// Per-leaf slot bounding: the stem-side half of the scheduler's slot
-	// accounting, and the stem's only concurrency bound. Each leaf gets its
-	// own semaphore so a deep backlog on one leaf throttles only that leaf's
-	// tasks; the slot is taken inside the task goroutine, so a saturated leaf
-	// never head-of-line-blocks dispatch to its siblings.
-	var leafSem map[string]chan struct{}
-	if job.LeafSlots > 0 {
-		leafSem = make(map[string]chan struct{})
-		for _, task := range job.Tasks {
-			if l := job.Assign[task.Ordinal]; leafSem[l] == nil {
-				leafSem[l] = make(chan struct{}, job.LeafSlots)
-			}
+	s.tasks.Add(int64(len(job.Tasks)))
+	// Job positions and attempt spans by leaf. The spans are created here,
+	// serially in job order, so a trace lists task#N by ordinal however the
+	// leaves answer.
+	leaves, batches, spans := []string(nil), [][]int(nil), [][]*trace.Span(nil)
+	for i, task := range job.Tasks {
+		leaf := job.Assign[task.Ordinal]
+		b := slices.Index(leaves, leaf)
+		if b < 0 {
+			b, leaves, batches, spans = len(leaves), append(leaves, leaf), append(batches, nil), append(spans, nil)
+		}
+		batches[b] = append(batches[b], i)
+		if sp := taskSpan(ctx, task.Ordinal, leaf); sp != nil {
+			spans[b] = append(spans[b], sp)
 		}
 	}
-	// Every task writes its own slot; the fold below runs after wg.Wait.
+	// Every batch writes its own slots; the fold below runs after wg.Wait.
 	results := make([]*exec.TaskResult, len(job.Tasks))
 	status := make([]taskStatus, len(job.Tasks))
 	var wg sync.WaitGroup
-	for i, task := range job.Tasks {
-		leaf := job.Assign[task.Ordinal]
+	for b, leaf := range leaves {
 		wg.Add(1)
-		s.tasks.Add(1)
-		// First-attempt spans are created here, serially in job order, so a
-		// trace lists task#N by ordinal however the goroutines get scheduled.
-		tspan := taskSpan(ctx, task.Ordinal, leaf)
-		go func(i int, task plan.TaskSpec, leaf string) {
+		go func(pos []int) {
 			defer wg.Done()
-			if ls := leafSem[leaf]; ls != nil {
-				s.queued.Add(1)
-				ls <- struct{}{}
-				s.queued.Add(-1)
-				defer func() { <-ls }()
-			}
-			if job.QueryID != "" && s.Events.Enabled() {
-				s.Events.Emit(events.TaskSite(job.QueryID, task.Ordinal), events.TaskDispatched,
-					job.QueryID, task.Ordinal, leaf+" via "+s.Name)
-			}
-			results[i], status[i] = s.attempt(ctx, &job, task, leaf, tspan)
-		}(i, task, leaf)
+			s.attempt(ctx, &job, leaf, pos, spans[b], results, status)
+		}(batches[b])
 	}
 	wg.Wait()
 	// Fold in job order (ascending ordinal), never in arrival order: float
@@ -134,6 +121,7 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 		switch {
 		case !st.OK:
 			failed = true
+			continue
 		case !failed:
 			reply.Merged = exec.MergeResults(job.Plan, reply.Merged, results[i])
 		default:
@@ -142,9 +130,7 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 			}
 			reply.Tail[job.Tasks[i].Ordinal] = results[i]
 		}
-		if st.OK {
-			busiest = max(busiest, st.SimTime)
-		}
+		busiest = max(busiest, st.SimTime)
 	}
 	span.SetSim(busiest)
 	return reply, nil
@@ -160,51 +146,71 @@ func taskSpan(ctx context.Context, ordinal int, leaf string) *trace.Span {
 	return parent.Child(fmt.Sprintf("task#%d @ %s", ordinal, leaf))
 }
 
-// attempt executes a single task on one leaf with the per-task timeout — the
-// one place a task is sent to a leaf, scatter or map, first attempt or
-// backup. span is the attempt's (taskSpan).
-func (s *StemServer) attempt(ctx context.Context, job *stemJobMsg, task plan.TaskSpec, leaf string, span *trace.Span) (*exec.TaskResult, taskStatus) {
-	st := taskStatus{Leaf: leaf}
-	tctx := trace.NewContext(ctx, span)
-	defer span.Finish()
-	if job.TaskTimeout > 0 {
+// taskSpansKey carries a batch's attempt spans to the leaf in the call's
+// context, so each task's work hangs under its own span.
+type taskSpansKey struct{}
+
+// attempt sends one leaf the job's tasks at positions pos, with their attempt
+// spans (nil untraced), as one batch and fills their results and statuses at
+// the same positions: the one place tasks are sent to a leaf, scatter or map,
+// first attempt or backup. The leaf times each task out; the call's bound of
+// TaskTimeout per task fires only when the leaf never answers.
+func (s *StemServer) attempt(ctx context.Context, job *stemJobMsg, leaf string, pos []int, spans []*trace.Span, results []*exec.TaskResult, status []taskStatus) {
+	msg := job.Batch
+	msg.Plan, msg.Tasks = job.Plan, make([]plan.TaskSpec, len(pos))
+	for j, p := range pos {
+		if msg.Tasks[j] = job.Tasks[p]; msg.Tasks[j].Plan == job.Plan {
+			msg.Tasks[j].Plan = nil
+		}
+	}
+	cctx := ctx
+	if spans != nil {
+		cctx = context.WithValue(ctx, taskSpansKey{}, spans)
+	}
+	if msg.TaskTimeout > 0 {
 		var cancel context.CancelFunc
-		tctx, cancel = context.WithTimeout(tctx, job.TaskTimeout)
+		cctx, cancel = context.WithTimeout(cctx, time.Duration(len(pos))*msg.TaskTimeout)
 		defer cancel()
 	}
-	msg := taskMsg{Task: task, QueryID: job.QueryID}
-	if job.Route != nil { // a map task: its side, and this attempt's staging key
-		msg = *job.Route
-		msg.Task, msg.Side, msg.Attempt = task, job.Sides[task.Ordinal], job.Attempt
+	raw, err := s.Fabric.Call(cctx, s.Name, leaf, transport.Control, msg, 256*int64(len(pos)))
+	reply, ok := raw.(batchReply)
+	if err == nil && (!ok || len(reply.Tasks) != len(pos)) {
+		err = fmt.Errorf("leaf %s: reply %T does not answer %d tasks", leaf, raw, len(pos))
 	}
-	raw, err := s.Fabric.Call(tctx, s.Name, leaf, transport.Control, msg, 256)
-	if err != nil {
-		st.Err = err.Error()
-		st.Unreachable = errors.Is(err, transport.ErrUnknownNode)
-		return nil, st
+	for j, p := range pos {
+		var sp *trace.Span
+		if spans != nil {
+			sp = spans[j]
+		}
+		if err != nil {
+			status[p].Err, status[p].Unreachable = err.Error(), errors.Is(err, transport.ErrUnknownNode)
+		} else if status[p] = reply.Tasks[j].Status; status[p].Err == "" {
+			results[p] = s.collect(ctx, leaf, reply.Tasks[j], sp, &status[p])
+		}
+		status[p].Leaf = leaf
+		sp.Finish()
 	}
-	reply, ok := raw.(taskReply)
-	if !ok {
-		st.Err = fmt.Sprintf("unexpected reply %T", raw)
-		return nil, st
-	}
+}
+
+// collect turns one task's reply into its result, fetching a spilled one
+// back, and bills the reply's way up into the task's simulated time.
+func (s *StemServer) collect(ctx context.Context, leaf string, reply taskReply, span *trace.Span, st *taskStatus) *exec.TaskResult {
 	// The leaf's reply carries its execution-only bill; spill-fetch and
 	// reply-transfer costs accrue on top of it below.
-	st.ScanSim = reply.SimTime
+	st.ScanSim = st.SimTime
 	res := reply.Result
 	if reply.SpillPath != "" {
 		bill := sim.NewBill()
 		data, err := s.Router.ReadFile(storage.WithBill(ctx, bill), reply.SpillPath)
 		if err != nil {
 			st.Err = fmt.Sprintf("fetch spill %s: %v", reply.SpillPath, err)
-			return nil, st
+			return nil
 		}
-		res, err = decodeResult(data)
-		if err != nil {
+		if res, err = decodeResult(data); err != nil {
 			st.Err = err.Error()
-			return nil, st
+			return nil
 		}
-		reply.SimTime += bill.Time()
+		st.SimTime += bill.Time()
 		sp := span.Child("spill-fetch")
 		sp.SetSim(bill.Time())
 		sp.Count("bytes", int64(len(data)))
@@ -219,7 +225,7 @@ func (s *StemServer) attempt(ctx context.Context, job *stemJobMsg, task plan.Tas
 		if s.Model != nil {
 			if hops := s.Fabric.Topology().Hops(leaf, s.Name); hops > 0 {
 				cost := s.Model.TransferCost(reply.Size, hops)
-				reply.SimTime += cost
+				st.SimTime += cost
 				sp := span.Child("reply-transfer")
 				sp.SetSim(cost)
 				sp.Count("bytes", reply.Size)
@@ -230,21 +236,14 @@ func (s *StemServer) attempt(ctx context.Context, job *stemJobMsg, task plan.Tas
 	}
 	// The task span's sim time is the full task response time: leaf
 	// execution plus spill fetch plus reply transfer.
-	span.SetSim(reply.SimTime)
+	span.SetSim(st.SimTime)
 	st.OK = true
-	st.SimTime = reply.SimTime
-	st.DevBytes = reply.DevBytes
-	st.TransferSim, st.PartBytes = reply.TransferSim, reply.PartBytes
-	return res, st
+	return res
 }
 
 // LoadSnapshot assembles the stem's current load.
 func (s *StemServer) LoadSnapshot() LoadSnapshot {
-	return LoadSnapshot{
-		ActiveTasks: int(s.active.Load()),
-		QueueDepth:  int(s.queued.Load()),
-		TasksDone:   s.tasks.Load(),
-	}
+	return LoadSnapshot{ActiveTasks: int(s.active.Load()), TasksDone: s.tasks.Load()}
 }
 
 // HeartbeatOnce sends one heartbeat to the master.

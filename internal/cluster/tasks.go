@@ -3,33 +3,34 @@ package cluster
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/events"
 	"repro/internal/exec"
 	"repro/internal/plan"
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
 // The task lifecycle (paper §III-B/C): one job scheduler places sub-plans on
 // leaves and re-issues a failed one as a backup task on another leaf. A
 // scatter task and a shuffle's map task differ in what the leaf does with the
-// scan's output (taskMsg.Exchange), not in how they are placed, sent, retried or
+// scan's output (taskBatch.Exchange), not in how they are placed, sent, retried or
 // accounted: every task of every statement goes through runTasks.
 
 // taskDone is one task's terminal outcome: the status of its last attempt
-// (of the winning one when it succeeded), the error that ended it otherwise,
-// and the backup tasks it took.
+// (of the winning one when it succeeded) and the backup tasks it took.
 type taskDone struct {
 	ordinal int
 	taskStatus
-	err     error
 	backups int
+	tried   []string // the leaves of the failed attempts, in order
 }
 
 // groupDone is one dispatch group's outcome: its tasks in ascending ordinal
@@ -40,12 +41,12 @@ type groupDone struct {
 }
 
 // runTasks drives job.Tasks to their terminal outcomes: stamp scan workers
-// and the task timeout, place every task and hold its slot, journal the
-// placements, dispatch the first attempts one job per group — per stem for a
-// scatter, straight from the master's own local stem for map tasks (no extra
-// hop, no plan shipped) — back up what fails there, and account every
-// outcome. It returns the groups in arrival order, and whether the context
-// ended before all of them arrived.
+// and the task timeout, place every task and hold its slot, dispatch the
+// first attempts one job per group — per stem for a scatter, straight from
+// the master's own local stem for map tasks (no extra hop, no plan shipped)
+// — back up what fails there, and account every outcome. It returns the
+// groups in arrival order, and whether the context ended before all of them
+// arrived.
 func (q *statement) runTasks(ctx context.Context, job stemJobMsg) (groups []groupDone, deadline bool, err error) {
 	m, stats, tasks := q.m, q.stats, job.Tasks
 	if w := m.cfg.ScanWorkers; w != 0 {
@@ -58,25 +59,19 @@ func (q *statement) runTasks(ctx context.Context, job stemJobMsg) (groups []grou
 	if len(tasks) == 0 {
 		return nil, false, nil
 	}
-	job.TaskTimeout = cmp.Or(q.opts.TaskTimeout, m.cfg.DefaultTaskTimeout)
+	job.Batch.TaskTimeout = cmp.Or(q.opts.TaskTimeout, m.cfg.DefaultTaskTimeout)
 	// PlanAll charges a slot per task, so concurrent statements' placements
 	// see each other's live claims; runGroup returns them with its outcome.
 	if job.Assign, err = m.Scheduler.PlanAll(tasks); err != nil {
 		return nil, false, err
 	}
-	job.QueryID, job.LeafSlots = q.qid, m.Scheduler.SlotsPerLeaf
-	if m.cfg.Events.Enabled() {
-		for _, t := range tasks {
-			m.cfg.Events.Emit(events.TaskSite(q.qid, t.Ordinal), events.TaskScheduled,
-				q.qid, t.Ordinal, job.Assign[t.Ordinal])
-		}
-	}
+	job.Batch.QueryID = q.qid
 
 	// Each group's goroutine sends exactly one groupDone and the channel
 	// holds them all, so a collector that gave up at the deadline strands
 	// nobody.
 	byStem := map[string][]plan.TaskSpec{m.cfg.Name: tasks}
-	if job.Route == nil {
+	if job.Batch.Exchange == "" {
 		byStem = m.groupByStem(tasks, job.Assign)
 	}
 	results := make(chan groupDone, len(byStem))
@@ -96,7 +91,7 @@ func (q *statement) runTasks(ctx context.Context, job stemJobMsg) (groups []grou
 			for i := range g.tasks {
 				d := &g.tasks[i]
 				q.account(d)
-				if d.err == nil {
+				if d.OK {
 					completed++
 					busy[d.Leaf] += d.SimTime
 					scan[d.Leaf] += d.ScanSim
@@ -126,20 +121,20 @@ func (q *statement) runGroup(ctx context.Context, stemName string, job stemJobMs
 	// relayed — folds in here, in the same order.
 	g := groupDone{tasks: make([]taskDone, len(job.Tasks)), merged: reply.Merged}
 	for i, t := range job.Tasks {
-		d := taskDone{ordinal: t.Ordinal, err: err}
+		d := taskDone{ordinal: t.Ordinal}
 		res := reply.Tail[t.Ordinal]
-		if err == nil {
-			if d.taskStatus = reply.Status[i]; !d.OK {
-				d.err = errors.New(d.Err)
-			}
-			if d.Unreachable {
-				// Dispatch hit an unknown/down node: suspect it now rather
-				// than waiting out the liveness window.
-				m.Manager.MarkSuspect(d.Leaf)
-			}
+		if err != nil {
+			d.Err = err.Error()
+		} else if d.taskStatus = reply.Status[i]; d.Unreachable {
+			// Dispatch hit an unknown/down node: suspect it now rather than
+			// waiting out the liveness window.
+			m.Manager.MarkSuspect(d.Leaf)
 		}
-		if d.err != nil {
+		if !d.OK {
 			d.Leaf = job.Assign[t.Ordinal]
+			site := events.TaskSite(q.qid, t.Ordinal) // a failed task journals its full chain
+			m.cfg.Events.Emit(site, events.TaskScheduled, q.qid, t.Ordinal, d.Leaf)
+			m.cfg.Events.Emit(site, events.TaskDispatched, q.qid, t.Ordinal, d.Leaf+" via "+stemName)
 			res = q.retryTask(ctx, &job, t, &d)
 		}
 		g.merged = exec.MergeResults(job.Plan, g.merged, res)
@@ -152,25 +147,31 @@ func (q *statement) runGroup(ctx context.Context, stemName string, job stemJobMs
 }
 
 // account books one task's terminal outcome into the statement's stats, the
-// journal and the progress entry.
+// journal and the progress entry. Every task journals one task.done; one
+// that took a backup task first closes its full chain with task.collected.
 func (q *statement) account(d *taskDone) {
-	m, stats := q.m, q.stats
-	if d.err != nil {
-		stats.TasksFailed++
-		stats.TaskErrors = append(stats.TaskErrors, TaskError{Ordinal: d.ordinal, Leaf: d.Leaf, Err: d.err.Error()})
-		m.cfg.Events.Emit(events.TaskSite(q.qid, d.ordinal), events.TaskPartial, q.qid, d.ordinal, d.err.Error())
-	} else {
-		stats.BackupTasks += d.backups
-		for dev, n := range d.DevBytes {
-			stats.BytesByDevice[dev] += n
-		}
-		if m.cfg.Events.Enabled() {
-			m.cfg.Events.EmitSim(events.TaskSite(q.qid, d.ordinal), events.TaskCollected,
-				q.qid, d.ordinal, d.SimTime, d.Leaf+" rows="+strconv.FormatInt(int64(d.Rows), 10))
+	stats, ev := q.stats, q.m.cfg.Events
+	site, detail := "", ""
+	if ev.Enabled() {
+		site, detail = events.TaskSite(q.qid, d.ordinal), d.Leaf+" rows="+strconv.Itoa(d.Rows)
+		if len(d.tried) > 0 {
+			detail += " attempts=" + strings.Join(append(d.tried, d.Leaf), ",")
 		}
 	}
+	if !d.OK {
+		stats.TasksFailed++
+		stats.TaskErrors = append(stats.TaskErrors, TaskError{Ordinal: d.ordinal, Leaf: d.Leaf, Err: d.Err})
+		ev.Emit(site, events.TaskPartial, q.qid, d.ordinal, d.Err)
+	} else {
+		stats.BackupTasks += d.backups
+		d.DevBytes.AddTo(stats.BytesByDevice)
+		if d.backups > 0 {
+			ev.EmitSim(site, events.TaskCollected, q.qid, d.ordinal, d.SimTime, detail)
+		}
+	}
+	ev.EmitSim(site, events.TaskDone, q.qid, d.ordinal, d.SimTime, detail)
 	q.prog.update(func(p *QueryProgress) {
-		if d.err != nil {
+		if !d.OK {
 			p.TasksFailed++
 		} else {
 			p.TasksDone++
@@ -235,7 +236,7 @@ func (q *statement) retryTask(ctx context.Context, job *stemJobMsg, t plan.TaskS
 	if d.Unreachable {
 		budget++
 	}
-	one := stemJobMsg{Plan: job.Plan, TaskTimeout: job.TaskTimeout, QueryID: q.qid, Route: job.Route, Sides: job.Sides}
+	one := stemJobMsg{Plan: job.Plan, Tasks: []plan.TaskSpec{t}, Batch: job.Batch}
 	for attempt := 0; attempt < budget; attempt++ {
 		if m.cfg.RetryBackoff > 0 && !sleepCtx(ctx, retryDelay(m.cfg.RetryBackoff, t.Key(), attempt)) {
 			return nil
@@ -251,19 +252,18 @@ func (q *statement) retryTask(ctx context.Context, job *stemJobMsg, t plan.TaskS
 		d.backups++
 		m.Retries.Inc()
 		m.cfg.Events.Emit(events.TaskSite(q.qid, t.Ordinal), events.TaskRetry,
-			q.qid, t.Ordinal, fmt.Sprintf("attempt %d on %s: %s", attempt+1, leaf, d.err))
-		one.Attempt = attempt + 1
-		res, st := m.localStem.attempt(ctx, &one, t, leaf, taskSpan(ctx, t.Ordinal, leaf))
-		d.taskStatus = st
-		if st.OK {
-			d.err = nil
-			return res
+			q.qid, t.Ordinal, fmt.Sprintf("attempt %d on %s: %s", attempt+1, leaf, d.Err))
+		one.Batch.Attempt = attempt + 1
+		res, st := []*exec.TaskResult{nil}, []taskStatus{{}}
+		m.localStem.attempt(ctx, &one, leaf, []int{0}, []*trace.Span{taskSpan(ctx, t.Ordinal, leaf)}, res, st)
+		d.tried = append(d.tried, d.Leaf)
+		if d.taskStatus = st[0]; d.OK {
+			return res[0]
 		}
-		if st.Unreachable {
+		if d.Unreachable {
 			m.Manager.MarkSuspect(leaf)
 			budget++
 		}
-		d.err = errors.New(st.Err)
 		exclude[leaf] = true
 	}
 	return nil
@@ -314,7 +314,7 @@ func (m *Master) groupByStem(tasks []plan.TaskSpec, assign map[int]string) map[s
 	// Stable leaf->stem mapping: by index among the assigned leaves, sorted.
 	leaves := make([]string, 0, len(stems))
 	for _, l := range assign {
-		if !contains(leaves, l) {
+		if !slices.Contains(leaves, l) {
 			leaves = append(leaves, l)
 		}
 	}

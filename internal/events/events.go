@@ -50,12 +50,15 @@ const (
 	QueryDone     Kind = "query.done"     // finished (Detail carries row count)
 	QueryError    Kind = "query.error"    // finished with an error
 
-	// Task lifecycle (master scheduler, stems, master collector).
+	// Task lifecycle (master). Every task journals one task.done; the
+	// scheduled → dispatched → retry → collected chain (and the backup's
+	// leaf.exec) only for a task that retried or failed.
 	TaskScheduled  Kind = "task.scheduled" // placement decided (Detail = leaf)
 	TaskDispatched Kind = "task.dispatched"
 	TaskCollected  Kind = "task.collected"
 	TaskRetry      Kind = "task.retry"
 	TaskPartial    Kind = "task.partial" // gave up; query proceeds partial
+	TaskDone       Kind = "task.done"    // terminal: leaf, rows, sim and the attempt history
 
 	// Semantic result cache.
 	CacheHit        Kind = "rescache.hit"
@@ -64,7 +67,8 @@ const (
 	CacheEvict      Kind = "rescache.evict"
 	CacheInvalidate Kind = "rescache.invalidate"
 
-	// Leaf execution (leaf servers; Sim carries the task's execution bill).
+	// Leaf execution of a backup task (leaf servers; Sim carries the task's
+	// execution bill).
 	LeafExec Kind = "leaf.exec"
 
 	// Worker state transitions (cluster manager).

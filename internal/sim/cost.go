@@ -272,6 +272,25 @@ func (b *Bill) Bytes(d DeviceClass) int64 {
 	return b.bytes[d]
 }
 
+// DeviceBytes is a byte count per device class, indexed by DeviceClass.
+type DeviceBytes [numDevices]int64
+
+// DeviceBytes returns the bytes charged to every device class.
+func (b *Bill) DeviceBytes() DeviceBytes {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.bytes
+}
+
+// AddTo adds every non-zero count to m under its device class name.
+func (d DeviceBytes) AddTo(m map[string]int64) {
+	for dev, n := range d {
+		if n != 0 {
+			m[DeviceClass(dev).String()] += n
+		}
+	}
+}
+
 // Ops returns the operation count charged to device d.
 func (b *Bill) Ops(d DeviceClass) int64 {
 	b.mu.Lock()

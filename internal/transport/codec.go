@@ -40,7 +40,10 @@ import (
 // types are gone. Version 5: stem jobs carry no hedge plan (backup leaves,
 // hedge delay) and task statuses no wall time or hedge flags. Version 6:
 // partitions carry their generation and catalog entries their version.
-const CodecVersion = 6
+// Version 7: a stem sends each leaf one batch of tasks per job (task batch
+// and batch reply replace the per-task message and reply), and device byte
+// counts travel as a fixed array.
+const CodecVersion = 7
 
 const frameMagic = 0xFE15
 
@@ -270,7 +273,7 @@ var payloadReg struct {
 
 // RegisterPayload registers a payload or reply type with the wire codec.
 // Pass a value of the concrete type that crosses Call (the same concrete
-// type the receiver type-asserts): RegisterPayload(taskMsg{}),
+// type the receiver type-asserts): RegisterPayload(pingMsg{}),
 // RegisterPayload(&sqlparser.Literal{}), …  Registration is idempotent and
 // must happen identically in every process (init-time in the owning
 // package).

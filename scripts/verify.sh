@@ -43,8 +43,9 @@ go test -count=20 -run 'TestEquivalenceUnderChaos|TestExplainAnalyzeMultiTaskGol
 
 # The fold and the statement flight are contracts about concurrency: the
 # answer may not depend on which leaf replied first, nor a follower on when
-# it joined, nor on how late a timed-out task's backup ran. Twenty raced
-# runs each.
+# it joined, nor on how late a timed-out task's backup ran — the fold inputs
+# include a failed task in the middle of one leaf's batch. Twenty raced runs
+# each.
 echo "== flight, fold, timeout backup and store-after-invalidate x20 (race)"
 go test -race -count=20 -run 'TestResultReuseAcrossConcurrentQueries|TestFlight|TestRetriedTaskFolds|TestStragglerTimeoutBackup|TestMapTaskTimeoutBackup|TestStore' ./internal/cluster/
 

@@ -2,8 +2,11 @@ package feisu
 
 import (
 	"context"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/events"
 	"repro/internal/plan"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -87,5 +90,76 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 func TestTCPTransportRejectsUnknownMode(t *testing.T) {
 	if _, err := New(Config{Leaves: 4, Transport: "quic"}); err == nil {
 		t.Fatal("unknown transport mode accepted")
+	}
+}
+
+// leafCalls counts Control messages sent to a leaf by the nodes that
+// dispatch tasks (the master and the stems).
+type leafCalls struct{ n atomic.Int64 }
+
+func (c *leafCalls) Intercept(ctx context.Context, from, to string, class transport.Class, size int64) transport.Fault {
+	if class == transport.Control && strings.HasPrefix(to, "leaf") && !strings.HasPrefix(from, "leaf") {
+		c.n.Add(1)
+	}
+	return transport.Fault{}
+}
+
+// TestOneCallPerLeaf: on either fabric a job sends each leaf it uses one
+// message carrying all of that leaf's tasks — for a scatter and for a
+// shuffle's map tasks — and a clean statement journals one event per task
+// plus its own handful.
+func TestOneCallPerLeaf(t *testing.T) {
+	for _, mode := range []string{"sim", "tcp"} {
+		t.Run(mode, func(t *testing.T) {
+			sys, err := New(Config{Leaves: 4, Stems: 2, Transport: mode, HeartbeatInterval: -1, GroupShuffleRows: 1, ShufflePartitions: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(sys.Close)
+			ctx := context.Background()
+			spec := workload.T1Spec()
+			spec.RowsPerPart = 128
+			meta, err := workload.Generate(ctx, sys.Router(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.RegisterTable(ctx, meta); err != nil {
+				t.Fatal(err)
+			}
+			calls := &leafCalls{}
+			sys.fabric.SetInterceptor(calls)
+			for _, st := range []struct{ name, sql string }{
+				{"scatter", "SELECT COUNT(*), SUM(clicks) FROM T1 WHERE clicks > 3"},
+				{"map", "SELECT pos, COUNT(*) FROM T1 GROUP BY pos"},
+			} {
+				calls.n.Store(0)
+				_, stats, err := sys.QueryStats(ctx, st.sql, WithoutResultCache())
+				if err != nil {
+					t.Fatalf("%s: %v", st.name, err)
+				}
+				evs := sys.Events().ForQuery(stats.QueryID)
+				leaves, maps := map[string]bool{}, 0
+				for _, e := range evs {
+					switch e.Kind {
+					case events.TaskDone:
+						leaves[strings.Fields(e.Detail)[0]] = true
+					case events.ShuffleMap:
+						maps++
+					}
+				}
+				if want := map[string]int{"scatter": 0, "map": stats.Tasks}[st.name]; maps != want {
+					t.Fatalf("%s: %d shuffle.map events for %d tasks, want %d", st.name, maps, stats.Tasks, want)
+				}
+				if len(leaves) == 0 || len(leaves) >= stats.Tasks {
+					t.Fatalf("%s: %d tasks on %d leaves; the test needs leaves holding several tasks", st.name, stats.Tasks, len(leaves))
+				}
+				if got := calls.n.Load(); got != int64(len(leaves)) {
+					t.Errorf("%s: %d calls to leaves for %d tasks on %d leaves, want one per leaf", st.name, got, stats.Tasks, len(leaves))
+				}
+				if st.name == "scatter" && len(evs) > stats.Tasks+4 {
+					t.Errorf("%s: %d events for %d tasks, want at most tasks+4:\n%s", st.name, len(evs), stats.Tasks, renderEvents(evs))
+				}
+			}
+		})
 	}
 }
