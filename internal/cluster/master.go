@@ -217,7 +217,7 @@ func (m *Master) handle(ctx context.Context, from string, payload any) (any, err
 		return nil, nil
 	case pingMsg:
 		return pingReply{}, nil
-	case shuffleFrameMsg, shuffleEndMsg, shuffleReduceMsg, shuffleCleanupMsg:
+	case shuffleMsg, shuffleReduceMsg, shuffleCleanupMsg:
 		// Standby clusters run without dedicated stems; the master then
 		// doubles as the sole reducer via its local stem.
 		return m.localStem.handle(ctx, from, payload)

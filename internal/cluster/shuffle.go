@@ -25,16 +25,15 @@ import (
 // When the planner attaches a ShuffleSpec, the query stops being a pure
 // scatter/gather: every fact (and build-table) partition becomes a *map*
 // task that scans, hash-partitions its rows on the join/group keys, and
-// ships keyed frames sideways to *reducers* (the stems). Each reducer owns
-// partitions pi where pi % len(reducers) == its index, stages incoming
-// frames per (side, map ordinal, attempt), and on the end-marker verifies
-// the frame counts and commits the attempt — first complete attempt wins,
-// which keeps retries deterministic: any attempt of a map task partitions
-// identical input identically, so whichever attempt commits, the reduce
-// sees the same bag of rows. The master then sends each reducer one reduce
-// request; the reducer runs the partitioned hash join (or partial-aggregate
-// merge) per owned partition under a memory grant, spilling to global
-// storage past it, and returns a merged TaskResult.
+// sends each *reducer* (the stems) one message with its share. Each reducer
+// owns partitions pi where pi % len(reducers) == its index and commits the
+// first message it receives per (side, map ordinal); a duplicate or a later
+// attempt is dropped. That keeps retries deterministic: any attempt of a map
+// task partitions identical input identically, so whichever attempt
+// commits, the reduce sees the same bag of rows. The master then sends each
+// reducer one reduce request; the reducer runs the partitioned hash join (or
+// partial-aggregate merge) per owned partition under a memory grant,
+// spilling to global storage past it, and returns a merged TaskResult.
 //
 // Failure policy: a map task that exhausts its retries fails the query with
 // ErrShuffleFailed even under QueryOptions.PartialResults — dropping a map
@@ -51,39 +50,32 @@ const (
 	shuffleSideBuild = "build"
 	shuffleSideGroup = "group"
 
-	// shuffleFrameRows bounds rows (or groups) per shuffle frame so transfer
-	// billing and fault injection see a stream of bounded messages, not one
-	// giant blob per partition.
+	// shuffleFrameRows is the run of rows (or groups) the cost model bills
+	// as one transfer: the sim prices a partition's share as a stream of
+	// bounded frames, though it crosses the wire in one message.
 	shuffleFrameRows = 256
 )
 
-// shuffleFrameMsg is one keyed frame of map output for a single partition.
-// Exactly one of Rows/Groups is set (join vs group-by shuffle). It crosses
-// the wire in the columnar batch form (codec.go).
-type shuffleFrameMsg struct {
-	Exchange  string
-	QueryID   string
-	Side      string
-	Ordinal   int
-	Attempt   int
-	Partition int
-	Rows      [][]types.Value
-	Groups    []exec.Group
-	Size      int64
-}
-
-// shuffleEndMsg is the map task's commit marker to one reducer: the exact
-// per-partition frame counts it shipped there. The reducer verifies its
-// staged counts match (catching dropped and duplicated frames) before
-// committing the attempt.
-type shuffleEndMsg struct {
+// shuffleMsg is one map task attempt's whole output for one reducer: a part
+// per partition the reducer owns, in ascending partition order, empty parts
+// included. It crosses the wire in the columnar batch form (codec.go).
+type shuffleMsg struct {
 	Exchange string
 	QueryID  string
 	Side     string
 	Ordinal  int
 	Attempt  int
-	Frames   map[int]int
-	Leaf     string
+	Parts    []shufflePart
+}
+
+// shufflePart is one partition's share of a map task's output. Exactly one
+// of Rows/Groups is set (join vs group-by shuffle) unless the share is
+// empty; Size is its estimated bytes.
+type shufflePart struct {
+	Partition int
+	Size      int64
+	Rows      [][]types.Value
+	Groups    []exec.Group
 }
 
 // shuffleReduceMsg asks a reducer to join/merge its owned partitions from
@@ -106,7 +98,7 @@ type shuffleReduceReply struct {
 	DevBytes   sim.DeviceBytes
 }
 
-// shuffleCleanupMsg drops all staged/committed state for an exchange
+// shuffleCleanupMsg drops all committed state for an exchange
 // (best-effort broadcast after the query finishes or fails).
 type shuffleCleanupMsg struct {
 	Exchange string
@@ -117,73 +109,57 @@ type shuffleAck struct{}
 // ---------------------------------------------------------------------------
 // Leaf side: map tasks.
 
-// routeShuffle hash-partitions a map task's output and ships it reducer by
-// reducer: all owned partitions' frames, then the end-marker carrying the
-// exact frame counts. The end-marker goes to every reducer — including
-// those that received zero frames — so each can commit this ordinal. The
-// reply reports transfer sim per partition (Fabric.Call charges transfer to
-// the context bill when the route crosses racks). It returns the rows or
-// groups routed.
+// routeShuffle hash-partitions a map task's output and sends every reducer
+// one shuffleMsg: a part per partition it owns, empty parts included, so
+// each reducer can commit this ordinal. The reply reports each partition's
+// bytes and transfer sim. The sim bills a partition's share as runs of
+// shuffleFrameRows, each one transfer when the route crosses racks; the call
+// itself carries no bill. It returns the rows or groups routed.
 func (l *LeafServer) routeShuffle(ctx context.Context, msg *taskBatch, ordinal int, side string, res *exec.TaskResult, st *taskStatus) (int, error) {
 	parts := max(msg.Partitions, 1)
 	st.TransferSim, st.PartBytes = make([]time.Duration, parts), make([]int64, parts)
-	// Route every row or group straight into its partition's list; frames
-	// are then consecutive runs of at most shuffleFrameRows of that list.
-	rowParts := make([][][]types.Value, parts)
-	groupParts := make([][]exec.Group, parts)
+	// Route every row or group straight into its partition's part.
+	shares := make([]shufflePart, parts)
 	routed := 0
 	if side == shuffleSideGroup {
 		if res.Groups != nil {
 			routed = len(res.Groups.M)
 			for k, g := range res.Groups.M {
 				pi := exec.KeyShufflePartition(k, parts)
-				groupParts[pi] = append(groupParts[pi], *g)
+				shares[pi].Groups = append(shares[pi].Groups, *g)
 			}
 		}
 	} else {
 		routed = len(res.Rows)
 		for _, row := range res.Rows {
 			pi := exec.ShufflePartition(row, msg.Keys, parts)
-			rowParts[pi] = append(rowParts[pi], row)
+			shares[pi].Rows = append(shares[pi].Rows, row)
 		}
 	}
-	// One bill for everything shipped; a partition's share is what its
-	// frames added to it (frames go out one after another).
-	shipBill := sim.NewBill()
-	sctx := storage.WithBill(ctx, shipBill)
 	for ri, reducer := range msg.Reducers {
-		frames := make(map[int]int)
-		send := func(pi int, fr shuffleFrameMsg) error {
-			fr.Exchange, fr.QueryID, fr.Side = msg.Exchange, msg.QueryID, side
-			fr.Ordinal, fr.Attempt, fr.Partition = ordinal, msg.Attempt, pi
-			if _, err := l.Fabric.Call(sctx, l.Name, reducer, transport.Shuffle, fr, fr.Size); err != nil {
-				return err
-			}
-			frames[pi]++
-			st.PartBytes[pi] += fr.Size
-			return nil
-		}
+		hops := l.Fabric.Topology().Hops(l.Name, reducer)
+		out := shuffleMsg{Exchange: msg.Exchange, QueryID: msg.QueryID, Side: side, Ordinal: ordinal, Attempt: msg.Attempt}
+		var size int64
 		for pi := ri; pi < parts; pi += len(msg.Reducers) {
-			before := shipBill.Time()
-			groups, rows := groupParts[pi], rowParts[pi]
-			for off := 0; off < len(groups); off += shuffleFrameRows {
-				chunk := groups[off:min(off+shuffleFrameRows, len(groups))]
-				if err := send(pi, shuffleFrameMsg{Groups: chunk, Size: exec.EstimateGroups(chunk)}); err != nil {
-					return routed, err
+			p := &shares[pi]
+			p.Partition = pi
+			for off := 0; off < max(len(p.Groups), len(p.Rows)); off += shuffleFrameRows {
+				var n int64
+				if p.Groups != nil {
+					n = exec.EstimateGroups(p.Groups[off:min(off+shuffleFrameRows, len(p.Groups))])
+				} else {
+					n = (&exec.TaskResult{Rows: p.Rows[off:min(off+shuffleFrameRows, len(p.Rows))]}).EstimateBytes()
+				}
+				p.Size += n
+				if hops > 0 && l.Model != nil {
+					st.TransferSim[pi] += l.Model.TransferCost(n, hops)
 				}
 			}
-			for off := 0; off < len(rows); off += shuffleFrameRows {
-				chunk := rows[off:min(off+shuffleFrameRows, len(rows))]
-				size := (&exec.TaskResult{Rows: chunk}).EstimateBytes()
-				if err := send(pi, shuffleFrameMsg{Rows: chunk, Size: size}); err != nil {
-					return routed, err
-				}
-			}
-			st.TransferSim[pi] = shipBill.Time() - before
+			st.PartBytes[pi] = p.Size
+			size += p.Size
+			out.Parts = append(out.Parts, *p)
 		}
-		end := shuffleEndMsg{Exchange: msg.Exchange, QueryID: msg.QueryID, Side: side,
-			Ordinal: ordinal, Attempt: msg.Attempt, Frames: frames, Leaf: l.Name}
-		if _, err := l.Fabric.Call(ctx, l.Name, reducer, transport.Shuffle, end, 64); err != nil {
+		if _, err := l.Fabric.Call(ctx, l.Name, reducer, transport.Shuffle, out, size); err != nil {
 			return routed, err
 		}
 	}
@@ -191,7 +167,7 @@ func (l *LeafServer) routeShuffle(ctx context.Context, msg *taskBatch, ordinal i
 }
 
 // ---------------------------------------------------------------------------
-// Stem side: staging, commit, reduce.
+// Stem side: commit, reduce.
 
 // shuffleSideOrd identifies one map task within an exchange.
 type shuffleSideOrd struct {
@@ -199,36 +175,10 @@ type shuffleSideOrd struct {
 	ord  int
 }
 
-// shuffleStageKey identifies one attempt of a map task while it streams.
-type shuffleStageKey struct {
-	side    string
-	ord     int
-	attempt int
-}
-
-// stagedShuffle accumulates one attempt's frames, per partition.
-type stagedShuffle struct {
-	rows   map[int][][]types.Value
-	groups map[int][]exec.Group
-	frames map[int]int
-	bytes  map[int]int64
-	leaf   string
-}
-
-func newStagedShuffle() *stagedShuffle {
-	return &stagedShuffle{
-		rows:   map[int][][]types.Value{},
-		groups: map[int][]exec.Group{},
-		frames: map[int]int{},
-		bytes:  map[int]int64{},
-	}
-}
-
-// shuffleExchange is a reducer's state for one query's shuffle: in-flight
-// attempts staging frames, and the committed attempt per map task.
+// shuffleExchange is a reducer's state for one query's shuffle: the
+// committed message per map task.
 type shuffleExchange struct {
-	staged    map[shuffleStageKey]*stagedShuffle
-	committed map[shuffleSideOrd]*stagedShuffle
+	committed map[shuffleSideOrd]*shuffleMsg
 }
 
 func (s *StemServer) exchangeLocked(id string) *shuffleExchange {
@@ -237,72 +187,26 @@ func (s *StemServer) exchangeLocked(id string) *shuffleExchange {
 	}
 	ex := s.shuffles[id]
 	if ex == nil {
-		ex = &shuffleExchange{
-			staged:    map[shuffleStageKey]*stagedShuffle{},
-			committed: map[shuffleSideOrd]*stagedShuffle{},
-		}
+		ex = &shuffleExchange{committed: map[shuffleSideOrd]*shuffleMsg{}}
 		s.shuffles[id] = ex
 	}
 	return ex
 }
 
-func (s *StemServer) handleShuffleFrame(msg shuffleFrameMsg) (any, error) {
+// handleShuffle commits the first message from each map task. A duplicate
+// delivery or a later attempt of a committed map task is acked and dropped:
+// any attempt partitions identical input identically.
+func (s *StemServer) handleShuffle(from string, msg shuffleMsg) (any, error) {
 	s.shuffleMu.Lock()
 	defer s.shuffleMu.Unlock()
 	ex := s.exchangeLocked(msg.Exchange)
-	if _, done := ex.committed[shuffleSideOrd{msg.Side, msg.Ordinal}]; done {
-		// A duplicate or late attempt of an already-committed map task:
-		// ignore it — any attempt partitions identical input identically.
-		return shuffleAck{}, nil
-	}
-	key := shuffleStageKey{msg.Side, msg.Ordinal, msg.Attempt}
-	st := ex.staged[key]
-	if st == nil {
-		st = newStagedShuffle()
-		ex.staged[key] = st
-	}
-	if msg.Groups != nil {
-		st.groups[msg.Partition] = append(st.groups[msg.Partition], msg.Groups...)
-	} else {
-		st.rows[msg.Partition] = append(st.rows[msg.Partition], msg.Rows...)
-	}
-	st.frames[msg.Partition]++
-	st.bytes[msg.Partition] += msg.Size
-	return shuffleAck{}, nil
-}
-
-func (s *StemServer) handleShuffleEnd(msg shuffleEndMsg) (any, error) {
-	s.shuffleMu.Lock()
-	defer s.shuffleMu.Unlock()
-	ex := s.exchangeLocked(msg.Exchange)
-	key := shuffleStageKey{msg.Side, msg.Ordinal, msg.Attempt}
-	st := ex.staged[key]
-	delete(ex.staged, key)
 	so := shuffleSideOrd{msg.Side, msg.Ordinal}
 	if _, done := ex.committed[so]; done {
 		return shuffleAck{}, nil
 	}
-	if st == nil {
-		st = newStagedShuffle()
-	}
-	// Verify the exact frame counts the leaf shipped here: a dropped or
-	// duplicated frame (fault injection) voids the attempt so the master
-	// retries it; the retry re-partitions identical input, so whichever
-	// attempt commits first, the reduce sees the same rows.
-	if len(st.frames) != len(msg.Frames) {
-		return nil, fmt.Errorf("cluster: shuffle %s: %s#%d attempt %d: frames for %d partition(s) staged, %d expected",
-			msg.Exchange, msg.Side, msg.Ordinal, msg.Attempt, len(st.frames), len(msg.Frames))
-	}
-	for pi, want := range msg.Frames {
-		if st.frames[pi] != want {
-			return nil, fmt.Errorf("cluster: shuffle %s: %s#%d attempt %d partition %d: %d frame(s) staged, %d expected",
-				msg.Exchange, msg.Side, msg.Ordinal, msg.Attempt, pi, st.frames[pi], want)
-		}
-	}
-	st.leaf = msg.Leaf
-	ex.committed[so] = st
+	ex.committed[so] = &msg
 	s.Events.Emit(events.TaskSite(msg.QueryID, msg.Ordinal), events.ShuffleCommit, msg.QueryID, msg.Ordinal,
-		fmt.Sprintf("side=%s attempt=%d from %s @ %s", msg.Side, msg.Attempt, msg.Leaf, s.Name))
+		fmt.Sprintf("side=%s attempt=%d from %s @ %s", msg.Side, msg.Attempt, from, s.Name))
 	return shuffleAck{}, nil
 }
 
@@ -315,7 +219,7 @@ func (s *StemServer) handleShuffleCleanup(msg shuffleCleanupMsg) (any, error) {
 
 // handleShuffleReduce joins/merges this reducer's owned partitions from the
 // committed map outputs. Each partition gets a private bill (its grace-hash
-// spill and read-back costs, plus a CPU charge proportional to staged input
+// spill and read-back costs, plus a CPU charge proportional to its input
 // bytes) so the master can attribute per-partition reduce sim.
 func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceMsg) (any, error) {
 	_, span := trace.StartSpan(ctx, "reduce/"+s.Name)
@@ -324,9 +228,12 @@ func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceM
 	if sh == nil {
 		return nil, fmt.Errorf("cluster: stem %s: reduce request without shuffle spec", s.Name)
 	}
+	parts := append([]int(nil), msg.Partitions...)
+	sort.Ints(parts)
 
-	// Snapshot the committed staging under the lock; committed entries are
-	// never mutated after commit (late frames check committed first).
+	// Snapshot the committed messages under the lock; a committed message is
+	// never mutated, and each must carry exactly this reducer's partitions,
+	// ascending, so part k below is partition parts[k].
 	s.shuffleMu.Lock()
 	committed := maps.Clone(s.exchangeLocked(msg.Exchange).committed)
 	s.shuffleMu.Unlock()
@@ -335,8 +242,13 @@ func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceM
 		ords []int
 	}{{shuffleSideProbe, msg.ProbeOrdinals}, {shuffleSideBuild, msg.BuildOrdinals}, {shuffleSideGroup, msg.GroupOrdinals}} {
 		for _, ord := range side.ords {
-			if committed[shuffleSideOrd{side.name, ord}] == nil {
+			m := committed[shuffleSideOrd{side.name, ord}]
+			if m == nil {
 				return nil, fmt.Errorf("cluster: shuffle %s: %s#%d never committed at %s", msg.Exchange, side.name, ord, s.Name)
+			}
+			if !slices.EqualFunc(m.Parts, parts, func(p shufflePart, pi int) bool { return p.Partition == pi }) {
+				return nil, fmt.Errorf("cluster: shuffle %s: %s#%d at %s carries %d part(s), not partitions %v",
+					msg.Exchange, side.name, ord, s.Name, len(m.Parts), parts)
 			}
 		}
 	}
@@ -345,15 +257,14 @@ func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceM
 	if s.Router != nil {
 		spill = &routerSpillStore{ctx: ctx, router: s.Router, prefix: msg.SpillPrefix + "/" + s.Name}
 	}
-	parts := append([]int(nil), msg.Partitions...)
-	sort.Ints(parts)
 
 	var merged *exec.TaskResult
 	partSim := make(map[int]time.Duration, len(parts))
 	reduceBill := sim.NewBill()
 	var spilled int64
 	var total time.Duration
-	for _, pi := range parts {
+	for k, pi := range parts {
+		part := func(side string, ord int) shufflePart { return committed[shuffleSideOrd{side, ord}].Parts[k] }
 		partBill := sim.NewBill()
 		site := fmt.Sprintf("shuffle/%s#p%d", msg.QueryID, pi)
 		billing := exec.ShuffleBilling{Model: s.Model, Bill: partBill, OnSpill: func(n int64) {
@@ -364,9 +275,9 @@ func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceM
 		if sh.GroupShuffle {
 			agg := exec.NewPartitionedAgg(len(msg.Plan.Aggs), sh.MemoryGrant, spill, billing)
 			for _, ord := range msg.GroupOrdinals {
-				st := committed[shuffleSideOrd{shuffleSideGroup, ord}]
-				inBytes += st.bytes[pi]
-				if err := agg.PushGroups(st.groups[pi]); err != nil {
+				p := part(shuffleSideGroup, ord)
+				inBytes += p.Size
+				if err := agg.PushGroups(p.Groups); err != nil {
 					return nil, err
 				}
 			}
@@ -379,16 +290,16 @@ func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceM
 		} else {
 			j := exec.NewPartitionedHashJoin(msg.Plan, spill, billing)
 			for _, ord := range msg.BuildOrdinals {
-				st := committed[shuffleSideOrd{shuffleSideBuild, ord}]
-				inBytes += st.bytes[pi]
-				if err := j.PushBuild(st.rows[pi]); err != nil {
+				p := part(shuffleSideBuild, ord)
+				inBytes += p.Size
+				if err := j.PushBuild(p.Rows); err != nil {
 					return nil, err
 				}
 			}
 			for _, ord := range msg.ProbeOrdinals {
-				st := committed[shuffleSideOrd{shuffleSideProbe, ord}]
-				inBytes += st.bytes[pi]
-				if err := j.PushProbe(st.rows[pi]); err != nil {
+				p := part(shuffleSideProbe, ord)
+				inBytes += p.Size
+				if err := j.PushProbe(p.Rows); err != nil {
 					return nil, err
 				}
 			}
@@ -462,8 +373,8 @@ func (s *routerSpillStore) Read(handle string) ([][]types.Value, int64, error) {
 // Master side: the shuffle driver.
 
 // shuffle executes a repartitioned statement: map tasks on the leaves —
-// placed, sent, retried and accounted like any other task (runTasks) — keyed
-// frames to the reducers, then one reduce per reducer. SimTime models the
+// placed, sent, retried and accounted like any other task (runTasks) — each
+// sending every reducer its share, then one reduce per reducer. SimTime models the
 // three phases as sequential: busiest map leaf + slowest reducer's inbound
 // transfer + slowest reducer's reduce work.
 func (q *statement) shuffle(ctx context.Context) (*exec.TaskResult, error) {
@@ -494,7 +405,7 @@ func (q *statement) shuffle(ctx context.Context) (*exec.TaskResult, error) {
 		addSide(shuffleSideProbe, sh.ProbePlan, &reduce.ProbeOrdinals)
 	}
 	// Best-effort cleanup on every exit path: reducers that ran no reduce
-	// (or a failed query's staging) must not leak exchange state.
+	// (or a failed query's commits) must not leak exchange state.
 	defer func() {
 		for _, r := range route.Reducers {
 			callStem[shuffleAck](context.WithoutCancel(ctx), m, r, shuffleCleanupMsg{Exchange: route.Exchange})
@@ -527,7 +438,7 @@ func (q *statement) shuffle(ctx context.Context) (*exec.TaskResult, error) {
 	return merged, nil
 }
 
-// shuffleTransfer is phase 2, pure accounting. The frames already moved
+// shuffleTransfer is phase 2, pure accounting. The map output already moved
 // (inside the map phase's wall clock), but the simulated transfer is modeled
 // as its own pipeline stage: the slowest reducer's total inbound transfer.
 func (q *statement) shuffleTransfer(ctx context.Context, route *taskBatch, groups []groupDone) time.Duration {
@@ -563,54 +474,56 @@ func (q *statement) shuffleTransfer(ctx context.Context, route *taskBatch, group
 }
 
 // shuffleReduce is phase 3: one reduce request per reducer — msg with the
-// partitions it owns — concurrently. It returns the merged result and the
-// slowest reducer's simulated time.
+// partitions it owns — concurrently. The replies fold in ascending reducer
+// index once all are in, never in arrival order: float aggregates are not
+// associative, so the order of the fold is part of the answer. It returns
+// the merged result and the slowest reducer's simulated time.
 func (q *statement) shuffleReduce(ctx context.Context, route *taskBatch, msg shuffleReduceMsg) (*exec.TaskResult, time.Duration, error) {
 	rctx, rspan := trace.StartSpan(ctx, "shuffle-reduce")
-	var (
-		mu        sync.Mutex
-		merged    *exec.TaskResult
-		redErr    error
-		reduceMax time.Duration
-		wg        sync.WaitGroup
-	)
-	for ri, r := range route.Reducers[:min(len(route.Reducers), route.Partitions)] { // the rest own no partition
-		msg.Partitions = nil
+	defer rspan.Finish()
+	reducers := route.Reducers[:min(len(route.Reducers), route.Partitions)] // the rest own no partition
+	msgs := make([]shuffleReduceMsg, len(reducers))
+	replies := make([]shuffleReduceReply, len(reducers))
+	errs := make([]error, len(reducers))
+	var wg sync.WaitGroup
+	for ri, r := range reducers {
+		msgs[ri] = msg
+		msgs[ri].Partitions = nil
 		for pi := ri; pi < route.Partitions; pi += len(route.Reducers) {
-			msg.Partitions = append(msg.Partitions, pi)
+			msgs[ri].Partitions = append(msgs[ri].Partitions, pi)
 		}
 		wg.Add(1)
-		go func(r string, msg shuffleReduceMsg) {
+		go func() {
 			defer wg.Done()
-			reply, err := callStem[shuffleReduceReply](rctx, q.m, r, msg)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if redErr == nil {
-					redErr = fmt.Errorf("reduce @ %s: %w", r, err)
-				}
-				return
-			}
-			var total time.Duration
-			for _, pi := range msg.Partitions { // ascending
-				total += reply.PartSim[pi]
-				if rspan != nil {
-					ps := rspan.Child(fmt.Sprintf("partition %d @ %s", pi, r))
-					ps.SetSim(reply.PartSim[pi])
-					ps.Finish()
-				}
-			}
-			reduceMax = max(reduceMax, total)
-			q.stats.ShuffleSpillBytes += reply.SpillBytes
-			reply.DevBytes.AddTo(q.stats.BytesByDevice)
-			merged = exec.MergeResults(q.p, merged, reply.Result)
-		}(r, msg)
+			replies[ri], errs[ri] = callStem[shuffleReduceReply](rctx, q.m, r, msgs[ri])
+		}()
 	}
 	wg.Wait()
+	for ri, err := range errs {
+		if err != nil {
+			return nil, 0, fmt.Errorf("reduce @ %s: %w", reducers[ri], err)
+		}
+	}
+	var merged *exec.TaskResult
+	var reduceMax time.Duration
+	for ri, reply := range replies {
+		var total time.Duration
+		for _, pi := range msgs[ri].Partitions { // ascending
+			total += reply.PartSim[pi]
+			if rspan != nil {
+				ps := rspan.Child(fmt.Sprintf("partition %d @ %s", pi, reducers[ri]))
+				ps.SetSim(reply.PartSim[pi])
+				ps.Finish()
+			}
+		}
+		reduceMax = max(reduceMax, total)
+		q.stats.ShuffleSpillBytes += reply.SpillBytes
+		reply.DevBytes.AddTo(q.stats.BytesByDevice)
+		merged = exec.MergeResults(q.p, merged, reply.Result)
+	}
 	rspan.SetSim(reduceMax)
-	rspan.Finish()
 	if merged == nil {
 		merged = &exec.TaskResult{}
 	}
-	return merged, reduceMax, redErr
+	return merged, reduceMax, nil
 }

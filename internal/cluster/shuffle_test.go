@@ -384,23 +384,56 @@ func TestShuffleReducerSpill(t *testing.T) {
 	}
 }
 
-// frameDropper drops the first N Shuffle-class messages.
-type frameDropper struct {
+// shuffleDropper drops the first N Shuffle-class messages.
+type shuffleDropper struct {
 	remaining atomic.Int64
 }
 
-func (f *frameDropper) Intercept(ctx context.Context, from, to string, class transport.Class, size int64) transport.Fault {
+func (f *shuffleDropper) Intercept(ctx context.Context, from, to string, class transport.Class, size int64) transport.Fault {
 	if class == transport.Shuffle && f.remaining.Add(-1) >= 0 {
 		return transport.Fault{Drop: true}
 	}
 	return transport.Fault{}
 }
 
-// TestShuffleRetriesDroppedFrames injects frame drops mid-shuffle: the
+// shuffleDuplicator delivers every Shuffle-class message twice.
+type shuffleDuplicator struct{}
+
+func (shuffleDuplicator) Intercept(ctx context.Context, from, to string, class transport.Class, size int64) transport.Fault {
+	return transport.Fault{Duplicate: class == transport.Shuffle}
+}
+
+// commitsPerReducer counts a query's shuffle.commit events by map task site
+// and committing reducer ("task/q#N @ stemK").
+func commitsPerReducer(rec *events.Recorder, qid string) map[string]int {
+	commits := map[string]int{}
+	for _, e := range rec.ForQuery(qid) {
+		if e.Kind == events.ShuffleCommit {
+			commits[e.Site+" "+e.Detail[strings.LastIndex(e.Detail, "@ "):]]++
+		}
+	}
+	return commits
+}
+
+// requireOneCommitEach fails unless every map task committed exactly once at
+// every reducer: the determinism guarantee the reduce relies on.
+func requireOneCommitEach(t *testing.T, commits map[string]int, tasks, reducers int) {
+	t.Helper()
+	if len(commits) != tasks*reducers {
+		t.Errorf("%d (map task, reducer) pairs committed, want %d × %d: %v", len(commits), tasks, reducers, commits)
+	}
+	for key, n := range commits {
+		if n != 1 {
+			t.Errorf("%s committed %d times", key, n)
+		}
+	}
+}
+
+// TestShuffleRetriesDroppedMessages drops shuffle messages mid-shuffle: the
 // affected map attempts fail, the master retries them on other leaves, the
 // reducers commit exactly one attempt per map task, and the result is
 // identical to a clean run.
-func TestShuffleRetriesDroppedFrames(t *testing.T) {
+func TestShuffleRetriesDroppedMessages(t *testing.T) {
 	clean := newShuffleCluster(t, 4, 2, 4, 2, func(cfg *MasterConfig) {
 		cfg.Planner = repartitionOpts()
 	})
@@ -408,7 +441,7 @@ func TestShuffleRetriesDroppedFrames(t *testing.T) {
 		cfg.Planner = repartitionOpts()
 		cfg.RetryBackoff = time.Microsecond
 	})
-	dropper := &frameDropper{}
+	dropper := &shuffleDropper{}
 	dropper.remaining.Store(3)
 	faulty.fabric.SetInterceptor(dropper)
 	defer faulty.fabric.SetInterceptor(nil)
@@ -418,28 +451,45 @@ func TestShuffleRetriesDroppedFrames(t *testing.T) {
 	fres, fstats := faulty.query(sql, QueryOptions{})
 	assertSameRows(t, sql, cres, fres)
 	if fstats.BackupTasks == 0 {
-		t.Error("no retries recorded despite dropped frames")
+		t.Error("no retries recorded despite dropped messages")
 	}
-	qid := fstats.QueryID
-	retries, commits := 0, map[string]int{}
-	for _, e := range faulty.rec.ForQuery(qid) {
-		switch e.Kind {
-		case events.TaskRetry:
+	retries := 0
+	for _, e := range faulty.rec.ForQuery(fstats.QueryID) {
+		if e.Kind == events.TaskRetry {
 			retries++
-		case events.ShuffleCommit:
-			commits[e.Site]++
 		}
 	}
 	if retries == 0 {
 		t.Error("no task.retry events in the flight recorder")
 	}
-	// Each reducer commits each map task exactly once, whatever the retry
-	// interleaving — the determinism guarantee the reduce relies on.
-	for site, n := range commits {
-		if n > 2 { // one commit per reducer, two reducers share a site key
-			t.Errorf("site %s committed %d times", site, n)
-		}
+	// Whatever the retry interleaving, one commit per map task and reducer.
+	requireOneCommitEach(t, commitsPerReducer(faulty.rec, fstats.QueryID), fstats.Tasks, len(faulty.stems))
+}
+
+// TestShuffleDuplicateDeliveryCommitsOnce delivers every shuffle message
+// twice: each reducer commits the first copy and drops the second, so no
+// attempt is lost, nothing is retried, and the rows equal a clean run.
+func TestShuffleDuplicateDeliveryCommitsOnce(t *testing.T) {
+	clean := newShuffleCluster(t, 4, 2, 4, 2, func(cfg *MasterConfig) {
+		cfg.Planner = repartitionOpts()
+	})
+	duped := newShuffleCluster(t, 4, 2, 4, 2, func(cfg *MasterConfig) {
+		cfg.Planner = repartitionOpts()
+	})
+	duped.fabric.SetInterceptor(shuffleDuplicator{})
+	defer duped.fabric.SetInterceptor(nil)
+
+	sql := "SELECT u.region AS region, COUNT(*) AS n, SUM(o.amt) AS s FROM orders o JOIN users u ON o.uid = u.uid GROUP BY region ORDER BY region"
+	cres, _ := clean.query(sql, QueryOptions{})
+	dres, dstats := duped.query(sql, QueryOptions{})
+	assertSameRows(t, sql, cres, dres)
+	if dstats.BackupTasks != 0 || dstats.TasksFailed != 0 {
+		t.Errorf("backups=%d failed=%d, want a duplicate to cost no attempt", dstats.BackupTasks, dstats.TasksFailed)
 	}
+	if got := duped.fabric.Counters().Msgs[transport.Shuffle].Value(); got != int64(2*dstats.Tasks*len(duped.stems)) {
+		t.Errorf("%d shuffle deliveries, want every one of %d × %d messages twice", got, dstats.Tasks, len(duped.stems))
+	}
+	requireOneCommitEach(t, commitsPerReducer(duped.rec, dstats.QueryID), dstats.Tasks, len(duped.stems))
 }
 
 // TestMapTaskTimeoutBackup: a map task is a task, so a straggling leaf in a

@@ -376,8 +376,8 @@ func recordValue(c *colstore.Column, r int) types.Value {
 }
 
 // execute runs the statement's tasks: scattered over the tree and folded on
-// the way up, or — repartitioned — as map tasks on the leaves, keyed frames
-// to the reducers and one reduce per reducer.
+// the way up, or — repartitioned — as map tasks on the leaves, one message
+// from each to every reducer and one reduce per reducer.
 func (q *statement) execute(ctx context.Context) (merged *exec.TaskResult, err error) {
 	ctx, span := trace.StartSpan(ctx, "master/execute")
 	if q.p.Shuffle != nil {

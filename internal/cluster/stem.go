@@ -36,8 +36,8 @@ type StemServer struct {
 	tasks  atomic.Int64 // lifetime dispatched tasks
 	life   lifecycle
 
-	// shuffleMu guards shuffles, the reducer-side staging area for
-	// repartition exchanges (keyed by exchange ID).
+	// shuffleMu guards shuffles, the reducer-side commits of repartition
+	// exchanges (keyed by exchange ID).
 	shuffleMu sync.Mutex
 	shuffles  map[string]*shuffleExchange
 }
@@ -55,10 +55,8 @@ func (s *StemServer) handle(ctx context.Context, from string, payload any) (any,
 		return s.runJob(ctx, msg.job())
 	case stemJobMsg: // the master to its own local stem: nothing crossed a wire
 		return s.runJob(ctx, msg)
-	case shuffleFrameMsg:
-		return s.handleShuffleFrame(msg)
-	case shuffleEndMsg:
-		return s.handleShuffleEnd(msg)
+	case shuffleMsg:
+		return s.handleShuffle(from, msg)
 	case shuffleReduceMsg:
 		return s.handleShuffleReduce(ctx, msg)
 	case shuffleCleanupMsg:

@@ -81,7 +81,7 @@ const (
 	// Repartition shuffle (master orchestration + reducer commits; Sim on
 	// map/reduce events carries the stage's execution bill).
 	ShuffleMap    Kind = "shuffle.map"    // one map task finished on a leaf
-	ShuffleCommit Kind = "shuffle.commit" // reducer committed a map attempt's frames
+	ShuffleCommit Kind = "shuffle.commit" // reducer committed a map task's first message
 	ShuffleReduce Kind = "shuffle.reduce" // reducer finished one partition
 	ShuffleSpill  Kind = "shuffle.spill"  // operator exceeded its memory grant
 

@@ -42,8 +42,10 @@ import (
 // partitions carry their generation and catalog entries their version.
 // Version 7: a stem sends each leaf one batch of tasks per job (task batch
 // and batch reply replace the per-task message and reply), and device byte
-// counts travel as a fixed array.
-const CodecVersion = 7
+// counts travel as a fixed array. Version 8: a map task attempt sends each
+// reducer one shuffle message with a part per partition; the shuffle frame
+// and end-marker are gone.
+const CodecVersion = 8
 
 const frameMagic = 0xFE15
 

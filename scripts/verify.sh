@@ -42,12 +42,12 @@ echo "== chaos equivalence + multi-task trace order x20 (same seeds, same schedu
 go test -count=20 -run 'TestEquivalenceUnderChaos|TestExplainAnalyzeMultiTaskGolden' .
 
 # The fold and the statement flight are contracts about concurrency: the
-# answer may not depend on which leaf replied first, nor a follower on when
-# it joined, nor on how late a timed-out task's backup ran — the fold inputs
-# include a failed task in the middle of one leaf's batch. Twenty raced runs
-# each.
-echo "== flight, fold, timeout backup and store-after-invalidate x20 (race)"
-go test -race -count=20 -run 'TestResultReuseAcrossConcurrentQueries|TestFlight|TestRetriedTaskFolds|TestStragglerTimeoutBackup|TestMapTaskTimeoutBackup|TestStore' ./internal/cluster/
+# answer may not depend on which leaf or reducer replied first, nor a
+# follower on when it joined, nor on how late a timed-out task's backup ran —
+# the fold inputs include a failed task in the middle of one leaf's batch —
+# nor on a shuffle message arriving twice. Twenty raced runs each.
+echo "== flight, fold, timeout backup, duplicate shuffle and store-after-invalidate x20 (race)"
+go test -race -count=20 -run 'TestResultReuseAcrossConcurrentQueries|TestFlight|TestRetriedTaskFolds|TestReduceFoldsInReducerOrder|TestShuffleDuplicate|TestStragglerTimeoutBackup|TestMapTaskTimeoutBackup|TestStore' ./internal/cluster/
 
 # Coverage floors, set when each package's subsystem landed (cluster:
 # admission, scheduling, recovery; resultcache: normalization, subsumption,
@@ -74,10 +74,11 @@ cov_floor internal/events 92.0
 cov_floor internal/exec 85.0
 cov_floor internal/core 85.0
 
-echo "== fuzz smoke (FuzzParse, FuzzDecodeBatch, FuzzWireStream; 10s each)"
+echo "== fuzz smoke (FuzzParse, FuzzDecodeBatch, FuzzWireStream, FuzzDecodeShuffle; 10s each)"
 go test -fuzz=FuzzParse -fuzztime=10s -run='^$' ./internal/sqlparser
 go test -fuzz=FuzzDecodeBatch -fuzztime=10s -run='^$' ./internal/types
 go test -fuzz=FuzzWireStream -fuzztime=10s -run='^$' ./internal/transport
+go test -fuzz=FuzzDecodeShuffle -fuzztime=10s -run='^$' ./internal/cluster
 
 # The TCP wire transport must be semantically invisible: the transport
 # conformance battery runs against both fabrics inside the transport package,

@@ -163,3 +163,45 @@ func TestOneCallPerLeaf(t *testing.T) {
 		})
 	}
 }
+
+// shuffleCalls counts Shuffle-class messages.
+type shuffleCalls struct{ n atomic.Int64 }
+
+func (c *shuffleCalls) Intercept(ctx context.Context, from, to string, class transport.Class, size int64) transport.Fault {
+	if class == transport.Shuffle {
+		c.n.Add(1)
+	}
+	return transport.Fault{}
+}
+
+// TestOneShuffleMessagePerReducer: on either fabric a map task sends each
+// reducer exactly one message, for a group-by shuffle and for a repartition
+// join alike, so a clean statement's shuffle traffic is map tasks × reducers.
+func TestOneShuffleMessagePerReducer(t *testing.T) {
+	for _, mode := range []string{"sim", "tcp"} {
+		t.Run(mode, func(t *testing.T) {
+			sys, _ := newJoinSystem(t, func(c *Config) {
+				forceShuffle(c)
+				c.Stems, c.Transport, c.GroupShuffleRows = 2, mode, 1
+			})
+			calls := &shuffleCalls{}
+			sys.fabric.SetInterceptor(calls)
+			for _, st := range []struct{ name, sql string }{
+				{"group", "SELECT grp, COUNT(*), SUM(v) FROM orders GROUP BY grp"},
+				{"join", "SELECT f.id, d.name FROM orders f JOIN users d ON f.k = d.k"},
+			} {
+				calls.n.Store(0)
+				_, stats, err := sys.QueryStats(context.Background(), st.sql, WithoutResultCache())
+				if err != nil {
+					t.Fatalf("%s: %v", st.name, err)
+				}
+				if stats.BackupTasks != 0 {
+					t.Fatalf("%s: %d backup tasks in a clean run", st.name, stats.BackupTasks)
+				}
+				if got, want := calls.n.Load(), int64(stats.Tasks*len(sys.stems)); got != want || got == 0 {
+					t.Errorf("%s: %d shuffle messages for %d map tasks and %d reducers, want %d", st.name, got, stats.Tasks, len(sys.stems), want)
+				}
+			}
+		})
+	}
+}
