@@ -177,13 +177,15 @@ func (c *Column) ComputeStats() Stats {
 	if n > 0 {
 		st.Bloom = bloom.New(n, 0.01)
 	}
+	var key []byte // BloomKey(v), rendered into one reused buffer
 	for i := 0; i < n; i++ {
 		if c.IsNull(i) {
 			st.NullCount++
 			continue
 		}
 		v := c.Value(i)
-		st.Bloom.Add(BloomKey(v))
+		key = v.AppendString(key[:0])
+		st.Bloom.Add(key)
 		if st.Min.IsNull() {
 			st.Min, st.Max = v, v
 			continue

@@ -223,7 +223,9 @@ type groupSlabs struct {
 }
 
 func (sl *groupSlabs) newGroup(keys []types.Value, numAggs int) *Group {
-	if len(sl.groups) == 0 {
+	// A group wider than the chunk's key room (possible only from a corrupt
+	// shuffle peer) starts a new chunk rather than overrunning this one.
+	if len(sl.groups) == 0 || len(sl.keys) < len(keys) {
 		n := min(max(sl.made, 1), 64)
 		sl.groups = make([]Group, n)
 		sl.keys = make([]types.Value, n*len(keys))
@@ -248,9 +250,10 @@ func (g *Groups) Merge(o *Groups) {
 	}
 }
 
-// UpdateRow folds one joined row into the group state: group keys and
-// aggregate arguments are evaluated against env.
-func (g *Groups) UpdateRow(groupBy []sqlparser.Expr, aggs []plan.AggSpec, env Env) error {
+// updateRow folds one joined row into the group state: group keys and
+// aggregate arguments are evaluated against env, and a new group is carved
+// from slabs.
+func (g *Groups) updateRow(groupBy []sqlparser.Expr, aggs []plan.AggSpec, env Env, slabs *groupSlabs) error {
 	var arr [4]types.Value
 	keys := arr[:0]
 	for _, expr := range groupBy {
@@ -260,7 +263,7 @@ func (g *Groups) UpdateRow(groupBy []sqlparser.Expr, aggs []plan.AggSpec, env En
 		}
 		keys = append(keys, v)
 	}
-	grp := g.Get(keys)
+	grp := g.get(keys, slabs)
 	for i, spec := range aggs {
 		if spec.Star {
 			grp.Cells[i].Update(types.Value{}, true)

@@ -5,7 +5,8 @@ package exec
 // columns (counts and integer sums as narrow fixed-width arrays, float sums
 // only when a group has one, the float flag bit-packed, Min and Max as Value
 // columns). Decoding slab-allocates the Values, Cells and
-// Groups of a frame and rebuilds the map keys, which are derived state.
+// Groups of a message part and rebuilds the map keys, which are derived
+// state.
 // TaskResult implements gob.GobEncoder/GobDecoder with this form, so every
 // message that carries a result ships it as one opaque byte field and gob
 // never reflects over a Value.
@@ -63,7 +64,7 @@ func AppendGroups(dst []byte, groups []Group) ([]byte, error) {
 			ints[i] = groups[i].Cells[a].SumI
 		}
 		dst = types.AppendInts(dst, ints)
-		// Float sums: nothing at all while no group of the frame has one.
+		// Float sums: nothing at all while no group encoded here has one.
 		anyF := false
 		for i := range groups {
 			anyF = anyF || math.Float64bits(groups[i].Cells[a].SumF) != 0
@@ -256,18 +257,35 @@ func (r *TaskResult) GobDecode(b []byte) error {
 // adopt inserts decoded groups under their (re-derived) keys. The keys of
 // one call share a single string allocation.
 func (g *Groups) adopt(list []Group) {
-	var buf []byte
-	ends := make([]int, len(list))
+	keys := newGroupKeys(len(list), func(i int) []types.Value { return list[i].Keys })
 	for i := range list {
-		buf = AppendGroupKey(buf, list[i].Keys)
+		g.M[keys.at(i)] = &list[i]
+	}
+}
+
+// groupKeys holds the GroupKeys of a batch of key tuples cut from one
+// string, so that the batch's map keys cost one allocation, not one each.
+type groupKeys struct {
+	all  string
+	ends []int // ends[i] is where tuple i's key ends in all
+}
+
+func newGroupKeys(n int, keysOf func(i int) []types.Value) groupKeys {
+	var buf []byte
+	ends := make([]int, n)
+	for i := range ends {
+		buf = AppendGroupKey(buf, keysOf(i))
 		ends[i] = len(buf)
 	}
-	all := string(buf)
-	start := 0
-	for i := range list {
-		g.M[all[start:ends[i]]] = &list[i]
-		start = ends[i]
+	return groupKeys{all: string(buf), ends: ends}
+}
+
+// at returns tuple i's key.
+func (k groupKeys) at(i int) string {
+	if i == 0 {
+		return k.all[:k.ends[0]]
 	}
+	return k.all[k.ends[i-1]:k.ends[i]]
 }
 
 // fields lists the counters in wire order.

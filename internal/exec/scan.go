@@ -102,7 +102,7 @@ func (r *TaskResult) EstimateBytes() int64 {
 }
 
 // EstimateGroups is EstimateBytes for a result holding just these groups
-// (one shuffle frame).
+// (one run of a shuffle message part).
 func EstimateGroups(groups []Group) int64 {
 	n := int64(64)
 	for i := range groups {

@@ -1,10 +1,8 @@
 package exec
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
+	"slices"
 
 	"repro/internal/plan"
 	"repro/internal/sim"
@@ -16,11 +14,12 @@ import (
 // Map tasks (ordinary RunTaskModel scans over the planner's derived
 // sub-plans) emit rows laid out as [key values..., shipped columns...];
 // leaves route each row to a partition with ShufflePartition; the reducer
-// owning a partition pushes the staged rows through a PartitionedHashJoin
-// (repartition joins) or a PartitionedAgg (group-by shuffles). Operators
-// take a memory grant and grace-hash spill to a SpillStore when the
-// resident build state outgrows it; spill I/O is charged through
-// sim.Bill.ChargeSpill so tests can assert billed bytes == written bytes.
+// owning a partition pushes its part of every committed message through a
+// PartitionedHashJoin (repartition joins) or a PartitionedAgg (group-by
+// shuffles). Operators take a memory grant and grace-hash spill to a
+// SpillStore when the resident build state outgrows it; spill I/O is charged
+// through sim.Bill.ChargeSpill so tests can assert billed bytes == written
+// bytes.
 
 // spillFanout is the grace-hash sub-bucket count per spill level.
 const spillFanout = 4
@@ -30,30 +29,44 @@ const spillFanout = 4
 // regardless of the grant (matching one-level recursive grace hash).
 const maxSpillDepth = 1
 
-// hashPartKey maps an encoded group key to a partition. The salt separates
-// the shuffle's routing hash from the grace-hash bucket hashes so a spill
-// level does not degenerate into a single bucket.
-func hashPartKey(key string, salt uint64, parts int) int {
+// FNV-1a 64 parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashPartKey maps an encoded group key to a partition: FNV-1a 64 over the
+// salt's 8 little-endian bytes and then the key, modulo parts. It is
+// computed inline, so routing allocates nothing, and it is never seeded per
+// process, so every feisu-node routes a key alike (TestShuffleRoutingIsFNV1a
+// pins it to hash/fnv). The salt separates the shuffle's routing hash from
+// the grace-hash bucket hashes so a spill level does not degenerate into a
+// single bucket.
+func hashPartKey[K string | []byte](key K, salt uint64, parts int) int {
 	if parts <= 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], salt)
-	h.Write(b[:])
-	io.WriteString(h, key)
-	return int(h.Sum64() % uint64(parts))
+	h := uint64(fnvOffset64)
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ uint64(byte(salt>>i))) * fnvPrime64
+	}
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * fnvPrime64
+	}
+	return int(h % uint64(parts))
 }
 
 // ShufflePartition routes one map-output row: hash of the leading `keys`
 // values, modulo `parts`. Deterministic across processes and retries.
 func ShufflePartition(row []types.Value, keys, parts int) int {
-	return hashPartKey(GroupKey(row[:keys]), 0, parts)
+	return GroupShufflePartition(row[:keys], parts)
 }
 
-// GroupShufflePartition routes one partial group by its key values.
+// GroupShufflePartition routes one partial group by its key values. The key
+// renders into a stack buffer.
 func GroupShufflePartition(keys []types.Value, parts int) int {
-	return hashPartKey(GroupKey(keys), 0, parts)
+	var arr [64]byte
+	return hashPartKey(AppendGroupKey(arr[:0], keys), 0, parts)
 }
 
 // KeyShufflePartition is GroupShufflePartition for a caller that already
@@ -130,19 +143,42 @@ func (b ShuffleBilling) chargeReadBack(n int64) {
 }
 
 // shuffleEnv evaluates reducer-side expressions over one joined row: shipped
-// probe and build columns resolved by name, NULL for the null-extended side
-// of an outer join. Repeated columns never cross a shuffle (the planner
-// rejects WITHIN), so Repeated always errors.
+// probe and build columns resolved by name, NULL for the null-extended (nil)
+// side of an outer join. A join operator owns one and points probe and build
+// at each joined row in turn. Repeated columns never cross a shuffle (the
+// planner rejects WITHIN), so Repeated always errors.
 type shuffleEnv struct {
-	cols map[plan.ColRef]types.Value
+	// slot resolves each shipped column once: i < nProbe is probe column i,
+	// else build column i-nProbe (the build side wins a name both ship).
+	slot         map[plan.ColRef]int
+	nProbe, keys int
+	probe, build []types.Value
+}
+
+func newShuffleEnv(sh *plan.ShuffleSpec) shuffleEnv {
+	e := shuffleEnv{slot: make(map[plan.ColRef]int, len(sh.ProbeCols)+len(sh.BuildCols)), nProbe: len(sh.ProbeCols), keys: sh.Keys}
+	for i, r := range sh.ProbeCols {
+		e.slot[r] = i
+	}
+	for i, r := range sh.BuildCols {
+		e.slot[r] = e.nProbe + i
+	}
+	return e
 }
 
 func (e *shuffleEnv) Col(table, col string) (types.Value, error) {
-	v, ok := e.cols[plan.ColRef{Table: table, Col: col}]
+	i, ok := e.slot[plan.ColRef{Table: table, Col: col}]
 	if !ok {
 		return types.Value{}, fmt.Errorf("exec: column %s.%s not shipped through shuffle", table, col)
 	}
-	return v, nil
+	row := e.probe
+	if i >= e.nProbe {
+		row, i = e.build, i-e.nProbe
+	}
+	if row == nil {
+		return types.NullValue(), nil
+	}
+	return row[e.keys+i], nil
 }
 
 func (e *shuffleEnv) Repeated(table, col string) ([]types.Value, error) {
@@ -200,8 +236,8 @@ const (
 // table lives under the memory grant; on overflow the operator grace-hash
 // partitions build AND probe rows into spill sub-buckets and joins them
 // bucket-by-bucket at Flush. Results are identical either way, and
-// deterministic: buckets are processed in fixed order and right-outer
-// unmatched rows are emitted in build arrival order.
+// deterministic: buckets are processed in fixed order, a probe row's
+// matches and right-outer unmatched rows come in build arrival order.
 type PartitionedHashJoin struct {
 	p       *plan.PhysicalPlan
 	sh      *plan.ShuffleSpec
@@ -209,13 +245,14 @@ type PartitionedHashJoin struct {
 	spill   SpillStore
 	billing ShuffleBilling
 
-	state joinState
-	// in-memory build side
+	state  joinState
+	env    shuffleEnv // the joined row being emitted
+	keyBuf []byte     // scratch for one row's rendered join key
+	slabs  groupSlabs // the partial aggregation's groups (ModeAgg)
+	// in-memory build side, indexed when the probe phase starts
 	build [][]types.Value
-	table map[string][]int
+	table *joinTable
 	bytes int64
-	// right-outer match tracking for the in-memory path
-	matched []bool
 	// spill state: per sub-bucket chunk handles
 	spilled      bool
 	buildChunks  [][]string
@@ -223,6 +260,17 @@ type PartitionedHashJoin struct {
 	SpilledBytes int64
 
 	out *TaskResult
+}
+
+// joinTable indexes one build side by join key. first[k] is the earliest
+// build row with key k and next[i] the next row after row i with the same
+// key (-1 ends a chain), so candidates come out in build arrival order.
+// matched is set for RIGHT OUTER only.
+type joinTable struct {
+	build   [][]types.Value
+	first   map[string]int
+	next    []int
+	matched []bool
 }
 
 // NewPartitionedHashJoin builds the reducer join operator for one partition
@@ -235,7 +283,7 @@ func NewPartitionedHashJoin(p *plan.PhysicalPlan, spill SpillStore, billing Shuf
 		grant:   p.Shuffle.MemoryGrant,
 		spill:   spill,
 		billing: billing,
-		table:   make(map[string][]int),
+		env:     newShuffleEnv(p.Shuffle),
 		out:     &TaskResult{},
 	}
 	if p.Mode == plan.ModeAgg {
@@ -280,14 +328,14 @@ func (j *PartitionedHashJoin) PushProbe(rows [][]types.Value) error {
 	case stateBuild:
 		j.state = stateProbe
 		if !j.spilled {
-			j.indexBuild()
+			j.table = j.index(j.build)
 		}
 	}
 	if j.spilled {
 		return j.spillRows(rows, &j.probeChunks)
 	}
 	for _, r := range rows {
-		if err := j.probeRow(j.table, j.build, j.matched, r); err != nil {
+		if err := j.probeRow(j.table, r); err != nil {
 			return err
 		}
 	}
@@ -301,11 +349,11 @@ func (j *PartitionedHashJoin) Flush() (*TaskResult, error) {
 		return nil, fmt.Errorf("exec: double Flush")
 	}
 	if j.state == stateBuild && !j.spilled {
-		j.indexBuild()
+		j.table = j.index(j.build)
 	}
 	j.state = stateFlushed
 	if !j.spilled {
-		if err := j.emitRightUnmatched(j.build, j.matched); err != nil {
+		if err := j.emitRightUnmatched(j.table); err != nil {
 			return nil, err
 		}
 		return j.out, nil
@@ -326,14 +374,31 @@ func (j *PartitionedHashJoin) Flush() (*TaskResult, error) {
 	return j.out, nil
 }
 
-func (j *PartitionedHashJoin) indexBuild() {
-	for i, r := range j.build {
-		k := GroupKey(r[:j.sh.Keys])
-		j.table[k] = append(j.table[k], i)
+// index builds the join table over a build side; its keys are cut from one
+// string rendered once.
+func (j *PartitionedHashJoin) index(build [][]types.Value) *joinTable {
+	keys := newGroupKeys(len(build), func(i int) []types.Value { return build[i][:j.sh.Keys] })
+	t := &joinTable{build: build, first: make(map[string]int, len(build)), next: make([]int, len(build))}
+	// Linked back to front, so that every chain runs front to back.
+	for i := len(build) - 1; i >= 0; i-- {
+		k := keys.at(i)
+		head, ok := t.first[k]
+		if !ok {
+			head = -1
+		}
+		t.next[i], t.first[k] = head, i
 	}
 	if j.sh.JoinType == sqlparser.JoinRightOuter {
-		j.matched = make([]bool, len(j.build))
+		t.matched = make([]bool, len(build))
 	}
+	return t
+}
+
+// key renders a row's join key into the operator's scratch buffer; the
+// bytes are valid until the next call.
+func (j *PartitionedHashJoin) key(row []types.Value) []byte {
+	j.keyBuf = AppendGroupKey(j.keyBuf[:0], row[:j.sh.Keys])
+	return j.keyBuf
 }
 
 // spillRows partitions a batch by grace hash (salt 1) and writes one chunk
@@ -341,7 +406,7 @@ func (j *PartitionedHashJoin) indexBuild() {
 func (j *PartitionedHashJoin) spillRows(rows [][]types.Value, chunks *[][]string) error {
 	parts := make([][][]types.Value, spillFanout)
 	for _, r := range rows {
-		b := hashPartKey(GroupKey(r[:j.sh.Keys]), 1, spillFanout)
+		b := hashPartKey(j.key(r), 1, spillFanout)
 		parts[b] = append(parts[b], r)
 	}
 	for b, p := range parts {
@@ -387,11 +452,11 @@ func (j *PartitionedHashJoin) joinBucket(build, probe [][]types.Value, depth int
 			bparts := make([][][]types.Value, spillFanout)
 			pparts := make([][][]types.Value, spillFanout)
 			for _, r := range build {
-				b := hashPartKey(GroupKey(r[:j.sh.Keys]), salt, spillFanout)
+				b := hashPartKey(j.key(r), salt, spillFanout)
 				bparts[b] = append(bparts[b], r)
 			}
 			for _, r := range probe {
-				b := hashPartKey(GroupKey(r[:j.sh.Keys]), salt, spillFanout)
+				b := hashPartKey(j.key(r), salt, spillFanout)
 				pparts[b] = append(pparts[b], r)
 			}
 			for b := 0; b < spillFanout; b++ {
@@ -402,42 +467,29 @@ func (j *PartitionedHashJoin) joinBucket(build, probe [][]types.Value, depth int
 			return nil
 		}
 	}
-	table := make(map[string][]int, len(build))
-	for i, r := range build {
-		k := GroupKey(r[:j.sh.Keys])
-		table[k] = append(table[k], i)
-	}
-	var matched []bool
-	if j.sh.JoinType == sqlparser.JoinRightOuter {
-		matched = make([]bool, len(build))
-	}
+	t := j.index(build)
 	for _, r := range probe {
-		if err := j.probeRow(table, build, matched, r); err != nil {
+		if err := j.probeRow(t, r); err != nil {
 			return err
 		}
 	}
-	return j.emitRightUnmatched(build, matched)
+	return j.emitRightUnmatched(t)
 }
 
 // probeRow joins one probe row against a build table. NULL key values never
 // join (SQL equality is unknown); LEFT OUTER preserves the probe row with a
 // null-extended build side.
-func (j *PartitionedHashJoin) probeRow(table map[string][]int, build [][]types.Value, matched []bool, row []types.Value) error {
-	nullKey := false
-	for _, v := range row[:j.sh.Keys] {
-		if v.IsNull() {
-			nullKey = true
-			break
+func (j *PartitionedHashJoin) probeRow(t *joinTable, row []types.Value) error {
+	bi := -1
+	if !slices.ContainsFunc(row[:j.sh.Keys], types.Value.IsNull) {
+		if head, ok := t.first[string(j.key(row))]; ok {
+			bi = head
 		}
 	}
-	var cands []int
-	if !nullKey {
-		cands = table[GroupKey(row[:j.sh.Keys])]
-	}
 	any := false
-	for _, bi := range cands {
-		env := j.envFor(row, build[bi])
-		ok, err := clausesTrue(j.sh.Residual, env)
+	for ; bi >= 0; bi = t.next[bi] {
+		j.env.probe, j.env.build = row, t.build[bi]
+		ok, err := clausesTrue(j.sh.Residual, &j.env)
 		if err != nil {
 			return err
 		}
@@ -445,67 +497,46 @@ func (j *PartitionedHashJoin) probeRow(table map[string][]int, build [][]types.V
 			continue
 		}
 		any = true
-		if matched != nil {
-			matched[bi] = true
+		if t.matched != nil {
+			t.matched[bi] = true
 		}
-		if err := j.emit(env); err != nil {
+		if err := j.emit(); err != nil {
 			return err
 		}
 	}
 	if !any && j.sh.JoinType == sqlparser.JoinLeftOuter {
-		return j.emit(j.envFor(row, nil))
+		j.env.probe, j.env.build = row, nil
+		return j.emit()
 	}
 	return nil
 }
 
 // emitRightUnmatched null-extends build rows no probe row matched, in build
-// arrival order (determinism).
-func (j *PartitionedHashJoin) emitRightUnmatched(build [][]types.Value, matched []bool) error {
-	if j.sh.JoinType != sqlparser.JoinRightOuter || matched == nil {
-		return nil
-	}
-	for i, ok := range matched {
+// arrival order (determinism). matched is nil unless the join is RIGHT OUTER.
+func (j *PartitionedHashJoin) emitRightUnmatched(t *joinTable) error {
+	for i, ok := range t.matched {
 		if ok {
 			continue
 		}
-		if err := j.emit(j.envFor(nil, build[i])); err != nil {
+		j.env.probe, j.env.build = nil, t.build[i]
+		if err := j.emit(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// envFor lays out one joined row. A nil probe or build side null-extends
-// its shipped columns (outer-join preservation).
-func (j *PartitionedHashJoin) envFor(probe, build []types.Value) *shuffleEnv {
-	cols := make(map[plan.ColRef]types.Value, len(j.sh.ProbeCols)+len(j.sh.BuildCols))
-	for i, r := range j.sh.ProbeCols {
-		if probe == nil {
-			cols[r] = types.NullValue()
-		} else {
-			cols[r] = probe[j.sh.Keys+i]
-		}
-	}
-	for i, r := range j.sh.BuildCols {
-		if build == nil {
-			cols[r] = types.NullValue()
-		} else {
-			cols[r] = build[j.sh.Keys+i]
-		}
-	}
-	return &shuffleEnv{cols: cols}
-}
-
-// emit applies the top plan's post-join clauses, then either folds the row
-// into the partial aggregation or projects the output expressions —
-// mirroring the broadcast scanner's emitJoined.
-func (j *PartitionedHashJoin) emit(env Env) error {
+// emit applies the top plan's post-join clauses to the joined row in j.env,
+// then either folds it into the partial aggregation or projects the output
+// expressions — mirroring the broadcast scanner's emitJoined.
+func (j *PartitionedHashJoin) emit() error {
+	env := &j.env
 	if ok, err := clausesTrue(j.p.Post, env); err != nil || !ok {
 		return err
 	}
 	j.out.Stats.RowsEmitted++
 	if j.p.Mode == plan.ModeAgg {
-		return j.out.Groups.UpdateRow(j.p.GroupBy, j.p.Aggs, env)
+		return j.out.Groups.updateRow(j.p.GroupBy, j.p.Aggs, env, &j.slabs)
 	}
 	row := make([]types.Value, len(j.p.A.Outputs))
 	for i, oi := range j.p.A.Outputs {
@@ -531,7 +562,7 @@ type PartitionedAgg struct {
 	billing ShuffleBilling
 
 	mem     *Groups
-	keyBuf  []byte // scratch for deriving pushed groups' map keys
+	slabs   groupSlabs // the merged state's copies of pushed groups
 	bytes   int64
 	spilled bool
 	chunks  [][]string
@@ -570,8 +601,9 @@ func (a *PartitionedAgg) Push(g *Groups) error {
 	return a.checkGrant()
 }
 
-// PushGroups folds one shuffle frame's groups, as decoded off the wire: the
-// map key of each is derived here, once, on its way into the merged state.
+// PushGroups folds the groups of one shuffle message part, as decoded off
+// the wire: their map keys are derived here, cut from one string per part,
+// on their way into the merged state.
 func (a *PartitionedAgg) PushGroups(groups []Group) error {
 	if a.flushed {
 		return fmt.Errorf("exec: Push after Flush")
@@ -581,23 +613,25 @@ func (a *PartitionedAgg) PushGroups(groups []Group) error {
 		g.adopt(groups)
 		return a.spillGroups(g)
 	}
+	keys := newGroupKeys(len(groups), func(i int) []types.Value { return groups[i].Keys })
 	for i := range groups {
-		og := &groups[i]
-		a.keyBuf = AppendGroupKey(a.keyBuf[:0], og.Keys)
-		if grp, ok := a.mem.M[string(a.keyBuf)]; ok {
-			grp.mergeCells(og)
+		if grp, ok := a.mem.M[keys.at(i)]; ok {
+			grp.mergeCells(&groups[i])
 		} else {
-			a.mem.M[string(a.keyBuf)] = a.own(og)
+			a.mem.M[keys.at(i)] = a.own(&groups[i])
 		}
 	}
 	return a.checkGrant()
 }
 
-// own copies a pushed group into the operator's state (the caller's groups
-// may be shared with a retried or duplicated delivery) and accounts for it.
+// own copies a pushed group into the operator's state, carved from its
+// slabs (the caller's groups may be shared with a retried or duplicated
+// delivery, and a committed message is never mutated), and accounts for it.
 func (a *PartitionedAgg) own(og *Group) *Group {
 	a.bytes += og.estimate()
-	return &Group{Keys: append([]types.Value(nil), og.Keys...), Cells: append([]Cell(nil), og.Cells...)}
+	grp := a.slabs.newGroup(og.Keys, a.numAggs)
+	copy(grp.Cells, og.Cells)
+	return grp
 }
 
 // checkGrant grace-hash spills the resident groups once they outgrow the

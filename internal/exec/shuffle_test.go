@@ -2,9 +2,14 @@ package exec
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strconv"
 	"testing"
 
 	"repro/internal/colstore"
@@ -18,12 +23,12 @@ import (
 // shuffleHarness holds a fact table and a file-backed join table so shuffle
 // map plans can be executed with the ordinary task machinery.
 type shuffleHarness struct {
-	t      *testing.T
+	t      testing.TB
 	cat    plan.MapCatalog
 	reader *StoreReader
 }
 
-func newShuffleHarness(t *testing.T) *shuffleHarness {
+func newShuffleHarness(t testing.TB) *shuffleHarness {
 	t.Helper()
 	router := storage.NewRouter(storage.NewMemFS("", nil))
 	h := &shuffleHarness{t: t, cat: plan.MapCatalog{}, reader: NewStoreReader(router)}
@@ -68,8 +73,23 @@ func newShuffleHarness(t *testing.T) *shuffleHarness {
 			add([][]types.Value{{types.NewInt(r.k)}, {types.NewString(r.name)}, {types.NewInt(r.price)}})
 		}
 	})
+
+	stock := types.MustSchema(
+		types.Field{Name: "k", Type: types.Int64},
+		types.Field{Name: "price", Type: types.Int64},
+	)
+	h.writeTable(router, "stock", stock, 2, func(add func([][]types.Value)) {
+		for i, k := range stockKeys {
+			add([][]types.Value{{types.NewInt(k)}, {types.NewInt(100 + int64(i))}})
+		}
+	})
 	return h
 }
+
+// stockKeys are the join keys of the harness's stock table, which repeats
+// them; a stock row's price is 100 + its position, so build arrival order is
+// ascending price.
+var stockKeys = []int64{1, 2, 1, 3, 7, 1, 2, 7, 3, 7, 1}
 
 // writeTable stores records into two partitions of the named table.
 func (h *shuffleHarness) writeTable(router *storage.Router, name string, schema *types.Schema, blockRows int, fill func(add func([][]types.Value))) {
@@ -356,6 +376,69 @@ func TestShuffleSpillOneLevelRecursion(t *testing.T) {
 	}
 }
 
+// TestPartitionedHashJoinArrivalOrder checks the join's output order, not
+// just its bag: a probe row's matches come in build arrival order, and so do
+// the unmatched build rows of a RIGHT OUTER join (stock's three k=7 rows
+// share a bucket at every spill level). It covers the in-memory table, a
+// grace-hash spill, and the recursive split of one overflowing partition.
+func TestPartitionedHashJoinArrivalOrder(t *testing.T) {
+	h := newShuffleHarness(t)
+	spilled, recursive := forceShuffle(), forceShuffle()
+	spilled.MemoryGrantBytes = 1
+	recursive.ShufflePartitions, recursive.MemoryGrantBytes = 1, 1
+	paths := []struct {
+		name  string
+		opts  plan.Options
+		spill bool
+	}{{"in-memory", forceShuffle(), false}, {"spilled", spilled, true}, {"recursive", recursive, true}}
+	orderKeys := []int64{1, 2, 3, 4, 5, 1, 2, 9, 3, 9} // amt is 10 * position
+	for _, jt := range []string{"JOIN", "RIGHT OUTER JOIN"} {
+		sql := "SELECT o.amt, s.price FROM orders o " + jt + " stock s ON o.k = s.k"
+		var want []string
+		for oi, ok := range orderKeys {
+			for si, sk := range stockKeys {
+				if ok == sk {
+					want = append(want, fmt.Sprintf("%d|%d", 10*(oi+1), 100+si))
+				}
+			}
+		}
+		for si, sk := range stockKeys {
+			if jt != "JOIN" && !slices.Contains(orderKeys, sk) {
+				want = append(want, fmt.Sprintf("NULL|%d", 100+si))
+			}
+		}
+		sort.Strings(want)
+		for _, path := range paths {
+			var store SpillStore
+			if path.spill {
+				store = NewMemSpillStore()
+			}
+			res, ops := h.runShuffled(sql, path.opts, store, ShuffleBilling{})
+			var spilledBytes int64
+			for _, op := range ops {
+				spilledBytes += op.SpilledBytes
+			}
+			if path.spill != (spilledBytes > 0) {
+				t.Fatalf("%s %s: %d bytes spilled", jt, path.name, spilledBytes)
+			}
+			// Unsorted: each probe row's (or NULL's) prices must ascend.
+			last := map[string]int64{}
+			for _, r := range res.Rows {
+				amt := r[0].String()
+				if r[1].I <= last[amt] {
+					t.Fatalf("%s %s: amt %s gets price %d after %d; rows %v", jt, path.name, amt, r[1].I, last[amt], renderRows(res))
+				}
+				last[amt] = r[1].I
+			}
+			got := renderRows(res)
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %s: rows = %v, want %v", jt, path.name, got, want)
+			}
+		}
+	}
+}
+
 func TestPartitionedHashJoinNullKeysNeverJoin(t *testing.T) {
 	h := newShuffleHarness(t)
 	p := h.plan("SELECT o.amt, i.price FROM orders o LEFT OUTER JOIN items i ON o.k = i.k", forceShuffle())
@@ -394,6 +477,67 @@ func TestPartitionedHashJoinNullKeysNeverJoin(t *testing.T) {
 	}
 }
 
+// TestShuffleRoutingIsFNV1a pins the routing hash to salted FNV-1a 64 as
+// hash/fnv computes it. Every process of a cluster must route a key alike,
+// and the per-partition bytes in EXPLAIN ANALYZE and the characterisation
+// numbers depend on where each key lands.
+func TestShuffleRoutingIsFNV1a(t *testing.T) {
+	ref := func(key string, salt uint64, parts int) int {
+		if parts <= 1 {
+			return 0
+		}
+		h := fnv.New64a()
+		h.Write(binary.LittleEndian.AppendUint64(nil, salt))
+		h.Write([]byte(key))
+		return int(h.Sum64() % uint64(parts))
+	}
+	rng := rand.New(rand.NewSource(1))
+	value := func() types.Value {
+		switch rng.Intn(5) {
+		case 0:
+			return types.NullValue()
+		case 1:
+			return types.NewInt(rng.Int63() - 1<<62)
+		case 2:
+			return types.NewFloat(rng.NormFloat64() * 1e6)
+		case 3:
+			return types.NewBool(rng.Intn(2) == 0)
+		}
+		b := make([]byte, rng.Intn(200))
+		rng.Read(b)
+		return types.NewString(string(b))
+	}
+	long := 0
+	for n := 0; n < 1200; n++ {
+		keys := make([]types.Value, 1+rng.Intn(3))
+		for i := range keys {
+			keys[i] = value()
+			if keys[i].T == types.String && len(strconv.Quote(keys[i].S)) >= 128 {
+				long++ // rendered with a two-byte length prefix
+			}
+		}
+		key := GroupKey(keys)
+		row := append(append([]types.Value(nil), keys...), types.NewInt(int64(n)))
+		for _, salt := range []uint64{0, 1, 2} {
+			for parts := 1; parts <= 8; parts++ {
+				want := ref(key, salt, parts)
+				if got, gotB := hashPartKey(key, salt, parts), hashPartKey([]byte(key), salt, parts); got != want || gotB != want {
+					t.Fatalf("key %q salt %d parts %d: hashPartKey = %d (string), %d ([]byte), want %d", key, salt, parts, got, gotB, want)
+				}
+				if salt != 0 {
+					continue
+				}
+				if r, g, k := ShufflePartition(row, len(keys), parts), GroupShufflePartition(keys, parts), KeyShufflePartition(key, parts); r != want || g != want || k != want {
+					t.Fatalf("key %q parts %d: ShufflePartition %d, GroupShufflePartition %d, KeyShufflePartition %d, want %d", key, parts, r, g, k, want)
+				}
+			}
+		}
+	}
+	if long < 100 {
+		t.Fatalf("only %d string keys render to 128 bytes or more", long)
+	}
+}
+
 func TestShufflePartitionDeterministicAndInRange(t *testing.T) {
 	row := []types.Value{types.NewInt(42), types.NewString("x")}
 	p1 := ShufflePartition(row, 1, 7)
@@ -417,8 +561,8 @@ func TestShufflePartitionDeterministicAndInRange(t *testing.T) {
 
 // runGroupShuffle executes a group-by shuffle locally: map tasks run the
 // top plan, partial groups are routed by group key, reducers merge. Odd
-// tasks' frames cross the wire codec and enter through PushGroups, as on
-// the TCP fabric; even tasks' partial maps are pushed as they are.
+// tasks' message parts cross the wire codec and enter through PushGroups,
+// as on the TCP fabric; even tasks' partial maps are pushed as they are.
 func (h *shuffleHarness) runGroupShuffle(sql string, opts plan.Options, spill SpillStore, billing ShuffleBilling) (*Result, []*PartitionedAgg) {
 	h.t.Helper()
 	p := h.plan(sql, opts)
@@ -538,6 +682,33 @@ func TestPartitionedAggSpillMatchesAndBills(t *testing.T) {
 	}
 	if bill.SpillBytes() != store.Written || bill.SpillBytes() != opBytes {
 		t.Fatalf("billed %d, store wrote %d, operators report %d", bill.SpillBytes(), store.Written, opBytes)
+	}
+}
+
+// TestPartitionedAggPushGroupsMixedWidths: a part's groups come off the wire
+// from a peer, so a part wider than the ones before it must merge, not
+// overrun the slab chunk the narrower groups were carved from.
+func TestPartitionedAggPushGroupsMixedWidths(t *testing.T) {
+	a := NewPartitionedAgg(1, 1<<20, nil, ShuffleBilling{})
+	for _, width := range []int{1, 3} {
+		var part []Group
+		for i := 0; i < 3; i++ {
+			keys := make([]types.Value, width)
+			for k := range keys {
+				keys[k] = types.NewInt(int64(i))
+			}
+			part = append(part, Group{Keys: keys, Cells: []Cell{{Count: 1}}})
+		}
+		if err := a.PushGroups(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := a.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.M) != 6 {
+		t.Fatalf("%d groups, want 6", len(g.M))
 	}
 }
 
