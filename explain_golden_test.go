@@ -12,10 +12,9 @@ import (
 )
 
 // newGoldenSystem builds a one-partition deployment whose plans and traces
-// are deterministic: serial scans (ScanWorkers -1), no background heartbeat
-// ticker, admission control on (so EXPLAIN ANALYZE carries the queue-wait
-// line), and T1 resident on the in-memory store so placement never depends
-// on replica choice.
+// are deterministic: no background heartbeat ticker, admission control on
+// (so EXPLAIN ANALYZE carries the queue-wait line), and T1 resident on the
+// in-memory store so placement never depends on replica choice.
 func newGoldenSystem(t *testing.T) *System {
 	return newGoldenSystemParts(t, 1)
 }
@@ -28,7 +27,6 @@ func newGoldenSystemParts(t *testing.T, partitions int) *System {
 	sys, err := New(Config{
 		Leaves:               2,
 		HeartbeatInterval:    -1,
-		ScanWorkers:          -1,
 		MaxConcurrentQueries: 2,
 	})
 	if err != nil {
@@ -159,7 +157,6 @@ func TestExplainAnalyzeResultCacheGolden(t *testing.T) {
 	sys, err := New(Config{
 		Leaves:               2,
 		HeartbeatInterval:    -1,
-		ScanWorkers:          -1,
 		MaxConcurrentQueries: 2,
 		ResultCacheBytes:     1 << 20,
 	})
@@ -208,7 +205,6 @@ func newShuffleGoldenSystem(t *testing.T, spillGrant int64) *System {
 	sys, err := New(Config{
 		Leaves:               1,
 		HeartbeatInterval:    -1,
-		ScanWorkers:          -1,
 		MaxConcurrentQueries: 2,
 		BroadcastThreshold:   1,
 		ShufflePartitions:    2,
@@ -263,7 +259,6 @@ func TestExplainBroadcastJoinGolden(t *testing.T) {
 	sys, err := New(Config{
 		Leaves:               1,
 		HeartbeatInterval:    -1,
-		ScanWorkers:          -1,
 		MaxConcurrentQueries: 2,
 	})
 	if err != nil {

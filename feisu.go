@@ -200,11 +200,6 @@ type Config struct {
 	// fault-free. With Chaos.Lifecycle.TickInterval > 0 the controller ticks
 	// in the background; otherwise drive it via ChaosTick.
 	Chaos *chaos.Config
-	// ScanWorkers bounds each leaf task's intra-task scan parallelism
-	// (goroutines scanning a partition's blocks concurrently). 0 defaults
-	// to GOMAXPROCS on the leaf; negative forces serial scans. Query
-	// results are identical for any setting.
-	ScanWorkers int
 	// MaxConcurrentQueries caps queries executing at once; excess
 	// submissions wait in the master's admission queue (weighted-fair
 	// between priority classes) and are shed with ErrOverloaded beyond
@@ -427,7 +422,6 @@ func New(cfg Config) (*System, error) {
 		MaxQueryBytes:      1 << 20,
 		DefaultTaskTimeout: cfg.TaskTimeout,
 		RetryBackoff:       retryBackoff,
-		ScanWorkers:        cfg.ScanWorkers,
 		LivenessWindow:     time.Minute,
 		LocalityOff:        cfg.LocalityOff,
 		Metrics:            sys.metrics,

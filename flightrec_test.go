@@ -14,15 +14,13 @@ import (
 // flightrecJournal runs a fixed serial query stream under lifecycle-only
 // seeded chaos (kills, manual ticks) and returns the canonical journal as
 // comparable signature lines. Everything that varies run-to-run is excluded
-// by construction: arrival Seq and Wall are dropped; scans are serial;
-// queries run one at a time with one ChaosTick before each, so placement and
+// by construction: arrival Seq and Wall are dropped; queries run one at a time with one ChaosTick before each, so placement and
 // the fault schedule depend only on the seed.
 func flightrecJournal(t *testing.T, seed int64) []string {
 	t.Helper()
 	sys, err := New(Config{
 		Leaves:            2,
 		HeartbeatInterval: -1,
-		ScanWorkers:       -1,
 		Chaos: &chaos.Config{
 			Seed: seed,
 			Lifecycle: chaos.LifecycleChaos{

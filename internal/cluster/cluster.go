@@ -119,9 +119,7 @@ type QueryStats struct {
 	SimTime time.Duration
 	// ScanSimTime is the busiest leaf's execution-only simulated time
 	// (storage reads + predicate CPU), excluding RPC and result-transfer
-	// latency. It isolates the component that intra-task scan parallelism
-	// (TaskSpec.Workers) divides; the fixed transport costs in SimTime do
-	// not shrink with worker count.
+	// latency: the part of SimTime that the data and the caches decide.
 	ScanSimTime time.Duration
 	// WallTime is the real in-process execution time.
 	WallTime time.Duration
@@ -222,7 +220,7 @@ type taskStatus struct {
 	SimTime time.Duration
 	// ScanSim is the leaf-execution component of SimTime: storage reads
 	// plus predicate CPU, before spill-fetch and reply-transfer costs are
-	// folded in. This is the part intra-task scan parallelism divides.
+	// folded in.
 	ScanSim  time.Duration
 	DevBytes sim.DeviceBytes
 	// Rows is the task's result row count (0 for partial aggregates): the

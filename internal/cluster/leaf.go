@@ -90,11 +90,11 @@ func (l *LeafServer) handle(ctx context.Context, from string, payload any) (any,
 }
 
 // runBatch executes a batch's tasks one after another on the caller's
-// goroutine — a task's own parallelism is its scan's (TaskSpec.Workers). A
-// failed task is reported in its own slot; the rest of the batch still runs.
-// Every other batch runs back to front: statements that read the same
-// partitions in one fixed order are the column cache's LRU worst case (each
-// chunk evicted just before it is read again).
+// goroutine, each scanning its blocks in order; a leaf's parallelism is the
+// batches it serves at once. A failed task is reported in its own slot; the
+// rest of the batch still runs. Every other batch runs back to front:
+// statements that read the same partitions in one fixed order are the column
+// cache's LRU worst case (each chunk evicted just before it is read again).
 func (l *LeafServer) runBatch(ctx context.Context, b *taskBatch) batchReply {
 	reply := batchReply{Tasks: make([]taskReply, len(b.Tasks))}
 	l.queued.Add(int32(len(b.Tasks)))

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -64,9 +65,9 @@ func lifecycleDigest(sc *shuffleCluster, st *QueryStats) string {
 // reports — the task accounting, the simulated times, the bytes per device
 // and every site's sequence of journal events — for a scatter aggregate, a
 // group-by shuffle and a repartition join, each run clean, with one dropped
-// message and with one dead leaf. Two leaves and three tasks put exactly one
-// task (ordinal 1) on leaf1, and a retry has one place to go, so every
-// number is a function of the plan and the fault alone.
+// message and with one dead leaf, at GOMAXPROCS 1 and 4. Two leaves and
+// three tasks put exactly one task (ordinal 1) on leaf1, and a retry has one
+// place to go, so every number is a function of the plan and the fault alone.
 func TestTaskLifecycleCharacterisation(t *testing.T) {
 	statements := []struct {
 		name    string
@@ -87,33 +88,40 @@ func TestTaskLifecycleCharacterisation(t *testing.T) {
 		for _, fault := range []string{"clean", "drop", "dead"} {
 			name := s.name + "/" + fault
 			t.Run(name, func(t *testing.T) {
-				factParts := 3
-				if s.planner.BroadcastThreshold > 0 {
-					factParts = 2 // the build side's one partition is task 0
-				}
-				sc := newShuffleCluster(t, 2, 2, factParts, 1, func(cfg *MasterConfig) {
-					cfg.Planner = s.planner
-					cfg.RetryBackoff = time.Microsecond
-				})
-				switch fault {
-				case "drop":
-					s.drop.done.Store(false)
-					sc.fabric.SetInterceptor(s.drop)
-				case "dead":
-					sc.fabric.SetDown("leaf1", true)
-				}
-				clean := newShuffleCluster(t, 2, 2, factParts, 1, func(cfg *MasterConfig) { cfg.Planner = s.planner })
-				rows, _ := clean.query(s.sql, QueryOptions{})
-				res, stats := sc.query(s.sql, QueryOptions{})
-				assertSameRows(t, name, rows, res)
-				// A dropped message and a dead leaf both cost task 1 its first
-				// attempt and nothing else: one digest serves the two.
-				want := lifecycleWant[s.name+"/clean"]
-				if fault != "clean" {
-					want = lifecycleWant[s.name+"/retried"]
-				}
-				if got := lifecycleDigest(sc, stats); got != want {
-					t.Errorf("lifecycle digest drifted.\ngot:\n%s\nwant:\n%s", got, want)
+				// The digest is a function of the plan and the fault, never of
+				// the host: the same numbers at one core and at four.
+				for _, procs := range []int{1, 4} {
+					func() {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						factParts := 3
+						if s.planner.BroadcastThreshold > 0 {
+							factParts = 2 // the build side's one partition is task 0
+						}
+						sc := newShuffleCluster(t, 2, 2, factParts, 1, func(cfg *MasterConfig) {
+							cfg.Planner = s.planner
+							cfg.RetryBackoff = time.Microsecond
+						})
+						switch fault {
+						case "drop":
+							s.drop.done.Store(false)
+							sc.fabric.SetInterceptor(s.drop)
+						case "dead":
+							sc.fabric.SetDown("leaf1", true)
+						}
+						clean := newShuffleCluster(t, 2, 2, factParts, 1, func(cfg *MasterConfig) { cfg.Planner = s.planner })
+						rows, _ := clean.query(s.sql, QueryOptions{})
+						res, stats := sc.query(s.sql, QueryOptions{})
+						assertSameRows(t, name, rows, res)
+						// A dropped message and a dead leaf both cost task 1 its
+						// first attempt and nothing else: one digest serves the two.
+						want := lifecycleWant[s.name+"/clean"]
+						if fault != "clean" {
+							want = lifecycleWant[s.name+"/retried"]
+						}
+						if got := lifecycleDigest(sc, stats); got != want {
+							t.Errorf("GOMAXPROCS=%d: lifecycle digest drifted.\ngot:\n%s\nwant:\n%s", procs, got, want)
+						}
+					}()
 				}
 			})
 		}
@@ -121,27 +129,27 @@ func TestTaskLifecycleCharacterisation(t *testing.T) {
 }
 
 // lifecycleWant is the digest each statement produced, clean and with task 1
-// retried, at the commit that added the test — when a map task had a
-// lifecycle of its own (sites read "shuffle.commit shuffle.commit
-// shuffle.map", a retry "shuffle.retry" first). Since it goes through the one
-// task lifecycle it is journaled as every task is. A task that ran once
-// journals one task.done; only a task that retried keeps the full chain —
-// task.scheduled, task.dispatched, task.retry, the backup's leaf.exec,
-// task.collected — before its task.done. No number moved.
+// retried. A task that ran once journals one task.done; only a task that
+// retried keeps the full chain — task.scheduled, task.dispatched,
+// task.retry, the backup's leaf.exec, task.collected — before its task.done.
+// The sim and scan times are those of tasks that read their blocks one after
+// another: every partition has four 32-row blocks, and each column a block
+// reads costs one 8 ms HDD seek after the footer's two (DESIGN.md "One scan
+// path").
 var lifecycleWant = map[string]string{
-	"scatter/clean": `tasks=3 backup=0 failed=0 sim=67016302 scan=64013394 bytes=[hdd:2569] spill=0
+	"scatter/clean": `tasks=3 backup=0 failed=0 sim=99017619 scan=96014711 bytes=[hdd:2569] spill=0
 query/q000001: query.submit query.admitted query.done
 task/q000001#0: task.done
 task/q000001#1: task.done
 task/q000001#2: task.done
 `,
-	"scatter/retried": `tasks=3 backup=1 failed=0 sim=101024493 scan=96020131 bytes=[hdd:2569] spill=0
+	"scatter/retried": `tasks=3 backup=1 failed=0 sim=149026448 scan=144022086 bytes=[hdd:2569] spill=0
 query/q000001: query.submit query.admitted query.done
 task/q000001#0: task.done
 task/q000001#1: task.scheduled task.dispatched task.retry leaf.exec task.collected task.done
 task/q000001#2: task.done
 `,
-	"group-shuffle/clean": `tasks=3 backup=0 failed=0 sim=103246026 scan=96014860 bytes=[hdd:2987] spill=0
+	"group-shuffle/clean": `tasks=3 backup=0 failed=0 sim=167248649 scan=160017483 bytes=[hdd:2987] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
@@ -150,7 +158,7 @@ task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#1: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
-	"group-shuffle/retried": `tasks=3 backup=1 failed=0 sim=151253501 scan=144022335 bytes=[hdd:2987] spill=0
+	"group-shuffle/retried": `tasks=3 backup=1 failed=0 sim=247257420 scan=240026254 bytes=[hdd:2987] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
@@ -159,7 +167,7 @@ task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#1: task.scheduled task.dispatched task.retry shuffle.commit shuffle.commit shuffle.map task.collected task.done
 task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
-	"repartition-join/clean": `tasks=3 backup=0 failed=0 sim=87057481 scan=80014722 bytes=[hdd:2913] spill=0
+	"repartition-join/clean": `tasks=3 backup=0 failed=0 sim=135059435 scan=128016676 bytes=[hdd:2913] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
@@ -168,7 +176,7 @@ task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#1: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
-	"repartition-join/retried": `tasks=3 backup=1 failed=0 sim=135064888 scan=128022129 bytes=[hdd:2913] spill=0
+	"repartition-join/retried": `tasks=3 backup=1 failed=0 sim=215068180 scan=208025421 bytes=[hdd:2913] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce

@@ -50,10 +50,6 @@ type MasterConfig struct {
 	// attempts (base<<attempt plus deterministic jitter); 0 retries
 	// immediately.
 	RetryBackoff time.Duration
-	// ScanWorkers sets the intra-task scan parallelism stamped on every
-	// dispatched task (plan.TaskSpec.Workers); 0 lets leaves default to
-	// GOMAXPROCS, negative forces serial scans.
-	ScanWorkers int
 	// MaxConcurrentQueries caps queries executing at once; excess submissions
 	// wait in the admission queue. <=0 disables admission control.
 	MaxConcurrentQueries int

@@ -40,8 +40,8 @@ type groupDone struct {
 	merged *exec.TaskResult
 }
 
-// runTasks drives job.Tasks to their terminal outcomes: stamp scan workers
-// and the task timeout, place every task and hold its slot, dispatch the
+// runTasks drives job.Tasks to their terminal outcomes: stamp the task
+// timeout, place every task and hold its slot, dispatch the
 // first attempts one job per group — per stem for a scatter, straight from
 // the master's own local stem for map tasks (no extra hop, no plan shipped)
 // — back up what fails there, and account every outcome. It returns the
@@ -49,11 +49,6 @@ type groupDone struct {
 // arrived.
 func (q *statement) runTasks(ctx context.Context, job stemJobMsg) (groups []groupDone, deadline bool, err error) {
 	m, stats, tasks := q.m, q.stats, job.Tasks
-	if w := m.cfg.ScanWorkers; w != 0 {
-		for i := range tasks {
-			tasks[i].Workers = max(w, 1) // negative forces serial scans
-		}
-	}
 	stats.Tasks, stats.BytesByDevice = len(tasks), make(map[string]int64)
 	q.prog.update(func(p *QueryProgress) { p.TasksPlanned = len(tasks) })
 	if len(tasks) == 0 {

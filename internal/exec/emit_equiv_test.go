@@ -96,9 +96,9 @@ func newEmitFixture(t testing.TB) *emitFixture {
 	}
 }
 
-// run executes sql through the leaf scan with the given intra-task
-// parallelism and index, and returns the finalized rows.
-func (fx *emitFixture) run(t testing.TB, sql string, workers int, idx exec.IndexSource) [][]types.Value {
+// run executes sql through the leaf scan with the given index, and returns
+// the finalized rows.
+func (fx *emitFixture) run(t testing.TB, sql string, idx exec.IndexSource) [][]types.Value {
 	t.Helper()
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -119,7 +119,6 @@ func (fx *emitFixture) run(t testing.TB, sql string, workers int, idx exec.Index
 	}
 	var merged *exec.TaskResult
 	for _, task := range p.Tasks() {
-		task.Workers = workers
 		tr, err := exec.RunTaskModel(context.Background(), task, fx.reader, idx, nil)
 		if err != nil {
 			t.Fatalf("run %q: %v", sql, err)
@@ -151,9 +150,9 @@ func render(rows [][]types.Value, ordered bool) string {
 
 // TestEmitLoopMatchesReference runs every binding of the emit loop — typed
 // column folds, Eval fallbacks, group keys, projections, the LIMIT early exit
-// and the dimension cursor — against sqltest's naive executor: serially, over
-// four stripes, cold and with a warm SmartIndex (where stripes finish on the
-// task's goroutine until an aggregate needs its column).
+// and the dimension cursor — against sqltest's naive executor: with no index,
+// with a cold SmartIndex and with a warm one (where bitmaps answer the filter
+// and only the aggregated columns are read).
 func TestEmitLoopMatchesReference(t *testing.T) {
 	fx := newEmitFixture(t)
 	cases := []struct {
@@ -190,11 +189,10 @@ func TestEmitLoopMatchesReference(t *testing.T) {
 			want := render(ref.Rows, tc.ordered)
 			idx := core.New(core.Options{})
 			for _, run := range []struct {
-				name    string
-				workers int
-				idx     exec.IndexSource
-			}{{"serial", 1, nil}, {"four stripes", 4, nil}, {"cold index", 4, idx}, {"warm index", 4, idx}, {"warm index serial", 1, idx}} {
-				if got := render(fx.run(t, tc.sql, run.workers, run.idx), tc.ordered); got != want {
+				name string
+				idx  exec.IndexSource
+			}{{"serial", nil}, {"cold index", idx}, {"warm index", idx}} {
+				if got := render(fx.run(t, tc.sql, run.idx), tc.ordered); got != want {
 					t.Errorf("%s:\n%s\nreference:\n%s", run.name, got, want)
 				}
 			}
@@ -240,7 +238,7 @@ func storeTable(t testing.TB, name string, schema *types.Schema, rows int64, w *
 	return meta, exec.NewStoreReader(router)
 }
 
-// taskAllocs is the allocation count of one serial leaf task of sql.
+// taskAllocs is the allocation count of one leaf task of sql.
 func taskAllocs(t *testing.T, cat plan.MapCatalog, rd exec.PartitionReader, idx exec.IndexSource, sql string) float64 {
 	t.Helper()
 	stmt, err := sqlparser.Parse(sql)
@@ -252,7 +250,6 @@ func taskAllocs(t *testing.T, cat plan.MapCatalog, rd exec.PartitionReader, idx 
 		t.Fatal(err)
 	}
 	task := p.Tasks()[0]
-	task.Workers = 1
 	ctx := context.Background()
 	run := func() {
 		if _, err := exec.RunTaskModel(ctx, task, rd, idx, nil); err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/bitmap"
@@ -381,16 +380,13 @@ func TestDivisionByZeroYieldsNull(t *testing.T) {
 
 // mapIndex is a trivial IndexSource for tests.
 type mapIndex struct {
-	mu sync.Mutex // parallel scan workers share the index
-	m  map[string]*bitmap.Bitmap
+	m map[string]*bitmap.Bitmap
 }
 
 func newMapIndex() *mapIndex { return &mapIndex{m: make(map[string]*bitmap.Bitmap)} }
 
 func (mi *mapIndex) Lookup(_ context.Context, blockID string, a plan.Atom, n int) (*bitmap.Bitmap, bool) {
-	mi.mu.Lock()
 	bm, ok := mi.m[blockID+"|"+a.Key()]
-	mi.mu.Unlock()
 	if !ok || bm.Len() != n {
 		return nil, false
 	}
@@ -403,8 +399,6 @@ func (mi *mapIndex) Lookup(_ context.Context, blockID string, a plan.Atom, n int
 }
 
 func (mi *mapIndex) Store(blockID string, a plan.Atom, bm *bitmap.Bitmap, _ colstore.Stats) {
-	mi.mu.Lock()
-	defer mi.mu.Unlock()
 	mi.m[blockID+"|"+a.Key()] = bm.Clone() // Store's contract: copy if retained
 }
 

@@ -12,8 +12,11 @@ import (
 
 // StoreReader reads partition metadata and column chunks through the common
 // storage layer with range reads, caching one footer per path with the
-// generation it was read at (footers are tiny and immutable per generation —
-// the leaf's light-weight process holds them naturally, paper §III-B).
+// generation it was read at (footers are immutable per generation — the
+// leaf's light-weight process holds them, paper §III-B). Footers are not
+// small: each carries every block's stats, bloom filters included. Nothing
+// bounds the map; only Release drops an entry, so a long ingest's footers
+// add up to tens of MiB per deployment.
 type StoreReader struct {
 	Router *storage.Router
 

@@ -2,12 +2,9 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
-	"sync"
 
 	"repro/internal/bitmap"
 	"repro/internal/colstore"
@@ -133,9 +130,10 @@ func RunTask(ctx context.Context, task plan.TaskSpec, reader PartitionReader, id
 }
 
 // RunTaskModel is RunTask with a cost model: when non-nil, predicate
-// evaluation over fetched column bytes is charged as CPU scan time, and a
-// task split across workers composes per-worker bills along the critical
-// path. Leaves pass their model; local/test paths pass nil.
+// evaluation over fetched column bytes is charged as CPU scan time. Leaves
+// pass their model; local/test paths pass nil. The task's blocks are scanned
+// in order on the caller's goroutine: a leaf's parallelism is its many tasks,
+// not stripes of one.
 func RunTaskModel(ctx context.Context, task plan.TaskSpec, reader PartitionReader, idx IndexSource, model *sim.CostModel) (*TaskResult, error) {
 	p := task.Plan
 	// The scan span collects the per-task breakdown behind EXPLAIN
@@ -152,31 +150,20 @@ func RunTaskModel(ctx context.Context, task plan.TaskSpec, reader PartitionReade
 	if p.Mode == plan.ModeAgg {
 		res.Groups = NewGroups(len(p.Aggs))
 	}
-	nb := len(s.meta.Blocks)
-	workers := effectiveWorkers(task.Workers, nb, p)
-	switch {
-	case workers <= 1:
-		// Serial reference path: per-block partials merged in block order —
-		// the same result structure the parallel path produces, so both are
-		// bit-identical (float aggregation order included). A pushed-down
-		// LIMIT stops mid-stream (which is why it is serial) and gathers
-		// every block into one partial.
-		var part blockPartial
-		for bi, done := 0, false; bi < nb && !done; bi++ {
-			if done, err = s.scanBlock(bi, &part); err != nil {
-				return nil, err
-			}
-			if p.ScanLimit < 0 {
-				res.fold(&part)
-				part = blockPartial{}
-			}
-		}
-		res.fold(&part)
-	default:
-		if _, err := s.scanParallel(ctx, workers, res); err != nil {
+	// Per-block partials merged in block order, so float aggregation order
+	// is fixed by the file. A pushed-down LIMIT stops mid-stream and gathers
+	// every block into one partial.
+	var part blockPartial
+	for bi, done := 0, false; bi < len(s.meta.Blocks) && !done; bi++ {
+		if done, err = s.scanBlock(bi, &part); err != nil {
 			return nil, err
 		}
+		if p.ScanLimit < 0 {
+			res.fold(&part)
+			part = blockPartial{}
+		}
 	}
+	res.fold(&part)
 	span.Count("blocks.total", res.Stats.BlocksTotal)
 	span.Count("blocks.pruned", res.Stats.BlocksPruned)
 	span.Count("blocks.shortcircuit", res.Stats.ShortCircuits)
@@ -189,35 +176,13 @@ func RunTaskModel(ctx context.Context, task plan.TaskSpec, reader PartitionReade
 	return res, nil
 }
 
-// effectiveWorkers resolves the intra-task parallelism degree: the task's
-// request (0 means GOMAXPROCS), clamped to the block count. LIMIT pushdown
-// forces serial execution because its early exit crosses block boundaries.
-func effectiveWorkers(requested, blocks int, p *plan.PhysicalPlan) int {
-	if p.ScanLimit >= 0 {
-		return 1
-	}
-	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > blocks {
-		w = blocks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// blockPartial is what scanning one block yields. Serial and parallel paths
-// both fold partials into the task result in ascending block order, so float
-// aggregation order — and every output bit — is independent of the workers.
+// blockPartial is what scanning one block yields. Partials fold into the
+// task result in ascending block order.
 type blockPartial struct {
 	stats  ScanStats
 	rows   [][]types.Value
 	groups *Groups // nil until a row is aggregated
 	count  int64   // rows of a block answered as a pure COUNT(*)
-	err    error
 }
 
 // fold merges one block's partial into the task result.
@@ -235,85 +200,13 @@ func (r *TaskResult) fold(part *blockPartial) {
 	}
 }
 
-// errNeedsColumn stops a block scanned on the task's own goroutine at its
-// first column read; the stripe then moves to a goroutine of its own.
-var errNeedsColumn = errors.New("exec: block needs a column read")
-
-// scanParallel splits the task's blocks over workers. Blocks are statically
-// striped (worker w takes blocks w, w+N, w+2N, ...) so each worker's charge
-// set — and hence its bill — is deterministic regardless of goroutine
-// scheduling. Worker bills compose into the task bill along the critical
-// path: resource totals sum, elapsed time advances by the slowest worker,
-// which is what models intra-node parallel speedup in simulation. A stripe
-// runs on the caller's goroutine while footers prune its blocks or bitmaps
-// answer them, and from its first column read on one of its own (spawned
-// counts those): a warm task starts none.
-func (s *scanner) scanParallel(ctx context.Context, workers int, res *TaskResult) (spawned int, err error) {
-	partials := make([]blockPartial, len(s.meta.Blocks))
-	parentBill := storage.BillFrom(ctx)
-	bills := make([]*sim.Bill, 0, workers)
-	stripes := make([]scanner, workers)
-	var wg sync.WaitGroup
-	for w := range stripes {
-		wctx := ctx
-		if parentBill != nil {
-			b := sim.NewBill()
-			bills = append(bills, b)
-			wctx = storage.WithBill(ctx, b)
-		}
-		ws := &stripes[w]
-		*ws = s.newStripe(wctx)
-		ws.inline = true
-		if bi := ws.scanStripe(w, workers, partials); bi < len(partials) {
-			spawned++
-			ws.inline = false
-			wg.Add(1)
-			go func(bi int) {
-				defer wg.Done()
-				ws.scanStripe(bi, workers, partials)
-			}(bi)
-		}
-	}
-	wg.Wait()
-	if parentBill != nil {
-		parentBill.AddParallel(bills...)
-	}
-	for bi := range partials {
-		// Errors surface in block order: the lowest failing block wins,
-		// whatever the interleaving. An unscanned partial past it belongs to
-		// the same stripe and is never reached.
-		if partials[bi].err != nil {
-			return spawned, partials[bi].err
-		}
-		res.fold(&partials[bi])
-	}
-	return spawned, nil
-}
-
-// scanStripe scans blocks from, from+step, ... into their partials. It
-// returns len(partials) when done or failed, or — only while s.inline — the
-// first block that has to read a column; that block's index answers stay in
-// s.replay, so scanning it again probes (bills, counts) nothing twice.
-func (s *scanner) scanStripe(from, step int, partials []blockPartial) int {
-	for bi := from; bi < len(partials); bi += step {
-		_, err := s.scanBlock(bi, &partials[bi])
-		if err == errNeedsColumn {
-			partials[bi] = blockPartial{}
-			return bi
-		}
-		s.replay = s.replay[:0]
-		if err != nil {
-			partials[bi].err = err
-			break
-		}
-	}
-	return len(partials)
-}
-
-// scanTask is what newScanner resolves once per task, so that the per-block
-// and per-row loops look nothing up and render nothing. It is read-only
-// while blocks are scanned and shared by the task's stripes.
-type scanTask struct {
+// scanner scans one task. newScanner resolves what it can once per task, so
+// that the per-block and per-row loops look nothing up and render nothing.
+// The scanner holds the block and row being scanned and is the Env of every
+// expression the task evaluates: the current fact row plus the dimension
+// rows matched to it.
+type scanner struct {
+	ctx    context.Context
 	plan   *plan.PhysicalPlan
 	path   string
 	meta   *colstore.FileMeta
@@ -332,44 +225,24 @@ type scanTask struct {
 	outs      []boundExpr // select mode: output expressions
 	keys      []boundExpr // agg mode: group-by keys
 	args      []boundExpr // agg mode: aggregate arguments, aligned with plan.Aggs
-}
-
-// scanner scans a task, or one stripe of it, on one bill. It holds the block
-// and row being scanned and is the Env of every expression the task
-// evaluates: the current fact row plus the dimension rows matched to it.
-type scanner struct {
-	*scanTask
-	ctx context.Context
 
 	// per-block state
 	block   int
 	cols    []*colstore.Column // by FactCols position; nil until fetched
 	part    *blockPartial
-	sel     bitmap.Bitmap    // the block's selection vector
-	inline  bool             // a column read stops the block with errNeedsColumn
-	replay  []*bitmap.Bitmap // index answers (nil: miss) of the block stopped that way
-	replays int              // how many of them the rescan has consumed
-	slabs   groupSlabs       // where the blocks' new groups come from
-	keyVals []types.Value    // group-by or join key of the current row
-	keyBuf  []byte           // its encoding
+	sel     bitmap.Bitmap // the block's selection vector
+	slabs   groupSlabs    // where the blocks' new groups come from
+	keyVals []types.Value // group-by or join key of the current row
+	keyBuf  []byte        // its encoding
 
 	// per-row state
 	row     int
 	dimRows []int // per dimension: the matched row, -1 while none is bound
 }
 
-// newStripe returns a scanner over the task's blocks billing ctx.
-func (t *scanTask) newStripe(ctx context.Context) scanner {
-	s := scanner{scanTask: t, ctx: ctx, cols: make([]*colstore.Column, len(t.ords))}
-	for range t.dims {
-		s.dimRows = append(s.dimRows, -1)
-	}
-	return s
-}
-
 // colPos returns the fact column's position in plan.FactCols, or -1: the
 // per-task ordinal table is the (short) column list itself.
-func (t *scanTask) colPos(name string) int { return slices.Index(t.plan.FactCols, name) }
+func (s *scanner) colPos(name string) int { return slices.Index(s.plan.FactCols, name) }
 
 // scanAtom is a filter atom resolved for the task.
 type scanAtom struct {
@@ -399,18 +272,19 @@ type dimTable struct {
 	binding  string
 }
 
-// newScanner resolves the task and returns the scanner of its serial paths.
+// newScanner resolves the task and returns its scanner.
 func newScanner(ctx context.Context, task plan.TaskSpec, reader PartitionReader, idx IndexSource, model *sim.CostModel) (*scanner, error) {
 	p, part, path := task.Plan, task.Partition, task.Partition.Path
 	meta, err := reader.Meta(ctx, part)
 	if err != nil {
 		return nil, fmt.Errorf("exec: meta %s: %w", path, err)
 	}
-	t := &scanTask{plan: p, path: path, meta: meta, reader: reader, idx: idx, model: model, fact: p.Fact().Ref.Binding()}
-	t.obs, _ = idx.(ColumnObserver)
-	t.ords = make([]int, len(p.FactCols))
+	s := &scanner{ctx: ctx, plan: p, path: path, meta: meta, reader: reader, idx: idx, model: model, fact: p.Fact().Ref.Binding()}
+	s.obs, _ = idx.(ColumnObserver)
+	s.cols = make([]*colstore.Column, len(p.FactCols))
+	s.ords = make([]int, len(p.FactCols))
 	for i, name := range p.FactCols {
-		if t.ords[i] = meta.Schema.Index(name); t.ords[i] < 0 {
+		if s.ords[i] = meta.Schema.Index(name); s.ords[i] < 0 {
 			return nil, fmt.Errorf("exec: partition %s lacks column %q", path, name)
 		}
 	}
@@ -426,46 +300,49 @@ func newScanner(ctx context.Context, task plan.TaskSpec, reader PartitionReader,
 			all = strconv.AppendInt(all, int64(bi), 10)
 			ends[bi+1] = len(all)
 		}
-		t.blockIDs = make([]string, nb)
+		s.blockIDs = make([]string, nb)
 		for bi, str := 0, string(all); bi < nb; bi++ {
-			t.blockIDs[bi] = str[ends[bi]:ends[bi+1]]
+			s.blockIDs[bi] = str[ends[bi]:ends[bi+1]]
 		}
 	}
-	t.filter = make([]scanClause, len(p.Filter.Clauses))
+	s.filter = make([]scanClause, len(p.Filter.Clauses))
 	for i, cl := range p.Filter.Clauses {
-		t.filter[i] = t.bindClause(cl)
+		s.filter[i] = s.bindClause(cl)
 	}
 	// With no grouping, dims or post filter a block is aggregated column by
 	// column; with only COUNT(*) aggregates on top, it is just counted.
-	t.ungrouped = p.Mode == plan.ModeAgg && len(p.GroupBy) == 0 && len(p.Dims) == 0 && len(p.Post) == 0
-	t.countStar = t.ungrouped && len(p.Aggs) > 0
+	s.ungrouped = p.Mode == plan.ModeAgg && len(p.GroupBy) == 0 && len(p.Dims) == 0 && len(p.Post) == 0
+	s.countStar = s.ungrouped && len(p.Aggs) > 0
 	for _, a := range p.Aggs {
-		t.countStar = t.countStar && a.Star
+		s.countStar = s.countStar && a.Star
 	}
-	if err := t.buildDimTables(); err != nil {
+	if err := s.buildDimTables(); err != nil {
 		return nil, err
 	}
-	t.keys = t.bindAll(p.GroupBy)
+	s.keys = s.bindAll(p.GroupBy)
 	if p.Mode != plan.ModeAgg {
-		t.outs = make([]boundExpr, len(p.A.Outputs))
+		s.outs = make([]boundExpr, len(p.A.Outputs))
 		for i, oi := range p.A.Outputs {
-			t.outs[i] = t.bind(oi.Expr)
+			s.outs[i] = s.bind(oi.Expr)
 		}
 	}
-	t.args = make([]boundExpr, len(p.Aggs))
+	s.args = make([]boundExpr, len(p.Aggs))
 	for i, a := range p.Aggs {
 		if !a.Star {
-			t.args[i] = t.bind(a.Arg)
+			s.args[i] = s.bind(a.Arg)
 		}
 	}
-	s := t.newStripe(ctx)
-	return &s, nil
+	s.dimRows = make([]int, len(s.dims))
+	for i := range s.dimRows {
+		s.dimRows[i] = -1
+	}
+	return s, nil
 }
 
-func (t *scanTask) bindClause(cl plan.Clause) scanClause {
+func (s *scanner) bindClause(cl plan.Clause) scanClause {
 	out := scanClause{atoms: make([]scanAtom, len(cl.Atoms)), opaque: cl.Opaque}
 	for i, a := range cl.Atoms {
-		out.atoms[i] = scanAtom{Atom: a, col: t.colPos(a.Col)}
+		out.atoms[i] = scanAtom{Atom: a, col: s.colPos(a.Col)}
 		if a.Op == sqlparser.OpEq {
 			out.atoms[i].bloom = colstore.BloomKey(a.Val)
 		}
@@ -473,26 +350,26 @@ func (t *scanTask) bindClause(cl plan.Clause) scanClause {
 	return out
 }
 
-func (t *scanTask) bind(e sqlparser.Expr) boundExpr {
-	if c, ok := e.(*sqlparser.ColumnRef); ok && c.Table == t.fact {
-		if pos := t.colPos(c.Column); pos >= 0 {
+func (s *scanner) bind(e sqlparser.Expr) boundExpr {
+	if c, ok := e.(*sqlparser.ColumnRef); ok && c.Table == s.fact {
+		if pos := s.colPos(c.Column); pos >= 0 {
 			return boundExpr{col: pos}
 		}
 	}
 	return boundExpr{col: -1, expr: e}
 }
 
-func (t *scanTask) bindAll(exprs []sqlparser.Expr) []boundExpr {
+func (s *scanner) bindAll(exprs []sqlparser.Expr) []boundExpr {
 	out := make([]boundExpr, len(exprs))
 	for i, e := range exprs {
-		out[i] = t.bind(e)
+		out[i] = s.bind(e)
 	}
 	return out
 }
 
-func (t *scanTask) buildDimTables() error {
-	for _, d := range t.plan.Dims {
-		dt := &dimTable{plan: d, binding: d.Table.Ref.Binding(), colIdx: make(map[string]int), factKeys: t.bindAll(d.FactKeys)}
+func (s *scanner) buildDimTables() error {
+	for _, d := range s.plan.Dims {
+		dt := &dimTable{plan: d, binding: d.Table.Ref.Binding(), colIdx: make(map[string]int), factKeys: s.bindAll(d.FactKeys)}
 		for i, c := range d.Needed {
 			dt.colIdx[c] = i
 		}
@@ -515,7 +392,7 @@ func (t *scanTask) buildDimTables() error {
 				dt.hash[k] = append(dt.hash[k], ri)
 			}
 		}
-		t.dims = append(t.dims, dt)
+		s.dims = append(s.dims, dt)
 	}
 	return nil
 }
@@ -526,9 +403,6 @@ func (s *scanner) column(pos int) (*colstore.Column, error) {
 	if c := s.cols[pos]; c != nil {
 		return c, nil
 	}
-	if s.inline {
-		return nil, errNeedsColumn
-	}
 	ord := s.ords[pos]
 	c, err := s.reader.Column(s.ctx, s.path, s.meta, s.block, ord)
 	if err != nil {
@@ -538,8 +412,7 @@ func (s *scanner) column(pos int) (*colstore.Column, error) {
 	s.part.stats.ColumnReads++
 	if s.model != nil {
 		// Predicate evaluation over the chunk is CPU work, priced per byte
-		// fetched; with several workers this lands on per-worker bills and
-		// composes along the critical path.
+		// fetched, on the task's bill.
 		if b := storage.BillFrom(s.ctx); b != nil {
 			b.ChargeScan(s.model, s.meta.Blocks[s.block].ColExtents[ord].Len)
 		}
@@ -551,7 +424,7 @@ func (s *scanner) column(pos int) (*colstore.Column, error) {
 // pushed-down LIMIT is satisfied.
 func (s *scanner) scanBlock(bi int, part *blockPartial) (bool, error) {
 	bm := &s.meta.Blocks[bi]
-	s.block, s.part, s.replays = bi, part, 0
+	s.block, s.part = bi, part
 	clear(s.cols)
 	part.stats.BlocksTotal++
 	// Footer-stats pruning: a block where some clause cannot be satisfied
@@ -798,25 +671,6 @@ func (s *scanner) selection(n int) (*bitmap.Bitmap, bool, error) {
 	return sel, allIndexed, nil
 }
 
-// lookup asks the index for the atom over the current block — or, for a
-// block being scanned again off the task's goroutine, takes the answer the
-// first scan got.
-func (s *scanner) lookup(a *scanAtom, n int) (*bitmap.Bitmap, bool) {
-	if s.replays < len(s.replay) {
-		s.replays++
-		return s.replay[s.replays-1], s.replay[s.replays-1] != nil
-	}
-	bm, ok := s.idx.Lookup(s.ctx, s.blockIDs[s.block], a.Atom, n)
-	if !ok {
-		bm = nil
-	}
-	if s.inline {
-		s.replay = append(s.replay, bm)
-		s.replays++
-	}
-	return bm, ok
-}
-
 // atomBitmap resolves one atom: SmartIndex hit, or evaluate + store.
 // fromIndex reports a cache hit. The atom is passed to the index with its
 // negation intact: only the index knows whether bit-NOT is sound for the
@@ -824,7 +678,7 @@ func (s *scanner) lookup(a *scanAtom, n int) (*bitmap.Bitmap, bool) {
 // predicate nor its negation).
 func (s *scanner) atomBitmap(a *scanAtom, n int) (*bitmap.Bitmap, bool, error) {
 	if s.idx != nil {
-		if cached, ok := s.lookup(a, n); ok {
+		if cached, ok := s.idx.Lookup(s.ctx, s.blockIDs[s.block], a.Atom, n); ok {
 			s.part.stats.IndexHits++
 			if cached.Len() != n {
 				return nil, false, fmt.Errorf("exec: index bitmap length %d != block rows %d", cached.Len(), n)

@@ -155,3 +155,61 @@ func TestKernelFallbacks(t *testing.T) {
 		t.Errorf("repeated-column fallback selected %s, want [0]", got)
 	}
 }
+
+// TestFoldFlatMatchesUpdate: the typed fold leaves a cell exactly as
+// Cell.Update row by row does — sums in row order, a leading NaN kept as
+// both extremes, negative zero — and declines whatever it cannot do the same
+// way (NULLs, a repeated column, a cell that already holds a value, so that
+// an int sum promoted mid-way goes through Update).
+func TestFoldFlatMatchesUpdate(t *testing.T) {
+	sel := bitmap.New(6)
+	for _, r := range []int{0, 2, 3, 5} {
+		sel.Set(r)
+	}
+	byUpdate := func(cell Cell, c *colstore.Column) Cell {
+		sel.ForEachSet(func(r int) { cell.Update(c.Value(r), false) })
+		return cell
+	}
+	cols := map[string]*colstore.Column{
+		"ints":      {Type: types.Int64, Ints: []int64{5, 99, -3, math.MaxInt64, 99, 7}},
+		"floats":    {Type: types.Float64, Floats: []float64{0.1, 99, 0.2, -0.3, 99, 1e300}},
+		"nan first": {Type: types.Float64, Floats: []float64{math.NaN(), 99, 1, -1, 99, 2}},
+		"nan later": {Type: types.Float64, Floats: []float64{1, 99, math.NaN(), -1, 99, 2}},
+		"neg zero":  {Type: types.Float64, Floats: []float64{math.Copysign(0, -1), 99, 0, 0, 99, 0}},
+	}
+	for name, c := range cols {
+		var got Cell
+		if !foldFlat(&got, c, sel) {
+			t.Fatalf("%s: not folded", name)
+		}
+		want := byUpdate(Cell{}, c)
+		// NaN != NaN: compare the bits.
+		if got.Count != want.Count || got.SumI != want.SumI || got.Float != want.Float ||
+			math.Float64bits(got.SumF) != math.Float64bits(want.SumF) ||
+			math.Float64bits(got.Min.F) != math.Float64bits(want.Min.F) || got.Min.I != want.Min.I || got.Min.T != want.Min.T ||
+			math.Float64bits(got.Max.F) != math.Float64bits(want.Max.F) || got.Max.I != want.Max.I || got.Max.T != want.Max.T {
+			t.Errorf("%s: folded %+v, updated %+v", name, got, want)
+		}
+	}
+	nulls := bitmap.New(6)
+	nulls.Set(2)
+	var started Cell
+	started.Update(types.NewInt(4), false)
+	for name, tc := range map[string]struct {
+		cell Cell
+		col  *colstore.Column
+	}{
+		"nulls":          {Cell{}, &colstore.Column{Type: types.Int64, Ints: make([]int64, 6), Nulls: nulls}},
+		"repeated":       {Cell{}, &colstore.Column{Type: types.Int64, Ints: make([]int64, 6), Offsets: []int32{0, 1, 2, 3, 4, 5, 6}}},
+		"strings":        {Cell{}, &colstore.Column{Type: types.String, Strs: make([]string, 6)}},
+		"non-empty cell": {started, cols["floats"]},
+	} {
+		cell := tc.cell
+		if foldFlat(&cell, tc.col, sel) || cell != tc.cell {
+			t.Errorf("%s: folded from the typed slice (cell %+v)", name, cell)
+		}
+	}
+	if got := byUpdate(started, cols["floats"]); !got.Float || got.Count != 5 {
+		t.Errorf("int sum not promoted mid-way: %+v", got)
+	}
+}

@@ -93,10 +93,8 @@ type TaskSpec struct {
 	Plan      *PhysicalPlan
 	Partition PartitionMeta
 	Ordinal   int
-	// Workers is the intra-task scan parallelism: how many goroutines the
-	// executor may use to scan this partition's blocks concurrently.
-	// 0 means GOMAXPROCS. Results are identical for any value, so Workers
-	// is execution tuning and stays out of Key.
+	// Workers is ignored: a task scans its blocks in order on one
+	// goroutine. bench/ still sets it until ROADMAP item 0(f).
 	Workers int
 }
 

@@ -218,46 +218,6 @@ func (b *Bill) Add(other *Bill) {
 	b.spillTime += spillT
 }
 
-// AddParallel folds bills of concurrently executed workers into b — the
-// intra-task parallel composition of the leaf scan pipeline. Resource
-// totals (bytes, ops and the per-category time breakdowns) accumulate
-// across all children, since every byte was really moved and every CPU
-// cycle really spent; elapsed simulated time advances only by the
-// children's critical path (the slowest worker), so a task split across N
-// workers models real parallel speedup instead of summing serially. As
-// with any parallel profile, the category breakdowns are resource time and
-// may sum to more than Time().
-func (b *Bill) AddParallel(children ...*Bill) {
-	times := make([]time.Duration, 0, len(children))
-	for _, c := range children {
-		if c == nil || c == b {
-			continue
-		}
-		c.mu.Lock()
-		bytes, ops, t := c.bytes, c.ops, c.time
-		devTime, transfer, scan, raw := c.devTime, c.transferTime, c.scanTime, c.otherTime
-		spillB, spillT := c.spillBytes, c.spillTime
-		c.mu.Unlock()
-		times = append(times, t)
-		b.mu.Lock()
-		for i := range b.bytes {
-			b.bytes[i] += bytes[i]
-			b.ops[i] += ops[i]
-			b.devTime[i] += devTime[i]
-		}
-		b.transferTime += transfer
-		b.scanTime += scan
-		b.otherTime += raw
-		b.spillBytes += spillB
-		b.spillTime += spillT
-		b.mu.Unlock()
-	}
-	elapsed := CriticalPath(0, times...)
-	b.mu.Lock()
-	b.time += elapsed
-	b.mu.Unlock()
-}
-
 // Time returns the accumulated simulated time.
 func (b *Bill) Time() time.Duration {
 	b.mu.Lock()

@@ -151,53 +151,3 @@ func TestCriticalPath(t *testing.T) {
 		t.Error("no children should return parent time")
 	}
 }
-
-func TestAddParallel(t *testing.T) {
-	m := DefaultCostModel()
-	parent := NewBill()
-	parent.ChargeDuration(time.Second) // work done before the fan-out
-
-	slow, fast := NewBill(), NewBill()
-	slow.ChargeDuration(4 * time.Second)
-	slow.ChargeRead(m, DeviceHDD, 1000)
-	fast.ChargeDuration(1 * time.Second)
-	fast.ChargeRead(m, DeviceHDD, 500)
-	fast.ChargeScan(m, 600)
-
-	slowTime, fastTime := slow.Time(), fast.Time()
-	parent.AddParallel(slow, fast, nil)
-
-	// Elapsed time advances by the critical path (the slowest worker) on
-	// top of the parent's own time.
-	want := time.Second + slowTime
-	if got := parent.Time(); got != want {
-		t.Errorf("parallel time = %v, want %v (slow=%v fast=%v)", got, want, slowTime, fastTime)
-	}
-	// Resource totals sum across workers: every byte really moved.
-	if got := parent.Bytes(DeviceHDD); got != 1500 {
-		t.Errorf("parallel bytes = %d, want 1500", got)
-	}
-	if got := parent.Ops(DeviceHDD); got != 2 {
-		t.Errorf("parallel ops = %d, want 2", got)
-	}
-	if parent.ScanTime() != fast.ScanTime() {
-		t.Errorf("scan time %v not carried over", fast.ScanTime())
-	}
-	// Category breakdowns are resource time and may exceed Time().
-	if parent.OtherTime() != 6*time.Second {
-		t.Errorf("other time = %v, want 6s", parent.OtherTime())
-	}
-
-	// Degenerate compositions: no children is a no-op, a single child
-	// behaves like serial Add.
-	solo := NewBill()
-	solo.AddParallel()
-	if solo.Time() != 0 {
-		t.Errorf("empty AddParallel advanced time to %v", solo.Time())
-	}
-	one := NewBill()
-	one.AddParallel(fast)
-	if one.Time() != fastTime {
-		t.Errorf("single-child AddParallel = %v, want %v", one.Time(), fastTime)
-	}
-}
