@@ -164,11 +164,9 @@ func (lc *lifecycle) halt() {
 }
 
 // taskBatch sends a leaf all of its tasks of one job, in ascending ordinal:
-// one message per leaf per job. A backup task is a batch of one.
+// one message per leaf per job. A backup task is a batch of one. Each task
+// carries its plan; on the wire a plan the tasks share travels once.
 type taskBatch struct {
-	// Plan is the job's plan; a task whose Plan is nil runs under it, so gob
-	// ships the plan once per batch instead of once per task.
-	Plan        *plan.PhysicalPlan
 	Tasks       []plan.TaskSpec
 	QueryID     string        // the owning query's, for the leaf's journal
 	TaskTimeout time.Duration // bounds each task, from that task's start
@@ -207,8 +205,8 @@ type stemJobMsg struct {
 	Plan   *plan.PhysicalPlan
 	Tasks  []plan.TaskSpec
 	Assign map[int]string // task ordinal -> leaf node
-	// Batch is what each leaf is sent, but for its Plan and Tasks: the query
-	// ID, the per-task timeout, the attempt and, for map tasks, the route.
+	// Batch is what each leaf is sent, but for its Tasks: the query ID, the
+	// per-task timeout, the attempt and, for map tasks, the route.
 	Batch taskBatch
 }
 

@@ -2,10 +2,10 @@ package cluster
 
 // Payload round-trip conformance: every registered cluster RPC payload type
 // must survive the wire codec with its content intact. Samples are built
-// reflectively with every exported field populated, so a field that gob
-// silently drops (unexported, unsupported) fails the DeepEqual — before it
-// becomes a live wire bug. The walk also rejects unexported fields outright
-// unless the type provides its own GobEncoder.
+// reflectively with every exported field populated, so a field that a packed
+// codec forgets, or that gob silently drops (unexported, unsupported), fails
+// the DeepEqual — before it becomes a live wire bug. The walk also rejects
+// unexported fields outright unless the type provides its own GobEncoder.
 
 import (
 	"context"
@@ -22,6 +22,7 @@ import (
 	"repro/internal/sqlparser"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 var gobEncoderT = reflect.TypeOf((*gob.GobEncoder)(nil)).Elem()
@@ -32,7 +33,7 @@ var gobEncoderT = reflect.TypeOf((*gob.GobEncoder)(nil)).Elem()
 // the current fill path: the plan graph is recursive by TYPE (a shuffle
 // plan's map sub-plans are plans), so a pointer re-entering a type already
 // being filled stays nil, exactly as real plans terminate.
-func fillValue(t *testing.T, v reflect.Value, seed *int, depth int, onPath map[reflect.Type]bool) {
+func fillValue(t testing.TB, v reflect.Value, seed *int, depth int, onPath map[reflect.Type]bool) {
 	t.Helper()
 	*seed++
 	n := *seed
@@ -94,7 +95,7 @@ func fillValue(t *testing.T, v reflect.Value, seed *int, depth int, onPath map[r
 	}
 }
 
-func fillStruct(t *testing.T, v reflect.Value, seed *int, depth int, onPath map[reflect.Type]bool) {
+func fillStruct(t testing.TB, v reflect.Value, seed *int, depth int, onPath map[reflect.Type]bool) {
 	t.Helper()
 	onPath[v.Type()] = true
 	defer delete(onPath, v.Type())
@@ -248,9 +249,48 @@ func deepDiff(path string, a, b reflect.Value) string {
 	}
 }
 
+// zeroMasterOnly zeroes, in place, every plan field the wire does not carry
+// (plan.MasterOnly) anywhere inside v.
+func zeroMasterOnly(v reflect.Value, seen map[uintptr]bool) {
+	switch v.Kind() {
+	case reflect.Ptr:
+		if v.IsNil() || seen[v.Pointer()] {
+			return
+		}
+		seen[v.Pointer()] = true
+		zeroMasterOnly(v.Elem(), seen)
+	case reflect.Interface:
+		if !v.IsNil() {
+			zeroMasterOnly(v.Elem(), seen)
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			zeroMasterOnly(v.Index(i), seen)
+		}
+	case reflect.Map:
+		for _, k := range v.MapKeys() {
+			zeroMasterOnly(v.MapIndex(k), seen)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			if _, ok := plan.MasterOnly[v.Type().Name()+"."+f.Name]; ok && v.Type().PkgPath() == "repro/internal/plan" {
+				v.Field(i).SetZero()
+				continue
+			}
+			zeroMasterOnly(v.Field(i), seen)
+		}
+	}
+}
+
 // TestPayloadRoundTripConformance walks every payload type registered with
 // the wire codec, builds a fully-populated sample, and checks the decoded
-// value is identical.
+// value is identical, but for the plan fields that stay on the master. A
+// packed message's decoded value must not alias the bytes it came from: it
+// is compared again after those bytes are overwritten.
 func TestPayloadRoundTripConformance(t *testing.T) {
 	reg := transport.RegisteredPayloads()
 	if len(reg) < 14 {
@@ -273,18 +313,47 @@ func TestPayloadRoundTripConformance(t *testing.T) {
 			if reflect.TypeOf(out) != typ {
 				t.Fatalf("decoded type %T, want %v", out, typ)
 			}
+			_, packed := in.(transport.Packer)
+			if packed { // the plans it carries leave their master-only fields behind
+				zeroMasterOnly(sample, map[uintptr]bool{})
+				in = sample.Interface()
+			}
 			if !reflect.DeepEqual(in, out) {
 				t.Errorf("round trip changed the payload at %s", deepDiff("", reflect.ValueOf(in), reflect.ValueOf(out)))
+			}
+			if packed {
+				for i := range b {
+					b[i] = 0xA5
+				}
+				if !reflect.DeepEqual(in, out) {
+					t.Errorf("the decoded payload aliases its input, at %s", deepDiff("", reflect.ValueOf(in), reflect.ValueOf(out)))
+				}
 			}
 		})
 	}
 }
 
-// A stem job's tasks all point at the job's plan; the wire form must ship
-// the plan once and relink the pointers on receipt (gob alone would ship one
-// copy per task — including the broadcast dimension data).
+// roundTripPayload sends v through the wire codec.
+func roundTripPayload(t *testing.T, v any) (any, int) {
+	t.Helper()
+	b, err := transport.EncodePayload(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := transport.DecodePayload(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, len(b)
+}
+
+// A message names each plan by its index in one plan section: a stem job
+// whose tasks all run its plan ships the plan once, and a map-task batch
+// ships the probe and build plans once each, however many tasks it holds.
+// Decoding restores the sharing.
 func TestStemJobPlanAliasingOverWire(t *testing.T) {
-	p := &plan.PhysicalPlan{SQL: "SELECT 1", Fingerprint: "fp"}
+	p := &plan.PhysicalPlan{SQL: "SELECT 1", ScanLimit: 7, FactCols: []string{"a", "b"},
+		Dims: []*plan.DimPlan{{Needed: []string{"k"}, Data: [][]types.Value{{types.NewString("dimension data")}}}}}
 	job := stemJobMsg{
 		Plan: p,
 		Tasks: []plan.TaskSpec{
@@ -294,40 +363,108 @@ func TestStemJobPlanAliasingOverWire(t *testing.T) {
 		},
 		Batch: taskBatch{QueryID: "q1", TaskTimeout: 3 * time.Second},
 	}
-	b, err := transport.EncodePayload(job.wire())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := transport.DecodePayload(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.(wireStemJob).job()
-	if got.Plan == nil || got.Plan.SQL != "SELECT 1" {
-		t.Fatalf("plan lost: %+v", got.Plan)
+	out, n3 := roundTripPayload(t, job)
+	got := out.(stemJobMsg)
+	if got.Plan == nil || got.Plan.ScanLimit != 7 || got.Plan.SQL != "" {
+		t.Fatalf("plan lost, or its master-only SQL shipped: %+v", got.Plan)
 	}
 	for i, task := range got.Tasks {
 		if task.Plan != got.Plan {
-			t.Errorf("task %d plan not relinked to the shared plan", i)
+			t.Errorf("task %d plan is not the job's plan", i)
 		}
 	}
 	if got.Batch.TaskTimeout != 3*time.Second || got.Batch.QueryID != "q1" {
 		t.Errorf("scalar fields lost: %+v", got)
 	}
-
-	// The wire size must not grow linearly in the plan: ~constant plan
-	// bytes regardless of task count.
+	// The plan's bytes do not grow with the task count.
 	big := job
 	big.Tasks = make([]plan.TaskSpec, 24)
 	for i := range big.Tasks {
 		big.Tasks[i] = plan.TaskSpec{Plan: p, Ordinal: i}
 	}
-	bb, err := transport.EncodePayload(big.wire())
-	if err != nil {
-		t.Fatal(err)
+	if _, n24 := roundTripPayload(t, big); n24 > n3+21*taskMinBytes+21*4 {
+		t.Errorf("24-task job encodes to %d bytes vs %d for 3 tasks — the plan is being shipped per task", n24, n3)
 	}
-	if len(bb) > len(b)*12 {
-		t.Errorf("24-task job encodes to %d bytes vs %d for 3 tasks — plan is being duplicated per task", len(bb), len(b))
+
+	// A map-task batch: build tasks then probe tasks of one repartition join.
+	probe := &plan.PhysicalPlan{FactCols: []string{"uid"}, Dims: p.Dims}
+	build := &plan.PhysicalPlan{FactCols: []string{"id"}}
+	top := &plan.PhysicalPlan{Dims: p.Dims, Shuffle: &plan.ShuffleSpec{ProbePlan: probe, BuildPlan: build, Keys: 1}}
+	batch := taskBatch{Exchange: "q1/shuffle", Sides: []string{shuffleSideBuild, shuffleSideBuild, shuffleSideProbe, shuffleSideProbe, shuffleSideProbe}}
+	for i := range batch.Sides {
+		tp := probe
+		if i < 2 {
+			tp = build
+		}
+		batch.Tasks = append(batch.Tasks, plan.TaskSpec{Plan: tp, Ordinal: i})
+	}
+	out, _ = roundTripPayload(t, batch)
+	gb := out.(taskBatch)
+	if gb.Tasks[0].Plan != gb.Tasks[1].Plan || gb.Tasks[2].Plan != gb.Tasks[4].Plan || gb.Tasks[1].Plan == gb.Tasks[2].Plan {
+		t.Error("a batch's build and probe plans did not decode to one object each")
+	}
+	if gb.Tasks[2].Plan.Dims[0].Data[0][0].S != "dimension data" {
+		t.Error("the probe plan's dimension data was lost")
+	}
+	// The reduce request carries the top plan; its probe sub-plan shares the
+	// dimension, which therefore ships once.
+	out, _ = roundTripPayload(t, shuffleReduceMsg{Plan: top})
+	gr := out.(shuffleReduceMsg).Plan
+	if gr.Shuffle.ProbePlan.Dims[0] != gr.Dims[0] || gr.Shuffle.BuildPlan == nil {
+		t.Error("the reduce plan lost the sharing of its sub-plans' dimensions")
+	}
+}
+
+// Every statement of the differential join stream plans, on the broadcast and
+// on the repartition path, to a plan that crosses the wire intact: in the stem
+// job that scatters it (or the reduce request that runs its shuffle), every
+// field a receiver runs arrives equal and each task's plan is the job's.
+func TestDifferentialStreamPlansRoundTrip(t *testing.T) {
+	spec := workload.DefaultJoinSpec()
+	// A fresh catalog per statement: the comparison zeroes the master-only
+	// fields of what the plan points at, its table entries included.
+	catalog := func() plan.MapCatalog {
+		return plan.MapCatalog{
+			spec.FactName: {Name: spec.FactName, Schema: workload.FactJoinSchema(), Version: 3,
+				Partitions: []plan.PartitionMeta{{Path: "/hdfs/f/0", Rows: 1000, Bytes: 1 << 20, Gen: 1}, {Path: "/hdfs/f/1", Rows: 1000, Bytes: 1 << 20, Gen: 2}}},
+			spec.DimName: {Name: spec.DimName, Schema: workload.DimJoinSchema(), Version: 4,
+				Partitions: []plan.PartitionMeta{{Path: "/hdfs/d/0", Rows: 100, Bytes: 1 << 16, Gen: 5}}},
+		}
+	}
+	opts := []plan.Options{{}, {BroadcastThreshold: 1, ShufflePartitions: 3, GroupShuffleRows: 1}}
+	for i, sql := range workload.JoinQueries(spec.FactName, spec.DimName, 20250809, 520) {
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := plan.PlanWith(stmt, catalog(), opts[i%2])
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		for _, d := range p.Dims { // what the master's loadDims ships
+			d.Data = [][]types.Value{make([]types.Value, len(d.Needed))}
+			for c := range d.Needed {
+				d.Data[0][c] = sampleValue(i + c)
+			}
+		}
+		var got *plan.PhysicalPlan
+		if p.Shuffle != nil {
+			out, _ := roundTripPayload(t, shuffleReduceMsg{Plan: p})
+			got = out.(shuffleReduceMsg).Plan
+		} else {
+			out, _ := roundTripPayload(t, stemJobMsg{Plan: p, Tasks: p.Tasks()})
+			job := out.(stemJobMsg)
+			got = job.Plan
+			for _, task := range job.Tasks {
+				if task.Plan != got {
+					t.Fatalf("%s: a task's plan decoded apart from the job's", sql)
+				}
+			}
+		}
+		zeroMasterOnly(reflect.ValueOf(p), map[uintptr]bool{})
+		if !reflect.DeepEqual(p, got) {
+			t.Fatalf("%s: the plan changed on the wire at %s", sql, deepDiff("", reflect.ValueOf(p), reflect.ValueOf(got)))
+		}
 	}
 }
 
@@ -367,7 +504,7 @@ func routedShuffleMsgs(t testing.TB) []shuffleMsg {
 // or groups per byte).
 func FuzzDecodeShuffle(f *testing.F) {
 	for _, m := range routedShuffleMsgs(f) {
-		b, err := m.GobEncode()
+		b, err := m.AppendPayload(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -375,14 +512,16 @@ func FuzzDecodeShuffle(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(binary.AppendUvarint([]byte{0, 0, 0, 0, 0}, 1<<40))
+	decode := unpack(readShuffleMsg)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var m shuffleMsg
-		if err := m.GobDecode(data); err != nil {
+		v, err := decode(data)
+		if err != nil {
 			if !errors.Is(err, types.ErrCorruptBatch) {
 				t.Fatalf("untyped error: %v", err)
 			}
 			return
 		}
+		m := v.(shuffleMsg)
 		rows, groups := 0, 0
 		for _, p := range m.Parts {
 			rows += len(p.Rows)
@@ -391,13 +530,129 @@ func FuzzDecodeShuffle(f *testing.F) {
 		if len(m.Parts) > len(data)/shufflePartMinBytes || rows > 8*len(data) || groups > 8*len(data) {
 			t.Fatalf("%d parts, %d rows, %d groups decoded from %d bytes", len(m.Parts), rows, groups, len(data))
 		}
-		b, err := m.GobEncode()
+		b, err := m.AppendPayload(nil)
 		if err != nil {
 			t.Fatalf("decoded message does not re-encode: %v", err)
 		}
-		var again shuffleMsg
-		if err := again.GobDecode(b); err != nil || len(again.Parts) != len(m.Parts) {
-			t.Fatalf("re-encoded message does not decode: %v (%d parts, want %d)", err, len(again.Parts), len(m.Parts))
+		if again, err := decode(b); err != nil || len(again.(shuffleMsg).Parts) != len(m.Parts) {
+			t.Fatalf("re-encoded message does not decode: %v", err)
 		}
 	})
+}
+
+// packedSamples returns one populated sample of every packed message type.
+func packedSamples(t testing.TB) []transport.Packer {
+	var out []transport.Packer
+	for _, typ := range transport.RegisteredPayloads() {
+		v := reflect.New(typ).Elem()
+		if _, ok := v.Interface().(transport.Packer); !ok {
+			continue
+		}
+		seed := 0
+		fillValue(t, v, &seed, 0, map[reflect.Type]bool{})
+		out = append(out, v.Interface().(transport.Packer))
+	}
+	return out
+}
+
+// FuzzDecodePayload feeds hostile bytes to the decoder of every packed tag
+// (the first input byte picks the tag): a typed error, never a panic; counts
+// are checked against the bytes present before anything is allocated, so a
+// short input cannot claim a large message; and what decodes re-encodes to a
+// message that decodes again.
+func FuzzDecodePayload(f *testing.F) {
+	var tags []byte
+	for _, m := range packedSamples(f) {
+		b, err := transport.EncodePayload(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		tags = append(tags, b[0])
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		data = append([]byte{tags[int(data[0])%len(tags)]}, data[1:]...) // the input is the engine's: not modified in place
+		v, err := transport.DecodePayload(data)
+		if err != nil {
+			if !errors.Is(err, types.ErrCorruptBatch) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		b, err := transport.EncodePayload(v)
+		if err != nil {
+			t.Fatalf("decoded %T does not re-encode: %v", v, err)
+		}
+		if _, err := transport.DecodePayload(b); err != nil {
+			t.Fatalf("re-encoded %T does not decode: %v", v, err)
+		}
+	})
+}
+
+// A plan-bearing message decodes in about as many allocations as it has
+// objects — no reflection, no type descriptors — whatever connection it
+// arrives on: the repartition join's map-task batch, its reduce request and a
+// group shuffle's batch each stay within a fixed budget.
+func TestPackedPlanMessagesDecodeCheaply(t *testing.T) {
+	spec := workload.DefaultJoinSpec()
+	cat := plan.MapCatalog{
+		spec.FactName: {Name: spec.FactName, Schema: workload.FactJoinSchema(),
+			Partitions: []plan.PartitionMeta{{Path: "/hdfs/f/0"}, {Path: "/hdfs/f/1"}, {Path: "/hdfs/f/2"}, {Path: "/hdfs/f/3"}}},
+		spec.DimName: {Name: spec.DimName, Schema: workload.DimJoinSchema(),
+			Partitions: []plan.PartitionMeta{{Path: "/hdfs/d/0", Bytes: 1 << 20}, {Path: "/hdfs/d/1", Bytes: 1 << 20}}},
+	}
+	planOf := func(sql string) *plan.PhysicalPlan {
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := plan.PlanWith(stmt, cat, plan.Options{BroadcastThreshold: 1, GroupShuffleRows: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	join := planOf("SELECT users.cat, COUNT(*), SUM(orders.v) FROM orders JOIN users ON orders.k = users.k WHERE orders.v > 3 GROUP BY users.cat")
+	if join.Shuffle == nil {
+		t.Fatal("want a repartition join")
+	}
+	mapBatch := taskBatch{Exchange: "q1/shuffle", QueryID: "q1", Partitions: 4, Keys: 1, Reducers: []string{"stem0", "stem1"}}
+	for _, side := range []struct {
+		name string
+		p    *plan.PhysicalPlan
+	}{{shuffleSideBuild, join.Shuffle.BuildPlan}, {shuffleSideProbe, join.Shuffle.ProbePlan}} {
+		for _, task := range side.p.Tasks() {
+			task.Ordinal = len(mapBatch.Tasks)
+			mapBatch.Tasks = append(mapBatch.Tasks, task)
+			mapBatch.Sides = append(mapBatch.Sides, side.name)
+		}
+	}
+	group := planOf("SELECT orders.grp, COUNT(*), SUM(orders.v) FROM orders WHERE orders.s != 'x' GROUP BY orders.grp")
+	for _, tc := range []struct {
+		name   string
+		msg    any
+		budget float64
+	}{
+		{"map-task batch", mapBatch, 80},
+		{"reduce request", shuffleReduceMsg{Exchange: "q1/shuffle", QueryID: "q1", Plan: join, Partitions: []int{0, 2}, ProbeOrdinals: []int{2, 3, 4, 5}, BuildOrdinals: []int{0, 1}}, 100},
+		{"scatter batch", taskBatch{QueryID: "q2", Tasks: group.Tasks()}, 60},
+	} {
+		b, err := transport.EncodePayload(tc.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := transport.DecodePayload(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d bytes, %.0f allocations to decode", tc.name, len(b), allocs)
+		if allocs > tc.budget {
+			t.Errorf("%s decodes in %.0f allocations, want <= %.0f", tc.name, allocs, tc.budget)
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"sync/atomic"
@@ -128,7 +127,6 @@ func (l *LeafServer) runTask(ctx context.Context, b *taskBatch, i int, reply *ta
 		defer cancel()
 	}
 	task := b.Tasks[i]
-	task.Plan = cmp.Or(task.Plan, b.Plan)
 	var span *trace.Span
 	if trace.FromContext(ctx) != nil { // the name is rendered only for a live trace
 		ctx, span = trace.StartSpan(ctx, "leaf/"+l.Name)

@@ -51,9 +51,7 @@ func (s *StemServer) handle(ctx context.Context, from string, payload any) (any,
 	switch msg := payload.(type) {
 	case pingMsg:
 		return pingReply{Kind: KindStem, ActiveTasks: int(s.active.Load())}, nil
-	case wireStemJob:
-		return s.runJob(ctx, msg.job())
-	case stemJobMsg: // the master to its own local stem: nothing crossed a wire
+	case stemJobMsg:
 		return s.runJob(ctx, msg)
 	case shuffleMsg:
 		return s.handleShuffle(from, msg)
@@ -155,11 +153,9 @@ type taskSpansKey struct{}
 // TaskTimeout per task fires only when the leaf never answers.
 func (s *StemServer) attempt(ctx context.Context, job *stemJobMsg, leaf string, pos []int, spans []*trace.Span, results []*exec.TaskResult, status []taskStatus) {
 	msg := job.Batch
-	msg.Plan, msg.Tasks = job.Plan, make([]plan.TaskSpec, len(pos))
+	msg.Tasks = make([]plan.TaskSpec, len(pos))
 	for j, p := range pos {
-		if msg.Tasks[j] = job.Tasks[p]; msg.Tasks[j].Plan == job.Plan {
-			msg.Tasks[j].Plan = nil
-		}
+		msg.Tasks[j] = job.Tasks[p]
 	}
 	cctx := ctx
 	if spans != nil {

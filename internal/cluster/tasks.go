@@ -322,16 +322,13 @@ func (m *Master) groupByStem(tasks []plan.TaskSpec, assign map[int]string) map[s
 }
 
 // callStem sends a stem one request — over the fabric, or straight into the
-// local stem when addressed to the master itself (a stem job then skips its
-// wire form) — and returns the reply as the type the request answers with.
+// local stem when addressed to the master itself — and returns the reply as
+// the type the request answers with.
 func callStem[R any](ctx context.Context, m *Master, stem string, msg any) (reply R, err error) {
 	var raw any
 	if stem == m.cfg.Name {
 		raw, err = m.localStem.handle(ctx, stem, msg)
 	} else {
-		if job, ok := msg.(stemJobMsg); ok {
-			msg = job.wire()
-		}
 		raw, err = m.cfg.Fabric.Call(ctx, m.cfg.Name, stem, transport.Control, msg, 512)
 	}
 	if err != nil {

@@ -379,7 +379,10 @@ func (s *SmartIndex) Store(blockID string, a plan.Atom, bm *bitmap.Bitmap, stats
 			s.drop(old)
 		}
 	}
-	e := &entry{key: atomKey, col: a.Col, numRows: bm.Len(), stats: stats, created: now}
+	// The column is cut from the entry's own key (which starts with it), so
+	// a long-lived entry never pins the caller's copy of the name: over a
+	// wire, that is the whole plan section the name was decoded from.
+	e := &entry{key: atomKey, col: atomKey[:len(a.Col)], numRows: bm.Len(), stats: stats, created: now}
 	// An entry is charged for its vector, its "<block id>|<atom key>"
 	// identity and a fixed overhead.
 	overhead := int64(len(blockID) + 1 + len(atomKey) + 96)

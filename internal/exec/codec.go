@@ -7,9 +7,9 @@ package exec
 // columns). Decoding slab-allocates the Values, Cells and
 // Groups of a message part and rebuilds the map keys, which are derived
 // state.
-// TaskResult implements gob.GobEncoder/GobDecoder with this form, so every
-// message that carries a result ships it as one opaque byte field and gob
-// never reflects over a Value.
+// AppendResult / ReadResult are a whole TaskResult's form, which the packed
+// cluster messages embed and spill files hold; TaskResult's GobEncoder and
+// GobDecoder use it too, so a gob envelope never reflects over a Value.
 
 import (
 	"encoding/binary"
@@ -189,10 +189,9 @@ func DecodeGroups(src []byte) ([]Group, []byte, error) {
 	return groups, src, nil
 }
 
-// GobEncode implements gob.GobEncoder: scan statistics as varints, the rows
-// as a batch, then the groups (NumAggs and the columnar group list).
-func (r *TaskResult) GobEncode() ([]byte, error) {
-	var b []byte
+// AppendResult appends the wire form of r: scan statistics as varints, the
+// rows as a batch, then the groups (NumAggs and the columnar group list).
+func AppendResult(b []byte, r *TaskResult) ([]byte, error) {
 	for _, v := range r.Stats.fields() {
 		b = binary.AppendVarint(b, *v)
 	}
@@ -212,45 +211,54 @@ func (r *TaskResult) GobEncode() ([]byte, error) {
 	return AppendGroups(b, list)
 }
 
-// GobDecode implements gob.GobDecoder.
-func (r *TaskResult) GobDecode(b []byte) error {
-	var (
-		out TaskResult
-		err error
-	)
+// ReadResult decodes one AppendResult encoding and returns the unread rest.
+// Nothing in the result aliases b.
+func ReadResult(b []byte) (*TaskResult, []byte, error) {
+	out := &TaskResult{}
+	var err error
 	for _, v := range out.Stats.fields() {
 		if *v, b, err = types.ReadVarint(b); err != nil {
-			return err
+			return nil, nil, err
 		}
 	}
 	if out.Rows, b, err = types.DecodeRows(b); err != nil {
-		return err
+		return nil, nil, err
 	}
 	if len(b) < 1 || b[0] > 1 {
-		return corruptResult("bad groups flag")
+		return nil, nil, corruptResult("bad groups flag")
 	}
-	if b[0] == 1 {
-		numAggs, rest, err := types.ReadVarint(b[1:])
-		if err != nil {
-			return err
-		}
-		list, rest, err := DecodeGroups(rest)
-		if err != nil {
-			return err
-		}
-		b = rest
-		out.Groups = &Groups{NumAggs: int(numAggs)}
-		if list != nil {
-			out.Groups.M = make(map[string]*Group, len(list))
-			out.Groups.adopt(list)
-		}
-	} else {
-		b = b[1:]
+	if b[0] == 0 {
+		return out, b[1:], nil
 	}
-	if len(b) != 0 {
+	numAggs, b, err := types.ReadVarint(b[1:])
+	if err != nil {
+		return nil, nil, err
+	}
+	list, b, err := DecodeGroups(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	out.Groups = &Groups{NumAggs: int(numAggs)}
+	if list != nil {
+		out.Groups.M = make(map[string]*Group, len(list))
+		out.Groups.adopt(list)
+	}
+	return out, b, nil
+}
+
+// GobEncode implements gob.GobEncoder with AppendResult.
+func (r *TaskResult) GobEncode() ([]byte, error) { return AppendResult(nil, r) }
+
+// GobDecode implements gob.GobDecoder with ReadResult.
+func (r *TaskResult) GobDecode(b []byte) error {
+	out, rest, err := ReadResult(b)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
 		return corruptResult("trailing bytes after result")
 	}
-	*r = out
+	*r = *out
 	return nil
 }
 

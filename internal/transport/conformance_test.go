@@ -7,7 +7,9 @@ package transport
 // FEISU_TRANSPORT=tcp; this battery is the fast, focused version.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -32,9 +34,51 @@ type confReply struct {
 	Blob []byte
 }
 
+// confPacked packs itself, as the cluster's per-statement messages do.
+type confPacked struct {
+	N    int64
+	S    string
+	Blob []byte
+}
+
+func (confPacked) PayloadTag() byte { return 200 }
+
+func (p confPacked) AppendPayload(b []byte) ([]byte, error) {
+	b = binary.AppendVarint(b, p.N)
+	b = binary.AppendUvarint(b, uint64(len(p.S)))
+	b = append(b, p.S...)
+	return append(binary.AppendUvarint(b, uint64(len(p.Blob))), p.Blob...), nil
+}
+
+func unpackConf(b []byte) (any, error) {
+	var p confPacked
+	var k int
+	if p.N, k = binary.Varint(b); k <= 0 {
+		return nil, protoErr("bad conf N")
+	}
+	b = b[k:]
+	for _, field := range []func([]byte){func(s []byte) { p.S = string(s) }, func(s []byte) {
+		if len(s) > 0 {
+			p.Blob = bytes.Clone(s)
+		}
+	}} {
+		n, k := binary.Uvarint(b)
+		if k <= 0 || n > uint64(len(b)-k) {
+			return nil, protoErr("bad conf field")
+		}
+		field(b[k : k+int(n)])
+		b = b[k+int(n):]
+	}
+	if len(b) != 0 {
+		return nil, protoErr("trailing conf bytes")
+	}
+	return p, nil
+}
+
 func init() {
 	RegisterPayload(confPayload{})
 	RegisterPayload(confReply{})
+	RegisterPacked(confPacked{}, unpackConf)
 }
 
 type netCase struct {
@@ -405,10 +449,9 @@ func (p *confPoison) GobDecode([]byte) error    { return errors.New("poison: und
 func init() { RegisterPayload(confPoison{}) }
 
 // A thousand sequential calls of mixed payload types — structs, bare
-// strings, nil, a payload big enough to stream in chunks — return the right
-// replies, and handler errors in between leave the transport usable. Over
-// TCP all of them ride one connection, whose codec stream therefore has to
-// stay in step through every one.
+// strings, nil, a packed payload, a payload big enough to travel as a chain
+// — return the right replies, and handler errors in between leave the
+// transport usable. Over TCP all of them ride one connection.
 func TestConformanceManyMixedCallsOneConnection(t *testing.T) {
 	for _, nc := range netCases() {
 		t.Run(nc.name, func(t *testing.T) {
@@ -431,7 +474,7 @@ func TestConformanceManyMixedCallsOneConnection(t *testing.T) {
 				}
 			})
 			ctx := context.Background()
-			big := make([]byte, maxFrameBody+streamResetBytes)
+			big := make([]byte, maxFrameBody+32<<10)
 			for i := 0; i < 1000; i++ {
 				var (
 					got any
@@ -492,8 +535,8 @@ func TestConformanceManyMixedCallsOneConnection(t *testing.T) {
 }
 
 // A payload the receiver cannot decode fails that call only. Over TCP the
-// connection's stream is poisoned by it: the server says so and hangs up,
-// the caller drops the connection, and the next call dials a fresh one.
+// server says so and hangs up, the caller drops the connection, and the next
+// call dials a fresh one.
 func TestConformanceUndecodablePayloadRedials(t *testing.T) {
 	for _, nc := range netCases() {
 		t.Run(nc.name, func(t *testing.T) {
@@ -510,7 +553,7 @@ func TestConformanceUndecodablePayloadRedials(t *testing.T) {
 			if wire {
 				pool := tr.poolFor(tr.Addr())
 				pool.mu.Lock()
-				before = pool.control[0]
+				before = pool.idle[0][0]
 				pool.mu.Unlock()
 			}
 			_, err := n.Call(ctx, "m", "x", Control, confPoison{N: 1}, 1)
@@ -521,7 +564,7 @@ func TestConformanceUndecodablePayloadRedials(t *testing.T) {
 				pool := tr.poolFor(tr.Addr())
 				pool.mu.Lock()
 				_, alive := pool.live[before]
-				idle := len(pool.control)
+				idle := len(pool.idle[0])
 				pool.mu.Unlock()
 				if alive || idle != 0 {
 					t.Fatalf("poisoned connection kept: alive=%v idle=%d", alive, idle)
@@ -535,7 +578,7 @@ func TestConformanceUndecodablePayloadRedials(t *testing.T) {
 			if wire {
 				pool := tr.poolFor(tr.Addr())
 				pool.mu.Lock()
-				after := pool.control[0]
+				after := pool.idle[0][0]
 				live := len(pool.live)
 				pool.mu.Unlock()
 				if after == before || live != 1 {

@@ -5,17 +5,15 @@ package transport
 // heartbeats are never queued behind bulk transfer, while Write/Read/
 // Shuffle share a bounded set of data-lane slots per peer — a saturated
 // peer backpressures new data calls at the pool instead of stacking
-// unbounded sockets.
+// unbounded sockets. An idle connection holds no codec state, only its
+// socket and buffers bounded by keepWriteBuf and keepReadBuf (stream.go), so
+// any idle connection serves the next call as well as any other.
 
 import (
 	"context"
 	"fmt"
 	"sync"
 )
-
-// hotConnsPerLane is how many idle connections of a lane keep their stream
-// state (compiled codecs, buffers); idle connections beyond it are stripped.
-const hotConnsPerLane = 8
 
 // peerPool manages connections to one peer address.
 type peerPool struct {
@@ -24,11 +22,18 @@ type peerPool struct {
 
 	dataSem chan struct{} // nil = unlimited; caps in-flight data-lane calls
 
-	mu      sync.Mutex
-	closed  bool
-	control []*wireConn            // idle control-lane conns
-	data    []*wireConn            // idle data-lane conns
-	live    map[*wireConn]struct{} // every open conn, for Close
+	mu     sync.Mutex
+	closed bool
+	idle   [2][]*wireConn         // idle conns by lane: control, data
+	live   map[*wireConn]struct{} // every open conn, for Close
+}
+
+// lane is the index of a class's idle connections.
+func lane(class Class) int {
+	if class == Control {
+		return 0
+	}
+	return 1
 }
 
 func newPeerPool(addr string, dataConns int, dial func(ctx context.Context, addr string) (*wireConn, error)) *peerPool {
@@ -63,10 +68,7 @@ func (p *peerPool) checkout(ctx context.Context, class Class) (*wireConn, error)
 		p.mu.Unlock()
 		return nil, fmt.Errorf("transport: pool for %s closed", p.addr)
 	}
-	idle := &p.data
-	if class == Control {
-		idle = &p.control
-	}
+	idle := &p.idle[lane(class)]
 	if n := len(*idle); n > 0 {
 		wc := (*idle)[n-1]
 		*idle = (*idle)[:n-1]
@@ -90,46 +92,19 @@ func (p *peerPool) checkout(ctx context.Context, class Class) (*wireConn, error)
 	return wc, nil
 }
 
-// put returns a connection after a call. A broken conn (any framing, codec
-// or I/O error mid-call, or a call abandoned half-way: its payload stream is
-// poisoned) is closed rather than reused. The data-lane slot is
-// released either way — the cap bounds in-flight calls, not idle sockets.
-//
-// Checkout is last-in first-out, so steady traffic lives on the top few
-// connections of a lane and the rest are what a burst left behind. Those
-// keep their socket — a burst that recurs must not redial — but not their
-// stream state: a connection returned to a lane that already holds
-// hotConnsPerLane idle connections with state is stripped at both ends and
-// goes to the bottom of the stack.
+// put returns a connection after a call. A broken conn (any framing or I/O
+// error mid-call, or a call abandoned half-way: the ends may disagree about
+// where the next frame starts) is closed rather than reused. The data-lane
+// slot is released either way — the cap bounds in-flight calls, not idle
+// sockets.
 func (p *peerPool) put(wc *wireConn, class Class, broken bool) {
-	idle := &p.data
-	if class == Control {
-		idle = &p.control
-	}
 	p.mu.Lock()
-	hot := 0
-	for _, c := range *idle {
-		if c.hasState() {
-			hot++
-		}
-	}
-	surplus := hot >= hotConnsPerLane
-	p.mu.Unlock()
-	if surplus && !broken {
-		wc.strip()
-		broken = wc.sendFrame(frame{kind: frameStrip}) != nil
-	}
-	p.mu.Lock()
-	switch {
-	case broken || p.closed:
+	if broken || p.closed {
 		delete(p.live, wc)
 		p.mu.Unlock()
 		wc.c.Close()
-	case surplus:
-		*idle = append([]*wireConn{wc}, *idle...)
-		p.mu.Unlock()
-	default:
-		*idle = append(*idle, wc)
+	} else {
+		p.idle[lane(class)] = append(p.idle[lane(class)], wc)
 		p.mu.Unlock()
 	}
 	if class != Control && p.dataSem != nil {
@@ -146,7 +121,7 @@ func (p *peerPool) close() {
 		conns = append(conns, wc)
 	}
 	p.live = make(map[*wireConn]struct{})
-	p.control, p.data = nil, nil
+	p.idle = [2][]*wireConn{}
 	p.mu.Unlock()
 	for _, wc := range conns {
 		wc.c.Close()

@@ -1,163 +1,160 @@
 package transport
 
-// Payload chains: the chunkWriter cuts what a connection's encoder writes
-// into a framePayload chain (flagMore on all but the last frame), and the
-// chunkReader walks such a chain frame by frame for the decoder. It
-// implements io.ByteReader, so gob neither buffers ahead of the chain nor
-// needs the message reassembled first. The connection that owns a pair of
-// them, and the stream rules, are in codec.go (wireConn).
+// A connection end (wireConn) and the payload chains it writes and reads. A
+// payload is one self-contained message (codec.go), so a connection holds no
+// codec state: what it keeps between calls is its socket, a write buffer and
+// a read buffer, each dropped after a message that grew it past a bound. A
+// payload travels as a framePayload chain — one frame, or flagMore frames
+// when its body exceeds maxFrameBody — and is read whole into the read
+// buffer before it is decoded; decoders copy what they keep, so the buffer
+// is reused by the next message.
 
 import (
 	"bufio"
 	"encoding/binary"
 	"io"
+	"net"
+	"slices"
 )
 
-// chunkWriter frames what the encoder writes into a framePayload chain. The
-// open frame's header is patched with its final length and flags when the
-// frame is sealed; completed frames leave for the socket only when a frame
-// fills (a body larger than maxFrameBody streams) or on flush.
-type chunkWriter struct {
-	w     io.Writer
-	buf   []byte // frames not yet on the socket
-	class byte
-	open  int   // offset in buf of the open payload frame's header, or -1
-	n     int64 // payload bytes framed so far
+const (
+	// readBufSize is each connection's bufio buffer: frame headers and
+	// small bodies are parsed out of it, bulk chain bodies bypass it.
+	readBufSize = 2 << 10
+	// keepWriteBuf and keepReadBuf are the largest write and payload
+	// buffers a connection keeps between messages.
+	keepWriteBuf = 16 << 10
+	keepReadBuf  = 32 << 10
+)
+
+// wireConn is one framed connection, dedicated to a single in-flight call
+// at a time (checkout → request/reply → return). After any framing or I/O
+// error, or a call abandoned half-way, the two ends may disagree about where
+// the next frame starts: such a connection is closed, never reused.
+type wireConn struct {
+	c    net.Conn
+	br   *bufio.Reader
+	out  []byte // frames queued for the socket
+	in   []byte // reused buffer of the payload chain being read
+	body []byte // reused body buffer of non-payload frames
 }
 
-func (w *chunkWriter) Write(p []byte) (int, error) {
-	total := len(p)
-	for len(p) > 0 {
-		if w.open < 0 {
-			w.open = len(w.buf)
-			w.buf = appendFrameHeader(w.buf, framePayload, w.class, 0, 0)
-		}
-		room := maxFrameBody - (len(w.buf) - w.open - frameHeaderLen)
-		if room == 0 {
-			w.seal(flagMore)
-			if err := w.flush(); err != nil {
-				return total - len(p), err
-			}
-			continue
-		}
-		k := min(room, len(p))
-		w.buf = append(w.buf, p[:k]...)
-		p = p[k:]
+func newWireConn(c net.Conn) *wireConn {
+	return &wireConn{c: c, br: bufio.NewReaderSize(c, readBufSize)}
+}
+
+// queueFrame buffers one non-payload frame behind whatever is already
+// queued; nothing reaches the socket before flush.
+func (wc *wireConn) queueFrame(f frame) { wc.out = appendFrame(wc.out, f) }
+
+// queueCall buffers a call frame carrying h.
+func (wc *wireConn) queueCall(h callHeader, flags byte) {
+	start := len(wc.out)
+	wc.out = h.append(appendFrameHeader(wc.out, frameCall, byte(h.Class), flags, 0))
+	binary.BigEndian.PutUint32(wc.out[start+6:], uint32(len(wc.out)-start-frameHeaderLen))
+}
+
+// queuePayload encodes v as the payload chain of the frame just queued, and
+// returns the payload bytes. The body is packed straight into the write
+// buffer; only a body longer than maxFrameBody is copied, to cut it into a
+// chain. On an encoding error nothing of v stays queued.
+func (wc *wireConn) queuePayload(class byte, v any) (int64, error) {
+	start := len(wc.out)
+	b, err := appendPayload(appendFrameHeader(wc.out, framePayload, class, 0, 0), v)
+	if err != nil {
+		wc.out = wc.out[:start]
+		return 0, err
 	}
-	w.n += int64(total)
-	return total, nil
-}
-
-func (w *chunkWriter) seal(flags byte) {
-	w.buf[w.open+5] = flags
-	binary.BigEndian.PutUint32(w.buf[w.open+6:], uint32(len(w.buf)-w.open-frameHeaderLen))
-	w.open = -1
-}
-
-// end closes the chain: the open frame becomes the last one and carries
-// flags (flagReset, or none).
-func (w *chunkWriter) end(flags byte) error {
-	if w.open < 0 {
-		return protoErr("empty payload chain")
-	}
-	w.seal(flags)
-	return nil
-}
-
-// discard drops everything queued (a half-encoded message).
-func (w *chunkWriter) discard() { w.buf, w.open = w.buf[:0], -1 }
-
-func (w *chunkWriter) flush() error {
-	_, err := w.w.Write(w.buf)
-	if cap(w.buf) > keepWriteBuf {
-		w.buf = nil
+	n := len(b) - start - frameHeaderLen
+	if n <= maxFrameBody {
+		binary.BigEndian.PutUint32(b[start+6:], uint32(n))
+		wc.out = b
 	} else {
-		w.buf = w.buf[:0]
+		wc.out = appendChain(b[:start], class, slices.Clone(b[start+frameHeaderLen:]))
+	}
+	return int64(n), nil
+}
+
+// appendChain appends body as a framePayload chain: flagMore on every frame
+// but the last.
+func appendChain(dst []byte, class byte, body []byte) []byte {
+	for {
+		k, flags := min(len(body), maxFrameBody), byte(0)
+		if k < len(body) {
+			flags = flagMore
+		}
+		dst = appendFrame(dst, frame{kind: framePayload, class: class, flags: flags, body: body[:k]})
+		if body = body[k:]; len(body) == 0 {
+			return dst
+		}
+	}
+}
+
+// flush writes everything queued to the socket.
+func (wc *wireConn) flush() error {
+	_, err := wc.c.Write(wc.out)
+	if wc.out = wc.out[:0]; cap(wc.out) > keepWriteBuf {
+		wc.out = nil
 	}
 	return err
 }
 
-// chunkReader presents one framePayload chain as a byte stream: it reads a
-// frame header whenever the previous frame's body is used up and that frame
-// announced another (flagMore), and reports io.EOF at the end of the last
-// frame. Anything but a well-formed framePayload header inside a chain is
-// an ErrProtocol.
-type chunkReader struct {
-	r      *bufio.Reader
-	remain int   // unread bytes of the current frame's body
-	more   bool  // another frame follows the current one
-	reset  bool  // the chain's last frame carried flagReset
-	n      int64 // payload bytes consumed so far
+// sendFrame queues and flushes a single frame.
+func (wc *wireConn) sendFrame(f frame) error {
+	wc.queueFrame(f)
+	return wc.flush()
 }
 
-// begin arms the reader for the chain that starts with the next frame.
-func (r *chunkReader) begin() { r.remain, r.more, r.reset = 0, true, false }
+// readFrame reads one non-payload frame; its body is valid until the next
+// readFrame on this connection.
+func (wc *wireConn) readFrame() (frame, error) { return readFrame(wc.br, &wc.body) }
 
-// next advances to the first frame of the chain that still has body bytes.
-func (r *chunkReader) next() error {
-	for r.remain == 0 {
-		if !r.more {
-			return io.EOF
-		}
-		f, n, err := readFrameHeader(r.r)
+// readPayload reads the payload chain that follows the frame just read and
+// decodes it, returning the payload bytes the chain carried.
+func (wc *wireConn) readPayload() (any, int64, error) {
+	b, err := readChain(wc.br, wc.in[:0])
+	if wc.in = b; cap(b) > keepReadBuf {
+		wc.in = nil
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	v, err := DecodePayload(b)
+	return v, int64(len(b)), err
+}
+
+// readChain appends the body of the framePayload chain that follows to buf.
+// Anything but a well-formed framePayload header inside a chain, or a chain
+// longer than maxPayload, is an ErrProtocol; the connection's end is a
+// truncation.
+func readChain(br *bufio.Reader, buf []byte) ([]byte, error) {
+	for {
+		f, n, err := readFrameHeader(br)
 		if err != nil {
-			return midChain(err)
+			return buf, midChain(err)
 		}
 		if f.kind != framePayload {
-			return protoErr("unexpected frame kind %d inside payload stream", f.kind)
+			return buf, protoErr("unexpected frame kind %d inside payload chain", f.kind)
 		}
-		r.remain, r.more = n, f.flags&flagMore != 0
-		r.reset = !r.more && f.flags&flagReset != 0
+		if len(buf)+n > maxPayload {
+			return buf, protoErr("payload chain exceeds %d bytes", maxPayload)
+		}
+		k := len(buf)
+		buf = slices.Grow(buf, n)[:k+n]
+		if _, err := io.ReadFull(br, buf[k:]); err != nil {
+			return buf[:k], midChain(err)
+		}
+		if f.flags&flagMore == 0 {
+			return buf, nil
+		}
 	}
-	return nil
 }
 
-func (r *chunkReader) Read(p []byte) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
-	if err := r.next(); err != nil {
-		return 0, err
-	}
-	if len(p) > r.remain {
-		p = p[:r.remain]
-	}
-	n, err := r.r.Read(p)
-	r.remain -= n
-	r.n += int64(n)
-	return n, midChain(err)
-}
-
-// midChain turns the connection's end into a truncation: inside a chain,
-// io.EOF is what the reader itself reports at the end of the last frame.
+// midChain turns the connection's end into a truncation: a chain was
+// announced, so its bytes are owed.
 func midChain(err error) error {
 	if err == io.EOF {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// ReadByte implements io.ByteReader, which is what tells gob not to wrap
-// the reader in a buffer of its own (it would read past the chain).
-func (r *chunkReader) ReadByte() (byte, error) {
-	if err := r.next(); err != nil {
-		return 0, err
-	}
-	b, err := r.r.ReadByte()
-	if err == nil {
-		r.remain--
-		r.n++
-	}
-	return b, midChain(err)
-}
-
-// end checks that the decoder consumed the chain exactly.
-func (r *chunkReader) end() error {
-	if err := r.next(); err != io.EOF {
-		if err == nil {
-			err = protoErr("payload chain longer than its message")
-		}
-		return err
-	}
-	return nil
 }

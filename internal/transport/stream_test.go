@@ -6,9 +6,11 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -20,18 +22,18 @@ func pipeConns(t *testing.T) (client, server *wireConn) {
 	return newWireConn(a), newWireConn(b)
 }
 
-// One connection carries many messages of several types; every one comes
-// back intact, bodies above maxFrameBody stream as chains, and a payload
-// above streamResetBytes restarts the codec pair at both ends.
-func TestStreamManyMessagesAndReset(t *testing.T) {
+// One connection carries many messages of several kinds — gob and packed,
+// a body long enough to travel as a chain — and every one comes back intact;
+// the buffers a big message grew are not kept.
+func TestStreamManyMessages(t *testing.T) {
 	cli, srv := pipeConns(t)
 	msgs := []any{
 		confPayload{N: 1, S: "a"},
 		"a bare string",
+		confPacked{N: 2, S: "packed"},
 		confReply{Echo: "e", N: 2},
-		confPayload{N: 3, Blob: bytes.Repeat([]byte{7}, streamResetBytes+1)}, // resets
-		confPayload{N: 4, S: "after the reset"},
-		confPayload{N: 5, Blob: bytes.Repeat([]byte{9}, 2*maxFrameBody+17)}, // three chunks, resets
+		confPayload{N: 5, Blob: bytes.Repeat([]byte{9}, 2*maxFrameBody+17)}, // three frames
+		confPacked{N: 6, Blob: bytes.Repeat([]byte{3}, maxFrameBody)},       // two frames: the tag tips it over
 		confReply{Echo: "last"},
 	}
 	errc := make(chan error, 1)
@@ -45,6 +47,10 @@ func TestStreamManyMessagesAndReset(t *testing.T) {
 				errc <- err
 				return
 			}
+			if cap(cli.out) > keepWriteBuf {
+				errc <- fmt.Errorf("idle write buffer retains %d bytes", cap(cli.out))
+				return
+			}
 		}
 		errc <- nil
 	}()
@@ -56,27 +62,45 @@ func TestStreamManyMessagesAndReset(t *testing.T) {
 		if n <= 0 {
 			t.Fatalf("message %d: %d payload bytes", i, n)
 		}
-		switch w := want.(type) {
-		case confPayload:
-			g := got.(confPayload)
-			if g.N != w.N || g.S != w.S || !bytes.Equal(g.Blob, w.Blob) {
-				t.Fatalf("message %d corrupted", i)
-			}
-		default:
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("message %d = %v, want %v", i, got, want)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("message %d corrupted", i)
 		}
-		big := i == 3 || i == 5
-		if (srv.dec == nil) != big {
-			t.Fatalf("message %d: decoder dropped = %v, want %v", i, srv.dec == nil, big)
+		if cap(srv.in) > keepReadBuf {
+			t.Fatalf("message %d: idle read buffer retains %d bytes", i, cap(srv.in))
 		}
 	}
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if cli.out.buf != nil && cap(cli.out.buf) > keepWriteBuf {
-		t.Errorf("idle write buffer retains %d bytes", cap(cli.out.buf))
+}
+
+// The read buffer is reused from message to message, and nothing decoded
+// aliases it: the first value is intact after the second message overwrote
+// the buffer it was read from.
+func TestDecodedPayloadOutlivesReadBuffer(t *testing.T) {
+	cli, srv := pipeConns(t)
+	first, second := confPacked{N: 1, S: "first", Blob: []byte("aaaa")}, confPacked{N: 2, S: "other", Blob: []byte("zzzz")}
+	go func() {
+		for _, m := range []any{first, second} {
+			if _, err := cli.queuePayload(byte(Read), m); err != nil || cli.flush() != nil {
+				return
+			}
+		}
+	}()
+	got1, _, err := srv.readPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := &srv.in[0]
+	got2, _, err := srv.readPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &srv.in[0] != buf {
+		t.Fatal("the second message did not reuse the read buffer")
+	}
+	if !reflect.DeepEqual(got1, first) || !reflect.DeepEqual(got2, second) {
+		t.Fatalf("decoded %+v and %+v, want %+v and %+v", got1, got2, first, second)
 	}
 }
 
@@ -84,38 +108,24 @@ func payloadFrame(flags byte, body []byte) []byte {
 	return appendFrame(nil, frame{kind: framePayload, class: byte(Read), flags: flags, body: body})
 }
 
-func readChain(data []byte) ([]byte, error) {
-	r := chunkReader{r: bufio.NewReader(bytes.NewReader(data))}
-	r.begin()
-	var out []byte
-	buf := make([]byte, 7)
-	for {
-		// Alternate ReadByte and Read, as gob does.
-		b, err := r.ReadByte()
-		if err != nil {
-			if err == io.EOF {
-				return out, r.end()
-			}
-			return out, err
-		}
-		out = append(out, b)
-		n, err := r.Read(buf)
-		out = append(out, buf[:n]...)
-		if err != nil && err != io.EOF {
-			return out, err
-		}
-	}
+func readChainOf(data []byte) ([]byte, error) {
+	return readChain(bufio.NewReader(bytes.NewReader(data)), nil)
 }
 
 func TestChunkReaderChains(t *testing.T) {
 	good := append(payloadFrame(flagMore, []byte("hello ")), payloadFrame(flagMore, nil)...)
 	good = append(good, payloadFrame(0, []byte("world"))...)
-	if got, err := readChain(good); err != nil || string(got) != "hello world" {
+	if got, err := readChainOf(good); err != nil || string(got) != "hello world" {
 		t.Fatalf("chain = %q, %v", got, err)
 	}
 	// The reader stops at the end of its chain: what follows is the next frame.
-	if got, err := readChain(append(good, payloadFrame(0, []byte("next"))...)); err != nil || string(got) != "hello world" {
+	if got, err := readChainOf(append(good, payloadFrame(0, []byte("next"))...)); err != nil || string(got) != "hello world" {
 		t.Fatalf("chain with a successor = %q, %v", got, err)
+	}
+	// appendChain cuts what readChain joins.
+	long := bytes.Repeat([]byte("0123456789"), maxFrameBody/4)
+	if got, err := readChainOf(appendChain(nil, byte(Read), long)); err != nil || !bytes.Equal(got, long) {
+		t.Fatalf("long chain: %d bytes, %v", len(got), err)
 	}
 
 	skew := payloadFrame(0, []byte("x"))
@@ -138,7 +148,7 @@ func TestChunkReaderChains(t *testing.T) {
 		"empty input":           {nil, false},
 		"call frame, not chain": {appendFrame(nil, frame{kind: frameCall, body: []byte("x")}), true},
 	} {
-		_, err := readChain(tc.data)
+		_, err := readChainOf(tc.data)
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 			continue
@@ -190,10 +200,12 @@ func TestPackedHeadersRoundTripAndTruncation(t *testing.T) {
 }
 
 // FuzzWireStream feeds arbitrary bytes to a connection's read side — a
-// frame, then a payload chain through the chunk reader, then the same bytes
-// through the whole stack down to the gob decoder. Whatever the bytes:
-// no panic; frame and chain errors are ErrProtocol or a truncation; and the
-// chain never yields more bytes than the input held.
+// frame, then a payload chain, then the same bytes through the whole stack
+// down to the payload decoder. Whatever the bytes: no panic; frame and chain
+// errors are ErrProtocol or a truncation; the chain never yields more bytes
+// than the input held; and a payload that decodes re-encodes. Every message
+// is self-contained, so each input starts from the state every connection
+// is always in.
 func FuzzWireStream(f *testing.F) {
 	chain := append(payloadFrame(flagMore, []byte("hello ")), payloadFrame(0, []byte("world"))...)
 	f.Add(chain)
@@ -205,8 +217,10 @@ func FuzzWireStream(f *testing.F) {
 	skew := payloadFrame(0, []byte("x"))
 	skew[2] = 1
 	f.Add(skew) // version skew
-	if body, err := EncodePayload(confPayload{N: 1, S: "s", Blob: []byte{1, 2}}); err == nil {
-		f.Add(payloadFrame(0, body)) // a decodable gob message
+	for _, v := range []any{confPayload{N: 1, S: "s", Blob: []byte{1, 2}}, confPacked{N: 7, S: "p", Blob: []byte{3}}} {
+		if body, err := EncodePayload(v); err == nil {
+			f.Add(payloadFrame(0, body)) // a decodable gob message, a decodable packed one
+		}
 	}
 	f.Add(appendFrame(nil, frame{kind: frameCall, body: callHeader{From: "a", To: "b"}.append(nil)}))
 
@@ -215,7 +229,7 @@ func FuzzWireStream(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var buf []byte
-		if fr, err := readFrame(bytes.NewReader(data), &buf); err != nil {
+		if fr, err := readFrame(bufio.NewReader(bytes.NewReader(data)), &buf); err != nil {
 			if !typed(err) {
 				t.Fatalf("readFrame: untyped error %v", err)
 			}
@@ -229,92 +243,64 @@ func FuzzWireStream(f *testing.F) {
 				}
 			}
 		}
-		got, err := readChain(data)
+		got, err := readChainOf(data)
 		if err != nil && !typed(err) {
-			t.Fatalf("chunk reader: untyped error %v", err)
+			t.Fatalf("chain reader: untyped error %v", err)
 		}
 		if len(got) > len(data) {
 			t.Fatalf("chain yielded %d bytes from %d bytes of input", len(got), len(data))
 		}
-		// The whole read side, gob included: any error will do, no panic.
+		// The whole read side, payload decoder included: any error will do,
+		// no panic, and what decodes encodes again.
 		wc := &wireConn{br: bufio.NewReader(bytes.NewReader(data))}
-		wc.in.r = wc.br
-		wc.readPayload()
+		if v, _, err := wc.readPayload(); err == nil && v != nil {
+			if _, err := EncodePayload(v); err != nil {
+				t.Fatalf("decoded %T does not re-encode: %v", v, err)
+			}
+		}
 	})
 }
 
-// A warmed small call must not fall back to per-message codec compilation:
-// that costs several hundred allocations, a call on a warm stream a few
-// dozen.
+// mallocs reports the heap allocations f makes, in this process, both ends
+// of a loopback call included.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// A packed call costs the same on a fresh connection as on one that has
+// carried a hundred: there is no per-connection codec to warm up.
 func TestTCPWarmCallAllocations(t *testing.T) {
 	tr := newTestTCP(t, nil, Options{}, TCPOptions{})
 	tr.Register("x", func(ctx context.Context, from string, payload any) (any, error) {
-		return confReply{N: payload.(confPayload).N + 1}, nil
+		if p, ok := payload.(confPacked); ok {
+			return confPacked{N: p.N + 1}, nil
+		}
+		return nil, nil
 	})
 	ctx := context.Background()
 	call := func() {
-		if _, err := tr.Call(ctx, "m", "x", Control, confPayload{N: 1, S: "ping"}, 16); err != nil {
+		if _, err := tr.Call(ctx, "m", "x", Control, confPacked{N: 1, S: "ping"}, 16); err != nil {
 			t.Fatal(err)
 		}
 	}
-	call()
-	if allocs := testing.AllocsPerRun(200, call); allocs >= 60 {
-		t.Fatalf("a warm small call costs %.0f allocations, want < 60", allocs)
+	// Dial and handshake with a nil payload, so that the call measured
+	// next is the first payload either end of the connection handles.
+	if _, err := tr.Call(ctx, "m", "x", Control, nil, 0); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// Connections a burst leaves behind keep their socket but not their stream
-// state, at either end, and still work afterwards.
-func TestPoolStripsSurplusConnections(t *testing.T) {
-	tr := newTestTCP(t, nil, Options{}, TCPOptions{})
-	release := make(chan struct{})
-	arrived := make(chan struct{}, 64)
-	tr.Register("x", func(ctx context.Context, from string, payload any) (any, error) {
-		if payload.(confPayload).S == "hold" {
-			arrived <- struct{}{}
-			<-release
-		}
-		return confReply{N: 1}, nil
-	})
-	const burst = hotConnsPerLane + 5
-	done := make(chan error, burst)
-	for i := 0; i < burst; i++ {
-		go func() {
-			_, err := tr.Call(context.Background(), "m", "x", Control, confPayload{S: "hold"}, 1)
-			done <- err
-		}()
+	cold := mallocs(call)
+	for range 98 {
+		call()
 	}
-	for i := 0; i < burst; i++ {
-		<-arrived
+	warm := mallocs(call)
+	if cold >= 60 || warm >= 60 {
+		t.Fatalf("the first packed call on a connection costs %d allocations and the hundredth %d, want < 60 each", cold, warm)
 	}
-	close(release)
-	for i := 0; i < burst; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	pool := tr.poolFor(tr.Addr())
-	pool.mu.Lock()
-	hot, idle := 0, len(pool.control)
-	for _, wc := range pool.control {
-		if wc.hasState() {
-			hot++
-		}
-	}
-	pool.mu.Unlock()
-	if idle != burst || hot != hotConnsPerLane {
-		t.Fatalf("%d idle connections, %d with stream state; want %d and %d", idle, hot, burst, hotConnsPerLane)
-	}
-	// Another burst reaches the stripped connections: they must still work.
-	for i := 0; i < burst; i++ {
-		go func() {
-			_, err := tr.Call(context.Background(), "m", "x", Control, confPayload{S: "go"}, 1)
-			done <- err
-		}()
-	}
-	for i := 0; i < burst; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
+	if live := len(tr.poolFor(tr.Addr()).live); live != 1 {
+		t.Fatalf("%d connections, want the one", live)
 	}
 }

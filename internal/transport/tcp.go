@@ -178,17 +178,12 @@ func (t *TCP) Discover(ctx context.Context, addr string) ([]string, error) {
 func (t *TCP) Nodes() []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	seen := make(map[string]bool, len(t.local)+len(t.peers))
 	out := make([]string, 0, len(t.local)+len(t.peers))
 	for n := range t.local {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
+		out = append(out, n)
 	}
 	for n := range t.peers {
-		if !seen[n] {
-			seen[n] = true
+		if _, hosted := t.local[n]; !hosted {
 			out = append(out, n)
 		}
 	}
@@ -249,8 +244,8 @@ func (t *TCP) Call(ctx context.Context, from, to string, class Class, payload an
 }
 
 // carry performs one request/reply exchange on a pooled connection. Each
-// delivery encodes the payload anew: the encoding belongs to the stream of
-// the connection that carries it.
+// delivery encodes the payload anew, straight into the connection's write
+// buffer.
 func (t *TCP) carry(ctx context.Context, c call, payload any) (reply any, err error) {
 	hdr, class := c.callHeader, c.Class
 	pool := t.poolFor(c.addr)
@@ -258,8 +253,8 @@ func (t *TCP) carry(ctx context.Context, c call, payload any) (reply any, err er
 	if err != nil {
 		return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, hdr.From, hdr.To, err)
 	}
-	// Anything short of a complete exchange leaves the connection's payload
-	// streams in an unknown position: it is closed, not returned.
+	// Anything short of a complete exchange leaves the connection mid-frame:
+	// it is closed, not returned.
 	broken := true
 	// Context plumbing: honor the deadline directly, and unblock the
 	// socket (via an immediate deadline) if the context is canceled while
@@ -282,12 +277,11 @@ func (t *TCP) carry(ctx context.Context, c call, payload any) (reply any, err er
 		pool.put(wc, class, broken)
 	}()
 
-	var hb [96]byte
-	cf := frame{kind: frameCall, class: byte(class), body: hdr.append(hb[:0])}
+	var flags byte
 	if payload == nil {
-		cf.flags |= flagNilPayload
+		flags = flagNilPayload
 	}
-	wc.queueFrame(cf)
+	wc.queueCall(hdr, flags)
 	if payload != nil {
 		n, err := wc.queuePayload(byte(class), payload)
 		if err != nil {
@@ -458,15 +452,12 @@ func (t *TCP) serveConn(c net.Conn) {
 
 	// One request at a time per connection; the pools on the caller side
 	// provide the concurrency. A handler error is an ordinary reply and the
-	// connection lives on; a payload that cannot be decoded, or a reply that
-	// cannot be encoded, poisons the stream: the error frame says so
-	// (flagClose) and the connection ends.
+	// connection lives on. A payload that cannot be decoded, or a reply that
+	// cannot be encoded, ends the connection: the error frame says so
+	// (flagClose), and the caller dials afresh rather than trust a peer that
+	// sent, or asked for, bytes neither end can read.
 	for {
 		cf, err := wc.readFrame()
-		if err == nil && cf.kind == frameStrip {
-			wc.strip()
-			continue
-		}
 		if err != nil || cf.kind != frameCall {
 			return
 		}
@@ -495,7 +486,7 @@ func (t *TCP) serveConn(c net.Conn) {
 		wc.queueFrame(rf)
 		if reply != nil {
 			if _, err := wc.queuePayload(cf.class, reply); err != nil {
-				wc.out.discard() // the half-built reply
+				wc.out = wc.out[:0] // the reply frame queued before it
 				wc.sendFrame(encodeErrorFrame(cf.class, flagClose, err))
 				return
 			}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"net"
@@ -77,7 +78,7 @@ func TestTCPHandshakeVersionMismatch(t *testing.T) {
 	}
 	c.SetReadDeadline(time.Now().Add(2 * time.Second))
 	var buf []byte
-	f, err := readFrame(c, &buf)
+	f, err := readFrame(bufio.NewReader(c), &buf)
 	if err != nil {
 		t.Fatalf("want an error frame, got %v", err)
 	}
@@ -297,8 +298,7 @@ func TestFabricStaleEndpointInSlotQueue(t *testing.T) {
 }
 
 // A reply the server cannot encode fails the call with the encoder's error
-// and retires the connection (its half-written stream is not trusted); the
-// next call dials again and succeeds.
+// and retires the connection; the next call dials again and succeeds.
 func TestTCPUnencodableReplyRetiresConnection(t *testing.T) {
 	type unregistered struct{ N int }
 	tr := newTestTCP(t, nil, Options{}, TCPOptions{})

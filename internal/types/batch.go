@@ -18,14 +18,21 @@ package types
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 )
 
 // ErrCorruptBatch marks bytes that are not a well-formed batch encoding.
 var ErrCorruptBatch = errors.New("types: corrupt batch")
 
-func corrupt(what string) error { return fmt.Errorf("%w: %s", ErrCorruptBatch, what) }
+// corruptError is an ErrCorruptBatch naming what was malformed. It is built
+// without fmt, so rejecting hostile bytes costs one allocation, the same
+// every time.
+type corruptError string
+
+func (e corruptError) Error() string { return ErrCorruptBatch.Error() + ": " + string(e) }
+func (e corruptError) Unwrap() error { return ErrCorruptBatch }
+
+func corrupt(what string) error { return corruptError(what) }
 
 // colMixed tags a column encoded value by value, each with its own type.
 const colMixed byte = 0xFF

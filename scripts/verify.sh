@@ -74,11 +74,13 @@ cov_floor internal/events 92.0
 cov_floor internal/exec 85.0
 cov_floor internal/core 85.0
 
-echo "== fuzz smoke (FuzzParse, FuzzDecodeBatch, FuzzWireStream, FuzzDecodeShuffle; 10s each)"
+echo "== fuzz smoke (FuzzParse, FuzzDecodeBatch, FuzzWireStream, FuzzDecodePlan, FuzzDecodeShuffle, FuzzDecodePayload; 10s each)"
 go test -fuzz=FuzzParse -fuzztime=10s -run='^$' ./internal/sqlparser
 go test -fuzz=FuzzDecodeBatch -fuzztime=10s -run='^$' ./internal/types
 go test -fuzz=FuzzWireStream -fuzztime=10s -run='^$' ./internal/transport
+go test -fuzz=FuzzDecodePlan -fuzztime=10s -run='^$' ./internal/plan
 go test -fuzz=FuzzDecodeShuffle -fuzztime=10s -run='^$' ./internal/cluster
+go test -fuzz=FuzzDecodePayload -fuzztime=10s -run='^$' ./internal/cluster
 
 # The TCP wire transport must be semantically invisible: the transport
 # conformance battery runs against both fabrics inside the transport package,
