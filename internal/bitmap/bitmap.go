@@ -14,6 +14,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+
+	"repro/internal/types"
 )
 
 const wordBits = 64
@@ -241,19 +243,18 @@ func (b *Bitmap) Marshal() []byte {
 }
 
 // Unmarshal parses the form produced by Marshal.
-func Unmarshal(data []byte) (*Bitmap, error) {
-	n, off := binary.Uvarint(data)
-	if off <= 0 {
-		return nil, fmt.Errorf("bitmap: bad header")
-	}
-	b := New(int(n))
-	if len(data)-off != 8*len(b.words) {
-		return nil, fmt.Errorf("bitmap: want %d payload bytes, have %d", 8*len(b.words), len(data)-off)
+func Unmarshal(data []byte) (*Bitmap, error) { return types.ReadAll(data, Read) }
+
+// Read reads the form produced by Marshal.
+func Read(r *types.Reader) *Bitmap {
+	b := New(r.BitLen())
+	p := r.Next(8 * len(b.words))
+	if p == nil {
+		return nil
 	}
 	for i := range b.words {
-		b.words[i] = binary.LittleEndian.Uint64(data[off:])
-		off += 8
+		b.words[i] = binary.LittleEndian.Uint64(p[i*8:])
 	}
 	b.clearTail()
-	return b, nil
+	return b
 }

@@ -2,7 +2,8 @@ package bitmap
 
 import (
 	"encoding/binary"
-	"fmt"
+
+	"repro/internal/types"
 )
 
 // Compressed is an RLE-compressed bitmap, the parked form used by the
@@ -75,42 +76,38 @@ func Compress(b *Bitmap) *Compressed {
 // Decompress expands the RLE form back to a dense bitmap.
 func (c *Compressed) Decompress() (*Bitmap, error) {
 	b := New(c.n)
-	data := c.data
+	r := types.NewReader(c.data)
 	wi := 0
-	for len(data) > 0 {
-		hdr, off := binary.Uvarint(data)
-		if off <= 0 {
-			return nil, fmt.Errorf("bitmap: corrupt compressed run header")
+	for len(r.Rest()) > 0 {
+		hdr := r.Uvarint()
+		if hdr>>2 > uint64(len(b.words)-wi) {
+			r.Fail("compressed run overflows the bitmap")
+			break
 		}
-		data = data[off:]
 		count := int(hdr >> 2)
-		kind := hdr & 0b11
-		if wi+count > len(b.words) {
-			return nil, fmt.Errorf("bitmap: compressed run overflows %d words", len(b.words))
-		}
-		switch kind {
+		switch hdr & 0b11 {
 		case runZeros:
-			wi += count // words are already zero
+			// words are already zero
 		case runOnes:
-			for k := 0; k < count; k++ {
-				b.words[wi] = ^uint64(0)
-				wi++
+			for k := wi; k < wi+count; k++ {
+				b.words[k] = ^uint64(0)
 			}
 		case runLiteral:
-			if len(data) < 8*count {
-				return nil, fmt.Errorf("bitmap: truncated literal run")
-			}
-			for k := 0; k < count; k++ {
-				b.words[wi] = binary.LittleEndian.Uint64(data)
-				data = data[8:]
-				wi++
+			if p := r.Next(8 * count); p != nil {
+				for k := range count {
+					b.words[wi+k] = binary.LittleEndian.Uint64(p[8*k:])
+				}
 			}
 		default:
-			return nil, fmt.Errorf("bitmap: unknown run kind %d", kind)
+			r.Fail("unknown compressed run kind")
 		}
+		wi += count
 	}
-	if wi != len(b.words) {
-		return nil, fmt.Errorf("bitmap: compressed form covers %d of %d words", wi, len(b.words))
+	if r.Err() == nil && wi != len(b.words) {
+		r.Fail("compressed form does not cover the bitmap")
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	b.clearTail()
 	return b, nil

@@ -6,9 +6,10 @@ package bloom
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"math"
+
+	"repro/internal/types"
 )
 
 // Filter is a fixed-size bloom filter with k hash functions derived from
@@ -92,24 +93,21 @@ func (f *Filter) Marshal() []byte {
 }
 
 // Unmarshal parses the form produced by Marshal.
-func Unmarshal(data []byte) (*Filter, error) {
-	m, off := binary.Uvarint(data)
-	if off <= 0 || m == 0 || m%64 != 0 {
-		return nil, fmt.Errorf("bloom: bad bit count")
+func Unmarshal(data []byte) (*Filter, error) { return types.ReadAll(data, Read) }
+
+// Read reads the form produced by Marshal.
+func Read(r *types.Reader) *Filter {
+	m, k := r.BitLen(), r.Uvarint()
+	if m == 0 || m%64 != 0 || k == 0 || k > 64 {
+		r.Fail("bad bloom filter shape")
 	}
-	data = data[off:]
-	k, off := binary.Uvarint(data)
-	if off <= 0 || k == 0 || k > 64 {
-		return nil, fmt.Errorf("bloom: bad hash count")
+	p := r.Next(m / 8)
+	if p == nil {
+		return nil
 	}
-	data = data[off:]
-	words := int(m / 64)
-	if len(data) < words*8 {
-		return nil, fmt.Errorf("bloom: truncated filter")
-	}
-	f := &Filter{bits: make([]uint64, words), m: m, k: uint32(k)}
+	f := &Filter{bits: make([]uint64, m/64), m: uint64(m), k: uint32(k)}
 	for i := range f.bits {
-		f.bits[i] = binary.LittleEndian.Uint64(data[i*8:])
+		f.bits[i] = binary.LittleEndian.Uint64(p[i*8:])
 	}
-	return f, nil
+	return f
 }

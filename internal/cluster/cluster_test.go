@@ -460,11 +460,11 @@ func TestGobSpillRoundTrip(t *testing.T) {
 		Rows:   [][]types.Value{{types.NewInt(1), types.NewString("s")}},
 		Groups: g,
 	}
-	data, err := encodeResult(r)
+	data, err := exec.AppendResult(nil, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeResult(data)
+	got, err := types.ReadAll(data, exec.ReadResult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestGobSpillRoundTrip(t *testing.T) {
 	if got.Groups == nil || got.Groups.M[exec.GroupKey(grp.Keys)].Cells[0].Count != 1 {
 		t.Errorf("groups = %+v", got.Groups)
 	}
-	if _, err := decodeResult([]byte("junk")); err == nil {
+	if _, err := types.ReadAll([]byte("junk"), exec.ReadResult); err == nil {
 		t.Error("junk spill should fail")
 	}
 }

@@ -12,7 +12,7 @@ package cluster
 //
 // Decoders read untrusted bytes through a types.Reader: every count is
 // checked against the bytes present before anything is allocated, and
-// corrupt input yields an error wrapping types.ErrCorruptBatch. Nothing a
+// corrupt input yields an error wrapping types.ErrCorrupt. Nothing a
 // decoder returns aliases its input. The payload round-trip conformance test
 // (codec_test.go) walks the registry, so registering a message type here is
 // what puts it under test.
@@ -64,15 +64,13 @@ func init() {
 }
 
 // unpack turns a message reader into a transport decoder: the message must
-// use every byte.
+// use every byte. It is types.ReadAll written out, which keeps the Reader
+// off the heap.
 func unpack[M any](read func(*types.Reader) M) func([]byte) (any, error) {
 	return func(b []byte) (any, error) {
 		r := types.NewReader(b)
 		m := read(&r)
-		if r.Err() == nil && len(r.Rest()) != 0 {
-			r.Fail("trailing bytes after message")
-		}
-		if err := r.Err(); err != nil {
+		if err := r.End(); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -298,11 +296,7 @@ func readShuffleMsg(r *types.Reader) shuffleMsg {
 	for i := range m.Parts {
 		p := &m.Parts[i]
 		p.Partition, p.Size = r.Int(), r.Varint()
-		p.Rows = r.Rows()
-		r.Decode(func(b []byte) (rest []byte, err error) {
-			p.Groups, rest, err = exec.DecodeGroups(b)
-			return rest, err
-		})
+		p.Rows, p.Groups = r.Rows(), exec.ReadGroups(r)
 	}
 	return m
 }
@@ -415,15 +409,11 @@ func appendResult(b []byte, res *exec.TaskResult) ([]byte, error) {
 	return exec.AppendResult(append(b, 1), res)
 }
 
-func readResult(r *types.Reader) (res *exec.TaskResult) {
+func readResult(r *types.Reader) *exec.TaskResult {
 	if !r.Bool() {
 		return nil
 	}
-	r.Decode(func(b []byte) (rest []byte, err error) {
-		res, rest, err = exec.ReadResult(b)
-		return rest, err
-	})
-	return res
+	return exec.ReadResult(r)
 }
 
 func appendInts[T ~int | ~int64](b []byte, s []T) []byte {

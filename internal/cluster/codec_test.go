@@ -8,9 +8,11 @@ package cluster
 // unexported fields outright unless the type provides its own GobEncoder.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -19,6 +21,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/plan"
+	"repro/internal/sim"
 	"repro/internal/sqlparser"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -516,7 +519,7 @@ func FuzzDecodeShuffle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := decode(data)
 		if err != nil {
-			if !errors.Is(err, types.ErrCorruptBatch) {
+			if !errors.Is(err, types.ErrCorrupt) {
 				t.Fatalf("untyped error: %v", err)
 			}
 			return
@@ -578,7 +581,7 @@ func FuzzDecodePayload(f *testing.F) {
 		data = append([]byte{tags[int(data[0])%len(tags)]}, data[1:]...) // the input is the engine's: not modified in place
 		v, err := transport.DecodePayload(data)
 		if err != nil {
-			if !errors.Is(err, types.ErrCorruptBatch) {
+			if !errors.Is(err, types.ErrCorrupt) {
 				t.Fatalf("untyped error: %v", err)
 			}
 			return
@@ -653,6 +656,58 @@ func TestPackedPlanMessagesDecodeCheaply(t *testing.T) {
 		t.Logf("%s: %d bytes, %.0f allocations to decode", tc.name, len(b), allocs)
 		if allocs > tc.budget {
 			t.Errorf("%s decodes in %.0f allocations, want <= %.0f", tc.name, allocs, tc.budget)
+		}
+	}
+}
+
+// pinnedMessages are fixed packed messages with varied contents: every
+// column layout, NULLs, a group with a float sum, an optional result, a
+// failed task. Their bytes are the wire form of CodecVersion 9: a decoder
+// may move, but these bytes may not change without a version bump.
+func pinnedMessages() map[string]transport.Packer {
+	g := exec.NewGroups(1)
+	grp := g.Get([]types.Value{types.NewString("k")})
+	grp.Cells[0].Update(types.NewFloat(2.5), false)
+	return map[string]transport.Packer{
+		"shuffleMsg": shuffleMsg{Exchange: "q1/shuffle", QueryID: "q1", Side: shuffleSideProbe, Ordinal: 3, Attempt: 1,
+			Parts: []shufflePart{
+				{Partition: 0, Size: 42, Rows: [][]types.Value{
+					{types.NewInt(7), types.NewString("a"), types.NullValue()},
+					{types.NewInt(-300), types.NewString(""), types.NewFloat(1.5)},
+				}},
+				{Partition: 2, Size: 9, Groups: []exec.Group{{Keys: []types.Value{types.NewString("k"), types.NewBool(true)},
+					Cells: []exec.Cell{{Count: 2, SumI: 10, SumF: 0.5, Float: true, Min: types.NewInt(1), Max: types.NewInt(9)}}}}},
+			}},
+		"batchReply": batchReply{Tasks: []taskReply{
+			{Status: taskStatus{OK: true, Leaf: "leaf0", SimTime: 1500, ScanSim: 900, DevBytes: sim.DeviceBytes{4096}, Rows: 1,
+				TransferSim: []time.Duration{5}, PartBytes: []int64{}},
+				Result: &exec.TaskResult{Rows: [][]types.Value{{types.NewString("x")}, nil, {}},
+					Stats: exec.ScanStats{BlocksTotal: 4, RowsScanned: 100, RowsEmitted: 1}}, Size: 64},
+			{Status: taskStatus{Err: "boom", Leaf: "leaf1", Unreachable: true},
+				Result: &exec.TaskResult{Groups: g}, SpillPath: "/spill/x", Size: 1 << 20},
+		}},
+	}
+}
+
+func TestPinnedWireBytes(t *testing.T) {
+	want := map[string]string{
+		"shuffleMsg": "050a71312f73687566666c650271310570726f626506020300540300030100020700d4fe04000100610201010000000000000000000000000000f83f000412000202010400016b0300010102010a01000000000000e03f010100010101000109",
+		"batchReply": "02030100056c65616630b817880e8040000000000200020a0101080000000000c801000200040102000104000178000080010004626f6f6d056c65616631000000000000000001000001000000000000000000000001020201010400016b01010100010000000000000440010200000000000000044002000000000000000440082f7370696c6c2f7880808001",
+	}
+	for name, m := range pinnedMessages() {
+		b, err := transport.EncodePayload(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b); got != want[name] {
+			t.Errorf("%s: wire bytes changed:\n got %s\nwant %s", name, got, want[name])
+		}
+		back, err := transport.DecodePayload(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again, err := transport.EncodePayload(back); err != nil || !bytes.Equal(again, b) {
+			t.Errorf("%s: decoded message re-encodes differently (%v)", name, err)
 		}
 	}
 }

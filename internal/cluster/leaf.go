@@ -167,7 +167,7 @@ func (l *LeafServer) runTask(ctx context.Context, b *taskBatch, i int, reply *ta
 	reply.Result, reply.Size = res, res.EstimateBytes()
 	if l.SpillThreshold > 0 && reply.Size > l.SpillThreshold && l.Router != nil {
 		l.Spills.Inc()
-		data, err := encodeResult(res)
+		data, err := exec.AppendResult(nil, res)
 		if err != nil {
 			return err
 		}

@@ -137,19 +137,19 @@ func TestTaskLifecycleCharacterisation(t *testing.T) {
 // reads costs one 8 ms HDD seek after the footer's two (DESIGN.md "One scan
 // path").
 var lifecycleWant = map[string]string{
-	"scatter/clean": `tasks=3 backup=0 failed=0 sim=99017619 scan=96014711 bytes=[hdd:2569] spill=0
+	"scatter/clean": `tasks=3 backup=0 failed=0 sim=99017762 scan=96014854 bytes=[hdd:2594] spill=0
 query/q000001: query.submit query.admitted query.done
 task/q000001#0: task.done
 task/q000001#1: task.done
 task/q000001#2: task.done
 `,
-	"scatter/retried": `tasks=3 backup=1 failed=0 sim=149026448 scan=144022086 bytes=[hdd:2569] spill=0
+	"scatter/retried": `tasks=3 backup=1 failed=0 sim=149026658 scan=144022296 bytes=[hdd:2594] spill=0
 query/q000001: query.submit query.admitted query.done
 task/q000001#0: task.done
 task/q000001#1: task.scheduled task.dispatched task.retry leaf.exec task.collected task.done
 task/q000001#2: task.done
 `,
-	"group-shuffle/clean": `tasks=3 backup=0 failed=0 sim=167248649 scan=160017483 bytes=[hdd:2987] spill=0
+	"group-shuffle/clean": `tasks=3 backup=0 failed=0 sim=167248792 scan=160017626 bytes=[hdd:3012] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
@@ -158,7 +158,7 @@ task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#1: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
-	"group-shuffle/retried": `tasks=3 backup=1 failed=0 sim=247257420 scan=240026254 bytes=[hdd:2987] spill=0
+	"group-shuffle/retried": `tasks=3 backup=1 failed=0 sim=247257630 scan=240026464 bytes=[hdd:3012] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
@@ -167,7 +167,7 @@ task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#1: task.scheduled task.dispatched task.retry shuffle.commit shuffle.commit shuffle.map task.collected task.done
 task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
-	"repartition-join/clean": `tasks=3 backup=0 failed=0 sim=135059435 scan=128016676 bytes=[hdd:2913] spill=0
+	"repartition-join/clean": `tasks=3 backup=0 failed=0 sim=135059569 scan=128016810 bytes=[hdd:2940] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
@@ -176,7 +176,7 @@ task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#1: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
-	"repartition-join/retried": `tasks=3 backup=1 failed=0 sim=215068180 scan=208025421 bytes=[hdd:2913] spill=0
+	"repartition-join/retried": `tasks=3 backup=1 failed=0 sim=215068406 scan=208025647 bytes=[hdd:2940] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce

@@ -359,10 +359,7 @@ func (s *routerSpillStore) Read(handle string) ([][]types.Value, int64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: shuffle spill read %s: %w", handle, err)
 	}
-	rows, rest, err := types.DecodeRows(data)
-	if err == nil && len(rest) != 0 {
-		err = fmt.Errorf("%w: %d trailing bytes", types.ErrCorruptBatch, len(rest))
-	}
+	rows, err := types.ReadAll(data, (*types.Reader).Rows)
 	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: decode shuffle spill %s: %w", handle, err)
 	}

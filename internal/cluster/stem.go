@@ -16,6 +16,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/transport"
+	"repro/internal/types"
 )
 
 // StemServer is an internal node of the execution tree: it sends each leaf
@@ -200,8 +201,8 @@ func (s *StemServer) collect(ctx context.Context, leaf string, reply taskReply, 
 			st.Err = fmt.Sprintf("fetch spill %s: %v", reply.SpillPath, err)
 			return nil
 		}
-		if res, err = decodeResult(data); err != nil {
-			st.Err = err.Error()
+		if res, err = types.ReadAll(data, exec.ReadResult); err != nil {
+			st.Err = fmt.Sprintf("decode spill %s: %v", reply.SpillPath, err)
 			return nil
 		}
 		st.SimTime += bill.Time()

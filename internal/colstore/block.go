@@ -3,6 +3,7 @@ package colstore
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/bitmap"
 	"repro/internal/encoding"
@@ -160,7 +161,6 @@ type ColExtent struct {
 	Len int64
 	// CRC is the IEEE CRC-32 of the payload bytes, letting range readers
 	// detect corrupt returns from a faulty storage tier before decoding.
-	// 0 means "not recorded" (files written before checksums existed).
 	CRC uint32
 }
 
@@ -170,40 +170,10 @@ func (b *Block) Marshal() ([]byte, []ColExtent, error) {
 	b.finish()
 	payloads := make([][]byte, len(b.Columns))
 	for i, col := range b.Columns {
-		var p []byte
-		if col.Nulls != nil {
-			nb := col.Nulls.Marshal()
-			p = append(p, 1)
-			p = binary.AppendUvarint(p, uint64(len(nb)))
-			p = append(p, nb...)
-		} else {
-			p = append(p, 0)
+		var err error
+		if payloads[i], err = appendColumn(nil, col); err != nil {
+			return nil, nil, err
 		}
-		if col.Offsets != nil {
-			offs := make([]int64, len(col.Offsets))
-			for j, o := range col.Offsets {
-				offs[j] = int64(o)
-			}
-			p = append(p, 1)
-			enc := encoding.EncodeInt64s(offs)
-			p = binary.AppendUvarint(p, uint64(len(enc)))
-			p = append(p, enc...)
-		} else {
-			p = append(p, 0)
-		}
-		switch col.Type {
-		case types.Int64:
-			p = append(p, encoding.EncodeInt64s(col.Ints)...)
-		case types.Float64:
-			p = append(p, encoding.EncodeFloat64s(col.Floats)...)
-		case types.Bool:
-			p = append(p, encoding.EncodeBools(col.Bools)...)
-		case types.String:
-			p = append(p, encoding.EncodeStrings(col.Strs)...)
-		default:
-			return nil, nil, fmt.Errorf("colstore: cannot serialize column type %s", col.Type)
-		}
-		payloads[i] = p
 	}
 	out := binary.AppendUvarint(nil, uint64(b.NumRows))
 	out = binary.AppendUvarint(out, uint64(len(b.Columns)))
@@ -218,116 +188,112 @@ func (b *Block) Marshal() ([]byte, []ColExtent, error) {
 	return out, extents, nil
 }
 
+// appendColumn appends one column's payload.
+func appendColumn(p []byte, col *Column) ([]byte, error) {
+	p = types.AppendBool(p, col.Nulls != nil)
+	if col.Nulls != nil {
+		nb := col.Nulls.Marshal()
+		p = append(binary.AppendUvarint(p, uint64(len(nb))), nb...)
+	}
+	p = types.AppendBool(p, col.Offsets != nil)
+	if col.Offsets != nil {
+		offs := make([]int64, len(col.Offsets))
+		for j, o := range col.Offsets {
+			offs[j] = int64(o)
+		}
+		enc := encoding.EncodeInt64s(offs)
+		p = append(binary.AppendUvarint(p, uint64(len(enc))), enc...)
+	}
+	switch col.Type {
+	case types.Int64:
+		return append(p, encoding.EncodeInt64s(col.Ints)...), nil
+	case types.Float64:
+		return append(p, encoding.EncodeFloat64s(col.Floats)...), nil
+	case types.Bool:
+		return append(p, encoding.EncodeBools(col.Bools)...), nil
+	case types.String:
+		return append(p, encoding.EncodeStrings(col.Strs)...), nil
+	}
+	return nil, fmt.Errorf("colstore: cannot serialize column type %s", col.Type)
+}
+
 // UnmarshalBlock parses a serialized block. When wantCols is non-nil, only
 // the listed column ordinals are decoded (column pruning); other columns are
 // left as empty placeholders of the right type.
 func UnmarshalBlock(schema *types.Schema, data []byte, wantCols []int) (*Block, error) {
-	numRows, off := binary.Uvarint(data)
-	if off <= 0 {
-		return nil, fmt.Errorf("colstore: bad block header")
+	r := types.NewReader(data)
+	numRows := r.Uvarint()
+	if numRows > math.MaxInt32 || r.Uvarint() != uint64(schema.Len()) {
+		r.Fail("block header does not fit the schema")
 	}
-	data = data[off:]
-	numCols, off := binary.Uvarint(data)
-	if off <= 0 {
-		return nil, fmt.Errorf("colstore: bad block column count")
-	}
-	data = data[off:]
-	if int(numCols) != schema.Len() {
-		return nil, fmt.Errorf("colstore: block has %d columns, schema has %d", numCols, schema.Len())
-	}
-	sizes := make([]int, numCols)
+	sizes := make([]int, schema.Len())
 	for i := range sizes {
-		s, off := binary.Uvarint(data)
-		if off <= 0 {
-			return nil, fmt.Errorf("colstore: bad block directory")
-		}
-		sizes[i] = int(s)
-		data = data[off:]
+		sizes[i] = r.Len(1)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	want := make(map[int]bool, len(wantCols))
 	for _, c := range wantCols {
 		want[c] = true
 	}
-	b := &Block{Schema: schema, NumRows: int(numRows), Columns: make([]*Column, numCols)}
-	for i := 0; i < int(numCols); i++ {
-		if len(data) < sizes[i] {
-			return nil, fmt.Errorf("colstore: truncated column %d", i)
-		}
-		payload := data[:sizes[i]]
-		data = data[sizes[i]:]
+	b := &Block{Schema: schema, NumRows: int(numRows), Columns: make([]*Column, len(sizes))}
+	for i, size := range sizes {
+		payload := r.Next(size)
 		if wantCols != nil && !want[i] {
 			b.Columns[i] = NewColumn(schema.Fields[i].Type)
 			continue
 		}
-		col, err := unmarshalColumn(schema.Fields[i].Type, payload)
+		col, err := DecodeColumn(schema.Fields[i].Type, payload)
 		if err != nil {
 			return nil, fmt.Errorf("colstore: column %d (%s): %w", i, schema.Fields[i].Name, err)
 		}
 		b.Columns[i] = col
 	}
-	return b, nil
+	return b, r.End()
 }
 
 // DecodeColumn parses one column payload (located by its footer extent)
 // without touching the rest of the block.
 func DecodeColumn(t types.Type, payload []byte) (*Column, error) {
-	return unmarshalColumn(t, payload)
+	r := types.NewReader(payload)
+	col := readColumn(&r, t)
+	if err := r.End(); err != nil {
+		return nil, err
+	}
+	return col, nil
 }
 
-func unmarshalColumn(t types.Type, p []byte) (*Column, error) {
+func readColumn(r *types.Reader, t types.Type) *Column {
 	col := NewColumn(t)
-	if len(p) == 0 {
-		return nil, fmt.Errorf("empty payload")
+	if r.Bool() {
+		part := r.Sub(int(r.Uvarint()))
+		col.Nulls = bitmap.Read(&part)
+		r.Close(&part)
 	}
-	hasNulls := p[0]
-	p = p[1:]
-	if hasNulls == 1 {
-		l, off := binary.Uvarint(p)
-		if off <= 0 || len(p)-off < int(l) {
-			return nil, fmt.Errorf("truncated null bitmap")
-		}
-		nb, err := bitmap.Unmarshal(p[off : off+int(l)])
-		if err != nil {
-			return nil, err
-		}
-		col.Nulls = nb
-		p = p[off+int(l):]
-	}
-	if len(p) == 0 {
-		return nil, fmt.Errorf("missing offsets flag")
-	}
-	hasOffsets := p[0]
-	p = p[1:]
-	if hasOffsets == 1 {
-		l, off := binary.Uvarint(p)
-		if off <= 0 || len(p)-off < int(l) {
-			return nil, fmt.Errorf("truncated offsets")
-		}
-		offs, err := encoding.DecodeInt64s(p[off : off+int(l)])
-		if err != nil {
-			return nil, err
-		}
+	if r.Bool() {
+		part := r.Sub(int(r.Uvarint()))
+		offs := encoding.ReadInt64s(&part)
+		r.Close(&part)
 		col.Offsets = make([]int32, len(offs))
 		for i, o := range offs {
 			col.Offsets[i] = int32(o)
 		}
-		p = p[off+int(l):]
 	}
-	var err error
 	switch t {
 	case types.Int64:
-		col.Ints, err = encoding.DecodeInt64s(p)
+		col.Ints = encoding.ReadInt64s(r)
 	case types.Float64:
-		col.Floats, err = encoding.DecodeFloat64s(p)
+		col.Floats = encoding.ReadFloat64s(r)
 	case types.Bool:
-		col.Bools, err = encoding.DecodeBools(p)
+		col.Bools = encoding.ReadBools(r)
 	case types.String:
-		col.Strs, err = encoding.DecodeStrings(p)
+		col.Strs = encoding.ReadStrings(r)
 	default:
-		err = fmt.Errorf("unsupported type %s", t)
+		r.Fail("unsupported column type")
 	}
-	if err != nil {
-		return nil, err
+	if col.Nulls != nil && col.Nulls.Len() != col.Len() {
+		r.Fail("null bitmap and values differ in length")
 	}
-	return col, nil
+	return col
 }

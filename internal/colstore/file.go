@@ -12,39 +12,46 @@ import (
 	"repro/internal/types"
 )
 
-// ErrChecksum reports a column payload whose bytes do not match the CRC
-// recorded in the footer — a corrupt read from the storage tier. Callers
-// treat it as a retryable read failure (a replica or retry may be clean).
-var ErrChecksum = errors.New("colstore: column checksum mismatch")
+// ErrChecksum reports bytes that do not match the CRC recorded for them — a
+// column payload against its footer extent, or the footer against the file
+// tail: a corrupt read from the storage tier. Callers treat it as a
+// retryable read failure (a replica or retry may be clean).
+var ErrChecksum = errors.New("colstore: checksum mismatch")
 
 // VerifyExtent checks payload bytes against the extent's recorded CRC.
-// Extents with CRC 0 (pre-checksum files) are accepted unverified.
-func VerifyExtent(e ColExtent, payload []byte) error {
-	if e.CRC == 0 {
-		return nil
-	}
-	if got := crc32.ChecksumIEEE(payload); got != e.CRC {
-		return fmt.Errorf("%w: got %08x want %08x", ErrChecksum, got, e.CRC)
+func VerifyExtent(e ColExtent, payload []byte) error { return verify(payload, e.CRC) }
+
+func verify(b []byte, want uint32) error {
+	if got := crc32.ChecksumIEEE(b); got != want {
+		return fmt.Errorf("%w: got %08x want %08x", ErrChecksum, got, want)
 	}
 	return nil
 }
 
 // File format:
 //
-//	magic "FEISU1\n"
+//	magic "FEISU2\n"
 //	block payloads, back to back
 //	footer:
-//	  schema: uvarint nFields, per field: name, type byte, repeated byte
-//	  uvarint nBlocks, per block: uvarint offset, size, numRows,
-//	    per column: stats (min value, max value, uvarint nullCount)
-//	uint32 footerLen (little-endian)
-//	magic tail "FSU1"
+//	  schema (types.AppendSchema): uvarint nFields, per field: name, type
+//	    byte, repeated byte
+//	  uvarint nBlocks, per block: uvarint offset, size, numRows, then per
+//	    column: min and max value (types.AppendValue), uvarint nullCount,
+//	    uvarint extent offset, length and CRC, bloom flag byte, and when set
+//	    a uvarint length and the bloom filter (bloom.Marshal)
+//	tail (FooterTailLen bytes):
+//	  uint32 footerLen, uint32 footer CRC-32 (both little-endian)
+//	  magic "FSU2"
 //
-// Values in stats are serialized as: type byte + payload.
+// Every part of a file a reader decodes is checksummed: each column payload
+// by its extent's CRC, the footer by the tail's. Readers decode through a
+// types.Reader, so malformed bytes that pass a checksum still fail with an
+// error wrapping types.ErrCorrupt, never a panic or an allocation the input
+// cannot pay for.
 
-var (
-	fileMagic = []byte("FEISU1\n")
-	tailMagic = []byte("FSU1")
+const (
+	fileMagic = "FEISU2\n"
+	tailMagic = "FSU2"
 )
 
 // BlockMeta locates one block inside a partition file and carries its
@@ -65,63 +72,6 @@ type FileMeta struct {
 	Blocks []BlockMeta
 }
 
-func appendValue(dst []byte, v types.Value) []byte {
-	dst = append(dst, byte(v.T))
-	switch v.T {
-	case types.Null:
-	case types.Int64:
-		dst = binary.AppendUvarint(dst, uint64(v.I))
-	case types.Float64:
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
-	case types.Bool:
-		if v.B {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-	case types.String:
-		dst = binary.AppendUvarint(dst, uint64(len(v.S)))
-		dst = append(dst, v.S...)
-	}
-	return dst
-}
-
-func readValue(p []byte) (types.Value, []byte, error) {
-	if len(p) == 0 {
-		return types.Value{}, nil, fmt.Errorf("colstore: truncated value")
-	}
-	t := types.Type(p[0])
-	p = p[1:]
-	switch t {
-	case types.Null:
-		return types.NullValue(), p, nil
-	case types.Int64:
-		u, off := binary.Uvarint(p)
-		if off <= 0 {
-			return types.Value{}, nil, fmt.Errorf("colstore: truncated int value")
-		}
-		return types.NewInt(int64(u)), p[off:], nil
-	case types.Float64:
-		if len(p) < 8 {
-			return types.Value{}, nil, fmt.Errorf("colstore: truncated float value")
-		}
-		return types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(p))), p[8:], nil
-	case types.Bool:
-		if len(p) < 1 {
-			return types.Value{}, nil, fmt.Errorf("colstore: truncated bool value")
-		}
-		return types.NewBool(p[0] == 1), p[1:], nil
-	case types.String:
-		l, off := binary.Uvarint(p)
-		if off <= 0 || uint64(len(p)-off) < l {
-			return types.Value{}, nil, fmt.Errorf("colstore: truncated string value")
-		}
-		return types.NewString(string(p[off : off+int(l)])), p[off+int(l):], nil
-	default:
-		return types.Value{}, nil, fmt.Errorf("colstore: bad value type %d", t)
-	}
-}
-
 // Writer accumulates rows into blocks and produces a serialized partition
 // file. The zero value is not usable; call NewWriter.
 type Writer struct {
@@ -138,7 +88,7 @@ func NewWriter(schema *types.Schema, rowsPerBlock int) *Writer {
 		rowsPerBlock = 4096
 	}
 	w := &Writer{schema: schema, rowsPerBlock: rowsPerBlock, cur: NewBlock(schema)}
-	w.buf.Write(fileMagic)
+	w.buf.WriteString(fileMagic)
 	return w
 }
 
@@ -193,53 +143,38 @@ func (w *Writer) flushBlock() error {
 	return nil
 }
 
-// Finish flushes the last block, appends the footer and returns the complete
-// file contents. The writer must not be reused afterwards.
+// Finish flushes the last block, appends the footer and its tail, and
+// returns the complete file contents. The writer must not be reused
+// afterwards.
 func (w *Writer) Finish() ([]byte, error) {
 	if err := w.flushBlock(); err != nil {
 		return nil, err
 	}
-	footer := w.marshalFooter()
+	footer := appendFooter(nil, &FileMeta{Schema: w.schema, Blocks: w.blocks})
 	w.buf.Write(footer)
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(footer)))
-	w.buf.Write(lenBuf[:])
-	w.buf.Write(tailMagic)
+	tail := binary.LittleEndian.AppendUint32(nil, uint32(len(footer)))
+	tail = binary.LittleEndian.AppendUint32(tail, crc32.ChecksumIEEE(footer))
+	w.buf.Write(append(tail, tailMagic...))
 	return w.buf.Bytes(), nil
 }
 
-func (w *Writer) marshalFooter() []byte {
-	var f []byte
-	f = binary.AppendUvarint(f, uint64(w.schema.Len()))
-	for _, fd := range w.schema.Fields {
-		f = binary.AppendUvarint(f, uint64(len(fd.Name)))
-		f = append(f, fd.Name...)
-		f = append(f, byte(fd.Type))
-		if fd.Repeated {
-			f = append(f, 1)
-		} else {
-			f = append(f, 0)
-		}
-	}
-	f = binary.AppendUvarint(f, uint64(len(w.blocks)))
-	for _, bm := range w.blocks {
+func appendFooter(f []byte, m *FileMeta) []byte {
+	f = types.AppendSchema(f, m.Schema)
+	f = binary.AppendUvarint(f, uint64(len(m.Blocks)))
+	for _, bm := range m.Blocks {
 		f = binary.AppendUvarint(f, uint64(bm.Offset))
 		f = binary.AppendUvarint(f, uint64(bm.Size))
 		f = binary.AppendUvarint(f, uint64(bm.Stats.NumRows))
 		for ci, cs := range bm.Stats.Columns {
-			f = appendValue(f, cs.Min)
-			f = appendValue(f, cs.Max)
+			f = types.AppendValue(types.AppendValue(f, cs.Min), cs.Max)
 			f = binary.AppendUvarint(f, uint64(cs.NullCount))
 			f = binary.AppendUvarint(f, uint64(bm.ColExtents[ci].Off))
 			f = binary.AppendUvarint(f, uint64(bm.ColExtents[ci].Len))
 			f = binary.AppendUvarint(f, uint64(bm.ColExtents[ci].CRC))
+			f = types.AppendBool(f, cs.Bloom != nil)
 			if cs.Bloom != nil {
 				bf := cs.Bloom.Marshal()
-				f = append(f, 1)
-				f = binary.AppendUvarint(f, uint64(len(bf)))
-				f = append(f, bf...)
-			} else {
-				f = append(f, 0)
+				f = append(binary.AppendUvarint(f, uint64(len(bf))), bf...)
 			}
 		}
 	}
@@ -248,143 +183,84 @@ func (w *Writer) marshalFooter() []byte {
 
 // ReadMeta parses the footer of a partition file.
 func ReadMeta(data []byte) (*FileMeta, error) {
-	if len(data) < len(fileMagic)+4+len(tailMagic) {
-		return nil, fmt.Errorf("colstore: file too small")
+	body := len(data) - FooterTailLen
+	if body < len(fileMagic) || string(data[:len(fileMagic)]) != fileMagic {
+		return nil, fmt.Errorf("%w: colstore: not a partition file", types.ErrCorrupt)
 	}
-	if !bytes.HasPrefix(data, fileMagic) {
-		return nil, fmt.Errorf("colstore: bad file magic")
+	n, crc, err := ParseFooterTail(data[body:])
+	if err != nil {
+		return nil, err
 	}
-	if !bytes.Equal(data[len(data)-len(tailMagic):], tailMagic) {
-		return nil, fmt.Errorf("colstore: bad tail magic")
+	if n > body-len(fileMagic) {
+		return nil, fmt.Errorf("%w: colstore: footer length %d exceeds the file", types.ErrCorrupt, n)
 	}
-	flenPos := len(data) - len(tailMagic) - 4
-	footerLen := int(binary.LittleEndian.Uint32(data[flenPos:]))
-	if footerLen < 0 || flenPos-footerLen < len(fileMagic) {
-		return nil, fmt.Errorf("colstore: bad footer length %d", footerLen)
-	}
-	meta, err := ParseFooter(data[flenPos-footerLen : flenPos])
+	meta, err := ParseFooter(data[body-n:body], crc)
 	if err != nil {
 		return nil, err
 	}
 	for i, bm := range meta.Blocks {
-		if bm.Offset < int64(len(fileMagic)) || bm.Offset+bm.Size > int64(flenPos-footerLen) {
-			return nil, fmt.Errorf("colstore: block %d out of bounds", i)
+		if bm.Offset < int64(len(fileMagic)) || bm.Size < 0 || bm.Offset+bm.Size > int64(body-n) {
+			return nil, fmt.Errorf("%w: colstore: block %d out of bounds", types.ErrCorrupt, i)
 		}
 	}
 	return meta, nil
 }
 
 // FooterTailLen is the fixed number of trailing bytes holding the footer
-// length and tail magic; remote readers fetch it first, then the footer.
-const FooterTailLen = 4 + 4 // uint32 length + "FSU1"
+// length, its CRC and the tail magic; remote readers fetch it first, then the
+// footer.
+const FooterTailLen = 4 + 4 + len(tailMagic)
 
 // ParseFooterTail validates the trailing FooterTailLen bytes and returns the
-// footer length.
-func ParseFooterTail(tail []byte) (int, error) {
-	if len(tail) != FooterTailLen || !bytes.Equal(tail[4:], tailMagic) {
-		return 0, fmt.Errorf("colstore: bad footer tail")
+// footer's length and CRC.
+func ParseFooterTail(tail []byte) (n int, crc uint32, err error) {
+	if len(tail) != FooterTailLen || string(tail[8:]) != tailMagic {
+		return 0, 0, fmt.Errorf("%w: colstore: bad footer tail", types.ErrCorrupt)
 	}
-	return int(binary.LittleEndian.Uint32(tail)), nil
+	return int(binary.LittleEndian.Uint32(tail)), binary.LittleEndian.Uint32(tail[4:]), nil
 }
 
-// ParseFooter parses the footer bytes alone (no surrounding file needed), as
-// fetched by a range read guided by ParseFooterTail.
-func ParseFooter(f []byte) (*FileMeta, error) {
-	nFields, off := binary.Uvarint(f)
-	if off <= 0 {
-		return nil, fmt.Errorf("colstore: bad footer schema")
+// ParseFooter checks the footer bytes alone (no surrounding file needed), as
+// fetched by a range read guided by ParseFooterTail, against the tail's CRC
+// and parses them.
+func ParseFooter(f []byte, crc uint32) (*FileMeta, error) {
+	if err := verify(f, crc); err != nil {
+		return nil, fmt.Errorf("footer: %w", err)
 	}
-	f = f[off:]
-	fields := make([]types.Field, 0, nFields)
-	for i := uint64(0); i < nFields; i++ {
-		l, off := binary.Uvarint(f)
-		if off <= 0 || uint64(len(f)-off) < l+2 {
-			return nil, fmt.Errorf("colstore: truncated footer field")
-		}
-		name := string(f[off : off+int(l)])
-		f = f[off+int(l):]
-		fields = append(fields, types.Field{Name: name, Type: types.Type(f[0]), Repeated: f[1] == 1})
-		f = f[2:]
-	}
-	schema, err := types.NewSchema(fields...)
-	if err != nil {
-		return nil, fmt.Errorf("colstore: footer schema: %w", err)
-	}
+	return types.ReadAll(f, readFooter)
+}
 
-	nBlocks, off := binary.Uvarint(f)
-	if off <= 0 {
-		return nil, fmt.Errorf("colstore: bad footer block count")
+func readFooter(r *types.Reader) *FileMeta {
+	schema := r.Schema()
+	if schema == nil {
+		return nil
 	}
-	f = f[off:]
-	meta := &FileMeta{Schema: schema, Blocks: make([]BlockMeta, 0, nBlocks)}
-	for i := uint64(0); i < nBlocks; i++ {
-		var bm BlockMeta
-		bm.Ordinal = int(i)
-		vals := make([]uint64, 3)
-		for j := range vals {
-			v, off := binary.Uvarint(f)
-			if off <= 0 {
-				return nil, fmt.Errorf("colstore: truncated block meta")
-			}
-			vals[j] = v
-			f = f[off:]
-		}
-		bm.Offset, bm.Size = int64(vals[0]), int64(vals[1])
-		bm.Stats.NumRows = int(vals[2])
-		bm.Stats.Columns = make([]Stats, schema.Len())
-		bm.ColExtents = make([]ColExtent, schema.Len())
+	ncols := schema.Len()
+	// A block is at least three bytes and each of its columns ten.
+	meta := &FileMeta{Schema: schema, Blocks: make([]BlockMeta, r.Len(3+10*ncols))}
+	for i := range meta.Blocks {
+		bm := &meta.Blocks[i]
+		bm.Ordinal, bm.Offset, bm.Size = i, int64(r.Uvarint()), int64(r.Uvarint())
+		bm.Stats = BlockStats{NumRows: int(r.Uvarint()), Columns: make([]Stats, ncols)}
+		bm.ColExtents = make([]ColExtent, ncols)
 		for c := range bm.Stats.Columns {
-			var cs Stats
-			if cs.Min, f, err = readValue(f); err != nil {
-				return nil, err
+			cs := &bm.Stats.Columns[c]
+			cs.Min, cs.Max, cs.NullCount = r.Value(), r.Value(), int(r.Uvarint())
+			e := &bm.ColExtents[c]
+			e.Off, e.Len = int64(r.Uvarint()), int64(r.Uvarint())
+			crc := r.Uvarint()
+			if crc > math.MaxUint32 {
+				r.Fail("extent checksum exceeds 32 bits")
 			}
-			if cs.Max, f, err = readValue(f); err != nil {
-				return nil, err
+			e.CRC = uint32(crc)
+			if r.Bool() {
+				part := r.Sub(int(r.Uvarint()))
+				cs.Bloom = bloom.Read(&part)
+				r.Close(&part)
 			}
-			nc, off := binary.Uvarint(f)
-			if off <= 0 {
-				return nil, fmt.Errorf("colstore: truncated null count")
-			}
-			cs.NullCount = int(nc)
-			f = f[off:]
-			eo, off := binary.Uvarint(f)
-			if off <= 0 {
-				return nil, fmt.Errorf("colstore: truncated column extent offset")
-			}
-			f = f[off:]
-			el, off := binary.Uvarint(f)
-			if off <= 0 {
-				return nil, fmt.Errorf("colstore: truncated column extent length")
-			}
-			f = f[off:]
-			ec, off := binary.Uvarint(f)
-			if off <= 0 {
-				return nil, fmt.Errorf("colstore: truncated column extent checksum")
-			}
-			f = f[off:]
-			if len(f) == 0 {
-				return nil, fmt.Errorf("colstore: truncated bloom flag")
-			}
-			hasBloom := f[0]
-			f = f[1:]
-			if hasBloom == 1 {
-				bl, off := binary.Uvarint(f)
-				if off <= 0 || uint64(len(f)-off) < bl {
-					return nil, fmt.Errorf("colstore: truncated bloom filter")
-				}
-				filt, err := bloom.Unmarshal(f[off : off+int(bl)])
-				if err != nil {
-					return nil, fmt.Errorf("colstore: %w", err)
-				}
-				cs.Bloom = filt
-				f = f[off+int(bl):]
-			}
-			bm.ColExtents[c] = ColExtent{Off: int64(eo), Len: int64(el), CRC: uint32(ec)}
-			bm.Stats.Columns[c] = cs
 		}
-		meta.Blocks = append(meta.Blocks, bm)
 	}
-	return meta, nil
+	return meta
 }
 
 // ReadBlock decodes block ordinal from the file, decoding only wantCols when
@@ -395,7 +271,7 @@ func ReadBlock(data []byte, meta *FileMeta, ordinal int, wantCols []int) (*Block
 	}
 	bm := meta.Blocks[ordinal]
 	if bm.Offset+bm.Size > int64(len(data)) {
-		return nil, fmt.Errorf("colstore: block %d extends past file", ordinal)
+		return nil, fmt.Errorf("%w: colstore: block %d extends past file", types.ErrCorrupt, ordinal)
 	}
 	return UnmarshalBlock(meta.Schema, data[bm.Offset:bm.Offset+bm.Size], wantCols)
 }

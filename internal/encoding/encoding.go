@@ -10,12 +10,18 @@
 //	float64: plain
 //	bool:    bit-packed
 //	string:  plain (length-prefixed) / dictionary
+//
+// Decoders read a chunk through a types.Reader (Read*), and Decode* reads a
+// whole one. Every count is checked against the bytes present before
+// anything is allocated; a run-length chunk's count, against the sum of its
+// runs, each at most maxRun values.
 package encoding
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
+
+	"repro/internal/types"
 )
 
 // Encoding tags. The tag is the first byte of every encoded chunk.
@@ -88,13 +94,18 @@ func encodeDeltaVarint(vals []int64) []byte {
 	return out
 }
 
+// maxRun is the most values one run stands for; the encoder splits longer
+// runs, so a run-length chunk decodes to at most maxRun values per two bytes
+// of input.
+const maxRun = 1 << 16
+
 func encodeRunLengthInt(vals []int64, runs int) []byte {
 	out := make([]byte, 0, 1+binary.MaxVarintLen64+runs*4)
 	out = append(out, tagRunLengthInt)
 	out = appendUvarint(out, uint64(len(vals)))
 	for i := 0; i < len(vals); {
 		j := i + 1
-		for j < len(vals) && vals[j] == vals[i] {
+		for j < len(vals) && vals[j] == vals[i] && j-i < maxRun {
 			j++
 		}
 		out = appendUvarint(out, uint64(j-i))
@@ -105,60 +116,59 @@ func encodeRunLengthInt(vals []int64, runs int) []byte {
 }
 
 // DecodeInt64s decodes a chunk produced by EncodeInt64s.
-func DecodeInt64s(data []byte) ([]int64, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("encoding: empty int chunk")
-	}
-	tag, data := data[0], data[1:]
-	n, off := binary.Uvarint(data)
-	if off <= 0 {
-		return nil, fmt.Errorf("encoding: bad int chunk length")
-	}
-	data = data[off:]
-	out := make([]int64, 0, n)
-	switch tag {
+func DecodeInt64s(data []byte) ([]int64, error) { return types.ReadAll(data, ReadInt64s) }
+
+// ReadInt64s reads a chunk produced by EncodeInt64s.
+func ReadInt64s(r *types.Reader) []int64 {
+	switch r.Byte() {
 	case tagPlainInt:
-		if len(data) < int(n)*8 {
-			return nil, fmt.Errorf("encoding: truncated plain int chunk")
+		n := r.Len(8)
+		p := r.Next(8 * n)
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = int64(binary.LittleEndian.Uint64(p[i*8:]))
 		}
-		for i := uint64(0); i < n; i++ {
-			out = append(out, int64(binary.LittleEndian.Uint64(data[i*8:])))
-		}
+		return out
 	case tagDeltaVarint:
+		out := make([]int64, r.Len(1))
 		prev := int64(0)
-		for i := uint64(0); i < n; i++ {
-			d, off := binary.Uvarint(data)
-			if off <= 0 {
-				return nil, fmt.Errorf("encoding: truncated delta chunk at %d", i)
-			}
-			data = data[off:]
-			prev += unzigzag(d)
-			out = append(out, prev)
+		for i := range out {
+			prev += unzigzag(r.Uvarint())
+			out[i] = prev
 		}
+		return out
 	case tagRunLengthInt:
-		for uint64(len(out)) < n {
-			cnt, off := binary.Uvarint(data)
-			if off <= 0 {
-				return nil, fmt.Errorf("encoding: truncated RLE count")
-			}
-			data = data[off:]
-			zv, off := binary.Uvarint(data)
-			if off <= 0 {
-				return nil, fmt.Errorf("encoding: truncated RLE value")
-			}
-			data = data[off:]
-			v := unzigzag(zv)
-			if cnt == 0 || uint64(len(out))+cnt > n {
-				return nil, fmt.Errorf("encoding: RLE run overflows chunk")
-			}
-			for k := uint64(0); k < cnt; k++ {
-				out = append(out, v)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("encoding: unexpected int tag %d", tag)
+		return readRuns(r)
 	}
-	return out, nil
+	r.Fail("unknown int encoding")
+	return nil
+}
+
+// readRuns reads a run-length chunk. A run stands for up to maxRun values,
+// so the count is checked against the runs present — they must add up to
+// it — before anything is allocated.
+func readRuns(r *types.Reader) []int64 {
+	n := r.Uvarint()
+	runs := *r
+	for left := n; left > 0 && r.Err() == nil; {
+		c := r.Uvarint()
+		if c == 0 || c > left || c > maxRun {
+			r.Fail("run-length runs do not add up to the count")
+		}
+		left -= c
+		r.Uvarint()
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	out := make([]int64, 0, n)
+	for uint64(len(out)) < n {
+		c, v := runs.Uvarint(), unzigzag(runs.Uvarint())
+		for k := uint64(0); k < c; k++ {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // EncodeFloat64s encodes vals as plain little-endian bits.
@@ -175,23 +185,21 @@ func EncodeFloat64s(vals []float64) []byte {
 }
 
 // DecodeFloat64s decodes a chunk produced by EncodeFloat64s.
-func DecodeFloat64s(data []byte) ([]float64, error) {
-	if len(data) == 0 || data[0] != tagPlainFloat {
-		return nil, fmt.Errorf("encoding: not a float chunk")
+func DecodeFloat64s(data []byte) ([]float64, error) { return types.ReadAll(data, ReadFloat64s) }
+
+// ReadFloat64s reads a chunk produced by EncodeFloat64s.
+func ReadFloat64s(r *types.Reader) []float64 {
+	if r.Byte() != tagPlainFloat {
+		r.Fail("not a float chunk")
+		return nil
 	}
-	n, off := binary.Uvarint(data[1:])
-	if off <= 0 {
-		return nil, fmt.Errorf("encoding: bad float chunk length")
-	}
-	payload := data[1+off:]
-	if len(payload) < int(n)*8 {
-		return nil, fmt.Errorf("encoding: truncated float chunk")
-	}
+	n := r.Len(8)
+	p := r.Next(8 * n)
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
 	}
-	return out, nil
+	return out
 }
 
 // EncodeBools bit-packs vals.
@@ -216,23 +224,21 @@ func EncodeBools(vals []bool) []byte {
 }
 
 // DecodeBools decodes a chunk produced by EncodeBools.
-func DecodeBools(data []byte) ([]bool, error) {
-	if len(data) == 0 || data[0] != tagPackedBool {
-		return nil, fmt.Errorf("encoding: not a bool chunk")
+func DecodeBools(data []byte) ([]bool, error) { return types.ReadAll(data, ReadBools) }
+
+// ReadBools reads a chunk produced by EncodeBools.
+func ReadBools(r *types.Reader) []bool {
+	if r.Byte() != tagPackedBool {
+		r.Fail("not a bool chunk")
+		return nil
 	}
-	n, off := binary.Uvarint(data[1:])
-	if off <= 0 {
-		return nil, fmt.Errorf("encoding: bad bool chunk length")
-	}
-	payload := data[1+off:]
-	if len(payload) < (int(n)+7)/8 {
-		return nil, fmt.Errorf("encoding: truncated bool chunk")
-	}
+	n := r.BitLen()
+	p := r.Next((n + 7) / 8)
 	out := make([]bool, n)
 	for i := range out {
-		out[i] = payload[i/8]&(1<<uint(i%8)) != 0
+		out[i] = p[i/8]&(1<<uint(i%8)) != 0
 	}
-	return out, nil
+	return out
 }
 
 // EncodeStrings encodes vals, choosing dictionary encoding when the column
@@ -291,62 +297,33 @@ func encodeDictString(vals []string) []byte {
 }
 
 // DecodeStrings decodes a chunk produced by EncodeStrings.
-func DecodeStrings(data []byte) ([]string, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("encoding: empty string chunk")
-	}
-	tag, data := data[0], data[1:]
-	n, off := binary.Uvarint(data)
-	if off <= 0 {
-		return nil, fmt.Errorf("encoding: bad string chunk length")
-	}
-	data = data[off:]
-	readStr := func() (string, error) {
-		l, off := binary.Uvarint(data)
-		if off <= 0 || uint64(len(data)-off) < l {
-			return "", fmt.Errorf("encoding: truncated string")
-		}
-		s := string(data[off : off+int(l)])
-		data = data[off+int(l):]
-		return s, nil
-	}
-	out := make([]string, 0, n)
-	switch tag {
+func DecodeStrings(data []byte) ([]string, error) { return types.ReadAll(data, ReadStrings) }
+
+// ReadStrings reads a chunk produced by EncodeStrings.
+func ReadStrings(r *types.Reader) []string {
+	switch r.Byte() {
 	case tagPlainString:
-		for i := uint64(0); i < n; i++ {
-			s, err := readStr()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, s)
+		out := make([]string, r.Len(1))
+		for i := range out {
+			out[i] = r.Str()
 		}
+		return out
 	case tagDictString:
-		dn, off := binary.Uvarint(data)
-		if off <= 0 {
-			return nil, fmt.Errorf("encoding: bad dictionary size")
+		out := make([]string, r.Len(1))
+		dict := make([]string, r.Len(1))
+		for i := range dict {
+			dict[i] = r.Str()
 		}
-		data = data[off:]
-		dict := make([]string, 0, dn)
-		for i := uint64(0); i < dn; i++ {
-			s, err := readStr()
-			if err != nil {
-				return nil, err
+		for i := range out {
+			code := r.Uvarint()
+			if code >= uint64(len(dict)) {
+				r.Fail("dictionary code out of range")
+				return nil
 			}
-			dict = append(dict, s)
+			out[i] = dict[code]
 		}
-		for i := uint64(0); i < n; i++ {
-			idx, off := binary.Uvarint(data)
-			if off <= 0 {
-				return nil, fmt.Errorf("encoding: truncated dict code")
-			}
-			data = data[off:]
-			if idx >= uint64(len(dict)) {
-				return nil, fmt.Errorf("encoding: dict code %d out of range", idx)
-			}
-			out = append(out, dict[idx])
-		}
-	default:
-		return nil, fmt.Errorf("encoding: unexpected string tag %d", tag)
+		return out
 	}
-	return out, nil
+	r.Fail("unknown string encoding")
+	return nil
 }

@@ -46,6 +46,16 @@ func TestInt64RoundTripRLE(t *testing.T) {
 	checkInts(t, vals)
 }
 
+// A run longer than maxRun is written as several, each of which the decoder
+// accepts.
+func TestInt64LongRunSplit(t *testing.T) {
+	vals := make([]int64, 3*maxRun+5)
+	if enc := EncodeInt64s(vals); enc[0] != tagRunLengthInt || len(enc) != 1+3+3*4+2 {
+		t.Errorf("tag %d, %d bytes; want four run-length runs", enc[0], len(enc))
+	}
+	checkInts(t, vals)
+}
+
 func TestInt64Extremes(t *testing.T) {
 	checkInts(t, []int64{math.MaxInt64, math.MinInt64, 0, -1, 1})
 	checkInts(t, nil)

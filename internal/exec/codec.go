@@ -8,8 +8,9 @@ package exec
 // Groups of a message part and rebuilds the map keys, which are derived
 // state.
 // AppendResult / ReadResult are a whole TaskResult's form, which the packed
-// cluster messages embed and spill files hold; TaskResult's GobEncoder and
-// GobDecoder use it too, so a gob envelope never reflects over a Value.
+// cluster messages embed and spill files hold (types.ReadAll reads a whole
+// one); TaskResult's GobEncoder and GobDecoder use it too, so a gob envelope
+// never reflects over a Value.
 
 import (
 	"encoding/binary"
@@ -18,10 +19,6 @@ import (
 
 	"repro/internal/types"
 )
-
-func corruptResult(what string) error {
-	return fmt.Errorf("%w: %s", types.ErrCorruptBatch, what)
-}
 
 // cellMinBytes is what one aggregate's columns occupy per group at least: a
 // byte each of Count and SumI (the rest can be less than a byte per group).
@@ -96,33 +93,24 @@ func AppendGroups(dst []byte, groups []Group) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeGroups decodes one AppendGroups encoding and returns the unread
-// rest. The groups' keys share one slab of Values and their cells another.
-func DecodeGroups(src []byte) ([]Group, []byte, error) {
-	n1, src, err := types.ReadUvarint(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n1 == 0 {
-		return nil, src, nil
-	}
-	if n1 == 1 {
-		return []Group{}, src, nil
-	}
-	if n1-1 > uint64(len(src))*8 {
-		return nil, nil, corruptResult("group count exceeds input")
+// ReadGroups reads one AppendGroups encoding. The groups' keys share one
+// slab of Values and their cells another.
+func ReadGroups(r *types.Reader) []Group {
+	n1 := r.Uvarint()
+	switch {
+	case n1 == 0:
+		return nil
+	case n1 == 1:
+		return []Group{}
+	case n1-1 > uint64(len(r.Rest()))*8:
+		r.Fail("group count exceeds input")
+		return nil
 	}
 	n := int(n1 - 1)
-	nk, src, err := types.ReadCount(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	na, src, err := types.ReadCount(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if nk*types.ColumnMinBytes(n) > len(src) || na > len(src)/cellMinBytes/n {
-		return nil, nil, corruptResult("group shape exceeds input")
+	nk, na := r.Len(1), r.Len(1)
+	if nk*types.ColumnMinBytes(n) > len(r.Rest()) || na > len(r.Rest())/cellMinBytes/n {
+		r.Fail("group shape exceeds input")
+		return nil
 	}
 	groups := make([]Group, n)
 	keys := make([]types.Value, n*nk)
@@ -134,59 +122,39 @@ func DecodeGroups(src []byte) ([]Group, []byte, error) {
 		groups[i].Cells = cells[i*na : (i+1)*na : (i+1)*na]
 	}
 	for k := 0; k < nk; k++ {
-		if src, err = types.DecodeColumn(src, keys[k:], n, nk); err != nil {
-			return nil, nil, err
-		}
+		r.Column(keys[k:], n, nk)
 	}
-	nb := (n + 7) / 8
-	for a := 0; a < na; a++ {
-		if src, err = types.DecodeInts(src, ints); err != nil {
-			return nil, nil, err
-		}
+	for a := 0; a < na && r.Err() == nil; a++ {
+		r.Ints(ints)
 		for i, v := range ints {
 			cells[i*na+a].Count = v
 		}
-		if src, err = types.DecodeInts(src, ints); err != nil {
-			return nil, nil, err
-		}
+		r.Ints(ints)
 		for i, v := range ints {
 			cells[i*na+a].SumI = v
 		}
-		if len(src) < 1 || src[0] > 1 {
-			return nil, nil, corruptResult("bad float-sum flag")
-		}
-		if hasF := src[0] == 1; hasF {
-			if len(src[1:])/8 < n {
-				return nil, nil, corruptResult("truncated float sums")
+		if r.Bool() {
+			if b := r.Next(8 * n); b != nil {
+				for i := 0; i < n; i++ {
+					cells[i*na+a].SumF = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+				}
 			}
+		}
+		if b := r.Next((n + 7) / 8); b != nil {
 			for i := 0; i < n; i++ {
-				cells[i*na+a].SumF = math.Float64frombits(binary.LittleEndian.Uint64(src[1+i*8:]))
+				cells[i*na+a].Float = b[i>>3]&(1<<(i&7)) != 0
 			}
-			src = src[1+n*8:]
-		} else {
-			src = src[1:]
 		}
-		if len(src) < nb {
-			return nil, nil, corruptResult("truncated float flags")
-		}
-		for i := 0; i < n; i++ {
-			cells[i*na+a].Float = src[i>>3]&(1<<(i&7)) != 0
-		}
-		src = src[nb:]
-		if src, err = types.DecodeColumn(src, col, n, 1); err != nil {
-			return nil, nil, err
-		}
+		r.Column(col, n, 1)
 		for i := range col {
 			cells[i*na+a].Min = col[i]
 		}
-		if src, err = types.DecodeColumn(src, col, n, 1); err != nil {
-			return nil, nil, err
-		}
+		r.Column(col, n, 1)
 		for i := range col {
 			cells[i*na+a].Max = col[i]
 		}
 	}
-	return groups, src, nil
+	return groups
 }
 
 // AppendResult appends the wire form of r: scan statistics as varints, the
@@ -211,39 +179,23 @@ func AppendResult(b []byte, r *TaskResult) ([]byte, error) {
 	return AppendGroups(b, list)
 }
 
-// ReadResult decodes one AppendResult encoding and returns the unread rest.
-// Nothing in the result aliases b.
-func ReadResult(b []byte) (*TaskResult, []byte, error) {
+// ReadResult reads one AppendResult encoding. Nothing in the result aliases
+// the reader's bytes.
+func ReadResult(r *types.Reader) *TaskResult {
 	out := &TaskResult{}
-	var err error
 	for _, v := range out.Stats.fields() {
-		if *v, b, err = types.ReadVarint(b); err != nil {
-			return nil, nil, err
-		}
+		*v = r.Varint()
 	}
-	if out.Rows, b, err = types.DecodeRows(b); err != nil {
-		return nil, nil, err
+	out.Rows = r.Rows()
+	if !r.Bool() {
+		return out
 	}
-	if len(b) < 1 || b[0] > 1 {
-		return nil, nil, corruptResult("bad groups flag")
-	}
-	if b[0] == 0 {
-		return out, b[1:], nil
-	}
-	numAggs, b, err := types.ReadVarint(b[1:])
-	if err != nil {
-		return nil, nil, err
-	}
-	list, b, err := DecodeGroups(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	out.Groups = &Groups{NumAggs: int(numAggs)}
-	if list != nil {
+	out.Groups = &Groups{NumAggs: r.Int()}
+	if list := ReadGroups(r); list != nil && r.Err() == nil {
 		out.Groups.M = make(map[string]*Group, len(list))
 		out.Groups.adopt(list)
 	}
-	return out, b, nil
+	return out
 }
 
 // GobEncode implements gob.GobEncoder with AppendResult.
@@ -251,15 +203,11 @@ func (r *TaskResult) GobEncode() ([]byte, error) { return AppendResult(nil, r) }
 
 // GobDecode implements gob.GobDecoder with ReadResult.
 func (r *TaskResult) GobDecode(b []byte) error {
-	out, rest, err := ReadResult(b)
-	if err != nil {
-		return err
+	out, err := types.ReadAll(b, ReadResult)
+	if err == nil {
+		*r = *out
 	}
-	if len(rest) != 0 {
-		return corruptResult("trailing bytes after result")
-	}
-	*r = *out
-	return nil
+	return err
 }
 
 // adopt inserts decoded groups under their (re-derived) keys. The keys of

@@ -54,11 +54,12 @@ func TestGroupsCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, rest, err := DecodeGroups(append(enc[1:], 0xBB))
-			if err != nil {
+			r := types.NewReader(append(enc[1:], 0xBB))
+			got := ReadGroups(&r)
+			if err := r.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if len(rest) != 1 || rest[0] != 0xBB {
+			if rest := r.Rest(); len(rest) != 1 || rest[0] != 0xBB {
 				t.Fatalf("rest = %x", rest)
 			}
 			if (got == nil) != (groups == nil) || len(got) != len(groups) {
@@ -126,11 +127,11 @@ func TestTaskResultGobRoundTrip(t *testing.T) {
 				t.Fatalf("got %+v, want %+v", got, r)
 			}
 			for cut := 0; cut < len(b); cut++ {
-				if err := new(TaskResult).GobDecode(b[:cut]); !errors.Is(err, types.ErrCorruptBatch) {
-					t.Fatalf("truncation at %d of %d: err = %v, want ErrCorruptBatch", cut, len(b), err)
+				if err := new(TaskResult).GobDecode(b[:cut]); !errors.Is(err, types.ErrCorrupt) {
+					t.Fatalf("truncation at %d of %d: err = %v, want ErrCorrupt", cut, len(b), err)
 				}
 			}
-			if err := new(TaskResult).GobDecode(append(b, 0)); !errors.Is(err, types.ErrCorruptBatch) {
+			if err := new(TaskResult).GobDecode(append(b, 0)); !errors.Is(err, types.ErrCorrupt) {
 				t.Fatalf("trailing byte: err = %v", err)
 			}
 		})
@@ -219,7 +220,7 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r TaskResult
 		if err := r.GobDecode(data); err != nil {
-			if !errors.Is(err, types.ErrCorruptBatch) {
+			if !errors.Is(err, types.ErrCorrupt) {
 				t.Fatalf("untyped error: %v", err)
 			}
 			return

@@ -2,9 +2,11 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/bitmap"
@@ -543,6 +545,59 @@ func TestStoreReaderGenerations(t *testing.T) {
 	}
 	if at(1) != fresh || at(2) != fresh {
 		t.Error("an older generation replaced the newer footer")
+	}
+}
+
+// flipFooterOnce is a store whose first footer read comes back with one
+// byte flipped, as the chaos plane's corruption does.
+type flipFooterOnce struct {
+	*storage.MemFS
+	flipped bool
+}
+
+func (s *flipFooterOnce) ReadRange(ctx context.Context, path string, off, n int64) ([]byte, error) {
+	data, err := s.MemFS.ReadRange(ctx, path, off, n)
+	if err == nil && n != int64(colstore.FooterTailLen) && !s.flipped {
+		s.flipped = true
+		data = append([]byte(nil), data...)
+		data[len(data)/2] ^= 0x01
+	}
+	return data, err
+}
+
+// A footer that comes back corrupt is a checksum failure — retried like a
+// corrupt extent — and is not cached: the next read returns the true footer.
+func TestCorruptFooterIsRetriedNotCached(t *testing.T) {
+	ctx := context.Background()
+	store := &flipFooterOnce{MemFS: storage.NewMemFS("", nil)}
+	reader := NewStoreReader(storage.NewRouter(store))
+	w := colstore.NewWriter(types.MustSchema(types.Field{Name: "x", Type: types.Int64}), 4)
+	for i := range 10 {
+		if err := w.Append(types.Row{types.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := colstore.ReadMeta(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WriteFile(ctx, "/p", data); err != nil {
+		t.Fatal(err)
+	}
+	part := plan.PartitionMeta{Path: "/p"}
+	if _, err := reader.Meta(ctx, part); !errors.Is(err, colstore.ErrChecksum) {
+		t.Fatalf("corrupt footer: err = %v, want ErrChecksum", err)
+	}
+	got, err := reader.Meta(ctx, part)
+	if err != nil {
+		t.Fatalf("second read: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("second read returned a footer other than the file's:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -35,8 +35,10 @@ func NewStoreReader(r *storage.Router) *StoreReader {
 }
 
 // Meta implements PartitionReader: the footer is located via the fixed-size
-// tail, then range-read and parsed once per generation. A newer generation
-// rereads it; an older one is served the newer footer and never replaces it.
+// tail, then range-read, checked against the tail's CRC and parsed once per
+// generation. A newer generation rereads it; an older one is served the
+// newer footer and never replaces it. A footer that fails its checksum is
+// colstore.ErrChecksum, retried like a corrupt extent, and never cached.
 func (sr *StoreReader) Meta(ctx context.Context, part plan.PartitionMeta) (*colstore.FileMeta, error) {
 	path := part.Path
 	sr.mu.Lock()
@@ -57,7 +59,7 @@ func (sr *StoreReader) Meta(ctx context.Context, part plan.PartitionMeta) (*cols
 	if err != nil {
 		return nil, err
 	}
-	flen, err := colstore.ParseFooterTail(tail)
+	flen, crc, err := colstore.ParseFooterTail(tail)
 	if err != nil {
 		return nil, fmt.Errorf("exec: %s: %w", path, err)
 	}
@@ -69,7 +71,7 @@ func (sr *StoreReader) Meta(ctx context.Context, part plan.PartitionMeta) (*cols
 	if err != nil {
 		return nil, err
 	}
-	meta, err := colstore.ParseFooter(footer)
+	meta, err := colstore.ParseFooter(footer, crc)
 	if err != nil {
 		return nil, fmt.Errorf("exec: %s: %w", path, err)
 	}

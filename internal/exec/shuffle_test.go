@@ -601,7 +601,7 @@ func (h *shuffleHarness) runGroupShuffle(sql string, opts plan.Options, spill Sp
 					h.t.Fatal(err)
 				}
 				var back []Group
-				if back, _, err = DecodeGroups(enc); err != nil {
+				if back, err = types.ReadAll(enc, ReadGroups); err != nil {
 					h.t.Fatal(err)
 				}
 				err = aggs[i].PushGroups(back)

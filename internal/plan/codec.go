@@ -17,7 +17,7 @@ package plan
 //
 // Decoding reads untrusted bytes: each count is checked against the bytes
 // present before anything is allocated, each index against its list, and
-// corrupt input yields an error wrapping types.ErrCorruptBatch.
+// corrupt input yields an error wrapping types.ErrCorrupt.
 
 import (
 	"encoding/binary"
@@ -303,21 +303,18 @@ func index[T any](r *types.Reader, list []T) *T {
 	return &list[i-1]
 }
 
-// ReadSection decodes the plan section at the reader's position. Nothing the
-// section decodes to aliases the reader's bytes.
+// ReadSection decodes the plan section at the reader's position: a 4-byte
+// length, then that many bytes, all of which the section must use. Nothing
+// the section decodes to aliases the reader's bytes.
 func ReadSection(r *types.Reader) Section {
-	d := decoder{}
-	r.Decode(func(b []byte) ([]byte, error) {
-		if len(b) < 4 || uint64(binary.BigEndian.Uint32(b)) > uint64(len(b)-4) {
-			d.Fail("truncated plan section")
-			return nil, d.Err()
-		}
-		n := 4 + int(binary.BigEndian.Uint32(b))
-		d.Reader = types.NewReader(b[4:n])
-		d.Carve()
-		d.read()
-		return b[n:], d.Err()
-	})
+	n := 0
+	if b := r.Next(4); b != nil {
+		n = int(binary.BigEndian.Uint32(b))
+	}
+	d := decoder{Reader: r.Sub(n)}
+	d.Carve()
+	d.read()
+	r.Close(&d.Reader)
 	return Section{plans: d.plans}
 }
 
@@ -360,9 +357,6 @@ func (d *decoder) read() {
 	analyzed := make([]Analyzed, n)
 	for i := range d.plans {
 		d.plan(&d.plans[i], &analyzed[i])
-	}
-	if d.Err() == nil && len(d.Rest()) != 0 {
-		d.Fail("trailing bytes after plan section")
 	}
 }
 

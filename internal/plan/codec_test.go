@@ -236,8 +236,8 @@ func TestPlanCodecRejectsCorruptSections(t *testing.T) {
 	} {
 		r := types.NewReader(b)
 		ReadSection(&r)
-		if err := r.Err(); !errors.Is(err, types.ErrCorruptBatch) {
-			t.Errorf("%s: err = %v, want ErrCorruptBatch", name, err)
+		if err := r.Err(); !errors.Is(err, types.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
 }
@@ -271,7 +271,7 @@ func FuzzDecodePlan(f *testing.F) {
 		r := types.NewReader(data)
 		sec := ReadSection(&r)
 		if err := r.Err(); err != nil {
-			if !errors.Is(err, types.ErrCorruptBatch) {
+			if !errors.Is(err, types.ErrCorrupt) {
 				t.Fatalf("untyped error: %v", err)
 			}
 			return

@@ -9,7 +9,9 @@ package types
 // is a handful of slab allocations however many rows it holds. A column
 // whose non-NULL values disagree on type falls back to per-value tags.
 //
-// Decoders read untrusted bytes: every count is checked against the bytes
+// The decoders are Reader methods (Rows, Column, Ints), so a batch reads
+// the same way whether it is a whole spill file (ReadAll), a message part or
+// a plan section's dimension data. Every count is checked against the bytes
 // actually present before anything is allocated. A column of n values
 // occupies at least ColumnMinBytes(n) bytes, so decoded memory is bounded
 // by a constant factor of the input (a bit-packed boolean is one bit on the
@@ -17,22 +19,8 @@ package types
 
 import (
 	"encoding/binary"
-	"errors"
 	"math"
 )
-
-// ErrCorruptBatch marks bytes that are not a well-formed batch encoding.
-var ErrCorruptBatch = errors.New("types: corrupt batch")
-
-// corruptError is an ErrCorruptBatch naming what was malformed. It is built
-// without fmt, so rejecting hostile bytes costs one allocation, the same
-// every time.
-type corruptError string
-
-func (e corruptError) Error() string { return ErrCorruptBatch.Error() + ": " + string(e) }
-func (e corruptError) Unwrap() error { return ErrCorruptBatch }
-
-func corrupt(what string) error { return corruptError(what) }
 
 // colMixed tags a column encoded value by value, each with its own type.
 const colMixed byte = 0xFF
@@ -46,52 +34,6 @@ const (
 // ColumnMinBytes is the least number of bytes AppendColumn writes for n
 // values; decoders check it before allocating n Values.
 func ColumnMinBytes(n int) int { return 1 + (n+7)/8 }
-
-// AppendString appends a length-prefixed string.
-func AppendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// ReadUvarint consumes one unsigned varint.
-func ReadUvarint(src []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(src)
-	if n <= 0 {
-		return 0, nil, corrupt("bad uvarint")
-	}
-	return v, src[n:], nil
-}
-
-// ReadVarint consumes one signed varint.
-func ReadVarint(src []byte) (int64, []byte, error) {
-	v, n := binary.Varint(src)
-	if n <= 0 {
-		return 0, nil, corrupt("bad varint")
-	}
-	return v, src[n:], nil
-}
-
-// ReadCount consumes a uvarint that counts items each occupying at least
-// one byte of what follows, and rejects counts the input cannot hold.
-func ReadCount(src []byte) (int, []byte, error) {
-	v, rest, err := ReadUvarint(src)
-	if err != nil {
-		return 0, nil, err
-	}
-	if v > uint64(len(rest)) {
-		return 0, nil, corrupt("count exceeds input")
-	}
-	return int(v), rest, nil
-}
-
-// ReadString consumes a length-prefixed string (copied out of src).
-func ReadString(src []byte) (string, []byte, error) {
-	n, rest, err := ReadCount(src)
-	if err != nil {
-		return "", nil, err
-	}
-	return string(rest[:n]), rest[n:], nil
-}
 
 func appendBits(dst []byte, n int, bit func(i int) bool) []byte {
 	start := len(dst)
@@ -136,40 +78,6 @@ func AppendInts(dst []byte, v []int64) []byte {
 		}
 	}
 	return dst
-}
-
-// DecodeInts decodes len(v) values written by AppendInts.
-func DecodeInts(src []byte, v []int64) ([]byte, error) {
-	if len(src) < 1 {
-		return nil, corrupt("truncated int array")
-	}
-	w := int(src[0])
-	src = src[1:]
-	if w != 1 && w != 2 && w != 4 && w != 8 {
-		return nil, corrupt("bad int width")
-	}
-	if len(src)/w < len(v) {
-		return nil, corrupt("truncated int array")
-	}
-	switch w {
-	case 1:
-		for i := range v {
-			v[i] = int64(int8(src[i]))
-		}
-	case 2:
-		for i := range v {
-			v[i] = int64(int16(binary.LittleEndian.Uint16(src[i*2:])))
-		}
-	case 4:
-		for i := range v {
-			v[i] = int64(int32(binary.LittleEndian.Uint32(src[i*4:])))
-		}
-	default:
-		for i := range v {
-			v[i] = int64(binary.LittleEndian.Uint64(src[i*8:]))
-		}
-	}
-	return src[len(v)*w:], nil
 }
 
 // AppendColumn appends the columnar encoding of col.
@@ -249,154 +157,6 @@ func appendMixed(dst []byte, col []Value) []byte {
 	return dst
 }
 
-// DecodeColumn decodes n values written by AppendColumn into slab[0],
-// slab[stride], … — so a column lands directly in its place in a row-major
-// slab — and returns the unread rest. The caller has checked
-// ColumnMinBytes(n) against the input before allocating slab.
-func DecodeColumn(src []byte, slab []Value, n, stride int) ([]byte, error) {
-	if len(src) < 1 {
-		return nil, corrupt("truncated column")
-	}
-	tag := src[0]
-	src = src[1:]
-	nb := (n + 7) / 8
-	if tag == colMixed {
-		return decodeMixed(src, slab, n, stride)
-	}
-	if tag > byte(String) {
-		return nil, corrupt("unknown column type")
-	}
-	if Type(tag) == Null {
-		if len(src) < nb {
-			return nil, corrupt("truncated null column")
-		}
-		for i := 0; i < n; i++ {
-			slab[i*stride] = Value{}
-		}
-		return src[nb:], nil
-	}
-	if len(src) < 1 {
-		return nil, corrupt("truncated column")
-	}
-	var nulls []byte
-	switch src[0] {
-	case 0:
-		src = src[1:]
-	case 1:
-		if len(src) < 1+nb {
-			return nil, corrupt("truncated null bitmap")
-		}
-		nulls, src = src[1:1+nb], src[1+nb:]
-	default:
-		return nil, corrupt("bad null-bitmap flag")
-	}
-	switch Type(tag) {
-	case Int64:
-		ints := make([]int64, n)
-		var err error
-		if src, err = DecodeInts(src, ints); err != nil {
-			return nil, err
-		}
-		for i, v := range ints {
-			slab[i*stride] = Value{T: Int64, I: v}
-		}
-	case Float64:
-		if len(src)/8 < n {
-			return nil, corrupt("truncated float column")
-		}
-		for i := 0; i < n; i++ {
-			slab[i*stride] = Value{T: Float64, F: math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))}
-		}
-		src = src[n*8:]
-	case Bool:
-		if len(src) < nb {
-			return nil, corrupt("truncated bool column")
-		}
-		for i := 0; i < n; i++ {
-			slab[i*stride] = Value{T: Bool, B: src[i>>3]&(1<<(i&7)) != 0}
-		}
-		src = src[nb:]
-	default: // String
-		// Lengths first, then one blob: a single string conversion backs
-		// every value of the column.
-		lens := src
-		total := 0
-		for i := 0; i < n; i++ {
-			l, rest, err := ReadUvarint(src)
-			if err != nil {
-				return nil, err
-			}
-			if l > uint64(len(rest)) || total+int(l) > len(rest) {
-				return nil, corrupt("string lengths exceed input")
-			}
-			total += int(l)
-			src = rest
-		}
-		if len(src) < total {
-			return nil, corrupt("truncated string blob")
-		}
-		blob := string(src[:total])
-		off := 0
-		for i := 0; i < n; i++ {
-			l, k := binary.Uvarint(lens)
-			lens = lens[k:]
-			slab[i*stride] = Value{T: String, S: blob[off : off+int(l)]}
-			off += int(l)
-		}
-		src = src[total:]
-	}
-	if nulls != nil {
-		for i := 0; i < n; i++ {
-			if nulls[i>>3]&(1<<(i&7)) != 0 {
-				slab[i*stride] = Value{}
-			}
-		}
-	}
-	return src, nil
-}
-
-func decodeMixed(src []byte, slab []Value, n, stride int) ([]byte, error) {
-	for i := 0; i < n; i++ {
-		if len(src) < 1 {
-			return nil, corrupt("truncated mixed column")
-		}
-		t := Type(src[0])
-		src = src[1:]
-		v := &slab[i*stride]
-		switch t {
-		case Null:
-			*v = Value{}
-		case Int64, Float64:
-			if len(src) < 8 {
-				return nil, corrupt("truncated mixed column")
-			}
-			bits := binary.LittleEndian.Uint64(src)
-			if t == Int64 {
-				*v = Value{T: Int64, I: int64(bits)}
-			} else {
-				*v = Value{T: Float64, F: math.Float64frombits(bits)}
-			}
-			src = src[8:]
-		case Bool:
-			if len(src) < 1 || src[0] > 1 {
-				return nil, corrupt("bad mixed bool")
-			}
-			*v = Value{T: Bool, B: src[0] == 1}
-			src = src[1:]
-		case String:
-			s, rest, err := ReadString(src)
-			if err != nil {
-				return nil, err
-			}
-			*v = Value{T: String, S: s}
-			src = rest
-		default:
-			return nil, corrupt("unknown value type")
-		}
-	}
-	return src, nil
-}
-
 // AppendRows appends the batch encoding of rows. A nil slice, an empty
 // slice, nil rows and empty rows all round-trip as themselves.
 func AppendRows(dst []byte, rows [][]Value) []byte {
@@ -441,93 +201,202 @@ func AppendRows(dst []byte, rows [][]Value) []byte {
 	return AppendColumn(dst, col)
 }
 
-// DecodeRows decodes one batch written by AppendRows and returns the unread
-// rest. All rows of a batch share one slab of Values.
-func DecodeRows(src []byte) ([][]Value, []byte, error) {
-	n1, src, err := ReadUvarint(src)
-	if err != nil {
-		return nil, nil, err
+// Ints reads len(v) values written by AppendInts.
+func (r *Reader) Ints(v []int64) {
+	w := int(r.Byte())
+	if w != 1 && w != 2 && w != 4 && w != 8 {
+		r.Fail("bad int width")
+		return
 	}
-	if n1 == 0 {
-		return nil, src, nil
+	b := r.Next(w * len(v))
+	if b == nil {
+		return
 	}
-	if n1 == 1 {
-		return [][]Value{}, src, nil
+	switch w {
+	case 1:
+		for i := range v {
+			v[i] = int64(int8(b[i]))
+		}
+	case 2:
+		for i := range v {
+			v[i] = int64(int16(binary.LittleEndian.Uint16(b[i*2:])))
+		}
+	case 4:
+		for i := range v {
+			v[i] = int64(int32(binary.LittleEndian.Uint32(b[i*4:])))
+		}
+	default:
+		for i := range v {
+			v[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
+		}
 	}
-	if n1-1 > uint64(len(src))*8 {
-		return nil, nil, corrupt("row count exceeds input")
+}
+
+// Column reads n values written by AppendColumn into slab[0], slab[stride],
+// … — so a column lands directly in its place in a row-major slab. The
+// caller has checked ColumnMinBytes(n) against the input before allocating
+// slab.
+func (r *Reader) Column(slab []Value, n, stride int) {
+	tag := r.Byte()
+	if tag == colMixed {
+		r.mixed(slab, n, stride)
+		return
+	}
+	if tag > byte(String) {
+		r.Fail("unknown column type")
+		return
+	}
+	nb := (n + 7) / 8
+	if Type(tag) == Null {
+		if r.Next(nb) != nil {
+			for i := 0; i < n; i++ {
+				slab[i*stride] = Value{}
+			}
+		}
+		return
+	}
+	var nulls []byte
+	if r.Bool() {
+		nulls = r.Next(nb)
+	}
+	switch Type(tag) {
+	case Int64:
+		ints := make([]int64, n)
+		r.Ints(ints)
+		for i, v := range ints {
+			slab[i*stride] = Value{T: Int64, I: v}
+		}
+	case Float64:
+		b := r.Next(8 * n)
+		if b == nil {
+			return
+		}
+		for i := 0; i < n; i++ {
+			slab[i*stride] = Value{T: Float64, F: math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))}
+		}
+	case Bool:
+		b := r.Next(nb)
+		if b == nil {
+			return
+		}
+		for i := 0; i < n; i++ {
+			slab[i*stride] = Value{T: Bool, B: b[i>>3]&(1<<(i&7)) != 0}
+		}
+	default: // String
+		// Lengths first, then one blob: a single string conversion backs
+		// every value of the column.
+		lens := *r
+		total := 0
+		for i := 0; i < n; i++ {
+			l := r.Uvarint()
+			if l > uint64(len(r.b)) || total+int(l) > len(r.b) {
+				r.Fail("string lengths exceed input")
+				return
+			}
+			total += int(l)
+		}
+		b := r.Next(total)
+		if b == nil {
+			return
+		}
+		blob, off := string(b), 0
+		for i := 0; i < n; i++ {
+			l := int(lens.Uvarint())
+			slab[i*stride] = Value{T: String, S: blob[off : off+l]}
+			off += l
+		}
+	}
+	for i := 0; i < n && nulls != nil; i++ {
+		if nulls[i>>3]&(1<<(i&7)) != 0 {
+			slab[i*stride] = Value{}
+		}
+	}
+}
+
+// mixed reads a column written value by value by appendMixed.
+func (r *Reader) mixed(slab []Value, n, stride int) {
+	for i := 0; i < n && r.err == nil; i++ {
+		v := &slab[i*stride]
+		switch t := Type(r.Byte()); t {
+		case Null:
+			*v = Value{}
+		case Int64:
+			*v = Value{T: Int64, I: int64(r.Uint64())}
+		case Float64:
+			*v = Value{T: Float64, F: math.Float64frombits(r.Uint64())}
+		case Bool:
+			*v = Value{T: Bool, B: r.Bool()}
+		case String:
+			*v = Value{T: String, S: r.Str()}
+		default:
+			r.Fail("unknown value type")
+		}
+	}
+}
+
+// Rows reads one batch written by AppendRows. All rows of a batch share one
+// slab of Values.
+func (r *Reader) Rows() [][]Value {
+	n1 := r.Uvarint()
+	switch {
+	case n1 == 0:
+		return nil
+	case n1 == 1:
+		return [][]Value{}
+	case n1-1 > uint64(len(r.b))*8:
+		r.Fail("row count exceeds input")
+		return nil
 	}
 	n := int(n1 - 1)
-	if len(src) < 1 {
-		return nil, nil, corrupt("truncated batch")
-	}
-	layout := src[0]
-	src = src[1:]
-	switch layout {
+	switch r.Byte() {
 	case rowsRect:
-		w, rest, err := ReadUvarint(src)
-		if err != nil {
-			return nil, nil, err
-		}
-		src = rest
-		if w == 0 || w > uint64(len(src)) || int(w)*ColumnMinBytes(n) > len(src) {
-			return nil, nil, corrupt("batch shape exceeds input")
+		w := r.Uvarint()
+		if w == 0 || w > uint64(len(r.b)) || int(w)*ColumnMinBytes(n) > len(r.b) {
+			r.Fail("batch shape exceeds input")
+			return nil
 		}
 		width := int(w)
 		slab := make([]Value, n*width)
 		for j := 0; j < width; j++ {
-			if src, err = DecodeColumn(src, slab[j:], n, width); err != nil {
-				return nil, nil, err
-			}
+			r.Column(slab[j:], n, width)
 		}
 		rows := make([][]Value, n)
 		for i := range rows {
 			rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
 		}
-		return rows, src, nil
+		return rows
 	case rowsRagged:
-		if n > len(src) {
-			return nil, nil, corrupt("row count exceeds input")
+		if n > len(r.b) {
+			r.Fail("row count exceeds input")
+			return nil
 		}
-		widths := src
-		total, limit := 0, len(src)*8
+		widths := *r
+		total, limit := 0, len(r.b)*8
 		for i := 0; i < n; i++ {
-			w1, rest, err := ReadUvarint(src)
-			if err != nil {
-				return nil, nil, err
+			w1 := r.Uvarint()
+			if w1 > 0 && w1-1 > uint64(limit-total) {
+				r.Fail("row widths exceed input")
+				return nil
 			}
-			if w1 > uint64(limit) {
-				return nil, nil, corrupt("row width exceeds input")
-			}
-			if w1 > 0 {
-				total += int(w1 - 1)
-			}
-			if total > limit {
-				return nil, nil, corrupt("row widths exceed input")
-			}
-			src = rest
+			total += int(max(w1, 1) - 1)
 		}
-		if ColumnMinBytes(total) > len(src) {
-			return nil, nil, corrupt("batch shape exceeds input")
+		if ColumnMinBytes(total) > len(r.b) {
+			r.Fail("batch shape exceeds input")
+			return nil
 		}
 		slab := make([]Value, total)
-		if src, err = DecodeColumn(src, slab, total, 1); err != nil {
-			return nil, nil, err
-		}
+		r.Column(slab, total, 1)
 		rows := make([][]Value, n)
 		off := 0
 		for i := range rows {
-			w1, k := binary.Uvarint(widths)
-			widths = widths[k:]
-			if w1 == 0 {
-				continue
+			if w1 := widths.Uvarint(); w1 > 0 {
+				w := int(w1 - 1)
+				rows[i] = slab[off : off+w : off+w]
+				off += w
 			}
-			w := int(w1 - 1)
-			rows[i] = slab[off : off+w : off+w]
-			off += w
 		}
-		return rows, src, nil
-	default:
-		return nil, nil, corrupt("unknown row layout")
+		return rows
 	}
+	r.Fail("unknown row layout")
+	return nil
 }

@@ -36,7 +36,7 @@ func sameRows(t *testing.T, got, want [][]Value) {
 func roundTripRows(t *testing.T, rows [][]Value) {
 	t.Helper()
 	enc := AppendRows([]byte{0xAA}, rows) // a prefix must be left alone
-	got, rest, err := DecodeRows(append(enc[1:], 0xBB))
+	got, rest, err := decodeRows(append(enc[1:], 0xBB))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestBatchRoundTripDeepEqual(t *testing.T) {
 		{NewInt(1), NewString("a"), NewBool(true), NullValue(), NewFloat(1.5)},
 		{NewInt(2), NewString(""), NewBool(false), NullValue(), NewFloat(-2)},
 	}
-	got, _, err := DecodeRows(AppendRows(nil, rows))
+	got, _, err := decodeRows(AppendRows(nil, rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +163,8 @@ func TestBatchRoundTripRandom(t *testing.T) {
 // reports it, the sender does not panic.
 func TestBatchUnknownTypeTagRejected(t *testing.T) {
 	enc := AppendRows(nil, [][]Value{{{T: Type(9), I: 4}}})
-	if _, _, err := DecodeRows(enc); !errors.Is(err, ErrCorruptBatch) {
-		t.Fatalf("err = %v, want ErrCorruptBatch", err)
+	if _, _, err := decodeRows(enc); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -180,8 +180,8 @@ func TestBatchHostileCountsDoNotAllocate(t *testing.T) {
 	}
 	for name, b := range cases {
 		allocs := testing.AllocsPerRun(10, func() {
-			if _, _, err := DecodeRows(b); !errors.Is(err, ErrCorruptBatch) {
-				t.Errorf("%s: err = %v, want ErrCorruptBatch", name, err)
+			if _, _, err := decodeRows(b); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 			}
 		})
 		if allocs > 4 { // the error value itself
@@ -209,13 +209,13 @@ func TestSchemaGobRoundTripAndCorruption(t *testing.T) {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
-	if err := new(Schema).GobDecode(binary.AppendUvarint(nil, 1<<40)); !errors.Is(err, ErrCorruptBatch) {
+	if err := new(Schema).GobDecode(binary.AppendUvarint(nil, 1<<40)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("huge field count: %v", err)
 	}
 }
 
 // FuzzDecodeBatch: arbitrary bytes either decode or fail with
-// ErrCorruptBatch — no panic — and what decodes is no larger than the input
+// ErrCorrupt — no panic — and what decodes is no larger than the input
 // can pay for (eight values per byte: a bit-packed boolean column is the
 // densest encoding there is) and re-encodes to something that decodes to
 // the same rows.
@@ -232,9 +232,9 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(AppendRows(nil, col))
 	f.Add(append(append(binary.AppendUvarint(nil, 1<<30), rowsRect), 1, byte(Bool), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rows, rest, err := DecodeRows(data)
+		rows, rest, err := decodeRows(data)
 		if err != nil {
-			if !errors.Is(err, ErrCorruptBatch) {
+			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("untyped error: %v", err)
 			}
 			return
@@ -247,7 +247,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		if len(rows) > 8*used+1 || total > 8*used {
 			t.Fatalf("%d rows / %d values decoded from %d bytes", len(rows), total, used)
 		}
-		again, rest2, err := DecodeRows(AppendRows(nil, rows))
+		again, rest2, err := decodeRows(AppendRows(nil, rows))
 		if err != nil || len(rest2) != 0 {
 			t.Fatalf("re-encoded batch does not decode: %v (rest %d)", err, len(rest2))
 		}
@@ -277,17 +277,32 @@ func TestIntsWidthBoundaries(t *testing.T) {
 			t.Errorf("%v: width %d, %d bytes; want width %d", tc.vals, enc[0], len(enc), tc.width)
 		}
 		got := make([]int64, len(tc.vals))
-		rest, err := DecodeInts(append(enc, 0xCC), got)
+		rest, err := decodeInts(append(enc, 0xCC), got)
 		if err != nil || len(rest) != 1 || !reflect.DeepEqual(got, append([]int64{}, tc.vals...)) {
 			t.Errorf("%v: decoded %v, rest %x, err %v", tc.vals, got, rest, err)
 		}
 		if len(tc.vals) > 0 {
-			if _, err := DecodeInts(enc[:len(enc)-1], got); !errors.Is(err, ErrCorruptBatch) {
+			if _, err := decodeInts(enc[:len(enc)-1], got); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("%v: truncated array accepted: %v", tc.vals, err)
 			}
 		}
 	}
-	if _, err := DecodeInts([]byte{3, 0, 0, 0}, make([]int64, 1)); !errors.Is(err, ErrCorruptBatch) {
+	if _, err := decodeInts([]byte{3, 0, 0, 0}, make([]int64, 1)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("width 3 accepted: %v", err)
 	}
+}
+
+// decodeRows reads one batch from the head of b and returns what is left.
+func decodeRows(b []byte) ([][]Value, []byte, error) {
+	r := NewReader(b)
+	rows := r.Rows()
+	return rows, r.Rest(), r.Err()
+}
+
+// decodeInts reads len(v) narrow integers from the head of b and returns
+// what is left.
+func decodeInts(b []byte, v []int64) ([]byte, error) {
+	r := NewReader(b)
+	r.Ints(v)
+	return r.Rest(), r.Err()
 }

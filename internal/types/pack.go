@@ -1,19 +1,38 @@
 package types
 
-// Hand-packed messages: the primitives the cluster's wire messages and the
-// plan codec are written with, beside the batch codec they embed. A packed
-// message is a sequence of fields with no names and no type descriptors;
-// writer and reader agree on the order.
+// Hand-packed bytes: the primitives the cluster's wire messages, the plan
+// codec, the batch codec and the partition-file format are written with. A
+// packed message is a sequence of fields with no names and no type
+// descriptors; writer and reader agree on the order.
 //
-// A Reader consumes untrusted bytes. The first malformed field records an
-// error wrapping ErrCorruptBatch and empties the input, so every later read
-// returns a zero value and a decoder checks Err once, at the end. A count is
-// checked against the bytes present before the caller allocates for it.
+// Every byte that comes from outside the process — off the wire, out of a
+// spill file or a partition file — is read through a Reader, and only a
+// Reader decodes a varint. The first malformed field records an error
+// wrapping ErrCorrupt and empties the input, so every later read returns a
+// zero value and a decoder checks Err once, at the end. A count is checked
+// against the bytes present before the caller allocates for it (Count, Len,
+// BitLen), so decoded memory is a constant factor of the input; varints must
+// be minimal, so what decodes re-encodes to the bytes it came from.
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 )
+
+// ErrCorrupt marks bytes that are not a well-formed encoding: a wire
+// message, a batch, a plan section, a spill file or a partition file.
+var ErrCorrupt = errors.New("types: corrupt input")
+
+// corruptError is an ErrCorrupt naming what was malformed. It is built
+// without fmt, so rejecting hostile bytes costs one allocation, the same
+// every time.
+type corruptError string
+
+var errVarint error = corruptError("bad varint")
+
+func (e corruptError) Error() string { return ErrCorrupt.Error() + ": " + string(e) }
+func (e corruptError) Unwrap() error { return ErrCorrupt }
 
 // AppendBool appends b as one byte.
 func AppendBool(dst []byte, b bool) []byte {
@@ -32,6 +51,12 @@ func AppendCount(dst []byte, n int, isNil bool) []byte {
 	return binary.AppendUvarint(dst, uint64(n)+1)
 }
 
+// AppendString appends a length-prefixed string.
+func AppendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
 // AppendValue appends one value: its type, then the field the type selects.
 func AppendValue(dst []byte, v Value) []byte {
 	dst = append(dst, byte(v.T))
@@ -48,7 +73,7 @@ func AppendValue(dst []byte, v Value) []byte {
 	return dst
 }
 
-// Reader reads a packed message field by field.
+// Reader reads packed bytes field by field.
 type Reader struct {
 	b     []byte
 	err   error
@@ -57,8 +82,28 @@ type Reader struct {
 }
 
 // NewReader returns a Reader over b. Strings it reads are copies: nothing it
-// returns aliases b.
+// returns aliases b, except what Next returns.
 func NewReader(b []byte) Reader { return Reader{b: b} }
+
+// ReadAll decodes the whole of b with read: bytes read leaves over are an
+// error, like a malformed field.
+func ReadAll[T any](b []byte, read func(*Reader) T) (T, error) {
+	r := NewReader(b)
+	v := read(&r)
+	return v, r.End()
+}
+
+// Sub consumes the next n bytes and returns a Reader over them alone: a part
+// whose length precedes it. Close hands the part's outcome back to r.
+func (r *Reader) Sub(n int) Reader { return NewReader(r.Next(n)) }
+
+// Close ends a part read through Sub: the part's failure, or bytes it left
+// unread, are r's failure.
+func (r *Reader) Close(sub *Reader) {
+	if err := sub.End(); err != nil && r.err == nil {
+		r.err, r.b = err, nil
+	}
+}
 
 // Carve makes the reader cut every later string from one copy of the unread
 // bytes instead of copying each string on its own: one allocation for all of
@@ -73,32 +118,39 @@ func (r *Reader) Err() error { return r.err }
 // Rest returns the unread bytes.
 func (r *Reader) Rest() []byte { return r.b }
 
+// End returns the first decoding error, or an error when bytes are left
+// unread: the check that a whole buffer was one encoding.
+func (r *Reader) End() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.Fail("trailing bytes")
+	}
+	return r.err
+}
+
 // Fail records a decoding error (the first one sticks) and empties the input.
 func (r *Reader) Fail(what string) {
 	if r.err == nil {
-		r.err = corrupt(what)
+		r.err = corruptError(what)
 	}
 	r.b = nil
 }
 
-// Decode hands the unread bytes to a decoder that returns what it did not
-// consume; an error it returns sticks like a malformed field.
-func (r *Reader) Decode(f func(b []byte) ([]byte, error)) {
-	if r.err != nil {
-		return
+// Next consumes n bytes and returns them, aliasing the input; it fails and
+// returns nil when fewer are left.
+func (r *Reader) Next(n int) []byte {
+	if n < 0 || n > len(r.b) {
+		r.Fail("truncated input")
+		return nil
 	}
-	rest, err := f(r.b)
-	if err != nil {
-		r.err, r.b = err, nil
-		return
-	}
-	r.b = rest
+	b := r.b[:n:n]
+	r.b = r.b[n:]
+	return b
 }
 
 // Byte reads one byte.
 func (r *Reader) Byte() byte {
 	if len(r.b) < 1 {
-		r.Fail("truncated message")
+		r.Fail("truncated input")
 		return 0
 	}
 	c := r.b[0]
@@ -118,26 +170,42 @@ func (r *Reader) Bool() bool {
 	return false
 }
 
-// Uvarint reads an unsigned varint.
-func (r *Reader) Uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.Fail("bad uvarint")
-		return 0
+// Uint64 reads eight little-endian bytes.
+func (r *Reader) Uint64() uint64 {
+	if b := r.Next(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	r.b = r.b[n:]
-	return v
+	return 0
+}
+
+// Uvarint reads an unsigned varint. It calls nothing, so it inlines into
+// the per-value loops of the column decoders.
+func (r *Reader) Uvarint() uint64 {
+	var v uint64
+	for i, c := range r.b {
+		v |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			if i > 0 && c == 0 || i > 9 || i == 9 && c > 1 { // not minimal, or past 64 bits
+				break
+			}
+			r.b = r.b[i+1:]
+			return v
+		}
+	}
+	if r.err == nil {
+		r.err = errVarint
+	}
+	r.b = nil
+	return 0
 }
 
 // Varint reads a signed varint.
 func (r *Reader) Varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.Fail("bad varint")
-		return 0
+	u := r.Uvarint()
+	if u&1 != 0 {
+		return ^int64(u >> 1)
 	}
-	r.b = r.b[n:]
-	return v
+	return int64(u >> 1)
 }
 
 // Int reads a signed varint as an int.
@@ -151,11 +219,26 @@ func (r *Reader) Count(min int) (n int, isNil bool) {
 	if v == 0 {
 		return 0, true
 	}
-	if v-1 > uint64(len(r.b)/max(min, 1)) {
+	return r.fits(v-1, 8*max(min, 1)), false
+}
+
+// Len reads a plain uvarint count of items that each occupy at least min
+// bytes of what follows; a count the unread bytes cannot hold fails, and Len
+// returns 0.
+func (r *Reader) Len(min int) int { return r.fits(r.Uvarint(), 8*max(min, 1)) }
+
+// BitLen reads a uvarint count of bit-packed items, as Len does for items of
+// one bit.
+func (r *Reader) BitLen() int { return r.fits(r.Uvarint(), 1) }
+
+// fits returns n, or fails and returns 0 when n items of bits bits each
+// overrun the unread bytes.
+func (r *Reader) fits(n uint64, bits int) int {
+	if n > uint64(len(r.b))*8/uint64(bits) {
 		r.Fail("count exceeds input")
-		return 0, true
+		return 0
 	}
-	return int(v - 1), false
+	return int(n)
 }
 
 // Str reads a string written by AppendString.
@@ -174,16 +257,7 @@ func (r *Reader) Known(known []string) string {
 }
 
 // strBytes consumes a length-prefixed string's bytes.
-func (r *Reader) strBytes() []byte {
-	n := r.Uvarint()
-	if n > uint64(len(r.b)) {
-		r.Fail("truncated string")
-		return nil
-	}
-	b := r.b[:n:n]
-	r.b = r.b[n:]
-	return b
-}
+func (r *Reader) strBytes() []byte { return r.Next(int(r.Uvarint())) }
 
 // str turns the bytes strBytes just consumed into a string.
 func (r *Reader) str(b []byte) string {
@@ -202,13 +276,7 @@ func (r *Reader) Value() Value {
 	case Int64:
 		return Value{T: Int64, I: r.Varint()}
 	case Float64:
-		if len(r.b) < 8 {
-			r.Fail("truncated float")
-			return Value{}
-		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-		r.b = r.b[8:]
-		return Value{T: Float64, F: f}
+		return Value{T: Float64, F: math.Float64frombits(r.Uint64())}
 	case Bool:
 		return Value{T: Bool, B: r.Bool()}
 	case String:
@@ -216,13 +284,4 @@ func (r *Reader) Value() Value {
 	}
 	r.Fail("unknown value type")
 	return Value{}
-}
-
-// Rows reads a batch written by AppendRows.
-func (r *Reader) Rows() (rows [][]Value) {
-	r.Decode(func(b []byte) (rest []byte, err error) {
-		rows, rest, err = DecodeRows(b)
-		return rest, err
-	})
-	return rows
 }

@@ -261,47 +261,49 @@ func NewSchema(fields ...Field) (*Schema, error) {
 	return s, nil
 }
 
-// GobEncode serializes only the field list (name, type, repeated flag per
-// field, hand-packed); the name index is derived state. Without this, gob
-// would silently drop the unexported byName map and a schema shipped over
-// the wire transport could not resolve columns.
-func (s *Schema) GobEncode() ([]byte, error) {
-	b := binary.AppendUvarint(nil, uint64(len(s.Fields)))
+// AppendSchema appends the field list — a count, then per field its name,
+// type byte and repeated flag; the name index is derived state. It is the
+// schema's wire form and the head of a partition file's footer.
+func AppendSchema(dst []byte, s *Schema) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s.Fields)))
 	for _, f := range s.Fields {
-		b = AppendString(b, f.Name)
-		rep := byte(0)
-		if f.Repeated {
-			rep = 1
-		}
-		b = append(b, byte(f.Type), rep)
+		dst = append(AppendString(dst, f.Name), byte(f.Type))
+		dst = AppendBool(dst, f.Repeated)
 	}
-	return b, nil
+	return dst
 }
 
-// GobDecode rebuilds the schema, including the name index, from the field
-// list written by GobEncode.
-func (s *Schema) GobDecode(b []byte) error {
-	n, b, err := ReadCount(b)
-	if err != nil {
-		return err
-	}
-	fields := make([]Field, n)
+// Schema reads a schema written by AppendSchema, rebuilding the name index.
+func (r *Reader) Schema() *Schema {
+	fields := make([]Field, r.Len(3)) // name length, type, flag
 	for i := range fields {
-		if fields[i].Name, b, err = ReadString(b); err != nil {
-			return err
+		fields[i].Name, fields[i].Type, fields[i].Repeated = r.Str(), Type(r.Byte()), r.Bool()
+		if fields[i].Type > String {
+			r.Fail("bad schema field type")
 		}
-		if len(b) < 2 || b[0] > byte(String) || b[1] > 1 {
-			return corrupt("bad schema field")
-		}
-		fields[i].Type, fields[i].Repeated = Type(b[0]), b[1] == 1
-		b = b[2:]
 	}
-	ns, err := NewSchema(fields...)
+	if r.err != nil {
+		return nil
+	}
+	s, err := NewSchema(fields...)
 	if err != nil {
-		return err
+		r.Fail("bad schema")
 	}
-	*s = *ns
-	return nil
+	return s
+}
+
+// GobEncode writes the schema with AppendSchema. Without it, gob would
+// silently drop the unexported byName map and a schema shipped over the wire
+// transport could not resolve columns.
+func (s *Schema) GobEncode() ([]byte, error) { return AppendSchema(nil, s), nil }
+
+// GobDecode reads a schema written by GobEncode.
+func (s *Schema) GobDecode(b []byte) error {
+	ns, err := ReadAll(b, (*Reader).Schema)
+	if err == nil {
+		*s = *ns
+	}
+	return err
 }
 
 // MustSchema is NewSchema that panics on error; for tests and literals.
