@@ -140,7 +140,7 @@ func runNode(cfg nodeConfig) error {
 	}
 	topo.Place("master", "rack-master", "dc1")
 
-	tcpNet, err := transport.NewTCP(topo, transport.Options{Model: model}, transport.TCPOptions{ListenAddr: cfg.listen})
+	tcpNet, err := transport.NewTCP(topo, transport.Options{}, transport.TCPOptions{ListenAddr: cfg.listen})
 	if err != nil {
 		return err
 	}
@@ -220,9 +220,6 @@ func runNode(cfg nodeConfig) error {
 			Router: router,
 			Model:  model,
 			Events: rec,
-			// Spill stays off across processes: each node's storage replica
-			// is local, so a spilled partial written here could not be read
-			// back by a stem in another process.
 		}
 		leaf.Register()
 		leaf.Start("master", cfg.beat)

@@ -164,9 +164,6 @@ type Config struct {
 	// (rendezvous hashing, data holders preferred) while slot caps allow,
 	// so leaf footer/SSD caches keep hitting across repeated queries.
 	CacheAffinity bool
-	// SpillThreshold routes leaf results bigger than this through global
-	// storage (paper §V-C); 0 disables.
-	SpillThreshold int64
 	// TaskTimeout is the straggler threshold for backup tasks.
 	TaskTimeout time.Duration
 	// EnableAuth turns on the entry guard; obtain tokens via Authority().
@@ -311,10 +308,10 @@ func New(cfg Config) (*System, error) {
 	var tcpNet *transport.TCP
 	switch mode {
 	case "", "sim":
-		fabric = transport.NewFabric(topo, transport.Options{Model: model})
+		fabric = transport.NewFabric(topo, transport.Options{})
 	case "tcp":
 		var err error
-		tcpNet, err = transport.NewTCP(topo, transport.Options{Model: model}, transport.TCPOptions{})
+		tcpNet, err = transport.NewTCP(topo, transport.Options{}, transport.TCPOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("feisu: tcp transport: %w", err)
 		}
@@ -501,20 +498,17 @@ func New(cfg Config) (*System, error) {
 			}
 		}
 		leaf := &cluster.LeafServer{
-			Name:           leafName(i),
-			Fabric:         fabric,
-			Reader:         reader,
-			Index:          idx,
-			Router:         router,
-			Model:          model,
-			SpillThreshold: cfg.SpillThreshold,
-			SpillPrefix:    "/hdfs/feisu-tmp",
-			Events:         sys.events,
+			Name:   leafName(i),
+			Fabric: fabric,
+			Reader: reader,
+			Index:  idx,
+			Router: router,
+			Model:  model,
+			Events: sys.events,
 		}
 		leaf.Register()
 		leaf.RegisterMetrics(sys.metrics, leafName(i)+".")
 		sys.metrics.RegisterCounterWith("feisu_leaf_tasks_total", &leaf.Tasks, leafLabel)
-		sys.metrics.RegisterCounterWith("feisu_leaf_spills_total", &leaf.Spills, leafLabel)
 		sys.leaves = append(sys.leaves, leaf)
 	}
 	for i := 0; i < cfg.Stems; i++ {

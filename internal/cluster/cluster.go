@@ -188,16 +188,11 @@ type batchReply struct {
 }
 
 // taskReply is one task's status on its leaf (SimTime is the leaf's bill
-// alone) and its result.
+// alone), its result and the result's estimated size.
 type taskReply struct {
 	Status taskStatus
 	Result *exec.TaskResult
-	// SpillPath is set instead of Result when the payload exceeded the
-	// spill threshold and was written to global storage (paper §V-C's
-	// write flow: "it will be dumped to global storage and only the
-	// location information is passed").
-	SpillPath string
-	Size      int64
+	Size   int64
 }
 
 // stemJobMsg asks a stem to run and merge a set of tasks.
@@ -217,8 +212,7 @@ type taskStatus struct {
 	Leaf    string
 	SimTime time.Duration
 	// ScanSim is the leaf-execution component of SimTime: storage reads
-	// plus predicate CPU, before spill-fetch and reply-transfer costs are
-	// folded in.
+	// plus predicate CPU, before the batch reply's transfer is folded in.
 	ScanSim  time.Duration
 	DevBytes sim.DeviceBytes
 	// Rows is the task's result row count (0 for partial aggregates): the
@@ -228,10 +222,10 @@ type taskStatus struct {
 	// the fabric — the master turns this into an immediate suspicion
 	// instead of waiting out the liveness window.
 	Unreachable bool
-	// TransferSim and PartBytes are a map task's simulated ship time and
-	// bytes shipped, by partition.
-	TransferSim []time.Duration
-	PartBytes   []int64
+	// TransferSim and TransferBytes are a map task's simulated ship time
+	// and bytes shipped, by reducer: one shuffleMsg each.
+	TransferSim   []time.Duration
+	TransferBytes []int64
 }
 
 // stemReply is a stem's answer. Merged is the left fold, in ascending

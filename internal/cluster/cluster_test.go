@@ -25,7 +25,8 @@ import (
 // and leaves co-located with a simulated HDFS holding the "logs" table.
 type testCluster struct {
 	t      *testing.T
-	fabric *transport.Fabric
+	fabric *transport.Fabric // nil over TCP
+	net    transport.Network
 	router *storage.Router
 	hdfs   *storage.DFS
 	master *Master
@@ -38,16 +39,33 @@ const testRowsPerPartition = 100
 // newTestCluster builds nLeaves leaves and nStems stems, with the logs
 // table split into nParts partitions on the simulated HDFS.
 func newTestCluster(t *testing.T, nLeaves, nStems, nParts int, cfgMut func(*MasterConfig)) *testCluster {
+	return newTestClusterOn(t, "sim", nLeaves, nStems, nParts, cfgMut)
+}
+
+// newTestClusterOn is newTestCluster on the given fabric: "sim" or "tcp"
+// (every node behind one loopback listener).
+func newTestClusterOn(t *testing.T, mode string, nLeaves, nStems, nParts int, cfgMut func(*MasterConfig)) *testCluster {
 	t.Helper()
 	model := sim.DefaultCostModel()
 	topo := transport.NewTopology()
-	fabric := transport.NewFabric(topo, transport.Options{Model: model})
 
 	hdfs := storage.NewHDFS("hdfs", model)
 	router := storage.NewRouter(storage.NewMemFS("", model))
 	router.Register(hdfs)
 
-	tc := &testCluster{t: t, fabric: fabric, router: router, hdfs: hdfs}
+	tc := &testCluster{t: t, router: router, hdfs: hdfs}
+	if mode == "tcp" {
+		tcp, err := transport.NewTCP(topo, transport.Options{}, transport.TCPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tcp.Close() })
+		tc.net = tcp
+	} else {
+		tc.fabric = transport.NewFabric(topo, transport.Options{})
+		tc.net = tc.fabric
+	}
+	fabric := tc.net
 
 	for i := 0; i < nLeaves; i++ {
 		name := fmt.Sprintf("leaf%d", i)
@@ -297,35 +315,6 @@ func TestNoLeavesError(t *testing.T) {
 	if _, _, err := tc.master.Submit(context.Background(), "SELECT COUNT(*) FROM logs", QueryOptions{}); err == nil {
 		t.Fatal("no leaves should fail")
 	}
-}
-
-func TestSpillPath(t *testing.T) {
-	tc := newTestCluster(t, 2, 1, 2, nil)
-	for _, l := range tc.leaves {
-		l.SpillThreshold = 64 // force spilling
-		l.SpillPrefix = "/hdfs/feisu-tmp"
-	}
-	res, _ := tc.query("SELECT id FROM logs WHERE v = 3 ORDER BY id", QueryOptions{})
-	if len(res.Rows) != 20 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	if tc.fabric.Msgs[transport.Write].Value() == 0 {
-		t.Error("spill should ride the write flow")
-	}
-	if err := checkSpillFiles(tc); err != nil {
-		t.Error(err)
-	}
-}
-
-func checkSpillFiles(tc *testCluster) error {
-	files, err := tc.hdfs.List(context.Background(), "/feisu-tmp/")
-	if err != nil {
-		return err
-	}
-	if len(files) == 0 {
-		return errors.New("no spill files written")
-	}
-	return nil
 }
 
 func TestEntryGuardAuthFlow(t *testing.T) {

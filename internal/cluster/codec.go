@@ -81,7 +81,7 @@ func unpack[M any](read func(*types.Reader) M) func([]byte) (any, error) {
 // allocated.
 const (
 	taskMinBytes        = 7  // plan, path, rows, bytes, gen, ordinal, workers
-	taskReplyMinBytes   = 15 // status, result flag, spill path, size
+	taskReplyMinBytes   = 14 // status, result flag, size
 	statusMinBytes      = 12 // two flags, two strings, two times, devices, rows, two lists
 	shufflePartMinBytes = 4  // partition, size, an empty rows batch, an empty groups batch
 	tailMinBytes        = 2  // ordinal, result flag
@@ -170,7 +170,6 @@ func (m batchReply) AppendPayload(b []byte) ([]byte, error) {
 		if b, err = appendResult(b, t.Result); err != nil {
 			return nil, err
 		}
-		b = types.AppendString(b, t.SpillPath)
 		b = binary.AppendVarint(b, t.Size)
 	}
 	return b, nil
@@ -185,7 +184,7 @@ func readBatchReply(r *types.Reader) batchReply {
 		t := &m.Tasks[i]
 		t.Status = readStatus(r)
 		t.Result = readResult(r)
-		t.SpillPath, t.Size = r.Str(), r.Varint()
+		t.Size = r.Varint()
 	}
 	return m
 }
@@ -374,7 +373,7 @@ func appendStatus(b []byte, st taskStatus) []byte {
 	b = binary.AppendVarint(b, int64(st.Rows))
 	b = types.AppendBool(b, st.Unreachable)
 	b = appendInts(b, st.TransferSim)
-	return appendInts(b, st.PartBytes)
+	return appendInts(b, st.TransferBytes)
 }
 
 func readStatus(r *types.Reader) taskStatus {
@@ -383,7 +382,7 @@ func readStatus(r *types.Reader) taskStatus {
 	st.Rows = r.Int()
 	st.Unreachable = r.Bool()
 	st.TransferSim = readInts[time.Duration](r)
-	st.PartBytes = readInts[int64](r)
+	st.TransferBytes = readInts[int64](r)
 	return st
 }
 

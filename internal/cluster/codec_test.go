@@ -662,7 +662,7 @@ func TestPackedPlanMessagesDecodeCheaply(t *testing.T) {
 
 // pinnedMessages are fixed packed messages with varied contents: every
 // column layout, NULLs, a group with a float sum, an optional result, a
-// failed task. Their bytes are the wire form of CodecVersion 9: a decoder
+// failed task. Their bytes are the wire form of CodecVersion 10: a decoder
 // may move, but these bytes may not change without a version bump.
 func pinnedMessages() map[string]transport.Packer {
 	g := exec.NewGroups(1)
@@ -680,11 +680,11 @@ func pinnedMessages() map[string]transport.Packer {
 			}},
 		"batchReply": batchReply{Tasks: []taskReply{
 			{Status: taskStatus{OK: true, Leaf: "leaf0", SimTime: 1500, ScanSim: 900, DevBytes: sim.DeviceBytes{4096}, Rows: 1,
-				TransferSim: []time.Duration{5}, PartBytes: []int64{}},
+				TransferSim: []time.Duration{5}, TransferBytes: []int64{}},
 				Result: &exec.TaskResult{Rows: [][]types.Value{{types.NewString("x")}, nil, {}},
 					Stats: exec.ScanStats{BlocksTotal: 4, RowsScanned: 100, RowsEmitted: 1}}, Size: 64},
 			{Status: taskStatus{Err: "boom", Leaf: "leaf1", Unreachable: true},
-				Result: &exec.TaskResult{Groups: g}, SpillPath: "/spill/x", Size: 1 << 20},
+				Result: &exec.TaskResult{Groups: g}, Size: 1 << 20},
 		}},
 	}
 }
@@ -692,7 +692,7 @@ func pinnedMessages() map[string]transport.Packer {
 func TestPinnedWireBytes(t *testing.T) {
 	want := map[string]string{
 		"shuffleMsg": "050a71312f73687566666c650271310570726f626506020300540300030100020700d4fe04000100610201010000000000000000000000000000f83f000412000202010400016b0300010102010a01000000000000e03f010100010101000109",
-		"batchReply": "02030100056c65616630b817880e8040000000000200020a0101080000000000c801000200040102000104000178000080010004626f6f6d056c65616631000000000000000001000001000000000000000000000001020201010400016b01010100010000000000000440010200000000000000044002000000000000000440082f7370696c6c2f7880808001",
+		"batchReply": "02030100056c65616630b817880e8040000000000200020a0101080000000000c8010002000401020001040001780080010004626f6f6d056c65616631000000000000000001000001000000000000000000000001020201010400016b0101010001000000000000044001020000000000000004400200000000000000044080808001",
 	}
 	for name, m := range pinnedMessages() {
 		b, err := transport.EncodePayload(m)

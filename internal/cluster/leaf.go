@@ -25,39 +25,31 @@ type LeafServer struct {
 	Reader exec.PartitionReader
 	// Index is the node's SmartIndex / B-tree; nil disables indexing.
 	Index exec.IndexSource
-	// Router performs spill writes and resolves data locality; nil
-	// disables spilling and the remote-read penalty.
+	// Router resolves data locality: which nodes hold a partition's
+	// replicas. nil disables the remote-read penalty.
 	Router *storage.Router
-	// Model prices remote reads; nil disables the penalty.
+	// Model prices remote reads and the shuffle messages the leaf sends;
+	// nil disables both bills.
 	Model *sim.CostModel
-	// SpillThreshold sends results above this size via global storage
-	// instead of inline; <=0 disables spilling.
-	SpillThreshold int64
-	// SpillPrefix is where spilled results go (e.g. "/hdfs/feisu-tmp").
-	SpillPrefix string
 	// Events, when set, journals task executions into the flight recorder.
 	Events *events.Recorder
 
 	// stall is a per-task pause in nanoseconds (straggler fault injection),
 	// atomic because the chaos controller flips it while tasks run.
-	stall    atomic.Int64
-	active   atomic.Int32
-	queued   atomic.Int32 // tasks received in a batch and not yet started
-	batches  atomic.Int64 // batches received (runBatch's run order)
-	spillSeq atomic.Int64
-	life     lifecycle
+	stall   atomic.Int64
+	active  atomic.Int32
+	queued  atomic.Int32 // tasks received in a batch and not yet started
+	batches atomic.Int64 // batches received (runBatch's run order)
+	life    lifecycle
 
-	// Tasks counts sub-plans executed; Spills counts results written to
-	// global storage instead of returned inline.
-	Tasks  metrics.Counter
-	Spills metrics.Counter
+	// Tasks counts sub-plans executed.
+	Tasks metrics.Counter
 }
 
 // RegisterMetrics publishes the leaf's counters into a central registry
 // under the given name prefix (e.g. "leaf0.").
 func (l *LeafServer) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Register(prefix+"tasks", &l.Tasks)
-	reg.Register(prefix+"spills", &l.Spills)
 }
 
 // Register attaches the leaf to the fabric.
@@ -112,8 +104,8 @@ func (l *LeafServer) runBatch(ctx context.Context, b *taskBatch) batchReply {
 
 // runTask executes the batch's task i into reply under its TaskTimeout and
 // its attempt span, billing simulated I/O to a private bill. A scatter task
-// returns its result (through global storage past the spill threshold); a
-// map task ships it to the reducers and returns the transfer accounting.
+// returns its result; a map task ships it to the reducers and returns the
+// transfer accounting.
 func (l *LeafServer) runTask(ctx context.Context, b *taskBatch, i int, reply *taskReply) error {
 	if spans, _ := ctx.Value(taskSpansKey{}).([]*trace.Span); i < len(spans) {
 		ctx = trace.NewContext(ctx, spans[i])
@@ -165,23 +157,6 @@ func (l *LeafServer) runTask(ctx context.Context, b *taskBatch, i int, reply *ta
 			b.QueryID, task.Ordinal, bill.Time(), l.Name+" "+task.Partition.Path)
 	}
 	reply.Result, reply.Size = res, res.EstimateBytes()
-	if l.SpillThreshold > 0 && reply.Size > l.SpillThreshold && l.Router != nil {
-		l.Spills.Inc()
-		data, err := exec.AppendResult(nil, res)
-		if err != nil {
-			return err
-		}
-		path := fmt.Sprintf("%s/%s-%d", l.SpillPrefix, l.Name, l.spillSeq.Add(1))
-		// Spilling is write-flow traffic to global storage (§V-C).
-		if err := l.Router.WriteFile(ctx, path, data); err != nil {
-			return fmt.Errorf("cluster: spill to %s: %w", path, err)
-		}
-		l.Fabric.Counters().Msgs[transport.Write].Inc()
-		l.Fabric.Counters().Bytes[transport.Write].Add(int64(len(data)))
-		reply.Result = nil
-		reply.SpillPath = path
-		reply.Size = int64(len(data))
-	}
 	return nil
 }
 

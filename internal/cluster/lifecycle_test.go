@@ -135,21 +135,22 @@ func TestTaskLifecycleCharacterisation(t *testing.T) {
 // The sim and scan times are those of tasks that read their blocks one after
 // another: every partition has four 32-row blocks, and each column a block
 // reads costs one 8 ms HDD seek after the footer's two (DESIGN.md "One scan
-// path").
+// path"). A leaf's batch reply is billed as one transfer and each shuffle
+// message as one (DESIGN.md "The bill follows the message").
 var lifecycleWant = map[string]string{
-	"scatter/clean": `tasks=3 backup=0 failed=0 sim=99017762 scan=96014854 bytes=[hdd:2594] spill=0
+	"scatter/clean": `tasks=3 backup=0 failed=0 sim=98017763 scan=96014854 bytes=[hdd:2594] spill=0
 query/q000001: query.submit query.admitted query.done
 task/q000001#0: task.done
 task/q000001#1: task.done
 task/q000001#2: task.done
 `,
-	"scatter/retried": `tasks=3 backup=1 failed=0 sim=149026658 scan=144022296 bytes=[hdd:2594] spill=0
+	"scatter/retried": `tasks=3 backup=1 failed=0 sim=148026659 scan=144022296 bytes=[hdd:2594] spill=0
 query/q000001: query.submit query.admitted query.done
 task/q000001#0: task.done
 task/q000001#1: task.scheduled task.dispatched task.retry leaf.exec task.collected task.done
 task/q000001#2: task.done
 `,
-	"group-shuffle/clean": `tasks=3 backup=0 failed=0 sim=167248792 scan=160017626 bytes=[hdd:3012] spill=0
+	"group-shuffle/clean": `tasks=3 backup=0 failed=0 sim=164248795 scan=160017626 bytes=[hdd:3012] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
@@ -158,7 +159,7 @@ task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#1: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
-	"group-shuffle/retried": `tasks=3 backup=1 failed=0 sim=247257630 scan=240026464 bytes=[hdd:3012] spill=0
+	"group-shuffle/retried": `tasks=3 backup=1 failed=0 sim=244257633 scan=240026464 bytes=[hdd:3012] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
@@ -167,7 +168,7 @@ task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#1: task.scheduled task.dispatched task.retry shuffle.commit shuffle.commit shuffle.map task.collected task.done
 task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
-	"repartition-join/clean": `tasks=3 backup=0 failed=0 sim=135059569 scan=128016810 bytes=[hdd:2940] spill=0
+	"repartition-join/clean": `tasks=3 backup=0 failed=0 sim=132059570 scan=128016810 bytes=[hdd:2940] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
@@ -176,7 +177,7 @@ task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#1: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
-	"repartition-join/retried": `tasks=3 backup=1 failed=0 sim=215068406 scan=208025647 bytes=[hdd:2940] spill=0
+	"repartition-join/retried": `tasks=3 backup=1 failed=0 sim=212068407 scan=208025647 bytes=[hdd:2940] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce

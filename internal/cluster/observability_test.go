@@ -136,7 +136,7 @@ func flattenRows(res *exec.Result) string {
 func TestChargeRemoteReadIndexOnlyNotBilled(t *testing.T) {
 	model := sim.DefaultCostModel()
 	topo := transport.NewTopology()
-	fabric := transport.NewFabric(topo, transport.Options{Model: model})
+	fabric := transport.NewFabric(topo, transport.Options{})
 	hdfs := storage.NewHDFS("hdfs", model)
 	router := storage.NewRouter(storage.NewMemFS("", model))
 	router.Register(hdfs)

@@ -49,11 +49,6 @@ const (
 	shuffleSideProbe = "probe"
 	shuffleSideBuild = "build"
 	shuffleSideGroup = "group"
-
-	// shuffleFrameRows is the run of rows (or groups) the cost model bills
-	// as one transfer: the sim prices a partition's share as a stream of
-	// bounded frames, though it crosses the wire in one message.
-	shuffleFrameRows = 256
 )
 
 // shuffleMsg is one map task attempt's whole output for one reducer: a part
@@ -111,13 +106,13 @@ type shuffleAck struct{}
 
 // routeShuffle hash-partitions a map task's output and sends every reducer
 // one shuffleMsg: a part per partition it owns, empty parts included, so
-// each reducer can commit this ordinal. The reply reports each partition's
-// bytes and transfer sim. The sim bills a partition's share as runs of
-// shuffleFrameRows, each one transfer when the route crosses racks; the call
-// itself carries no bill. It returns the rows or groups routed.
+// each reducer can commit this ordinal. Each message is billed as one
+// transfer of its bytes when the route crosses nodes, and the reply reports
+// each reducer's bytes and transfer sim; the call itself carries no bill. It
+// returns the rows or groups routed.
 func (l *LeafServer) routeShuffle(ctx context.Context, msg *taskBatch, ordinal int, side string, res *exec.TaskResult, st *taskStatus) (int, error) {
 	parts := max(msg.Partitions, 1)
-	st.TransferSim, st.PartBytes = make([]time.Duration, parts), make([]int64, parts)
+	st.TransferSim, st.TransferBytes = make([]time.Duration, len(msg.Reducers)), make([]int64, len(msg.Reducers))
 	// Route every row or group straight into its partition's part.
 	shares := make([]shufflePart, parts)
 	routed := 0
@@ -137,27 +132,23 @@ func (l *LeafServer) routeShuffle(ctx context.Context, msg *taskBatch, ordinal i
 		}
 	}
 	for ri, reducer := range msg.Reducers {
-		hops := l.Fabric.Topology().Hops(l.Name, reducer)
 		out := shuffleMsg{Exchange: msg.Exchange, QueryID: msg.QueryID, Side: side, Ordinal: ordinal, Attempt: msg.Attempt}
 		var size int64
 		for pi := ri; pi < parts; pi += len(msg.Reducers) {
 			p := &shares[pi]
 			p.Partition = pi
-			for off := 0; off < max(len(p.Groups), len(p.Rows)); off += shuffleFrameRows {
-				var n int64
-				if p.Groups != nil {
-					n = exec.EstimateGroups(p.Groups[off:min(off+shuffleFrameRows, len(p.Groups))])
-				} else {
-					n = (&exec.TaskResult{Rows: p.Rows[off:min(off+shuffleFrameRows, len(p.Rows))]}).EstimateBytes()
-				}
-				p.Size += n
-				if hops > 0 && l.Model != nil {
-					st.TransferSim[pi] += l.Model.TransferCost(n, hops)
-				}
+			switch {
+			case p.Groups != nil:
+				p.Size = exec.EstimateGroups(p.Groups)
+			case p.Rows != nil:
+				p.Size = (&exec.TaskResult{Rows: p.Rows}).EstimateBytes()
 			}
-			st.PartBytes[pi] = p.Size
 			size += p.Size
 			out.Parts = append(out.Parts, *p)
+		}
+		st.TransferBytes[ri] = size
+		if hops := l.Fabric.Topology().Hops(l.Name, reducer); hops > 0 && l.Model != nil {
+			st.TransferSim[ri] = l.Model.TransferCost(size, hops)
 		}
 		if _, err := l.Fabric.Call(ctx, l.Name, reducer, transport.Shuffle, out, size); err != nil {
 			return routed, err
@@ -437,32 +428,30 @@ func (q *statement) shuffle(ctx context.Context) (*exec.TaskResult, error) {
 
 // shuffleTransfer is phase 2, pure accounting. The map output already moved
 // (inside the map phase's wall clock), but the simulated transfer is modeled
-// as its own pipeline stage: the slowest reducer's total inbound transfer.
+// as its own pipeline stage: the slowest reducer's inbound messages, one
+// transfer each, summed.
 func (q *statement) shuffleTransfer(ctx context.Context, route *taskBatch, groups []groupDone) time.Duration {
-	transferSim := make([]time.Duration, route.Partitions)
-	transferBytes := make([]int64, route.Partitions)
+	reducerIn := make([]time.Duration, len(route.Reducers))
+	reducerBytes := make([]int64, len(route.Reducers))
 	for _, g := range groups {
 		for _, d := range g.tasks {
-			for pi, dur := range d.TransferSim {
-				transferSim[pi] += dur
+			for ri, dur := range d.TransferSim {
+				reducerIn[ri] += dur
 			}
-			for pi, n := range d.PartBytes {
-				transferBytes[pi] += n
+			for ri, n := range d.TransferBytes {
+				reducerBytes[ri] += n
 			}
 		}
 	}
 	_, span := trace.StartSpan(ctx, "shuffle-transfer")
-	reducerIn := make([]time.Duration, len(route.Reducers))
 	var slowest time.Duration
-	for pi := range transferSim {
-		ri := pi % len(route.Reducers)
-		reducerIn[ri] += transferSim[pi]
-		slowest = max(slowest, reducerIn[ri])
+	for ri, in := range reducerIn {
+		slowest = max(slowest, in)
 		if span != nil {
-			ps := span.Child(fmt.Sprintf("partition %d -> %s", pi, route.Reducers[ri]))
-			ps.SetSim(transferSim[pi])
-			ps.Count("bytes", transferBytes[pi])
-			ps.Finish()
+			rs := span.Child("-> " + route.Reducers[ri])
+			rs.SetSim(in)
+			rs.Count("bytes", reducerBytes[ri])
+			rs.Finish()
 		}
 	}
 	span.SetSim(slowest)

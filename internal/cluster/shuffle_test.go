@@ -53,7 +53,7 @@ func newShuffleCluster(t *testing.T, nLeaves, nStems, factParts, dimParts int, c
 	t.Helper()
 	model := sim.DefaultCostModel()
 	topo := transport.NewTopology()
-	fabric := transport.NewFabric(topo, transport.Options{Model: model})
+	fabric := transport.NewFabric(topo, transport.Options{})
 	hdfs := storage.NewHDFS("hdfs", model)
 	router := storage.NewRouter(storage.NewMemFS("", model))
 	router.Register(hdfs)

@@ -16,18 +16,19 @@ import (
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/types"
 )
 
 // StemServer is an internal node of the execution tree: it sends each leaf
-// one batch of sub-plans per job, pulls results (reading spilled payloads
-// from global storage when needed) and merges them bottom-up (paper §III-B).
+// one batch of sub-plans per job, pulls the batch's results back in one reply
+// and merges them bottom-up (paper §III-B). As a shuffle reducer it commits
+// map output and runs the reduce.
 type StemServer struct {
 	Name   string
 	Fabric transport.Network
-	// Router reads spilled results.
+	// Router backs the reducer's grace-hash spills; nil keeps them in memory.
 	Router *storage.Router
-	// Model prices reply transfers into per-task sim times.
+	// Model prices batch replies into the sim time of the task that
+	// carries each one, and the reducer's spills and reduce CPU.
 	Model *sim.CostModel
 	// Events, when set, journals the reducer's shuffle commits and reduces
 	// into the flight recorder.
@@ -172,68 +173,56 @@ func (s *StemServer) attempt(ctx context.Context, job *stemJobMsg, leaf string, 
 	if err == nil && (!ok || len(reply.Tasks) != len(pos)) {
 		err = fmt.Errorf("leaf %s: reply %T does not answer %d tasks", leaf, raw, len(pos))
 	}
+	last, size := -1, int64(0) // the highest-ordinal task with a result, and the results' bytes
 	for j, p := range pos {
-		var sp *trace.Span
-		if spans != nil {
-			sp = spans[j]
-		}
+		st := &status[p]
 		if err != nil {
-			status[p].Err, status[p].Unreachable = err.Error(), errors.Is(err, transport.ErrUnknownNode)
-		} else if status[p] = reply.Tasks[j].Status; status[p].Err == "" {
-			results[p] = s.collect(ctx, leaf, reply.Tasks[j], sp, &status[p])
+			st.Err, st.Unreachable = err.Error(), errors.Is(err, transport.ErrUnknownNode)
+		} else if *st = reply.Tasks[j].Status; st.Err == "" {
+			// The leaf's status carries its execution-only bill.
+			st.OK, st.ScanSim = true, st.SimTime
+			if res := reply.Tasks[j].Result; res != nil { // a map task's rows went sideways
+				results[p], st.Rows = res, len(res.Rows)
+				last, size = j, size+reply.Tasks[j].Size
+			}
 		}
-		status[p].Leaf = leaf
-		sp.Finish()
+		st.Leaf = leaf
+	}
+	if last >= 0 {
+		s.billReply(leaf, size, spans, last, &status[pos[last]])
+	}
+	if spans == nil {
+		return
+	}
+	for j, p := range pos {
+		// A task span's sim time is the task's full response time: leaf
+		// execution, plus the reply transfer on the task that carries it.
+		if status[p].OK {
+			spans[j].SetSim(status[p].SimTime)
+		}
+		spans[j].Finish()
 	}
 }
 
-// collect turns one task's reply into its result, fetching a spilled one
-// back, and bills the reply's way up into the task's simulated time.
-func (s *StemServer) collect(ctx context.Context, leaf string, reply taskReply, span *trace.Span, st *taskStatus) *exec.TaskResult {
-	// The leaf's reply carries its execution-only bill; spill-fetch and
-	// reply-transfer costs accrue on top of it below.
-	st.ScanSim = st.SimTime
-	res := reply.Result
-	if reply.SpillPath != "" {
-		bill := sim.NewBill()
-		data, err := s.Router.ReadFile(storage.WithBill(ctx, bill), reply.SpillPath)
-		if err != nil {
-			st.Err = fmt.Sprintf("fetch spill %s: %v", reply.SpillPath, err)
-			return nil
-		}
-		if res, err = types.ReadAll(data, exec.ReadResult); err != nil {
-			st.Err = fmt.Sprintf("decode spill %s: %v", reply.SpillPath, err)
-			return nil
-		}
-		st.SimTime += bill.Time()
-		sp := span.Child("spill-fetch")
-		sp.SetSim(bill.Time())
-		sp.Count("bytes", int64(len(data)))
+// billReply charges a batch reply's way up the tree — one read-flow message
+// of size bytes — to st, the batch's highest-ordinal task with a result
+// (at position j), so the charge does not depend on the order the leaf ran
+// the tasks in.
+func (s *StemServer) billReply(leaf string, size int64, spans []*trace.Span, j int, st *taskStatus) {
+	s.Fabric.Counters().Msgs[transport.Read].Inc()
+	s.Fabric.Counters().Bytes[transport.Read].Add(size)
+	hops := s.Fabric.Topology().Hops(leaf, s.Name)
+	if s.Model == nil || hops == 0 {
+		return
+	}
+	cost := s.Model.TransferCost(size, hops)
+	st.SimTime += cost
+	if spans != nil {
+		sp := spans[j].Child("reply-transfer")
+		sp.SetSim(cost)
+		sp.Count("bytes", size)
 		sp.Finish()
 	}
-	// The result rides the read flow back up the tree; charge its transfer
-	// into the task's simulated time. A map task's reply carries none: its
-	// rows went sideways, billed per partition by the leaf.
-	if res != nil {
-		s.Fabric.Counters().Msgs[transport.Read].Inc()
-		s.Fabric.Counters().Bytes[transport.Read].Add(reply.Size)
-		if s.Model != nil {
-			if hops := s.Fabric.Topology().Hops(leaf, s.Name); hops > 0 {
-				cost := s.Model.TransferCost(reply.Size, hops)
-				st.SimTime += cost
-				sp := span.Child("reply-transfer")
-				sp.SetSim(cost)
-				sp.Count("bytes", reply.Size)
-				sp.Finish()
-			}
-		}
-		st.Rows = len(res.Rows)
-	}
-	// The task span's sim time is the full task response time: leaf
-	// execution plus spill fetch plus reply transfer.
-	span.SetSim(st.SimTime)
-	st.OK = true
-	return res
 }
 
 // LoadSnapshot assembles the stem's current load.

@@ -66,7 +66,7 @@ func BenchmarkDecodeSingleColumn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeColumn(types.Int64, payload); err != nil {
+		if _, err := DecodeColumn(types.Int64, payload, meta.Blocks[0].Stats.NumRows); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -244,7 +244,7 @@ func UnmarshalBlock(schema *types.Schema, data []byte, wantCols []int) (*Block, 
 			b.Columns[i] = NewColumn(schema.Fields[i].Type)
 			continue
 		}
-		col, err := DecodeColumn(schema.Fields[i].Type, payload)
+		col, err := DecodeColumn(schema.Fields[i].Type, payload, int(numRows))
 		if err != nil {
 			return nil, fmt.Errorf("colstore: column %d (%s): %w", i, schema.Fields[i].Name, err)
 		}
@@ -254,31 +254,32 @@ func UnmarshalBlock(schema *types.Schema, data []byte, wantCols []int) (*Block, 
 }
 
 // DecodeColumn parses one column payload (located by its footer extent)
-// without touching the rest of the block.
-func DecodeColumn(t types.Type, payload []byte) (*Column, error) {
+// without touching the rest of the block. rows is the block's record count:
+// a scalar column must hold exactly rows values, and a repeated column rows+1
+// offsets that start at 0, never decrease and end at its value count, so
+// every record r < rows can be read.
+func DecodeColumn(t types.Type, payload []byte, rows int) (*Column, error) {
 	r := types.NewReader(payload)
-	col := readColumn(&r, t)
+	col := readColumn(&r, t, rows)
 	if err := r.End(); err != nil {
 		return nil, err
 	}
 	return col, nil
 }
 
-func readColumn(r *types.Reader, t types.Type) *Column {
+func readColumn(r *types.Reader, t types.Type, rows int) *Column {
 	col := NewColumn(t)
 	if r.Bool() {
 		part := r.Sub(int(r.Uvarint()))
 		col.Nulls = bitmap.Read(&part)
 		r.Close(&part)
 	}
-	if r.Bool() {
+	var offs []int64
+	repeated := r.Bool()
+	if repeated {
 		part := r.Sub(int(r.Uvarint()))
-		offs := encoding.ReadInt64s(&part)
+		offs = encoding.ReadInt64s(&part)
 		r.Close(&part)
-		col.Offsets = make([]int32, len(offs))
-		for i, o := range offs {
-			col.Offsets[i] = int32(o)
-		}
 	}
 	switch t {
 	case types.Int64:
@@ -292,8 +293,33 @@ func readColumn(r *types.Reader, t types.Type) *Column {
 	default:
 		r.Fail("unsupported column type")
 	}
-	if col.Nulls != nil && col.Nulls.Len() != col.Len() {
+	n := col.Len()
+	switch {
+	case col.Nulls != nil && col.Nulls.Len() != n:
 		r.Fail("null bitmap and values differ in length")
+	case !repeated && n != rows:
+		r.Fail("column length differs from the block's row count")
+	case repeated && !validOffsets(offs, rows, n):
+		r.Fail("repeated column offsets do not cover the block's rows")
+	case repeated:
+		col.Offsets = make([]int32, len(offs))
+		for i, o := range offs {
+			col.Offsets[i] = int32(o)
+		}
 	}
 	return col
+}
+
+// validOffsets reports whether offs splits n values into rows records: rows+1
+// offsets from 0 to n that never decrease, n within int32.
+func validOffsets(offs []int64, rows, n int) bool {
+	if rows < 0 || len(offs) != rows+1 || offs[0] != 0 || int64(n) != offs[rows] || n > math.MaxInt32 {
+		return false
+	}
+	for i := 1; i < len(offs); i++ {
+		if offs[i] < offs[i-1] {
+			return false
+		}
+	}
+	return true
 }

@@ -140,41 +140,51 @@ func FuzzParseFooter(f *testing.F) {
 	})
 }
 
-// FuzzDecodeColumn: an arbitrary column payload of any type either decodes
-// or fails with types.ErrCorrupt — never a panic. The Writer's payloads (the
-// seeds) re-encode to exactly their bytes; any other payload that decodes
-// re-encodes to a payload that decodes and re-encodes to itself (the encoder
-// picks a chunk's encoding by size, so a valid chunk in another encoding
-// comes back in the encoder's).
+// FuzzDecodeColumn: an arbitrary column payload of any type, against any row
+// count, either decodes or fails with types.ErrCorrupt — never a panic — and
+// every record r < rows of what decodes can be read. The Writer's payloads
+// (the seeds) re-encode to exactly their bytes; any other payload that
+// decodes re-encodes to a payload that decodes and re-encodes to itself (the
+// encoder picks a chunk's encoding by size, so a valid chunk in another
+// encoding comes back in the encoder's).
 func FuzzDecodeColumn(f *testing.F) {
 	data, meta := allTypesFile(f)
 	for _, bm := range meta.Blocks {
 		for c, e := range bm.ColExtents {
 			payload := data[e.Off : e.Off+e.Len]
-			col, err := DecodeColumn(meta.Schema.Fields[c].Type, payload)
+			col, err := DecodeColumn(meta.Schema.Fields[c].Type, payload, bm.Stats.NumRows)
 			if err != nil {
 				f.Fatal(err)
 			}
 			if again, err := appendColumn(nil, col); err != nil || !bytes.Equal(again, payload) {
 				f.Fatalf("block %d column %d re-encodes differently (%v)", bm.Ordinal, c, err)
 			}
-			f.Add(byte(meta.Schema.Fields[c].Type), payload)
+			f.Add(byte(meta.Schema.Fields[c].Type), uint16(bm.Stats.NumRows), payload)
 		}
 	}
-	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
-		ty := types.Type(1 + typ%4)
-		col, err := DecodeColumn(ty, payload)
+	f.Fuzz(func(t *testing.T, typ byte, rows16 uint16, payload []byte) {
+		ty, rows := types.Type(1+typ%4), int(rows16)
+		col, err := DecodeColumn(ty, payload, rows)
 		if err != nil {
 			if !errors.Is(err, types.ErrCorrupt) {
 				t.Fatalf("untyped error: %v", err)
 			}
 			return
 		}
+		for r := 0; r < rows; r++ {
+			if col.Offsets == nil {
+				col.Value(r)
+				continue
+			}
+			for i := col.Offsets[r]; i < col.Offsets[r+1]; i++ {
+				col.Value(int(i))
+			}
+		}
 		enc, err := appendColumn(nil, col)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := DecodeColumn(ty, enc)
+		back, err := DecodeColumn(ty, enc, rows)
 		if err != nil {
 			t.Fatalf("re-encoded column does not decode: %v", err)
 		}
@@ -182,4 +192,46 @@ func FuzzDecodeColumn(f *testing.F) {
 			t.Fatalf("re-encoding is not a fixed point:\n got %x\nwant %x", again, enc)
 		}
 	})
+}
+
+// A column whose bytes pass their CRC but do not fit the block's row count —
+// too few or too many values, or a repeated column's offsets that are short,
+// do not start at 0, decrease, miss the value count or pass int32 — is a typed
+// error, never a column a reader indexes past the end of.
+func TestDecodeColumnChecksRowCount(t *testing.T) {
+	// payload is an int column of n values, repeated when offs is non-nil.
+	payload := func(n int, offs ...int64) []byte {
+		p := types.AppendBool(types.AppendBool(nil, false), offs != nil)
+		if offs != nil {
+			enc := encoding.EncodeInt64s(offs)
+			p = append(binary.AppendUvarint(p, uint64(len(enc))), enc...)
+		}
+		return append(p, encoding.EncodeInt64s(make([]int64, n))...)
+	}
+	for name, tc := range map[string]struct {
+		payload []byte
+		rows    int
+		ok      bool
+	}{
+		"scalar":              {payload(4), 4, true},
+		"empty":               {payload(0), 0, true},
+		"repeated":            {payload(3, 0, 0, 3, 3), 3, true},
+		"short":               {payload(4), 8, false},
+		"long":                {payload(8), 4, false},
+		"negative rows":       {payload(0), -1, false},
+		"offsets short":       {payload(3, 0, 3), 2, false},
+		"offsets from 1":      {payload(3, 1, 2, 3), 2, false},
+		"offsets decrease":    {payload(3, 0, 2, 1, 3), 3, false},
+		"offsets miss values": {payload(3, 0, 1, 2), 2, false},
+		"offsets past values": {payload(3, 0, 1, 4), 2, false},
+		"offsets past int32":  {payload(3, 0, 1<<32+1, 3), 2, false}, // int32(1<<32+1) == 1
+	} {
+		_, err := DecodeColumn(types.Int64, tc.payload, tc.rows)
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if !tc.ok && !errors.Is(err, types.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
 }

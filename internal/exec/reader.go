@@ -101,7 +101,7 @@ func (sr *StoreReader) Column(ctx context.Context, path string, meta *colstore.F
 	if err := colstore.VerifyExtent(ext, payload); err != nil {
 		return nil, fmt.Errorf("exec: read %s block %d col %d: %w", path, block, col, err)
 	}
-	c, err := colstore.DecodeColumn(meta.Schema.Fields[col].Type, payload)
+	c, err := colstore.DecodeColumn(meta.Schema.Fields[col].Type, payload, bm.Stats.NumRows)
 	if err != nil {
 		return nil, fmt.Errorf("exec: decode %s block %d col %d: %w", path, block, col, err)
 	}

@@ -75,7 +75,7 @@ func AnalyzeCriticalPath(root *Span) *CriticalPath {
 
 	// Split the execute stage along the critical leaf chain: group task
 	// spans by leaf, pick the busiest leaf, and divide its chain into leaf
-	// execution (scan) vs spill-fetch/reply-transfer. Raw components are
+	// execution (scan) vs reply transfer. Raw components are
 	// rescaled to exactly execSeg so clamping above cannot break the
 	// partition.
 	scanRaw, transferRaw, otherRaw := splitExecute(root, cp)
@@ -133,8 +133,8 @@ func splitExecute(root *Span, cp *CriticalPath) (scan, transfer, other time.Dura
 		}
 		leafTotal[leaf] += task.Sim()
 		// A task span's own sim is the full response time; its "leaf/" child
-		// carries the execution-only component (spill-fetch and
-		// reply-transfer children carry the rest).
+		// carries the execution-only component, and the task that carries
+		// its batch's reply has a reply-transfer child for the rest.
 		for _, c := range task.Children() {
 			if strings.HasPrefix(c.Name(), "leaf/") {
 				leafScan[leaf] += c.Sim()

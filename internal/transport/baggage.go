@@ -1,7 +1,7 @@
 package transport
 
 // In-process baggage relay for the TCP transport. Observability state — the
-// active trace span, the per-query sim bill — rides the caller's context in
+// active trace span, a batch's attempt spans — rides the caller's context in
 // the sim fabric, where handlers run in the caller's process by construction.
 // Over TCP those values cannot cross the socket (a *trace.Span is a live
 // object), but when both ends of a loopback call live in the same process

@@ -37,7 +37,8 @@ import (
 // incompatibly. Version 9: payloads are self-contained tagged messages,
 // hand-packed or a one-shot gob envelope, each plan once per message; the
 // per-connection gob stream, its reset flag and the strip frame are gone.
-const CodecVersion = 9
+// Version 10: a task reply carries no spill path.
+const CodecVersion = 10
 
 const frameMagic = 0xFE15
 
@@ -149,7 +150,7 @@ type callHeader struct {
 	From  string
 	To    string
 	Class Class
-	Size  int64 // simulated payload size, billed server-side counters
+	Size  int64 // declared payload size, as the caller counted it
 	// Baggage is the caller's in-process context relay ID (see baggage.go);
 	// meaningful only when the call loops back into the caller's own process.
 	Baggage uint64

@@ -228,7 +228,7 @@ func (t *TCP) resolve(to string) (string, error) {
 
 // Call delivers a message over the wire and waits for the reply. Past the
 // destination lookup it is send, exactly as Fabric.Call: the same faults,
-// at-least-once duplicates, billing and counters.
+// at-least-once duplicates and counters.
 func (t *TCP) Call(ctx context.Context, from, to string, class Class, payload any, size int64) (any, error) {
 	addr, err := t.resolve(to)
 	if err != nil {
@@ -240,7 +240,7 @@ func (t *TCP) Call(ctx context.Context, from, to string, class Class, payload an
 	bag := stashBaggage(ctx)
 	defer unstashBaggage(bag)
 	c := call{callHeader: callHeader{From: from, To: to, Class: class, Size: size, Baggage: bag}, addr: addr}
-	return send(ctx, t, icpt, t.opt.Model, c, payload)
+	return send(ctx, t, icpt, c, payload)
 }
 
 // carry performs one request/reply exchange on a pooled connection. Each

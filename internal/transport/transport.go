@@ -1,5 +1,6 @@
-// Package transport is Feisu's in-process message fabric, standing in for
-// the production RPC channels. It keeps the paper's traffic-flow discipline
+// Package transport is Feisu's message layer behind one Network seam: the
+// in-process Fabric and the TCP wire transport, standing in for the
+// production RPC channels. It keeps the paper's traffic-flow discipline
 // (§V-C): control/state flow has the highest priority and always gets
 // through (the production system reserves switch bandwidth for it via TOS),
 // write flow (intermediate data to global storage) comes second, and read
@@ -7,9 +8,10 @@
 // RPC worker pool: control messages use a reserved lane, while write and
 // read messages compete for the remaining slots.
 //
-// Every call charges simulated network cost (bytes over the topology-derived
-// hop count) to the sim.Bill carried by the context, so the benchmark
-// harness can reconstruct cluster-scale timings.
+// A fabric delivers and counts; it bills nothing. The engine code that sends
+// a message charges its simulated network cost, once per message, from the
+// declared size and the Topology's hop count (DESIGN.md "The bill follows
+// the message").
 package transport
 
 import (
@@ -20,8 +22,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // Class is a traffic class (paper §V-C).
@@ -110,7 +110,7 @@ func (c *ClassCounters) count(class Class, size int64) {
 // so masters, stems and leaves are transport-agnostic.
 type Network interface {
 	// Call delivers a message and waits for the reply. size is the
-	// simulated payload size in bytes, fed to the cost model and counters.
+	// declared payload size in bytes, fed to the class counters.
 	Call(ctx context.Context, from, to string, class Class, payload any, size int64) (any, error)
 	// Register attaches a handler to a node name.
 	Register(node string, h Handler)
@@ -192,8 +192,6 @@ func (t *Topology) Hops(a, b string) int {
 
 // Options configure a Fabric.
 type Options struct {
-	// Model prices transfers; nil disables cost accounting.
-	Model *sim.CostModel
 	// DataSlots is each endpoint's worker capacity shared by Write and
 	// Read traffic; Control always has a free lane. <=0 means unlimited.
 	DataSlots int
@@ -278,9 +276,9 @@ func (f *Fabric) SetInterceptor(i Interceptor) {
 	f.mu.Unlock()
 }
 
-// Call delivers a message and waits for the reply. size is the simulated
+// Call delivers a message and waits for the reply. size is the declared
 // payload size in bytes (in-process payloads are passed by reference; the
-// size feeds the cost model and counters).
+// size feeds the class counters).
 func (f *Fabric) Call(ctx context.Context, from, to string, class Class, payload any, size int64) (any, error) {
 	f.mu.RLock()
 	ep, ok := f.nodes[to]
@@ -291,7 +289,7 @@ func (f *Fabric) Call(ctx context.Context, from, to string, class Class, payload
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, to)
 	}
 	c := call{callHeader: callHeader{From: from, To: to, Class: class, Size: size}, ep: ep}
-	return send(ctx, f, icpt, f.opt.Model, c, payload)
+	return send(ctx, f, icpt, c, payload)
 }
 
 // carry delivers one copy of a call. Write/Read traffic first waits for one
@@ -337,10 +335,10 @@ type carrier interface {
 }
 
 // send is the front half of every Call on either fabric: the interceptor's
-// drop / delay / duplicate, then per delivery the class counters and the
-// transfer bill, then the last successful reply wins. c travels by value and
+// drop / delay / duplicate, then per delivery the class counters, then the
+// last successful reply wins. c travels by value and
 // n is the fabric itself, so a delivered call allocates nothing here.
-func send(ctx context.Context, n carrier, icpt Interceptor, model *sim.CostModel, c call, payload any) (any, error) {
+func send(ctx context.Context, n carrier, icpt Interceptor, c call, payload any) (any, error) {
 	duplicate := false
 	if icpt != nil {
 		fault := icpt.Intercept(ctx, c.From, c.To, c.Class, c.Size)
@@ -364,7 +362,7 @@ func send(ctx context.Context, n carrier, icpt Interceptor, model *sim.CostModel
 	deliveries := 1
 	if duplicate {
 		// At-least-once retransmission: both copies cross the wire, so both
-		// count against the class counters and the transfer bill.
+		// count against the class counters.
 		deliveries = 2
 	}
 	var (
@@ -374,11 +372,6 @@ func send(ctx context.Context, n carrier, icpt Interceptor, model *sim.CostModel
 	)
 	for i := 0; i < deliveries; i++ {
 		n.Counters().count(c.Class, c.Size)
-		if b := storage.BillFrom(ctx); b != nil && model != nil {
-			if hops := n.Topology().Hops(c.From, c.To); hops > 0 {
-				b.ChargeTransfer(model, c.Size, hops)
-			}
-		}
 		r, err := n.carry(ctx, c, payload)
 		if err != nil {
 			lastErr = err

@@ -6,9 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 func TestTopologyDistance(t *testing.T) {
@@ -64,34 +61,6 @@ func TestCallUnknownAndDown(t *testing.T) {
 	f.Deregister("n")
 	if _, err := f.Call(context.Background(), "m", "n", Control, nil, 0); err == nil {
 		t.Error("deregistered should fail")
-	}
-}
-
-func TestBilling(t *testing.T) {
-	topo := NewTopology()
-	topo.Place("m", "r1", "dc1")
-	topo.Place("l", "r2", "dc1") // same dc: 4 hops
-	model := sim.DefaultCostModel()
-	f := NewFabric(topo, Options{Model: model})
-	f.Register("l", func(context.Context, string, any) (any, error) { return nil, nil })
-
-	bill := sim.NewBill()
-	ctx := storage.WithBill(context.Background(), bill)
-	if _, err := f.Call(ctx, "m", "l", Read, nil, 1000); err != nil {
-		t.Fatal(err)
-	}
-	want := model.TransferCost(1000, 4)
-	if bill.Time() != want {
-		t.Errorf("bill = %v, want %v", bill.Time(), want)
-	}
-	// Local (same-node) calls are free.
-	f.Register("m", func(context.Context, string, any) (any, error) { return nil, nil })
-	before := bill.Time()
-	if _, err := f.Call(ctx, "m", "m", Read, nil, 1000); err != nil {
-		t.Fatal(err)
-	}
-	if bill.Time() != before {
-		t.Error("same-node call should not charge network")
 	}
 }
 

@@ -13,10 +13,11 @@ import (
 )
 
 // newEquivSystem builds a System on the given transport with the shared T1
-// workload loaded.
+// workload loaded, and a join pair whose joins always repartition and whose
+// fact table has more partitions than there are leaves.
 func newEquivSystem(t *testing.T, mode string) (*System, *plan.TableMeta) {
 	t.Helper()
-	sys, err := New(Config{Leaves: 4, Transport: mode})
+	sys, err := New(Config{Leaves: 4, Transport: mode, BroadcastThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,6 +31,18 @@ func newEquivSystem(t *testing.T, mode string) (*System, *plan.TableMeta) {
 		t.Fatal(err)
 	}
 	if err := sys.RegisterTable(ctx, meta); err != nil {
+		t.Fatal(err)
+	}
+	join := workload.DefaultJoinSpec()
+	join.FactPartitions = 8
+	factMeta, dimMeta, _, _, err := workload.GenerateJoin(ctx, sys.Router(), join)
+	if err == nil {
+		err = sys.RegisterTable(ctx, factMeta)
+	}
+	if err == nil {
+		err = sys.RegisterTable(ctx, dimMeta)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	return sys, meta
@@ -54,11 +67,33 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	queries := generateEquivalenceQueries(40, 99)
+	// Besides the generated battery: a repartition join, whose map tasks
+	// bill one transfer per shuffle message, and a scatter of 8 tasks over 4
+	// leaves, whose replies are billed once per leaf batch.
+	const join = "SELECT COUNT(*), SUM(f.v) FROM orders f JOIN users d ON f.k = d.k"
+	const multi = "SELECT grp, COUNT(*), SUM(v) FROM orders GROUP BY grp"
+	queries := append(generateEquivalenceQueries(40, 99), join, multi)
 	for _, q := range queries {
 		simRes, simStats, err := simSys.QueryStats(ctx, q)
 		if err != nil {
 			t.Fatalf("sim %q: %v", q, err)
+		}
+		if q == join || q == multi {
+			shuffled, perLeaf := false, map[string]int{}
+			for _, e := range simSys.Events().ForQuery(simStats.QueryID) {
+				switch e.Kind {
+				case events.ShuffleMap:
+					shuffled = true
+				case events.TaskDone:
+					perLeaf[strings.Fields(e.Detail)[0]]++
+				}
+			}
+			if q == join && !shuffled {
+				t.Fatalf("%q did not repartition", q)
+			}
+			if q == multi && len(perLeaf) == simStats.Tasks {
+				t.Fatalf("%q ran one task per leaf (%v), not a batch of several", q, perLeaf)
+			}
 		}
 		tcpRes, tcpStats, err := tcpSys.QueryStats(ctx, q)
 		if err != nil {
