@@ -113,22 +113,24 @@ type shuffleAck struct{}
 func (l *LeafServer) routeShuffle(ctx context.Context, msg *taskBatch, ordinal int, side string, res *exec.TaskResult, st *taskStatus) (int, error) {
 	parts := max(msg.Partitions, 1)
 	st.TransferSim, st.TransferBytes = make([]time.Duration, len(msg.Reducers)), make([]int64, len(msg.Reducers))
-	// Route every row or group straight into its partition's part.
-	shares := make([]shufflePart, parts)
-	routed := 0
-	if side == shuffleSideGroup {
-		if res.Groups != nil {
-			routed = len(res.Groups.M)
-			for k, g := range res.Groups.M {
-				pi := exec.KeyShufflePartition(k, parts)
-				shares[pi].Groups = append(shares[pi].Groups, *g)
-			}
+	// Route every row or group to its partition's part (cutShares).
+	shares, pis := make([]shufflePart, parts), []int(nil)
+	if side != shuffleSideGroup {
+		pis = make([]int, len(res.Rows))
+		for i, row := range res.Rows {
+			pis[i] = exec.ShufflePartition(row, msg.Keys, parts)
 		}
-	} else {
-		routed = len(res.Rows)
-		for _, row := range res.Rows {
-			pi := exec.ShufflePartition(row, msg.Keys, parts)
-			shares[pi].Rows = append(shares[pi].Rows, row)
+		for pi, share := range cutShares(res.Rows, pis, parts) {
+			shares[pi].Rows = share
+		}
+	} else if res.Groups != nil {
+		gs := make([]exec.Group, 0, len(res.Groups.M))
+		pis = make([]int, 0, len(res.Groups.M))
+		for k, g := range res.Groups.M {
+			gs, pis = append(gs, *g), append(pis, exec.KeyShufflePartition(k, parts))
+		}
+		for pi, share := range cutShares(gs, pis, parts) {
+			shares[pi].Groups = share
 		}
 	}
 	for ri, reducer := range msg.Reducers {
@@ -141,7 +143,7 @@ func (l *LeafServer) routeShuffle(ctx context.Context, msg *taskBatch, ordinal i
 			case p.Groups != nil:
 				p.Size = exec.EstimateGroups(p.Groups)
 			case p.Rows != nil:
-				p.Size = (&exec.TaskResult{Rows: p.Rows}).EstimateBytes()
+				p.Size = exec.EstimateRows(p.Rows)
 			}
 			size += p.Size
 			out.Parts = append(out.Parts, *p)
@@ -151,10 +153,29 @@ func (l *LeafServer) routeShuffle(ctx context.Context, msg *taskBatch, ordinal i
 			st.TransferSim[ri] = l.Model.TransferCost(size, hops)
 		}
 		if _, err := l.Fabric.Call(ctx, l.Name, reducer, transport.Shuffle, out, size); err != nil {
-			return routed, err
+			return len(pis), err
 		}
 	}
-	return routed, nil
+	return len(pis), nil
+}
+
+// cutShares routes item i to share pis[i], in order, by counting sort: every
+// share is cut from one backing slice, and an empty one is nil.
+func cutShares[T any](items []T, pis []int, parts int) [][]T {
+	counts := make([]int, parts)
+	for _, pi := range pis {
+		counts[pi]++
+	}
+	shares, rest := make([][]T, parts), make([]T, len(items))
+	for p, c := range counts {
+		if c > 0 {
+			shares[p], rest = rest[:0:c], rest[c:]
+		}
+	}
+	for i, pi := range pis {
+		shares[pi] = append(shares[pi], items[i])
+	}
+	return shares
 }
 
 // ---------------------------------------------------------------------------

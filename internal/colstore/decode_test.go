@@ -81,20 +81,22 @@ func TestDiskHostileCountsDoNotAllocate(t *testing.T) {
 			decode func([]byte) error
 			in     []byte
 		}{
-			"int plain":        {ints, cat([]byte{1}, c, []byte{7})},
-			"int delta":        {ints, cat([]byte{2}, c, []byte{7})},
-			"int run-length":   {ints, cat([]byte{3}, c, uv(1), []byte{7})},
-			"float":            {func(b []byte) error { _, err := encoding.DecodeFloat64s(b); return err }, cat([]byte{4}, c, []byte{7})},
-			"bool":             {func(b []byte) error { _, err := encoding.DecodeBools(b); return err }, cat([]byte{5}, c, []byte{7})},
-			"string plain":     {strs, cat([]byte{6}, c, []byte{1, 'a'})},
-			"string dict":      {strs, cat([]byte{7}, c, uv(1), []byte{1, 'a', 0})},
-			"string dict size": {strs, cat([]byte{7, 1}, c, []byte{1, 'a', 0})},
-			"bitmap":           {func(b []byte) error { _, err := bitmap.Unmarshal(b); return err }, cat(c, []byte{7})},
-			"bloom":            {func(b []byte) error { _, err := bloom.Unmarshal(b); return err }, cat(c, uv(3), []byte{7})},
-			"block columns":    {block, cat(uv(1), c, []byte{7})},
-			"block directory":  {block, cat(uv(1), uv(1), c, []byte{7})},
-			"footer fields":    {footer, cat(c, []byte{1, 'x', 1, 0})},
-			"footer blocks":    {footer, cat(types.AppendSchema(nil, types.MustSchema()), c, []byte{7})},
+			"int plain":         {ints, cat([]byte{1}, c, []byte{7})},
+			"int delta":         {ints, cat([]byte{2}, c, []byte{7})},
+			"int run-length":    {ints, cat([]byte{3}, c, uv(1), []byte{7})},
+			"float":             {func(b []byte) error { _, err := encoding.DecodeFloat64s(b); return err }, cat([]byte{4}, c, []byte{7})},
+			"bool":              {func(b []byte) error { _, err := encoding.DecodeBools(b); return err }, cat([]byte{5}, c, []byte{7})},
+			"string plain":      {strs, cat([]byte{6}, c, []byte{1, 'a'})},
+			"string dict":       {strs, cat([]byte{7}, c, uv(1), []byte{1, 'a', 0})},
+			"string dict size":  {strs, cat([]byte{7, 1}, c, []byte{1, 'a', 0})},
+			"string length":     {strs, cat([]byte{6, 2, 1, 'a'}, c, []byte{'b'})},
+			"string dict entry": {strs, cat([]byte{7, 2, 2, 1, 'a'}, c, []byte{'b', 0, 1})},
+			"bitmap":            {func(b []byte) error { _, err := bitmap.Unmarshal(b); return err }, cat(c, []byte{7})},
+			"bloom":             {func(b []byte) error { _, err := bloom.Unmarshal(b); return err }, cat(c, uv(3), []byte{7})},
+			"block columns":     {block, cat(uv(1), c, []byte{7})},
+			"block directory":   {block, cat(uv(1), uv(1), c, []byte{7})},
+			"footer fields":     {footer, cat(c, []byte{1, 'x', 1, 0})},
+			"footer blocks":     {footer, cat(types.AppendSchema(nil, types.MustSchema()), c, []byte{7})},
 		} {
 			allocs := testing.AllocsPerRun(10, func() {
 				if err := tc.decode(tc.in); !errors.Is(err, types.ErrCorrupt) {
@@ -159,11 +161,13 @@ func FuzzDecodeColumn(f *testing.F) {
 			if again, err := appendColumn(nil, col); err != nil || !bytes.Equal(again, payload) {
 				f.Fatalf("block %d column %d re-encodes differently (%v)", bm.Ordinal, c, err)
 			}
-			f.Add(byte(meta.Schema.Fields[c].Type), uint16(bm.Stats.NumRows), payload)
+			// The target decodes type 1+typ%4: each seed as its own type.
+			f.Add(byte(meta.Schema.Fields[c].Type)-1, uint16(bm.Stats.NumRows), payload)
 		}
 	}
-	f.Fuzz(func(t *testing.T, typ byte, rows16 uint16, payload []byte) {
+	f.Fuzz(func(t *testing.T, typ byte, rows16 uint16, input []byte) {
 		ty, rows := types.Type(1+typ%4), int(rows16)
+		payload := bytes.Clone(input)
 		col, err := DecodeColumn(ty, payload, rows)
 		if err != nil {
 			if !errors.Is(err, types.ErrCorrupt) {
@@ -183,6 +187,14 @@ func FuzzDecodeColumn(f *testing.F) {
 		enc, err := appendColumn(nil, col)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The column owns what it decoded: overwriting the payload changes
+		// no value.
+		for i := range payload {
+			payload[i] = ^payload[i]
+		}
+		if again, _ := appendColumn(nil, col); !bytes.Equal(again, enc) {
+			t.Fatalf("the decoded column aliases its payload:\n got %x\nwant %x", again, enc)
 		}
 		back, err := DecodeColumn(ty, enc, rows)
 		if err != nil {

@@ -1,0 +1,38 @@
+//go:build !race
+
+package encoding
+
+import (
+	"fmt"
+	"testing"
+)
+
+// A string chunk decodes in a few allocations, however many values it
+// holds: its strings are cut from one copy of the section holding them. The
+// race detector allocates on its own account, so the budget is checked only
+// without it.
+func TestReadStringsAllocatesPerChunk(t *testing.T) {
+	dict, plain := make([]string, 4096), make([]string, 4096)
+	for i := range dict {
+		dict[i] = fmt.Sprintf("https://example.com/q/%d", i%1500)
+		plain[i] = fmt.Sprintf("https://example.com/u/%d", i)
+	}
+	for _, tc := range []struct {
+		name string
+		vals []string
+		tag  byte
+	}{{"dictionary", dict, tagDictString}, {"plain", plain, tagPlainString}} {
+		enc := EncodeStrings(tc.vals)
+		if enc[0] != tc.tag {
+			t.Fatalf("%s: encoded with tag %d, want %d", tc.name, enc[0], tc.tag)
+		}
+		checkStrings(t, tc.vals)
+		if n := testing.AllocsPerRun(10, func() {
+			if _, err := DecodeStrings(enc); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 3 {
+			t.Errorf("%s chunk of %d values: %.0f allocations, want at most 3", tc.name, len(tc.vals), n)
+		}
+	}
+}

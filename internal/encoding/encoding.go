@@ -299,21 +299,19 @@ func encodeDictString(vals []string) []byte {
 // DecodeStrings decodes a chunk produced by EncodeStrings.
 func DecodeStrings(data []byte) ([]string, error) { return types.ReadAll(data, ReadStrings) }
 
-// ReadStrings reads a chunk produced by EncodeStrings.
+// ReadStrings reads a chunk produced by EncodeStrings. The strings are cut
+// from one copy of the section holding them (the dictionary, or the plain
+// values): a chunk costs a few allocations, not one per value.
 func ReadStrings(r *types.Reader) []string {
 	switch r.Byte() {
 	case tagPlainString:
 		out := make([]string, r.Len(1))
-		for i := range out {
-			out[i] = r.Str()
-		}
+		readSection(r, out)
 		return out
 	case tagDictString:
 		out := make([]string, r.Len(1))
 		dict := make([]string, r.Len(1))
-		for i := range dict {
-			dict[i] = r.Str()
-		}
+		readSection(r, dict)
 		for i := range out {
 			code := r.Uvarint()
 			if code >= uint64(len(dict)) {
@@ -326,4 +324,23 @@ func ReadStrings(r *types.Reader) []string {
 	}
 	r.Fail("unknown string encoding")
 	return nil
+}
+
+// readSection reads len(dst) length-prefixed strings: it walks their lengths
+// on a copy of r, then carves them from one copy of the bytes they span.
+func readSection(r *types.Reader, dst []string) {
+	walk := *r
+	for range dst {
+		walk.Next(int(walk.Uvarint()))
+	}
+	if walk.Err() != nil {
+		*r = walk
+		return
+	}
+	sec := r.Sub(len(r.Rest()) - len(walk.Rest()))
+	sec.Carve()
+	for i := range dst {
+		dst[i] = sec.Str()
+	}
+	r.Close(&sec)
 }

@@ -212,9 +212,8 @@ func (g *Groups) get(keys []types.Value, slabs *groupSlabs) *Group {
 }
 
 // groupSlabs hands out the groups one scan creates (all of one key width
-// and aggregate count) from chunks that grow with the group count, up to 64
-// at a time: a high-cardinality GROUP BY allocates per chunk, and a
-// one-group result holds one group.
+// and aggregate count) from slabs: a high-cardinality GROUP BY allocates per
+// chunk, and a one-group result holds one group.
 type groupSlabs struct {
 	made   int
 	groups []Group
@@ -223,20 +222,24 @@ type groupSlabs struct {
 }
 
 func (sl *groupSlabs) newGroup(keys []types.Value, numAggs int) *Group {
-	// A group wider than the chunk's key room (possible only from a corrupt
-	// shuffle peer) starts a new chunk rather than overrunning this one.
-	if len(sl.groups) == 0 || len(sl.keys) < len(keys) {
-		n := min(max(sl.made, 1), 64)
-		sl.groups = make([]Group, n)
-		sl.keys = make([]types.Value, n*len(keys))
-		sl.cells = make([]Cell, n*numAggs)
-	}
-	grp := &sl.groups[0]
-	grp.Keys, grp.Cells = sl.keys[:len(keys):len(keys)], sl.cells[:numAggs:numAggs]
+	grp := &cut(&sl.groups, 1, sl.made)[0]
+	grp.Keys, grp.Cells = cut(&sl.keys, len(keys), sl.made), cut(&sl.cells, numAggs, sl.made)
 	copy(grp.Keys, keys)
-	sl.groups, sl.keys, sl.cells = sl.groups[1:], sl.keys[len(keys):], sl.cells[numAggs:]
 	sl.made++
 	return grp
+}
+
+// cut cuts a w-wide piece from *slab, capped so that appending to it never
+// writes into the next, and empty, not nil, at width 0. An exhausted slab
+// (or one too short, as a corrupt peer's wider group finds it) is refilled
+// with room for as many pieces as made so far, 1 to 64.
+func cut[T any](slab *[]T, w, made int) []T {
+	if *slab == nil || len(*slab) < w {
+		*slab = make([]T, min(max(made, 1), 64)*w)
+	}
+	piece := (*slab)[:w:w]
+	*slab = (*slab)[w:]
+	return piece
 }
 
 // Merge folds another partial result into g (the stem server's job).

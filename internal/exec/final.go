@@ -43,6 +43,27 @@ func (r *Result) Clone() *Result {
 	return out
 }
 
+// Own is Clone with every string copied into one allocation the copy owns. A
+// decoded string is cut from a copy of its whole chunk or message, so a
+// holder that keeps a result (the result cache) owns it to pin no more.
+func (r *Result) Own() *Result {
+	out, n := r.Clone(), 0
+	for _, row := range out.Rows {
+		for _, v := range row {
+			n += len(v.S)
+		}
+	}
+	var sb strings.Builder // grown once, it never moves the bytes a string views
+	sb.Grow(n)
+	for _, row := range out.Rows {
+		for j := range row {
+			sb.WriteString(row[j].S)
+			row[j].S = sb.String()[sb.Len()-len(row[j].S):]
+		}
+	}
+	return out
+}
+
 // MergeResults folds leaf/stem partial results together — the stem server's
 // aggregation step. Select-mode rows are concatenated (bounded by limit when
 // non-negative and no ordering is pending); agg-mode groups are merged.

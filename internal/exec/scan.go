@@ -83,19 +83,25 @@ type TaskResult struct {
 	Stats  ScanStats
 }
 
-// EstimateBytes approximates the result's wire size for the transport's
-// simulated billing.
+// EstimateBytes approximates the result's wire size: the size a leaf's
+// reply reports, which the stem bills as the reply's transfer.
 func (r *TaskResult) EstimateBytes() int64 {
-	var n int64
-	for _, row := range r.Rows {
-		n += estimateRow(row)
-	}
+	n := EstimateRows(r.Rows)
 	if r.Groups != nil {
 		for _, g := range r.Groups.M {
 			n += g.estimate()
 		}
 	}
-	return n + 64
+	return n
+}
+
+// EstimateRows is EstimateBytes for a result holding just these rows.
+func EstimateRows(rows [][]types.Value) int64 {
+	n := int64(64)
+	for _, row := range rows {
+		n += estimateRow(row)
+	}
+	return n
 }
 
 // EstimateGroups is EstimateBytes for a result holding just these groups
@@ -181,8 +187,9 @@ func RunTaskModel(ctx context.Context, task plan.TaskSpec, reader PartitionReade
 type blockPartial struct {
 	stats  ScanStats
 	rows   [][]types.Value
-	groups *Groups // nil until a row is aggregated
-	count  int64   // rows of a block answered as a pure COUNT(*)
+	slab   []types.Value // where the next output rows are cut from
+	groups *Groups       // nil until a row is aggregated
+	count  int64         // rows of a block answered as a pure COUNT(*)
 }
 
 // fold merges one block's partial into the task result.
@@ -464,7 +471,16 @@ func (s *scanner) scanBlock(bi int, part *blockPartial) (bool, error) {
 	if s.ungrouped {
 		return false, s.foldSelection(sel, int64(selected))
 	}
-	// Row-wise output over selected records, in ascending row order.
+	// Row-wise output over selected records, in ascending row order. With no
+	// join or post filter to change their count, one slab holds them all.
+	if s.plan.Mode != plan.ModeAgg && len(s.dims) == 0 && len(s.plan.Post) == 0 {
+		n := selected
+		if s.plan.ScanLimit >= 0 {
+			n = int(min(int64(n), max(s.plan.ScanLimit-int64(len(part.rows)), 1)))
+		}
+		part.slab = make([]types.Value, n*len(s.outs))
+		part.rows = slices.Grow(part.rows, n)
+	}
 	done := false
 	sel.ForEachSet(func(r int) {
 		if !done && err == nil {
@@ -873,7 +889,7 @@ func (s *scanner) emitJoined() (bool, error) {
 		}
 		return false, nil
 	}
-	row := make([]types.Value, len(s.outs))
+	row := cut(&part.slab, len(s.outs), len(part.rows))
 	for i, o := range s.outs {
 		v, err := s.value(o)
 		if err != nil {

@@ -246,9 +246,10 @@ type PartitionedHashJoin struct {
 	billing ShuffleBilling
 
 	state  joinState
-	env    shuffleEnv // the joined row being emitted
-	keyBuf []byte     // scratch for one row's rendered join key
-	slabs  groupSlabs // the partial aggregation's groups (ModeAgg)
+	env    shuffleEnv    // the joined row being emitted
+	keyBuf []byte        // scratch for one row's rendered join key
+	slabs  groupSlabs    // the partial aggregation's groups (ModeAgg)
+	slab   []types.Value // where the output rows are cut from (select mode)
 	// in-memory build side, indexed when the probe phase starts
 	build [][]types.Value
 	table *joinTable
@@ -538,7 +539,7 @@ func (j *PartitionedHashJoin) emit() error {
 	if j.p.Mode == plan.ModeAgg {
 		return j.out.Groups.updateRow(j.p.GroupBy, j.p.Aggs, env, &j.slabs)
 	}
-	row := make([]types.Value, len(j.p.A.Outputs))
+	row := cut(&j.slab, len(j.p.A.Outputs), len(j.out.Rows))
 	for i, oi := range j.p.A.Outputs {
 		v, err := Eval(oi.Expr, env)
 		if err != nil {

@@ -211,7 +211,8 @@ func (c *Cache) Lookup(p *plan.PhysicalPlan) (*exec.Result, Outcome) {
 }
 
 // Store caches a completed result under the plan's identity and the catalog
-// versions it was bound at. The result is deep-copied; partial or truncated
+// versions it was bound at. The result is deep-copied, strings included, so
+// the entry pins just the bytes resultBytes charges for; partial or truncated
 // results must not be stored (the master gates on that). A result too big
 // for the budget, or older than the entry it would replace, is refused and
 // counted in StoreSkips. tenant is unused: results are shared across
@@ -234,7 +235,7 @@ func (c *Cache) Store(p *plan.PhysicalPlan, tenant string, res *exec.Result) {
 		lits:   append([]types.Value(nil), p.Literals...),
 		slots:  append([]plan.LitSlot(nil), p.ReuseSlots...),
 		tables: planTables(p),
-		res:    res.Clone(),
+		res:    res.Own(),
 		bytes:  size,
 	}
 	c.mu.Lock()

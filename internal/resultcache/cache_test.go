@@ -2,8 +2,10 @@ package resultcache
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/exec"
 	"repro/internal/plan"
@@ -362,5 +364,28 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	for w := 0; w < 4; w++ {
 		<-done
+	}
+}
+
+// A cached entry owns its strings: a result string cut from a large buffer
+// (a column chunk, a wire message) is copied, so the entry pins the bytes
+// resultBytes charges for, not the buffer.
+func TestResultCacheOwnsStrings(t *testing.T) {
+	c, _ := newTestCache(1 << 20)
+	p := planSQL(t, "SELECT url, clicks FROM logs WHERE clicks > 10")
+	big := strings.Repeat("x", 1<<20)
+	url := big[1<<19 : 1<<19+16]
+	c.Store(p, "a", selectResult([2]interface{}{url, 11}))
+	e := c.byKey[entryKey(p)]
+	if e == nil {
+		t.Fatal("result not stored")
+	}
+	got := e.res.Rows[0][0].S
+	base, at := uintptr(unsafe.Pointer(unsafe.StringData(big))), uintptr(unsafe.Pointer(unsafe.StringData(got)))
+	if got != url || at >= base && at < base+uintptr(len(big)) {
+		t.Fatalf("entry holds %q at offset %d of the 1 MiB buffer it was cut from", got, at-base)
+	}
+	if res, out := c.Lookup(p); out != Hit || res.Rows[0][0].S != url {
+		t.Fatalf("lookup: %v, %v", out, res)
 	}
 }
