@@ -229,6 +229,40 @@ func TestLoaderJSON(t *testing.T) {
 	}
 }
 
+// TestLoaderUsableAfterBadRecord: a record rejected on a later field leaves
+// nothing behind, so the loader takes the next record and the table reads.
+func TestLoaderUsableAfterBadRecord(t *testing.T) {
+	sys, err := New(Config{Leaves: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	schema := MustSchema(Field{Name: "a", Type: Int64}, Field{Name: "b", Type: Bool})
+	ld, err := sys.NewLoader("flags", schema, "/hdfs/flags")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ld.AppendRecord([][]Value{{Int(1)}, {Int(2)}}); err == nil {
+		t.Fatal("INT into BOOLEAN accepted")
+	}
+	if err := ld.AppendJSON([]byte(`{"a": 1, "b": 2}`)); err == nil {
+		t.Fatal("JSON number into BOOLEAN accepted")
+	}
+	if err := ld.AppendJSON([]byte(`{"a": 3, "b": true}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ld.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Query(context.Background(), "SELECT a, b FROM flags")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].I != 3 || !res.Rows[0][1].B {
+		t.Errorf("rows = %+v", res.Rows)
+	}
+}
+
 func TestLoaderErrors(t *testing.T) {
 	sys, err := New(Config{Leaves: 1})
 	if err != nil {

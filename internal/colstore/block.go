@@ -56,32 +56,48 @@ func (b *Block) AppendRow(row types.Row) error {
 
 // AppendRecord adds one record where each field carries zero or more values.
 // Scalar fields must carry exactly one value; repeated fields may carry any
-// number (including zero).
+// number (including zero). A record that fails leaves the block as it was.
 func (b *Block) AppendRecord(rec [][]types.Value) error {
 	if len(rec) != b.Schema.Len() {
 		return fmt.Errorf("colstore: record has %d fields, schema has %d", len(rec), b.Schema.Len())
 	}
 	for i, vals := range rec {
-		f := b.Schema.Fields[i]
-		col := b.Columns[i]
-		if !f.Repeated {
-			if len(vals) != 1 {
-				return fmt.Errorf("colstore: scalar field %q got %d values", f.Name, len(vals))
-			}
-			if err := col.Append(vals[0]); err != nil {
-				return err
-			}
-			continue
+		if err := b.appendField(i, vals); err != nil {
+			b.truncate(i)
+			return err
 		}
-		for _, v := range vals {
-			if err := col.Append(v); err != nil {
-				return err
-			}
-		}
-		col.Offsets = append(col.Offsets, int32(col.Len()))
 	}
 	b.NumRows++
 	return nil
+}
+
+func (b *Block) appendField(i int, vals []types.Value) error {
+	f, col := b.Schema.Fields[i], b.Columns[i]
+	if !f.Repeated {
+		if len(vals) != 1 {
+			return fmt.Errorf("colstore: scalar field %q got %d values", f.Name, len(vals))
+		}
+		return col.Append(vals[0])
+	}
+	for _, v := range vals {
+		if err := col.Append(v); err != nil {
+			return err
+		}
+	}
+	col.Offsets = append(col.Offsets, int32(col.Len()))
+	return nil
+}
+
+// truncate drops what a failed record appended to columns 0..last.
+func (b *Block) truncate(last int) {
+	for _, col := range b.Columns[:last+1] {
+		if col.Offsets == nil {
+			col.truncate(b.NumRows)
+			continue
+		}
+		col.Offsets = col.Offsets[:b.NumRows+1]
+		col.truncate(int(col.Offsets[b.NumRows]))
+	}
 }
 
 // Row materialises record r as a row. Repeated fields yield their first

@@ -330,7 +330,7 @@ func TestFlattenJSONScalar(t *testing.T) {
 		types.Field{Name: "user.vip", Type: types.Bool},
 		types.Field{Name: "score", Type: types.Float64},
 	)
-	rec, err := FlattenJSON(schema, []byte(`{"id": 7, "user": {"name": "li", "vip": true}, "score": 2.5}`))
+	rec, err := decodeJSON(schema, []byte(`{"id": 7, "user": {"name": "li", "vip": true}, "score": 2.5}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestFlattenJSONMissingIsNull(t *testing.T) {
 		types.Field{Name: "id", Type: types.Int64},
 		types.Field{Name: "absent.deep", Type: types.String},
 	)
-	rec, err := FlattenJSON(schema, []byte(`{"id": 1}`))
+	rec, err := decodeJSON(schema, []byte(`{"id": 1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestFlattenJSONRepeated(t *testing.T) {
 		types.Field{Name: "id", Type: types.Int64},
 		types.Field{Name: "clicks.pos", Type: types.Int64, Repeated: true},
 	)
-	rec, err := FlattenJSON(schema, []byte(`{"id": 1, "clicks": [{"pos": 3}, {"pos": 8}]}`))
+	rec, err := decodeJSON(schema, []byte(`{"id": 1, "clicks": [{"pos": 3}, {"pos": 8}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,19 +369,19 @@ func TestFlattenJSONRepeated(t *testing.T) {
 
 func TestFlattenJSONErrors(t *testing.T) {
 	schema := types.MustSchema(types.Field{Name: "id", Type: types.Int64})
-	if _, err := FlattenJSON(schema, []byte(`{bad`)); err == nil {
+	if _, err := decodeJSON(schema, []byte(`{bad`)); err == nil {
 		t.Error("bad json should fail")
 	}
 	schema2 := types.MustSchema(types.Field{Name: "a", Type: types.Int64})
-	if _, err := FlattenJSON(schema2, []byte(`{"a": [1,2]}`)); err == nil {
+	if _, err := decodeJSON(schema2, []byte(`{"a": [1,2]}`)); err == nil {
 		t.Error("array into scalar should fail")
 	}
 	schema3 := types.MustSchema(types.Field{Name: "a.b", Type: types.Int64})
-	if _, err := FlattenJSON(schema3, []byte(`{"a": 5}`)); err == nil {
+	if _, err := decodeJSON(schema3, []byte(`{"a": 5}`)); err == nil {
 		t.Error("scalar where object expected should fail")
 	}
 	schema4 := types.MustSchema(types.Field{Name: "a", Type: types.Bool})
-	if _, err := FlattenJSON(schema4, []byte(`{"a": "str"}`)); err == nil {
+	if _, err := decodeJSON(schema4, []byte(`{"a": "str"}`)); err == nil {
 		t.Error("string into bool should fail")
 	}
 }
@@ -392,12 +392,13 @@ func TestFlattenIntoBlockEndToEnd(t *testing.T) {
 		types.Field{Name: "tags", Type: types.String, Repeated: true},
 	)
 	b := NewBlock(schema)
+	dec := NewJSONDecoder(schema)
 	docs := []string{
 		`{"id": 1, "tags": ["x", "y"]}`,
 		`{"id": 2}`,
 	}
 	for _, d := range docs {
-		rec, err := FlattenJSON(schema, []byte(d))
+		rec, err := dec.Decode([]byte(d))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +406,7 @@ func TestFlattenIntoBlockEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if vs := b.RepeatedValues(1, 0); len(vs) != 2 {
+	if vs := b.RepeatedValues(1, 0); len(vs) != 2 || vs[0].S != "x" || vs[1].S != "y" {
 		t.Errorf("tags of record 0 = %v", vs)
 	}
 	if vs := b.RepeatedValues(1, 1); len(vs) != 0 {

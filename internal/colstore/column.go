@@ -122,6 +122,23 @@ func (c *Column) appendZero() {
 	}
 }
 
+// truncate drops the values from n on, clearing their NULL marks.
+func (c *Column) truncate(n int) {
+	for i := n; c.Nulls != nil && i < c.Len(); i++ {
+		c.Nulls.Clear(i)
+	}
+	switch c.Type {
+	case types.Int64:
+		c.Ints = c.Ints[:n]
+	case types.Float64:
+		c.Floats = c.Floats[:n]
+	case types.Bool:
+		c.Bools = c.Bools[:n]
+	case types.String:
+		c.Strs = c.Strs[:n]
+	}
+}
+
 // ensureNullLen grows the null bitmap to match the value count. bitmap has a
 // fixed length, so rebuild when it lags (amortized by doubling).
 func (c *Column) ensureNullLen() {

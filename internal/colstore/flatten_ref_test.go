@@ -1,35 +1,41 @@
 package colstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/types"
 )
 
-// FlattenJSON converts one nested JSON record into the per-field value lists
-// expected by Block.AppendRecord. Field names in the schema are dotted paths
-// into the JSON object (e.g. "click.pos"); a path segment that crosses a
-// JSON array marks the field repeated and yields one value per element.
-// Missing paths yield NULL (scalar) or an empty list (repeated). This is the
-// paper's "nested data format such as json ... flatten[ed] into columns".
-func FlattenJSON(schema *types.Schema, data []byte) ([][]types.Value, error) {
+// flattenJSON is the reference flattener FuzzFlattenJSON holds JSONDecoder
+// to: it unmarshals the whole record into map[string]any and walks one
+// field path at a time. Numbers stay json.Number until a field converts
+// them, so an integer literal reaches a BIGINT column exactly, and a number
+// under a key outside the schema is checked for syntax only.
+func flattenJSON(schema *types.Schema, data []byte) ([][]types.Value, error) {
+	if !json.Valid(data) {
+		return nil, fmt.Errorf("bad json record")
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
 	var root any
-	if err := json.Unmarshal(data, &root); err != nil {
-		return nil, fmt.Errorf("colstore: bad json record: %w", err)
+	if err := dec.Decode(&root); err != nil {
+		return nil, err
 	}
 	rec := make([][]types.Value, schema.Len())
 	for i, f := range schema.Fields {
 		vals, err := extractPath(root, strings.Split(f.Name, "."), f)
 		if err != nil {
-			return nil, fmt.Errorf("colstore: field %q: %w", f.Name, err)
+			return nil, fmt.Errorf("field %q: %w", f.Name, err)
 		}
 		if !f.Repeated {
 			if len(vals) == 0 {
 				vals = []types.Value{types.NullValue()}
 			} else if len(vals) > 1 {
-				return nil, fmt.Errorf("colstore: field %q is scalar but json has %d values", f.Name, len(vals))
+				return nil, fmt.Errorf("field %q is scalar but json has %d values", f.Name, len(vals))
 			}
 		}
 		rec[i] = vals
@@ -73,13 +79,21 @@ func extractPath(v any, path []string, f types.Field) ([]types.Value, error) {
 
 func convertScalar(v any, t types.Type) (types.Value, error) {
 	switch x := v.(type) {
-	case nil:
-		return types.NullValue(), nil
-	case float64:
-		if t == types.Int64 {
-			return types.NewInt(int64(x)), nil
+	case json.Number:
+		if t == types.Int64 && !strings.ContainsAny(string(x), ".eE") {
+			i, err := strconv.ParseInt(string(x), 10, 64)
+			return types.NewInt(i), err
 		}
-		return types.NewFloat(x), nil
+		f, err := strconv.ParseFloat(string(x), 64)
+		switch {
+		case err != nil:
+			return types.Value{}, err
+		case t == types.Int64:
+			return types.NewInt(int64(f)), nil
+		case t == types.Float64:
+			return types.NewFloat(f), nil
+		}
+		return types.Value{}, fmt.Errorf("json number into %s column", t)
 	case bool:
 		if t != types.Bool {
 			return types.Value{}, fmt.Errorf("json bool into %s column", t)
@@ -90,8 +104,6 @@ func convertScalar(v any, t types.Type) (types.Value, error) {
 			return types.Value{}, fmt.Errorf("json string into %s column", t)
 		}
 		return types.NewString(x), nil
-	case json.Number:
-		return types.Value{}, fmt.Errorf("unexpected json.Number")
 	default:
 		return types.Value{}, fmt.Errorf("json %T into %s column", v, t)
 	}

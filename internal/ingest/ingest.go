@@ -12,7 +12,6 @@
 package ingest
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -106,17 +105,16 @@ func (c *Converter) convert(ctx context.Context, srcPath string) (*plan.Partitio
 		return nil, err
 	}
 	w := colstore.NewWriter(c.Schema, c.RowsPerBlock)
+	dec := colstore.NewJSONDecoder(c.Schema)
 	rows := int64(0)
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
+	for lineNo := 1; len(raw) > 0; lineNo++ {
+		var line []byte
+		line, raw, _ = bytes.Cut(raw, []byte{'\n'})
+		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			continue
 		}
-		rec, err := colstore.FlattenJSON(c.Schema, line)
+		rec, err := dec.Decode(line)
 		if err == nil {
 			err = w.AppendRecord(rec)
 		}
@@ -130,9 +128,6 @@ func (c *Converter) convert(ctx context.Context, srcPath string) (*plan.Partitio
 			continue
 		}
 		rows++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if rows == 0 {
 		return nil, nil

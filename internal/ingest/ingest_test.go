@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -110,6 +111,58 @@ func TestLenientSkipsMalformed(t *testing.T) {
 		t.Fatalf("parts = %+v", parts)
 	}
 	if conv.SkippedRecords != 2 {
+		t.Errorf("skipped = %d", conv.SkippedRecords)
+	}
+}
+
+// TestLenientIngestSkipsWholeRecord: a record rejected on its second field
+// leaves nothing of its first behind, so the partition reads back.
+func TestLenientIngestSkipsWholeRecord(t *testing.T) {
+	conv, router := newConverter(t)
+	conv.Schema = types.MustSchema(
+		types.Field{Name: "a", Type: types.Int64},
+		types.Field{Name: "b", Type: types.Bool},
+	)
+	writeRaw(t, router, "/var/log/app/x.json", "{\"a\":1,\"b\":2}\n{\"a\":3,\"b\":true}")
+	ctx := context.Background()
+	parts, err := conv.ScanOnce(ctx)
+	if err != nil || len(parts) != 1 || parts[0].Rows != 1 || conv.SkippedRecords != 1 {
+		t.Fatalf("parts = %+v, skipped = %d, err = %v", parts, conv.SkippedRecords, err)
+	}
+	data, err := router.ReadFile(ctx, parts[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := colstore.ReadMeta(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, err := colstore.ReadBlock(data, meta, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := blk.Row(0); blk.NumRows != 1 || row[0].I != 3 || !row[1].B {
+		t.Errorf("rows = %d, row 0 = %v", blk.NumRows, row)
+	}
+}
+
+// TestLongLineDoesNotWedgeConverter: a record longer than any line buffer
+// converts, and the files after it still do.
+func TestLongLineDoesNotWedgeConverter(t *testing.T) {
+	conv, router := newConverter(t)
+	ctx := context.Background()
+	head, tail := `{"ts": 1, "user": {"name": "`, `"}}`
+	name := strings.Repeat("n", 1<<20+10-len(head)-len(tail))
+	writeRaw(t, router, "/var/log/app/a.json", head+name+tail)
+	parts, err := conv.ScanOnce(ctx)
+	if err != nil || len(parts) != 1 || parts[0].Rows != 1 {
+		t.Fatalf("long line: parts = %+v, err = %v", parts, err)
+	}
+	writeRaw(t, router, "/var/log/app/b.json", `{"ts": 2}`)
+	if parts, err = conv.ScanOnce(ctx); err != nil || len(parts) != 1 {
+		t.Fatalf("next file: parts = %+v, err = %v", parts, err)
+	}
+	if conv.SkippedRecords != 0 {
 		t.Errorf("skipped = %d", conv.SkippedRecords)
 	}
 }

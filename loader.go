@@ -30,6 +30,7 @@ type Loader struct {
 	rowsPerPart  int
 	rowsPerBlock int
 
+	dec    *colstore.JSONDecoder
 	writer *colstore.Writer
 	inPart int
 	meta   *plan.TableMeta
@@ -51,6 +52,7 @@ func (s *System) NewLoader(name string, schema *Schema, pathPrefix string) (*Loa
 		rowsPerPart:  64 << 10,
 		rowsPerBlock: 4096,
 		meta:         &plan.TableMeta{Name: name, Schema: schema},
+		dec:          colstore.NewJSONDecoder(schema),
 	}, nil
 }
 
@@ -94,7 +96,7 @@ func (l *Loader) AppendRecord(rec [][]Value) error {
 // AppendJSON flattens one JSON document into the schema's columns (paper
 // §III-A: nested json is flattened into columns).
 func (l *Loader) AppendJSON(doc []byte) error {
-	rec, err := colstore.FlattenJSON(l.schema, doc)
+	rec, err := l.dec.Decode(doc)
 	if err != nil {
 		return err
 	}

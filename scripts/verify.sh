@@ -77,7 +77,7 @@ cov_floor internal/events 92.0
 cov_floor internal/exec 85.0
 cov_floor internal/core 85.0
 
-echo "== fuzz smoke (FuzzParse, FuzzDecodeBatch, FuzzWireStream, FuzzDecodePlan, FuzzDecodeShuffle, FuzzDecodePayload, FuzzParseFooter, FuzzDecodeColumn; 10s each)"
+echo "== fuzz smoke (FuzzParse, FuzzDecodeBatch, FuzzWireStream, FuzzDecodePlan, FuzzDecodeShuffle, FuzzDecodePayload, FuzzParseFooter, FuzzDecodeColumn, FuzzFlattenJSON; 10s each)"
 go test -fuzz=FuzzParse -fuzztime=10s -run='^$' ./internal/sqlparser
 go test -fuzz=FuzzDecodeBatch -fuzztime=10s -run='^$' ./internal/types
 go test -fuzz=FuzzWireStream -fuzztime=10s -run='^$' ./internal/transport
@@ -86,6 +86,7 @@ go test -fuzz=FuzzDecodeShuffle -fuzztime=10s -run='^$' ./internal/cluster
 go test -fuzz=FuzzDecodePayload -fuzztime=10s -run='^$' ./internal/cluster
 go test -fuzz=FuzzParseFooter -fuzztime=10s -run='^$' ./internal/colstore
 go test -fuzz=FuzzDecodeColumn -fuzztime=10s -run='^$' ./internal/colstore
+go test -fuzz=FuzzFlattenJSON -fuzztime=10s -run='^$' ./internal/colstore
 
 # The TCP wire transport must be semantically invisible: the transport
 # conformance battery runs against both fabrics inside the transport package,
