@@ -138,19 +138,19 @@ func TestTaskLifecycleCharacterisation(t *testing.T) {
 // path"). A leaf's batch reply is billed as one transfer and each shuffle
 // message as one (DESIGN.md "The bill follows the message").
 var lifecycleWant = map[string]string{
-	"scatter/clean": `tasks=3 backup=0 failed=0 sim=98017763 scan=96014854 bytes=[hdd:2594] spill=0
+	"scatter/clean": `tasks=3 backup=0 failed=0 sim=98016992 scan=96014083 bytes=[hdd:2480] spill=0
 query/q000001: query.submit query.admitted query.done
 task/q000001#0: task.done
 task/q000001#1: task.done
 task/q000001#2: task.done
 `,
-	"scatter/retried": `tasks=3 backup=1 failed=0 sim=148026659 scan=144022296 bytes=[hdd:2594] spill=0
+	"scatter/retried": `tasks=3 backup=1 failed=0 sim=148025535 scan=144021172 bytes=[hdd:2480] spill=0
 query/q000001: query.submit query.admitted query.done
 task/q000001#0: task.done
 task/q000001#1: task.scheduled task.dispatched task.retry leaf.exec task.collected task.done
 task/q000001#2: task.done
 `,
-	"group-shuffle/clean": `tasks=3 backup=0 failed=0 sim=164248795 scan=160017626 bytes=[hdd:3012] spill=0
+	"group-shuffle/clean": `tasks=3 backup=0 failed=0 sim=164246932 scan=160015763 bytes=[hdd:2732] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
@@ -159,7 +159,7 @@ task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#1: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
-	"group-shuffle/retried": `tasks=3 backup=1 failed=0 sim=244257633 scan=240026464 bytes=[hdd:3012] spill=0
+	"group-shuffle/retried": `tasks=3 backup=1 failed=0 sim=244254861 scan=240023692 bytes=[hdd:2732] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
@@ -168,7 +168,7 @@ task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#1: task.scheduled task.dispatched task.retry shuffle.commit shuffle.commit shuffle.map task.collected task.done
 task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
-	"repartition-join/clean": `tasks=3 backup=0 failed=0 sim=132059570 scan=128016810 bytes=[hdd:2940] spill=0
+	"repartition-join/clean": `tasks=3 backup=0 failed=0 sim=132058815 scan=128016055 bytes=[hdd:2826] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
@@ -177,7 +177,7 @@ task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#1: shuffle.commit shuffle.commit shuffle.map task.done
 task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
 `,
-	"repartition-join/retried": `tasks=3 backup=1 failed=0 sim=212068407 scan=208025647 bytes=[hdd:2940] spill=0
+	"repartition-join/retried": `tasks=3 backup=1 failed=0 sim=212067288 scan=208024528 bytes=[hdd:2826] spill=0
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce

@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -483,6 +485,38 @@ func TestStatsBloomMembership(t *testing.T) {
 	// Cross-type equality shares keys.
 	if !st.Bloom.MayContain(BloomKey(types.NewFloat(4.0))) {
 		t.Error("float 4.0 should share the key of int 4")
+	}
+}
+
+// Numbers equal under types.Compare share a BloomKey whatever their types,
+// so a block's bloom never prunes a block holding a match: ±0, the
+// neighbours of 2^53 (where int64s stop being exact float64s), the int64
+// extremes and any int64 beside its float64.
+func TestBloomKeyFollowsCompare(t *testing.T) {
+	nums := []types.Value{
+		types.NewInt(0), types.NewFloat(0), types.NewFloat(math.Copysign(0, -1)),
+		types.NewInt(1_000_000), types.NewFloat(1e6), types.NewFloat(0.5),
+		types.NewInt(math.MinInt64), types.NewFloat(math.MinInt64), types.NewInt(math.MinInt64 + 1),
+		types.NewInt(math.MaxInt64), types.NewFloat(math.MaxInt64), types.NewInt(math.MaxInt64 - 1),
+	}
+	for d := int64(-2); d <= 2; d++ {
+		for _, base := range []int64{1 << 53, -1 << 53} {
+			nums = append(nums, types.NewInt(base+d), types.NewFloat(float64(base+d)), types.NewFloat(float64(base)+float64(d)))
+		}
+	}
+	sameKey := func(a, b types.Value) bool {
+		cmp, err := types.Compare(a, b)
+		return err != nil || cmp != 0 || bytes.Equal(BloomKey(a), BloomKey(b))
+	}
+	for _, a := range nums {
+		for _, b := range nums {
+			if !sameKey(a, b) {
+				t.Errorf("%v and %v compare equal but have bloom keys %x and %x", a, b, BloomKey(a), BloomKey(b))
+			}
+		}
+	}
+	if err := quick.Check(func(i int64) bool { return sameKey(types.NewInt(i), types.NewFloat(float64(i))) }, nil); err != nil {
+		t.Error(err)
 	}
 }
 

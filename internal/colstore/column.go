@@ -7,7 +7,9 @@
 package colstore
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/bitmap"
 	"repro/internal/bloom"
@@ -183,9 +185,23 @@ type Stats struct {
 	Bloom     *bloom.Filter
 }
 
-// BloomKey canonicalizes a value for bloom membership so that values equal
-// under types.Compare share a key (2 and 2.0 both render "2").
-func BloomKey(v types.Value) []byte { return v.AppendString(nil) }
+// BloomKey returns the bytes bloom membership hashes, the same for values equal
+// under types.Compare: a number's float64 bits (int64s that round to one
+// float64 collide: a false positive), a string's bytes, a bool as one byte.
+func BloomKey(v types.Value) []byte { return appendBloomKey(nil, v) }
+
+func appendBloomKey(dst []byte, v types.Value) []byte {
+	switch v.T {
+	case types.Int64, types.Float64:
+		f := v.AsFloat() + 0 // -0 + 0 is +0, which Compare calls equal to -0
+		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+	case types.Bool:
+		return types.AppendBool(dst, v.B)
+	case types.String:
+		return append(dst, v.S...)
+	}
+	return dst
+}
 
 // ComputeStats scans the column and returns its stats.
 func (c *Column) ComputeStats() Stats {
@@ -194,14 +210,14 @@ func (c *Column) ComputeStats() Stats {
 	if n > 0 {
 		st.Bloom = bloom.New(n, 0.01)
 	}
-	var key []byte // BloomKey(v), rendered into one reused buffer
+	var key []byte // BloomKey(v), written into one reused buffer
 	for i := 0; i < n; i++ {
 		if c.IsNull(i) {
 			st.NullCount++
 			continue
 		}
 		v := c.Value(i)
-		key = v.AppendString(key[:0])
+		key = appendBloomKey(key[:0], v)
 		st.Bloom.Add(key)
 		if st.Min.IsNull() {
 			st.Min, st.Max = v, v

@@ -65,8 +65,9 @@ func allTypesFile(tb testing.TB) ([]byte, *FileMeta) {
 }
 
 // Every disk decoder checks a count against the bytes present before it
-// allocates for it: a hostile count is a typed error that costs a few
-// allocations, never an allocation of the count's size.
+// allocates for it (a width-0 packed chunk, which has no bytes per value,
+// against the run bound): a hostile count or code width is a typed error that
+// costs a few allocations, never an allocation of the count's size.
 func TestDiskHostileCountsDoNotAllocate(t *testing.T) {
 	schema := types.MustSchema(types.Field{Name: "x", Type: types.Int64})
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
@@ -75,14 +76,19 @@ func TestDiskHostileCountsDoNotAllocate(t *testing.T) {
 	strs := func(b []byte) error { _, err := encoding.DecodeStrings(b); return err }
 	block := func(b []byte) error { _, err := UnmarshalBlock(schema, b, nil); return err }
 	footer := func(b []byte) error { _, err := ParseFooter(b, crc32.ChecksumIEEE(b)); return err }
+	ref := []byte{1, 2, 3, 4, 5, 6, 7, 8} // a packed chunk's 8-byte reference or first value
 	for _, count := range []uint64{1 << 40, 1 << 61, 1 << 63} {
 		c := uv(count)
 		for name, tc := range map[string]struct {
 			decode func([]byte) error
 			in     []byte
 		}{
-			"int plain":         {ints, cat([]byte{1}, c, []byte{7})},
-			"int delta":         {ints, cat([]byte{2}, c, []byte{7})},
+			"int packed":        {ints, cat([]byte{8}, c, []byte{7}, ref, []byte{7})},
+			"int packed delta":  {ints, cat([]byte{9}, c, []byte{7}, ref, ref, []byte{7})},
+			"int width 0":       {ints, cat([]byte{8}, c, []byte{0}, ref)},
+			"int delta width 0": {ints, cat([]byte{9}, c, []byte{0}, ref, ref)},
+			"int width 65":      {ints, cat([]byte{8}, c, []byte{65}, ref, []byte{7})},
+			"int width 255":     {ints, cat([]byte{9}, c, []byte{255}, ref, ref, []byte{7})},
 			"int run-length":    {ints, cat([]byte{3}, c, uv(1), []byte{7})},
 			"float":             {func(b []byte) error { _, err := encoding.DecodeFloat64s(b); return err }, cat([]byte{4}, c, []byte{7})},
 			"bool":              {func(b []byte) error { _, err := encoding.DecodeBools(b); return err }, cat([]byte{5}, c, []byte{7})},
@@ -164,6 +170,30 @@ func FuzzDecodeColumn(f *testing.F) {
 			// The target decodes type 1+typ%4: each seed as its own type.
 			f.Add(byte(meta.Schema.Fields[c].Type)-1, uint16(bm.Stats.NumRows), payload)
 		}
+	}
+	// Packed int chunks of each width class: 0, under a byte, past 56 bits
+	// (a code's top bits in a ninth byte) and 64; over values and over their
+	// differences.
+	steps, small, wide, full := make([]int64, 16), make([]int64, 16), make([]int64, 16), make([]int64, 16)
+	for i := range steps {
+		steps[i], small[i] = 100+3*int64(i), int64(i*7%13)
+		wide[i], full[i] = int64(i*7%16)<<56, int64(uint64(i*i)*0x9E3779B97F4A7C15)
+	}
+	for _, tc := range []struct {
+		vals       []int64
+		tag, width byte
+	}{
+		{[]int64{1 << 62, 1 << 62, 1 << 62, 1 << 62, 1 << 62, 1 << 62}, 8, 0},
+		{steps, 9, 0},
+		{small, 8, 4},
+		{wide, 8, 60},
+		{full, 8, 64},
+	} {
+		payload, err := appendColumn(nil, &Column{Type: types.Int64, Ints: tc.vals})
+		if err != nil || payload[2] != tc.tag || payload[4] != tc.width {
+			f.Fatalf("%v: chunk tag %d width %d (%v), want %d and %d", tc.vals, payload[2], payload[4], err, tc.tag, tc.width)
+		}
+		f.Add(byte(types.Int64)-1, uint16(len(tc.vals)), payload)
 	}
 	f.Fuzz(func(t *testing.T, typ byte, rows16 uint16, input []byte) {
 		ty, rows := types.Type(1+typ%4), int(rows16)

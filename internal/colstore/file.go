@@ -30,18 +30,18 @@ func verify(b []byte, want uint32) error {
 
 // File format:
 //
-//	magic "FEISU2\n"
-//	block payloads, back to back
+//	magic "FEISU3\n" (files in older formats are rejected, not read)
+//	block payloads, back to back (integer chunks: encoding.EncodeInt64s)
 //	footer:
 //	  schema (types.AppendSchema): uvarint nFields, per field: name, type
 //	    byte, repeated byte
 //	  uvarint nBlocks, per block: uvarint offset, size, numRows, then per
 //	    column: min and max value (types.AppendValue), uvarint nullCount,
 //	    uvarint extent offset, length and CRC, bloom flag byte, and when set
-//	    a uvarint length and the bloom filter (bloom.Marshal)
+//	    a uvarint length and the bloom filter of BloomKeys (bloom.Marshal)
 //	tail (FooterTailLen bytes):
 //	  uint32 footerLen, uint32 footer CRC-32 (both little-endian)
-//	  magic "FSU2"
+//	  magic "FSU3"
 //
 // Every part of a file a reader decodes is checksummed: each column payload
 // by its extent's CRC, the footer by the tail's. Readers decode through a
@@ -50,8 +50,8 @@ func verify(b []byte, want uint32) error {
 // cannot pay for.
 
 const (
-	fileMagic = "FEISU2\n"
-	tailMagic = "FSU2"
+	fileMagic = "FEISU3\n"
+	tailMagic = "FSU3"
 )
 
 // BlockMeta locates one block inside a partition file and carries its

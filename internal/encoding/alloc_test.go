@@ -36,3 +36,35 @@ func TestReadStringsAllocatesPerChunk(t *testing.T) {
 		}
 	}
 }
+
+// An int chunk decodes in one allocation, the values it returns, and encodes
+// in at most two: both packed frames are sized in one pass over the values,
+// with no scratch slice of differences.
+func TestInt64ChunkAllocations(t *testing.T) {
+	wide, steps, runs := make([]int64, 4096), make([]int64, 4096), make([]int64, 4096)
+	for i := range wide {
+		wide[i] = int64(i*7919%4096) << 30
+		steps[i] = 1_700_000_000 + int64(i)*3
+		runs[i] = int64(i / 512)
+	}
+	for _, tc := range []struct {
+		name string
+		vals []int64
+		tag  byte
+	}{{"packed", wide, tagPackedInt}, {"delta", steps, tagPackedDelta}, {"run-length", runs, tagRunLengthInt}} {
+		enc := EncodeInt64s(tc.vals)
+		if enc[0] != tc.tag {
+			t.Fatalf("%s: encoded with tag %d, want %d", tc.name, enc[0], tc.tag)
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			if _, err := DecodeInt64s(enc); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("%s: decoding makes %.0f allocations, want 1", tc.name, n)
+		}
+		if n := testing.AllocsPerRun(10, func() { EncodeInt64s(tc.vals) }); n > 2 {
+			t.Errorf("%s: encoding makes %.0f allocations, want at most 2", tc.name, n)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -37,6 +38,27 @@ func BenchmarkDecodeIntsDelta(b *testing.B) {
 		if _, err := DecodeInt64s(enc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecodeInt64s decodes packed chunks of one code width each.
+func BenchmarkDecodeInt64s(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, w := range []uint{0, 6, 14, 44, 64} {
+		vals := make([]int64, 4096)
+		for i := range vals {
+			vals[i] = int64(rng.Uint64() >> (64 - w))
+		}
+		enc := pack(0, vals, w, 0, false)
+		b.Run(fmt.Sprintf("width=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeInt64s(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/value")
+		})
 	}
 }
 

@@ -6,33 +6,39 @@
 // followed by the payload, so readers never need out-of-band metadata to
 // decode. The encoder picks the cheapest encoding per chunk:
 //
-//	int64:   plain / delta-varint / run-length
+//	int64:   run-length / bit-packed over the values or their differences
 //	float64: plain
 //	bool:    bit-packed
 //	string:  plain (length-prefixed) / dictionary
 //
+// A bit-packed int chunk is a frame of reference: a uvarint count, a width
+// byte (0-64), an 8-byte reference, in a delta chunk an 8-byte base, then the
+// codes, LSB-first. Code + reference is the value, or in a delta chunk its
+// difference from the value before it (the base, for the first).
+//
 // Decoders read a chunk through a types.Reader (Read*), and Decode* reads a
 // whole one. Every count is checked against the bytes present before
 // anything is allocated; a run-length chunk's count, against the sum of its
-// runs, each at most maxRun values.
+// runs, each at most maxRun values; a width-0 chunk's, against maxRun.
 package encoding
 
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"repro/internal/types"
 )
 
 // Encoding tags. The tag is the first byte of every encoded chunk.
 const (
-	tagPlainInt     byte = 1
-	tagDeltaVarint  byte = 2
 	tagRunLengthInt byte = 3
 	tagPlainFloat   byte = 4
 	tagPackedBool   byte = 5
 	tagPlainString  byte = 6
 	tagDictString   byte = 7
+	tagPackedInt    byte = 8
+	tagPackedDelta  byte = 9
 )
 
 // zigzag encodes a signed int as unsigned for varint efficiency.
@@ -41,75 +47,84 @@ func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 // unzigzag reverses zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-func appendUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(dst, tmp[:n]...)
-}
-
-// EncodeInt64s encodes vals, choosing between plain, delta-varint and
-// run-length encodings by estimated size.
-func EncodeInt64s(vals []int64) []byte {
-	// Estimate run-length benefit.
-	runs := 0
-	for i := 0; i < len(vals); {
-		j := i + 1
-		for j < len(vals) && vals[j] == vals[i] {
-			j++
-		}
-		runs++
-		i = j
-	}
-	if len(vals) > 0 && runs <= len(vals)/4 {
-		return encodeRunLengthInt(vals, runs)
-	}
-	delta := encodeDeltaVarint(vals)
-	if len(delta) < 8*len(vals)+2 {
-		return delta
-	}
-	return encodePlainInt(vals)
-}
-
-func encodePlainInt(vals []int64) []byte {
-	out := make([]byte, 0, 1+binary.MaxVarintLen64+8*len(vals))
-	out = append(out, tagPlainInt)
-	out = appendUvarint(out, uint64(len(vals)))
-	var tmp [8]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-		out = append(out, tmp[:]...)
-	}
-	return out
-}
-
-func encodeDeltaVarint(vals []int64) []byte {
-	out := make([]byte, 0, 1+binary.MaxVarintLen64+2*len(vals))
-	out = append(out, tagDeltaVarint)
-	out = appendUvarint(out, uint64(len(vals)))
-	prev := int64(0)
-	for _, v := range vals {
-		out = appendUvarint(out, zigzag(v-prev))
-		prev = v
-	}
-	return out
-}
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // maxRun is the most values one run stands for; the encoder splits longer
 // runs, so a run-length chunk decodes to at most maxRun values per two bytes
-// of input.
+// of input. It also bounds a width-0 packed chunk, which has no code bytes.
 const maxRun = 1 << 16
 
-func encodeRunLengthInt(vals []int64, runs int) []byte {
-	out := make([]byte, 0, 1+binary.MaxVarintLen64+runs*4)
-	out = append(out, tagRunLengthInt)
-	out = appendUvarint(out, uint64(len(vals)))
+// EncodeInt64s encodes vals as the smallest of a run-length chunk and two
+// packed ones, over the values or their differences, sized in one pass.
+func EncodeInt64s(vals []int64) []byte {
+	n := len(vals)
+	if n == 0 {
+		return []byte{tagRunLengthInt, 0}
+	}
+	lo, hi, dlo, dhi := vals[0], vals[0], int64(math.MaxInt64), int64(math.MinInt64)
+	runs, start := 0, 0 // runs: the bytes of the runs that end before start
+	for i := 1; i < n; i++ {
+		v, d := vals[i], vals[i]-vals[i-1]
+		lo, hi, dlo, dhi = min(lo, v), max(hi, v), min(dlo, d), max(dhi, d)
+		if d != 0 || i-start == maxRun {
+			runs += uvarintLen(uint64(i-start)) + uvarintLen(zigzag(vals[start]))
+			start = i
+		}
+	}
+	head := 1 + uvarintLen(uint64(n))
+	runs += head + uvarintLen(uint64(n-start)) + uvarintLen(zigzag(vals[start]))
+	w, dw := uint(bits.Len64(uint64(hi)-uint64(lo))), uint(bits.Len64(uint64(dhi)-uint64(dlo)))
+	if n > maxRun { // more values than a width-0 chunk may claim
+		w, dw = max(w, 1), max(dw, 1)
+	}
+	size, dsize := head+9+(n*int(w)+7)/8, head+17+(n*int(dw)+7)/8
+	switch {
+	case runs < min(size, dsize):
+		return encodeRunLengthInt(make([]byte, 0, runs), vals)
+	case dsize < size:
+		return pack(dsize, vals, dw, dlo, true)
+	}
+	return pack(size, vals, w, lo, false)
+}
+
+// pack writes the packed chunk of vals, size bytes at code width w over the
+// reference ref. Arithmetic wraps, so every difference fits in 64 bits.
+func pack(size int, vals []int64, w uint, ref int64, delta bool) []byte {
+	dst := binary.AppendUvarint(append(make([]byte, 0, size), tagPackedInt), uint64(len(vals)))
+	dst = binary.LittleEndian.AppendUint64(append(dst, byte(w)), uint64(ref))
+	prev := int64(0)
+	if delta {
+		dst[0], prev = tagPackedDelta, vals[0]-ref // the first code is 0
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(prev))
+	}
+	acc, used := uint64(0), uint(0) // used: the bits of acc holding codes
+	for _, v := range vals {
+		c := uint64(v - prev - ref)
+		if delta {
+			prev = v
+		}
+		acc |= c << used
+		if used+w < 64 {
+			used += w
+			continue
+		}
+		dst = binary.LittleEndian.AppendUint64(dst, acc)
+		acc, used = c>>(64-used), used+w-64 // the code's bits past the word; none when used was 0
+	}
+	for ; used > 0; used -= min(used, 8) {
+		dst, acc = append(dst, byte(acc)), acc>>8
+	}
+	return dst
+}
+
+func encodeRunLengthInt(out []byte, vals []int64) []byte {
+	out = binary.AppendUvarint(append(out, tagRunLengthInt), uint64(len(vals)))
 	for i := 0; i < len(vals); {
 		j := i + 1
 		for j < len(vals) && vals[j] == vals[i] && j-i < maxRun {
 			j++
 		}
-		out = appendUvarint(out, uint64(j-i))
-		out = appendUvarint(out, zigzag(vals[i]))
+		out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(j-i)), zigzag(vals[i]))
 		i = j
 	}
 	return out
@@ -120,28 +135,74 @@ func DecodeInt64s(data []byte) ([]int64, error) { return types.ReadAll(data, Rea
 
 // ReadInt64s reads a chunk produced by EncodeInt64s.
 func ReadInt64s(r *types.Reader) []int64 {
-	switch r.Byte() {
-	case tagPlainInt:
-		n := r.Len(8)
-		p := r.Next(8 * n)
-		out := make([]int64, n)
-		for i := range out {
-			out[i] = int64(binary.LittleEndian.Uint64(p[i*8:]))
-		}
-		return out
-	case tagDeltaVarint:
-		out := make([]int64, r.Len(1))
-		prev := int64(0)
-		for i := range out {
-			prev += unzigzag(r.Uvarint())
-			out[i] = prev
-		}
-		return out
+	switch tag := r.Byte(); tag {
+	case tagPackedInt, tagPackedDelta:
+		return readPacked(r, tag == tagPackedDelta)
 	case tagRunLengthInt:
 		return readRuns(r)
 	}
 	r.Fail("unknown int encoding")
 	return nil
+}
+
+// readPacked reads a packed chunk after its tag.
+func readPacked(r *types.Reader, delta bool) []int64 {
+	n, w, ref := r.Uvarint(), uint(r.Byte()), int64(r.Uint64())
+	base := int64(0)
+	if delta {
+		base = int64(r.Uint64())
+	}
+	switch {
+	case w > 64:
+		r.Fail("bit width exceeds 64")
+	case w == 0 && n > maxRun:
+		r.Fail("width-0 chunk exceeds the run bound")
+	case w > 0 && n > uint64(len(r.Rest()))*8/uint64(w):
+		r.Fail("count exceeds input")
+	}
+	p := r.Next(int((n*uint64(w) + 7) / 8))
+	if r.Err() != nil {
+		return nil
+	}
+	out := make([]int64, n)
+	unpack(out, p, w, ref)
+	for i := 0; delta && i < len(out); i++ {
+		base += out[i]
+		out[i] = base
+	}
+	return out
+}
+
+// unpack sets out[i] to ref plus the i-th w-bit code in p: one 8-byte load at
+// the code's first byte, shifted. Codes of 57 to 63 bits take a ninth byte,
+// and the last codes, whose bytes would pass the end of p, come from a copy.
+func unpack(out []int64, p []byte, w uint, ref int64) {
+	if w == 0 {
+		for i := range out {
+			out[i] = ref
+		}
+		return
+	}
+	mask, fast := uint64(1)<<w-1, 0
+	if (w <= 56 || w == 64) && len(p) >= 8 {
+		fast = min(len(out), (len(p)*8-64)/int(w)+1)
+	}
+	o := out[:fast]
+	for i := range o {
+		bit := uint(i) * w
+		o[i] = ref + int64(binary.LittleEndian.Uint64(p[bit/8:bit/8+8:bit/8+8])>>(bit%8)&mask)
+	}
+	var pad [9]byte
+	for i := fast; i < len(out); i++ {
+		bit := uint(i) * w
+		q := p[bit/8:]
+		if len(q) < 9 {
+			q = pad[:]
+			copy(q, p[bit/8:]) // bytes past the copy are beyond the code
+		}
+		x := binary.LittleEndian.Uint64(q)>>(bit%8) | uint64(q[8])<<(64-bit%8)
+		out[i] = ref + int64(x&mask)
+	}
 }
 
 // readRuns reads a run-length chunk. A run stands for up to maxRun values,
@@ -175,11 +236,9 @@ func readRuns(r *types.Reader) []int64 {
 func EncodeFloat64s(vals []float64) []byte {
 	out := make([]byte, 0, 1+binary.MaxVarintLen64+8*len(vals))
 	out = append(out, tagPlainFloat)
-	out = appendUvarint(out, uint64(len(vals)))
-	var tmp [8]byte
+	out = binary.AppendUvarint(out, uint64(len(vals)))
 	for _, v := range vals {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		out = append(out, tmp[:]...)
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 	}
 	return out
 }
@@ -206,7 +265,7 @@ func ReadFloat64s(r *types.Reader) []float64 {
 func EncodeBools(vals []bool) []byte {
 	out := make([]byte, 0, 1+binary.MaxVarintLen64+(len(vals)+7)/8)
 	out = append(out, tagPackedBool)
-	out = appendUvarint(out, uint64(len(vals)))
+	out = binary.AppendUvarint(out, uint64(len(vals)))
 	var cur byte
 	for i, v := range vals {
 		if v {
@@ -266,9 +325,9 @@ func encodePlainString(vals []string) []byte {
 	}
 	out := make([]byte, 0, size)
 	out = append(out, tagPlainString)
-	out = appendUvarint(out, uint64(len(vals)))
+	out = binary.AppendUvarint(out, uint64(len(vals)))
 	for _, v := range vals {
-		out = appendUvarint(out, uint64(len(v)))
+		out = binary.AppendUvarint(out, uint64(len(v)))
 		out = append(out, v...)
 	}
 	return out
@@ -284,14 +343,14 @@ func encodeDictString(vals []string) []byte {
 		}
 	}
 	out := []byte{tagDictString}
-	out = appendUvarint(out, uint64(len(vals)))
-	out = appendUvarint(out, uint64(len(order)))
+	out = binary.AppendUvarint(out, uint64(len(vals)))
+	out = binary.AppendUvarint(out, uint64(len(order)))
 	for _, v := range order {
-		out = appendUvarint(out, uint64(len(v)))
+		out = binary.AppendUvarint(out, uint64(len(v)))
 		out = append(out, v...)
 	}
 	for _, v := range vals {
-		out = appendUvarint(out, dict[v])
+		out = binary.AppendUvarint(out, dict[v])
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 package encoding
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -13,6 +15,9 @@ func TestInt64RoundTripPlain(t *testing.T) {
 	for i := range vals {
 		vals[i] = rng.Int63() - rng.Int63() // wide range defeats delta/RLE
 	}
+	if enc := EncodeInt64s(vals); enc[0] != tagPackedInt || enc[2] != 64 {
+		t.Errorf("wide ints: tag %d width %d, want packed at width 64", enc[0], enc[2])
+	}
 	checkInts(t, vals)
 }
 
@@ -22,13 +27,32 @@ func TestInt64RoundTripDelta(t *testing.T) {
 		vals[i] = int64(1700000000 + i*3) // sorted timestamps: delta wins
 	}
 	enc := EncodeInt64s(vals)
-	if enc[0] != tagDeltaVarint {
-		t.Errorf("sorted ints should use delta, got tag %d", enc[0])
+	if enc[0] != tagPackedDelta {
+		t.Errorf("sorted ints should use packed delta, got tag %d", enc[0])
 	}
 	if len(enc) >= 8*len(vals) {
 		t.Errorf("delta encoding not smaller: %d bytes", len(enc))
 	}
 	checkInts(t, vals)
+}
+
+// A packed chunk of every code width decodes, at counts that end it anywhere
+// in a byte and in the padded tail the decoder reads the last codes from.
+func TestInt64PackedEveryWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for w := uint(0); w <= 64; w++ {
+		for _, n := range []int{1, 2, 3, 7, 8, 9, 15, 16, 17, 100} {
+			vals := make([]int64, n)
+			for i := range vals {
+				vals[i] = -5 + int64(rng.Uint64()>>(64-w)) // codes of w bits over the reference -5
+			}
+			got, err := DecodeInt64s(pack(0, vals, w, -5, false))
+			if err != nil || !slices.Equal(got, vals) {
+				t.Fatalf("width %d, %d values: got %v (%v), want %v", w, n, got, err, vals)
+			}
+			checkInts(t, vals)
+		}
+	}
 }
 
 func TestInt64RoundTripRLE(t *testing.T) {
@@ -82,10 +106,10 @@ func TestDecodeInt64sErrors(t *testing.T) {
 	if _, err := DecodeInt64s(nil); err == nil {
 		t.Error("empty should fail")
 	}
-	if _, err := DecodeInt64s([]byte{tagPlainInt}); err == nil {
+	if _, err := DecodeInt64s([]byte{tagPackedInt}); err == nil {
 		t.Error("missing length should fail")
 	}
-	if _, err := DecodeInt64s([]byte{tagPlainInt, 2, 0, 0}); err == nil {
+	if _, err := DecodeInt64s(append([]byte{tagPackedInt, 2, 8}, make([]byte, 9)...)); err == nil {
 		t.Error("truncated payload should fail")
 	}
 	if _, err := DecodeInt64s([]byte{99, 1, 0}); err == nil {
@@ -127,7 +151,7 @@ func TestFloat64Errors(t *testing.T) {
 	if _, err := DecodeFloat64s(nil); err == nil {
 		t.Error("empty should fail")
 	}
-	if _, err := DecodeFloat64s([]byte{tagPlainInt, 0}); err == nil {
+	if _, err := DecodeFloat64s([]byte{tagPackedInt, 0}); err == nil {
 		t.Error("wrong tag should fail")
 	}
 	if _, err := DecodeFloat64s([]byte{tagPlainFloat, 1, 0}); err == nil {
@@ -264,4 +288,41 @@ func TestStringRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzInt64RoundTrip: any []int64, taken from the input eight bytes to a
+// value, decodes to itself, and its chunk is at most the values' eight bytes
+// each plus a packed chunk's header.
+func FuzzInt64RoundTrip(f *testing.F) {
+	ints := func(vals ...int64) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		}
+		return b
+	}
+	steps, big := make([]int64, maxRun+2), make([]int64, maxRun+2)
+	for i := range steps {
+		steps[i], big[i] = int64(i)*3, 1<<40
+	}
+	f.Add([]byte{})
+	f.Add(ints(math.MaxInt64, math.MinInt64, math.MaxInt64, 0, -1)) // differences wrap
+	f.Add(ints(math.MinInt64, math.MaxInt64, math.MinInt64+1))
+	f.Add(ints(steps...))                       // one step over more than maxRun values
+	f.Add(ints(big...))                         // one value over more than maxRun values
+	f.Add(ints(1, 2, 3, 1<<40, 5, 6, 7, 8, -9)) // one outlier widens the frame
+	f.Fuzz(func(t *testing.T, b []byte) {
+		vals := make([]int64, len(b)/8)
+		for i := range vals {
+			vals[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		enc := EncodeInt64s(vals)
+		if limit := 8*len(vals) + 1 + uvarintLen(uint64(len(vals))) + 9; len(enc) > limit {
+			t.Fatalf("%d values encode to %d bytes, over %d", len(vals), len(enc), limit)
+		}
+		got, err := DecodeInt64s(enc)
+		if err != nil || !slices.Equal(got, vals) {
+			t.Fatalf("round trip of %v: got %v (%v)", vals, got, err)
+		}
+	})
 }
