@@ -13,11 +13,13 @@ package cache
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 
 	"repro/internal/colstore"
 	"repro/internal/exec"
+	"repro/internal/lru"
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/sim"
@@ -48,9 +50,7 @@ type Reader struct {
 	mu       sync.Mutex
 	items    map[chunk]*item
 	inflight map[chunk]*inflightCall
-	head     *item // most recent
-	tail     *item
-	bytes    int64
+	lru      lru.List[*item]
 
 	Hits   metrics.Counter
 	Misses metrics.Counter
@@ -70,10 +70,9 @@ type chunk struct {
 }
 
 type item struct {
-	key        chunk
-	col        *colstore.Column
-	size       int64
-	prev, next *item
+	lru.Node[*item]
+	key chunk
+	col *colstore.Column
 }
 
 // inflightCall is one outstanding storage fetch that duplicate misses
@@ -126,7 +125,7 @@ func (r *Reader) Column(ctx context.Context, path string, meta *colstore.FileMet
 
 	r.mu.Lock()
 	if it, ok := r.items[key]; ok {
-		r.moveToFront(it)
+		r.lru.Touch(it)
 		colv := it.col
 		r.mu.Unlock()
 		r.chargeHit(ctx, size)
@@ -145,6 +144,11 @@ func (r *Reader) Column(ctx context.Context, path string, meta *colstore.FileMet
 			return nil, ctx.Err()
 		}
 		if call.err != nil {
+			// The leader's own deadline or cancellation is not this
+			// reader's: while its context is live, it reads again.
+			if ctx.Err() == nil && (errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded)) {
+				return r.Column(ctx, path, meta, block, col)
+			}
 			return nil, call.err
 		}
 		r.chargeHit(ctx, size)
@@ -160,15 +164,16 @@ func (r *Reader) Column(ctx context.Context, path string, meta *colstore.FileMet
 
 	r.mu.Lock()
 	delete(r.inflight, key)
+	// Only the call in inflight[key] stores key, so the chunk is not here.
 	if err == nil && size <= r.opt.CapacityBytes {
-		if _, dup := r.items[key]; !dup {
-			it := &item{key: key, col: c, size: size}
-			r.items[key] = it
-			r.pushFront(it)
-			r.bytes += size
-			for r.bytes > r.opt.CapacityBytes && r.tail != nil {
-				r.evict(r.tail)
-			}
+		it := &item{key: key, col: c}
+		r.items[key] = it
+		r.lru.PushFront(it, size)
+		for r.lru.Bytes() > r.opt.CapacityBytes {
+			old := r.lru.Oldest()
+			r.lru.Remove(old)
+			delete(r.items, old.key)
+			r.Evictions.Inc()
 		}
 	}
 	r.mu.Unlock()
@@ -193,54 +198,11 @@ func chunkSize(meta *colstore.FileMeta, block, col int) int64 {
 	return 0
 }
 
-// --- intrusive LRU list; caller holds r.mu ---
-
-func (r *Reader) pushFront(it *item) {
-	it.prev = nil
-	it.next = r.head
-	if r.head != nil {
-		r.head.prev = it
-	}
-	r.head = it
-	if r.tail == nil {
-		r.tail = it
-	}
-}
-
-func (r *Reader) unlink(it *item) {
-	if it.prev != nil {
-		it.prev.next = it.next
-	} else {
-		r.head = it.next
-	}
-	if it.next != nil {
-		it.next.prev = it.prev
-	} else {
-		r.tail = it.prev
-	}
-	it.prev, it.next = nil, nil
-}
-
-func (r *Reader) moveToFront(it *item) {
-	if r.head == it {
-		return
-	}
-	r.unlink(it)
-	r.pushFront(it)
-}
-
-func (r *Reader) evict(it *item) {
-	r.unlink(it)
-	delete(r.items, it.key)
-	r.bytes -= it.size
-	r.Evictions.Inc()
-}
-
 // Bytes returns resident cached bytes.
 func (r *Reader) Bytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.bytes
+	return r.lru.Bytes()
 }
 
 // CacheLoad reports the cache's heartbeat gauges. It implements

@@ -15,8 +15,8 @@ import (
 	"repro/internal/types"
 )
 
-// blockingReader parks every Column call until release is closed, so a test
-// can pile up a miss herd on one chunk.
+// blockingReader parks every Column call until release is closed or the
+// call's context ends, so a test can pile up a miss herd on one chunk.
 type blockingReader struct {
 	meta    *colstore.FileMeta
 	release chan struct{}
@@ -30,7 +30,11 @@ func (b *blockingReader) Meta(ctx context.Context, part plan.PartitionMeta) (*co
 
 func (b *blockingReader) Column(ctx context.Context, path string, meta *colstore.FileMeta, block, col int) (*colstore.Column, error) {
 	b.calls.Add(1)
-	<-b.release
+	select {
+	case <-b.release:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 	if b.fail {
 		return nil, errors.New("boom")
 	}
@@ -184,4 +188,56 @@ func TestSingleflightFollowerHonorsContext(t *testing.T) {
 		t.Fatal("canceled follower still waiting on the leader")
 	}
 	close(f.release) // unpark the leader for cleanup
+}
+
+// TestSingleflightLeaderCancelDoesNotFailFollower: a leader that gives up
+// (its own task timed out or was canceled) does not fail a follower whose
+// context is still live; the follower reads the chunk itself.
+func TestSingleflightLeaderCancelDoesNotFailFollower(t *testing.T) {
+	f := &blockingReader{meta: testMeta(1, 1, 100), release: make(chan struct{})}
+	r := NewReader(f, Options{CapacityBytes: 1000, Prefixes: []string{"/"}})
+
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := r.Column(leaderCtx, "/t", f.meta, 0, 0)
+		leaderDone <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for f.calls.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("leader never reached storage")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	followerDone := make(chan error, 1)
+	go func() {
+		_, err := r.Column(context.Background(), "/t", f.meta, 0, 0)
+		followerDone <- err
+	}()
+	for r.HerdWaits.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never joined the in-flight call")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader returned %v, want context.Canceled", err)
+	}
+	close(f.release)
+	select {
+	case err := <-followerDone:
+		if err != nil {
+			t.Fatalf("follower with live ctx failed: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower still waiting")
+	}
+	if got := f.calls.Load(); got != 2 {
+		t.Errorf("underlying reads = %d, want 2 (the canceled leader's and the follower's own)", got)
+	}
+	if r.Bytes() != 100 {
+		t.Errorf("cached bytes = %d, want 100: the follower's read is cached", r.Bytes())
+	}
 }

@@ -331,10 +331,14 @@ func runModel(t *testing.T, opt Options, seed int64) {
 		}
 		var sum int64
 		now := flat(t, s)
+		linked := map[*entry]bool{}
+		for e := s.lru.Oldest(); e != nil; e = s.lru.Newer(e) {
+			linked[e] = true
+		}
 		for k, e := range now {
-			sum += e.size
-			if e.elem == nil || e.elem.Value.(*entry) != e {
-				t.Fatalf("step %d %s: entry %s is not linked to its list element", step, what, k)
+			sum += e.Size()
+			if !linked[e] {
+				t.Fatalf("step %d %s: entry %s is not in the recency list", step, what, k)
 			}
 			want := s.pinAtoms[k[strings.Index(k, "|")+1:]]
 			for _, p := range s.pins {
@@ -345,7 +349,7 @@ func runModel(t *testing.T, opt Options, seed int64) {
 			}
 		}
 		st := s.Stats()
-		if st.Bytes != sum || s.bytes != sum {
+		if st.Bytes != sum || s.lru.Bytes() != sum {
 			t.Fatalf("step %d %s: Bytes = %d, entries sum to %d", step, what, st.Bytes, sum)
 		}
 		if opt.MemoryBudget > 0 && sum > opt.MemoryBudget {

@@ -13,7 +13,6 @@
 package core
 
 import (
-	"container/list"
 	"context"
 	"slices"
 	"strings"
@@ -22,6 +21,7 @@ import (
 
 	"repro/internal/bitmap"
 	"repro/internal/colstore"
+	"repro/internal/lru"
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/sim"
@@ -75,9 +75,7 @@ type SmartIndex struct {
 
 	mu       sync.Mutex
 	blocks   map[string]*block
-	entries  int64
-	lru      *list.List // front = most recent
-	bytes    int64
+	lru      lru.List[*entry]
 	pins     []string        // pinned "<block id>|<atom key>" prefixes (user preferences)
 	pinAtoms map[string]bool // pinned atom keys, any block
 
@@ -96,6 +94,7 @@ type block struct {
 // entry is one cached predicate-evaluation result, held dense or — with
 // Options.Compress — in RLE form.
 type entry struct {
+	lru.Node[*entry]
 	blk     *block
 	key     string // positive-form atom key
 	col     string
@@ -106,8 +105,6 @@ type entry struct {
 	// paper's index schema) used for derived answers.
 	stats   colstore.Stats
 	created time.Time
-	size    int64
-	elem    *list.Element
 	pinned  bool
 }
 
@@ -119,7 +116,7 @@ func New(opt Options) *SmartIndex {
 	if opt.Now == nil {
 		opt.Now = time.Now
 	}
-	return &SmartIndex{opt: opt, blocks: make(map[string]*block), lru: list.New(), pinAtoms: make(map[string]bool)}
+	return &SmartIndex{opt: opt, blocks: make(map[string]*block), pinAtoms: make(map[string]bool)}
 }
 
 // atomPrefix matches prefix against the entry keys "<id>|<atom key>" of one
@@ -309,7 +306,7 @@ func (s *SmartIndex) fetch(e *entry, n int, now time.Time) (*bitmap.Bitmap, bool
 		s.drop(e)
 		return nil, false
 	}
-	s.lru.MoveToFront(e.elem)
+	s.lru.Touch(e)
 	if e.dense != nil {
 		return e.dense, true
 	}
@@ -385,17 +382,17 @@ func (s *SmartIndex) Store(blockID string, a plan.Atom, bm *bitmap.Bitmap, stats
 	e := &entry{key: atomKey, col: atomKey[:len(a.Col)], numRows: bm.Len(), stats: stats, created: now}
 	// An entry is charged for its vector, its "<block id>|<atom key>"
 	// identity and a fixed overhead.
-	overhead := int64(len(blockID) + 1 + len(atomKey) + 96)
+	size := int64(len(blockID) + 1 + len(atomKey) + 96)
 	if s.opt.Compress {
 		e.packed = bitmap.Compress(bm)
-		e.size = int64(e.packed.SizeBytes()) + overhead
+		size += int64(e.packed.SizeBytes())
 	} else {
 		e.dense = bm.Clone()
-		e.size = int64(e.dense.SizeBytes()) + overhead
+		size += int64(e.dense.SizeBytes())
 	}
 	e.pinned = s.prefixPinned(blockID, atomKey) || s.pinAtoms[atomKey]
 	// Never admit an entry bigger than the whole budget.
-	if s.opt.MemoryBudget > 0 && e.size > s.opt.MemoryBudget {
+	if s.opt.MemoryBudget > 0 && size > s.opt.MemoryBudget {
 		return
 	}
 	if b == nil {
@@ -405,9 +402,7 @@ func (s *SmartIndex) Store(blockID string, a plan.Atom, bm *bitmap.Bitmap, stats
 	e.blk = b
 	b.byKey[atomKey] = e
 	b.byCol[e.col] = append(b.byCol[e.col], e)
-	e.elem = s.lru.PushFront(e)
-	s.entries++
-	s.bytes += e.size
+	s.lru.PushFront(e, size)
 	s.stored.Inc()
 	s.enforceBudget(e)
 }
@@ -422,13 +417,13 @@ func (s *SmartIndex) enforceBudget(incoming *entry) {
 		return
 	}
 	for _, allowPinned := range []bool{false, true} {
-		for el := s.lru.Back(); el != nil && s.bytes > s.opt.MemoryBudget; {
-			prev := el.Prev()
-			if e := el.Value.(*entry); e != incoming && (allowPinned || !e.pinned) {
+		for e := s.lru.Oldest(); e != nil && s.lru.Bytes() > s.opt.MemoryBudget; {
+			next := s.lru.Newer(e)
+			if e != incoming && (allowPinned || !e.pinned) {
 				s.drop(e)
 				s.evLRU.Inc()
 			}
-			el = prev
+			e = next
 		}
 	}
 }
@@ -466,12 +461,7 @@ func (s *SmartIndex) drop(e *entry) {
 	if len(b.byKey) == 0 {
 		delete(s.blocks, b.id)
 	}
-	if e.elem != nil {
-		s.lru.Remove(e.elem)
-		e.elem = nil
-	}
-	s.entries--
-	s.bytes -= e.size
+	s.lru.Remove(e)
 }
 
 // Invalidate removes every entry whose block id starts with prefix (data
@@ -498,8 +488,8 @@ func (s *SmartIndex) Stats() Stats {
 		Stored:      s.stored.Value(),
 		EvictedLRU:  s.evLRU.Value(),
 		EvictedTTL:  s.evTTL.Value(),
-		Bytes:       s.bytes,
-		Entries:     s.entries,
+		Bytes:       s.lru.Bytes(),
+		Entries:     int64(s.lru.Len()),
 	}
 }
 
@@ -509,7 +499,7 @@ func (s *SmartIndex) Stats() Stats {
 func (s *SmartIndex) IndexLoad() (entries, bytes, budget int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.entries, s.bytes, s.opt.MemoryBudget
+	return int64(s.lru.Len()), s.lru.Bytes(), s.opt.MemoryBudget
 }
 
 // RegisterMetrics publishes the index's counters into a central registry

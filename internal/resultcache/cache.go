@@ -10,10 +10,10 @@
 // versions; a lookup that finds it older removes it. So an ingest needs no
 // call into the cache, and a result stored after its tables were
 // re-registered is never served. The cache is bounded by a global byte
-// budget with LRU eviction and a TTL. A ghost list of recently evicted keys
-// — same byte budget, keys only — counts the hits a cache twice the size
-// would have served, exported as the shadow gauge so /metrics answers
-// "would more memory help".
+// budget with LRU eviction and a TTL. Its ghost list, a second lru.List at
+// the same budget, keeps evicted keys at their old sizes, no rows: a miss
+// that finds its key there counts a hit a cache twice the size would have
+// served, exported as the shadow gauge ("would more memory help").
 package resultcache
 
 import (
@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/events"
 	"repro/internal/exec"
+	"repro/internal/lru"
 	"repro/internal/plan"
 	"repro/internal/sqlparser"
 	"repro/internal/types"
@@ -70,19 +71,16 @@ type Config struct {
 
 // entry is one cached result. Entries live in three structures at once: the
 // byKey exact map, the per-shape slice (subsumption scans), and the global
-// LRU list.
+// LRU list, which charges each its resultBytes.
 type entry struct {
+	lru.Node[*entry]
 	key     string // fingerprint + "\x00" + literalKey
 	fp      string
-	litKey  string
 	lits    []types.Value
 	slots   []plan.LitSlot
 	tables  []boundTable
 	res     *exec.Result
-	bytes   int64
 	expires time.Time // zero when no TTL
-
-	prev, next *entry
 }
 
 // boundTable is a table a plan read, with the catalog version it was bound
@@ -92,12 +90,11 @@ type boundTable struct {
 	version uint64
 }
 
-// ghost is an evicted entry's key with its old size — no rows.
+// ghost is an evicted entry's key, charged its old size — no rows.
 type ghost struct {
-	key        string
-	tables     []boundTable
-	bytes      int64
-	prev, next *ghost
+	lru.Node[*ghost]
+	key    string
+	tables []boundTable
 }
 
 // Cache is safe for concurrent use. All methods are no-ops on a nil
@@ -105,15 +102,13 @@ type ghost struct {
 type Cache struct {
 	cfg Config
 
-	mu         sync.Mutex
-	byKey      map[string]*entry
-	shapes     map[string][]*entry
-	head, tail *entry // LRU: head = most recent
-	bytes      int64
+	mu     sync.Mutex
+	byKey  map[string]*entry
+	shapes map[string][]*entry
+	lru    lru.List[*entry]
 
-	ghosts               map[string]*ghost
-	ghostHead, ghostTail *ghost
-	ghostBytes           int64
+	ghosts   map[string]*ghost
+	ghostLRU lru.List[*ghost]
 
 	hits, subsumedHits, misses int64
 	evictions, invalidations   int64
@@ -165,7 +160,7 @@ func (c *Cache) Lookup(p *plan.PhysicalPlan) (*exec.Result, Outcome) {
 			c.removeLocked(e, &c.invalidations)
 			c.cfg.Events.Emit("rescache", events.CacheInvalidate, "", -1, e.fp)
 		case age == 0:
-			c.touchLocked(e)
+			c.lru.Touch(e)
 			c.hits++
 			return e.res.Clone(), Hit
 		}
@@ -181,7 +176,7 @@ func (c *Cache) Lookup(p *plan.PhysicalPlan) (*exec.Result, Outcome) {
 			if !implies(e.slots, p.Literals, e.lits) {
 				continue
 			}
-			c.touchLocked(e)
+			c.lru.Touch(e)
 			c.subsumedHits++
 			out := &exec.Result{
 				Columns:        append([]string(nil), e.res.Columns...),
@@ -231,12 +226,10 @@ func (c *Cache) Store(p *plan.PhysicalPlan, tenant string, res *exec.Result) {
 	e := &entry{
 		key:    entryKey(p),
 		fp:     p.Fingerprint,
-		litKey: p.LiteralKey,
 		lits:   append([]types.Value(nil), p.Literals...),
 		slots:  append([]plan.LitSlot(nil), p.ReuseSlots...),
 		tables: planTables(p),
 		res:    res.Own(),
-		bytes:  size,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -255,13 +248,12 @@ func (c *Cache) Store(p *plan.PhysicalPlan, tenant string, res *exec.Result) {
 	}
 	c.byKey[e.key] = e
 	c.shapes[e.fp] = append(c.shapes[e.fp], e)
-	c.pushFrontLocked(e)
-	c.bytes += e.bytes
-	for c.bytes > c.cfg.CapacityBytes && c.tail != nil {
-		c.evictLocked(c.tail)
+	c.lru.PushFront(e, size)
+	for c.lru.Bytes() > c.cfg.CapacityBytes {
+		c.evictLocked(c.lru.Oldest())
 	}
 	c.cfg.Events.Emit("rescache", events.CacheStore, "", -1,
-		fmt.Sprintf("%s bytes=%d", e.fp, e.bytes))
+		fmt.Sprintf("%s bytes=%d", e.fp, size))
 }
 
 // InvalidateTable drops every entry (and ghost) whose query read the table.
@@ -274,8 +266,8 @@ func (c *Cache) InvalidateTable(table string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dropped := 0
-	for e := c.head; e != nil; {
-		next := e.next
+	for e := c.lru.Oldest(); e != nil; {
+		next := c.lru.Newer(e)
 		if reads(e.tables, table) {
 			c.removeLocked(e, &c.invalidations)
 			dropped++
@@ -286,8 +278,8 @@ func (c *Cache) InvalidateTable(table string) {
 		c.cfg.Events.Emit("rescache", events.CacheInvalidate, "", -1,
 			fmt.Sprintf("%s entries=%d", table, dropped))
 	}
-	for g := c.ghostHead; g != nil; {
-		next := g.next
+	for g := c.ghostLRU.Oldest(); g != nil; {
+		next := c.ghostLRU.Newer(g)
 		if reads(g.tables, table) {
 			c.removeGhostLocked(g)
 		}
@@ -317,8 +309,8 @@ func (c *Cache) Snapshot() Stats {
 		Evictions: c.evictions, Invalidations: c.invalidations,
 		Expirations: c.expirations, ShadowHits: c.shadowHits,
 		StoreSkips: c.storeSkips,
-		Bytes:      c.bytes, GhostBytes: c.ghostBytes,
-		Entries: len(c.byKey), Ghosts: len(c.ghosts),
+		Bytes:      c.lru.Bytes(), GhostBytes: c.ghostLRU.Bytes(),
+		Entries: c.lru.Len(), Ghosts: c.ghostLRU.Len(),
 	}
 }
 
@@ -350,48 +342,13 @@ func (c *Cache) expiredLocked(e *entry, t time.Time) bool {
 	return !e.expires.IsZero() && t.After(e.expires)
 }
 
-func (c *Cache) touchLocked(e *entry) {
-	if c.head == e {
-		return
-	}
-	c.unlinkLocked(e)
-	c.pushFrontLocked(e)
-}
-
-func (c *Cache) pushFrontLocked(e *entry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *Cache) unlinkLocked(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
 // removeLocked detaches the entry from every structure; counter (when non
 // nil) is incremented. No ghost is left behind — use evictLocked for
 // capacity evictions that should feed the shadow gauge.
 func (c *Cache) removeLocked(e *entry, counter *int64) {
-	c.unlinkLocked(e)
+	c.lru.Remove(e)
 	delete(c.byKey, e.key)
 	c.dropShapeLocked(e)
-	c.bytes -= e.bytes
 	if counter != nil {
 		*counter++
 	}
@@ -401,38 +358,19 @@ func (c *Cache) removeLocked(e *entry, counter *int64) {
 func (c *Cache) evictLocked(e *entry) {
 	c.removeLocked(e, &c.evictions)
 	c.cfg.Events.Emit("rescache", events.CacheEvict, "", -1, e.fp)
-	g := &ghost{key: e.key, tables: e.tables, bytes: e.bytes}
+	g := &ghost{key: e.key, tables: e.tables}
 	c.ghosts[g.key] = g
-	g.next = c.ghostHead
-	if c.ghostHead != nil {
-		c.ghostHead.prev = g
-	}
-	c.ghostHead = g
-	if c.ghostTail == nil {
-		c.ghostTail = g
-	}
-	c.ghostBytes += g.bytes
+	c.ghostLRU.PushFront(g, e.Size())
 	// Ghost budget equals the main budget: main + ghost together model a
 	// cache at 2x capacity.
-	for c.ghostBytes > c.cfg.CapacityBytes && c.ghostTail != nil {
-		c.removeGhostLocked(c.ghostTail)
+	for c.ghostLRU.Bytes() > c.cfg.CapacityBytes {
+		c.removeGhostLocked(c.ghostLRU.Oldest())
 	}
 }
 
 func (c *Cache) removeGhostLocked(g *ghost) {
-	if g.prev != nil {
-		g.prev.next = g.next
-	} else {
-		c.ghostHead = g.next
-	}
-	if g.next != nil {
-		g.next.prev = g.prev
-	} else {
-		c.ghostTail = g.prev
-	}
-	g.prev, g.next = nil, nil
+	c.ghostLRU.Remove(g)
 	delete(c.ghosts, g.key)
-	c.ghostBytes -= g.bytes
 }
 
 func (c *Cache) dropShapeLocked(e *entry) {

@@ -77,7 +77,7 @@ cov_floor internal/events 92.0
 cov_floor internal/exec 85.0
 cov_floor internal/core 85.0
 
-echo "== fuzz smoke (FuzzParse, FuzzDecodeBatch, FuzzWireStream, FuzzDecodePlan, FuzzDecodeShuffle, FuzzDecodePayload, FuzzParseFooter, FuzzDecodeColumn, FuzzFlattenJSON, FuzzInt64RoundTrip; 10s each)"
+echo "== fuzz smoke (FuzzParse, FuzzDecodeBatch, FuzzWireStream, FuzzDecodePlan, FuzzDecodeShuffle, FuzzDecodePayload, FuzzParseFooter, FuzzDecodeColumn, FuzzFlattenJSON, FuzzInt64RoundTrip, FuzzLRU; 10s each)"
 go test -fuzz=FuzzParse -fuzztime=10s -run='^$' ./internal/sqlparser
 go test -fuzz=FuzzDecodeBatch -fuzztime=10s -run='^$' ./internal/types
 go test -fuzz=FuzzWireStream -fuzztime=10s -run='^$' ./internal/transport
@@ -88,6 +88,7 @@ go test -fuzz=FuzzParseFooter -fuzztime=10s -run='^$' ./internal/colstore
 go test -fuzz=FuzzDecodeColumn -fuzztime=10s -run='^$' ./internal/colstore
 go test -fuzz=FuzzFlattenJSON -fuzztime=10s -run='^$' ./internal/colstore
 go test -fuzz=FuzzInt64RoundTrip -fuzztime=10s -run='^$' ./internal/encoding
+go test -fuzz=FuzzLRU -fuzztime=10s -run='^$' ./internal/lru
 
 # The TCP wire transport must be semantically invisible: the transport
 # conformance battery runs against both fabrics inside the transport package,
