@@ -149,6 +149,25 @@ func TestExplainAnalyzeMultiTaskGolden(t *testing.T) {
 	checkGolden(t, "explain_analyze_multitask", normalizeTrace(resultText(res)))
 }
 
+// TestExplainAnalyzeLimitGolden pins the trace of a pushed-down LIMIT whose
+// first task on each leaf already meets it: the leaf skips the second task
+// of its batch, whose span holds limit.skipped=1 and no leaf or scan child,
+// and the registry counts the skips (verify.sh repeats it 20 times).
+func TestExplainAnalyzeLimitGolden(t *testing.T) {
+	sys := newGoldenSystemParts(t, 4)
+	res, err := sys.Query(context.Background(),
+		"EXPLAIN ANALYZE SELECT uid, clicks FROM T1 WHERE clicks > 3 LIMIT 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := normalizeTrace(resultText(res))
+	snap := sys.Metrics().Snapshot()
+	if skipped := snap["leaf0.tasks_skipped"] + snap["leaf1.tasks_skipped"]; skipped != 2 {
+		t.Fatalf("leaves skipped %d tasks, want 2 (one per batch):\n%s", skipped, text)
+	}
+	checkGolden(t, "explain_analyze_limit", text)
+}
+
 // TestExplainAnalyzeResultCacheGolden pins the EXPLAIN ANALYZE trace for
 // both sides of the semantic result cache: the first execution reports the
 // miss and runs tasks; the repeat is served from the cache — its trace is a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -160,12 +161,128 @@ func TestRetriedTaskFoldsAtItsOrdinal(t *testing.T) {
 	}
 }
 
-// batchMiddle places foldSQL's tasks as the statement will — placement is a
-// function of the catalog and the fleet's load, both idle here — and returns
-// the middle ordinal of the first leaf's batch of size tasks.
+// limitSQL selects a different number of rows from each partition of the
+// logs table: 100 from p0, 65 from p1 and 30 from each one after.
+const limitSQL = "SELECT id, s FROM logs WHERE v < 3 OR id < 150 LIMIT %d"
+
+// limitReference is the reference answer to limitSQL under limit: each
+// partition's exec.RunTask rows, concatenated in ordinal order and cut to
+// the limit, no cluster machinery. It also returns each task's row count by
+// ordinal.
+func (tc *testCluster) limitReference(limit int) (want [][]types.Value, taskRows []int) {
+	tc.t.Helper()
+	reader := exec.NewStoreReader(tc.router)
+	for _, task := range tc.plan(fmt.Sprintf(limitSQL, limit)).Tasks() {
+		tr, err := exec.RunTask(context.Background(), task, reader, nil)
+		if err != nil {
+			tc.t.Fatal(err)
+		}
+		want, taskRows = append(want, tr.Rows...), append(taskRows, len(tr.Rows))
+	}
+	return want[:min(len(want), limit)], taskRows
+}
+
+// skipped sums the leaves' tasks_skipped counters.
+func (tc *testCluster) skipped() (n int64) {
+	for _, l := range tc.leaves {
+		n += l.Skipped.Value()
+	}
+	return n
+}
+
+// TestLimitAnswerIsOrdinalPrefix: a pushed-down LIMIT without ORDER BY
+// answers the first L rows of the per-partition outputs in ordinal order,
+// value for value, although each leaf hands a task only the rows its batch
+// still misses and skips the tasks after the batch has L. The limits are 0,
+// 1, the first task's row count, the end of the first two tasks of a batch,
+// the end of a whole batch and more than the table holds. L = 0 and 1 must
+// skip tasks, so the test cannot pass without entering the path. The
+// batch-middle variant fails the middle task of a leaf's three-task batch
+// once, under limits that make it run: the same rows come back, with its
+// backup task's rows at its ordinal.
+func TestLimitAnswerIsOrdinalPrefix(t *testing.T) {
+	const table = 8 * testRowsPerPartition
+	for _, mode := range []string{"sim", "tcp"} {
+		for _, leaves := range []int{1, 2, 3, 4} {
+			name := fmt.Sprintf("%s/leaves%d", mode, leaves)
+			if leaves == 3 {
+				name = mode + "/batch-middle" // eight tasks: batches of three, three and two
+			}
+			t.Run(name, func(t *testing.T) {
+				tc := newTestClusterOn(t, mode, leaves, 1, 8, nil)
+				_, taskRows := tc.limitReference(table)
+				var batch []int // the largest batch, ascending
+				batches := tc.batches(fmt.Sprintf(limitSQL, 1))
+				for _, l := range tc.leaves {
+					if b := batches[l.Name]; len(b) > len(batch) {
+						batch = b
+					}
+				}
+				whole := 0
+				for _, o := range batch {
+					whole += taskRows[o]
+				}
+				type limitCase struct {
+					kind  string
+					limit int
+				}
+				limits := []limitCase{{"zero", 0}, {"one", 1}, {"first-task", taskRows[0]},
+					{"two-tasks", taskRows[batch[0]] + taskRows[batch[1]]}, {"whole-batch", whole}, {"more-than-table", table + 1}}
+				var failed *atomic.Bool
+				if leaves == 3 {
+					if len(batch) != 3 {
+						t.Fatalf("largest batch %v, want three tasks", batch)
+					}
+					failed = new(atomic.Bool)
+					for _, l := range tc.leaves {
+						l.Reader = &failOnceReader{PartitionReader: l.Reader, path: fmt.Sprintf("/hdfs/logs/p%d", batch[1]), done: failed}
+					}
+					// The middle task runs only when the first leaves rows missing.
+					limits = []limitCase{{"first-plus-one", taskRows[batch[0]] + 1}, {"whole-batch", whole}, {"more-than-table", table + 1}}
+				}
+				for _, c := range limits {
+					kind, limit := c.kind, c.limit
+					if failed != nil {
+						failed.Store(false)
+					}
+					before := tc.skipped()
+					res, stats := tc.query(fmt.Sprintf(limitSQL, limit), QueryOptions{})
+					want, _ := tc.limitReference(limit)
+					if !slices.EqualFunc(res.Rows, want, slices.Equal) {
+						t.Errorf("LIMIT %d (%s): %d rows %v, want the ordinal-order prefix: %d rows %v", limit, kind, len(res.Rows), res.Rows, len(want), want)
+					}
+					if failed != nil && (stats.BackupTasks != 1 || stats.TasksFailed != 0) {
+						t.Errorf("LIMIT %d (%s): backups=%d failed=%d, want the middle task retried once", limit, kind, stats.BackupTasks, stats.TasksFailed)
+					}
+					if skipped := tc.skipped() - before; limit <= 1 && skipped == 0 {
+						t.Errorf("LIMIT %d (%s): no task skipped", limit, kind)
+					}
+				}
+			})
+		}
+	}
+}
+
+// batchMiddle places foldSQL's tasks as the statement will and returns the
+// middle ordinal of the first leaf's batch of size tasks.
 func (tc *testCluster) batchMiddle(size int) int {
 	tc.t.Helper()
-	tasks := tc.plan(foldSQL).Tasks()
+	batches := tc.batches(foldSQL)
+	for _, l := range tc.leaves {
+		if b := batches[l.Name]; len(b) == size {
+			return b[size/2]
+		}
+	}
+	tc.t.Fatalf("no leaf got a batch of %d tasks: %v", size, batches)
+	return -1
+}
+
+// batches places sql's tasks as the statement will — placement is a
+// function of the catalog and the fleet's load, both idle here — and returns
+// each leaf's batch: its ordinals, ascending.
+func (tc *testCluster) batches(sql string) map[string][]int {
+	tc.t.Helper()
+	tasks := tc.plan(sql).Tasks()
 	assign, err := tc.master.Scheduler.PlanAll(tasks)
 	if err != nil {
 		tc.t.Fatal(err)
@@ -175,13 +292,7 @@ func (tc *testCluster) batchMiddle(size int) int {
 		tc.master.Scheduler.ReleaseTask(assign[task.Ordinal])
 		batches[assign[task.Ordinal]] = append(batches[assign[task.Ordinal]], task.Ordinal)
 	}
-	for _, l := range tc.leaves {
-		if b := batches[l.Name]; len(b) == size {
-			return b[size/2]
-		}
-	}
-	tc.t.Fatalf("no leaf got a batch of %d tasks: %v", size, batches)
-	return -1
+	return batches
 }
 
 // reducerDelay holds the master's Control calls to each stem back by that

@@ -9,6 +9,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/exec"
 	"repro/internal/metrics"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -39,17 +40,19 @@ type LeafServer struct {
 	stall   atomic.Int64
 	active  atomic.Int32
 	queued  atomic.Int32 // tasks received in a batch and not yet started
-	batches atomic.Int64 // batches received (runBatch's run order)
+	batches atomic.Int64 // batches run in alternating order (runBatch)
 	life    lifecycle
 
-	// Tasks counts sub-plans executed.
-	Tasks metrics.Counter
+	// Tasks counts sub-plans executed; Skipped, those a LIMIT batch
+	// answered without running (runBatch).
+	Tasks, Skipped metrics.Counter
 }
 
 // RegisterMetrics publishes the leaf's counters into a central registry
 // under the given name prefix (e.g. "leaf0.").
 func (l *LeafServer) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Register(prefix+"tasks", &l.Tasks)
+	reg.Register(prefix+"tasks_skipped", &l.Skipped)
 }
 
 // Register attaches the leaf to the fabric.
@@ -83,32 +86,72 @@ func (l *LeafServer) handle(ctx context.Context, from string, payload any) (any,
 // runBatch executes a batch's tasks one after another on the caller's
 // goroutine, each scanning its blocks in order; a leaf's parallelism is the
 // batches it serves at once. A failed task is reported in its own slot; the
-// rest of the batch still runs. Every other batch runs back to front:
-// statements that read the same partitions in one fixed order are the column
-// cache's LRU worst case (each chunk evicted just before it is read again).
+// rest of the batch still runs.
+//
+// A scatter batch under a pushed-down LIMIT L runs in ascending ordinal and
+// hands each task only the rows still missing: L less the rows the tasks
+// before it returned. Once the batch holds L rows, the rest of it is answered
+// "OK, no rows" without running. The stem and the master fold in ascending
+// ordinal and keep the first L rows, and a row of this batch that lands in
+// them has fewer than L rows of the batch's lower ordinals ahead of it: the
+// batch's own first L rows hold every row the answer can use. A failed task's
+// rows are unknown until its backup lands, so after one the rest run with the
+// full L.
+//
+// Every other batch runs back to front: statements that read the same
+// partitions in one fixed order are the column cache's LRU worst case (each
+// chunk evicted just before it is read again). A LIMIT batch never does,
+// because its count of rows is only a prefix in ascending ordinal.
 func (l *LeafServer) runBatch(ctx context.Context, b *taskBatch) batchReply {
 	reply := batchReply{Tasks: make([]taskReply, len(b.Tasks))}
 	l.queued.Add(int32(len(b.Tasks)))
+	limit := int64(-1)
+	if b.Exchange == "" && len(b.Tasks) > 0 {
+		limit = b.Tasks[0].Plan.ScanLimit
+	}
 	first, step := 0, 1
-	if l.batches.Add(1)%2 == 0 {
+	if limit < 0 && l.batches.Add(1)%2 == 0 {
 		first, step = len(b.Tasks)-1, -1
 	}
+	counting, have := limit >= 0, int64(0)
 	for i := first; 0 <= i && i < len(b.Tasks); i += step {
 		l.queued.Add(-1)
-		if err := l.runTask(ctx, b, i, &reply.Tasks[i]); err != nil {
+		task := b.Tasks[i]
+		if counting && have >= limit {
+			l.Skipped.Inc()
+			taskSpanAt(ctx, i).Count("limit.skipped", 1)
+			continue
+		}
+		if counting && have > 0 {
+			p := *task.Plan
+			p.ScanLimit, task.Plan = limit-have, &p
+		}
+		if err := l.runTask(ctx, b, i, task, &reply.Tasks[i]); err != nil {
 			reply.Tasks[i] = taskReply{Status: taskStatus{Err: err.Error()}}
+			counting = false
+		} else if counting {
+			have += int64(len(reply.Tasks[i].Result.Rows))
 		}
 	}
 	return reply
 }
 
-// runTask executes the batch's task i into reply under its TaskTimeout and
-// its attempt span, billing simulated I/O to a private bill. A scatter task
-// returns its result; a map task ships it to the reducers and returns the
-// transfer accounting.
-func (l *LeafServer) runTask(ctx context.Context, b *taskBatch, i int, reply *taskReply) error {
+// taskSpanAt returns the attempt span of the batch's task i that the stem
+// put in the call's context; nil untraced.
+func taskSpanAt(ctx context.Context, i int) *trace.Span {
 	if spans, _ := ctx.Value(taskSpansKey{}).([]*trace.Span); i < len(spans) {
-		ctx = trace.NewContext(ctx, spans[i])
+		return spans[i]
+	}
+	return nil
+}
+
+// runTask executes task, the batch's task i, into reply under its
+// TaskTimeout and its attempt span, billing simulated I/O to a private bill.
+// A scatter task returns its result; a map task ships it to the reducers and
+// returns the transfer accounting.
+func (l *LeafServer) runTask(ctx context.Context, b *taskBatch, i int, task plan.TaskSpec, reply *taskReply) error {
+	if span := taskSpanAt(ctx, i); span != nil {
+		ctx = trace.NewContext(ctx, span)
 	}
 	l.active.Add(1)
 	defer l.active.Add(-1)
@@ -118,7 +161,6 @@ func (l *LeafServer) runTask(ctx context.Context, b *taskBatch, i int, reply *ta
 		ctx, cancel = context.WithTimeout(ctx, b.TaskTimeout)
 		defer cancel()
 	}
-	task := b.Tasks[i]
 	var span *trace.Span
 	if trace.FromContext(ctx) != nil { // the name is rendered only for a live trace
 		ctx, span = trace.StartSpan(ctx, "leaf/"+l.Name)

@@ -335,6 +335,14 @@ func TestSelectLimitEarlyStop(t *testing.T) {
 	if merged.Stats.RowsEmitted != 3 {
 		t.Errorf("emitted = %d, want early stop at 3", merged.Stats.RowsEmitted)
 	}
+	// LIMIT 0 wants no row, so it reads no block.
+	res, merged = h.run("SELECT url FROM logs LIMIT 0")
+	if len(res.Rows) != 0 {
+		t.Fatalf("LIMIT 0 rows = %+v", res.Rows)
+	}
+	if st := merged.Stats; st.RowsEmitted != 0 || st.RowsScanned != 0 || st.ColumnReads != 0 {
+		t.Errorf("LIMIT 0: emitted=%d scanned=%d column reads=%d, want all 0", st.RowsEmitted, st.RowsScanned, st.ColumnReads)
+	}
 }
 
 func TestBlockPruningByStats(t *testing.T) {

@@ -142,6 +142,9 @@ func RunTask(ctx context.Context, task plan.TaskSpec, reader PartitionReader, id
 // not stripes of one.
 func RunTaskModel(ctx context.Context, task plan.TaskSpec, reader PartitionReader, idx IndexSource, model *sim.CostModel) (*TaskResult, error) {
 	p := task.Plan
+	if p.ScanLimit == 0 { // LIMIT 0 wants no row: read nothing
+		return &TaskResult{}, nil
+	}
 	// The scan span collects the per-task breakdown behind EXPLAIN
 	// ANALYZE: index and cache instrumentation downstream counts into it
 	// via the context.

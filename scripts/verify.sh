@@ -39,18 +39,20 @@ go test -race -count=2 ./internal/cluster/... ./internal/chaos/... ./internal/cl
 # chaos plane keys storage faults by extent, so twenty runs draw one schedule.
 # Nor is a golden trace a golden if its task spans list in scheduling order,
 # if a batch's reply transfer lands on whichever task the leaf ran last, or
-# if a shuffle's per-reducer spans depend on which map task finished first.
-echo "== chaos equivalence + multi-task and shuffle trace order x20 (same seeds, same schedule, same trace, every run)"
-go test -count=20 -run 'TestEquivalenceUnderChaos|TestExplainAnalyzeMultiTaskGolden|TestExplainAnalyzeShuffleGolden' .
+# if a shuffle's per-reducer spans depend on which map task finished first,
+# nor if a LIMIT batch's skipped tasks depend on the order its leaf ran it in.
+echo "== chaos equivalence + multi-task, LIMIT and shuffle trace order x20 (same seeds, same schedule, same trace, every run)"
+go test -count=20 -run 'TestEquivalenceUnderChaos|TestExplainAnalyzeMultiTaskGolden|TestExplainAnalyzeLimitGolden|TestExplainAnalyzeShuffleGolden' .
 
 # The fold and the statement flight are contracts about concurrency: the
 # answer may not depend on which leaf or reducer replied first, nor a
 # follower on when it joined, nor on how late a timed-out task's backup ran —
 # the fold inputs include a failed task in the middle of one leaf's batch —
 # nor on a shuffle message arriving twice — nor a bill on the order a leaf ran
-# its batch in. Twenty raced runs each.
-echo "== flight, fold, timeout backup, duplicate shuffle, store-after-invalidate and billing x20 (race)"
-go test -race -count=20 -run 'TestResultReuseAcrossConcurrentQueries|TestFlight|TestRetriedTaskFolds|TestReduceFoldsInReducerOrder|TestShuffleDuplicate|TestStragglerTimeoutBackup|TestMapTaskTimeoutBackup|TestStore|TestReplyBilledOncePerBatch|TestShuffleMessageBilledOnce' ./internal/cluster/
+# its batch in — nor a LIMIT's rows on which tasks a leaf skipped. Twenty
+# raced runs each.
+echo "== flight, fold, LIMIT prefix, timeout backup, duplicate shuffle, store-after-invalidate and billing x20 (race)"
+go test -race -count=20 -run 'TestResultReuseAcrossConcurrentQueries|TestFlight|TestRetriedTaskFolds|TestLimitAnswerIsOrdinalPrefix|TestReduceFoldsInReducerOrder|TestShuffleDuplicate|TestStragglerTimeoutBackup|TestMapTaskTimeoutBackup|TestStore|TestReplyBilledOncePerBatch|TestShuffleMessageBilledOnce' ./internal/cluster/
 
 # Coverage floors, set when each package's subsystem landed (cluster:
 # admission, scheduling, recovery; resultcache: normalization, subsumption,
