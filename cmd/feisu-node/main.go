@@ -183,15 +183,13 @@ func runNode(cfg nodeConfig) error {
 	switch cfg.role {
 	case "master":
 		m := cluster.NewMaster(cluster.MasterConfig{
-			Name:           cfg.name,
-			Fabric:         tcpNet,
-			Router:         router,
-			Model:          model,
-			MaxQueryBytes:  1 << 20,
-			LivenessWindow: time.Minute,
-			Metrics:        reg,
-			Events:         rec,
-			Planner:        plan.Options{BroadcastThreshold: cfg.broadcast},
+			Name:    cfg.name,
+			Fabric:  tcpNet,
+			Router:  router,
+			Model:   model,
+			Metrics: reg,
+			Events:  rec,
+			Planner: plan.Options{BroadcastThreshold: cfg.broadcast},
 		})
 		for _, meta := range metas {
 			if err := m.RegisterTable(ctx, meta); err != nil {

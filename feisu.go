@@ -22,6 +22,7 @@ package feisu
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -147,7 +148,8 @@ type Config struct {
 	// CacheBytes enables the SSD column cache per leaf; 0 disables.
 	CacheBytes int64
 	// CachePrefixes are the manually preferred paths admitted to the SSD
-	// cache (paper §IV-B).
+	// cache (paper §IV-B). New refuses a CacheBytes without them: such a
+	// cache would admit nothing.
 	CachePrefixes []string
 	// ResultCacheBytes enables the master's semantic result cache with this
 	// byte budget; 0 disables. Hits are keyed by the normalized plan
@@ -170,8 +172,6 @@ type Config struct {
 	EnableAuth bool
 	// MaxConcurrentQueriesPerUser is the entry-guard quota (with auth).
 	MaxConcurrentQueriesPerUser int
-	// LocalityOff disables locality-aware scheduling (ablation).
-	LocalityOff bool
 	// PersonalizeThreshold enables client-history personalization: a
 	// predicate repeated this many times is pinned in SmartIndex as a
 	// private index (paper §III-C). 0 disables.
@@ -288,6 +288,9 @@ type System struct {
 
 // New builds and starts a System.
 func New(cfg Config) (*System, error) {
+	if cfg.CacheBytes > 0 && len(cfg.CachePrefixes) == 0 {
+		return nil, errors.New("feisu: CacheBytes set with no CachePrefixes: the SSD cache would admit nothing")
+	}
 	if cfg.Leaves <= 0 {
 		cfg.Leaves = 4
 	}
@@ -416,11 +419,8 @@ func New(cfg Config) (*System, error) {
 		Model:              model,
 		Authority:          authority,
 		Quotas:             quotas,
-		MaxQueryBytes:      1 << 20,
 		DefaultTaskTimeout: cfg.TaskTimeout,
 		RetryBackoff:       retryBackoff,
-		LivenessWindow:     time.Minute,
-		LocalityOff:        cfg.LocalityOff,
 		Metrics:            sys.metrics,
 
 		MaxConcurrentQueries: cfg.MaxConcurrentQueries,

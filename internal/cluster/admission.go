@@ -74,11 +74,6 @@ type AdmissionConfig struct {
 	// MaxQueueDepth bounds each priority class's wait queue; arrivals beyond
 	// it are shed with *OverloadedError. 0 defaults to 2×MaxConcurrent.
 	MaxQueueDepth int
-	// Weights are the weighted-fair dequeue shares per class. Zero entries
-	// default to 4 (interactive) and 1 (batch): four interactive dequeues
-	// per batch dequeue under sustained pressure, but a lone batch query
-	// never starves.
-	Weights [numPriorities]int
 	// QueueDeadline sheds a queued query that has not been granted a slot
 	// within this wait; 0 means queries wait as long as their context
 	// allows. QueryOptions.QueueDeadline overrides it per query.
@@ -122,6 +117,11 @@ type AdmissionController struct {
 	Shed     [numPriorities]metrics.Counter
 }
 
+// admitWeights are the weighted-fair dequeue shares per class: four
+// interactive dequeues per batch dequeue under sustained pressure, but a
+// lone batch query never starves.
+var admitWeights = [numPriorities]int{PriorityInteractive: 4, PriorityBatch: 1}
+
 // serviceEWMAAlpha smooths slot-hold times for the retry-after hint.
 const serviceEWMAAlpha = 0.3
 
@@ -134,12 +134,6 @@ func NewAdmissionController(cfg AdmissionConfig) *AdmissionController {
 	}
 	if cfg.MaxQueueDepth <= 0 {
 		cfg.MaxQueueDepth = 2 * cfg.MaxConcurrent
-	}
-	if cfg.Weights[PriorityInteractive] <= 0 {
-		cfg.Weights[PriorityInteractive] = 4
-	}
-	if cfg.Weights[PriorityBatch] <= 0 {
-		cfg.Weights[PriorityBatch] = 1
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -288,8 +282,8 @@ func (a *AdmissionController) dequeueLocked() *admitWaiter {
 		if len(a.queues[c]) == 0 {
 			continue
 		}
-		a.credit[c] += a.cfg.Weights[c]
-		total += a.cfg.Weights[c]
+		a.credit[c] += admitWeights[c]
+		total += admitWeights[c]
 		if best < 0 || a.credit[c] > a.credit[best] {
 			best = c
 		}

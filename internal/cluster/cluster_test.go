@@ -112,7 +112,6 @@ func newTestClusterOn(t *testing.T, mode string, nLeaves, nStems, nParts int, cf
 		Router:         router,
 		Model:          model,
 		MaxTaskRetries: 3,
-		LivenessWindow: time.Minute,
 	}
 	if cfgMut != nil {
 		cfgMut(&cfg)
@@ -323,7 +322,6 @@ func TestEntryGuardAuthFlow(t *testing.T) {
 	tc := newTestCluster(t, 2, 0, 2, func(cfg *MasterConfig) {
 		cfg.Authority = authority
 		cfg.Quotas = quotas
-		cfg.MaxQueryBytes = 200
 	})
 	token, err := authority.Register("li")
 	if err != nil {
@@ -341,15 +339,50 @@ func TestEntryGuardAuthFlow(t *testing.T) {
 	if _, _, err := tc.master.Submit(context.Background(), "SELECT COUNT(*) FROM logs", QueryOptions{Token: "nope"}); !errors.Is(err, auth.ErrBadToken) {
 		t.Errorf("bad token err = %v", err)
 	}
-	// Oversized query.
-	big := "SELECT COUNT(*) FROM logs WHERE s CONTAINS '" + strings.Repeat("x", 300) + "'"
-	if _, _, err := tc.master.Submit(context.Background(), big, QueryOptions{Token: token}); err == nil {
-		t.Error("oversized query should be rejected")
+	// Oversized query: one byte over the cap.
+	if _, _, err := tc.master.Submit(context.Background(), queryOfBytes(t, maxQueryBytes+1), QueryOptions{Token: token}); !errors.Is(err, ErrQueryTooLarge) {
+		t.Errorf("oversized query err = %v, want ErrQueryTooLarge", err)
 	}
 	// Unauthorized domain.
 	token2, _ := authority.Register("mallory")
 	if _, _, err := tc.master.Submit(context.Background(), "SELECT COUNT(*) FROM logs", QueryOptions{Token: token2}); !errors.Is(err, auth.ErrDenied) {
 		t.Errorf("unauthorized err = %v", err)
+	}
+}
+
+// queryOfBytes returns a statement over logs exactly n bytes long.
+func queryOfBytes(t *testing.T, n int) string {
+	t.Helper()
+	prefix, suffix := "SELECT COUNT(*) FROM logs WHERE s CONTAINS '", "'"
+	q := prefix + strings.Repeat("x", n-len(prefix)-len(suffix)) + suffix
+	if len(q) != n {
+		t.Fatalf("query is %d bytes, want %d", len(q), n)
+	}
+	return q
+}
+
+// The size cap holds on a master with no authority, on both fabrics: a
+// statement at the cap runs, one a byte over it is refused before parsing.
+func TestQuerySizeCapWithoutAuth(t *testing.T) {
+	for _, mode := range []string{"sim", "tcp"} {
+		t.Run(mode, func(t *testing.T) {
+			tc := newTestClusterOn(t, mode, 2, 0, 2, nil)
+			ctx := context.Background()
+			res, _, err := tc.master.Submit(ctx, queryOfBytes(t, maxQueryBytes), QueryOptions{})
+			if err != nil {
+				t.Fatalf("query at the cap: %v", err)
+			}
+			if got := res.Rows[0][0].I; got != 0 {
+				t.Errorf("count at the cap = %d, want 0", got)
+			}
+			errs := tc.master.QueryErrs.Value()
+			if _, _, err := tc.master.Submit(ctx, queryOfBytes(t, maxQueryBytes+1), QueryOptions{}); !errors.Is(err, ErrQueryTooLarge) {
+				t.Fatalf("query over the cap: err = %v, want ErrQueryTooLarge", err)
+			}
+			if got := tc.master.QueryErrs.Value() - errs; got != 1 {
+				t.Errorf("query errors counted = %d, want 1", got)
+			}
+		})
 	}
 }
 

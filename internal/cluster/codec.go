@@ -80,7 +80,7 @@ func unpack[M any](read func(*types.Reader) M) func([]byte) (any, error) {
 // Minimum encoded sizes, checked against the input before a list of them is
 // allocated.
 const (
-	taskMinBytes        = 7  // plan, path, rows, bytes, gen, ordinal, workers
+	taskMinBytes        = 6  // plan, path, rows, bytes, gen, ordinal
 	taskReplyMinBytes   = 14 // status, result flag, size
 	statusMinBytes      = 12 // two flags, two strings, two times, devices, rows, two lists
 	shufflePartMinBytes = 4  // partition, size, an empty rows batch, an empty groups batch
@@ -133,7 +133,6 @@ func appendTasks(pe *plan.Encoder, b []byte, tasks []plan.TaskSpec) []byte {
 		b = binary.AppendVarint(b, t.Partition.Bytes)
 		b = binary.AppendUvarint(b, t.Partition.Gen)
 		b = binary.AppendVarint(b, int64(t.Ordinal))
-		b = binary.AppendVarint(b, int64(t.Workers))
 	}
 	return b
 }
@@ -148,7 +147,7 @@ func readTasks(r *types.Reader, sec plan.Section) []plan.TaskSpec {
 		t := &tasks[i]
 		t.Plan = sec.Plan(r)
 		t.Partition = plan.PartitionMeta{Path: r.Str(), Rows: r.Varint(), Bytes: r.Varint(), Gen: r.Uvarint()}
-		t.Ordinal, t.Workers = r.Int(), r.Int()
+		t.Ordinal = r.Int()
 	}
 	return tasks
 }

@@ -252,8 +252,12 @@ func deepDiff(path string, a, b reflect.Value) string {
 	}
 }
 
+// notCarried names the task fields the cluster codec leaves behind, beside
+// the plan's own plan.MasterOnly.
+var notCarried = map[string]bool{"TaskSpec.Workers": true}
+
 // zeroMasterOnly zeroes, in place, every plan field the wire does not carry
-// (plan.MasterOnly) anywhere inside v.
+// (plan.MasterOnly, notCarried) anywhere inside v.
 func zeroMasterOnly(v reflect.Value, seen map[uintptr]bool) {
 	switch v.Kind() {
 	case reflect.Ptr:
@@ -280,7 +284,8 @@ func zeroMasterOnly(v reflect.Value, seen map[uintptr]bool) {
 			if !f.IsExported() {
 				continue
 			}
-			if _, ok := plan.MasterOnly[v.Type().Name()+"."+f.Name]; ok && v.Type().PkgPath() == "repro/internal/plan" {
+			name := v.Type().Name() + "." + f.Name
+			if _, ok := plan.MasterOnly[name]; (ok || notCarried[name]) && v.Type().PkgPath() == "repro/internal/plan" {
 				v.Field(i).SetZero()
 				continue
 			}

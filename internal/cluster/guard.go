@@ -1,21 +1,25 @@
 package cluster
 
 import (
-	"fmt"
+	"errors"
 
 	"repro/internal/auth"
 	"repro/internal/metrics"
 )
 
+// ErrQueryTooLarge is returned for a statement longer than maxQueryBytes.
+var ErrQueryTooLarge = errors.New("cluster: query too large")
+
+// maxQueryBytes caps a statement's text. The master checks it on every
+// submission, before the entry guard or the parser sees the text.
+const maxQueryBytes = 1 << 20
+
 // EntryGuard is the system's entry point (paper §III-C): it authenticates
-// the caller, enforces quotas, and rejects oversized/malformed traffic
-// before the job manager sees it ("capability protection to avoid
-// malicious attacks").
+// the caller and enforces quotas before the job manager sees the query
+// ("capability protection to avoid malicious attacks").
 type EntryGuard struct {
 	Authority *auth.Authority
 	Quotas    *auth.Quotas
-	// MaxQueryBytes rejects queries longer than this; <=0 disables.
-	MaxQueryBytes int
 
 	Admitted metrics.Counter
 	Rejected metrics.Counter
@@ -23,11 +27,7 @@ type EntryGuard struct {
 
 // Admit validates a submission. On success it returns the job credential
 // and a release function that must be called when the query finishes.
-func (g *EntryGuard) Admit(token, sql string) (auth.Credential, func(), error) {
-	if g.MaxQueryBytes > 0 && len(sql) > g.MaxQueryBytes {
-		g.Rejected.Inc()
-		return auth.Credential{}, nil, fmt.Errorf("cluster: query of %d bytes exceeds the %d-byte limit", len(sql), g.MaxQueryBytes)
-	}
+func (g *EntryGuard) Admit(token string) (auth.Credential, func(), error) {
 	cred, err := g.Authority.Authenticate(token)
 	if err != nil {
 		g.Rejected.Inc()

@@ -117,9 +117,7 @@ func TestHealthRender(t *testing.T) {
 // reports their gauges through the reporter interfaces, and heartbeats
 // deliver them into the master's health view end to end.
 func TestLeafLoadSnapshot(t *testing.T) {
-	tc := newTestCluster(t, 2, 0, 4, func(cfg *MasterConfig) {
-		cfg.LivenessWindow = time.Minute
-	})
+	tc := newTestCluster(t, 2, 0, 4, nil)
 	// Re-wrap leaf0's reader with a cache and give its index a budget so
 	// the gauges are non-trivial.
 	leaf := tc.leaves[0]

@@ -38,11 +38,12 @@ type workerState struct {
 	suspect bool
 }
 
+// livenessWindow is a master's liveness window: a worker whose last
+// heartbeat is older is dead.
+const livenessWindow = time.Minute
+
 // NewClusterManager returns a manager with the given liveness window.
 func NewClusterManager(window time.Duration) *ClusterManager {
-	if window <= 0 {
-		window = 5 * time.Second
-	}
 	return &ClusterManager{Now: time.Now, LivenessWindow: window, workers: make(map[string]*workerState)}
 }
 

@@ -40,8 +40,6 @@ type MasterConfig struct {
 	// Authority enables the entry guard; nil runs the cluster open.
 	Authority *auth.Authority
 	Quotas    *auth.Quotas
-	// MaxQueryBytes caps query text size at the entry guard.
-	MaxQueryBytes int
 	// DefaultTaskTimeout triggers backup tasks; 0 disables.
 	DefaultTaskTimeout time.Duration
 	// MaxTaskRetries bounds backup attempts per task.
@@ -61,17 +59,9 @@ type MasterConfig struct {
 	// them wait as long as their context allows. QueryOptions.QueueDeadline
 	// overrides per query.
 	QueueWaitDeadline time.Duration
-	// InteractiveWeight / BatchWeight set the weighted-fair dequeue shares;
-	// 0 defaults to 4:1.
-	InteractiveWeight int
-	BatchWeight       int
 	// LeafSlots caps concurrent task placements per leaf; <=0 means
 	// unbounded.
 	LeafSlots int
-	// LivenessWindow configures the cluster manager.
-	LivenessWindow time.Duration
-	// LocalityOff disables locality-aware placement (ablation).
-	LocalityOff bool
 	// Standby starts the master as a backup.
 	Standby bool
 	// ResultCache, when set, serves repeated (or subsumed) queries from
@@ -144,7 +134,7 @@ func NewMaster(cfg MasterConfig) *Master {
 	m := &Master{
 		cfg:      cfg,
 		Jobs:     NewJobManager(),
-		Manager:  NewClusterManager(cfg.LivenessWindow),
+		Manager:  NewClusterManager(livenessWindow),
 		standby:  cfg.Standby,
 		reader:   exec.NewStoreReader(cfg.Router),
 		progress: NewProgressRegistry(),
@@ -155,20 +145,15 @@ func NewMaster(cfg MasterConfig) *Master {
 		Locator:      cfg.Router,
 		Topo:         cfg.Fabric.Topology(),
 		SlotsPerLeaf: cfg.LeafSlots,
-		LocalityOff:  cfg.LocalityOff,
 		Affinity:     cfg.CacheAffinity,
 	}
 	m.Admission = NewAdmissionController(AdmissionConfig{
 		MaxConcurrent: cfg.MaxConcurrentQueries,
 		MaxQueueDepth: cfg.MaxQueueDepth,
 		QueueDeadline: cfg.QueueWaitDeadline,
-		Weights: [numPriorities]int{
-			PriorityInteractive: cfg.InteractiveWeight,
-			PriorityBatch:       cfg.BatchWeight,
-		},
 	})
 	if cfg.Authority != nil {
-		m.Guard = &EntryGuard{Authority: cfg.Authority, Quotas: cfg.Quotas, MaxQueryBytes: cfg.MaxQueryBytes}
+		m.Guard = &EntryGuard{Authority: cfg.Authority, Quotas: cfg.Quotas}
 	}
 	// The local stem lets a master without registered stem servers drive
 	// leaves directly, and serves single-task backup dispatches.

@@ -137,7 +137,6 @@ func newShuffleCluster(t *testing.T, nLeaves, nStems, factParts, dimParts int, c
 		Router:         router,
 		Model:          model,
 		MaxTaskRetries: 3,
-		LivenessWindow: time.Minute,
 		Events:         sc.rec,
 	}
 	if cfgMut != nil {

@@ -147,10 +147,14 @@ func (q *statement) answer(res *exec.Result) *exec.Result {
 	return res
 }
 
-// guard is the entry guard (§III-C): authenticate, charge the user's quota.
+// guard is the entry guard (§III-C): refuse an oversized statement, then
+// authenticate and charge the user's quota.
 func (q *statement) guard() (err error) {
+	if len(q.sql) > maxQueryBytes {
+		return fmt.Errorf("%w: %d bytes exceeds the %d-byte limit", ErrQueryTooLarge, len(q.sql), maxQueryBytes)
+	}
 	if q.m.Guard != nil {
-		q.cred, q.unguard, err = q.m.Guard.Admit(q.opts.Token, q.sql)
+		q.cred, q.unguard, err = q.m.Guard.Admit(q.opts.Token)
 	}
 	return err
 }

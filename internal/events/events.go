@@ -254,7 +254,7 @@ func (r *Recorder) Canonical() []Event {
 	return evs
 }
 
-// Query returns the retained events carrying the given query ID, in
+// ForQuery returns the retained events carrying the given query ID, in
 // arrival order.
 func (r *Recorder) ForQuery(id string) []Event {
 	var out []Event

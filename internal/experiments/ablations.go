@@ -103,13 +103,11 @@ func Ablations(scale Scale) (*Report, error) {
 	// no-index scans. Without locality, tasks land on arbitrary leaves and
 	// every byte they read crosses the network from a replica holder.
 	for _, off := range []bool{false, true} {
-		sys, err := buildSystem(scale, func(c *feisu.Config) {
-			c.LocalityOff = off
-			c.Index = feisu.IndexNone
-		})
+		sys, err := buildSystem(scale, func(c *feisu.Config) { c.Index = feisu.IndexNone })
 		if err != nil {
 			return nil, err
 		}
+		sys.Master().Scheduler.LocalityOff = off
 		var total time.Duration
 		for i := 0; i < 8; i++ {
 			q := fmt.Sprintf("SELECT COUNT(*) FROM T1 WHERE dwell < %d", 100+10*i)

@@ -93,8 +93,9 @@ type TaskSpec struct {
 	Plan      *PhysicalPlan
 	Partition PartitionMeta
 	Ordinal   int
-	// Workers is ignored: a task scans its blocks in order on one
-	// goroutine. bench/ still sets it until ROADMAP item 0(f).
+	// Workers is ignored and does not cross the wire: a task scans its
+	// blocks in order on one goroutine. bench/ still sets it until ROADMAP
+	// item 0(f).
 	Workers int
 }
 

@@ -37,8 +37,10 @@ import (
 // incompatibly. Version 9: payloads are self-contained tagged messages,
 // hand-packed or a one-shot gob envelope, each plan once per message; the
 // per-connection gob stream, its reset flag and the strip frame are gone.
-// Version 10: a task reply carries no spill path.
-const CodecVersion = 10
+// Version 10: a task reply carries no spill path. Version 11: the Write
+// class is gone, so the class byte renumbers (control 0, read 1, shuffle 2),
+// and a task no longer carries a worker count.
+const CodecVersion = 11
 
 const frameMagic = 0xFE15
 

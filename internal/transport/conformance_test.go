@@ -315,43 +315,6 @@ func TestConformanceDuplicateSurvivingReply(t *testing.T) {
 	}
 }
 
-func TestConformanceControlBypassesDataSlots(t *testing.T) {
-	for _, nc := range netCases() {
-		t.Run(nc.name, func(t *testing.T) {
-			n := nc.mk(t, nil, Options{DataSlots: 1})
-			block := make(chan struct{})
-			started := make(chan struct{})
-			var once sync.Once
-			n.Register("leaf", func(ctx context.Context, from string, payload any) (any, error) {
-				if payload.(string) == "slow" {
-					once.Do(func() { close(started) })
-					<-block
-				}
-				return "ok", nil
-			})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, _ = n.Call(context.Background(), "m", "leaf", Read, "slow", 1)
-			}()
-			<-started
-
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-			defer cancel()
-			if _, err := n.Call(ctx, "m", "leaf", Write, "fast", 1); err == nil {
-				t.Error("data call should time out while slot is held")
-			}
-			got, err := n.Call(context.Background(), "m", "leaf", Control, "ping", 1)
-			if err != nil || got != "ok" {
-				t.Errorf("control call = %v, %v", got, err)
-			}
-			close(block)
-			wg.Wait()
-		})
-	}
-}
-
 // Large payloads and replies must survive intact (over TCP this exercises
 // the streamed framePayload chain: bodies above 256 KiB span frames).
 func TestConformanceLargeStreamingPayload(t *testing.T) {
@@ -386,7 +349,7 @@ func TestConformanceLargeStreamingPayload(t *testing.T) {
 func TestConformanceConcurrentCalls(t *testing.T) {
 	for _, nc := range netCases() {
 		t.Run(nc.name, func(t *testing.T) {
-			n := nc.mk(t, nil, Options{DataSlots: 4})
+			n := nc.mk(t, nil, Options{})
 			for i := 0; i < 4; i++ {
 				name := fmt.Sprintf("leaf%d", i)
 				n.Register(name, func(ctx context.Context, from string, payload any) (any, error) {
@@ -394,7 +357,7 @@ func TestConformanceConcurrentCalls(t *testing.T) {
 					return confReply{N: p.N + 1, Echo: name}, nil
 				})
 			}
-			classes := []Class{Control, Write, Read, Shuffle}
+			classes := []Class{Control, Read, Shuffle}
 			var wg sync.WaitGroup
 			errs := make(chan error, 64)
 			for g := 0; g < 8; g++ {
@@ -403,7 +366,7 @@ func TestConformanceConcurrentCalls(t *testing.T) {
 					defer wg.Done()
 					for k := 0; k < 20; k++ {
 						to := fmt.Sprintf("leaf%d", (g+k)%4)
-						got, err := n.Call(context.Background(), "m", to, classes[k%4], confPayload{N: k}, 64)
+						got, err := n.Call(context.Background(), "m", to, classes[k%len(classes)], confPayload{N: k}, 64)
 						if err != nil {
 							errs <- err
 							return
@@ -436,8 +399,9 @@ func init() { RegisterPayload(confPoison{}) }
 
 // A thousand sequential calls of mixed payload types — structs, bare
 // strings, nil, a packed payload, a payload big enough to travel as a chain
-// — return the right replies, and handler errors in between leave the
-// transport usable. Over TCP all of them ride one connection.
+// — and of every class return the right replies, and handler errors in
+// between leave the transport usable. Over TCP all of them ride one
+// connection.
 func TestConformanceManyMixedCallsOneConnection(t *testing.T) {
 	for _, nc := range netCases() {
 		t.Run(nc.name, func(t *testing.T) {
@@ -488,7 +452,7 @@ func TestConformanceManyMixedCallsOneConnection(t *testing.T) {
 						t.Fatalf("call %d: handler error = %v", i, err)
 					}
 				case 4:
-					got, err = n.Call(ctx, "m", "x", Control, confReply{N: i}, 8)
+					got, err = n.Call(ctx, "m", "x", Read, confReply{N: i}, 8)
 					if r, ok := got.(confPayload); err != nil || !ok || r.N != -i {
 						t.Fatalf("call %d: %v, %v", i, got, err)
 					}
@@ -501,7 +465,7 @@ func TestConformanceManyMixedCallsOneConnection(t *testing.T) {
 						t.Fatalf("call %d: %v, %v", i, got, err)
 					}
 				case 6:
-					got, err = n.Call(ctx, "m", "x", Control, "", 0)
+					got, err = n.Call(ctx, "m", "x", Shuffle, "", 0)
 					if err != nil || got != "echo:" {
 						t.Fatalf("call %d: %v, %v", i, got, err)
 					}
@@ -539,7 +503,7 @@ func TestConformanceUndecodablePayloadRedials(t *testing.T) {
 			if wire {
 				pool := tr.poolFor(tr.Addr())
 				pool.mu.Lock()
-				before = pool.idle[0][0]
+				before = pool.idle[0]
 				pool.mu.Unlock()
 			}
 			_, err := n.Call(ctx, "m", "x", Control, confPoison{N: 1}, 1)
@@ -550,7 +514,7 @@ func TestConformanceUndecodablePayloadRedials(t *testing.T) {
 				pool := tr.poolFor(tr.Addr())
 				pool.mu.Lock()
 				_, alive := pool.live[before]
-				idle := len(pool.idle[0])
+				idle := len(pool.idle)
 				pool.mu.Unlock()
 				if alive || idle != 0 {
 					t.Fatalf("poisoned connection kept: alive=%v idle=%d", alive, idle)
@@ -564,7 +528,7 @@ func TestConformanceUndecodablePayloadRedials(t *testing.T) {
 			if wire {
 				pool := tr.poolFor(tr.Addr())
 				pool.mu.Lock()
-				after := pool.idle[0][0]
+				after := pool.idle[0]
 				live := len(pool.live)
 				pool.mu.Unlock()
 				if after == before || live != 1 {

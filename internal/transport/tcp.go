@@ -2,7 +2,7 @@ package transport
 
 // TCP is the real wire transport behind the Network seam: length-prefixed
 // framed messages over pooled TCP connections, with the same traffic-class
-// discipline as the in-process Fabric. One process runs one listener; every
+// counters as the in-process Fabric. One process runs one listener; every
 // node Registered in that process is served behind it, and frames carry the
 // destination name so a feisu-node process can host a master, stem, or
 // leaf (or, in conformance tests, a whole cluster). Calls to local nodes
@@ -23,34 +23,27 @@ import (
 	"repro/internal/metrics"
 )
 
-// TCPOptions configure the wire transport on top of the shared Options.
+// TCPOptions configure the wire transport.
 type TCPOptions struct {
 	// ListenAddr is the shared listener address for every node Registered
 	// in this process. Default "127.0.0.1:0" (ephemeral loopback).
 	ListenAddr string
-	// DataConns caps in-flight data-lane (Write/Read/Shuffle) calls per
-	// peer address; Control has its own uncapped lane. <=0 means unlimited
-	// client-side — the server-side per-endpoint DataSlots still apply.
-	DataConns int
 }
 
 // TCP implements Network over real sockets.
 type TCP struct {
-	opt    Options
-	tcpOpt TCPOptions
-	topo   *Topology
-	ln     net.Listener
-	addr   string
+	topo *Topology
+	ln   net.Listener
+	addr string
 
 	ClassCounters
 	// WireBytes counts real encoded payload bytes per class (requests +
 	// replies, as framed on this process's client connections). The embedded ClassCounters mirror the
 	// Fabric contract and count the caller-declared simulated sizes.
-	WireBytes [4]metrics.Counter
+	WireBytes [numClasses]metrics.Counter
 
 	mu          sync.RWMutex
-	local       map[string]*tcpEndpoint
-	gen         uint64
+	local       map[string]*endpoint
 	peers       map[string]string // remote node -> dial address
 	downRemote  map[string]bool   // SetDown for non-local nodes
 	pools       map[string]*peerPool
@@ -63,15 +56,8 @@ type TCP struct {
 	wg        sync.WaitGroup
 }
 
-type tcpEndpoint struct {
-	handler Handler
-	slots   chan struct{} // nil when unlimited
-	down    bool
-	gen     uint64
-}
-
 // NewTCP starts the process's listener and returns the transport.
-func NewTCP(topo *Topology, opt Options, tcpOpt TCPOptions) (*TCP, error) {
+func NewTCP(topo *Topology, _ Options, tcpOpt TCPOptions) (*TCP, error) {
 	if topo == nil {
 		topo = NewTopology()
 	}
@@ -84,12 +70,10 @@ func NewTCP(topo *Topology, opt Options, tcpOpt TCPOptions) (*TCP, error) {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	t := &TCP{
-		opt:        opt,
-		tcpOpt:     tcpOpt,
 		topo:       topo,
 		ln:         ln,
 		addr:       ln.Addr().String(),
-		local:      make(map[string]*tcpEndpoint),
+		local:      make(map[string]*endpoint),
 		peers:      make(map[string]string),
 		downRemote: make(map[string]bool),
 		pools:      make(map[string]*peerPool),
@@ -108,16 +92,11 @@ func (t *TCP) Addr() string { return t.addr }
 func (t *TCP) Topology() *Topology { return t.topo }
 
 // Register hosts a node behind this process's listener. Re-registering a
-// name installs a fresh endpoint with a new generation (server restart).
+// name installs a fresh endpoint (server restart): a call reaches whichever
+// endpoint is registered when its frame is served.
 func (t *TCP) Register(node string, h Handler) {
-	ep := &tcpEndpoint{handler: h}
-	if t.opt.DataSlots > 0 {
-		ep.slots = make(chan struct{}, t.opt.DataSlots)
-	}
 	t.mu.Lock()
-	t.gen++
-	ep.gen = t.gen
-	t.local[node] = ep
+	t.local[node] = &endpoint{handler: h}
 	t.mu.Unlock()
 }
 
@@ -249,7 +228,7 @@ func (t *TCP) Call(ctx context.Context, from, to string, class Class, payload an
 func (t *TCP) carry(ctx context.Context, c call, payload any) (reply any, err error) {
 	hdr, class := c.callHeader, c.Class
 	pool := t.poolFor(c.addr)
-	wc, err := pool.get(ctx, class)
+	wc, err := pool.get(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, hdr.From, hdr.To, err)
 	}
@@ -274,7 +253,7 @@ func (t *TCP) carry(ctx context.Context, c call, payload any) (reply any, err er
 		if !stopWatch() {
 			broken = true
 		}
-		pool.put(wc, class, broken)
+		pool.put(wc, broken)
 	}()
 
 	var flags byte
@@ -331,7 +310,7 @@ func (t *TCP) poolFor(addr string) *peerPool {
 	if p, ok := t.pools[addr]; ok {
 		return p
 	}
-	p := newPeerPool(addr, t.tcpOpt.DataConns, t.dialPeer)
+	p := &peerPool{addr: addr, dial: t.dialPeer, live: make(map[*wireConn]struct{})}
 	t.pools[addr] = p
 	return p
 }
@@ -497,9 +476,9 @@ func (t *TCP) serveConn(c net.Conn) {
 	}
 }
 
-// serveCall resolves the destination endpoint at delivery time (liveness/
-// generation semantics shared with Fabric) and invokes its handler, holding
-// a data slot for non-Control traffic.
+// serveCall resolves the destination endpoint at delivery time, so a
+// restarted node's frames reach its live registration, and invokes its
+// handler.
 func (t *TCP) serveCall(ctx context.Context, hdr callHeader, payload any) (any, error) {
 	ctx = withBaggage(ctx, hdr.Baggage)
 	t.mu.RLock()
@@ -507,24 +486,6 @@ func (t *TCP) serveCall(ctx context.Context, hdr callHeader, payload any) (any, 
 	down := ok && ep.down
 	t.mu.RUnlock()
 	if !ok || down {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, hdr.To)
-	}
-	class := hdr.Class
-	if class != Control && ep.slots != nil {
-		select {
-		case ep.slots <- struct{}{}:
-			defer func() { <-ep.slots }()
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	// Re-check at delivery time: a Deregister+Register while waiting for a
-	// slot must not hand the message to the dead handler.
-	t.mu.RLock()
-	cur, ok := t.local[hdr.To]
-	stale := !ok || cur.gen != ep.gen || cur.down
-	t.mu.RUnlock()
-	if stale {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, hdr.To)
 	}
 	return ep.handler(ctx, hdr.From, payload)

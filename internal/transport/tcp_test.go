@@ -90,55 +90,6 @@ func TestTCPHandshakeVersionMismatch(t *testing.T) {
 	}
 }
 
-// DataConns bounds in-flight data-lane calls per peer while Control keeps
-// its own lane.
-func TestTCPPoolBackpressure(t *testing.T) {
-	srv := newTestTCP(t, nil, Options{}, TCPOptions{})
-	block := make(chan struct{})
-	var inflight atomic.Int32
-	srv.Register("leaf", func(ctx context.Context, from string, payload any) (any, error) {
-		if payload.(string) == "slow" {
-			inflight.Add(1)
-			<-block
-		}
-		return "ok", nil
-	})
-	cli := newTestTCP(t, nil, Options{}, TCPOptions{DataConns: 1})
-	cli.AddPeer("leaf", srv.Addr())
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _ = cli.Call(context.Background(), "m", "leaf", Shuffle, "slow", 1)
-	}()
-	for inflight.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-
-	// The single data slot is held: a second data call must wait and a
-	// short deadline expires at the pool, never reaching the server.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := cli.Call(ctx, "m", "leaf", Read, "fast", 1); err == nil {
-		t.Error("data call should block at the pool")
-	}
-	// Control rides its own lane.
-	if got, err := cli.Call(context.Background(), "m", "leaf", Control, "ping", 1); err != nil || got != "ok" {
-		t.Errorf("control call = %v, %v", got, err)
-	}
-	close(block)
-	wg.Wait()
-
-	// With the slot free the data lane drains normally.
-	if got, err := cli.Call(context.Background(), "m", "leaf", Read, "fast", 1); err != nil || got != "ok" {
-		t.Errorf("post-drain call = %v, %v", got, err)
-	}
-	if cli.WireBytes[Control].Value() == 0 || cli.WireBytes[Read].Value() == 0 {
-		t.Error("wire byte counters should be non-zero")
-	}
-}
-
 // Context cancellation mid-call unblocks the caller even with no deadline.
 func TestTCPCancelInFlight(t *testing.T) {
 	srv := newTestTCP(t, nil, Options{}, TCPOptions{})
@@ -246,54 +197,6 @@ func TestFabricStaleEndpointAcrossRestart(t *testing.T) {
 	got, err := f.Call(context.Background(), "m", "leaf", Control, "x", 1)
 	if err != nil || got != "new" {
 		t.Errorf("post-restart call = %v, %v", got, err)
-	}
-}
-
-// The same restart while the call is parked in the data-slot queue: the
-// delivery-time re-check must also cover the slot path (the token is
-// released back to the snapshot endpoint's own channel, never leaked into
-// the new incarnation's).
-func TestFabricStaleEndpointInSlotQueue(t *testing.T) {
-	f := NewFabric(nil, Options{DataSlots: 1})
-	var oldCalls atomic.Int32
-	block := make(chan struct{})
-	started := make(chan struct{})
-	var once sync.Once
-	f.Register("leaf", func(ctx context.Context, from string, payload any) (any, error) {
-		oldCalls.Add(1)
-		if payload.(string) == "slow" {
-			once.Do(func() { close(started) })
-			<-block
-		}
-		return "old", nil
-	})
-
-	// Occupy the single data slot.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _ = f.Call(context.Background(), "m", "leaf", Read, "slow", 1)
-	}()
-	<-started
-
-	// Second call queues on the slot; restart the leaf, then free the slot.
-	done := make(chan error, 1)
-	go func() {
-		_, err := f.Call(context.Background(), "m", "leaf", Read, "queued", 1)
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the call park on the slot channel
-	f.Deregister("leaf")
-	f.Register("leaf", func(context.Context, string, any) (any, error) { return "new", nil })
-	close(block)
-	wg.Wait()
-
-	if err := <-done; !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("queued call after restart: err = %v, want ErrUnknownNode", err)
-	}
-	if got := oldCalls.Load(); got != 1 {
-		t.Errorf("old handler calls = %d, want only the pre-restart one", got)
 	}
 }
 

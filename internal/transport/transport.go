@@ -1,12 +1,10 @@
 // Package transport is Feisu's message layer behind one Network seam: the
 // in-process Fabric and the TCP wire transport, standing in for the
-// production RPC channels. It keeps the paper's traffic-flow discipline
-// (§V-C): control/state flow has the highest priority and always gets
-// through (the production system reserves switch bandwidth for it via TOS),
-// write flow (intermediate data to global storage) comes second, and read
-// data flow has the lowest priority. Endpoint capacity models a server's
-// RPC worker pool: control messages use a reserved lane, while write and
-// read messages compete for the remaining slots.
+// production RPC channels. Every message carries one of the paper's traffic
+// classes (§V-C): control/state flow, read data flow, and the shuffle's
+// repartition frames. Here a class labels a message for the per-class
+// counters and the chaos plane; no class queues behind another, and an
+// endpoint delivers every call it is handed.
 //
 // A fabric delivers and counts; it bills nothing. The engine code that sends
 // a message charges its simulated network cost, once per message, from the
@@ -27,19 +25,18 @@ import (
 // Class is a traffic class (paper §V-C).
 type Class int
 
-// Traffic classes in descending priority.
+// Traffic classes.
 const (
 	// Control carries cluster commands, heartbeats, task dispatch.
 	Control Class = iota
-	// Write carries intermediate results toward global storage.
-	Write
 	// Read carries analyzed data back to the requester.
 	Read
-	// Shuffle carries keyed repartition frames between shuffle stages. It
-	// shares the data lane with Write/Read (competes for DataSlots) but is
-	// counted separately so EXPLAIN ANALYZE can attribute transfer bytes to
-	// the shuffle segment.
+	// Shuffle carries keyed repartition frames between shuffle stages,
+	// counted apart from Read so EXPLAIN ANALYZE can attribute transfer
+	// bytes to the shuffle segment.
 	Shuffle
+
+	numClasses = Shuffle + 1
 )
 
 // String names the class.
@@ -47,8 +44,6 @@ func (c Class) String() string {
 	switch c {
 	case Control:
 		return "control"
-	case Write:
-		return "write"
 	case Read:
 		return "read"
 	case Shuffle:
@@ -93,8 +88,8 @@ type Handler func(ctx context.Context, from string, payload any) (any, error)
 // ClassCounters tracks delivered messages and bytes per traffic class.
 // Both transports embed it so the accounting surface is identical.
 type ClassCounters struct {
-	Msgs  [4]metrics.Counter
-	Bytes [4]metrics.Counter
+	Msgs  [numClasses]metrics.Counter
+	Bytes [numClasses]metrics.Counter
 }
 
 // Counters exposes the per-class counters behind the Network interface.
@@ -190,12 +185,9 @@ func (t *Topology) Hops(a, b string) int {
 	}
 }
 
-// Options configure a Fabric.
-type Options struct {
-	// DataSlots is each endpoint's worker capacity shared by Write and
-	// Read traffic; Control always has a free lane. <=0 means unlimited.
-	DataSlots int
-}
+// Options configure a Fabric; there is nothing to configure. The type
+// stays only because the benchmark module still passes Options{}.
+type Options struct{}
 
 // Both transports satisfy the seam.
 var (
@@ -205,7 +197,6 @@ var (
 
 // Fabric connects named endpoints.
 type Fabric struct {
-	opt  Options
 	topo *Topology
 
 	mu          sync.RWMutex
@@ -217,19 +208,19 @@ type Fabric struct {
 	ClassCounters
 }
 
+// endpoint is one registered node on either fabric.
 type endpoint struct {
 	handler Handler
-	slots   chan struct{} // nil when unlimited
 	down    bool
-	gen     uint64 // registration generation; a restart gets a new one
+	gen     uint64 // Fabric's registration generation; a restart gets a new one
 }
 
 // NewFabric returns a fabric over the topology.
-func NewFabric(topo *Topology, opt Options) *Fabric {
+func NewFabric(topo *Topology, _ Options) *Fabric {
 	if topo == nil {
 		topo = NewTopology()
 	}
-	return &Fabric{opt: opt, topo: topo, nodes: make(map[string]*endpoint)}
+	return &Fabric{topo: topo, nodes: make(map[string]*endpoint)}
 }
 
 // Topology returns the fabric's topology.
@@ -241,9 +232,6 @@ func (f *Fabric) Topology() *Topology { return f.topo }
 // handler.
 func (f *Fabric) Register(node string, h Handler) {
 	ep := &endpoint{handler: h}
-	if f.opt.DataSlots > 0 {
-		ep.slots = make(chan struct{}, f.opt.DataSlots)
-	}
 	f.mu.Lock()
 	f.gen++
 	ep.gen = f.gen
@@ -292,22 +280,12 @@ func (f *Fabric) Call(ctx context.Context, from, to string, class Class, payload
 	return send(ctx, f, icpt, c, payload)
 }
 
-// carry delivers one copy of a call. Write/Read traffic first waits for one
-// of the endpoint's worker slots; Control bypasses them (the
-// reserved-bandwidth lane). The handler runs only if the very endpoint
-// snapshotted at call time is still the live registration: without the
-// generation check a concurrent Deregister+Register (leaf restart) would hand
-// the message to the dead handler.
+// carry delivers one copy of a call. The handler runs only if the very
+// endpoint snapshotted at call time is still the live registration: without
+// the generation check a Deregister+Register (leaf restart) during an
+// injected delay would hand the message to the dead handler.
 func (f *Fabric) carry(ctx context.Context, c call, payload any) (any, error) {
 	ep := c.ep
-	if c.Class != Control && ep.slots != nil {
-		select {
-		case ep.slots <- struct{}{}:
-			defer func() { <-ep.slots }()
-		case <-ctx.Done():
-			return nil, fmt.Errorf("transport: %s call %s->%s: %w", c.Class, c.From, c.To, ctx.Err())
-		}
-	}
 	f.mu.RLock()
 	cur, ok := f.nodes[c.To]
 	stale := !ok || cur.gen != ep.gen || cur.down

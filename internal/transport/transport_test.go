@@ -3,9 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
-	"time"
 )
 
 func TestTopologyDistance(t *testing.T) {
@@ -64,46 +62,8 @@ func TestCallUnknownAndDown(t *testing.T) {
 	}
 }
 
-func TestControlBypassesDataSlots(t *testing.T) {
-	f := NewFabric(nil, Options{DataSlots: 1})
-	block := make(chan struct{})
-	started := make(chan struct{})
-	f.Register("leaf", func(ctx context.Context, from string, payload any) (any, error) {
-		if payload == "slow" {
-			close(started)
-			<-block
-		}
-		return "ok", nil
-	})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _ = f.Call(context.Background(), "m", "leaf", Read, "slow", 1)
-	}()
-	<-started
-
-	// A second data-class call must block (slot taken): give it a short
-	// deadline and expect failure.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := f.Call(ctx, "m", "leaf", Write, "fast", 1); err == nil {
-		t.Error("data call should time out while slot is held")
-	}
-
-	// Control traffic must get through immediately.
-	got, err := f.Call(context.Background(), "m", "leaf", Control, "ping", 1)
-	if err != nil || got != "ok" {
-		t.Errorf("control call = %v, %v", got, err)
-	}
-
-	close(block)
-	wg.Wait()
-}
-
 func TestClassString(t *testing.T) {
-	if Control.String() != "control" || Write.String() != "write" || Read.String() != "read" {
+	if Control.String() != "control" || Read.String() != "read" || Shuffle.String() != "shuffle" {
 		t.Error("class names")
 	}
 	if Class(9).String() != "class(9)" {

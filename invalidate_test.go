@@ -18,12 +18,13 @@ import (
 // answered from bitmaps of the superseded files. Loader registers its
 // partitions with Gen 0, so the reload puts every path at a fresh generation
 // and block ids (path#gen#block) and SSD chunks (keyed by footer) of the old
-// bytes are never hit. The B-tree baseline exists only for fig 9(b) and
-// never sees a rewrite; it is deliberately not covered.
+// bytes are never hit: the cached arm first proves its SSD cache serves the
+// old files. The B-tree baseline exists only for fig 9(b) and never sees a
+// rewrite; it is deliberately not covered.
 func TestReloadSameTableInvalidatesIndex(t *testing.T) {
 	for _, cfg := range []Config{
 		{Leaves: 2, Index: IndexSmart},
-		{Leaves: 2, Index: IndexSmart, CacheBytes: 1 << 20},
+		{Leaves: 2, Index: IndexSmart, CacheBytes: 1 << 20, CachePrefixes: []string{"/hdfs/"}},
 	} {
 		t.Run(fmt.Sprintf("cache=%d", cfg.CacheBytes), func(t *testing.T) {
 			sys, err := New(cfg)
@@ -64,11 +65,43 @@ func TestReloadSameTableInvalidatesIndex(t *testing.T) {
 			if sys.IndexStats().Entries == 0 {
 				t.Fatal("first query stored no index entries; the test would prove nothing")
 			}
+			if cfg.CacheBytes > 0 {
+				if got := sum(); got != 10200 {
+					t.Fatalf("first load, repeated: SUM(id) = %d, want 10200", got)
+				}
+				if cacheHits(sys) == 0 {
+					t.Fatal("the SSD cache served no hit before the reload; the cached arm would prove nothing")
+				}
+			}
 			load(func(i int) int { return 9 - i%10 })
 			if got := sum(); got != 9700 {
 				t.Fatalf("after reload: SUM(id) = %d, want 9700 (10200 is the superseded files' answer)", got)
 			}
 		})
+	}
+}
+
+// cacheHits sums the leaves' SSD cache hits.
+func cacheHits(sys *System) int64 {
+	var n int64
+	for name, v := range sys.Metrics().Snapshot() {
+		if strings.HasSuffix(name, ".cache.hits") {
+			n += v
+		}
+	}
+	return n
+}
+
+// An SSD cache budget with no admitted prefix is refused: such a cache would
+// hold nothing.
+func TestCacheWithoutPrefixesRejected(t *testing.T) {
+	sys, err := New(Config{Leaves: 2, CacheBytes: 1 << 20})
+	if err == nil {
+		sys.Close()
+		t.Fatal("New accepted CacheBytes with no CachePrefixes")
+	}
+	if !strings.Contains(err.Error(), "CachePrefixes") {
+		t.Errorf("err = %v, want it to name CachePrefixes", err)
 	}
 }
 

@@ -73,7 +73,7 @@ cov_floor() {
 	fi
 	echo "coverage: $1 at ${cov}%"
 }
-cov_floor internal/cluster 83.0
+cov_floor internal/cluster 92.2
 cov_floor internal/resultcache 90.0
 cov_floor internal/events 92.0
 cov_floor internal/exec 85.0
