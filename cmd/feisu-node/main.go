@@ -13,6 +13,12 @@
 //	feisu-node -role stem   -name stem0 -listen 127.0.0.1:7001 -peers ...
 //	feisu-node -role leaf   -name leaf0 -listen 127.0.0.1:7002 -peers ...
 //
+// With -http the master serves the endpoints every Feisu master serves
+// (internal/telemetry): /metrics, /healthz, /debug/slowlog, /debug/queries,
+// /debug/trace/{id} and /debug/events, read from the master's own registry,
+// fleet view, flight recorder and ring of finished traces — plus /query,
+// which runs ?sql= traced and answers JSON.
+//
 // This package's TestMultiProcessCluster boots a 1-master/2-stem/4-leaf
 // cluster of these processes on loopback and queries it over the master's
 // HTTP endpoint.
@@ -23,7 +29,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -35,10 +40,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/events"
 	execpkg "repro/internal/exec"
-	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -67,7 +72,7 @@ func main() {
 	flag.IntVar(&cfg.leaves, "leaves", 4, "cluster-wide leaf count (topology + data placement)")
 	flag.IntVar(&cfg.stems, "stems", 2, "cluster-wide stem count")
 	flag.IntVar(&cfg.racks, "racks", 4, "leaves per rack in the simulated topology")
-	flag.StringVar(&cfg.httpAddr, "http", "", "master: HTTP listen address for /query, /healthz, /debug/events")
+	flag.StringVar(&cfg.httpAddr, "http", "", "master: HTTP listen address for /query and the telemetry endpoints (/metrics, /healthz, /debug/slowlog, /debug/queries, /debug/trace/, /debug/events)")
 	flag.StringVar(&cfg.dataset, "dataset", "join", "deterministic generated workload: join, t1 or none")
 	flag.Int64Var(&cfg.broadcast, "broadcast-threshold", 0, "planner broadcast threshold in bytes; 1 forces repartition joins, 0 keeps the default")
 	flag.DurationVar(&cfg.beat, "heartbeat", 2*time.Second, "worker heartbeat interval")
@@ -176,10 +181,8 @@ func runNode(cfg nodeConfig) error {
 		return fmt.Errorf("dataset: %w", err)
 	}
 
-	rec := events.New(4096)
-	reg := metrics.NewRegistry()
+	rec := events.New(events.DefaultCapacity)
 
-	var httpSrv *http.Server
 	switch cfg.role {
 	case "master":
 		m := cluster.NewMaster(cluster.MasterConfig{
@@ -187,7 +190,6 @@ func runNode(cfg nodeConfig) error {
 			Fabric:  tcpNet,
 			Router:  router,
 			Model:   model,
-			Metrics: reg,
 			Events:  rec,
 			Planner: plan.Options{BroadcastThreshold: cfg.broadcast},
 		})
@@ -197,11 +199,14 @@ func runNode(cfg nodeConfig) error {
 			}
 		}
 		if cfg.httpAddr != "" {
-			srv, err := serveHTTP(cfg.httpAddr, m, rec, logf)
+			mux := telemetry.NewMux(m, false)
+			mux.HandleFunc("/query", queryHandler(m))
+			srv, err := telemetry.Serve(cfg.httpAddr, mux)
 			if err != nil {
 				return err
 			}
-			httpSrv = srv
+			defer srv.Close()
+			logf("http on %s", srv.Addr())
 		}
 	case "stem":
 		st := &cluster.StemServer{Name: cfg.name, Fabric: tcpNet, Router: router, Model: model, Events: rec}
@@ -228,16 +233,10 @@ func runNode(cfg nodeConfig) error {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	logf("shutting down")
-	if httpSrv != nil {
-		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(sctx)
-	}
 	return nil
 }
 
-// --- master HTTP surface ---------------------------------------------------
-
+// queryResponse is /query's answer.
 type queryResponse struct {
 	QueryID string     `json:"queryID"`
 	Columns []string   `json:"columns"`
@@ -250,20 +249,10 @@ type queryResponse struct {
 	Shuffled bool `json:"shuffled"`
 }
 
-type healthResponse struct {
-	Alive    int      `json:"alive"`
-	Degraded int      `json:"degraded"`
-	Dead     int      `json:"dead"`
-	Nodes    []string `json:"nodes"`
-}
-
-func serveHTTP(addr string, m *cluster.Master, rec *events.Recorder, logf func(string, ...any)) (*http.Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("http listen %s: %w", addr, err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
+// queryHandler runs ?sql= on the master, traced, so the ring keeps it for
+// /debug/trace/{id}.
+func queryHandler(m *cluster.Master) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		sql := r.URL.Query().Get("sql")
 		if sql == "" {
 			http.Error(w, "missing ?sql=", http.StatusBadRequest)
@@ -274,7 +263,15 @@ func serveHTTP(addr string, m *cluster.Master, rec *events.Recorder, logf func(s
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		resp := queryResponse{Columns: res.Columns, Rows: make([][]string, len(res.Rows))}
+		resp := queryResponse{
+			QueryID:  stats.QueryID,
+			Columns:  res.Columns,
+			Rows:     make([][]string, len(res.Rows)),
+			Wall:     stats.WallTime.String(),
+			Sim:      stats.SimTime.String(),
+			Tasks:    stats.Tasks,
+			Shuffled: stats.Trace != nil && len(stats.Trace.FindAll("shuffle-")) > 0,
+		}
 		for i, row := range res.Rows {
 			cells := make([]string, len(row))
 			for j, v := range row {
@@ -282,33 +279,7 @@ func serveHTTP(addr string, m *cluster.Master, rec *events.Recorder, logf func(s
 			}
 			resp.Rows[i] = cells
 		}
-		if stats != nil {
-			resp.QueryID = stats.QueryID
-			resp.Wall = stats.WallTime.String()
-			resp.Sim = stats.SimTime.String()
-			resp.Tasks = stats.Tasks
-			resp.Shuffled = stats.Trace != nil && len(stats.Trace.FindAll("shuffle-")) > 0
-		}
-		writeJSON(w, resp)
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		h := m.Health()
-		resp := healthResponse{Alive: h.Alive, Degraded: h.Degraded, Dead: h.Dead}
-		for _, n := range h.Nodes {
-			resp.Nodes = append(resp.Nodes, n.Name)
-		}
-		writeJSON(w, resp)
-	})
-	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, rec.Events())
-	})
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	logf("http on %s", ln.Addr())
-	return srv, nil
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(resp)
+	}
 }

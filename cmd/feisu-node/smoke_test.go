@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -29,23 +30,34 @@ func freeAddr(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-func getJSON(addr string, out any) error {
+func get(addr string) (string, error) {
 	resp, err := http.Get(addr)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("status %s: %s", resp.Status, body)
+	}
+	return string(body), err
+}
+
+func getJSON(addr string, out any) error {
+	body, err := get(addr)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %s", resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return json.Unmarshal([]byte(body), out)
 }
 
 // TestMultiProcessCluster builds feisu-node, boots a 1-master/2-stem/4-leaf
 // cluster of child processes on loopback, runs three queries (scan-agg,
 // group-by and a forced repartition join) over the master's HTTP endpoint,
-// and asserts each query's journaled submit→done chain in the flight
-// recorder.
+// and reads the master process's telemetry endpoints: each query's
+// journaled submit→done chain in the flight recorder, the query counters
+// and latency histogram on /metrics, the join's kept trace as a Jaeger
+// document, and the live-query view.
 func TestMultiProcessCluster(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "feisu-node")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -94,8 +106,11 @@ func TestMultiProcessCluster(t *testing.T) {
 	base := "http://" + httpAddr
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		var h healthResponse
-		if err := getJSON(base+"/healthz", &h); err == nil && h.Alive >= 6 {
+		var alive int
+		if body, err := get(base + "/healthz"); err == nil {
+			_, _ = fmt.Sscanf(body, "ok: %d nodes alive", &alive)
+		}
+		if alive >= 6 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -131,15 +146,15 @@ func TestMultiProcessCluster(t *testing.T) {
 	}
 
 	// The flight recorder must journal each query's full lifecycle chain.
-	var evs []events.Event
-	if err := getJSON(base+"/debug/events", &evs); err != nil {
-		t.Fatalf("events: %v", err)
-	}
 	for _, id := range ids {
+		var journal struct{ Events []events.Event }
+		if err := getJSON(base+"/debug/events?format=json&query="+id, &journal); err != nil {
+			t.Fatalf("events: %v", err)
+		}
 		var submit, done uint64
-		for _, e := range evs {
+		for _, e := range journal.Events {
 			if e.Query != id {
-				continue
+				t.Fatalf("events for %s include %s's %s", id, e.Query, e.Kind)
 			}
 			switch e.Kind {
 			case events.QuerySubmit:
@@ -151,5 +166,45 @@ func TestMultiProcessCluster(t *testing.T) {
 		if submit == 0 || done == 0 || submit >= done {
 			t.Fatalf("query %s: journaled chain broken (submit seq %d, done seq %d)", id, submit, done)
 		}
+	}
+
+	// The master process serves its own counters and latency histogram.
+	metrics, err := get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	for _, want := range []string{"feisu_queries_total 3", "feisu_query_wall_seconds_count 3"} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, metrics)
+		}
+	}
+
+	// It kept the traced join: a Jaeger document with the shuffle's spans.
+	var doc struct {
+		Data []struct {
+			Spans []struct {
+				OperationName string `json:"operationName"`
+			} `json:"spans"`
+		} `json:"data"`
+	}
+	if err := getJSON(base+"/debug/trace/"+ids[2], &doc); err != nil {
+		t.Fatalf("trace %s: %v", ids[2], err)
+	}
+	shuffled := false
+	for _, d := range doc.Data {
+		for _, sp := range d.Spans {
+			shuffled = shuffled || strings.HasPrefix(sp.OperationName, "shuffle-")
+		}
+	}
+	if !shuffled {
+		t.Errorf("trace %s has no shuffle- span: %+v", ids[2], doc)
+	}
+
+	var active struct {
+		Active  int   `json:"active"`
+		Queries []any `json:"queries"`
+	}
+	if err := getJSON(base+"/debug/queries?format=json", &active); err != nil || active.Active != 0 {
+		t.Errorf("/debug/queries = %+v, %v; want no query in flight", active, err)
 	}
 }

@@ -171,11 +171,11 @@ func main() {
 		case line == `\watch`:
 			fmt.Print(cluster.RenderProgress(sys.ActiveQueries()))
 		case line == `\slowlog`:
-			if sl := sys.Slowlog(); sl == nil {
+			if *slowWall <= 0 && *slowSim <= 0 {
 				fmt.Fprintln(os.Stderr, "slowlog disabled; start feisu with -slow or -slow-sim")
 			} else {
-				fmt.Printf("slow queries recorded: %d\n", sl.Total())
-				fmt.Print(telemetry.RenderSlowlog(sl.Entries()))
+				fmt.Printf("slow queries recorded: %d\n", sys.Traces().SlowTotal())
+				fmt.Print(telemetry.RenderSlowlog(sys.Traces().Slow()))
 			}
 		case line == `\events`:
 			rec := sys.Events()

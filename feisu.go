@@ -41,7 +41,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/resultcache"
 	"repro/internal/sim"
-	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -190,7 +189,8 @@ type Config struct {
 	// SlowQuerySimThreshold is the simulated-time criterion for the
 	// slow-query log; <=0 disables it. With either threshold set, every
 	// query is traced so slow entries carry a per-stage breakdown (the
-	// trace also becomes visible in QueryStats.Trace).
+	// trace also becomes visible in QueryStats.Trace). Both pass to the
+	// master, whose ring of traces is the log (Traces().Slow()).
 	SlowQuerySimThreshold time.Duration
 	// Chaos enables the deterministic fault-injection plane (internal/chaos)
 	// over the deployment's transport, stores and leaf lifecycle. nil runs
@@ -260,19 +260,10 @@ type System struct {
 	// retained so release can drop their footers of retired partitions.
 	readers  []*exec.StoreReader
 	rescache *resultcache.Cache
-	// plannerOpts mirror the master's shuffle-planner tuning so Explain
-	// describes the plan the cluster would actually run.
-	plannerOpts plan.Options
-	smart       []*core.SmartIndex
-	history     *History
-	metrics     *metrics.Registry
-	slowlog     *telemetry.Slowlog
-	events      *events.Recorder
-	traces      *trace.Store
-	// latWall/latSim are the fleet-level query latency histograms exported
-	// as feisu_query_wall_seconds / feisu_query_sim_seconds.
-	latWall *metrics.Histogram
-	latSim  *metrics.Histogram
+	smart    []*core.SmartIndex
+	history  *History
+	metrics  *metrics.Registry
+	events   *events.Recorder
 
 	chaosPlane *chaos.Plane
 	chaosCtl   *chaos.Controller
@@ -358,16 +349,7 @@ func New(cfg Config) (*System, error) {
 		cfg: cfg, model: model, fabric: fabric, tcpNet: tcpNet, router: router, hdfs: hdfs, ffs: ffs,
 		metrics: metrics.NewRegistry(),
 		events:  events.New(events.DefaultCapacity),
-		traces:  trace.NewStore(trace.DefaultStoreSize),
 	}
-	sys.latWall = sys.metrics.HistogramWith("feisu_query_wall_seconds")
-	sys.latSim = sys.metrics.HistogramWith("feisu_query_sim_seconds")
-	if cfg.SlowQueryWallThreshold > 0 || cfg.SlowQuerySimThreshold > 0 {
-		// Capacity 0: the ring's own default, 128 entries.
-		sys.slowlog = telemetry.NewSlowlog(0, cfg.SlowQueryWallThreshold, cfg.SlowQuerySimThreshold)
-	}
-	sys.metrics.RegisterGaugeFunc("feisu_events_recorded_total", func() float64 { return float64(sys.events.Total()) })
-	sys.metrics.RegisterGaugeFunc("feisu_events_dropped_total", func() float64 { return float64(sys.events.Dropped()) })
 
 	leafName := func(i int) string { return fmt.Sprintf("leaf%d", i) }
 	for i := 0; i < cfg.Leaves; i++ {
@@ -438,6 +420,8 @@ func New(cfg Config) (*System, error) {
 			GroupShuffleRows:   cfg.GroupShuffleRows,
 			MemoryGrantBytes:   cfg.ShuffleMemoryBytes,
 		},
+		SlowQueryWallThreshold: cfg.SlowQueryWallThreshold,
+		SlowQuerySimThreshold:  cfg.SlowQuerySimThreshold,
 	}
 	if cfg.PersonalizeThreshold > 0 {
 		sys.history = &History{
@@ -448,12 +432,7 @@ func New(cfg Config) (*System, error) {
 		}
 		mcfg.Observer = sys.history
 	}
-	sys.plannerOpts = mcfg.Planner
 	sys.master = cluster.NewMaster(mcfg)
-	sys.metrics.RegisterCounterWith("feisu_queries_total", &sys.master.Queries)
-	sys.metrics.RegisterCounterWith("feisu_query_errors_total", &sys.master.QueryErrs)
-	sys.metrics.RegisterCounterWith("feisu_task_retries_total", &sys.master.Retries)
-	sys.metrics.RegisterCounterWith("feisu_partial_results_total", &sys.master.Partials)
 
 	for i := 0; i < cfg.Leaves; i++ {
 		sr := exec.NewStoreReader(router)
@@ -742,44 +721,7 @@ func (s *System) QueryStats(ctx context.Context, sql string, opts ...QueryOption
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if s.slowlog.Enabled() {
-		// Trace every query so slow entries carry a per-stage breakdown;
-		// the spans are cheap (in-process pointers, no serialization).
-		o.Trace = true
-	}
-	res, stats, err := s.master.Submit(ctx, sql, o)
-	if stats != nil {
-		s.latWall.Observe(stats.WallTime.Seconds())
-		s.latSim.Observe(stats.SimTime.Seconds())
-		if stats.Trace != nil {
-			s.traces.Add(trace.StoredTrace{
-				QueryID:     stats.QueryID,
-				Fingerprint: stats.Fingerprint,
-				SQL:         sql,
-				When:        time.Now(),
-				Wall:        stats.WallTime,
-				Sim:         stats.SimTime,
-				Root:        stats.Trace,
-			})
-		}
-		if s.slowlog.Slow(stats.WallTime, stats.SimTime) {
-			s.slowlog.Record(telemetry.SlowQuery{
-				When:         time.Now(),
-				SQL:          sql,
-				Fingerprint:  stats.Fingerprint,
-				Wall:         stats.WallTime,
-				Sim:          stats.SimTime,
-				Tasks:        stats.Tasks,
-				Reused:       stats.ReusedTasks,
-				Backups:      stats.BackupTasks,
-				Failed:       stats.TasksFailed,
-				Stages:       telemetry.StagesFromTrace(stats.Trace),
-				Counters:     telemetry.CountersFromTrace(stats.Trace),
-				CriticalPath: trace.AnalyzeCriticalPath(stats.Trace).Summary(),
-			})
-		}
-	}
-	return res, stats, err
+	return s.master.Submit(ctx, sql, o)
 }
 
 // ClusterHealth returns the master's aggregate fleet view: per-node
@@ -789,10 +731,6 @@ func (s *System) QueryStats(ctx context.Context, sql string, opts ...QueryOption
 func (s *System) ClusterHealth() cluster.ClusterHealth {
 	return s.master.Health()
 }
-
-// Slowlog returns the slow-query ring buffer, or nil when no slow-query
-// threshold is configured.
-func (s *System) Slowlog() *telemetry.Slowlog { return s.slowlog }
 
 // Events returns the cluster flight recorder (always on, the last
 // events.DefaultCapacity events). Read the journal with Events().Events()
@@ -806,10 +744,11 @@ func (s *System) ActiveQueries() []cluster.QueryProgress {
 	return s.master.ActiveQueries()
 }
 
-// Traces returns the ring of retained finished query traces (the last
-// trace.DefaultStoreSize). Only traced queries (EXPLAIN ANALYZE, WithTrace,
-// or any query when the slowlog is enabled) are retained.
-func (s *System) Traces() *trace.Store { return s.traces }
+// Traces returns the master's ring of finished traced statements
+// (trace.StoreSize of them, slow ones kept first); Traces().Slow() is the
+// slow-query log. Only traced queries (EXPLAIN ANALYZE, WithTrace, or any
+// query while a slow threshold is set) are kept.
+func (s *System) Traces() *trace.Store { return s.master.Traces() }
 
 // Chaos returns the fault-injection plane, or nil when Config.Chaos was not
 // set. Use it to read the fired-fault schedule (Events) and counters.
@@ -827,22 +766,12 @@ func (s *System) ChaosTick() {
 	}
 }
 
-// StartTelemetry starts the HTTP exporter on addr (host:port; port 0 picks
-// an ephemeral port — read it back via Server.Addr). It serves /metrics in
-// Prometheus text format, /healthz, /debug/slowlog, /debug/queries (live
-// query progress), /debug/trace/{id} (Jaeger-compatible trace export),
-// /debug/events (the flight recorder journal), and pprof when enablePprof
-// is set. Callers own the returned server and should Close it.
+// StartTelemetry starts the master's HTTP exporter on addr (host:port; port
+// 0 picks an ephemeral port — read it back via Server.Addr): the endpoints
+// every master serves (telemetry.NewMux), pprof included when enablePprof is
+// set. Callers own the returned server and should Close it.
 func (s *System) StartTelemetry(addr string, enablePprof bool) (*telemetry.Server, error) {
-	return telemetry.Start(addr, telemetry.Options{
-		Registry:      s.metrics,
-		Health:        s.master.Health,
-		Slowlog:       s.slowlog,
-		ActiveQueries: s.ActiveQueries,
-		Traces:        s.traces,
-		Events:        s.events,
-		EnablePprof:   enablePprof,
-	})
+	return telemetry.Start(addr, s.master, enablePprof)
 }
 
 // IndexStats aggregates SmartIndex counters across leaves (zero stats when
@@ -974,13 +903,5 @@ func WithQueueDeadline(d time.Duration) QueryOption {
 // indexable atoms, the pruned column set, the broadcast or repartitioned
 // joins, and the sub-plan dissection.
 func (s *System) Explain(sql string) (string, error) {
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return "", err
-	}
-	p, err := plan.PlanWith(stmt, s.master.Jobs, s.plannerOpts)
-	if err != nil {
-		return "", err
-	}
-	return p.Describe(), nil
+	return s.master.Explain(sql)
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/resultcache"
 	"repro/internal/sim"
+	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -77,7 +78,8 @@ type MasterConfig struct {
 	// user — the client-side query-history collection that personalizes
 	// SmartIndex (paper §III-C).
 	Observer PredicateObserver
-	// Metrics, when set, receives the master's query counters.
+	// Metrics receives the master's query counters and latency histograms;
+	// nil gives the master a registry of its own.
 	Metrics *metrics.Registry
 	// Events, when set, journals query/task lifecycle decisions into the
 	// flight recorder; the master also hands it to its cluster manager and
@@ -87,6 +89,12 @@ type MasterConfig struct {
 	// partition fan-out, group-by shuffle trigger, reducer memory grants).
 	// The zero value behaves exactly like plan.DefaultOptions.
 	Planner plan.Options
+	// SlowQueryWallThreshold and SlowQuerySimThreshold mark a statement
+	// whose wall or simulated time reaches them as slow; <=0 disables that
+	// criterion. With either set every statement is traced, and the slow
+	// ones are kept in the ring ahead of the rest (Traces).
+	SlowQueryWallThreshold time.Duration
+	SlowQuerySimThreshold  time.Duration
 }
 
 // PredicateObserver collects per-user predicate usage.
@@ -112,6 +120,10 @@ type Master struct {
 	// /debug/queries; qidSeq assigns causal query IDs.
 	progress *ProgressRegistry
 	qidSeq   atomic.Uint64
+	// traces keeps finished traced statements, slow ones first; latWall and
+	// latSim are feisu_query_wall_seconds and feisu_query_sim_seconds.
+	traces          trace.Store
+	latWall, latSim *metrics.Histogram
 
 	mu      sync.Mutex
 	standby bool
@@ -130,6 +142,9 @@ type Master struct {
 func NewMaster(cfg MasterConfig) *Master {
 	if cfg.MaxTaskRetries <= 0 {
 		cfg.MaxTaskRetries = 2
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
 	}
 	m := &Master{
 		cfg:      cfg,
@@ -163,7 +178,15 @@ func NewMaster(cfg MasterConfig) *Master {
 	cfg.Metrics.Register("master.query_errors", &m.QueryErrs)
 	cfg.Metrics.Register("master.task_retries", &m.Retries)
 	cfg.Metrics.Register("master.partial_results", &m.Partials)
-	if m.Admission != nil && cfg.Metrics != nil {
+	cfg.Metrics.RegisterCounterWith("feisu_queries_total", &m.Queries)
+	cfg.Metrics.RegisterCounterWith("feisu_query_errors_total", &m.QueryErrs)
+	cfg.Metrics.RegisterCounterWith("feisu_task_retries_total", &m.Retries)
+	cfg.Metrics.RegisterCounterWith("feisu_partial_results_total", &m.Partials)
+	m.latWall = cfg.Metrics.HistogramWith("feisu_query_wall_seconds")
+	m.latSim = cfg.Metrics.HistogramWith("feisu_query_sim_seconds")
+	cfg.Metrics.RegisterGaugeFunc("feisu_events_recorded_total", func() float64 { return float64(cfg.Events.Total()) })
+	cfg.Metrics.RegisterGaugeFunc("feisu_events_dropped_total", func() float64 { return float64(cfg.Events.Dropped()) })
+	if m.Admission != nil {
 		m.queueWait = cfg.Metrics.HistogramWith("feisu_admission_wait_seconds")
 		for c := Priority(0); c < numPriorities; c++ {
 			label := metrics.Label{Key: "class", Value: c.String()}
@@ -216,6 +239,37 @@ func (m *Master) ReleaseFooter(path string) { m.reader.Release(path) }
 // progress view behind System.ActiveQueries, `\watch` and /debug/queries.
 func (m *Master) ActiveQueries() []QueryProgress {
 	return m.progress.Active()
+}
+
+// Metrics returns the registry the master reports into.
+func (m *Master) Metrics() *metrics.Registry { return m.cfg.Metrics }
+
+// Events returns the master's flight recorder (nil when none was wired).
+func (m *Master) Events() *events.Recorder { return m.cfg.Events }
+
+// Traces returns the master's ring of finished traced statements; its Slow
+// view is the slow-query log.
+func (m *Master) Traces() *trace.Store { return &m.traces }
+
+// Explain plans sql as a statement would be planned, executing nothing, and
+// describes the plan.
+func (m *Master) Explain(sql string) (string, error) {
+	_, p, err := m.bind(sql)
+	if err != nil {
+		return "", err
+	}
+	return p.Describe(), nil
+}
+
+// bind parses sql and plans it against the catalog with the master's
+// planner options.
+func (m *Master) bind(sql string) (*sqlparser.SelectStmt, *plan.PhysicalPlan, error) {
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := plan.PlanWith(stmt, m.Jobs, m.cfg.Planner)
+	return stmt, p, err
 }
 
 // ResultCache exposes the configured cache (nil when disabled).

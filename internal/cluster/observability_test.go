@@ -64,12 +64,57 @@ func TestTraceSpans(t *testing.T) {
 	}
 }
 
-// TestUntracedQueryHasNoTrace ensures tracing is strictly opt-in.
+// TestUntracedQueryHasNoTrace ensures tracing is opt-in while no slow
+// threshold is set: an untraced statement leaves nothing in the ring, a
+// traced one is kept and is not slow.
 func TestUntracedQueryHasNoTrace(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 2, nil)
 	_, stats := tc.query("SELECT COUNT(*) FROM logs", QueryOptions{})
 	if stats.Trace != nil {
 		t.Fatal("untraced query carries a trace")
+	}
+	if kept := tc.master.Traces().Traces(); len(kept) != 0 {
+		t.Fatalf("untraced statement kept in the ring: %d entries", len(kept))
+	}
+	_, stats = tc.query("SELECT COUNT(*) FROM logs WHERE v > 1", QueryOptions{Trace: true})
+	kept, ok := tc.master.Traces().Get(stats.QueryID)
+	if !ok || kept.Slow || kept.Root != stats.Trace || kept.Tasks != stats.Tasks {
+		t.Fatalf("traced statement kept as %+v, %v", kept, ok)
+	}
+	if n := tc.master.Traces().SlowTotal(); n != 0 {
+		t.Fatalf("SlowTotal = %d with no threshold", n)
+	}
+}
+
+// TestSlowThresholdTracesStatements: a slow threshold traces every
+// statement; the ones that reach it are kept as slow, the rest as fast.
+func TestSlowThresholdTracesStatements(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		wall time.Duration
+		sim  time.Duration
+		slow bool
+	}{
+		{"sim reached", 0, time.Nanosecond, true},
+		{"wall reached", time.Nanosecond, 0, true},
+		{"neither reached", time.Hour, time.Hour, false},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			tc := newTestCluster(t, 2, 1, 2, func(c *MasterConfig) {
+				c.SlowQueryWallThreshold, c.SlowQuerySimThreshold = tt.wall, tt.sim
+			})
+			_, stats := tc.query("SELECT COUNT(*) FROM logs", QueryOptions{})
+			if stats.Trace == nil {
+				t.Fatal("statement untraced under a slow threshold")
+			}
+			kept, ok := tc.master.Traces().Get(stats.QueryID)
+			if !ok || kept.Slow != tt.slow {
+				t.Fatalf("kept = %v, slow = %v; want slow = %v", ok, kept.Slow, tt.slow)
+			}
+			if got, want := len(tc.master.Traces().Slow()), map[bool]int{true: 1}[tt.slow]; got != want {
+				t.Fatalf("slow view holds %d entries, want %d", got, want)
+			}
+		})
 	}
 }
 

@@ -130,12 +130,39 @@ func (q *statement) close(res *exec.Result, err error) {
 	var over *OverloadedError
 	switch {
 	case err == nil: // every stage that answers hands back a result
+		q.file()
 		m.cfg.Events.EmitSim(q.qsite, events.QueryDone, q.qid, -1, q.stats.SimTime, fmt.Sprintf("rows=%d", len(res.Rows)))
 	case errors.As(err, &over):
 		m.cfg.Events.Emit(q.qsite, events.QueryShed, q.qid, -1, q.opts.Priority.String())
 	default:
 		m.cfg.Events.Emit(q.qsite, events.QueryError, q.qid, -1, err.Error())
 	}
+}
+
+// file observes an answered statement's latency and keeps its trace in the
+// master's ring, marked slow when it reached a slow threshold.
+func (q *statement) file() {
+	m, stats := q.m, q.stats
+	m.latWall.Observe(stats.WallTime.Seconds())
+	m.latSim.Observe(stats.SimTime.Seconds())
+	if stats.Trace == nil {
+		return
+	}
+	wall, sim := m.cfg.SlowQueryWallThreshold, m.cfg.SlowQuerySimThreshold
+	m.traces.Add(trace.StoredTrace{
+		QueryID:     q.qid,
+		Fingerprint: stats.Fingerprint,
+		SQL:         q.sql,
+		When:        time.Now(),
+		Wall:        stats.WallTime,
+		Sim:         stats.SimTime,
+		Slow:        (wall > 0 && stats.WallTime >= wall) || (sim > 0 && stats.SimTime >= sim),
+		Tasks:       stats.Tasks,
+		Reused:      stats.ReusedTasks,
+		Backups:     stats.BackupTasks,
+		Failed:      stats.TasksFailed,
+		Root:        stats.Trace,
+	})
 }
 
 // answer is what the caller gets for an executed or served statement: the
@@ -159,16 +186,16 @@ func (q *statement) guard() (err error) {
 	return err
 }
 
-// plan parses and binds the statement.
+// plan parses and binds the statement. EXPLAIN ANALYZE executes traced, and
+// so does every statement while a slow threshold is set: a slow entry is
+// read from its trace.
 func (q *statement) plan() (err error) {
-	if q.stmt, err = sqlparser.Parse(q.sql); err != nil {
-		return err
-	}
-	if q.p, err = plan.PlanWith(q.stmt, q.m.Jobs, q.m.cfg.Planner); err != nil {
+	if q.stmt, q.p, err = q.m.bind(q.sql); err != nil {
 		return err
 	}
 	q.stats.Fingerprint = q.p.Fingerprint
-	q.opts.Trace = q.opts.Trace || q.stmt.Analyze // EXPLAIN ANALYZE executes traced
+	cfg := &q.m.cfg
+	q.opts.Trace = q.opts.Trace || q.stmt.Analyze || cfg.SlowQueryWallThreshold > 0 || cfg.SlowQuerySimThreshold > 0
 	return nil
 }
 

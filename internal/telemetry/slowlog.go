@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/trace"
@@ -18,112 +17,27 @@ type StageTiming struct {
 	Wall time.Duration
 }
 
-// SlowQuery is one slow-query log entry: identity (SQL + plan
-// fingerprint), timings, scheduling outcome, the per-stage breakdown and
-// the aggregated index/cache counters from the trace.
-type SlowQuery struct {
-	// Seq is the entry's monotonically increasing sequence number (later
-	// entries have larger Seq, surviving ring-buffer wraparound).
-	Seq         int64
-	When        time.Time
-	SQL         string
-	Fingerprint string
-	Wall        time.Duration
-	Sim         time.Duration
-	Tasks       int
-	Reused      int
-	Backups     int
-	Failed      int
-	Stages      []StageTiming
-	Counters    map[string]int64
-	// CriticalPath is the critical-path analyzer's one-line attribution
-	// ("scan @ leaf2 61%, transfer 22%, ..."), empty when no trace was kept.
+// slowEntry is one line of the slow-query log: a slow statement the
+// master's ring kept, with the stages, counters and critical path read from
+// its span tree when the log is read.
+type slowEntry struct {
+	trace.StoredTrace
+	Stages       []StageTiming
+	Counters     map[string]int64
 	CriticalPath string
 }
 
-// Slowlog is a fixed-capacity ring buffer of slow queries. A query is slow
-// when its wall time or simulated time exceeds the configured threshold
-// (either may be disabled with <=0; with both disabled nothing is ever
-// recorded). Safe for concurrent use.
-type Slowlog struct {
-	wallThresh time.Duration
-	simThresh  time.Duration
-
-	mu      sync.Mutex
-	entries []SlowQuery // ring storage; len == capacity once full
-	next    int         // next write position
-	seq     int64
-	total   int64
-	cap     int
-}
-
-// NewSlowlog returns a ring of the given capacity (default 128 when <=0).
-func NewSlowlog(capacity int, wallThresh, simThresh time.Duration) *Slowlog {
-	if capacity <= 0 {
-		capacity = 128
-	}
-	return &Slowlog{cap: capacity, wallThresh: wallThresh, simThresh: simThresh}
-}
-
-// Enabled reports whether any threshold is active.
-func (l *Slowlog) Enabled() bool {
-	return l != nil && (l.wallThresh > 0 || l.simThresh > 0)
-}
-
-// Slow reports whether a query with these timings crosses a threshold.
-func (l *Slowlog) Slow(wall, sim time.Duration) bool {
-	if l == nil {
-		return false
-	}
-	return (l.wallThresh > 0 && wall >= l.wallThresh) ||
-		(l.simThresh > 0 && sim >= l.simThresh)
-}
-
-// Record appends an entry, evicting the oldest once the ring is full. The
-// entry's Seq is assigned here.
-func (l *Slowlog) Record(q SlowQuery) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.seq++
-	l.total++
-	q.Seq = l.seq
-	if len(l.entries) < l.cap {
-		l.entries = append(l.entries, q)
-		l.next = len(l.entries) % l.cap
-	} else {
-		l.entries[l.next] = q
-		l.next = (l.next + 1) % l.cap
-	}
-	l.mu.Unlock()
-}
-
-// Entries returns a copy of the retained entries, newest first.
-func (l *Slowlog) Entries() []SlowQuery {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]SlowQuery, 0, len(l.entries))
-	// Walk backwards from the most recent write.
-	for i := 0; i < len(l.entries); i++ {
-		idx := (l.next - 1 - i + len(l.entries)) % len(l.entries)
-		out = append(out, l.entries[idx])
+func slowEntries(ts []trace.StoredTrace) []slowEntry {
+	out := make([]slowEntry, len(ts))
+	for i, t := range ts {
+		out[i] = slowEntry{
+			StoredTrace:  t,
+			Stages:       StagesFromTrace(t.Root),
+			Counters:     CountersFromTrace(t.Root),
+			CriticalPath: trace.AnalyzeCriticalPath(t.Root).Summary(),
+		}
 	}
 	return out
-}
-
-// Total returns how many slow queries have ever been recorded (including
-// entries the ring has since evicted).
-func (l *Slowlog) Total() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
 }
 
 // StagesFromTrace extracts a per-stage breakdown from a query's root span:
@@ -173,16 +87,16 @@ func CountersFromTrace(root *trace.Span) map[string]int64 {
 	return out
 }
 
-// RenderSlowlog formats entries (as returned by Entries, newest first) for
-// the \slowlog command and /debug/slowlog endpoint.
-func RenderSlowlog(entries []SlowQuery) string {
-	if len(entries) == 0 {
+// RenderSlowlog formats slow statements (as Store.Slow returns them, newest
+// first) for the \slowlog command and the /debug/slowlog endpoint.
+func RenderSlowlog(slow []trace.StoredTrace) string {
+	if len(slow) == 0 {
 		return "slowlog is empty\n"
 	}
 	var sb strings.Builder
-	for _, q := range entries {
-		fmt.Fprintf(&sb, "#%d %s wall=%s sim=%s tasks=%d reused=%d backups=%d failed=%d\n",
-			q.Seq, q.When.Format(time.RFC3339), q.Wall.Round(time.Microsecond),
+	for _, q := range slowEntries(slow) {
+		fmt.Fprintf(&sb, "%s %s wall=%s sim=%s tasks=%d reused=%d backups=%d failed=%d\n",
+			q.QueryID, q.When.Format(time.RFC3339), q.Wall.Round(time.Microsecond),
 			q.Sim.Round(time.Microsecond), q.Tasks, q.Reused, q.Backups, q.Failed)
 		fmt.Fprintf(&sb, "  query: %s\n", q.SQL)
 		if q.Fingerprint != "" && q.Fingerprint != q.SQL {

@@ -1,6 +1,8 @@
-// Package telemetry is Feisu's fleet-observability surface: an optional
-// net/http exporter serving Prometheus-format metrics (/metrics), a
-// cluster health probe (/healthz), the slow-query log (/debug/slowlog)
+// Package telemetry is Feisu's fleet-observability surface: the net/http
+// endpoints every master serves, read from the master alone —
+// Prometheus-format metrics (/metrics), a cluster health probe (/healthz),
+// the slow-query log (/debug/slowlog), live queries (/debug/queries),
+// finished traces (/debug/trace/), the flight recorder (/debug/events)
 // and, behind a flag, pprof. It complements the per-query trace spans of
 // package trace: spans answer "where did this query go", telemetry answers
 // "how is the fleet doing" without attaching a tracer to each request.
@@ -20,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -29,60 +30,53 @@ import (
 // it at startup (or via -ldflags "-X repro/internal/telemetry.Version=...").
 var Version = "dev"
 
-// Options configure the exporter.
-type Options struct {
-	// Registry supplies the metric families for /metrics.
-	Registry *metrics.Registry
-	// Health, when set, supplies the fleet view: /healthz and the
-	// feisu_node_* series on /metrics.
-	Health func() cluster.ClusterHealth
-	// Slowlog, when set, backs /debug/slowlog.
-	Slowlog *Slowlog
-	// ActiveQueries, when set, backs /debug/queries: the master's live
-	// per-query progress view (text table, or JSON with ?format=json).
-	ActiveQueries func() []cluster.QueryProgress
-	// Traces, when set, backs /debug/trace/ (index of retained finished
-	// traces) and /debug/trace/{id} (one trace as Jaeger-compatible JSON,
-	// addressed by query ID or plan fingerprint).
-	Traces *trace.Store
-	// Events, when set, backs /debug/events: the flight recorder's retained
-	// journal (text, or JSON with ?format=json).
-	Events *events.Recorder
-	// EnablePprof mounts net/http/pprof under /debug/pprof/.
-	EnablePprof bool
-}
-
 // Server is a running exporter.
 type Server struct {
-	opt     Options
-	ln      net.Listener
-	srv     *http.Server
+	ln  net.Listener
+	srv *http.Server
+}
+
+// handlers serve what one master knows: its registry, its fleet view, its
+// live queries, its flight recorder and its ring of finished statements.
+type handlers struct {
+	m       *cluster.Master
 	started time.Time
 }
 
-// Start listens on addr (host:port; port 0 picks an ephemeral port) and
-// serves the telemetry endpoints until Close.
-func Start(addr string, opt Options) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
-	}
-	s := &Server{opt: opt, ln: ln, started: time.Now()}
+// NewMux returns the endpoints every master serves, reading everything from
+// m; a caller may add its own routes to it before serving it.
+func NewMux(m *cluster.Master, enablePprof bool) *http.ServeMux {
+	h := &handlers{m: m, started: time.Now()}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/debug/slowlog", s.handleSlowlog)
-	mux.HandleFunc("/debug/queries", s.handleQueries)
-	mux.HandleFunc("/debug/trace/", s.handleTrace)
-	mux.HandleFunc("/debug/events", s.handleEvents)
-	if opt.EnablePprof {
+	mux.HandleFunc("/metrics", h.handleMetrics)
+	mux.HandleFunc("/healthz", h.handleHealthz)
+	mux.HandleFunc("/debug/slowlog", h.handleSlowlog)
+	mux.HandleFunc("/debug/queries", h.handleQueries)
+	mux.HandleFunc("/debug/trace/", h.handleTrace)
+	mux.HandleFunc("/debug/events", h.handleEvents)
+	if enablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	return mux
+}
+
+// Start listens on addr (host:port; port 0 picks an ephemeral port) and
+// serves m's endpoints (NewMux) until Close.
+func Start(addr string, m *cluster.Master, enablePprof bool) (*Server, error) {
+	return Serve(addr, NewMux(m, enablePprof))
+}
+
+// Serve listens on addr and serves h until Close.
+func Serve(addr string, h http.Handler) (*Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
+	}
+	s := &Server{ln: ln, srv: &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }
@@ -109,85 +103,62 @@ func (s *Server) Close() error {
 	return nil
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	fams := s.opt.Registry.Families()
-	if s.opt.Health != nil {
-		fams = mergeFamilies(fams, healthFamilies(s.opt.Health()))
-	}
-	fams = mergeFamilies(fams, s.buildFamilies())
+func (h *handlers) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	fams := mergeFamilies(h.m.Metrics().Families(), append(healthFamilies(h.m.Health()), h.buildFamilies()...))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = WriteText(w, fams)
 }
 
 // buildFamilies emits the exporter's own identity series: feisu_build_info
-// (constant 1, version/go labels) and feisu_uptime_seconds since Start.
-func (s *Server) buildFamilies() []metrics.Family {
+// (constant 1, version/go labels) and feisu_uptime_seconds since NewMux.
+func (h *handlers) buildFamilies() []metrics.Family {
 	info := metrics.Family{Name: "feisu_build_info", Type: metrics.TypeGauge}
 	info.Samples = append(info.Samples, metrics.Sample{
 		Labels: []metrics.Label{metrics.L("go", runtime.Version()), metrics.L("version", Version)},
 		Value:  1,
 	})
 	up := metrics.Family{Name: "feisu_uptime_seconds", Type: metrics.TypeGauge}
-	up.Samples = append(up.Samples, metrics.Sample{Value: time.Since(s.started).Seconds()})
+	up.Samples = append(up.Samples, metrics.Sample{Value: time.Since(h.started).Seconds()})
 	return []metrics.Family{info, up}
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+func (h *handlers) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.opt.Health == nil {
-		fmt.Fprintln(w, "ok")
-		return
-	}
-	h := s.opt.Health()
-	if h.Healthy() {
-		fmt.Fprintf(w, "ok: %d nodes alive\n", h.Alive)
+	health := h.m.Health()
+	if health.Healthy() {
+		fmt.Fprintf(w, "ok: %d nodes alive\n", health.Alive)
 		return
 	}
 	w.WriteHeader(http.StatusServiceUnavailable)
-	fmt.Fprintf(w, "unhealthy: %d alive, %d degraded, %d dead\n", h.Alive, h.Degraded, h.Dead)
-	for _, n := range h.Nodes {
+	fmt.Fprintf(w, "unhealthy: %d alive, %d degraded, %d dead\n", health.Alive, health.Degraded, health.Dead)
+	for _, n := range health.Nodes {
 		if n.State != cluster.StateAlive {
 			fmt.Fprintf(w, "  %s (%s): %s, last heartbeat %s ago\n", n.Name, n.Kind, n.State, n.Age.Round(time.Millisecond))
 		}
 	}
 }
 
-func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	if s.opt.Slowlog == nil {
-		if wantJSON(r) {
-			writeJSON(w, map[string]any{"enabled": false, "entries": []SlowQuery{}})
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "slowlog is not enabled")
-		return
-	}
-	entries := s.opt.Slowlog.Entries()
-	if n := queryInt(r, "n"); n > 0 && n < len(entries) {
-		entries = entries[:n] // newest first
+// handleSlowlog serves the slow-query log: the slow statements of the
+// master's ring, newest first (?n= bounds the count, ?format=json).
+func (h *handlers) handleSlowlog(w http.ResponseWriter, r *http.Request) {
+	ring := h.m.Traces()
+	slow := ring.Slow()
+	if n := queryInt(r, "n"); n > 0 && n < len(slow) {
+		slow = slow[:n]
 	}
 	if wantJSON(r) {
-		writeJSON(w, map[string]any{
-			"enabled": true,
-			"total":   s.opt.Slowlog.Total(),
-			"entries": entries,
-		})
+		writeJSON(w, map[string]any{"total": ring.SlowTotal(), "entries": slowEntries(slow)})
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "slow queries recorded: %d (showing most recent %d)\n\n",
-		s.opt.Slowlog.Total(), len(entries))
-	fmt.Fprint(w, RenderSlowlog(entries))
+	fmt.Fprintf(w, "slow queries recorded: %d (showing most recent %d)\n\n", ring.SlowTotal(), len(slow))
+	fmt.Fprint(w, RenderSlowlog(slow))
 }
 
 // handleQueries serves the live per-query progress table (?format=json for
 // the structured form) — the HTTP face of the REPL's `\watch`.
-func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
-	if s.opt.ActiveQueries == nil {
-		http.Error(w, "active-query progress is not wired", http.StatusNotFound)
-		return
-	}
-	active := s.opt.ActiveQueries()
+func (h *handlers) handleQueries(w http.ResponseWriter, r *http.Request) {
+	active := h.m.ActiveQueries()
 	if wantJSON(r) {
 		writeJSON(w, map[string]any{"active": len(active), "queries": active})
 		return
@@ -196,14 +167,10 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, cluster.RenderProgress(active))
 }
 
-// handleTrace serves finished traces: /debug/trace/ lists what the store
-// retains, /debug/trace/{id} returns one trace (by query ID or plan
+// handleTrace serves finished traces: /debug/trace/ lists what the ring
+// keeps, /debug/trace/{id} returns one trace (by query ID or plan
 // fingerprint) as Jaeger-compatible JSON, importable into the Jaeger UI.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.opt.Traces == nil {
-		http.Error(w, "trace store is not wired", http.StatusNotFound)
-		return
-	}
+func (h *handlers) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
 	if id == "" {
 		type row struct {
@@ -213,15 +180,16 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			When        time.Time     `json:"when"`
 			Wall        time.Duration `json:"wall"`
 			Sim         time.Duration `json:"sim"`
+			Slow        bool          `json:"slow"`
 		}
-		var rows []row
-		for _, t := range s.opt.Traces.Traces() {
-			rows = append(rows, row{t.QueryID, t.Fingerprint, t.SQL, t.When, t.Wall, t.Sim})
+		rows := []row{}
+		for _, t := range h.m.Traces().Traces() {
+			rows = append(rows, row{t.QueryID, t.Fingerprint, t.SQL, t.When, t.Wall, t.Sim, t.Slow})
 		}
 		writeJSON(w, map[string]any{"traces": rows})
 		return
 	}
-	t, ok := s.opt.Traces.Get(id)
+	t, ok := h.m.Traces().Get(id)
 	if !ok {
 		http.Error(w, fmt.Sprintf("no retained trace for %q", id), http.StatusNotFound)
 		return
@@ -232,29 +200,21 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // handleEvents serves the flight recorder's retained journal, newest last.
 // ?format=json returns the raw events; ?n= bounds the count (most recent
 // kept); ?query= filters by causal query ID.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if s.opt.Events == nil {
-		http.Error(w, "flight recorder is not wired", http.StatusNotFound)
-		return
-	}
-	evs := s.opt.Events.Events()
+func (h *handlers) handleEvents(w http.ResponseWriter, r *http.Request) {
+	rec := h.m.Events()
+	evs := rec.Events()
 	if q := r.URL.Query().Get("query"); q != "" {
-		evs = s.opt.Events.ForQuery(q)
+		evs = rec.ForQuery(q)
 	}
 	if n := queryInt(r, "n"); n > 0 && n < len(evs) {
 		evs = evs[len(evs)-n:]
 	}
 	if wantJSON(r) {
-		writeJSON(w, map[string]any{
-			"total":   s.opt.Events.Total(),
-			"dropped": s.opt.Events.Dropped(),
-			"events":  evs,
-		})
+		writeJSON(w, map[string]any{"total": rec.Total(), "dropped": rec.Dropped(), "events": evs})
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "events recorded: %d, overwritten: %d (showing %d)\n\n",
-		s.opt.Events.Total(), s.opt.Events.Dropped(), len(evs))
+	fmt.Fprintf(w, "events recorded: %d, overwritten: %d (showing %d)\n\n", rec.Total(), rec.Dropped(), len(evs))
 	for _, e := range evs {
 		fmt.Fprintln(w, e.String())
 	}

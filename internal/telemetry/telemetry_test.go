@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,8 +10,14 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/events"
 	"repro/internal/metrics"
+	"repro/internal/plan"
+	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/trace"
+	"repro/internal/transport"
+	"repro/internal/types"
 )
 
 func TestWriteTextFormat(t *testing.T) {
@@ -85,50 +92,6 @@ func TestWriteTextLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestSlowlogRing(t *testing.T) {
-	l := NewSlowlog(3, time.Millisecond, 0)
-	if !l.Enabled() {
-		t.Fatal("Enabled = false with a wall threshold")
-	}
-	if l.Slow(0, time.Hour) {
-		t.Error("sim threshold disabled but sim time triggered")
-	}
-	if !l.Slow(2*time.Millisecond, 0) {
-		t.Error("2ms wall should be slow at a 1ms threshold")
-	}
-	for i := 1; i <= 5; i++ {
-		l.Record(SlowQuery{SQL: fmt.Sprintf("q%d", i)})
-	}
-	if l.Total() != 5 {
-		t.Errorf("Total = %d", l.Total())
-	}
-	got := l.Entries()
-	if len(got) != 3 {
-		t.Fatalf("ring retained %d, want 3", len(got))
-	}
-	// Newest first, oldest two evicted.
-	for i, want := range []string{"q5", "q4", "q3"} {
-		if got[i].SQL != want {
-			t.Errorf("entry %d = %s, want %s", i, got[i].SQL, want)
-		}
-	}
-	if got[0].Seq != 5 || got[2].Seq != 3 {
-		t.Errorf("seqs = %d..%d, want 5..3", got[0].Seq, got[2].Seq)
-	}
-}
-
-func TestSlowlogDisabled(t *testing.T) {
-	l := NewSlowlog(4, 0, 0)
-	if l.Enabled() || l.Slow(time.Hour, time.Hour) {
-		t.Error("no thresholds: nothing is ever slow")
-	}
-	var nilLog *Slowlog
-	if nilLog.Enabled() || nilLog.Slow(1, 1) || nilLog.Entries() != nil || nilLog.Total() != 0 {
-		t.Error("nil slowlog must be inert")
-	}
-	nilLog.Record(SlowQuery{}) // must not panic
-}
-
 func TestStagesAndCountersFromTrace(t *testing.T) {
 	root := trace.New("master/query")
 	d := root.Child("master/load-dims")
@@ -167,21 +130,30 @@ func TestStagesAndCountersFromTrace(t *testing.T) {
 	}
 }
 
-// TestServerEndpoints starts the exporter on an ephemeral port and checks
-// all three endpoints end to end, including the 503 flip when a node dies.
+// TestServerEndpoints starts a master's exporter on an ephemeral port and
+// checks its endpoints end to end, including the empty trace index and the
+// 503 flip when a node dies.
 func TestServerEndpoints(t *testing.T) {
-	reg := metrics.NewRegistry()
-	reg.CounterWith("feisu_queries_total").Add(9)
+	model := sim.DefaultCostModel()
+	fabric := transport.NewFabric(transport.NewTopology(), transport.Options{})
+	m := cluster.NewMaster(cluster.MasterConfig{
+		Name:                  "master",
+		Fabric:                fabric,
+		Router:                storage.NewRouter(storage.NewMemFS("", model)),
+		Model:                 model,
+		Events:                events.New(0),
+		SlowQuerySimThreshold: time.Nanosecond,
+	})
+	schema := types.MustSchema(types.Field{Name: "id", Type: types.Int64})
+	if err := m.RegisterTable(context.Background(), &plan.TableMeta{Name: "empty", Schema: schema}); err != nil {
+		t.Fatal(err)
+	}
 
 	now := time.Unix(0, 0)
-	mgr := cluster.NewClusterManager(10 * time.Second)
-	mgr.Now = func() time.Time { return now }
-	mgr.HeartbeatLoad("leaf0", cluster.KindLeaf, cluster.LoadSnapshot{ActiveTasks: 1, IndexBytes: 2048, CacheHits: 3, CacheMisses: 1})
+	m.Manager.Now = func() time.Time { return now }
+	m.Manager.HeartbeatLoad("leaf0", cluster.KindLeaf, cluster.LoadSnapshot{ActiveTasks: 1, IndexBytes: 2048, CacheHits: 3, CacheMisses: 1})
 
-	slow := NewSlowlog(8, time.Nanosecond, 0)
-	slow.Record(SlowQuery{SQL: "SELECT slow", Wall: time.Second, When: time.Unix(0, 0)})
-
-	srv, err := Start("127.0.0.1:0", Options{Registry: reg, Health: mgr.Health, Slowlog: slow})
+	srv, err := Start("127.0.0.1:0", m, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +169,27 @@ func TestServerEndpoints(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
+	// Nothing kept yet: the trace index is an empty list, not null.
+	if code, body := get("/debug/trace/"); code != 200 || !strings.Contains(body, `"traces": []`) {
+		t.Errorf("/debug/trace/ before any query = %d %q", code, body)
+	}
+
+	// One statement: it crosses the 1ns sim threshold, so the master traces
+	// it and keeps it as slow.
+	_, stats, err := m.Submit(context.Background(), "SELECT COUNT(*) FROM empty", cluster.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	code, body := get("/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
 	}
 	for _, want := range []string{
-		"feisu_queries_total 9",
+		"feisu_queries_total 1",
+		"feisu_query_wall_seconds_count 1",
+		"feisu_query_sim_seconds_count 1",
+		"# TYPE feisu_events_recorded_total gauge",
 		`feisu_node_up{kind="leaf",node="leaf0"} 1`,
 		`feisu_node_index_bytes{kind="leaf",node="leaf0"} 2048`,
 		`feisu_node_cache_hit_ratio{kind="leaf",node="leaf0"} 0.75`,
@@ -215,14 +202,25 @@ func TestServerEndpoints(t *testing.T) {
 	if code, body = get("/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz = %d %q", code, body)
 	}
-
-	if code, body = get("/debug/slowlog"); code != 200 || !strings.Contains(body, "SELECT slow") {
+	if code, body = get("/debug/slowlog"); code != 200 || !strings.Contains(body, "SELECT COUNT(*) FROM empty") {
 		t.Errorf("/debug/slowlog = %d %q", code, body)
+	}
+	if code, body = get("/debug/slowlog?format=json"); code != 200 || !strings.Contains(body, `"total": 1`) || !strings.Contains(body, `"Stages"`) {
+		t.Errorf("/debug/slowlog?format=json = %d %q", code, body)
+	}
+	if code, body = get("/debug/trace/" + stats.QueryID); code != 200 || !strings.Contains(body, `"master/query"`) {
+		t.Errorf("/debug/trace/%s = %d %q", stats.QueryID, code, body)
+	}
+	if code, body = get("/debug/events?format=json&query=" + stats.QueryID); code != 200 || !strings.Contains(body, string(events.QueryDone)) {
+		t.Errorf("/debug/events for %s = %d %q", stats.QueryID, code, body)
+	}
+	if code, body = get("/debug/queries?format=json"); code != 200 || !strings.Contains(body, `"active": 0`) {
+		t.Errorf("/debug/queries = %d %q", code, body)
 	}
 
 	// Kill the node: /healthz flips to 503 and its load series vanish
 	// from /metrics while feisu_node_up reports 0.
-	now = now.Add(time.Minute)
+	now = now.Add(2 * time.Minute)
 	if code, body = get("/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "leaf0") {
 		t.Errorf("/healthz after death = %d %q", code, body)
 	}

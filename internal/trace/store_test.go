@@ -21,16 +21,13 @@ func storedTrace(id, fp string) StoredTrace {
 }
 
 func TestStoreRingAndLookup(t *testing.T) {
-	st := NewStore(3)
-	for i := 0; i < 5; i++ {
+	var st Store
+	for i := 0; i < StoreSize+2; i++ {
 		st.Add(storedTrace(fmt.Sprintf("q%d", i), fmt.Sprintf("fp%d", i%2)))
 	}
-	if st.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", st.Len())
-	}
 	ts := st.Traces()
-	if len(ts) != 3 || ts[0].QueryID != "q4" || ts[2].QueryID != "q2" {
-		t.Fatalf("Traces() = %v", ids(ts))
+	if len(ts) != StoreSize || ts[0].QueryID != "q129" || ts[StoreSize-1].QueryID != "q2" {
+		t.Fatalf("Traces() = %d entries, newest %s, oldest %s", len(ts), ts[0].QueryID, ts[len(ts)-1].QueryID)
 	}
 	if _, ok := st.Get("q1"); ok {
 		t.Fatal("evicted trace still resolvable")
@@ -39,26 +36,80 @@ func TestStoreRingAndLookup(t *testing.T) {
 	if !ok || got.QueryID != "q3" {
 		t.Fatalf("Get(q3) = %v, %v", got.QueryID, ok)
 	}
-	// Fingerprint lookup returns the newest match: fp0 matches q2 and q4.
+	// Fingerprint lookup returns the newest match: fp0 matches every even ID.
 	got, ok = st.Get("fp0")
-	if !ok || got.QueryID != "q4" {
-		t.Fatalf("Get(fp0) = %v, want q4", got.QueryID)
+	if !ok || got.QueryID != "q128" {
+		t.Fatalf("Get(fp0) = %v, want q128", got.QueryID)
+	}
+
+	// A full ring evicts its oldest fast entry, not an older slow one.
+	var mixed Store
+	slow := storedTrace("slow", "fpS")
+	slow.Slow = true
+	mixed.Add(slow)
+	for i := 0; i < StoreSize; i++ {
+		mixed.Add(storedTrace(fmt.Sprintf("q%d", i), "fp"))
+	}
+	if _, ok := mixed.Get("slow"); !ok {
+		t.Fatal("slow entry evicted before a fast one")
+	}
+	if _, ok := mixed.Get("q0"); ok {
+		t.Fatal("oldest fast entry kept past a full ring")
+	}
+}
+
+// TestStoreKeepsSlowFirst: over a stream of fast and slow statements, the
+// newest statement is always resolvable, and once the stream ends on a slow
+// one the ring holds exactly the newest StoreSize slow statements.
+func TestStoreKeepsSlowFirst(t *testing.T) {
+	var st Store
+	var slowIDs []string
+	fast, slow := 0, 0
+	for i := 0; fast < 200 || slow < 150; i++ {
+		// Two fast to one slow until the fast ones run out; the stream
+		// ends on slow statements.
+		isSlow := fast == 200 || (i%3 == 2 && slow < 150)
+		id := fmt.Sprintf("q%d", i)
+		e := storedTrace(id, "fp"+id)
+		e.Slow = isSlow
+		if isSlow {
+			slow++
+			slowIDs = append(slowIDs, id)
+		} else {
+			fast++
+		}
+		st.Add(e)
+		if got, ok := st.Get(id); !ok || got.QueryID != id {
+			t.Fatalf("newest entry %s not resolvable", id)
+		}
+	}
+	kept := st.Slow()
+	if len(kept) != StoreSize {
+		t.Fatalf("kept %d slow entries, want %d", len(kept), StoreSize)
+	}
+	for i, e := range kept {
+		if want := slowIDs[len(slowIDs)-1-i]; e.QueryID != want {
+			t.Fatalf("slow entry %d = %s, want %s (newest first)", i, e.QueryID, want)
+		}
+	}
+	if got := st.SlowTotal(); got != 150 {
+		t.Fatalf("SlowTotal = %d, want 150", got)
 	}
 }
 
 func TestStoreNilSafe(t *testing.T) {
 	var st *Store
 	st.Add(storedTrace("q", "fp"))
-	if st.Len() != 0 || st.Traces() != nil {
+	if st.Traces() != nil || st.Slow() != nil || st.SlowTotal() != 0 {
 		t.Fatal("nil store retained something")
 	}
 	if _, ok := st.Get("q"); ok {
 		t.Fatal("nil store resolved a trace")
 	}
 	// A trace without a root span is ignored.
-	st2 := NewStore(2)
-	st2.Add(StoredTrace{QueryID: "q"})
-	if st2.Len() != 0 {
+	var st2 Store
+	st2.Add(StoredTrace{QueryID: "q", Slow: true})
+	if len(st2.Traces()) != 0 || st2.SlowTotal() != 0 {
 		t.Fatal("rootless trace retained")
 	}
 }
@@ -114,12 +165,4 @@ func TestToJaegerShape(t *testing.T) {
 	if doc2 := ToJaeger(storedTrace("q7", "fpX")); doc2.Data[0].TraceID != tr.TraceID {
 		t.Error("trace ID not stable across exports")
 	}
-}
-
-func ids(ts []StoredTrace) []string {
-	out := make([]string, len(ts))
-	for i, t := range ts {
-		out[i] = t.QueryID
-	}
-	return out
 }

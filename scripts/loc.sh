@@ -2,6 +2,8 @@
 # loc.sh — non-test Go lines per package and for the root module: the number
 # ROADMAP gates quote ("internal/cluster non-test LoC down"). Plain `wc -l`
 # over *.go minus *_test.go; bench/ is its own module and is not counted.
+# internal/clustertest and internal/sqltest are imported only by tests, so
+# their lines are also shown apart, with the total less them.
 # Then the knob counts simplicity gates quote: the fields of the
 # user-settable config structs, public and internal (one per name, so
 # `A, B int` counts two; an empty `struct{}` counts zero) and the number of
@@ -14,10 +16,13 @@ find "${1:-.}" -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.
 	xargs wc -l | awk '
 		$2 == "total" { next }
 		{ dir = $2; sub(/\/[^\/]*$/, "", dir); sub(/^\.\//, "", dir); n[dir] += $1; all += $1 }
+		dir == "internal/clustertest" || dir == "internal/sqltest" { testonly += $1 }
 		END {
 			for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"
 			close("sort -k2")
 			printf "%7d  total\n", all
+			printf "%7d  test-only packages (internal/clustertest, internal/sqltest)\n", testonly
+			printf "%7d  total without the test-only packages\n", all - testonly
 		}'
 
 # fields FILE TYPE LABEL prints the number of fields of struct TYPE in FILE.

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 func scrape(t *testing.T, url string) (int, string) {
@@ -90,7 +92,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 
 	// Slowlog: every query crossed the 1ns wall threshold and carries a
 	// per-stage breakdown from its trace.
-	entries := sys.Slowlog().Entries()
+	entries := sys.Traces().Slow()
 	if len(entries) != 3 {
 		t.Fatalf("slowlog entries = %d, want 3", len(entries))
 	}
@@ -99,15 +101,15 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Errorf("slowlog entry incomplete: %+v", top)
 	}
 	var stageNames []string
-	for _, st := range top.Stages {
+	for _, st := range telemetry.StagesFromTrace(top.Root) {
 		stageNames = append(stageNames, st.Name)
 	}
 	joined := strings.Join(stageNames, ",")
 	if !strings.Contains(joined, "master/execute") || !strings.Contains(joined, "leaf tasks") {
 		t.Errorf("stages = %v", stageNames)
 	}
-	if top.Counters["rows.scanned"] == 0 {
-		t.Errorf("slowlog counters missing rows.scanned: %v", top.Counters)
+	if counters := telemetry.CountersFromTrace(top.Root); counters["rows.scanned"] == 0 {
+		t.Errorf("slowlog counters missing rows.scanned: %v", counters)
 	}
 	if code, body = scrape(t, srv.URL()+"/debug/slowlog"); code != 200 || !strings.Contains(body, "SELECT COUNT(*)") {
 		t.Errorf("/debug/slowlog = %d %q", code, body)
@@ -192,7 +194,7 @@ func TestTelemetryScrapeDoesNotBlockQueries(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := sys.Slowlog().Total(); got != 30 {
+	if got := sys.Traces().SlowTotal(); got != 30 {
 		t.Errorf("slowlog total = %d, want 30", got)
 	}
 	if _, body := scrape(t, srv.URL()+"/metrics"); !strings.Contains(body, "feisu_queries_total 30") {
