@@ -1,4 +1,4 @@
-.PHONY: build test race vet verify bench pairs figures loc
+.PHONY: build test race vet verify bench pairs counted figures loc
 
 build:
 	go build ./...
@@ -27,6 +27,12 @@ bench:
 #   make pairs W=scan_hot [N=10] [SEED=1] [BASE=<commit>]
 pairs:
 	./scripts/bench-pairs.sh $(W) $(or $(N),10) $(or $(SEED),1)
+
+# counted reads the benchmark's counted metrics (allocations, rows, column
+# reads, tasks, ratios) on every workload and rewrites BENCH_counted.json;
+# CHECK=1 compares them with the file instead and fails past a bound.
+counted:
+	./scripts/counted.sh $(if $(CHECK),--check)
 
 # figures regenerates the paper's §VI tables and figures in simulated time
 # (shapes only; speed is `make bench`).
