@@ -520,7 +520,7 @@ func New(cfg Config) (*System, error) {
 		// chaos plane's own per-site sequence is deterministic; the bridge
 		// keeps each chaos site distinct ("chaos/<site>").
 		plane.SetSink(func(e chaos.Event) {
-			sys.events.Emit("chaos/"+e.Site, events.Kind(events.ChaosPrefix+e.Kind), "", -1, e.Detail)
+			sys.events.Emit("chaos/"+e.Site, uint64(e.Seq), events.Kind(events.ChaosPrefix+e.Kind), "", -1, e.Detail)
 		})
 		// Arm the interceptor only after boot: the initial heartbeat round
 		// that registers every worker must not itself be dropped, or the

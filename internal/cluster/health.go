@@ -122,6 +122,10 @@ func (m *ClusterManager) HeartbeatLoad(name string, kind WorkerKind, load LoadSn
 		m.workers[name] = w
 	}
 	recovered := w.suspect
+	if recovered {
+		w.flips++
+	}
+	seq := w.flips
 	w.kind = kind
 	w.lastBeat = m.Now()
 	w.active = load.ActiveTasks
@@ -129,7 +133,7 @@ func (m *ClusterManager) HeartbeatLoad(name string, kind WorkerKind, load LoadSn
 	w.suspect = false // a beat proves the worker reachable again
 	m.mu.Unlock()
 	if recovered {
-		m.Events.Emit("worker/"+name, events.WorkerRecovered, "", -1, "heartbeat resumed")
+		m.Events.Emit("worker/"+name, seq, events.WorkerRecovered, "", -1, "heartbeat resumed")
 	}
 }
 

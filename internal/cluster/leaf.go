@@ -32,8 +32,10 @@ type LeafServer struct {
 	// Model prices remote reads and the shuffle messages the leaf sends;
 	// nil disables both bills.
 	Model *sim.CostModel
-	// Events, when set, journals task executions into the flight recorder.
+	// Events, when set, journals task executions into the flight recorder,
+	// on the leaf's own site "leaf/<Name>", which seq numbers.
 	Events *events.Recorder
+	seq    atomic.Uint64
 
 	// stall is a per-task pause in nanoseconds (straggler fault injection),
 	// atomic because the chaos controller flips it while tasks run.
@@ -85,8 +87,9 @@ func (l *LeafServer) handle(ctx context.Context, from string, payload any) (any,
 
 // runBatch executes a batch's tasks one after another on the caller's
 // goroutine, each scanning its blocks in order; a leaf's parallelism is the
-// batches it serves at once. A failed task is reported in its own slot; the
-// rest of the batch still runs.
+// batches it serves at once. Each plan of the batch is bound once, on its
+// first task; a task then brings only its partition. A failed task is
+// reported in its own slot; the rest of the batch still runs.
 //
 // A scatter batch under a pushed-down LIMIT L runs in ascending ordinal and
 // hands each task only the rows still missing: L less the rows the tasks
@@ -114,6 +117,7 @@ func (l *LeafServer) runBatch(ctx context.Context, b *taskBatch) batchReply {
 		first, step = len(b.Tasks)-1, -1
 	}
 	counting, have := limit >= 0, int64(0)
+	var bound []boundPlan
 	for i := first; 0 <= i && i < len(b.Tasks); i += step {
 		l.queued.Add(-1)
 		task := b.Tasks[i]
@@ -122,11 +126,15 @@ func (l *LeafServer) runBatch(ctx context.Context, b *taskBatch) batchReply {
 			taskSpanAt(ctx, i).Count("limit.skipped", 1)
 			continue
 		}
+		scan, err := l.bindOnce(&bound, task.Plan)
 		if counting && have > 0 {
 			p := *task.Plan
 			p.ScanLimit, task.Plan = limit-have, &p
 		}
-		if err := l.runTask(ctx, b, i, task, &reply.Tasks[i]); err != nil {
+		if err == nil {
+			err = l.runTask(ctx, b, i, task, scan, &reply.Tasks[i])
+		}
+		if err != nil {
 			reply.Tasks[i] = taskReply{Status: taskStatus{Err: err.Error()}}
 			counting = false
 		} else if counting {
@@ -134,6 +142,27 @@ func (l *LeafServer) runBatch(ctx context.Context, b *taskBatch) batchReply {
 		}
 	}
 	return reply
+}
+
+// boundPlan is a plan of a batch bound for its tasks (exec.Bind): a batch
+// carries one scatter plan, or a repartition join's two sides. A plan that
+// fails to bind fails each of its tasks with the same error.
+type boundPlan struct {
+	plan *plan.PhysicalPlan
+	scan *exec.Scanner
+	err  error
+}
+
+// bindOnce returns p bound, binding it on its first task in the batch.
+func (l *LeafServer) bindOnce(bound *[]boundPlan, p *plan.PhysicalPlan) (*exec.Scanner, error) {
+	for _, b := range *bound {
+		if b.plan == p {
+			return b.scan, b.err
+		}
+	}
+	scan, err := exec.Bind(p, l.Reader, l.Index, l.Model)
+	*bound = append(*bound, boundPlan{p, scan, err})
+	return scan, err
 }
 
 // taskSpanAt returns the attempt span of the batch's task i that the stem
@@ -145,11 +174,11 @@ func taskSpanAt(ctx context.Context, i int) *trace.Span {
 	return nil
 }
 
-// runTask executes task, the batch's task i, into reply under its
-// TaskTimeout and its attempt span, billing simulated I/O to a private bill.
-// A scatter task returns its result; a map task ships it to the reducers and
-// returns the transfer accounting.
-func (l *LeafServer) runTask(ctx context.Context, b *taskBatch, i int, task plan.TaskSpec, reply *taskReply) error {
+// runTask executes task, the batch's task i, on its bound plan into reply
+// under its TaskTimeout and its attempt span, billing simulated I/O to a
+// private bill. A scatter task returns its result; a map task ships it to
+// the reducers and returns the transfer accounting.
+func (l *LeafServer) runTask(ctx context.Context, b *taskBatch, i int, task plan.TaskSpec, scan *exec.Scanner, reply *taskReply) error {
 	if span := taskSpanAt(ctx, i); span != nil {
 		ctx = trace.NewContext(ctx, span)
 	}
@@ -171,7 +200,7 @@ func (l *LeafServer) runTask(ctx context.Context, b *taskBatch, i int, task plan
 		return ctx.Err()
 	}
 	bill := sim.NewBill()
-	res, err := exec.RunTaskModel(storage.WithBill(ctx, bill), task, l.Reader, l.Index, l.Model)
+	res, err := scan.Run(storage.WithBill(ctx, bill), task)
 	if err != nil {
 		return err
 	}
@@ -188,15 +217,14 @@ func (l *LeafServer) runTask(ctx context.Context, b *taskBatch, i int, task plan
 			return err
 		}
 		if journal {
-			l.Events.EmitSim(events.TaskSite(b.QueryID, task.Ordinal), events.ShuffleMap,
-				b.QueryID, task.Ordinal, bill.Time(),
+			l.Events.EmitSim("leaf/"+l.Name, l.seq.Add(1), events.ShuffleMap, b.QueryID, task.Ordinal, bill.Time(),
 				fmt.Sprintf("%s side=%s attempt=%d rows=%d", l.Name, b.Sides[task.Ordinal], b.Attempt, rows))
 		}
 		return nil
 	}
 	if journal && b.Attempt > 0 { // a first attempt is summed up by task.done
-		l.Events.EmitSim(events.TaskSite(b.QueryID, task.Ordinal), events.LeafExec,
-			b.QueryID, task.Ordinal, bill.Time(), l.Name+" "+task.Partition.Path)
+		l.Events.EmitSim("leaf/"+l.Name, l.seq.Add(1), events.LeafExec, b.QueryID, task.Ordinal, bill.Time(),
+			l.Name+" "+task.Partition.Path)
 	}
 	reply.Result, reply.Size = res, res.EstimateBytes()
 	return nil

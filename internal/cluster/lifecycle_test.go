@@ -131,7 +131,10 @@ func TestTaskLifecycleCharacterisation(t *testing.T) {
 // lifecycleWant is the digest each statement produced, clean and with task 1
 // retried. A task that ran once journals one task.done; only a task that
 // retried keeps the full chain — task.scheduled, task.dispatched,
-// task.retry, the backup's leaf.exec, task.collected — before its task.done.
+// task.retry, task.collected — before its task.done. Leaves and reducers
+// journal on sites of their own: a leaf's leaf.exec (a backup's execution)
+// and shuffle.map on "leaf/<name>", a reducer's commit of a map task on
+// "task/<query>#<ordinal>@<reducer>".
 // The sim and scan times are those of tasks that read their blocks one after
 // another: every partition has four 32-row blocks, and each column a block
 // reads costs one 8 ms HDD seek after the footer's two (DESIGN.md "One scan
@@ -145,45 +148,76 @@ task/q000001#1: task.done
 task/q000001#2: task.done
 `,
 	"scatter/retried": `tasks=3 backup=1 failed=0 sim=148025535 scan=144021172 bytes=[hdd:2480] spill=0
+leaf/leaf0: leaf.exec
 query/q000001: query.submit query.admitted query.done
 task/q000001#0: task.done
-task/q000001#1: task.scheduled task.dispatched task.retry leaf.exec task.collected task.done
+task/q000001#1: task.scheduled task.dispatched task.retry task.collected task.done
 task/q000001#2: task.done
 `,
 	"group-shuffle/clean": `tasks=3 backup=0 failed=0 sim=164246932 scan=160015763 bytes=[hdd:2732] spill=0
+leaf/leaf0: shuffle.map shuffle.map
+leaf/leaf1: shuffle.map
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
 shuffle/q000001#p2: shuffle.reduce
-task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
-task/q000001#1: shuffle.commit shuffle.commit shuffle.map task.done
-task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
+task/q000001#0: task.done
+task/q000001#0@stem0: shuffle.commit
+task/q000001#0@stem1: shuffle.commit
+task/q000001#1: task.done
+task/q000001#1@stem0: shuffle.commit
+task/q000001#1@stem1: shuffle.commit
+task/q000001#2: task.done
+task/q000001#2@stem0: shuffle.commit
+task/q000001#2@stem1: shuffle.commit
 `,
 	"group-shuffle/retried": `tasks=3 backup=1 failed=0 sim=244254861 scan=240023692 bytes=[hdd:2732] spill=0
+leaf/leaf0: shuffle.map shuffle.map shuffle.map
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
 shuffle/q000001#p2: shuffle.reduce
-task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
-task/q000001#1: task.scheduled task.dispatched task.retry shuffle.commit shuffle.commit shuffle.map task.collected task.done
-task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
+task/q000001#0: task.done
+task/q000001#0@stem0: shuffle.commit
+task/q000001#0@stem1: shuffle.commit
+task/q000001#1: task.scheduled task.dispatched task.retry task.collected task.done
+task/q000001#1@stem0: shuffle.commit
+task/q000001#1@stem1: shuffle.commit
+task/q000001#2: task.done
+task/q000001#2@stem0: shuffle.commit
+task/q000001#2@stem1: shuffle.commit
 `,
 	"repartition-join/clean": `tasks=3 backup=0 failed=0 sim=132058815 scan=128016055 bytes=[hdd:2826] spill=0
+leaf/leaf0: shuffle.map shuffle.map
+leaf/leaf1: shuffle.map
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
 shuffle/q000001#p2: shuffle.reduce
-task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
-task/q000001#1: shuffle.commit shuffle.commit shuffle.map task.done
-task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
+task/q000001#0: task.done
+task/q000001#0@stem0: shuffle.commit
+task/q000001#0@stem1: shuffle.commit
+task/q000001#1: task.done
+task/q000001#1@stem0: shuffle.commit
+task/q000001#1@stem1: shuffle.commit
+task/q000001#2: task.done
+task/q000001#2@stem0: shuffle.commit
+task/q000001#2@stem1: shuffle.commit
 `,
 	"repartition-join/retried": `tasks=3 backup=1 failed=0 sim=212067288 scan=208024528 bytes=[hdd:2826] spill=0
+leaf/leaf0: shuffle.map shuffle.map shuffle.map
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
 shuffle/q000001#p1: shuffle.reduce
 shuffle/q000001#p2: shuffle.reduce
-task/q000001#0: shuffle.commit shuffle.commit shuffle.map task.done
-task/q000001#1: task.scheduled task.dispatched task.retry shuffle.commit shuffle.commit shuffle.map task.collected task.done
-task/q000001#2: shuffle.commit shuffle.commit shuffle.map task.done
+task/q000001#0: task.done
+task/q000001#0@stem0: shuffle.commit
+task/q000001#0@stem1: shuffle.commit
+task/q000001#1: task.scheduled task.dispatched task.retry task.collected task.done
+task/q000001#1@stem0: shuffle.commit
+task/q000001#1@stem1: shuffle.commit
+task/q000001#2: task.done
+task/q000001#2@stem0: shuffle.commit
+task/q000001#2@stem1: shuffle.commit
 `,
 }

@@ -36,6 +36,9 @@ type workerState struct {
 	// suspect marks a worker an unreachable dispatch flagged before its
 	// heartbeat lapses; cleared by the next heartbeat.
 	suspect bool
+	// flips numbers the suspect/recovered transitions: the events of the
+	// worker's "worker/<name>" site.
+	flips uint64
 }
 
 // livenessWindow is a master's liveness window: a worker whose last
@@ -92,13 +95,15 @@ func (m *ClusterManager) AliveWorkers(kind WorkerKind) []string {
 func (m *ClusterManager) MarkSuspect(name string) {
 	m.mu.Lock()
 	w, ok := m.workers[name]
-	flipped := ok && !w.suspect
-	if ok {
+	flipped, seq := ok && !w.suspect, uint64(0)
+	if flipped {
 		w.suspect = true
+		w.flips++
+		seq = w.flips
 	}
 	m.mu.Unlock()
 	if flipped {
-		m.Events.Emit("worker/"+name, events.WorkerSuspect, "", -1, "dispatch unreachable")
+		m.Events.Emit("worker/"+name, seq, events.WorkerSuspect, "", -1, "dispatch unreachable")
 	}
 }
 

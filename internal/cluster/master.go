@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/auth"
 	"repro/internal/events"
@@ -120,6 +122,8 @@ type Master struct {
 	// /debug/queries; qidSeq assigns causal query IDs.
 	progress *ProgressRegistry
 	qidSeq   atomic.Uint64
+	// catalogSeq numbers the events of the "catalog" site.
+	catalogSeq atomic.Uint64
 	// traces keeps finished traced statements, slow ones first; latWall and
 	// latSim are feisu_query_wall_seconds and feisu_query_sim_seconds.
 	traces          trace.Store
@@ -320,11 +324,15 @@ func (m *Master) RegisterTable(ctx context.Context, meta *plan.TableMeta) error 
 	}
 	op, superseded := m.Jobs.RegisterTable(meta)
 	for _, old := range superseded {
+		if !m.cfg.Events.Enabled() {
+			break
+		}
 		to := "retired"
 		if i := slices.IndexFunc(op.Table.Partitions, func(p plan.PartitionMeta) bool { return p.Path == old.Path }); i >= 0 {
 			to = strconv.FormatUint(op.Table.Partitions[i].Gen, 10)
 		}
-		m.cfg.Events.Emit("catalog", events.IngestInvalidate, "", -1, meta.Name+" "+old.Path+" "+strconv.FormatUint(old.Gen, 10)+"→"+to)
+		m.cfg.Events.Emit("catalog", m.catalogSeq.Add(1), events.IngestInvalidate, "", -1,
+			meta.Name+" "+old.Path+" "+strconv.FormatUint(old.Gen, 10)+"→"+to)
 	}
 	m.mu.Lock()
 	backups := append([]string(nil), m.backups...)
@@ -350,13 +358,29 @@ func servedTrace(name, attr, value string, rows int) *trace.Span {
 }
 
 // trimSQL collapses query text onto one line and truncates it for event
-// details (the full SQL lives in the progress registry and slowlog).
+// details (the full SQL lives in the progress registry and slowlog): past 80
+// bytes it keeps what fits in 77, cut between runes, and adds "...".
 func trimSQL(sql string) string {
-	sql = strings.Join(strings.Fields(sql), " ")
-	if len(sql) > 80 {
-		sql = sql[:77] + "..."
+	out, cut, space := make([]byte, 0, min(len(sql), 81)), 0, false
+	for _, r := range sql {
+		if unicode.IsSpace(r) {
+			space = len(out) > 0
+			continue
+		}
+		if len(out) <= 77 {
+			cut = len(out)
+		}
+		if space {
+			out, space = append(out, ' '), false
+			if len(out) <= 77 {
+				cut = len(out)
+			}
+		}
+		if out = utf8.AppendRune(out, r); len(out) > 80 {
+			return string(append(out[:cut], "..."...))
+		}
 	}
-	return sql
+	return string(out)
 }
 
 // textResult wraps multi-line text (a plan description, a rendered trace)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/cache"
 	"repro/internal/exec"
@@ -323,5 +324,35 @@ func TestConcurrentTracedQueriesOneLeaf(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatalf("concurrent traced query failed: %v", err)
+	}
+}
+
+// TestTrimSQLCutsBetweenRunes: query.submit's detail is the statement on one
+// line, cut at 77 bytes past 80, and always valid UTF-8 — a multi-byte
+// literal that straddles byte 77 is cut before the rune, not inside it (as
+// /debug/events JSON it would read U+FFFD).
+func TestTrimSQLCutsBetweenRunes(t *testing.T) {
+	sql := "SELECT COUNT(*)\n\tFROM t   WHERE names = '" + strings.Repeat("é", 30) + "' AND x > 1"
+	collapsed := strings.Join(strings.Fields(sql), " ")
+	if len(collapsed) <= 80 || utf8.RuneStart(collapsed[77]) {
+		t.Fatalf("byte 77 of %q does not fall inside a rune", collapsed)
+	}
+	got := trimSQL(sql)
+	if !utf8.ValidString(got) {
+		t.Fatalf("trimSQL = %q: not valid UTF-8", got)
+	}
+	kept, ok := strings.CutSuffix(got, "...")
+	if !ok || len(kept) != 76 || !strings.HasPrefix(collapsed, kept) {
+		t.Fatalf("trimSQL = %q, want the collapsed statement's first 76 bytes (the last whole rune before byte 77) and ...", got)
+	}
+	for in, want := range map[string]string{
+		"  SELECT\n 1  ":        "SELECT 1",
+		strings.Repeat("x", 80): strings.Repeat("x", 80),
+		strings.Repeat("x", 81): strings.Repeat("x", 77) + "...",
+		"SELECT 'é'   FROM t":   "SELECT 'é' FROM t",
+	} {
+		if got := trimSQL(in); got != want {
+			t.Errorf("trimSQL(%q) = %q, want %q", in, got, want)
+		}
 	}
 }

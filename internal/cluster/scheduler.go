@@ -11,8 +11,9 @@ import (
 	"repro/internal/transport"
 )
 
-// Locator resolves a partition path to the nodes holding a replica of it.
-// *storage.Router implements it; tests inject fixed placements.
+// Locator resolves a partition path to the nodes holding a replica of it,
+// in a slice the caller only reads. *storage.Router implements it; tests
+// inject fixed placements.
 type Locator interface {
 	Locations(path string) []string
 }
@@ -61,17 +62,18 @@ type JobScheduler struct {
 //  2. otherwise the candidate minimizing (network distance to the nearest
 //     holder, load, name).
 func (s *JobScheduler) Place(task plan.TaskSpec, exclude map[string]bool) (string, error) {
-	return s.place(task, s.Manager.AliveWorkers(KindLeaf), exclude)
-}
-
-// place is Place over a given snapshot of the alive leaves.
-func (s *JobScheduler) place(task plan.TaskSpec, alive []string, exclude map[string]bool) (string, error) {
-	candidates := make([]string, 0, len(alive))
+	alive := s.Manager.AliveWorkers(KindLeaf) // a fresh slice: filtered in place
+	candidates := alive[:0]
 	for _, l := range alive {
 		if !exclude[l] {
 			candidates = append(candidates, l)
 		}
 	}
+	return s.place(task, candidates)
+}
+
+// place is Place over the candidate leaves, which it only reads.
+func (s *JobScheduler) place(task plan.TaskSpec, candidates []string) (string, error) {
 	if len(candidates) == 0 {
 		return "", fmt.Errorf("cluster: no available leaf server for %s", task.Partition.Path)
 	}
@@ -199,12 +201,13 @@ func affinityPick(path string, pool, holders []string) (string, bool) {
 // (ReleaseTask, once per task) — they are the dispatch-side half of the
 // per-leaf slot accounting, so concurrent queries planning against the same
 // fleet see each other's assignments. On error nothing stays charged. The
-// alive leaves are read once, for the whole statement.
+// alive leaves are read once, for the whole statement, and are every task's
+// candidates: nothing is excluded from a first placement.
 func (s *JobScheduler) PlanAll(tasks []plan.TaskSpec) (map[int]string, error) {
 	assign := make(map[int]string, len(tasks))
 	alive := s.Manager.AliveWorkers(KindLeaf)
 	for _, t := range tasks {
-		leaf, err := s.place(t, alive, nil)
+		leaf, err := s.place(t, alive)
 		if err != nil {
 			for _, l := range assign {
 				s.Manager.AddInflight(l, -1)

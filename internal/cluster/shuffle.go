@@ -217,8 +217,12 @@ func (s *StemServer) handleShuffle(from string, msg shuffleMsg) (any, error) {
 		return shuffleAck{}, nil
 	}
 	ex.committed[so] = &msg
-	s.Events.Emit(events.TaskSite(msg.QueryID, msg.Ordinal), events.ShuffleCommit, msg.QueryID, msg.Ordinal,
-		fmt.Sprintf("side=%s attempt=%d from %s @ %s", msg.Side, msg.Attempt, from, s.Name))
+	// The commit's site is the (map task, reducer) pair's, and a reducer
+	// commits a map task once: its one event.
+	if s.Events.Enabled() {
+		s.Events.Emit(events.TaskSite(msg.QueryID, msg.Ordinal)+"@"+s.Name, 1, events.ShuffleCommit, msg.QueryID, msg.Ordinal,
+			fmt.Sprintf("side=%s attempt=%d from %s @ %s", msg.Side, msg.Attempt, from, s.Name))
+	}
 	return shuffleAck{}, nil
 }
 
@@ -278,9 +282,12 @@ func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceM
 	for k, pi := range parts {
 		part := func(side string, ord int) shufflePart { return committed[shuffleSideOrd{side, ord}].Parts[k] }
 		partBill := sim.NewBill()
-		site := fmt.Sprintf("shuffle/%s#p%d", msg.QueryID, pi)
+		// The partition's site is this reducer's alone: it numbers the
+		// partition's spills and then its reduce.
+		site, seq := fmt.Sprintf("shuffle/%s#p%d", msg.QueryID, pi), uint64(0)
 		billing := exec.ShuffleBilling{Model: s.Model, Bill: partBill, OnSpill: func(n int64) {
-			s.Events.Emit(site, events.ShuffleSpill, msg.QueryID, pi, fmt.Sprintf("%d bytes @ %s", n, s.Name))
+			seq++
+			s.Events.Emit(site, seq, events.ShuffleSpill, msg.QueryID, pi, fmt.Sprintf("%d bytes @ %s", n, s.Name))
 		}}
 		var res *exec.TaskResult
 		var inBytes int64
@@ -333,7 +340,7 @@ func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceM
 			if res.Groups != nil {
 				rows = len(res.Groups.M)
 			}
-			s.Events.EmitSim(site, events.ShuffleReduce, msg.QueryID, pi, partSim[pi],
+			s.Events.EmitSim(site, seq+1, events.ShuffleReduce, msg.QueryID, pi, partSim[pi],
 				fmt.Sprintf("%s rows=%d", s.Name, rows))
 		}
 		merged = exec.MergeResults(msg.Plan, merged, res)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/auth"
@@ -29,6 +30,7 @@ type statement struct {
 	start time.Time
 	qid   string
 	qsite string // the statement's flight-recorder site, "query/<qid>"
+	qseq  uint64 // the events journaled on qsite
 	stats *QueryStats
 
 	cred auth.Credential // guard
@@ -37,6 +39,13 @@ type statement struct {
 	prog *progressHandle // admit
 	root *trace.Span     // admit: nil unless the statement is traced
 	bill *sim.Bill       // loadDims: what the master itself read
+
+	// runTasks, while the recorder is on: each task's flight-recorder site
+	// ("task/<qid>#<ordinal>") and the events journaled on it. A task's
+	// entries are written by the goroutine that holds the task: its group's,
+	// then the collector's.
+	tsites []string
+	tseq   []uint64
 
 	// What close gives back, each set by the stage that took it.
 	unguard func()             // guard: the entry guard's quota
@@ -56,7 +65,9 @@ func (m *Master) Submit(ctx context.Context, sql string, opts QueryOptions) (res
 	qid := fmt.Sprintf("q%06d", m.qidSeq.Add(1))
 	q := &statement{m: m, sql: sql, opts: opts, start: time.Now(),
 		qid: qid, qsite: "query/" + qid, stats: &QueryStats{QueryID: qid}}
-	m.cfg.Events.Emit(q.qsite, events.QuerySubmit, qid, -1, trimSQL(sql))
+	if m.cfg.Events.Enabled() {
+		q.journal(events.QuerySubmit, 0, trimSQL(sql))
+	}
 	defer func() { q.close(res, err) }()
 	if res, err = q.run(ctx); err != nil {
 		return nil, nil, err
@@ -131,11 +142,22 @@ func (q *statement) close(res *exec.Result, err error) {
 	switch {
 	case err == nil: // every stage that answers hands back a result
 		q.file()
-		m.cfg.Events.EmitSim(q.qsite, events.QueryDone, q.qid, -1, q.stats.SimTime, fmt.Sprintf("rows=%d", len(res.Rows)))
+		if m.cfg.Events.Enabled() {
+			q.journal(events.QueryDone, q.stats.SimTime, "rows="+strconv.Itoa(len(res.Rows)))
+		}
 	case errors.As(err, &over):
-		m.cfg.Events.Emit(q.qsite, events.QueryShed, q.qid, -1, q.opts.Priority.String())
+		q.journal(events.QueryShed, 0, q.opts.Priority.String())
 	default:
-		m.cfg.Events.Emit(q.qsite, events.QueryError, q.qid, -1, err.Error())
+		q.journal(events.QueryError, 0, err.Error())
+	}
+}
+
+// journal records one event on the statement's query site, which the
+// statement numbers.
+func (q *statement) journal(kind events.Kind, sim time.Duration, detail string) {
+	if ev := q.m.cfg.Events; ev.Enabled() {
+		q.qseq++
+		ev.EmitSim(q.qsite, q.qseq, kind, q.qid, -1, sim, detail)
 	}
 }
 
@@ -240,7 +262,7 @@ func (q *statement) probeCache() *exec.Result {
 	if outcome == resultcache.SubsumedHit {
 		kind = events.CacheSubsumed
 	}
-	q.m.cfg.Events.Emit(q.qsite, kind, q.qid, -1, q.p.Fingerprint)
+	q.journal(kind, 0, q.p.Fingerprint)
 	if q.opts.Trace {
 		q.stats.Trace = servedTrace("master/result-cache", "status", outcome.String(), len(res.Rows))
 	}
@@ -281,7 +303,7 @@ func (q *statement) flight(ctx context.Context) (*exec.Result, error) {
 	// Every task is accounted as reused.
 	q.stats.Tasks, q.stats.ReusedTasks = f.tasks, f.tasks
 	m.Jobs.Reused.Add(int64(f.tasks))
-	m.cfg.Events.Emit(q.qsite, events.QueryFollowed, q.qid, -1, f.leader)
+	q.journal(events.QueryFollowed, 0, f.leader)
 	if q.opts.Trace {
 		q.stats.Trace = servedTrace("master/flight", "leader", f.leader, len(res.Rows))
 	}
@@ -306,9 +328,9 @@ func (q *statement) admit(ctx context.Context) (context.Context, error) {
 	q.slot = slot
 	q.stats.QueueWait = wait
 	if wait > 0 {
-		m.cfg.Events.Emit(q.qsite, events.QueryQueued, q.qid, -1, class)
+		q.journal(events.QueryQueued, 0, class)
 	}
-	m.cfg.Events.Emit(q.qsite, events.QueryAdmitted, q.qid, -1, class)
+	q.journal(events.QueryAdmitted, 0, class)
 	q.prog.update(func(p *QueryProgress) { p.State, p.QueueWait = "running", wait })
 	if m.queueWait != nil {
 		m.queueWait.Observe(wait.Seconds())

@@ -73,37 +73,60 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 	s.active.Add(int32(len(job.Tasks)))
 	defer s.active.Add(-int32(len(job.Tasks)))
 	var span *trace.Span
-	if job.Batch.Exchange == "" { // map tasks hang off the master's shuffle-map span: no stem ran them
+	if job.Batch.Exchange == "" && trace.FromContext(ctx) != nil { // map tasks hang off the master's shuffle-map span: no stem ran them
 		ctx, span = trace.StartSpan(ctx, "stem/"+s.Name)
 		defer span.Finish()
 		span.Count("tasks", int64(len(job.Tasks)))
 	}
 	s.tasks.Add(int64(len(job.Tasks)))
-	// Job positions and attempt spans by leaf. The spans are created here,
-	// serially in job order, so a trace lists task#N by ordinal however the
-	// leaves answer.
-	leaves, batches, spans := []string(nil), [][]int(nil), [][]*trace.Span(nil)
-	for i, task := range job.Tasks {
-		leaf := job.Assign[task.Ordinal]
-		b := slices.Index(leaves, leaf)
-		if b < 0 {
-			b, leaves, batches, spans = len(leaves), append(leaves, leaf), append(batches, nil), append(spans, nil)
+	// Job positions grouped by leaf, the leaves in the order they first
+	// appear, and the attempt spans at the same places. The spans are
+	// created here, serially in job order, so a trace lists task#N by
+	// ordinal however the leaves answer.
+	n := len(job.Tasks)
+	leaves, pos, ends := make([]string, 0, min(n, 8)), make([]int, 0, n), make([]int, 0, min(n, 8))
+	for _, task := range job.Tasks {
+		if leaf := job.Assign[task.Ordinal]; !slices.Contains(leaves, leaf) {
+			leaves = append(leaves, leaf)
 		}
-		batches[b] = append(batches[b], i)
-		if sp := taskSpan(ctx, task.Ordinal, leaf); sp != nil {
-			spans[b] = append(spans[b], sp)
+	}
+	for _, leaf := range leaves {
+		for i, task := range job.Tasks {
+			if job.Assign[task.Ordinal] == leaf {
+				pos = append(pos, i)
+			}
+		}
+		ends = append(ends, len(pos))
+	}
+	var spans []*trace.Span // by place in pos; nil untraced
+	if trace.FromContext(ctx) != nil {
+		byJob := make([]*trace.Span, n)
+		for i, task := range job.Tasks {
+			byJob[i] = taskSpan(ctx, task.Ordinal, job.Assign[task.Ordinal])
+		}
+		spans = make([]*trace.Span, n)
+		for k, i := range pos {
+			spans[k] = byJob[i]
 		}
 	}
 	// Every batch writes its own slots; the fold below runs after wg.Wait.
-	results := make([]*exec.TaskResult, len(job.Tasks))
-	status := make([]taskStatus, len(job.Tasks))
+	results := make([]*exec.TaskResult, n)
+	status := make([]taskStatus, n)
 	var wg sync.WaitGroup
 	for b, leaf := range leaves {
+		from, to := 0, ends[b]
+		if b > 0 {
+			from = ends[b-1]
+		}
+		var bspans []*trace.Span
+		if spans != nil {
+			bspans = spans[from:to]
+		}
 		wg.Add(1)
-		go func(pos []int) {
+		go func() {
 			defer wg.Done()
-			s.attempt(ctx, &job, leaf, pos, spans[b], results, status)
-		}(batches[b])
+			s.attempt(ctx, &job, leaf, pos[from:to], bspans, results, status)
+		}()
 	}
 	wg.Wait()
 	// Fold in job order (ascending ordinal), never in arrival order: float

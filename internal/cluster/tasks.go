@@ -61,6 +61,9 @@ func (q *statement) runTasks(ctx context.Context, job stemJobMsg) (groups []grou
 		return nil, false, err
 	}
 	job.Batch.QueryID = q.qid
+	if m.cfg.Events.Enabled() {
+		q.tsites, q.tseq = events.TaskSites(q.qid, len(tasks)), make([]uint64, len(tasks))
+	}
 
 	// Each group's goroutine sends exactly one groupDone and the channel
 	// holds them all, so a collector that gave up at the deadline strands
@@ -83,10 +86,9 @@ func (q *statement) runTasks(ctx context.Context, job stemJobMsg) (groups []grou
 		select {
 		case g := <-results:
 			groups = append(groups, g)
+			q.account(g.tasks)
 			for i := range g.tasks {
-				d := &g.tasks[i]
-				q.account(d)
-				if d.OK {
+				if d := &g.tasks[i]; d.OK {
 					completed++
 					busy[d.Leaf] += d.SimTime
 					scan[d.Leaf] += d.ScanSim
@@ -127,9 +129,9 @@ func (q *statement) runGroup(ctx context.Context, stemName string, job stemJobMs
 		}
 		if !d.OK {
 			d.Leaf = job.Assign[t.Ordinal]
-			site := events.TaskSite(q.qid, t.Ordinal) // a failed task journals its full chain
-			m.cfg.Events.Emit(site, events.TaskScheduled, q.qid, t.Ordinal, d.Leaf)
-			m.cfg.Events.Emit(site, events.TaskDispatched, q.qid, t.Ordinal, d.Leaf+" via "+stemName)
+			// A failed task journals its full chain.
+			q.journalTask(t.Ordinal, events.TaskScheduled, 0, d.Leaf)
+			q.journalTask(t.Ordinal, events.TaskDispatched, 0, d.Leaf+" via "+stemName)
 			res = q.retryTask(ctx, &job, t, &d)
 		}
 		g.merged = exec.MergeResults(job.Plan, g.merged, res)
@@ -141,39 +143,71 @@ func (q *statement) runGroup(ctx context.Context, stemName string, job stemJobMs
 	results <- g
 }
 
-// account books one task's terminal outcome into the statement's stats, the
-// journal and the progress entry. Every task journals one task.done; one
-// that took a backup task first closes its full chain with task.collected.
-func (q *statement) account(d *taskDone) {
-	stats, ev := q.stats, q.m.cfg.Events
-	site, detail := "", ""
-	if ev.Enabled() {
-		site, detail = events.TaskSite(q.qid, d.ordinal), d.Leaf+" rows="+strconv.Itoa(d.Rows)
-		if len(d.tried) > 0 {
-			detail += " attempts=" + strings.Join(append(d.tried, d.Leaf), ",")
+// account books a group's terminal task outcomes into the statement's
+// stats, the journal and the progress entry. Every task journals one
+// task.done; one that took a backup task first closes its full chain with
+// task.collected.
+func (q *statement) account(tasks []taskDone) {
+	stats, details := q.stats, q.doneDetails(tasks)
+	for i := range tasks {
+		d, detail := &tasks[i], ""
+		if details != nil {
+			detail = details[i]
 		}
-	}
-	if !d.OK {
-		stats.TasksFailed++
-		stats.TaskErrors = append(stats.TaskErrors, TaskError{Ordinal: d.ordinal, Leaf: d.Leaf, Err: d.Err})
-		ev.Emit(site, events.TaskPartial, q.qid, d.ordinal, d.Err)
-	} else {
-		stats.BackupTasks += d.backups
-		d.DevBytes.AddTo(stats.BytesByDevice)
-		if d.backups > 0 {
-			ev.EmitSim(site, events.TaskCollected, q.qid, d.ordinal, d.SimTime, detail)
-		}
-	}
-	ev.EmitSim(site, events.TaskDone, q.qid, d.ordinal, d.SimTime, detail)
-	q.prog.update(func(p *QueryProgress) {
 		if !d.OK {
-			p.TasksFailed++
+			stats.TasksFailed++
+			stats.TaskErrors = append(stats.TaskErrors, TaskError{Ordinal: d.ordinal, Leaf: d.Leaf, Err: d.Err})
+			q.journalTask(d.ordinal, events.TaskPartial, 0, d.Err)
 		} else {
-			p.TasksDone++
-			p.Rows += int64(d.Rows)
+			stats.BackupTasks += d.backups
+			d.DevBytes.AddTo(stats.BytesByDevice)
+			if d.backups > 0 {
+				q.journalTask(d.ordinal, events.TaskCollected, d.SimTime, detail)
+			}
 		}
-		p.TasksRetried += d.backups
-	})
+		q.journalTask(d.ordinal, events.TaskDone, d.SimTime, detail)
+		q.prog.update(func(p *QueryProgress) {
+			if !d.OK {
+				p.TasksFailed++
+			} else {
+				p.TasksDone++
+				p.Rows += int64(d.Rows)
+			}
+			p.TasksRetried += d.backups
+		})
+	}
+}
+
+// doneDetails renders the task.done details of a group's tasks, "<leaf>
+// rows=<n>" and the leaves of the attempts a backup followed, cut from one
+// string; nil while the recorder is off.
+func (q *statement) doneDetails(tasks []taskDone) []string {
+	if q.tsites == nil {
+		return nil
+	}
+	buf, ends := make([]byte, 0, 24*len(tasks)), make([]int, len(tasks)+1)
+	for i, d := range tasks {
+		buf = strconv.AppendInt(append(append(buf, d.Leaf...), " rows="...), int64(d.Rows), 10)
+		if len(d.tried) > 0 {
+			buf = append(append(append(buf, " attempts="...), strings.Join(d.tried, ",")...), ',')
+			buf = append(buf, d.Leaf...)
+		}
+		ends[i+1] = len(buf)
+	}
+	details, all := make([]string, len(tasks)), string(buf)
+	for i := range details {
+		details[i] = all[ends[i]:ends[i+1]]
+	}
+	return details
+}
+
+// journalTask records one event on the task's site, which the statement
+// numbers.
+func (q *statement) journalTask(ordinal int, kind events.Kind, sim time.Duration, detail string) {
+	if ev := q.m.cfg.Events; q.tsites != nil && ev.Enabled() {
+		q.tseq[ordinal]++
+		ev.EmitSim(q.tsites[ordinal], q.tseq[ordinal], kind, q.qid, ordinal, sim, detail)
+	}
 }
 
 // scatter runs a statement that is not repartitioned, folds its groups and
@@ -246,8 +280,7 @@ func (q *statement) retryTask(ctx context.Context, job *stemJobMsg, t plan.TaskS
 		}
 		d.backups++
 		m.Retries.Inc()
-		m.cfg.Events.Emit(events.TaskSite(q.qid, t.Ordinal), events.TaskRetry,
-			q.qid, t.Ordinal, fmt.Sprintf("attempt %d on %s: %s", attempt+1, leaf, d.Err))
+		q.journalTask(t.Ordinal, events.TaskRetry, 0, fmt.Sprintf("attempt %d on %s: %s", attempt+1, leaf, d.Err))
 		one.Batch.Attempt = attempt + 1
 		res, st := []*exec.TaskResult{nil}, []taskStatus{{}}
 		m.localStem.attempt(ctx, &one, leaf, []int{0}, []*trace.Span{taskSpan(ctx, t.Ordinal, leaf)}, res, st)

@@ -70,6 +70,10 @@ type BlockMeta struct {
 type FileMeta struct {
 	Schema *types.Schema
 	Blocks []BlockMeta
+	// BlockIDs name the blocks for the caches above the store. The reader
+	// that caches the footer sets them once, before it shares the footer;
+	// they are nil on a footer nobody cached.
+	BlockIDs []string
 }
 
 // Writer accumulates rows into blocks and produces a serialized partition

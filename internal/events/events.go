@@ -11,19 +11,20 @@
 // cost model's units.
 //
 // Determinism is the design constraint carried over from internal/chaos:
-// every event names an emitting *site* and receives a per-site sequence
-// number under the recorder's lock. Sites are chosen fine-grained enough
-// (one per task lifecycle, one per chaos decision stream, one per cache)
-// that the (site, seq)-sorted journal of a seeded run is reproducible even
-// though goroutine interleaving varies — the property the flight-recorder
-// determinism test locks in.
+// every event names an emitting *site* and carries its position on that
+// site, numbered by the site's one emitter (a statement numbers its query
+// site and its tasks' sites; a cache, the catalog, a worker's manager entry,
+// a leaf and the chaos plane number theirs). Sites are chosen fine-grained
+// enough that the (site, seq)-sorted journal of a seeded run is reproducible
+// even though goroutine interleaving varies — the property the
+// flight-recorder determinism test locks in.
 //
 // The recorder itself is a fixed-capacity ring guarded by a mutex whose
-// critical section is a few stores (assign sequence numbers, copy one
-// struct); when the ring wraps, the oldest entry is overwritten and a drop
-// counter advances so readers know the journal is truncated. All methods
-// are nil-safe and Record is a no-op while the recorder is disabled, so
-// instrumented code never needs to guard call sites.
+// critical section stores one struct and holds no per-site state; when the
+// ring wraps, the oldest entry is overwritten and a drop counter advances so
+// readers know the journal is truncated. All methods are nil-safe and Record
+// is a no-op while the recorder is disabled, so instrumented code never
+// needs to guard call sites.
 package events
 
 import (
@@ -96,9 +97,8 @@ type Event struct {
 	// journal as it happened on this host; it is NOT stable across runs.
 	Seq uint64 `json:"seq"`
 	// Site names the emitting decision stream; SiteSeq is the event's
-	// 1-based position within it (counted anew once the ring retains none
-	// of the site's events). The (Site, SiteSeq) order of a seeded run is
-	// deterministic.
+	// 1-based position within it, numbered by the site's emitter. The
+	// (Site, SiteSeq) order of a seeded run is deterministic.
 	Site    string `json:"site"`
 	SiteSeq uint64 `json:"siteSeq"`
 
@@ -139,11 +139,10 @@ type Recorder struct {
 	total   atomic.Uint64 // events accepted (including overwritten)
 	dropped atomic.Uint64 // events overwritten by ring wrap
 
-	mu    sync.Mutex
-	ring  []Event
-	next  int  // ring slot for the next event
-	wrap  bool // ring has wrapped at least once
-	sites map[string]uint64
+	mu   sync.Mutex
+	ring []Event
+	next int  // ring slot for the next event
+	wrap bool // ring has wrapped at least once
 }
 
 // DefaultCapacity is the journal size used when New is given n <= 0.
@@ -155,10 +154,7 @@ func New(n int) *Recorder {
 	if n <= 0 {
 		n = DefaultCapacity
 	}
-	r := &Recorder{
-		ring:  make([]Event, n),
-		sites: make(map[string]uint64),
-	}
+	r := &Recorder{ring: make([]Event, n)}
 	r.enabled.Store(true)
 	return r
 }
@@ -169,17 +165,16 @@ func (r *Recorder) Enabled() bool {
 }
 
 // SetEnabled flips recording on or off. Disabled recorders drop events
-// before taking the lock — the state read is a single atomic load, which is
-// what the flightrec overhead experiment measures against.
+// before taking the lock, on a single atomic load.
 func (r *Recorder) SetEnabled(on bool) {
 	if r != nil {
 		r.enabled.Store(on)
 	}
 }
 
-// Record journals one event, assigning its global and per-site sequence
-// numbers and stamping Wall if unset. Safe on nil and while disabled (both
-// no-ops).
+// Record journals one event as its emitter numbered it (SiteSeq), assigning
+// its global sequence number and stamping Wall if unset. Safe on nil and
+// while disabled (both no-ops).
 func (r *Recorder) Record(e Event) {
 	if r == nil || !r.enabled.Load() {
 		return
@@ -193,34 +188,24 @@ func (r *Recorder) Record(e Event) {
 	r.mu.Lock()
 	if r.wrap {
 		r.dropped.Add(1)
-		// A site whose last retained event is being overwritten has nothing
-		// left to order against: drop its counter, or the map grows by one
-		// entry per query and per task for the life of the process.
-		if old := r.ring[r.next]; r.sites[old.Site] == old.SiteSeq {
-			delete(r.sites, old.Site)
-		}
 	}
-	r.sites[e.Site]++
-	e.SiteSeq = r.sites[e.Site]
 	e.Seq = r.total.Add(1)
 	r.ring[r.next] = e
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.wrap = true
-	}
+	r.next = (r.next + 1) % len(r.ring)
+	r.wrap = r.wrap || r.next == 0
 	r.mu.Unlock()
 }
 
-// Emit is the common-case Record: site, kind, causal IDs and a detail
-// string. Pass task < 0 for query-scoped events.
-func (r *Recorder) Emit(site string, kind Kind, query string, task int, detail string) {
-	r.Record(Event{Site: site, Kind: kind, Query: query, Task: task, Detail: detail})
+// Emit is the common-case Record: the site and the event's number on it,
+// kind, causal IDs and a detail string. Pass task < 0 for query-scoped
+// events.
+func (r *Recorder) Emit(site string, seq uint64, kind Kind, query string, task int, detail string) {
+	r.Record(Event{Site: site, SiteSeq: seq, Kind: kind, Query: query, Task: task, Detail: detail})
 }
 
 // EmitSim is Emit with a simulated-time charge attached.
-func (r *Recorder) EmitSim(site string, kind Kind, query string, task int, sim time.Duration, detail string) {
-	r.Record(Event{Site: site, Kind: kind, Query: query, Task: task, Sim: sim, Detail: detail})
+func (r *Recorder) EmitSim(site string, seq uint64, kind Kind, query string, task int, sim time.Duration, detail string) {
+	r.Record(Event{Site: site, SiteSeq: seq, Kind: kind, Query: query, Task: task, Sim: sim, Detail: detail})
 }
 
 // Events returns the retained journal in arrival (global Seq) order,
@@ -289,4 +274,18 @@ func (r *Recorder) Dropped() uint64 {
 // journal deterministic even when sibling tasks race.
 func TaskSite(query string, ordinal int) string {
 	return "task/" + query + "#" + strconv.Itoa(ordinal)
+}
+
+// TaskSites is TaskSite for ordinals 0 to n-1, cut from one string.
+func TaskSites(query string, n int) []string {
+	buf, ends := make([]byte, 0, n*(len(query)+9)), make([]int, n+1)
+	for i := range n {
+		buf = strconv.AppendInt(append(append(append(buf, "task/"...), query...), '#'), int64(i), 10)
+		ends[i+1] = len(buf)
+	}
+	sites, all := make([]string, n), string(buf)
+	for i := range sites {
+		sites[i] = all[ends[i]:ends[i+1]]
+	}
+	return sites
 }

@@ -11,8 +11,8 @@ import (
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(Event{Site: "x", Kind: QuerySubmit})
-	r.Emit("x", QueryDone, "q1", -1, "")
-	r.EmitSim("x", TaskCollected, "q1", 0, time.Millisecond, "")
+	r.Emit("x", 1, QueryDone, "q1", -1, "")
+	r.EmitSim("x", 2, TaskCollected, "q1", 0, time.Millisecond, "")
 	r.SetEnabled(true)
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
@@ -27,10 +27,10 @@ func TestNilRecorderIsSafe(t *testing.T) {
 
 func TestRecordAssignsSequences(t *testing.T) {
 	r := New(8)
-	r.Emit("master", QuerySubmit, "q1", -1, "")
-	r.Emit("master", QueryAdmitted, "q1", -1, "")
-	r.Emit(TaskSite("q1", 0), TaskScheduled, "q1", 0, "leaf0")
-	r.Emit("master", QueryDone, "q1", -1, "rows=1")
+	r.Emit("master", 1, QuerySubmit, "q1", -1, "")
+	r.Emit("master", 2, QueryAdmitted, "q1", -1, "")
+	r.Emit(TaskSite("q1", 0), 1, TaskScheduled, "q1", 0, "leaf0")
+	r.Emit("master", 3, QueryDone, "q1", -1, "rows=1")
 
 	evs := r.Events()
 	if len(evs) != 4 {
@@ -58,7 +58,7 @@ func TestRecordAssignsSequences(t *testing.T) {
 func TestRingOverwritesOldestAndCountsDrops(t *testing.T) {
 	r := New(4)
 	for i := 0; i < 10; i++ {
-		r.Emit("s", QuerySubmit, fmt.Sprintf("q%d", i), -1, "")
+		r.Emit("s", uint64(i+1), QuerySubmit, fmt.Sprintf("q%d", i), -1, "")
 	}
 	evs := r.Events()
 	if len(evs) != 4 {
@@ -81,12 +81,12 @@ func TestRingOverwritesOldestAndCountsDrops(t *testing.T) {
 func TestDisabledRecorderDrops(t *testing.T) {
 	r := New(4)
 	r.SetEnabled(false)
-	r.Emit("s", QuerySubmit, "q1", -1, "")
+	r.Emit("s", 1, QuerySubmit, "q1", -1, "")
 	if r.Total() != 0 || len(r.Events()) != 0 {
 		t.Fatal("disabled recorder accepted an event")
 	}
 	r.SetEnabled(true)
-	r.Emit("s", QuerySubmit, "q2", -1, "")
+	r.Emit("s", 2, QuerySubmit, "q2", -1, "")
 	if r.Total() != 1 {
 		t.Fatal("re-enabled recorder dropped an event")
 	}
@@ -98,8 +98,8 @@ func TestCanonicalOrderIndependentOfArrival(t *testing.T) {
 	build := func(order []int) []Event {
 		r := New(16)
 		streams := [][]Event{
-			{{Site: "a", Kind: QuerySubmit}, {Site: "a", Kind: QueryDone}},
-			{{Site: "b", Kind: TaskScheduled, Task: 0}, {Site: "b", Kind: TaskCollected, Task: 0}},
+			{{Site: "a", SiteSeq: 1, Kind: QuerySubmit}, {Site: "a", SiteSeq: 2, Kind: QueryDone}},
+			{{Site: "b", SiteSeq: 1, Kind: TaskScheduled, Task: 0}, {Site: "b", SiteSeq: 2, Kind: TaskCollected, Task: 0}},
 		}
 		idx := []int{0, 0}
 		for _, s := range order {
@@ -126,9 +126,9 @@ func TestCanonicalOrderIndependentOfArrival(t *testing.T) {
 
 func TestForQuery(t *testing.T) {
 	r := New(16)
-	r.Emit("m", QuerySubmit, "q1", -1, "")
-	r.Emit("m", QuerySubmit, "q2", -1, "")
-	r.Emit(TaskSite("q1", 0), TaskCollected, "q1", 0, "")
+	r.Emit("m", 1, QuerySubmit, "q1", -1, "")
+	r.Emit("m", 2, QuerySubmit, "q2", -1, "")
+	r.Emit(TaskSite("q1", 0), 1, TaskCollected, "q1", 0, "")
 	got := r.ForQuery("q1")
 	if len(got) != 2 {
 		t.Fatalf("ForQuery(q1) = %d events, want 2", len(got))
@@ -161,7 +161,7 @@ func TestConcurrentRecordKeepsInvariants(t *testing.T) {
 			defer wg.Done()
 			site := fmt.Sprintf("site%d", g)
 			for i := 0; i < per; i++ {
-				r.Emit(site, TaskDispatched, "q1", i, "")
+				r.Emit(site, uint64(i+1), TaskDispatched, "q1", i, "")
 			}
 		}(g)
 	}
@@ -183,27 +183,26 @@ func TestConcurrentRecordKeepsInvariants(t *testing.T) {
 }
 
 // TestSiteCountersBoundedByRing: every query and every task is its own
-// site, so a long-lived master emits over an unbounded set of them. A site's
-// counter must go when the ring overwrites the site's last retained event —
-// the map then never outgrows the ring — and a site that comes back after
-// that starts again at 1 without breaking per-site order among what is
-// retained.
+// site, so a long-lived master emits over an unbounded set of them. The
+// recorder keeps no per-site state — each site's emitter numbers its own
+// events — so all it holds is the ring, per-site order among what it retains
+// is the emitters' order, and a long-lived site seen rarely keeps its
+// emitter's count across everything the ring forgot.
 func TestSiteCountersBoundedByRing(t *testing.T) {
 	const capacity = 256
 	r := New(capacity)
+	var rescache uint64
 	for i := 0; i < 100000; i++ {
 		site := fmt.Sprintf("query/q%06d", i)
-		r.Emit(site, QuerySubmit, "", -1, "")
-		r.Emit(site, QueryDone, "", -1, "")
+		r.Emit(site, 1, QuerySubmit, "", -1, "")
+		r.Emit(site, 2, QueryDone, "", -1, "")
 		if i%1000 == 999 {
-			r.Emit("rescache", CacheStore, "", -1, "") // a long-lived site, seen rarely
+			rescache++
+			r.Emit("rescache", rescache, CacheStore, "", -1, "") // a long-lived site, seen rarely
 		}
 	}
-	r.mu.Lock()
-	n := len(r.sites)
-	r.mu.Unlock()
-	if n > capacity {
-		t.Fatalf("%d site counters retained for a %d-event ring", n, capacity)
+	if n := len(r.Events()); n != capacity {
+		t.Fatalf("%d events retained by a %d-event ring", n, capacity)
 	}
 	last := map[string]uint64{}
 	for _, e := range r.Canonical() {
@@ -212,7 +211,20 @@ func TestSiteCountersBoundedByRing(t *testing.T) {
 		}
 		last[e.Site] = e.SiteSeq
 	}
-	if last["rescache"] != 1 {
-		t.Errorf("rescache restarted at %d, want 1: its earlier events all left the ring", last["rescache"])
+	if last["rescache"] != 100 {
+		t.Errorf("rescache's retained event is its %dth, want its 100th: the emitter's count", last["rescache"])
+	}
+}
+
+// TestTaskSites: the task sites a statement renders at once are TaskSite's.
+func TestTaskSites(t *testing.T) {
+	sites := TaskSites("q000042", 12)
+	if len(sites) != 12 {
+		t.Fatalf("%d sites, want 12", len(sites))
+	}
+	for i, s := range sites {
+		if s != TaskSite("q000042", i) {
+			t.Errorf("site %d = %q, want %q", i, s, TaskSite("q000042", i))
+		}
 	}
 }

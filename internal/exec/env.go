@@ -106,22 +106,7 @@ func evalBinary(x *sqlparser.BinaryExpr, env Env) (types.Value, error) {
 		if err != nil {
 			return types.Value{}, err
 		}
-		var b bool
-		switch x.Op {
-		case sqlparser.OpEq:
-			b = cmp == 0
-		case sqlparser.OpNe:
-			b = cmp != 0
-		case sqlparser.OpLt:
-			b = cmp < 0
-		case sqlparser.OpLe:
-			b = cmp <= 0
-		case sqlparser.OpGt:
-			b = cmp > 0
-		case sqlparser.OpGe:
-			b = cmp >= 0
-		}
-		return types.NewBool(b), nil
+		return types.NewBool(x.Op.Holds(cmp)), nil
 	case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv, sqlparser.OpMod:
 		return evalArith(x.Op, l, r)
 	default:
@@ -138,11 +123,11 @@ func evalLogic(x *sqlparser.BinaryExpr, env Env) (types.Value, error) {
 	if !l.IsNull() && l.T != types.Bool {
 		return types.Value{}, fmt.Errorf("exec: %s over %s", x.Op, l.T)
 	}
-	if x.Op == sqlparser.OpAnd && !l.IsNull() && !l.B {
-		return types.NewBool(false), nil
-	}
-	if x.Op == sqlparser.OpOr && !l.IsNull() && l.B {
-		return types.NewBool(true), nil
+	// The decisive value — FALSE for AND, TRUE for OR — on either side
+	// decides; otherwise a NULL makes the result unknown.
+	decisive := x.Op == sqlparser.OpOr
+	if !l.IsNull() && l.B == decisive {
+		return types.NewBool(decisive), nil
 	}
 	r, err := Eval(x.R, env)
 	if err != nil {
@@ -151,24 +136,13 @@ func evalLogic(x *sqlparser.BinaryExpr, env Env) (types.Value, error) {
 	if !r.IsNull() && r.T != types.Bool {
 		return types.Value{}, fmt.Errorf("exec: %s over %s", x.Op, r.T)
 	}
-	switch {
-	case x.Op == sqlparser.OpAnd:
-		if !r.IsNull() && !r.B {
-			return types.NewBool(false), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return types.NullValue(), nil
-		}
-		return types.NewBool(true), nil
-	default: // OR
-		if !r.IsNull() && r.B {
-			return types.NewBool(true), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return types.NullValue(), nil
-		}
-		return types.NewBool(false), nil
+	if !r.IsNull() && r.B == decisive {
+		return types.NewBool(decisive), nil
 	}
+	if l.IsNull() || r.IsNull() {
+		return types.NullValue(), nil
+	}
+	return types.NewBool(!decisive), nil
 }
 
 func evalArith(op sqlparser.BinaryOp, l, r types.Value) (types.Value, error) {

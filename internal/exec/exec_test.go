@@ -597,6 +597,7 @@ func TestCorruptFooterIsRetriedNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	part := plan.PartitionMeta{Path: "/p"}
+	want.BlockIDs = BlockIDs(part, len(want.Blocks)) // the reader names the blocks of what it caches
 	if _, err := reader.Meta(ctx, part); !errors.Is(err, colstore.ErrChecksum) {
 		t.Fatalf("corrupt footer: err = %v, want ErrChecksum", err)
 	}

@@ -136,7 +136,7 @@ func TestAtomImpossibleBoundaries(t *testing.T) {
 
 // impossible binds the atom as a task would and asks atomImpossible.
 func impossible(a plan.Atom, st colstore.Stats) bool {
-	t := &scanner{plan: &plan.PhysicalPlan{FactCols: []string{a.Col}}}
+	t := &Scanner{plan: &plan.PhysicalPlan{FactCols: []string{a.Col}}}
 	return atomImpossible(&t.bindClause(plan.Clause{Atoms: []plan.Atom{a}}).atoms[0], &st)
 }
 
@@ -144,7 +144,7 @@ func impossible(a plan.Atom, st colstore.Stats) bool {
 // impossible and nothing opaque hides in it.
 func TestClauseImpossible(t *testing.T) {
 	_, stats := pruneColumn([]int64{2, 4, 7}, nil)
-	s := &scanner{plan: &plan.PhysicalPlan{FactCols: []string{"c"}}, ords: []int{0}}
+	s := &Scanner{plan: &plan.PhysicalPlan{FactCols: []string{"c"}}, ords: []int{0}}
 	bm := &colstore.BlockMeta{Stats: colstore.BlockStats{NumRows: 3, Columns: []colstore.Stats{stats}}}
 
 	bound := func(cl plan.Clause) *scanClause {

@@ -17,8 +17,9 @@ const footerBound = 64 << 20
 
 // StoreReader reads partition metadata and column chunks through the common
 // storage layer with range reads, caching one footer per path with the
-// generation it was read at (footers are immutable per generation — the
-// leaf's light-weight process holds them, paper §III-B). Footers are not
+// generation it was read at and the block ids rendered at it (footers are
+// immutable per generation — the leaf's light-weight process holds them,
+// paper §III-B). Footers are not
 // small: each carries every block's stats, bloom filters included, so the
 // least recently used leave once their encoded lengths pass footerBound.
 type StoreReader struct {
@@ -84,6 +85,7 @@ func (sr *StoreReader) Meta(ctx context.Context, part plan.PartitionMeta) (*cols
 	if err != nil {
 		return nil, fmt.Errorf("exec: %s: %w", path, err)
 	}
+	meta.BlockIDs = BlockIDs(part, len(meta.Blocks))
 	sr.mu.Lock()
 	if old := sr.metas[path]; old == nil || old.gen <= part.Gen {
 		sr.drop(path)

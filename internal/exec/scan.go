@@ -137,12 +137,22 @@ func RunTask(ctx context.Context, task plan.TaskSpec, reader PartitionReader, id
 
 // RunTaskModel is RunTask with a cost model: when non-nil, predicate
 // evaluation over fetched column bytes is charged as CPU scan time. Leaves
-// pass their model; local/test paths pass nil. The task's blocks are scanned
-// in order on the caller's goroutine: a leaf's parallelism is its many tasks,
-// not stripes of one.
+// pass their model; local/test paths pass nil. It binds for just this task.
 func RunTaskModel(ctx context.Context, task plan.TaskSpec, reader PartitionReader, idx IndexSource, model *sim.CostModel) (*TaskResult, error) {
-	p := task.Plan
-	if p.ScanLimit == 0 { // LIMIT 0 wants no row: read nothing
+	s, err := Bind(task.Plan, reader, idx, model)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(ctx, task)
+}
+
+// Run executes one task of the bound plan. The task's plan is the bound one
+// or a shallow copy of it: Run reads only its ScanLimit. The task's blocks
+// are scanned in order on the caller's goroutine: a leaf's parallelism is its
+// many tasks, not stripes of one.
+func (s *Scanner) Run(ctx context.Context, task plan.TaskSpec) (*TaskResult, error) {
+	limit := task.Plan.ScanLimit
+	if limit == 0 { // LIMIT 0 wants no row: read nothing
 		return &TaskResult{}, nil
 	}
 	// The scan span collects the per-task breakdown behind EXPLAIN
@@ -151,28 +161,28 @@ func RunTaskModel(ctx context.Context, task plan.TaskSpec, reader PartitionReade
 	ctx, span := trace.StartSpan(ctx, "scan")
 	span.SetAttr("partition", task.Partition.Path)
 	defer span.Finish()
-	s, err := newScanner(ctx, task, reader, idx, model)
-	if err != nil {
+	if err := s.begin(ctx, task.Partition, limit); err != nil {
 		return nil, err
 	}
 	res := &TaskResult{}
-	if p.Mode == plan.ModeAgg {
-		res.Groups = NewGroups(len(p.Aggs))
+	if s.plan.Mode == plan.ModeAgg {
+		res.Groups = NewGroups(len(s.plan.Aggs))
 	}
 	// Per-block partials merged in block order, so float aggregation order
 	// is fixed by the file. A pushed-down LIMIT stops mid-stream and gathers
-	// every block into one partial.
-	var part blockPartial
+	// every block into one partial, the scanner's own.
+	part := &s.part
 	for bi, done := 0, false; bi < len(s.meta.Blocks) && !done; bi++ {
-		if done, err = s.scanBlock(bi, &part); err != nil {
+		var err error
+		if done, err = s.scanBlock(bi); err != nil {
 			return nil, err
 		}
-		if p.ScanLimit < 0 {
-			res.fold(&part)
-			part = blockPartial{}
+		if limit < 0 {
+			res.fold(part)
+			*part = blockPartial{}
 		}
 	}
-	res.fold(&part)
+	res.fold(part)
 	span.Count("blocks.total", res.Stats.BlocksTotal)
 	span.Count("blocks.pruned", res.Stats.BlocksPruned)
 	span.Count("blocks.shortcircuit", res.Stats.ShortCircuits)
@@ -210,24 +220,21 @@ func (r *TaskResult) fold(part *blockPartial) {
 	}
 }
 
-// scanner scans one task. newScanner resolves what it can once per task, so
-// that the per-block and per-row loops look nothing up and render nothing.
-// The scanner holds the block and row being scanned and is the Env of every
-// expression the task evaluates: the current fact row plus the dimension
-// rows matched to it.
-type scanner struct {
-	ctx    context.Context
+// Scanner is a plan bound for a leaf batch's tasks, which it runs one at a
+// time: Bind resolves once what the plan alone decides (filter atoms and
+// bloom keys, bindings, dimension hash tables), and Run adds a task's
+// partition, footer and LIMIT. Its scratch is reused from task to task;
+// nothing that reaches a TaskResult is. It is the Env of every expression a
+// task evaluates: the current fact row plus the dimension rows matched to it.
+type Scanner struct {
 	plan   *plan.PhysicalPlan
-	path   string
-	meta   *colstore.FileMeta
 	reader PartitionReader
 	idx    IndexSource
 	obs    ColumnObserver // idx, when it also indexes raw columns
 	model  *sim.CostModel // nil: predicate CPU time is not billed
 	fact   string
 
-	blockIDs  []string // SmartIndex block ids, by block ordinal
-	ords      []int    // position in plan.FactCols -> file ordinal
+	// bound once per plan
 	filter    []scanClause
 	ungrouped bool // agg mode with no GROUP BY, dims or post filter
 	countStar bool // ungrouped, and every aggregate is COUNT(*)
@@ -236,25 +243,33 @@ type scanner struct {
 	keys      []boundExpr // agg mode: group-by keys
 	args      []boundExpr // agg mode: aggregate arguments, aligned with plan.Aggs
 
-	// per-block state
+	// per task
+	ctx      context.Context
+	path     string
+	meta     *colstore.FileMeta
+	blockIDs []string // SmartIndex block ids, by block ordinal
+	ords     []int    // position in plan.FactCols -> file ordinal
+	limit    int64    // the task's pushed-down LIMIT, -1 for none
+	slabs    groupSlabs
+	part     blockPartial // what the block being scanned yields
+
+	// per block
 	block   int
 	cols    []*colstore.Column // by FactCols position; nil until fetched
-	part    *blockPartial
-	sel     bitmap.Bitmap // the block's selection vector
-	slabs   groupSlabs    // where the blocks' new groups come from
-	keyVals []types.Value // group-by or join key of the current row
-	keyBuf  []byte        // its encoding
+	sel     bitmap.Bitmap      // the block's selection vector
+	keyVals []types.Value      // group-by or join key of the current row
+	keyBuf  []byte             // its encoding
 
-	// per-row state
+	// per row
 	row     int
 	dimRows []int // per dimension: the matched row, -1 while none is bound
 }
 
 // colPos returns the fact column's position in plan.FactCols, or -1: the
-// per-task ordinal table is the (short) column list itself.
-func (s *scanner) colPos(name string) int { return slices.Index(s.plan.FactCols, name) }
+// ordinal table is the (short) column list itself.
+func (s *Scanner) colPos(name string) int { return slices.Index(s.plan.FactCols, name) }
 
-// scanAtom is a filter atom resolved for the task.
+// scanAtom is a filter atom resolved for the plan.
 type scanAtom struct {
 	plan.Atom        // as planned, negation intact
 	col       int    // position in plan.FactCols, -1 for an unknown column
@@ -267,7 +282,7 @@ type scanClause struct {
 }
 
 // boundExpr is an output expression, aggregate argument, group-by or join
-// key bound once per task: a plain fact column to its FactCols position, read
+// key bound once per plan: a plain fact column to its FactCols position, read
 // from the block's typed slices; anything else to Eval over the scanner.
 type boundExpr struct {
 	col  int // -1: evaluate expr
@@ -282,39 +297,11 @@ type dimTable struct {
 	binding  string
 }
 
-// newScanner resolves the task and returns its scanner.
-func newScanner(ctx context.Context, task plan.TaskSpec, reader PartitionReader, idx IndexSource, model *sim.CostModel) (*scanner, error) {
-	p, part, path := task.Plan, task.Partition, task.Partition.Path
-	meta, err := reader.Meta(ctx, part)
-	if err != nil {
-		return nil, fmt.Errorf("exec: meta %s: %w", path, err)
-	}
-	s := &scanner{ctx: ctx, plan: p, path: path, meta: meta, reader: reader, idx: idx, model: model, fact: p.Fact().Ref.Binding()}
+// Bind resolves the plan for the tasks that will Run on the scanner.
+func Bind(p *plan.PhysicalPlan, reader PartitionReader, idx IndexSource, model *sim.CostModel) (*Scanner, error) {
+	s := &Scanner{plan: p, reader: reader, idx: idx, model: model, fact: p.Fact().Ref.Binding()}
 	s.obs, _ = idx.(ColumnObserver)
-	s.cols = make([]*colstore.Column, len(p.FactCols))
-	s.ords = make([]int, len(p.FactCols))
-	for i, name := range p.FactCols {
-		if s.ords[i] = meta.Schema.Index(name); s.ords[i] < 0 {
-			return nil, fmt.Errorf("exec: partition %s lacks column %q", path, name)
-		}
-	}
-	if nb := len(meta.Blocks); idx != nil {
-		// Block ids are "<path>#<gen>#<block>", so a rewritten file's blocks
-		// never meet its predecessor's entries (Invalidate(path+"#") releases
-		// every generation), cut from one rendering of them all.
-		var genBuf [20]byte
-		gen := strconv.AppendUint(genBuf[:0], part.Gen, 10)
-		all, ends := make([]byte, 0, nb*(len(path)+len(gen)+5)), make([]int, nb+1)
-		for bi := 0; bi < nb; bi++ {
-			all = append(append(append(append(all, path...), '#'), gen...), '#')
-			all = strconv.AppendInt(all, int64(bi), 10)
-			ends[bi+1] = len(all)
-		}
-		s.blockIDs = make([]string, nb)
-		for bi, str := 0, string(all); bi < nb; bi++ {
-			s.blockIDs[bi] = str[ends[bi]:ends[bi+1]]
-		}
-	}
+	s.cols, s.ords = make([]*colstore.Column, len(p.FactCols)), make([]int, len(p.FactCols))
 	s.filter = make([]scanClause, len(p.Filter.Clauses))
 	for i, cl := range p.Filter.Clauses {
 		s.filter[i] = s.bindClause(cl)
@@ -322,10 +309,7 @@ func newScanner(ctx context.Context, task plan.TaskSpec, reader PartitionReader,
 	// With no grouping, dims or post filter a block is aggregated column by
 	// column; with only COUNT(*) aggregates on top, it is just counted.
 	s.ungrouped = p.Mode == plan.ModeAgg && len(p.GroupBy) == 0 && len(p.Dims) == 0 && len(p.Post) == 0
-	s.countStar = s.ungrouped && len(p.Aggs) > 0
-	for _, a := range p.Aggs {
-		s.countStar = s.countStar && a.Star
-	}
+	s.countStar = s.ungrouped && len(p.Aggs) > 0 && !slices.ContainsFunc(p.Aggs, func(a plan.AggSpec) bool { return !a.Star })
 	if err := s.buildDimTables(); err != nil {
 		return nil, err
 	}
@@ -338,18 +322,54 @@ func newScanner(ctx context.Context, task plan.TaskSpec, reader PartitionReader,
 	}
 	s.args = make([]boundExpr, len(p.Aggs))
 	for i, a := range p.Aggs {
-		if !a.Star {
-			s.args[i] = s.bind(a.Arg)
-		}
+		s.args[i] = s.bind(a.Arg) // unread for COUNT(*)
 	}
 	s.dimRows = make([]int, len(s.dims))
 	for i := range s.dimRows {
-		s.dimRows[i] = -1
+		s.dimRows[i] = -1 // joinFrom leaves it so after every row
 	}
 	return s, nil
 }
 
-func (s *scanner) bindClause(cl plan.Clause) scanClause {
+// begin points the scanner at a task: its footer, the footer's column
+// ordinals and block ids, its LIMIT, fresh group slabs and partial.
+func (s *Scanner) begin(ctx context.Context, part plan.PartitionMeta, limit int64) error {
+	meta, err := s.reader.Meta(ctx, part)
+	if err != nil {
+		return fmt.Errorf("exec: meta %s: %w", part.Path, err)
+	}
+	s.ctx, s.path, s.meta, s.limit, s.slabs, s.part = ctx, part.Path, meta, limit, groupSlabs{}, blockPartial{}
+	for i, name := range s.plan.FactCols {
+		if s.ords[i] = meta.Schema.Index(name); s.ords[i] < 0 {
+			return fmt.Errorf("exec: partition %s lacks column %q", part.Path, name)
+		}
+	}
+	if s.blockIDs = meta.BlockIDs; s.blockIDs == nil && s.idx != nil {
+		s.blockIDs = BlockIDs(part, len(meta.Blocks))
+	}
+	return nil
+}
+
+// BlockIDs names a partition's blocks for SmartIndex, "<path>#<gen>#<block>"
+// (a rewritten file's blocks never meet its predecessor's entries, and
+// Invalidate(path+"#") releases every generation), cut from one string.
+func BlockIDs(part plan.PartitionMeta, blocks int) []string {
+	var genBuf [20]byte
+	gen := strconv.AppendUint(genBuf[:0], part.Gen, 10)
+	all, ends := make([]byte, 0, blocks*(len(part.Path)+len(gen)+5)), make([]int, blocks+1)
+	for bi := 0; bi < blocks; bi++ {
+		all = append(append(append(append(all, part.Path...), '#'), gen...), '#')
+		all = strconv.AppendInt(all, int64(bi), 10)
+		ends[bi+1] = len(all)
+	}
+	ids, str := make([]string, blocks), string(all)
+	for bi := range ids {
+		ids[bi] = str[ends[bi]:ends[bi+1]]
+	}
+	return ids
+}
+
+func (s *Scanner) bindClause(cl plan.Clause) scanClause {
 	out := scanClause{atoms: make([]scanAtom, len(cl.Atoms)), opaque: cl.Opaque}
 	for i, a := range cl.Atoms {
 		out.atoms[i] = scanAtom{Atom: a, col: s.colPos(a.Col)}
@@ -360,7 +380,7 @@ func (s *scanner) bindClause(cl plan.Clause) scanClause {
 	return out
 }
 
-func (s *scanner) bind(e sqlparser.Expr) boundExpr {
+func (s *Scanner) bind(e sqlparser.Expr) boundExpr {
 	if c, ok := e.(*sqlparser.ColumnRef); ok && c.Table == s.fact {
 		if pos := s.colPos(c.Column); pos >= 0 {
 			return boundExpr{col: pos}
@@ -369,7 +389,7 @@ func (s *scanner) bind(e sqlparser.Expr) boundExpr {
 	return boundExpr{col: -1, expr: e}
 }
 
-func (s *scanner) bindAll(exprs []sqlparser.Expr) []boundExpr {
+func (s *Scanner) bindAll(exprs []sqlparser.Expr) []boundExpr {
 	out := make([]boundExpr, len(exprs))
 	for i, e := range exprs {
 		out[i] = s.bind(e)
@@ -377,7 +397,7 @@ func (s *scanner) bindAll(exprs []sqlparser.Expr) []boundExpr {
 	return out
 }
 
-func (s *scanner) buildDimTables() error {
+func (s *Scanner) buildDimTables() error {
 	for _, d := range s.plan.Dims {
 		dt := &dimTable{plan: d, binding: d.Table.Ref.Binding(), colIdx: make(map[string]int), factKeys: s.bindAll(d.FactKeys)}
 		for i, c := range d.Needed {
@@ -409,7 +429,7 @@ func (s *scanner) buildDimTables() error {
 
 // column fetches (and keeps for the current block) the fact column chunk at
 // a FactCols position.
-func (s *scanner) column(pos int) (*colstore.Column, error) {
+func (s *Scanner) column(pos int) (*colstore.Column, error) {
 	if c := s.cols[pos]; c != nil {
 		return c, nil
 	}
@@ -430,11 +450,11 @@ func (s *scanner) column(pos int) (*colstore.Column, error) {
 	return c, nil
 }
 
-// scanBlock scans one block into part; it returns done=true when a
+// scanBlock scans one block into s.part; it returns done=true when a
 // pushed-down LIMIT is satisfied.
-func (s *scanner) scanBlock(bi int, part *blockPartial) (bool, error) {
-	bm := &s.meta.Blocks[bi]
-	s.block, s.part = bi, part
+func (s *Scanner) scanBlock(bi int) (bool, error) {
+	bm, part := &s.meta.Blocks[bi], &s.part
+	s.block = bi
 	clear(s.cols)
 	part.stats.BlocksTotal++
 	// Footer-stats pruning: a block where some clause cannot be satisfied
@@ -478,8 +498,8 @@ func (s *scanner) scanBlock(bi int, part *blockPartial) (bool, error) {
 	// join or post filter to change their count, one slab holds them all.
 	if s.plan.Mode != plan.ModeAgg && len(s.dims) == 0 && len(s.plan.Post) == 0 {
 		n := selected
-		if s.plan.ScanLimit >= 0 {
-			n = int(min(int64(n), max(s.plan.ScanLimit-int64(len(part.rows)), 1)))
+		if s.limit >= 0 {
+			n = int(min(int64(n), max(s.limit-int64(len(part.rows)), 1)))
 		}
 		part.slab = make([]types.Value, n*len(s.outs))
 		part.rows = slices.Grow(part.rows, n)
@@ -498,7 +518,7 @@ func (s *scanner) scanBlock(bi int, part *blockPartial) (bool, error) {
 // BY, join or post-join clause one aggregate at a time. Each cell still sees
 // its rows in ascending order, so its float sum is bit-identical to the
 // row-by-row one.
-func (s *scanner) foldSelection(sel *bitmap.Bitmap, selected int64) (err error) {
+func (s *Scanner) foldSelection(sel *bitmap.Bitmap, selected int64) (err error) {
 	s.part.stats.RowsEmitted += selected
 	cells := s.part.groups.get(nil, &s.slabs).Cells
 	for i, spec := range s.plan.Aggs {
@@ -637,7 +657,7 @@ func atomImpossible(a *scanAtom, st *colstore.Stats) bool {
 
 // selection computes the block's selection bitmap from the pushed-down CNF.
 // decided reports whether every clause was answered from bitmaps.
-func (s *scanner) selection(n int) (*bitmap.Bitmap, bool, error) {
+func (s *Scanner) selection(n int) (*bitmap.Bitmap, bool, error) {
 	sel := &s.sel
 	sel.Fill(n)
 	allIndexed := true
@@ -695,7 +715,7 @@ func (s *scanner) selection(n int) (*bitmap.Bitmap, bool, error) {
 // negation intact: only the index knows whether bit-NOT is sound for the
 // block (it is not when the column has NULLs, which satisfy neither the
 // predicate nor its negation).
-func (s *scanner) atomBitmap(a *scanAtom, n int) (*bitmap.Bitmap, bool, error) {
+func (s *Scanner) atomBitmap(a *scanAtom, n int) (*bitmap.Bitmap, bool, error) {
 	if s.idx != nil {
 		if cached, ok := s.idx.Lookup(s.ctx, s.blockIDs[s.block], a.Atom, n); ok {
 			s.part.stats.IndexHits++
@@ -762,7 +782,7 @@ func evalAtomOverColumn(a plan.Atom, col *colstore.Column, n int) *bitmap.Bitmap
 }
 
 // opaqueBitmap evaluates a non-atom leaf row-wise over fact columns.
-func (s *scanner) opaqueBitmap(e sqlparser.Expr, n int) (*bitmap.Bitmap, error) {
+func (s *Scanner) opaqueBitmap(e sqlparser.Expr, n int) (*bitmap.Bitmap, error) {
 	out := bitmap.New(n)
 	for r := 0; r < n; r++ {
 		s.row = r
@@ -778,7 +798,7 @@ func (s *scanner) opaqueBitmap(e sqlparser.Expr, n int) (*bitmap.Bitmap, error) 
 }
 
 // value reads a bound expression for the current row.
-func (s *scanner) value(b boundExpr) (types.Value, error) {
+func (s *Scanner) value(b boundExpr) (types.Value, error) {
 	if b.col < 0 {
 		return Eval(b.expr, s)
 	}
@@ -805,7 +825,7 @@ func scalarAt(c *colstore.Column, r int) types.Value {
 // joinFrom expands the current fact row's dimension matches from dimension
 // di on (star join fan-out) and emits what survives. done=true when the
 // pushed-down limit is hit.
-func (s *scanner) joinFrom(di int) (bool, error) {
+func (s *Scanner) joinFrom(di int) (bool, error) {
 	if di == len(s.dims) {
 		return s.emitJoined()
 	}
@@ -863,11 +883,11 @@ func (s *scanner) joinFrom(di int) (bool, error) {
 
 // emitJoined applies post-join clauses then emits the joined row: into the
 // block's groups, or as a projected row.
-func (s *scanner) emitJoined() (bool, error) {
+func (s *Scanner) emitJoined() (bool, error) {
 	if ok, err := clausesTrue(s.plan.Post, s); err != nil || !ok {
 		return false, err
 	}
-	part := s.part
+	part := &s.part
 	part.stats.RowsEmitted++
 	if s.plan.Mode == plan.ModeAgg {
 		s.keyVals = s.keyVals[:0]
@@ -901,13 +921,13 @@ func (s *scanner) emitJoined() (bool, error) {
 		row[i] = v
 	}
 	part.rows = append(part.rows, row)
-	return s.plan.ScanLimit >= 0 && int64(len(part.rows)) >= s.plan.ScanLimit, nil
+	return s.limit >= 0 && int64(len(part.rows)) >= s.limit, nil
 }
 
 // Col implements Env for the expressions bind leaves to Eval: the current
 // fact row's columns, resolved through the task's ordinal table, and the
 // dimension rows bound to it.
-func (s *scanner) Col(table, col string) (types.Value, error) {
+func (s *Scanner) Col(table, col string) (types.Value, error) {
 	if table == s.fact {
 		if pos := s.colPos(col); pos >= 0 {
 			return s.value(boundExpr{col: pos})
@@ -931,7 +951,7 @@ func (s *scanner) Col(table, col string) (types.Value, error) {
 }
 
 // Repeated implements Env (fact table only).
-func (s *scanner) Repeated(table, col string) ([]types.Value, error) {
+func (s *Scanner) Repeated(table, col string) ([]types.Value, error) {
 	pos := s.colPos(col)
 	if table != s.fact || pos < 0 {
 		return nil, fmt.Errorf("exec: repeated column %s.%s outside fact table", table, col)
@@ -952,4 +972,4 @@ func (s *scanner) Repeated(table, col string) ([]types.Value, error) {
 }
 
 // Sub implements Env; leaves have no substitutions.
-func (s *scanner) Sub(sqlparser.Expr) (types.Value, bool) { return types.Value{}, false }
+func (s *Scanner) Sub(sqlparser.Expr) (types.Value, bool) { return types.Value{}, false }

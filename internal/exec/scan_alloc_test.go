@@ -48,12 +48,15 @@ func TestScanRowsAllocatePerBlock(t *testing.T) {
 
 	// Under LIMIT 50 the slab holds exactly the 50 rows the limit leaves.
 	task, rd = rowsTask(t, "SELECT x, s FROM a WHERE x >= 0 LIMIT 50")
-	s, err := newScanner(context.Background(), task, rd, nil, nil)
+	s, err := Bind(task.Plan, rd, nil, nil)
+	if err == nil {
+		err = s.begin(context.Background(), task.Partition, task.Plan.ScanLimit)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	var part blockPartial
-	if done, err := s.scanBlock(0, &part); err != nil || !done {
+	part := &s.part
+	if done, err := s.scanBlock(0); err != nil || !done {
 		t.Fatalf("scanBlock: done %v, err %v", done, err)
 	}
 	if len(part.rows) != 50 || part.slab == nil || len(part.slab) != 0 {

@@ -229,25 +229,10 @@ func EvalAtom(a Atom, v types.Value) bool {
 		res = contains(v.S, a.Val.S)
 	} else {
 		cmp, err := types.Compare(v, a.Val)
-		if err != nil {
+		if err != nil || !a.Op.Comparison() {
 			return false
 		}
-		switch a.Op {
-		case sqlparser.OpEq:
-			res = cmp == 0
-		case sqlparser.OpNe:
-			res = cmp != 0
-		case sqlparser.OpLt:
-			res = cmp < 0
-		case sqlparser.OpLe:
-			res = cmp <= 0
-		case sqlparser.OpGt:
-			res = cmp > 0
-		case sqlparser.OpGe:
-			res = cmp >= 0
-		default:
-			return false
-		}
+		res = a.Op.Holds(cmp)
 	}
 	if a.Negated {
 		return !res

@@ -17,7 +17,7 @@
 package resultcache
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -103,6 +103,7 @@ type Cache struct {
 	cfg Config
 
 	mu     sync.Mutex
+	seq    uint64 // the events journaled on the "rescache" site
 	byKey  map[string]*entry
 	shapes map[string][]*entry
 	lru    lru.List[*entry]
@@ -158,7 +159,7 @@ func (c *Cache) Lookup(p *plan.PhysicalPlan) (*exec.Result, Outcome) {
 			c.removeLocked(e, &c.expirations)
 		case age < 0:
 			c.removeLocked(e, &c.invalidations)
-			c.cfg.Events.Emit("rescache", events.CacheInvalidate, "", -1, e.fp)
+			c.journalLocked(events.CacheInvalidate, e.fp)
 		case age == 0:
 			c.lru.Touch(e)
 			c.hits++
@@ -252,8 +253,18 @@ func (c *Cache) Store(p *plan.PhysicalPlan, tenant string, res *exec.Result) {
 	for c.lru.Bytes() > c.cfg.CapacityBytes {
 		c.evictLocked(c.lru.Oldest())
 	}
-	c.cfg.Events.Emit("rescache", events.CacheStore, "", -1,
-		fmt.Sprintf("%s bytes=%d", e.fp, size))
+	if c.cfg.Events.Enabled() {
+		c.journalLocked(events.CacheStore, e.fp+" bytes="+strconv.FormatInt(size, 10))
+	}
+}
+
+// journalLocked records one event on the cache's site, which the cache
+// numbers. Caller holds c.mu.
+func (c *Cache) journalLocked(kind events.Kind, detail string) {
+	if c.cfg.Events.Enabled() {
+		c.seq++
+		c.cfg.Events.Emit("rescache", c.seq, kind, "", -1, detail)
+	}
 }
 
 // InvalidateTable drops every entry (and ghost) whose query read the table.
@@ -274,9 +285,8 @@ func (c *Cache) InvalidateTable(table string) {
 		}
 		e = next
 	}
-	if dropped > 0 {
-		c.cfg.Events.Emit("rescache", events.CacheInvalidate, "", -1,
-			fmt.Sprintf("%s entries=%d", table, dropped))
+	if dropped > 0 && c.cfg.Events.Enabled() {
+		c.journalLocked(events.CacheInvalidate, table+" entries="+strconv.Itoa(dropped))
 	}
 	for g := c.ghostLRU.Oldest(); g != nil; {
 		next := c.ghostLRU.Newer(g)
@@ -357,7 +367,7 @@ func (c *Cache) removeLocked(e *entry, counter *int64) {
 // evictLocked removes for capacity and records a ghost.
 func (c *Cache) evictLocked(e *entry) {
 	c.removeLocked(e, &c.evictions)
-	c.cfg.Events.Emit("rescache", events.CacheEvict, "", -1, e.fp)
+	c.journalLocked(events.CacheEvict, e.fp)
 	g := &ghost{key: e.key, tables: e.tables}
 	c.ghosts[g.key] = g
 	c.ghostLRU.PushFront(g, e.Size())

@@ -82,6 +82,27 @@ func (op BinaryOp) Comparison() bool {
 	}
 }
 
+// Holds reports whether two scalars that compare as cmp (types.Compare)
+// satisfy the ordering operator; false for any other operator.
+func (op BinaryOp) Holds(cmp int) bool {
+	switch op {
+	case OpEq:
+		return cmp == 0
+	case OpNe:
+		return cmp != 0
+	case OpLt:
+		return cmp < 0
+	case OpLe:
+		return cmp <= 0
+	case OpGt:
+		return cmp > 0
+	case OpGe:
+		return cmp >= 0
+	default:
+		return false
+	}
+}
+
 // Negate returns the complementary comparison (paper Fig. 7: rewriting
 // C2 <= 5 as !(C2 > 5) lets a cached index serve the negation via bit-NOT).
 // ok is false for non-invertible operators.

@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,13 +31,15 @@ type DFS struct {
 	nodes    []string
 	racks    map[string]string // node -> rack
 	down     map[string]bool
+	downs    int // nodes down now: the true entries of down
 	files    map[string]*dfsFile
 	placeCur int
 }
 
 type dfsFile struct {
-	size   int64
-	blocks []dfsBlock
+	size    int64
+	blocks  []dfsBlock
+	holders []string // the union of the blocks' replicas, sorted
 }
 
 type dfsBlock struct {
@@ -89,7 +92,14 @@ func (d *DFS) AddNode(nodeID, rack string) {
 func (d *DFS) SetNodeDown(nodeID string, downNow bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.down[nodeID] = downNow
+	if d.down[nodeID] != downNow {
+		d.down[nodeID] = downNow
+		if downNow {
+			d.downs++
+		} else {
+			d.downs--
+		}
+	}
 }
 
 // Scheme implements Store.
@@ -152,6 +162,11 @@ func (d *DFS) WriteFile(ctx context.Context, path string, data []byte) error {
 		blk := make([]byte, end-off)
 		copy(blk, data[off:end])
 		f.blocks = append(f.blocks, dfsBlock{data: blk, replicas: reps})
+		for _, r := range reps {
+			if i, found := slices.BinarySearch(f.holders, r); !found {
+				f.holders = slices.Insert(f.holders, i, r)
+			}
+		}
 		if len(data) == 0 {
 			break
 		}
@@ -215,7 +230,9 @@ func (d *DFS) List(ctx context.Context, prefix string) ([]string, error) {
 }
 
 // Locations implements Store: the union of live replica holders across the
-// file's blocks, sorted, so the scheduler can prefer data-local leaves.
+// file's blocks, sorted, so the scheduler can prefer data-local leaves. The
+// union is kept from the write on; only while some node is down is it
+// filtered, into a fresh slice.
 func (d *DFS) Locations(path string) []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -223,20 +240,16 @@ func (d *DFS) Locations(path string) []string {
 	if !ok {
 		return nil
 	}
-	set := make(map[string]bool)
-	for _, blk := range f.blocks {
-		for _, r := range blk.replicas {
-			if !d.down[r] {
-				set[r] = true
-			}
+	if d.downs == 0 {
+		return f.holders
+	}
+	live := make([]string, 0, len(f.holders))
+	for _, h := range f.holders {
+		if !d.down[h] {
+			live = append(live, h)
 		}
 	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return live
 }
 
 // ReadRange implements RangeReader: only the blocks overlapping the range

@@ -18,9 +18,9 @@ import (
 // as HDD reads. It models the local filesystems of the online service
 // machines that hold log data in the paper.
 type LocalFS struct {
-	root   string
-	model  *sim.CostModel
-	nodeID string
+	root  string
+	model *sim.CostModel
+	loc   []string // SetNodeID's node, the location of every file
 }
 
 // NewLocalFS returns a store rooted at dir. A nil model disables cost
@@ -30,7 +30,7 @@ func NewLocalFS(dir string, model *sim.CostModel) *LocalFS {
 }
 
 // SetNodeID sets the node reported by Locations.
-func (l *LocalFS) SetNodeID(id string) { l.nodeID = id }
+func (l *LocalFS) SetNodeID(id string) { l.loc = nodeLocation(id) }
 
 // Scheme implements Store; LocalFS is the fallback store.
 func (l *LocalFS) Scheme() string { return "" }
@@ -119,12 +119,7 @@ func (l *LocalFS) List(ctx context.Context, prefix string) ([]string, error) {
 }
 
 // Locations implements Store.
-func (l *LocalFS) Locations(string) []string {
-	if l.nodeID == "" {
-		return nil
-	}
-	return []string{l.nodeID}
-}
+func (l *LocalFS) Locations(string) []string { return l.loc }
 
 // ReadRange implements RangeReader via a positional read, charging only the
 // bytes read.

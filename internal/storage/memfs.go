@@ -16,9 +16,9 @@ type MemFS struct {
 	scheme string
 	model  *sim.CostModel
 	device sim.DeviceClass
-	// nodeID, when set, is reported as the data location of every file —
-	// MemFS stands in for a single machine's local state.
-	nodeID string
+	// loc, when set, is the one node reported as the data location of every
+	// file — MemFS stands in for a single machine's local state.
+	loc []string
 
 	mu    sync.RWMutex
 	files map[string][]byte
@@ -35,7 +35,7 @@ func NewMemFS(scheme string, model *sim.CostModel) *MemFS {
 func (m *MemFS) SetDevice(d sim.DeviceClass) { m.device = d }
 
 // SetNodeID sets the node reported by Locations.
-func (m *MemFS) SetNodeID(id string) { m.nodeID = id }
+func (m *MemFS) SetNodeID(id string) { m.loc = nodeLocation(id) }
 
 // Scheme implements Store.
 func (m *MemFS) Scheme() string { return m.scheme }
@@ -93,12 +93,7 @@ func (m *MemFS) List(ctx context.Context, prefix string) ([]string, error) {
 }
 
 // Locations implements Store.
-func (m *MemFS) Locations(string) []string {
-	if m.nodeID == "" {
-		return nil
-	}
-	return []string{m.nodeID}
-}
+func (m *MemFS) Locations(string) []string { return m.loc }
 
 // ReadRange implements RangeReader, charging only the bytes read.
 func (m *MemFS) ReadRange(ctx context.Context, path string, off, length int64) ([]byte, error) {

@@ -53,7 +53,8 @@ type Store interface {
 	List(ctx context.Context, prefix string) ([]string, error)
 	// Locations returns the IDs of cluster nodes that hold the file's
 	// data locally (for locality-aware scheduling); empty means
-	// location-free (e.g. memfs).
+	// location-free (e.g. memfs). The slice may be the store's own, shared
+	// by every caller: read it, never write or append to it.
 	Locations(path string) []string
 	// Device is the device class charged for reads from this store.
 	Device() sim.DeviceClass
@@ -170,13 +171,23 @@ func (r *Router) Stat(ctx context.Context, path string) (FileInfo, error) {
 	return fi, nil
 }
 
-// Locations routes and returns data-holding node IDs.
+// Locations routes and returns data-holding node IDs: the store's slice,
+// read-only (Store.Locations).
 func (r *Router) Locations(path string) []string {
 	s, p := r.Resolve(path)
 	if s == nil {
 		return nil
 	}
 	return s.Locations(p)
+}
+
+// nodeLocation is the location list of a single-machine store: none
+// without a node ID, else just that node.
+func nodeLocation(id string) []string {
+	if id == "" {
+		return nil
+	}
+	return []string{id}
 }
 
 // RangeReader is implemented by stores that can serve byte ranges without

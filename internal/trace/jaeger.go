@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 )
 
 // Jaeger-compatible JSON trace export: the structures below marshal into
@@ -70,7 +71,7 @@ func ToJaeger(t StoredTrace) JaegerDoc {
 	var walk func(s *Span, parent string)
 	walk = func(s *Span, parent string) {
 		next++
-		id := fmt.Sprintf("%016x", next)
+		id := spanID(next)
 		js := JaegerSpan{
 			TraceID:       traceID,
 			SpanID:        id,
@@ -83,7 +84,15 @@ func ToJaeger(t StoredTrace) JaegerDoc {
 		if parent != "" {
 			js.References = []JaegerRef{{RefType: "CHILD_OF", TraceID: traceID, SpanID: parent}}
 		}
-		if sim := s.Sim(); sim > 0 {
+		s.mu.Lock()
+		sim, attrs := s.sim, s.attrs
+		keys := make([]string, 0, len(s.counts))
+		for k := range s.counts {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		js.Tags = make([]JaegerTag, 0, 1+len(keys)+len(attrs))
+		if sim > 0 {
 			js.Tags = append(js.Tags, JaegerTag{Key: "sim_us", Type: "int64", Value: sim.Microseconds()})
 			// Wall duration can round to 0µs for in-process spans; surface the
 			// simulated duration there too so the UI shows a usable bar.
@@ -91,27 +100,20 @@ func ToJaeger(t StoredTrace) JaegerDoc {
 				js.Duration = sim.Microseconds()
 			}
 		}
-		counts := s.Counts()
-		keys := make([]string, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		for _, k := range keys {
-			js.Tags = append(js.Tags, JaegerTag{Key: k, Type: "int64", Value: counts[k]})
+			js.Tags = append(js.Tags, JaegerTag{Key: k, Type: "int64", Value: s.counts[k]})
 		}
-		s.mu.Lock()
-		attrs := append([]Attr(nil), s.attrs...)
-		s.mu.Unlock()
 		for _, a := range attrs {
 			js.Tags = append(js.Tags, JaegerTag{Key: a.Key, Type: "string", Value: a.Value})
 		}
+		s.mu.Unlock()
 		jt.Spans = append(jt.Spans, js)
 		for _, c := range s.Children() {
 			walk(c, id)
 		}
 	}
 	if t.Root != nil {
+		jt.Spans = make([]JaegerSpan, 0, t.Root.size())
 		walk(t.Root, "")
 		// Root-level metadata tags.
 		if len(jt.Spans) > 0 {
@@ -131,6 +133,13 @@ func ToJaeger(t StoredTrace) JaegerDoc {
 		}
 	}
 	return JaegerDoc{Data: []JaegerTrace{jt}}
+}
+
+// spanID renders a span ordinal as Jaeger's 16 hex digits, zero-padded.
+func spanID(n int) string {
+	var buf [32]byte
+	b := strconv.AppendUint(append(buf[:0], "0000000000000000"...), uint64(n), 16)
+	return string(b[len(b)-16:])
 }
 
 // hashID derives a stable 128-bit hex trace ID from a string key.

@@ -226,6 +226,19 @@ func (s *Span) Children() []*Span {
 	return append([]*Span(nil), s.children...)
 }
 
+// size counts the spans of the subtree. Children only ever append, so the
+// ones a span held under its lock stay as they were.
+func (s *Span) size() int {
+	s.mu.Lock()
+	children := s.children
+	s.mu.Unlock()
+	n := 1
+	for _, c := range children {
+		n += c.size()
+	}
+	return n
+}
+
 // Find returns the first span in the subtree (depth-first, s included)
 // whose name starts with prefix, or nil.
 func (s *Span) Find(prefix string) *Span {
@@ -249,12 +262,16 @@ func (s *Span) FindAll(prefix string) []*Span {
 	if s == nil {
 		return nil
 	}
-	var out []*Span
+	return s.findAll(prefix, nil)
+}
+
+// findAll appends FindAll's spans to out.
+func (s *Span) findAll(prefix string, out []*Span) []*Span {
 	if strings.HasPrefix(s.Name(), prefix) {
 		out = append(out, s)
 	}
 	for _, c := range s.Children() {
-		out = append(out, c.FindAll(prefix)...)
+		out = c.findAll(prefix, out)
 	}
 	return out
 }

@@ -49,10 +49,11 @@ go test -count=20 -run 'TestEquivalenceUnderChaos|TestExplainAnalyzeMultiTaskGol
 # follower on when it joined, nor on how late a timed-out task's backup ran —
 # the fold inputs include a failed task in the middle of one leaf's batch —
 # nor on a shuffle message arriving twice — nor a bill on the order a leaf ran
-# its batch in — nor a LIMIT's rows on which tasks a leaf skipped. Twenty
-# raced runs each.
-echo "== flight, fold, LIMIT prefix, timeout backup, duplicate shuffle, store-after-invalidate and billing x20 (race)"
-go test -race -count=20 -run 'TestResultReuseAcrossConcurrentQueries|TestFlight|TestRetriedTaskFolds|TestLimitAnswerIsOrdinalPrefix|TestReduceFoldsInReducerOrder|TestShuffleDuplicate|TestStragglerTimeoutBackup|TestMapTaskTimeoutBackup|TestStore|TestReplyBilledOncePerBatch|TestShuffleMessageBilledOnce' ./internal/cluster/
+# its batch in — nor a LIMIT's rows on which tasks a leaf skipped — nor a
+# task's answer on the batch it shared a bound plan with. Twenty raced runs
+# each.
+echo "== flight, fold, LIMIT prefix, timeout backup, duplicate shuffle, store-after-invalidate, billing and batch binding x20 (race)"
+go test -race -count=20 -run 'TestResultReuseAcrossConcurrentQueries|TestFlight|TestRetriedTaskFolds|TestLimitAnswerIsOrdinalPrefix|TestReduceFoldsInReducerOrder|TestShuffleDuplicate|TestStragglerTimeoutBackup|TestMapTaskTimeoutBackup|TestStore|TestReplyBilledOncePerBatch|TestShuffleMessageBilledOnce|TestBroadcastJoinBatchBindsOnce|TestBatchGroupResultsIndependent' ./internal/cluster/
 
 # Coverage floors, set when each package's subsystem landed (cluster:
 # admission, scheduling, recovery; resultcache: normalization, subsumption,
