@@ -146,7 +146,7 @@ func runLocal(t *testing.T, cat plan.Catalog, reader *exec.StoreReader, q string
 	ctx := context.Background()
 	var merged *exec.TaskResult
 	for _, task := range p.Tasks() {
-		tr, err := exec.RunTask(ctx, task, reader, nil)
+		tr, err := exec.RunTaskModel(ctx, task, reader, nil, nil)
 		if err != nil {
 			t.Fatalf("run %q: %v", q, err)
 		}

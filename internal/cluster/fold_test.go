@@ -61,7 +61,7 @@ func (tc *testCluster) foldInOrder(order []int) uint64 {
 	reader := exec.NewStoreReader(tc.router)
 	var merged *exec.TaskResult
 	for _, i := range order {
-		tr, err := exec.RunTask(context.Background(), tasks[i], reader, nil)
+		tr, err := exec.RunTaskModel(context.Background(), tasks[i], reader, nil, nil)
 		if err != nil {
 			tc.t.Fatal(err)
 		}
@@ -166,14 +166,14 @@ func TestRetriedTaskFoldsAtItsOrdinal(t *testing.T) {
 const limitSQL = "SELECT id, s FROM logs WHERE v < 3 OR id < 150 LIMIT %d"
 
 // limitReference is the reference answer to limitSQL under limit: each
-// partition's exec.RunTask rows, concatenated in ordinal order and cut to
+// partition's exec.RunTaskModel rows, concatenated in ordinal order and cut to
 // the limit, no cluster machinery. It also returns each task's row count by
 // ordinal.
 func (tc *testCluster) limitReference(limit int) (want [][]types.Value, taskRows []int) {
 	tc.t.Helper()
 	reader := exec.NewStoreReader(tc.router)
 	for _, task := range tc.plan(fmt.Sprintf(limitSQL, limit)).Tasks() {
-		tr, err := exec.RunTask(context.Background(), task, reader, nil)
+		tr, err := exec.RunTaskModel(context.Background(), task, reader, nil, nil)
 		if err != nil {
 			tc.t.Fatal(err)
 		}

@@ -154,7 +154,7 @@ task/q000001#0: task.done
 task/q000001#1: task.scheduled task.dispatched task.retry task.collected task.done
 task/q000001#2: task.done
 `,
-	"group-shuffle/clean": `tasks=3 backup=0 failed=0 sim=164246932 scan=160015763 bytes=[hdd:2732] spill=0
+	"group-shuffle/clean": `tasks=3 backup=0 failed=0 sim=164287594 scan=160015763 bytes=[hdd:2732] spill=0
 leaf/leaf0: shuffle.map shuffle.map
 leaf/leaf1: shuffle.map
 query/q000001: query.submit query.admitted query.done
@@ -171,7 +171,7 @@ task/q000001#2: task.done
 task/q000001#2@stem0: shuffle.commit
 task/q000001#2@stem1: shuffle.commit
 `,
-	"group-shuffle/retried": `tasks=3 backup=1 failed=0 sim=244254861 scan=240023692 bytes=[hdd:2732] spill=0
+	"group-shuffle/retried": `tasks=3 backup=1 failed=0 sim=244295523 scan=240023692 bytes=[hdd:2732] spill=0
 leaf/leaf0: shuffle.map shuffle.map shuffle.map
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce
@@ -187,7 +187,7 @@ task/q000001#2: task.done
 task/q000001#2@stem0: shuffle.commit
 task/q000001#2@stem1: shuffle.commit
 `,
-	"repartition-join/clean": `tasks=3 backup=0 failed=0 sim=132058815 scan=128016055 bytes=[hdd:2826] spill=0
+	"repartition-join/clean": `tasks=3 backup=0 failed=0 sim=132061332 scan=128016055 bytes=[hdd:2826] spill=0
 leaf/leaf0: shuffle.map shuffle.map
 leaf/leaf1: shuffle.map
 query/q000001: query.submit query.admitted query.done
@@ -204,7 +204,7 @@ task/q000001#2: task.done
 task/q000001#2@stem0: shuffle.commit
 task/q000001#2@stem1: shuffle.commit
 `,
-	"repartition-join/retried": `tasks=3 backup=1 failed=0 sim=212067288 scan=208024528 bytes=[hdd:2826] spill=0
+	"repartition-join/retried": `tasks=3 backup=1 failed=0 sim=212069805 scan=208024528 bytes=[hdd:2826] spill=0
 leaf/leaf0: shuffle.map shuffle.map shuffle.map
 query/q000001: query.submit query.admitted query.done
 shuffle/q000001#p0: shuffle.reduce

@@ -68,14 +68,14 @@ func (q *statement) runTasks(ctx context.Context, job stemJobMsg) (groups []grou
 	// Each group's goroutine sends exactly one groupDone and the channel
 	// holds them all, so a collector that gave up at the deadline strands
 	// nobody.
-	byStem := map[string][]plan.TaskSpec{m.cfg.Name: tasks}
+	byStem := []stemGroup{{m.cfg.Name, tasks}}
 	if job.Batch.Exchange == "" {
 		byStem = m.groupByStem(tasks, job.Assign)
 	}
 	results := make(chan groupDone, len(byStem))
-	for stemName, group := range byStem {
-		job.Tasks = group
-		go q.runGroup(ctx, stemName, job, results)
+	for _, g := range byStem {
+		job.Tasks = g.tasks
+		go q.runGroup(ctx, g.stem, job, results)
 	}
 
 	// Tasks run in parallel under the cost model, a leaf's own one after
@@ -331,27 +331,36 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// groupByStem maps each task to a stem server (by its assigned leaf), or to
-// the master itself when no stems are alive. Groups keep task order.
-func (m *Master) groupByStem(tasks []plan.TaskSpec, assign map[int]string) map[string][]plan.TaskSpec {
+// stemGroup is the tasks of a statement that one stem server runs.
+type stemGroup struct {
+	stem  string
+	tasks []plan.TaskSpec
+}
+
+// groupByStem assigns each task to a stem server (by its assigned leaf), or
+// to the master itself when no stems are alive. Groups come in stem order
+// and keep task order.
+func (m *Master) groupByStem(tasks []plan.TaskSpec, assign map[int]string) []stemGroup {
 	stems := m.Manager.AliveWorkers(KindStem)
 	if len(stems) == 0 {
-		return map[string][]plan.TaskSpec{m.cfg.Name: tasks}
+		return []stemGroup{{m.cfg.Name, tasks}}
 	}
-	out := make(map[string][]plan.TaskSpec, len(stems))
 	// Stable leaf->stem mapping: by index among the assigned leaves, sorted.
-	leaves := make([]string, 0, len(stems))
+	var arr [16]string
+	leaves := arr[:0]
 	for _, l := range assign {
 		if !slices.Contains(leaves, l) {
 			leaves = append(leaves, l)
 		}
 	}
-	sort.Strings(leaves)
+	slices.Sort(leaves)
+	groups := make([]stemGroup, len(stems))
 	for _, t := range tasks {
-		s := stems[sort.SearchStrings(leaves, assign[t.Ordinal])%len(stems)]
-		out[s] = append(out[s], t)
+		i, _ := slices.BinarySearch(leaves, assign[t.Ordinal])
+		g := &groups[i%len(stems)]
+		g.stem, g.tasks = stems[i%len(stems)], append(g.tasks, t)
 	}
-	return out
+	return slices.DeleteFunc(groups, func(g stemGroup) bool { return g.tasks == nil })
 }
 
 // callStem sends a stem one request — over the fabric, or straight into the

@@ -66,7 +66,7 @@ func TestColumnShorterThanBlockIsCorrupt(t *testing.T) {
 					t.Errorf("%s: panicked: %v", sql, v)
 				}
 			}()
-			_, err := exec.RunTask(ctx, p.Tasks()[0], exec.NewStoreReader(router), nil)
+			_, err := exec.RunTaskModel(ctx, p.Tasks()[0], exec.NewStoreReader(router), nil, nil)
 			if !errors.Is(err, types.ErrCorrupt) {
 				t.Errorf("%s: err = %v, want ErrCorrupt", sql, err)
 			}

@@ -1,9 +1,8 @@
 package exec
 
 import (
-	"encoding/binary"
 	"fmt"
-	"strconv"
+	"math"
 
 	"repro/internal/plan"
 	"repro/internal/sqlparser"
@@ -145,11 +144,7 @@ func NewGroups(numAggs int) *Groups {
 	return &Groups{NumAggs: numAggs, M: make(map[string]*Group)}
 }
 
-// GroupKey encodes key values into a map key. Each element is
-// self-delimiting (type byte, uvarint length, rendered value), so the
-// encoding is injective: no value containing a separator-like byte can make
-// two distinct key tuples collide (a NUL-joined encoding merged groups like
-// ["a\x00","b"] and ["a","\x00b"]).
+// GroupKey is the equality key of a tuple, as AppendGroupKey writes it.
 func GroupKey(keys []types.Value) string {
 	if len(keys) == 0 {
 		return ""
@@ -157,39 +152,27 @@ func GroupKey(keys []types.Value) string {
 	return string(AppendGroupKey(make([]byte, 0, 16*len(keys)), keys))
 }
 
-// AppendGroupKey appends GroupKey(keys) to dst, so that a caller probing a
-// map or deriving many keys renders into one reused buffer.
+// AppendGroupKey appends the equality key of a tuple to dst: the one key that
+// GROUP BY, both hash joins, shuffle routing and grace-hash spill buckets
+// compare. Each value is written with types.AppendValue, whose form is
+// self-delimiting, so no two tuples share a key by running together. One
+// canonicalisation step comes first: a DOUBLE that holds an integer in int64
+// range is written as that BIGINT, so 3.0 keys like 3 and -0 like 0, and
+// every NaN is written as one NaN. Equal keys are then types.Equal at every
+// position; the converse fails only where Compare is not transitive: a NaN
+// (Compare finds it equal to every number) and a BIGINT beyond ±2^53 against
+// the DOUBLE it rounds to.
 func AppendGroupKey(dst []byte, keys []types.Value) []byte {
-	for i := range keys {
-		k := &keys[i]
-		dst = append(dst, byte(k.T), 0)
-		at := len(dst)
-		switch k.T {
-		case types.Null:
-			dst = append(dst, "NULL"...)
-		case types.Int64:
-			dst = strconv.AppendInt(dst, k.I, 10)
-		case types.Float64:
-			dst = strconv.AppendFloat(dst, k.F, 'g', -1, 64)
-		case types.Bool:
-			dst = strconv.AppendBool(dst, k.B)
-		case types.String:
-			dst = strconv.AppendQuote(dst, k.S)
-		default:
-			dst = append(dst, k.String()...)
+	for _, k := range keys {
+		if k.T == types.Float64 {
+			switch f := k.F; {
+			case f != f:
+				k.F = math.NaN()
+			case f >= -1<<63 && f < 1<<63 && f == math.Trunc(f):
+				k = types.NewInt(int64(f))
+			}
 		}
-		n := len(dst) - at
-		if n < 0x80 {
-			dst[at-1] = byte(n)
-			continue
-		}
-		// A rendering of 128 bytes or more needs a longer length prefix:
-		// make room and move the rendering up.
-		var lenBuf [binary.MaxVarintLen64]byte
-		ln := binary.PutUvarint(lenBuf[:], uint64(n))
-		dst = append(dst, lenBuf[:ln-1]...)
-		copy(dst[at+ln-1:], dst[at:at+n])
-		copy(dst[at-1:], lenBuf[:ln])
+		dst = types.AppendValue(dst, k)
 	}
 	return dst
 }

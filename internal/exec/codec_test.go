@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -135,30 +134,6 @@ func TestTaskResultGobRoundTrip(t *testing.T) {
 				t.Fatalf("trailing byte: err = %v", err)
 			}
 		})
-	}
-}
-
-// AppendGroupKey must produce exactly the historical GroupKey bytes (type
-// byte, uvarint length, rendering), including renderings long enough to
-// need a multi-byte length.
-func TestAppendGroupKeyMatchesRendering(t *testing.T) {
-	long := strings.Repeat("x", 200)
-	keys := []types.Value{
-		types.NullValue(), types.NewInt(-42), types.NewFloat(1.5e300), types.NewBool(true),
-		types.NewString("q\"uote"), types.NewString(long), types.NewString(strings.Repeat("é", 20000)),
-	}
-	var want []byte
-	for _, k := range keys {
-		s := k.String()
-		want = append(want, byte(k.T))
-		want = binary.AppendUvarint(want, uint64(len(s)))
-		want = append(want, s...)
-	}
-	if got := GroupKey(keys); got != string(want) {
-		t.Fatalf("GroupKey diverged from the rendered form:\n got %q\nwant %q", got[:60], want[:60])
-	}
-	if got := AppendGroupKey([]byte("prefix"), keys[:2]); !strings.HasPrefix(string(got), "prefix") || string(got[6:]) != GroupKey(keys[:2]) {
-		t.Fatalf("AppendGroupKey does not append: %q", got)
 	}
 }
 

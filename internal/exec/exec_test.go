@@ -133,7 +133,7 @@ func (h *harness) run(sql string) (*Result, *TaskResult) {
 	ctx := context.Background()
 	var merged *TaskResult
 	for _, task := range p.Tasks() {
-		tr, err := RunTask(ctx, task, h.reader, h.idx)
+		tr, err := RunTaskModel(ctx, task, h.reader, h.idx, nil)
 		if err != nil {
 			h.t.Fatalf("run %q: %v", sql, err)
 		}
@@ -960,7 +960,7 @@ func TestRunTaskErrors(t *testing.T) {
 	}
 	task := p.Tasks()[0]
 	task.Partition.Path = "/missing"
-	if _, err := RunTask(ctx, task, h.reader, nil); err == nil {
+	if _, err := RunTaskModel(ctx, task, h.reader, nil, nil); err == nil {
 		t.Error("missing partition should fail")
 	}
 
@@ -977,7 +977,7 @@ func TestRunTaskErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunTask(ctx, p2.Tasks()[0], h.reader, nil); err == nil {
+	if _, err := RunTaskModel(ctx, p2.Tasks()[0], h.reader, nil, nil); err == nil {
 		t.Error("column missing from file should fail")
 	}
 }
@@ -995,7 +995,7 @@ func TestJoinEnvUnknownTable(t *testing.T) {
 		d.Data = h.userData(d.Needed)
 		d.Needed = d.Needed[:1] // drop a shipped column after materialization
 	}
-	_, err = RunTask(context.Background(), p.Tasks()[0], h.reader, nil)
+	_, err = RunTaskModel(context.Background(), p.Tasks()[0], h.reader, nil, nil)
 	if err == nil {
 		t.Error("unshipped dim column should fail at eval")
 	}

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -187,21 +189,18 @@ func Finalize(p *plan.PhysicalPlan, merged *TaskResult) (*Result, error) {
 		err = sortErr
 	case p.Mode == plan.ModeAgg:
 		// Deterministic output for unordered aggregations: order by the
-		// rows' encoded form, rendered once per row into one shared string.
-		var buf []byte
-		ends := make([]int, len(wide))
-		for i, row := range wide {
-			buf = AppendGroupKey(buf, row)
-			ends[i] = len(buf)
-		}
-		all := string(buf)
-		key := func(i int) string {
-			if i == 0 {
-				return all[:ends[0]]
+		// rows' equality keys, cut from one string. Rows whose keys tie but
+		// whose values differ (-0 and 0, 3 and 3.0, NaN payloads) are ordered
+		// by type and float bits, never by map iteration.
+		keys := newGroupKeys(len(wide), func(i int) []types.Value { return wide[i] })
+		wide = orderRows(wide, a.Limit, func(i, j int) int {
+			if c := strings.Compare(keys.at(i), keys.at(j)); c != 0 {
+				return c
 			}
-			return all[ends[i-1]:ends[i]]
-		}
-		wide = orderRows(wide, a.Limit, func(i, j int) int { return strings.Compare(key(i), key(j)) })
+			return slices.CompareFunc(wide[i], wide[j], func(x, y types.Value) int {
+				return cmp.Or(cmp.Compare(x.T, y.T), cmp.Compare(math.Float64bits(x.F), math.Float64bits(y.F)))
+			})
+		})
 	case a.Limit >= 0 && int64(len(wide)) > a.Limit:
 		wide = wide[:a.Limit]
 	}

@@ -127,17 +127,11 @@ func estimateRow(vals []types.Value) int64 {
 	return n
 }
 
-// RunTask executes one sub-plan: scan the fact partition, filter with
+// RunTaskModel executes one sub-plan: scan the fact partition, filter with
 // SmartIndex assistance, join broadcast dimensions, and emit projected rows
-// or partial aggregates. Billing uses only the context's bill; predicate
-// CPU time is not priced (local execution paths).
-func RunTask(ctx context.Context, task plan.TaskSpec, reader PartitionReader, idx IndexSource) (*TaskResult, error) {
-	return RunTaskModel(ctx, task, reader, idx, nil)
-}
-
-// RunTaskModel is RunTask with a cost model: when non-nil, predicate
-// evaluation over fetched column bytes is charged as CPU scan time. Leaves
-// pass their model; local/test paths pass nil. It binds for just this task.
+// or partial aggregates. With a cost model, predicate evaluation over fetched
+// column bytes is charged as CPU scan time; leaves pass their model, local
+// and test paths nil. It binds for just this task.
 func RunTaskModel(ctx context.Context, task plan.TaskSpec, reader PartitionReader, idx IndexSource, model *sim.CostModel) (*TaskResult, error) {
 	s, err := Bind(task.Plan, reader, idx, model)
 	if err != nil {
@@ -289,10 +283,13 @@ type boundExpr struct {
 	expr sqlparser.Expr
 }
 
+// dimTable is a broadcast dimension bound for the plan: its rows indexed by
+// their join key (a cross join's by the empty key), and the fact-side key
+// expressions that probe them.
 type dimTable struct {
+	joinTable
 	plan     *plan.DimPlan
 	colIdx   map[string]int // dim column -> index in Data rows
-	hash     map[string][]int
 	factKeys []boundExpr
 	binding  string
 }
@@ -403,25 +400,21 @@ func (s *Scanner) buildDimTables() error {
 		for i, c := range d.Needed {
 			dt.colIdx[c] = i
 		}
-		if len(d.DimKeys) > 0 {
-			dt.hash = make(map[string][]int, len(d.Data))
-			keyIdx := make([]int, len(d.DimKeys))
-			for i, k := range d.DimKeys {
-				ord, ok := dt.colIdx[k]
-				if !ok {
-					return fmt.Errorf("exec: join key %q of dimension %s not among shipped columns %v", k, dt.binding, d.Needed)
-				}
-				keyIdx[i] = ord
+		keyIdx := make([]int, len(d.DimKeys))
+		for i, k := range d.DimKeys {
+			ord, ok := dt.colIdx[k]
+			if !ok {
+				return fmt.Errorf("exec: join key %q of dimension %s not among shipped columns %v", k, dt.binding, d.Needed)
 			}
-			keyVals := make([]types.Value, len(keyIdx))
-			for ri, row := range d.Data {
-				for i, ki := range keyIdx {
-					keyVals[i] = row[ki]
-				}
-				k := GroupKey(keyVals)
-				dt.hash[k] = append(dt.hash[k], ri)
-			}
+			keyIdx[i] = ord
 		}
+		keyVals := make([]types.Value, len(keyIdx))
+		dt.joinTable = newJoinTable(d.Data, func(ri int) []types.Value {
+			for i, ki := range keyIdx {
+				keyVals[i] = d.Data[ri][ki]
+			}
+			return keyVals
+		})
 		s.dims = append(s.dims, dt)
 	}
 	return nil
@@ -830,40 +823,22 @@ func (s *Scanner) joinFrom(di int) (bool, error) {
 		return s.emitJoined()
 	}
 	dt := s.dims[di]
-	d := dt.plan
-
-	var candidates []int
-	n := len(d.Data) // cross join: every row is a candidate
-	if len(d.DimKeys) > 0 {
-		s.keyVals = s.keyVals[:0]
-		for _, fk := range dt.factKeys {
-			v, err := s.value(fk)
-			if err != nil {
-				return false, err
-			}
-			if v.IsNull() { // NULL keys never join
-				break
-			}
-			s.keyVals = append(s.keyVals, v)
+	s.keyVals = s.keyVals[:0]
+	for _, fk := range dt.factKeys {
+		v, err := s.value(fk)
+		if err != nil {
+			return false, err
 		}
-		n = 0
-		if len(s.keyVals) == len(dt.factKeys) {
-			s.keyBuf = AppendGroupKey(s.keyBuf[:0], s.keyVals)
-			candidates = dt.hash[string(s.keyBuf)]
-			n = len(candidates)
-		}
+		s.keyVals = append(s.keyVals, v)
 	}
 
 	// The dimension is bound only while one of its candidates is expanded:
 	// a LEFT OUTER non-match, and the next fact row, must read it NULL.
 	matched := false
-	for i := 0; i < n; i++ {
-		s.dimRows[di] = i
-		if candidates != nil {
-			s.dimRows[di] = candidates[i]
-		}
+	for r := dt.lookup(s.keyVals, &s.keyBuf); r >= 0; r = dt.next[r] {
+		s.dimRows[di] = r
 		done := false
-		ok, err := clausesTrue(d.Residual, s)
+		ok, err := clausesTrue(dt.plan.Residual, s)
 		if ok {
 			matched = true
 			done, err = s.joinFrom(di + 1)
@@ -874,7 +849,7 @@ func (s *Scanner) joinFrom(di int) (bool, error) {
 		}
 	}
 	s.dimRows[di] = -1
-	if !matched && d.Type == sqlparser.JoinLeftOuter {
+	if !matched && dt.plan.Type == sqlparser.JoinLeftOuter {
 		// Preserve the fact row with NULL dimension columns.
 		return s.joinFrom(di + 1)
 	}
@@ -945,7 +920,7 @@ func (s *Scanner) Col(table, col string) (types.Value, error) {
 		if !ok {
 			return types.Value{}, fmt.Errorf("exec: dimension %s has no shipped column %q", table, col)
 		}
-		return dt.plan.Data[s.dimRows[di]][ci], nil
+		return dt.rows[s.dimRows[di]][ci], nil
 	}
 	return types.Value{}, fmt.Errorf("exec: unknown table %q", table)
 }

@@ -33,7 +33,7 @@ func rowsTask(t *testing.T, sql string) (plan.TaskSpec, PartitionReader) {
 func TestScanRowsAllocatePerBlock(t *testing.T) {
 	task, rd := rowsTask(t, "SELECT x, s FROM a WHERE x >= 0")
 	run := func() *TaskResult {
-		res, err := RunTask(context.Background(), task, rd, nil)
+		res, err := RunTaskModel(context.Background(), task, rd, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

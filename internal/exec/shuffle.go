@@ -247,13 +247,15 @@ type PartitionedHashJoin struct {
 
 	state  joinState
 	env    shuffleEnv    // the joined row being emitted
-	keyBuf []byte        // scratch for one row's rendered join key
+	keyBuf []byte        // scratch for one row's join key
 	slabs  groupSlabs    // the partial aggregation's groups (ModeAgg)
 	slab   []types.Value // where the output rows are cut from (select mode)
 	// in-memory build side, indexed when the probe phase starts
 	build [][]types.Value
-	table *joinTable
+	table joinTable
 	bytes int64
+	// RIGHT OUTER: which rows of the table being probed matched
+	matched []bool
 	// spill state: per sub-bucket chunk handles
 	spilled      bool
 	buildChunks  [][]string
@@ -263,15 +265,47 @@ type PartitionedHashJoin struct {
 	out *TaskResult
 }
 
-// joinTable indexes one build side by join key. first[k] is the earliest
-// build row with key k and next[i] the next row after row i with the same
-// key (-1 ends a chain), so candidates come out in build arrival order.
-// matched is set for RIGHT OUTER only.
+// joinTable indexes the build side of a hash join by join key: a reducer's
+// partition, or a broadcast dimension. first[k] is the earliest row with key
+// k and next[i] the next row after row i with the same key (-1 ends a
+// chain), so candidates come out in build arrival order. newJoinTable builds
+// it and nothing changes it after that.
 type joinTable struct {
-	build   [][]types.Value
-	first   map[string]int
-	next    []int
-	matched []bool
+	rows  [][]types.Value
+	first map[string]int
+	next  []int
+}
+
+// newJoinTable indexes rows by the key tuple keysOf returns for each (a cross
+// join's empty tuple puts every row on one chain). The keys are cut from one
+// string.
+func newJoinTable(rows [][]types.Value, keysOf func(i int) []types.Value) joinTable {
+	keys := newGroupKeys(len(rows), keysOf)
+	t := joinTable{rows: rows, first: make(map[string]int, len(rows)), next: make([]int, len(rows))}
+	// Linked back to front, so that every chain runs front to back.
+	for i := len(rows) - 1; i >= 0; i-- {
+		k := keys.at(i)
+		head, ok := t.first[k]
+		if !ok {
+			head = -1
+		}
+		t.next[i], t.first[k] = head, i
+	}
+	return t
+}
+
+// lookup returns the first row whose key equals keys, or -1, writing the key
+// into *buf. A NULL key value joins nothing: SQL equality with NULL is
+// unknown.
+func (t *joinTable) lookup(keys []types.Value, buf *[]byte) int {
+	if slices.ContainsFunc(keys, types.Value.IsNull) {
+		return -1
+	}
+	*buf = AppendGroupKey((*buf)[:0], keys)
+	if head, ok := t.first[string(*buf)]; ok {
+		return head
+	}
+	return -1
 }
 
 // NewPartitionedHashJoin builds the reducer join operator for one partition
@@ -336,7 +370,7 @@ func (j *PartitionedHashJoin) PushProbe(rows [][]types.Value) error {
 		return j.spillRows(rows, &j.probeChunks)
 	}
 	for _, r := range rows {
-		if err := j.probeRow(j.table, r); err != nil {
+		if err := j.probeRow(&j.table, r); err != nil {
 			return err
 		}
 	}
@@ -354,7 +388,7 @@ func (j *PartitionedHashJoin) Flush() (*TaskResult, error) {
 	}
 	j.state = stateFlushed
 	if !j.spilled {
-		if err := j.emitRightUnmatched(j.table); err != nil {
+		if err := j.emitRightUnmatched(&j.table); err != nil {
 			return nil, err
 		}
 		return j.out, nil
@@ -375,28 +409,17 @@ func (j *PartitionedHashJoin) Flush() (*TaskResult, error) {
 	return j.out, nil
 }
 
-// index builds the join table over a build side; its keys are cut from one
-// string rendered once.
-func (j *PartitionedHashJoin) index(build [][]types.Value) *joinTable {
-	keys := newGroupKeys(len(build), func(i int) []types.Value { return build[i][:j.sh.Keys] })
-	t := &joinTable{build: build, first: make(map[string]int, len(build)), next: make([]int, len(build))}
-	// Linked back to front, so that every chain runs front to back.
-	for i := len(build) - 1; i >= 0; i-- {
-		k := keys.at(i)
-		head, ok := t.first[k]
-		if !ok {
-			head = -1
-		}
-		t.next[i], t.first[k] = head, i
-	}
+// index builds the join table over a build side, and for RIGHT OUTER resets
+// which of its rows matched.
+func (j *PartitionedHashJoin) index(build [][]types.Value) joinTable {
 	if j.sh.JoinType == sqlparser.JoinRightOuter {
-		t.matched = make([]bool, len(build))
+		j.matched = make([]bool, len(build))
 	}
-	return t
+	return newJoinTable(build, func(i int) []types.Value { return build[i][:j.sh.Keys] })
 }
 
-// key renders a row's join key into the operator's scratch buffer; the
-// bytes are valid until the next call.
+// key writes a row's join key into the operator's scratch buffer; the bytes
+// are valid until the next call.
 func (j *PartitionedHashJoin) key(row []types.Value) []byte {
 	j.keyBuf = AppendGroupKey(j.keyBuf[:0], row[:j.sh.Keys])
 	return j.keyBuf
@@ -470,26 +493,20 @@ func (j *PartitionedHashJoin) joinBucket(build, probe [][]types.Value, depth int
 	}
 	t := j.index(build)
 	for _, r := range probe {
-		if err := j.probeRow(t, r); err != nil {
+		if err := j.probeRow(&t, r); err != nil {
 			return err
 		}
 	}
-	return j.emitRightUnmatched(t)
+	return j.emitRightUnmatched(&t)
 }
 
 // probeRow joins one probe row against a build table. NULL key values never
 // join (SQL equality is unknown); LEFT OUTER preserves the probe row with a
 // null-extended build side.
 func (j *PartitionedHashJoin) probeRow(t *joinTable, row []types.Value) error {
-	bi := -1
-	if !slices.ContainsFunc(row[:j.sh.Keys], types.Value.IsNull) {
-		if head, ok := t.first[string(j.key(row))]; ok {
-			bi = head
-		}
-	}
 	any := false
-	for ; bi >= 0; bi = t.next[bi] {
-		j.env.probe, j.env.build = row, t.build[bi]
+	for bi := t.lookup(row[:j.sh.Keys], &j.keyBuf); bi >= 0; bi = t.next[bi] {
+		j.env.probe, j.env.build = row, t.rows[bi]
 		ok, err := clausesTrue(j.sh.Residual, &j.env)
 		if err != nil {
 			return err
@@ -498,8 +515,8 @@ func (j *PartitionedHashJoin) probeRow(t *joinTable, row []types.Value) error {
 			continue
 		}
 		any = true
-		if t.matched != nil {
-			t.matched[bi] = true
+		if j.matched != nil {
+			j.matched[bi] = true
 		}
 		if err := j.emit(); err != nil {
 			return err
@@ -515,11 +532,11 @@ func (j *PartitionedHashJoin) probeRow(t *joinTable, row []types.Value) error {
 // emitRightUnmatched null-extends build rows no probe row matched, in build
 // arrival order (determinism). matched is nil unless the join is RIGHT OUTER.
 func (j *PartitionedHashJoin) emitRightUnmatched(t *joinTable) error {
-	for i, ok := range t.matched {
+	for i, ok := range j.matched {
 		if ok {
 			continue
 		}
-		j.env.probe, j.env.build = nil, t.build[i]
+		j.env.probe, j.env.build = nil, t.rows[i]
 		if err := j.emit(); err != nil {
 			return err
 		}

@@ -137,7 +137,7 @@ func (h *shuffleHarness) runPlanRows(p *plan.PhysicalPlan) [][]types.Value {
 	h.t.Helper()
 	var rows [][]types.Value
 	for _, task := range p.Tasks() {
-		tr, err := RunTask(context.Background(), task, h.reader, nil)
+		tr, err := RunTaskModel(context.Background(), task, h.reader, nil, nil)
 		if err != nil {
 			h.t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func (h *shuffleHarness) runBroadcast(sql string) *Result {
 	}
 	var merged *TaskResult
 	for _, task := range p.Tasks() {
-		tr, err := RunTask(context.Background(), task, h.reader, nil)
+		tr, err := RunTaskModel(context.Background(), task, h.reader, nil, nil)
 		if err != nil {
 			h.t.Fatal(err)
 		}
@@ -575,7 +575,7 @@ func (h *shuffleHarness) runGroupShuffle(sql string, opts plan.Options, spill Sp
 		aggs[i] = NewPartitionedAgg(len(p.Aggs), sh.MemoryGrant, spill, billing)
 	}
 	for ti, task := range p.Tasks() {
-		tr, err := RunTask(context.Background(), task, h.reader, nil)
+		tr, err := RunTaskModel(context.Background(), task, h.reader, nil, nil)
 		if err != nil {
 			h.t.Fatal(err)
 		}
@@ -638,7 +638,7 @@ func TestGroupShuffleMatchesSingleNode(t *testing.T) {
 	}
 	var merged *TaskResult
 	for _, task := range p.Tasks() {
-		tr, err := RunTask(context.Background(), task, h.reader, nil)
+		tr, err := RunTaskModel(context.Background(), task, h.reader, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

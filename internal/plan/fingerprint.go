@@ -38,18 +38,15 @@ func Normalize(s *sqlparser.SelectStmt) (string, []types.Value, []LitSlot) {
 	return n.sb.String(), n.lits, n.slots
 }
 
-// LiteralKey renders a literal vector as a stable key. Values are tagged
-// with their type so BIGINT 3 and DOUBLE 3.0 (both rendering as "3") stay
-// distinct; strconv-quoted strings cannot contain the raw separator.
+// LiteralKey is a literal vector's identity: its values' types.AppendValue
+// bytes, concatenated. The form is self-delimiting and carries each value's
+// type, so BIGINT 3 and DOUBLE 3.0 stay distinct statements.
 func LiteralKey(lits []types.Value) string {
-	if len(lits) == 0 {
-		return ""
+	var b []byte
+	for _, v := range lits {
+		b = types.AppendValue(b, v)
 	}
-	parts := make([]string, len(lits))
-	for i, v := range lits {
-		parts[i] = v.T.String() + ":" + v.String()
-	}
-	return strings.Join(parts, "\x1f")
+	return string(b)
 }
 
 type normalizer struct {

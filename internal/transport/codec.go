@@ -39,8 +39,11 @@ import (
 // per-connection gob stream, its reset flag and the strip frame are gone.
 // Version 10: a task reply carries no spill path. Version 11: the Write
 // class is gone, so the class byte renumbers (control 0, read 1, shuffle 2),
-// and a task no longer carries a worker count.
-const CodecVersion = 11
+// and a task no longer carries a worker count. Version 12: no layout
+// changes, but shuffle routing hashes the binary equality key (exec's
+// AppendGroupKey), so a version-11 process would send a key to another
+// reducer.
+const CodecVersion = 12
 
 const frameMagic = 0xFE15
 

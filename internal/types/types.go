@@ -115,26 +115,11 @@ func (v Value) AsFloat() float64 {
 // String renders the value for display and for stable hashing of predicate
 // atoms (SmartIndex keys embed the rendered value).
 func (v Value) String() string {
-	switch v.T {
-	case Null:
-		return "NULL"
-	case Int64:
-		return strconv.FormatInt(v.I, 10)
-	case Float64:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
-	case Bool:
-		if v.B {
-			return "true"
-		}
-		return "false"
-	case String:
-		return strconv.Quote(v.S)
-	default:
-		return fmt.Sprintf("Value(%d)", uint8(v.T))
-	}
+	var buf [32]byte
+	return string(v.AppendString(buf[:0]))
 }
 
-// AppendString appends String() to dst, byte for byte.
+// AppendString appends String() to dst.
 func (v Value) AppendString(dst []byte) []byte {
 	switch v.T {
 	case Null:

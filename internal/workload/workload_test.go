@@ -68,7 +68,7 @@ func TestGenerateDeterministicAndQueryable(t *testing.T) {
 	reader := exec.NewStoreReader(router)
 	var merged *exec.TaskResult
 	for _, task := range p.Tasks() {
-		tr, err := exec.RunTask(ctx, task, reader, nil)
+		tr, err := exec.RunTaskModel(ctx, task, reader, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
