@@ -69,6 +69,7 @@ func TestJoinAndGroupByUseSQLEquality(t *testing.T) {
 		{"SELECT f.id, d.name FROM kf f JOIN kd d ON f.x = d.k", []string{
 			`0|"zero"`, `1|"zero"`, `2|"zero"`, `3|"zero"`, `4|"zero"`, `5|"zero"`, `8|"two"`, `9|"two"`, `10|"two"`}},
 	}
+	const groupBy = "SELECT x, COUNT(*) AS n FROM kf GROUP BY x ORDER BY x"
 	groups := []struct {
 		x float64
 		n int64
@@ -76,11 +77,12 @@ func TestJoinAndGroupByUseSQLEquality(t *testing.T) {
 
 	for _, mode := range []string{"sim", "tcp"} {
 		for _, arm := range []struct {
-			name string
-			cfg  Config
+			name    string
+			cfg     Config
+			shuffle bool
 		}{
-			{"broadcast", Config{BroadcastThreshold: 0}},
-			{"repartition", Config{BroadcastThreshold: -1, GroupShuffleRows: 1, ShufflePartitions: 3}},
+			{"broadcast", Config{BroadcastThreshold: 0}, false},
+			{"repartition", Config{BroadcastThreshold: -1, GroupShuffleRows: 1, ShufflePartitions: 3}, true},
 		} {
 			t.Run(mode+"/"+arm.name, func(t *testing.T) {
 				cfg := arm.cfg
@@ -92,6 +94,20 @@ func TestJoinAndGroupByUseSQLEquality(t *testing.T) {
 				t.Cleanup(sys.Close)
 				loadEqualityTables(t, sys)
 				ctx := context.Background()
+				// The arm runs the strategy it is named for (RIGHT OUTER
+				// always repartitions).
+				for q, marker := range map[string]string{
+					joins[0].q: "repartition inner join",
+					groupBy:    "repartition group-by",
+				} {
+					explain, err := sys.Explain(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if strings.Contains(explain, marker) != arm.shuffle {
+						t.Fatalf("%s arm plans %q as:\n%s", arm.name, q, explain)
+					}
+				}
 				for _, j := range joins {
 					res, err := sys.Query(ctx, j.q)
 					if err != nil {
@@ -104,7 +120,7 @@ func TestJoinAndGroupByUseSQLEquality(t *testing.T) {
 					}
 				}
 
-				res, err := sys.Query(ctx, "SELECT x, COUNT(*) AS n FROM kf GROUP BY x ORDER BY x")
+				res, err := sys.Query(ctx, groupBy)
 				if err != nil {
 					t.Fatal(err)
 				}
