@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -56,8 +57,8 @@ func getJSON(addr string, out any) error {
 // group-by and a forced repartition join) over the master's HTTP endpoint,
 // and reads the master process's telemetry endpoints: each query's
 // journaled submit→done chain in the flight recorder, the query counters
-// and latency histogram on /metrics, the join's kept trace as a Jaeger
-// document, and the live-query view.
+// and latency histogram on /metrics, the GROUP BY's and the join's kept
+// traces as Jaeger documents, and the live-query view.
 func TestMultiProcessCluster(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "feisu-node")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -179,25 +180,39 @@ func TestMultiProcessCluster(t *testing.T) {
 		}
 	}
 
-	// It kept the traced join: a Jaeger document with the shuffle's spans.
-	var doc struct {
-		Data []struct {
-			Spans []struct {
-				OperationName string `json:"operationName"`
-			} `json:"spans"`
-		} `json:"data"`
-	}
-	if err := getJSON(base+"/debug/trace/"+ids[2], &doc); err != nil {
-		t.Fatalf("trace %s: %v", ids[2], err)
-	}
-	shuffled := false
-	for _, d := range doc.Data {
-		for _, sp := range d.Spans {
-			shuffled = shuffled || strings.HasPrefix(sp.OperationName, "shuffle-")
+	// It kept the traced statements as Jaeger documents, holding the spans of
+	// the stems and leaves that ran them, which came back from other OS
+	// processes inside their replies: the GROUP BY's scatter through the stem
+	// processes, and the join's shuffle with map tasks on the leaves (sent
+	// from the master, no stem/ span) and reduces on the stems.
+	for _, want := range []struct {
+		id       string
+		prefixes []string
+	}{
+		{ids[1], []string{"stem/", "task#", "leaf/"}},
+		{ids[2], []string{"shuffle-", "task#", "leaf/", "reduce/"}},
+	} {
+		var doc struct {
+			Data []struct {
+				Spans []struct {
+					OperationName string `json:"operationName"`
+				} `json:"spans"`
+			} `json:"data"`
 		}
-	}
-	if !shuffled {
-		t.Errorf("trace %s has no shuffle- span: %+v", ids[2], doc)
+		if err := getJSON(base+"/debug/trace/"+want.id, &doc); err != nil {
+			t.Fatalf("trace %s: %v", want.id, err)
+		}
+		var ops []string
+		for _, d := range doc.Data {
+			for _, sp := range d.Spans {
+				ops = append(ops, sp.OperationName)
+			}
+		}
+		for _, prefix := range want.prefixes {
+			if !slices.ContainsFunc(ops, func(op string) bool { return strings.HasPrefix(op, prefix) }) {
+				t.Errorf("trace %s has no %s span: %v", want.id, prefix, ops)
+			}
+		}
 	}
 
 	var active struct {

@@ -171,6 +171,7 @@ type taskBatch struct {
 	QueryID     string        // the owning query's, for the leaf's journal
 	TaskTimeout time.Duration // bounds each task, from that task's start
 	Attempt     int           // 0 for the job's dispatch, n for the n-th backup
+	Traced      bool          // the statement is traced: each task's reply carries its spans
 	// The shuffle route. Set (Exchange != ""), it makes every task a map
 	// task: the leaf sends the scan's output to the reducers, one message
 	// each, committed there once per (Sides[ordinal], ordinal), and replies
@@ -188,11 +189,13 @@ type batchReply struct {
 }
 
 // taskReply is one task's status on its leaf (SimTime is the leaf's bill
-// alone), its result and the result's estimated size.
+// alone), its result and the result's estimated size. Span, traced, holds the
+// task's counters and its leaf/<name> subtree for the stem's attempt span.
 type taskReply struct {
 	Status taskStatus
 	Result *exec.TaskResult
 	Size   int64
+	Span   *trace.Span
 }
 
 // stemJobMsg asks a stem to run and merge a set of tasks.
@@ -232,11 +235,13 @@ type taskStatus struct {
 // ordinal, of the job's tasks up to its first failure — all of them when
 // nothing failed. Tail holds the successful tasks after that failure,
 // unmerged, so the master's retry folds in at its own ordinal. Status has
-// one entry per task, in job order.
+// one entry per task, in job order. Span, traced, holds stem/<name> — for
+// map tasks, their attempt spans — for the master's span.
 type stemReply struct {
 	Merged *exec.TaskResult
 	Tail   map[int]*exec.TaskResult
 	Status []taskStatus
+	Span   *trace.Span
 }
 
 // pingMsg checks liveness and reports load.

@@ -24,6 +24,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -81,7 +82,7 @@ func unpack[M any](read func(*types.Reader) M) func([]byte) (any, error) {
 // allocated.
 const (
 	taskMinBytes        = 6  // plan, path, rows, bytes, gen, ordinal
-	taskReplyMinBytes   = 14 // status, result flag, size
+	taskReplyMinBytes   = 15 // status, result flag, size, span flag
 	statusMinBytes      = 12 // two flags, two strings, two times, devices, rows, two lists
 	shufflePartMinBytes = 4  // partition, size, an empty rows batch, an empty groups batch
 	tailMinBytes        = 2  // ordinal, result flag
@@ -107,6 +108,7 @@ func appendBatch(pe *plan.Encoder, b []byte, tb taskBatch) []byte {
 	b = types.AppendString(b, tb.QueryID)
 	b = binary.AppendVarint(b, int64(tb.TaskTimeout))
 	b = binary.AppendVarint(b, int64(tb.Attempt))
+	b = types.AppendBool(b, tb.Traced)
 	b = types.AppendString(b, tb.Exchange)
 	b = appendStrings(b, tb.Sides)
 	b = binary.AppendVarint(b, int64(tb.Partitions))
@@ -115,7 +117,7 @@ func appendBatch(pe *plan.Encoder, b []byte, tb taskBatch) []byte {
 }
 
 func readBatch(r *types.Reader, sec plan.Section) taskBatch {
-	tb := taskBatch{Tasks: readTasks(r, sec), QueryID: r.Str(), TaskTimeout: time.Duration(r.Varint()), Attempt: r.Int(), Exchange: r.Str()}
+	tb := taskBatch{Tasks: readTasks(r, sec), QueryID: r.Str(), TaskTimeout: time.Duration(r.Varint()), Attempt: r.Int(), Traced: r.Bool(), Exchange: r.Str()}
 	tb.Sides = readStrings(r, readSide)
 	tb.Partitions, tb.Keys = r.Int(), r.Int()
 	tb.Reducers = readStrings(r, (*types.Reader).Str)
@@ -169,7 +171,7 @@ func (m batchReply) AppendPayload(b []byte) ([]byte, error) {
 		if b, err = appendResult(b, t.Result); err != nil {
 			return nil, err
 		}
-		b = binary.AppendVarint(b, t.Size)
+		b = trace.AppendSpan(binary.AppendVarint(b, t.Size), t.Span)
 	}
 	return b, nil
 }
@@ -180,10 +182,7 @@ func readBatchReply(r *types.Reader) batchReply {
 		m.Tasks = make([]taskReply, n)
 	}
 	for i := range m.Tasks {
-		t := &m.Tasks[i]
-		t.Status = readStatus(r)
-		t.Result = readResult(r)
-		t.Size = r.Varint()
+		m.Tasks[i] = taskReply{Status: readStatus(r), Result: readResult(r), Size: r.Varint(), Span: trace.ReadSpan(r)}
 	}
 	return m
 }
@@ -242,7 +241,7 @@ func (m stemReply) AppendPayload(b []byte) ([]byte, error) {
 	for _, st := range m.Status {
 		b = appendStatus(b, st)
 	}
-	return b, nil
+	return trace.AppendSpan(b, m.Span), nil
 }
 
 func readStemReply(r *types.Reader) stemReply {
@@ -260,6 +259,7 @@ func readStemReply(r *types.Reader) stemReply {
 			m.Status[i] = readStatus(r)
 		}
 	}
+	m.Span = trace.ReadSpan(r)
 	return m
 }
 
@@ -310,7 +310,7 @@ func (m shuffleReduceMsg) AppendPayload(b []byte) ([]byte, error) {
 	for _, ords := range [...][]int{m.Partitions, m.ProbeOrdinals, m.BuildOrdinals, m.GroupOrdinals} {
 		b = appendInts(b, ords)
 	}
-	return types.AppendString(b, m.SpillPrefix), nil
+	return types.AppendBool(types.AppendString(b, m.SpillPrefix), m.Traced), nil
 }
 
 func readShuffleReduce(r *types.Reader) shuffleReduceMsg {
@@ -319,7 +319,7 @@ func readShuffleReduce(r *types.Reader) shuffleReduceMsg {
 	for _, ords := range [...]*[]int{&m.Partitions, &m.ProbeOrdinals, &m.BuildOrdinals, &m.GroupOrdinals} {
 		*ords = readInts[int](r)
 	}
-	m.SpillPrefix = r.Str()
+	m.SpillPrefix, m.Traced = r.Str(), r.Bool()
 	return m
 }
 
@@ -330,26 +330,13 @@ func (m shuffleReduceReply) AppendPayload(b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b = types.AppendCount(b, len(m.PartSim), m.PartSim == nil)
-	for pi, d := range m.PartSim {
-		b = binary.AppendVarint(binary.AppendVarint(b, int64(pi)), int64(d))
-	}
-	b = binary.AppendVarint(b, m.SpillBytes)
-	return appendDevBytes(b, m.DevBytes), nil
+	b = binary.AppendVarint(binary.AppendVarint(b, int64(m.Sim)), m.SpillBytes)
+	return trace.AppendSpan(appendDevBytes(b, m.DevBytes), m.Span), nil
 }
 
 func readShuffleReduceReply(r *types.Reader) shuffleReduceReply {
-	m := shuffleReduceReply{Result: readResult(r)}
-	if n, isNil := r.Count(2); !isNil {
-		m.PartSim = make(map[int]time.Duration, n)
-		for range n {
-			pi := r.Int()
-			m.PartSim[pi] = time.Duration(r.Varint())
-		}
-	}
-	m.SpillBytes = r.Varint()
-	m.DevBytes = readDevBytes(r)
-	return m
+	return shuffleReduceReply{Result: readResult(r), Sim: time.Duration(r.Varint()), SpillBytes: r.Varint(),
+		DevBytes: readDevBytes(r), Span: trace.ReadSpan(r)}
 }
 
 func (shuffleAck) PayloadTag() byte                       { return tagShuffleAck }

@@ -23,12 +23,16 @@ import (
 	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/sqlparser"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
 
-var gobEncoderT = reflect.TypeOf((*gob.GobEncoder)(nil)).Elem()
+var (
+	gobEncoderT = reflect.TypeOf((*gob.GobEncoder)(nil)).Elem()
+	spanT       = reflect.TypeOf((*trace.Span)(nil))
+)
 
 // fillValue populates v with deterministic non-zero data. Interface fields
 // are always given a leaf value regardless of depth — a nil interface
@@ -46,6 +50,10 @@ func fillValue(t testing.TB, v reflect.Value, seed *int, depth int, onPath map[r
 			return
 		}
 		t.Fatalf("no sample for interface field type %v — teach the conformance filler about it", v.Type())
+	}
+	if v.Type() == spanT { // a live span packs itself (trace.AppendSpan)
+		v.Set(reflect.ValueOf(sampleSpan(n)))
+		return
 	}
 	// With type re-entry cut at pointers, the fill terminates; the cap only
 	// guards against an unbounded shape sneaking in. Bailing mid-graph
@@ -158,6 +166,39 @@ func sampleValue(n int) types.Value {
 	}
 }
 
+// sampleSpan returns a holder span with every field the wire carries set:
+// sim and wall times, an attribute, a counter and a child with its own.
+func sampleSpan(n int) *trace.Span {
+	s := trace.New(fmt.Sprintf("span%d", n))
+	s.SetSim(time.Duration(n) * time.Microsecond)
+	s.SetWall(time.Duration(n) * time.Millisecond)
+	s.SetAttr("part", fmt.Sprintf("/p%d", n))
+	s.Count("limit.skipped", int64(n))
+	c := s.Child(fmt.Sprintf("leaf/leaf%d", n))
+	c.SetSim(time.Duration(n))
+	c.Count("rows", -int64(n))
+	c.Finish()
+	return s
+}
+
+// spanDiff compares two span trees by everything a span shows — names,
+// order, times, counters, attributes (Render) — and their start times.
+func spanDiff(path string, a, b *trace.Span) string {
+	if a.Render() != b.Render() {
+		return fmt.Sprintf("%s: span tree\n%s\nvs\n%s", path, a.Render(), b.Render())
+	}
+	if !a.Start().Equal(b.Start()) {
+		return fmt.Sprintf("%s: span %q start %v vs %v", path, a.Name(), a.Start(), b.Start())
+	}
+	bc := b.Children()
+	for i, c := range a.Children() {
+		if d := spanDiff(path+"/"+c.Name(), c, bc[i]); d != "" {
+			return d
+		}
+	}
+	return ""
+}
+
 // sampleExpr returns a small expression tree covering several node kinds.
 func sampleExpr(n int) sqlparser.Expr {
 	switch n % 4 {
@@ -176,11 +217,15 @@ func sampleExpr(n int) sqlparser.Expr {
 	}
 }
 
-// deepDiff locates the first differing path between two equal-typed values,
-// for actionable failure messages.
+// deepDiff locates the first differing path between two equal-typed values
+// ("" when they are equal). Span trees compare by spanDiff: a decoded start
+// time has no monotonic clock reading.
 func deepDiff(path string, a, b reflect.Value) string {
 	if a.Kind() != b.Kind() {
 		return fmt.Sprintf("%s: kind %v vs %v", path, a.Kind(), b.Kind())
+	}
+	if a.Type() == spanT {
+		return spanDiff(path, a.Interface().(*trace.Span), b.Interface().(*trace.Span))
 	}
 	switch a.Kind() {
 	case reflect.Ptr, reflect.Interface:
@@ -326,15 +371,15 @@ func TestPayloadRoundTripConformance(t *testing.T) {
 				zeroMasterOnly(sample, map[uintptr]bool{})
 				in = sample.Interface()
 			}
-			if !reflect.DeepEqual(in, out) {
-				t.Errorf("round trip changed the payload at %s", deepDiff("", reflect.ValueOf(in), reflect.ValueOf(out)))
+			if d := deepDiff("", reflect.ValueOf(in), reflect.ValueOf(out)); d != "" {
+				t.Errorf("round trip changed the payload at %s", d)
 			}
 			if packed {
 				for i := range b {
 					b[i] = 0xA5
 				}
-				if !reflect.DeepEqual(in, out) {
-					t.Errorf("the decoded payload aliases its input, at %s", deepDiff("", reflect.ValueOf(in), reflect.ValueOf(out)))
+				if d := deepDiff("", reflect.ValueOf(in), reflect.ValueOf(out)); d != "" {
+					t.Errorf("the decoded payload aliases its input, at %s", d)
 				}
 			}
 		})
@@ -564,7 +609,9 @@ func packedSamples(t testing.TB) []transport.Packer {
 }
 
 // FuzzDecodePayload feeds hostile bytes to the decoder of every packed tag
-// (the first input byte picks the tag): a typed error, never a panic; counts
+// (the first input byte picks the tag), seeded with every packed sample —
+// the replies among them traced, each carrying a span tree — and a traced
+// leaf reply as a stem receives it: a typed error, never a panic; counts
 // are checked against the bytes present before anything is allocated, so a
 // short input cannot claim a large message; and what decodes re-encodes to a
 // message that decodes again.
@@ -579,6 +626,13 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add(b)
 		f.Add(b[:len(b)/2])
 	}
+	traced := sampleSpan(1)
+	traced.Child("leaf/leaf0").Child("scan").SetAttr("partition", "/hdfs/t/p0")
+	b, err := transport.EncodePayload(batchReply{Tasks: []taskReply{{Status: taskStatus{OK: true}, Span: traced}, {}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -667,8 +721,9 @@ func TestPackedPlanMessagesDecodeCheaply(t *testing.T) {
 
 // pinnedMessages are fixed packed messages with varied contents: every
 // column layout, NULLs, a group with a float sum, an optional result, a
-// failed task. Their bytes are the wire form of CodecVersion 10: a decoder
-// may move, but these bytes may not change without a version bump.
+// failed task. Their bytes are the wire form of CodecVersion 13 (an
+// untraced reply's span is one byte): a decoder may move, but these bytes
+// may not change without a version bump.
 func pinnedMessages() map[string]transport.Packer {
 	g := exec.NewGroups(1)
 	grp := g.Get([]types.Value{types.NewString("k")})
@@ -697,7 +752,7 @@ func pinnedMessages() map[string]transport.Packer {
 func TestPinnedWireBytes(t *testing.T) {
 	want := map[string]string{
 		"shuffleMsg": "050a71312f73687566666c650271310570726f626506020300540300030100020700d4fe04000100610201010000000000000000000000000000f83f000412000202010400016b0300010102010a01000000000000e03f010100010101000109",
-		"batchReply": "02030100056c65616630b817880e8040000000000200020a0101080000000000c8010002000401020001040001780080010004626f6f6d056c65616631000000000000000001000001000000000000000000000001020201010400016b0101010001000000000000044001020000000000000004400200000000000000044080808001",
+		"batchReply": "02030100056c65616630b817880e8040000000000200020a0101080000000000c801000200040102000104000178008001000004626f6f6d056c65616631000000000000000001000001000000000000000000000001020201010400016b010101000100000000000004400102000000000000000440020000000000000004408080800100",
 	}
 	for name, m := range pinnedMessages() {
 		b, err := transport.EncodePayload(m)

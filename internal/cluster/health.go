@@ -128,7 +128,6 @@ func (m *ClusterManager) HeartbeatLoad(name string, kind WorkerKind, load LoadSn
 	seq := w.flips
 	w.kind = kind
 	w.lastBeat = m.Now()
-	w.active = load.ActiveTasks
 	w.load = load
 	w.suspect = false // a beat proves the worker reachable again
 	m.mu.Unlock()

@@ -89,7 +89,8 @@ func (l *LeafServer) handle(ctx context.Context, from string, payload any) (any,
 // goroutine, each scanning its blocks in order; a leaf's parallelism is the
 // batches it serves at once. Each plan of the batch is bound once, on its
 // first task; a task then brings only its partition. A failed task is
-// reported in its own slot; the rest of the batch still runs.
+// reported in its own slot; the rest of the batch still runs. A traced batch
+// gives each task a holder span that its reply carries.
 //
 // A scatter batch under a pushed-down LIMIT L runs in ascending ordinal and
 // hands each task only the rows still missing: L less the rows the tasks
@@ -121,9 +122,12 @@ func (l *LeafServer) runBatch(ctx context.Context, b *taskBatch) batchReply {
 	for i := first; 0 <= i && i < len(b.Tasks); i += step {
 		l.queued.Add(-1)
 		task := b.Tasks[i]
+		if b.Traced {
+			reply.Tasks[i].Span = trace.New("")
+		}
 		if counting && have >= limit {
 			l.Skipped.Inc()
-			taskSpanAt(ctx, i).Count("limit.skipped", 1)
+			reply.Tasks[i].Span.Count("limit.skipped", 1)
 			continue
 		}
 		scan, err := l.bindOnce(&bound, task.Plan)
@@ -132,10 +136,10 @@ func (l *LeafServer) runBatch(ctx context.Context, b *taskBatch) batchReply {
 			p.ScanLimit, task.Plan = limit-have, &p
 		}
 		if err == nil {
-			err = l.runTask(ctx, b, i, task, scan, &reply.Tasks[i])
+			err = l.runTask(ctx, b, task, scan, &reply.Tasks[i])
 		}
 		if err != nil {
-			reply.Tasks[i] = taskReply{Status: taskStatus{Err: err.Error()}}
+			reply.Tasks[i].Status = taskStatus{Err: err.Error()}
 			counting = false
 		} else if counting {
 			have += int64(len(reply.Tasks[i].Result.Rows))
@@ -165,23 +169,11 @@ func (l *LeafServer) bindOnce(bound *[]boundPlan, p *plan.PhysicalPlan) (*exec.S
 	return scan, err
 }
 
-// taskSpanAt returns the attempt span of the batch's task i that the stem
-// put in the call's context; nil untraced.
-func taskSpanAt(ctx context.Context, i int) *trace.Span {
-	if spans, _ := ctx.Value(taskSpansKey{}).([]*trace.Span); i < len(spans) {
-		return spans[i]
-	}
-	return nil
-}
-
-// runTask executes task, the batch's task i, on its bound plan into reply
-// under its TaskTimeout and its attempt span, billing simulated I/O to a
-// private bill. A scatter task returns its result; a map task ships it to
-// the reducers and returns the transfer accounting.
-func (l *LeafServer) runTask(ctx context.Context, b *taskBatch, i int, task plan.TaskSpec, scan *exec.Scanner, reply *taskReply) error {
-	if span := taskSpanAt(ctx, i); span != nil {
-		ctx = trace.NewContext(ctx, span)
-	}
+// runTask executes task on its bound plan into reply under its TaskTimeout
+// and, traced, under reply.Span, billing simulated I/O to a private bill. A
+// scatter task returns its result; a map task ships it to the reducers and
+// returns the transfer accounting.
+func (l *LeafServer) runTask(ctx context.Context, b *taskBatch, task plan.TaskSpec, scan *exec.Scanner, reply *taskReply) error {
 	l.active.Add(1)
 	defer l.active.Add(-1)
 	l.Tasks.Inc()
@@ -191,10 +183,11 @@ func (l *LeafServer) runTask(ctx context.Context, b *taskBatch, i int, task plan
 		defer cancel()
 	}
 	var span *trace.Span
-	if trace.FromContext(ctx) != nil { // the name is rendered only for a live trace
-		ctx, span = trace.StartSpan(ctx, "leaf/"+l.Name)
+	if reply.Span != nil { // the name is rendered only for a live trace
+		span = reply.Span.Child("leaf/" + l.Name)
 		defer span.Finish()
 		span.SetAttr("partition", task.Partition.Path)
+		ctx = trace.NewContext(ctx, span)
 	}
 	if !sleepCtx(ctx, l.Stall()) {
 		return ctx.Err()
@@ -301,9 +294,8 @@ func (l *LeafServer) LoadSnapshot() LoadSnapshot {
 
 // HeartbeatOnce sends one heartbeat to the master.
 func (l *LeafServer) HeartbeatOnce(ctx context.Context, master string) error {
-	load := l.LoadSnapshot()
 	_, err := l.Fabric.Call(ctx, l.Name, master, transport.Control,
-		heartbeatMsg{Name: l.Name, Kind: KindLeaf, Active: load.ActiveTasks, Load: load}, 64)
+		heartbeatMsg{Name: l.Name, Kind: KindLeaf, Load: l.LoadSnapshot()}, 64)
 	return err
 }
 
@@ -324,10 +316,8 @@ func (l *LeafServer) Stop() {
 
 // heartbeatMsg reports liveness and load to the master's cluster manager.
 type heartbeatMsg struct {
-	Name   string
-	Kind   WorkerKind
-	Active int
-	// Load is the worker's full load snapshot (Load.ActiveTasks == Active).
+	Name string
+	Kind WorkerKind
 	Load LoadSnapshot
 }
 

@@ -30,7 +30,6 @@ type ClusterManager struct {
 type workerState struct {
 	kind     WorkerKind
 	lastBeat time.Time
-	active   int          // tasks reported by the last heartbeat
 	inflight int          // tasks dispatched by this master and not yet finished
 	load     LoadSnapshot // full load snapshot from the last heartbeat
 	// suspect marks a worker an unreachable dispatch flagged before its
@@ -119,7 +118,7 @@ func (m *ClusterManager) Load(name string) int {
 	if !ok {
 		return 0
 	}
-	return w.active + w.load.QueueDepth + w.inflight
+	return w.load.ActiveTasks + w.load.QueueDepth + w.inflight
 }
 
 // AddInflight adjusts the dispatch-side load tracker.

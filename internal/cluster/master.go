@@ -211,9 +211,7 @@ func NewMaster(cfg MasterConfig) *Master {
 func (m *Master) handle(ctx context.Context, from string, payload any) (any, error) {
 	switch msg := payload.(type) {
 	case heartbeatMsg:
-		load := msg.Load
-		load.ActiveTasks = msg.Active
-		m.Manager.HeartbeatLoad(msg.Name, msg.Kind, load)
+		m.Manager.HeartbeatLoad(msg.Name, msg.Kind, msg.Load)
 		return nil, nil
 	case catalogOp:
 		if msg.Table != nil {

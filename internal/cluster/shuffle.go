@@ -84,13 +84,15 @@ type shuffleReduceMsg struct {
 	BuildOrdinals []int
 	GroupOrdinals []int
 	SpillPrefix   string
+	Traced        bool // the reply carries the reducer's spans
 }
 
 type shuffleReduceReply struct {
 	Result     *exec.TaskResult
-	PartSim    map[int]time.Duration // per-partition simulated reduce time
+	Sim        time.Duration // simulated reduce time, its partitions' in turn
 	SpillBytes int64
 	DevBytes   sim.DeviceBytes
+	Span       *trace.Span // traced: holds reduce/<stem> and a span per partition
 }
 
 // shuffleCleanupMsg drops all committed state for an exchange
@@ -187,22 +189,16 @@ type shuffleSideOrd struct {
 	ord  int
 }
 
-// shuffleExchange is a reducer's state for one query's shuffle: the
+// exchangeLocked returns a reducer's state for one query's shuffle: the
 // committed message per map task.
-type shuffleExchange struct {
-	committed map[shuffleSideOrd]*shuffleMsg
-}
-
-func (s *StemServer) exchangeLocked(id string) *shuffleExchange {
+func (s *StemServer) exchangeLocked(id string) map[shuffleSideOrd]*shuffleMsg {
 	if s.shuffles == nil {
-		s.shuffles = make(map[string]*shuffleExchange)
+		s.shuffles = make(map[string]map[shuffleSideOrd]*shuffleMsg)
 	}
-	ex := s.shuffles[id]
-	if ex == nil {
-		ex = &shuffleExchange{committed: map[shuffleSideOrd]*shuffleMsg{}}
-		s.shuffles[id] = ex
+	if s.shuffles[id] == nil {
+		s.shuffles[id] = make(map[shuffleSideOrd]*shuffleMsg)
 	}
-	return ex
+	return s.shuffles[id]
 }
 
 // handleShuffle commits the first message from each map task. A duplicate
@@ -211,12 +207,12 @@ func (s *StemServer) exchangeLocked(id string) *shuffleExchange {
 func (s *StemServer) handleShuffle(from string, msg shuffleMsg) (any, error) {
 	s.shuffleMu.Lock()
 	defer s.shuffleMu.Unlock()
-	ex := s.exchangeLocked(msg.Exchange)
+	committed := s.exchangeLocked(msg.Exchange)
 	so := shuffleSideOrd{msg.Side, msg.Ordinal}
-	if _, done := ex.committed[so]; done {
+	if _, done := committed[so]; done {
 		return shuffleAck{}, nil
 	}
-	ex.committed[so] = &msg
+	committed[so] = &msg
 	// The commit's site is the (map task, reducer) pair's, and a reducer
 	// commits a map task once: its one event.
 	if s.Events.Enabled() {
@@ -238,8 +234,12 @@ func (s *StemServer) handleShuffleCleanup(msg shuffleCleanupMsg) (any, error) {
 // spill and read-back costs, plus a CPU charge proportional to its input
 // bytes) so the master can attribute per-partition reduce sim.
 func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceMsg) (any, error) {
-	_, span := trace.StartSpan(ctx, "reduce/"+s.Name)
-	defer span.Finish()
+	var holder, span *trace.Span
+	if msg.Traced {
+		holder = trace.New("")
+		span = holder.Child("reduce/" + s.Name)
+		defer span.Finish()
+	}
 	sh := msg.Plan.Shuffle
 	if sh == nil {
 		return nil, fmt.Errorf("cluster: stem %s: reduce request without shuffle spec", s.Name)
@@ -251,7 +251,7 @@ func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceM
 	// never mutated, and each must carry exactly this reducer's partitions,
 	// ascending, so part k below is partition parts[k].
 	s.shuffleMu.Lock()
-	committed := maps.Clone(s.exchangeLocked(msg.Exchange).committed)
+	committed := maps.Clone(s.exchangeLocked(msg.Exchange))
 	s.shuffleMu.Unlock()
 	for _, side := range []struct {
 		name string
@@ -275,10 +275,8 @@ func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceM
 	}
 
 	var merged *exec.TaskResult
-	partSim := make(map[int]time.Duration, len(parts))
 	reduceBill := sim.NewBill()
 	var spilled int64
-	var total time.Duration
 	for k, pi := range parts {
 		part := func(side string, ord int) shufflePart { return committed[shuffleSideOrd{side, ord}].Parts[k] }
 		partBill := sim.NewBill()
@@ -332,24 +330,27 @@ func (s *StemServer) handleShuffleReduce(ctx context.Context, msg shuffleReduceM
 		if s.Model != nil {
 			partBill.ChargeScan(s.Model, inBytes)
 		}
-		partSim[pi] = partBill.Time()
-		total += partBill.Time()
 		reduceBill.Add(partBill)
+		if holder != nil {
+			ps := holder.Child(fmt.Sprintf("partition %d @ %s", pi, s.Name))
+			ps.SetSim(partBill.Time())
+			ps.Finish()
+		}
 		if msg.QueryID != "" {
 			rows := len(res.Rows)
 			if res.Groups != nil {
 				rows = len(res.Groups.M)
 			}
-			s.Events.EmitSim(site, seq+1, events.ShuffleReduce, msg.QueryID, pi, partSim[pi],
+			s.Events.EmitSim(site, seq+1, events.ShuffleReduce, msg.QueryID, pi, partBill.Time(),
 				fmt.Sprintf("%s rows=%d", s.Name, rows))
 		}
 		merged = exec.MergeResults(msg.Plan, merged, res)
 	}
-	span.SetSim(total)
+	span.SetSim(reduceBill.Time())
 	s.shuffleMu.Lock()
 	delete(s.shuffles, msg.Exchange)
 	s.shuffleMu.Unlock()
-	return shuffleReduceReply{Result: merged, PartSim: partSim, SpillBytes: spilled, DevBytes: reduceBill.DeviceBytes()}, nil
+	return shuffleReduceReply{Result: merged, Sim: reduceBill.Time(), SpillBytes: spilled, DevBytes: reduceBill.DeviceBytes(), Span: holder}, nil
 }
 
 // routerSpillStore backs grace-hash spills with the cluster's global
@@ -403,7 +404,7 @@ func (q *statement) shuffle(ctx context.Context) (*exec.TaskResult, error) {
 	// Map tasks, with globally unique ordinals across sides (build side
 	// first). TaskSpec.Key() ignores the ordinal, so renumbering is safe.
 	job := stemJobMsg{Plan: q.p, Batch: route}
-	reduce := shuffleReduceMsg{Exchange: route.Exchange, QueryID: q.qid, Plan: q.p, SpillPrefix: "/hdfs/feisu-shuffle/" + q.qid}
+	reduce := shuffleReduceMsg{Exchange: route.Exchange, QueryID: q.qid, Plan: q.p, SpillPrefix: "/hdfs/feisu-shuffle/" + q.qid, Traced: q.root != nil}
 	addSide := func(side string, mp *plan.PhysicalPlan, ords *[]int) {
 		tasks := mp.Tasks()
 		job.Tasks, job.Batch.Sides, *ords = slices.Grow(job.Tasks, len(tasks)), slices.Grow(job.Batch.Sides, len(tasks)), make([]int, 0, len(tasks))
@@ -520,17 +521,9 @@ func (q *statement) shuffleReduce(ctx context.Context, route *taskBatch, msg shu
 	}
 	var merged *exec.TaskResult
 	var reduceMax time.Duration
-	for ri, reply := range replies {
-		var total time.Duration
-		for _, pi := range msgs[ri].Partitions { // ascending
-			total += reply.PartSim[pi]
-			if rspan != nil {
-				ps := rspan.Child(fmt.Sprintf("partition %d @ %s", pi, reducers[ri]))
-				ps.SetSim(reply.PartSim[pi])
-				ps.Finish()
-			}
-		}
-		reduceMax = max(reduceMax, total)
+	for _, reply := range replies {
+		rspan.Adopt(reply.Span)
+		reduceMax = max(reduceMax, reply.Sim)
 		q.stats.ShuffleSpillBytes += reply.SpillBytes
 		reply.DevBytes.AddTo(q.stats.BytesByDevice)
 		merged = exec.MergeResults(q.p, merged, reply.Result)

@@ -41,7 +41,7 @@ type StemServer struct {
 	// shuffleMu guards shuffles, the reducer-side commits of repartition
 	// exchanges (keyed by exchange ID).
 	shuffleMu sync.Mutex
-	shuffles  map[string]*shuffleExchange
+	shuffles  map[string]map[shuffleSideOrd]*shuffleMsg
 }
 
 // Register attaches the stem to the fabric.
@@ -72,19 +72,26 @@ func (s *StemServer) handle(ctx context.Context, from string, payload any) (any,
 func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 	s.active.Add(int32(len(job.Tasks)))
 	defer s.active.Add(-int32(len(job.Tasks)))
-	var span *trace.Span
-	if job.Batch.Exchange == "" && trace.FromContext(ctx) != nil { // map tasks hang off the master's shuffle-map span: no stem ran them
-		ctx, span = trace.StartSpan(ctx, "stem/"+s.Name)
-		defer span.Finish()
-		span.Count("tasks", int64(len(job.Tasks)))
+	// A traced job's spans hang under a holder its reply carries: stem/<name>,
+	// or for map tasks the attempt spans themselves, which the master hangs
+	// off its shuffle-map span (no stem ran them).
+	var holder, span *trace.Span
+	if job.Batch.Traced {
+		holder = trace.New("")
+		span = holder
+		if job.Batch.Exchange == "" {
+			span = holder.Child("stem/" + s.Name)
+			defer span.Finish()
+			span.Count("tasks", int64(len(job.Tasks)))
+		}
 	}
 	s.tasks.Add(int64(len(job.Tasks)))
 	// Job positions grouped by leaf, the leaves in the order they first
-	// appear, and the attempt spans at the same places. The spans are
-	// created here, serially in job order, so a trace lists task#N by
-	// ordinal however the leaves answer.
+	// appear, and the attempt spans by job position. The spans are created
+	// here, serially in job order, so a trace lists task#N by ordinal however
+	// the leaves answer.
 	n := len(job.Tasks)
-	leaves, pos, ends := make([]string, 0, min(n, 8)), make([]int, 0, n), make([]int, 0, min(n, 8))
+	leaves, pos, ends := make([]string, 0, min(n, 8)), make([]int, 0, n), append(make([]int, 0, min(n, 8)+1), 0)
 	for _, task := range job.Tasks {
 		if leaf := job.Assign[task.Ordinal]; !slices.Contains(leaves, leaf) {
 			leaves = append(leaves, leaf)
@@ -98,15 +105,11 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 		}
 		ends = append(ends, len(pos))
 	}
-	var spans []*trace.Span // by place in pos; nil untraced
-	if trace.FromContext(ctx) != nil {
-		byJob := make([]*trace.Span, n)
-		for i, task := range job.Tasks {
-			byJob[i] = taskSpan(ctx, task.Ordinal, job.Assign[task.Ordinal])
-		}
+	var spans []*trace.Span // nil untraced
+	if span != nil {
 		spans = make([]*trace.Span, n)
-		for k, i := range pos {
-			spans[k] = byJob[i]
+		for i, task := range job.Tasks {
+			spans[i] = taskSpan(span, task.Ordinal, job.Assign[task.Ordinal])
 		}
 	}
 	// Every batch writes its own slots; the fold below runs after wg.Wait.
@@ -114,18 +117,10 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 	status := make([]taskStatus, n)
 	var wg sync.WaitGroup
 	for b, leaf := range leaves {
-		from, to := 0, ends[b]
-		if b > 0 {
-			from = ends[b-1]
-		}
-		var bspans []*trace.Span
-		if spans != nil {
-			bspans = spans[from:to]
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.attempt(ctx, &job, leaf, pos[from:to], bspans, results, status)
+			s.attempt(ctx, &job, leaf, pos[ends[b]:ends[b+1]], spans, results, status)
 		}()
 	}
 	wg.Wait()
@@ -133,7 +128,7 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 	// aggregates are not associative, so the order of the fold is part of
 	// the answer. Past the first failed task nothing is folded — the
 	// master's backup task has to land at that ordinal first.
-	reply := stemReply{Status: status}
+	reply := stemReply{Status: status, Span: holder}
 	// The stem's simulated time is its critical path: the slowest task it
 	// waited on (tasks run in parallel under the cost model).
 	var busiest time.Duration
@@ -157,46 +152,38 @@ func (s *StemServer) runJob(ctx context.Context, job stemJobMsg) (any, error) {
 	return reply, nil
 }
 
-// taskSpan starts one attempt's span under the context's span; nil without a
-// live trace (the name is rendered only for one).
-func taskSpan(ctx context.Context, ordinal int, leaf string) *trace.Span {
-	parent := trace.FromContext(ctx)
+// taskSpan starts one attempt's span under parent; nil without a live trace
+// (the name is rendered only for one).
+func taskSpan(parent *trace.Span, ordinal int, leaf string) *trace.Span {
 	if parent == nil {
 		return nil
 	}
 	return parent.Child(fmt.Sprintf("task#%d @ %s", ordinal, leaf))
 }
 
-// taskSpansKey carries a batch's attempt spans to the leaf in the call's
-// context, so each task's work hangs under its own span.
-type taskSpansKey struct{}
-
-// attempt sends one leaf the job's tasks at positions pos, with their attempt
-// spans (nil untraced), as one batch and fills their results and statuses at
-// the same positions: the one place tasks are sent to a leaf, scatter or map,
-// first attempt or backup. The leaf times each task out; the call's bound of
-// TaskTimeout per task fires only when the leaf never answers.
+// attempt sends one leaf the job's tasks at positions pos as one batch, fills
+// their results and statuses and adopts their replies' spans into their
+// attempt spans (nil untraced), at the same positions: the one place tasks
+// are sent to a leaf, scatter or map, first attempt or backup. The leaf times
+// each task out; the call's bound of TaskTimeout per task fires only when the
+// leaf never answers.
 func (s *StemServer) attempt(ctx context.Context, job *stemJobMsg, leaf string, pos []int, spans []*trace.Span, results []*exec.TaskResult, status []taskStatus) {
 	msg := job.Batch
 	msg.Tasks = make([]plan.TaskSpec, len(pos))
 	for j, p := range pos {
 		msg.Tasks[j] = job.Tasks[p]
 	}
-	cctx := ctx
-	if spans != nil {
-		cctx = context.WithValue(ctx, taskSpansKey{}, spans)
-	}
 	if msg.TaskTimeout > 0 {
 		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(cctx, time.Duration(len(pos))*msg.TaskTimeout)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(len(pos))*msg.TaskTimeout)
 		defer cancel()
 	}
-	raw, err := s.Fabric.Call(cctx, s.Name, leaf, transport.Control, msg, 256*int64(len(pos)))
+	raw, err := s.Fabric.Call(ctx, s.Name, leaf, transport.Control, msg, 256*int64(len(pos)))
 	reply, ok := raw.(batchReply)
 	if err == nil && (!ok || len(reply.Tasks) != len(pos)) {
 		err = fmt.Errorf("leaf %s: reply %T does not answer %d tasks", leaf, raw, len(pos))
 	}
-	last, size := -1, int64(0) // the highest-ordinal task with a result, and the results' bytes
+	last, size := -1, int64(0) // the job position of the highest-ordinal task with a result; the results' bytes
 	for j, p := range pos {
 		st := &status[p]
 		if err != nil {
@@ -206,32 +193,35 @@ func (s *StemServer) attempt(ctx context.Context, job *stemJobMsg, leaf string, 
 			st.OK, st.ScanSim = true, st.SimTime
 			if res := reply.Tasks[j].Result; res != nil { // a map task's rows went sideways
 				results[p], st.Rows = res, len(res.Rows)
-				last, size = j, size+reply.Tasks[j].Size
+				last, size = p, size+reply.Tasks[j].Size
 			}
+		}
+		if err == nil && spans != nil {
+			spans[p].Adopt(reply.Tasks[j].Span)
 		}
 		st.Leaf = leaf
 	}
 	if last >= 0 {
-		s.billReply(leaf, size, spans, last, &status[pos[last]])
+		s.billReply(leaf, size, spans, last, &status[last])
 	}
 	if spans == nil {
 		return
 	}
-	for j, p := range pos {
+	for _, p := range pos {
 		// A task span's sim time is the task's full response time: leaf
 		// execution, plus the reply transfer on the task that carries it.
 		if status[p].OK {
-			spans[j].SetSim(status[p].SimTime)
+			spans[p].SetSim(status[p].SimTime)
 		}
-		spans[j].Finish()
+		spans[p].Finish()
 	}
 }
 
 // billReply charges a batch reply's way up the tree — one read-flow message
 // of size bytes — to st, the batch's highest-ordinal task with a result
-// (at position j), so the charge does not depend on the order the leaf ran
-// the tasks in.
-func (s *StemServer) billReply(leaf string, size int64, spans []*trace.Span, j int, st *taskStatus) {
+// (at job position p), so the charge does not depend on the order the leaf
+// ran the tasks in.
+func (s *StemServer) billReply(leaf string, size int64, spans []*trace.Span, p int, st *taskStatus) {
 	s.Fabric.Counters().Msgs[transport.Read].Inc()
 	s.Fabric.Counters().Bytes[transport.Read].Add(size)
 	hops := s.Fabric.Topology().Hops(leaf, s.Name)
@@ -241,7 +231,7 @@ func (s *StemServer) billReply(leaf string, size int64, spans []*trace.Span, j i
 	cost := s.Model.TransferCost(size, hops)
 	st.SimTime += cost
 	if spans != nil {
-		sp := spans[j].Child("reply-transfer")
+		sp := spans[p].Child("reply-transfer")
 		sp.SetSim(cost)
 		sp.Count("bytes", size)
 		sp.Finish()
@@ -255,9 +245,8 @@ func (s *StemServer) LoadSnapshot() LoadSnapshot {
 
 // HeartbeatOnce sends one heartbeat to the master.
 func (s *StemServer) HeartbeatOnce(ctx context.Context, master string) error {
-	load := s.LoadSnapshot()
 	_, err := s.Fabric.Call(ctx, s.Name, master, transport.Control,
-		heartbeatMsg{Name: s.Name, Kind: KindStem, Active: load.ActiveTasks, Load: load}, 64)
+		heartbeatMsg{Name: s.Name, Kind: KindStem, Load: s.LoadSnapshot()}, 64)
 	return err
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -33,11 +32,13 @@ type taskDone struct {
 	tried   []string // the leaves of the failed attempts, in order
 }
 
-// groupDone is one dispatch group's outcome: its tasks in ascending ordinal
-// and the left fold of their results in that order.
+// groupDone is one dispatch group's outcome: its tasks in ascending ordinal,
+// the left fold of their results in that order and, traced, a holder of the
+// spans of its stem and its backup tasks.
 type groupDone struct {
 	tasks  []taskDone
 	merged *exec.TaskResult
+	span   *trace.Span
 }
 
 // runTasks drives job.Tasks to their terminal outcomes: stamp the task
@@ -45,7 +46,8 @@ type groupDone struct {
 // first attempts one job per group — per stem for a scatter, straight from
 // the master's own local stem for map tasks (no extra hop, no plan shipped)
 // — back up what fails there, and account every outcome. It returns the
-// groups in arrival order, and whether the context ended before all of them
+// groups in ascending first ordinal, their spans adopted by the context's
+// span in that order, and whether the context ended before all of them
 // arrived.
 func (q *statement) runTasks(ctx context.Context, job stemJobMsg) (groups []groupDone, deadline bool, err error) {
 	m, stats, tasks := q.m, q.stats, job.Tasks
@@ -60,7 +62,7 @@ func (q *statement) runTasks(ctx context.Context, job stemJobMsg) (groups []grou
 	if job.Assign, err = m.Scheduler.PlanAll(tasks); err != nil {
 		return nil, false, err
 	}
-	job.Batch.QueryID = q.qid
+	job.Batch.QueryID, job.Batch.Traced = q.qid, q.root != nil
 	if m.cfg.Events.Enabled() {
 		q.tsites, q.tseq = events.TaskSites(q.qid, len(tasks)), make([]uint64, len(tasks))
 	}
@@ -101,6 +103,10 @@ func (q *statement) runTasks(ctx context.Context, job stemJobMsg) (groups []grou
 			stats.TasksFailed = len(tasks) - completed
 		}
 	}
+	slices.SortFunc(groups, func(a, b groupDone) int { return a.tasks[0].ordinal - b.tasks[0].ordinal })
+	for _, g := range groups {
+		trace.FromContext(ctx).Adopt(g.span)
+	}
 	return groups, deadline, nil
 }
 
@@ -116,7 +122,10 @@ func (q *statement) runGroup(ctx context.Context, stemName string, job stemJobMs
 	// reply.Merged already holds the tasks before the stem's first failure;
 	// from there on each result — the backup task's, then the tail the stem
 	// relayed — folds in here, in the same order.
-	g := groupDone{tasks: make([]taskDone, len(job.Tasks)), merged: reply.Merged}
+	g := groupDone{tasks: make([]taskDone, len(job.Tasks)), merged: reply.Merged, span: reply.Span}
+	if g.span == nil && job.Batch.Traced {
+		g.span = trace.New("")
+	}
 	for i, t := range job.Tasks {
 		d := taskDone{ordinal: t.Ordinal}
 		res := reply.Tail[t.Ordinal]
@@ -132,7 +141,7 @@ func (q *statement) runGroup(ctx context.Context, stemName string, job stemJobMs
 			// A failed task journals its full chain.
 			q.journalTask(t.Ordinal, events.TaskScheduled, 0, d.Leaf)
 			q.journalTask(t.Ordinal, events.TaskDispatched, 0, d.Leaf+" via "+stemName)
-			res = q.retryTask(ctx, &job, t, &d)
+			res = q.retryTask(ctx, &job, t, &d, g.span)
 		}
 		g.merged = exec.MergeResults(job.Plan, g.merged, res)
 		g.tasks[i] = d
@@ -222,7 +231,6 @@ func (q *statement) scatter(ctx context.Context) (*exec.TaskResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].tasks[0].ordinal < groups[j].tasks[0].ordinal })
 	var merged *exec.TaskResult
 	for _, g := range groups {
 		merged = exec.MergeResults(q.p, merged, g.merged)
@@ -247,14 +255,14 @@ func (q *statement) scatter(ctx context.Context) (*exec.TaskResult, error) {
 	return nil, fmt.Errorf("cluster: %d of %d tasks failed permanently", failed, len(tasks))
 }
 
-// retryTask issues backup tasks on other leaves until one succeeds or the
-// retry budget runs out, and returns the winner's result (a map task has
-// none); d.Leaf is the leaf the first dispatch failed on, and d ends as the
-// last attempt's outcome. Leaves the manager no longer reports alive are
-// excluded from every attempt, and attempts are spaced by exponential
-// backoff with deterministic jitter so a burst of failures does not hammer
-// the survivors in lockstep.
-func (q *statement) retryTask(ctx context.Context, job *stemJobMsg, t plan.TaskSpec, d *taskDone) *exec.TaskResult {
+// retryTask issues backup tasks on other leaves, each under an attempt span
+// in parent, until one succeeds or the retry budget runs out, and returns
+// the winner's result (a map task has none); d.Leaf is the leaf the first
+// dispatch failed on, and d ends as the last attempt's outcome. Leaves the
+// manager no longer reports alive are excluded from every attempt, and
+// attempts are spaced by exponential backoff with deterministic jitter so a
+// burst of failures does not hammer the survivors in lockstep.
+func (q *statement) retryTask(ctx context.Context, job *stemJobMsg, t plan.TaskSpec, d *taskDone, parent *trace.Span) *exec.TaskResult {
 	m := q.m
 	exclude := map[string]bool{d.Leaf: true}
 	// The budget is the partition's: it counts executions that ran and
@@ -283,7 +291,7 @@ func (q *statement) retryTask(ctx context.Context, job *stemJobMsg, t plan.TaskS
 		q.journalTask(t.Ordinal, events.TaskRetry, 0, fmt.Sprintf("attempt %d on %s: %s", attempt+1, leaf, d.Err))
 		one.Batch.Attempt = attempt + 1
 		res, st := []*exec.TaskResult{nil}, []taskStatus{{}}
-		m.localStem.attempt(ctx, &one, leaf, []int{0}, []*trace.Span{taskSpan(ctx, t.Ordinal, leaf)}, res, st)
+		m.localStem.attempt(ctx, &one, leaf, []int{0}, []*trace.Span{taskSpan(parent, t.Ordinal, leaf)}, res, st)
 		d.tried = append(d.tried, d.Leaf)
 		if d.taskStatus = st[0]; d.OK {
 			return res[0]

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strconv"
 )
 
@@ -85,12 +84,7 @@ func ToJaeger(t StoredTrace) JaegerDoc {
 			js.References = []JaegerRef{{RefType: "CHILD_OF", TraceID: traceID, SpanID: parent}}
 		}
 		s.mu.Lock()
-		sim, attrs := s.sim, s.attrs
-		keys := make([]string, 0, len(s.counts))
-		for k := range s.counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+		sim, attrs, keys := s.sim, s.attrs, s.countKeys()
 		js.Tags = make([]JaegerTag, 0, 1+len(keys)+len(attrs))
 		if sim > 0 {
 			js.Tags = append(js.Tags, JaegerTag{Key: "sim_us", Type: "int64", Value: sim.Microseconds()})

@@ -8,21 +8,26 @@
 // the paper's 4,000-node hardware), plus named counters (rows, index and
 // cache hits) and free-form attributes.
 //
-// Spans travel via context.Context exactly like sim bills do: the fabric
-// is in-process, so a child server's spans attach directly to the parent
-// span carried by the call context. All Span methods are safe on a nil
-// receiver and StartSpan is a no-op without an active trace, so the hot
+// Spans cross a call only inside messages, the same way on every fabric: a
+// traced callee records its work under a local holder span (New) and returns
+// the holder in its reply (AppendSpan, ReadSpan), and the caller merges it
+// into the span it holds for that call (Adopt). Within one process a span
+// rides the context (NewContext, StartSpan). All Span methods are safe on a
+// nil receiver and StartSpan is a no-op without an active trace, so the hot
 // path pays nothing when tracing is off.
 package trace
 
 import (
+	"context"
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"context"
+	"repro/internal/types"
 )
 
 // Span is one node of a query's trace tree. Spans are safe for concurrent
@@ -161,6 +166,16 @@ func (s *Span) Count(name string, n int64) {
 	s.mu.Unlock()
 }
 
+// countKeys returns the span's counter names in order; s.mu is held.
+func (s *Span) countKeys() []string {
+	keys := make([]string, 0, len(s.counts))
+	for k := range s.counts {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // CountValue returns a counter's value (0 when absent or nil span).
 func (s *Span) CountValue(name string) int64 {
 	if s == nil {
@@ -178,11 +193,7 @@ func (s *Span) Counts() map[string]int64 {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.counts))
-	for k, v := range s.counts {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(s.counts)
 }
 
 // SetAttr sets a key=value label (replacing an existing key).
@@ -214,6 +225,22 @@ func (s *Span) Attr(key string) string {
 		}
 	}
 	return ""
+}
+
+// Adopt merges h, a callee's holder span out of a reply, into s: h's
+// counters add to s's and h's children append to s's, in order; h's own
+// name, times and attributes are dropped. Safe on a nil s or h.
+func (s *Span) Adopt(h *Span) {
+	if s == nil || h == nil {
+		return
+	}
+	for k, v := range h.Counts() {
+		s.Count(k, v)
+	}
+	children := h.Children()
+	s.mu.Lock()
+	s.children = append(s.children, children...)
+	s.mu.Unlock()
 }
 
 // Children returns a copy of the span's current children.
@@ -385,4 +412,77 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	}
 	c := parent.Child(name)
 	return NewContext(ctx, c), c
+}
+
+// maxDepth bounds the nesting ReadSpan accepts; a real tree is a handful of
+// levels deep.
+const maxDepth = 32
+
+// AppendSpan appends the wire form of s's subtree (Adopt): a presence byte,
+// alone for a nil span, then per span its name, start (unix ns), wall, sim,
+// attributes, counters in name order and children.
+func AppendSpan(b []byte, s *Span) []byte {
+	if s == nil {
+		return append(b, 0)
+	}
+	return appendTree(append(b, 1), s)
+}
+
+func appendTree(b []byte, s *Span) []byte {
+	s.mu.Lock()
+	b = binary.AppendVarint(types.AppendString(b, s.name), s.start.UnixNano())
+	b = binary.AppendVarint(binary.AppendVarint(b, int64(s.wall)), int64(s.sim))
+	b = binary.AppendUvarint(b, uint64(len(s.attrs)))
+	for _, a := range s.attrs {
+		b = types.AppendString(types.AppendString(b, a.Key), a.Value)
+	}
+	b = binary.AppendUvarint(b, uint64(len(s.counts)))
+	for _, k := range s.countKeys() {
+		b = binary.AppendVarint(types.AppendString(b, k), s.counts[k])
+	}
+	children := s.children
+	s.mu.Unlock()
+	b = binary.AppendUvarint(b, uint64(len(children)))
+	for _, c := range children {
+		b = appendTree(b, c)
+	}
+	return b
+}
+
+// ReadSpan reads a span tree written by AppendSpan. Every count is checked
+// against the bytes present before anything is allocated for it, and nesting
+// past maxDepth fails the reader like any malformed field.
+func ReadSpan(r *types.Reader) *Span {
+	if !r.Bool() {
+		return nil
+	}
+	return readTree(r, 0)
+}
+
+func readTree(r *types.Reader, depth int) *Span {
+	if depth == maxDepth {
+		r.Fail("span nesting too deep")
+		return nil
+	}
+	s := &Span{name: r.Str(), start: time.Unix(0, r.Varint()), wall: time.Duration(r.Varint()), sim: time.Duration(r.Varint())}
+	if n := r.Len(2); n > 0 { // a key and a value
+		s.attrs = make([]Attr, n)
+		for i := range s.attrs {
+			s.attrs[i] = Attr{Key: r.Str(), Value: r.Str()}
+		}
+	}
+	if n := r.Len(2); n > 0 { // a name and a value
+		s.counts = make(map[string]int64, n)
+		for range n {
+			k := r.Str()
+			s.counts[k] += r.Varint()
+		}
+	}
+	if n := r.Len(7); n > 0 { // a name, three times and three counts
+		s.children = make([]*Span, n)
+		for i := range s.children {
+			s.children[i] = readTree(r, depth+1)
+		}
+	}
+	return s
 }

@@ -1,11 +1,16 @@
 package trace
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/types"
 )
 
 func TestSpanTree(t *testing.T) {
@@ -138,5 +143,72 @@ func TestConcurrentChildren(t *testing.T) {
 	wg.Wait()
 	if n := len(root.Children()); n != 16 {
 		t.Fatalf("got %d children, want 16", n)
+	}
+}
+
+// A span tree crosses the wire whole: names, order, start, wall and sim
+// times, attributes and counters; a nil span is one byte.
+func TestSpanCodecRoundTrip(t *testing.T) {
+	if b := AppendSpan(nil, nil); len(b) != 1 {
+		t.Fatalf("nil span encodes as %d bytes, want 1", len(b))
+	}
+	root := New("holder")
+	root.Count("limit.skipped", 1)
+	leaf := root.Child("leaf/leaf0")
+	leaf.SetAttr("partition", "/hdfs/t/p0")
+	leaf.SetSim(7 * time.Millisecond)
+	scan := leaf.Child("scan")
+	scan.Count("rows.scanned", 4096)
+	scan.Count("index.hit", -3)
+	scan.Finish()
+	leaf.Child("read:hdd").Finish()
+	leaf.Finish()
+	b := AppendSpan(nil, root)
+	r := types.NewReader(b)
+	got := ReadSpan(&r)
+	if err := r.End(); err != nil {
+		t.Fatal(err)
+	}
+	if got.Render() != root.Render() {
+		t.Fatalf("round trip changed the tree:\n%s\nwant\n%s", got.Render(), root.Render())
+	}
+	for _, pair := range [][2]*Span{{got, root}, {got.Find("scan"), scan}} {
+		if !pair[0].Start().Equal(pair[1].Start()) || pair[0].Wall() != pair[1].Wall() {
+			t.Errorf("%s: start %v wall %v, want %v %v", pair[1].Name(), pair[0].Start(), pair[0].Wall(), pair[1].Start(), pair[1].Wall())
+		}
+	}
+	if again := AppendSpan(nil, got); !bytes.Equal(again, b) {
+		t.Error("decoded tree re-encodes differently")
+	}
+	holder := New("")
+	holder.Adopt(got)
+	if holder.CountValue("limit.skipped") != 1 || len(holder.Children()) != 1 || holder.Children()[0].Name() != "leaf/leaf0" {
+		t.Errorf("Adopt: counters %v, children %d", holder.Counts(), len(holder.Children()))
+	}
+}
+
+// ReadSpan reads untrusted bytes: nesting past maxDepth and counts the bytes
+// present cannot hold fail with ErrCorrupt, and what the reader allocates is
+// bounded by the depth limit, not by what the input claims.
+func TestReadSpanRejectsHostileInput(t *testing.T) {
+	// Empty fields, then one child: the next level.
+	level := []byte{0, 0, 0, 0, 0, 0, 1}
+	deep := append([]byte{1}, bytes.Repeat(level, 100_000)...)
+	huge := binary.AppendUvarint([]byte{1, 0, 0, 0, 0, 0, 0}, 1<<40) // 2^40 children
+	attrs := binary.AppendUvarint([]byte{1, 0, 0, 0, 0}, 1<<40)      // 2^40 attributes
+	for _, tc := range []struct {
+		name, why string
+		in        []byte
+	}{{"deep", "span nesting too deep", deep}, {"huge children", "count exceeds input", huge}, {"huge attributes", "count exceeds input", attrs}} {
+		allocs := testing.AllocsPerRun(10, func() {
+			r := types.NewReader(tc.in)
+			ReadSpan(&r)
+			if err := r.End(); !errors.Is(err, types.ErrCorrupt) || !strings.Contains(err.Error(), tc.why) {
+				t.Fatalf("%s: err = %v, want ErrCorrupt: %s", tc.name, err, tc.why)
+			}
+		})
+		if allocs > 3*maxDepth {
+			t.Errorf("%s: %.0f allocations for %d bytes, want at most %d", tc.name, allocs, len(tc.in), 3*maxDepth)
+		}
 	}
 }

@@ -42,8 +42,9 @@ import (
 // and a task no longer carries a worker count. Version 12: no layout
 // changes, but shuffle routing hashes the binary equality key (exec's
 // AppendGroupKey), so a version-11 process would send a key to another
-// reducer.
-const CodecVersion = 12
+// reducer. Version 13: the call header carries the caller's deadline, not a
+// relay ID, and traced requests' replies carry their span trees.
+const CodecVersion = 13
 
 const frameMagic = 0xFE15
 
@@ -156,9 +157,9 @@ type callHeader struct {
 	To    string
 	Class Class
 	Size  int64 // declared payload size, as the caller counted it
-	// Baggage is the caller's in-process context relay ID (see baggage.go);
-	// meaningful only when the call loops back into the caller's own process.
-	Baggage uint64
+	// Deadline is the caller's context deadline in unix ns, 0 for none: the
+	// server runs the handler under it.
+	Deadline int64
 }
 
 func (h callHeader) append(dst []byte) []byte {
@@ -166,12 +167,12 @@ func (h callHeader) append(dst []byte) []byte {
 	dst = types.AppendString(dst, h.To)
 	dst = append(dst, byte(h.Class))
 	dst = binary.AppendVarint(dst, h.Size)
-	return binary.AppendUvarint(dst, h.Baggage)
+	return binary.AppendVarint(dst, h.Deadline)
 }
 
 func parseCallHeader(b []byte) (h callHeader, err error) {
 	r := types.NewReader(b)
-	h.From, h.To, h.Class, h.Size, h.Baggage = r.Str(), r.Str(), Class(r.Byte()), r.Varint(), r.Uvarint()
+	h.From, h.To, h.Class, h.Size, h.Deadline = r.Str(), r.Str(), Class(r.Byte()), r.Varint(), r.Varint()
 	return h, packedErr(&r, "call header", h.Class > Shuffle)
 }
 

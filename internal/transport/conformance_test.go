@@ -206,6 +206,40 @@ func TestConformanceHandlerErrors(t *testing.T) {
 	}
 }
 
+// The handler runs under the caller's deadline on either fabric, so a
+// statement's time limit bounds the work it asks of another node; a call
+// without a deadline reaches the handler without one.
+func TestConformanceHandlerSeesCallerDeadline(t *testing.T) {
+	for _, nc := range netCases() {
+		t.Run(nc.name, func(t *testing.T) {
+			n := nc.mk(t, nil, Options{})
+			n.Register("x", func(ctx context.Context, from string, payload any) (any, error) {
+				d, ok := ctx.Deadline()
+				if !ok {
+					return confReply{Echo: "none"}, nil
+				}
+				return confReply{Echo: "deadline", N: int(d.UnixNano())}, nil
+			})
+			want := time.Now().Add(time.Minute)
+			ctx, cancel := context.WithDeadline(context.Background(), want)
+			defer cancel()
+			got, err := n.Call(ctx, "m", "x", Control, confPayload{}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := got.(confReply); r.Echo != "deadline" || int64(r.N) != want.UnixNano() {
+				t.Errorf("handler saw %+v, want the caller's deadline %d", r, want.UnixNano())
+			}
+			if got, err = n.Call(context.Background(), "m", "x", Control, confPayload{}, 1); err != nil {
+				t.Fatal(err)
+			}
+			if r := got.(confReply); r.Echo != "none" {
+				t.Errorf("handler of a call without a deadline saw %+v", r)
+			}
+		})
+	}
+}
+
 func TestConformanceInterceptorDropAndDelay(t *testing.T) {
 	for _, nc := range netCases() {
 		t.Run(nc.name, func(t *testing.T) {

@@ -163,7 +163,7 @@ func TestChunkReaderChains(t *testing.T) {
 }
 
 func TestPackedHeadersRoundTripAndTruncation(t *testing.T) {
-	h := callHeader{From: "master", To: "leaf-7", Class: Shuffle, Size: -5, Baggage: 1 << 40}
+	h := callHeader{From: "master", To: "leaf-7", Class: Shuffle, Size: -5, Deadline: 1_700_000_000_123_456_789}
 	b := h.append(nil)
 	if got, err := parseCallHeader(b); err != nil || got != h {
 		t.Fatalf("call header = %+v, %v", got, err)

@@ -216,9 +216,10 @@ func (t *TCP) Call(ctx context.Context, from, to string, class Class, payload an
 	t.mu.RLock()
 	icpt := t.interceptor
 	t.mu.RUnlock()
-	bag := stashBaggage(ctx)
-	defer unstashBaggage(bag)
-	c := call{callHeader: callHeader{From: from, To: to, Class: class, Size: size, Baggage: bag}, addr: addr}
+	c := call{callHeader: callHeader{From: from, To: to, Class: class, Size: size}, addr: addr}
+	if d, ok := ctx.Deadline(); ok {
+		c.Deadline = d.UnixNano()
+	}
 	return send(ctx, t, icpt, c, payload)
 }
 
@@ -478,9 +479,13 @@ func (t *TCP) serveConn(c net.Conn) {
 
 // serveCall resolves the destination endpoint at delivery time, so a
 // restarted node's frames reach its live registration, and invokes its
-// handler.
+// handler under the caller's deadline.
 func (t *TCP) serveCall(ctx context.Context, hdr callHeader, payload any) (any, error) {
-	ctx = withBaggage(ctx, hdr.Baggage)
+	if hdr.Deadline != 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, hdr.Deadline))
+		defer cancel()
+	}
 	t.mu.RLock()
 	ep, ok := t.local[hdr.To]
 	down := ok && ep.down

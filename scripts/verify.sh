@@ -100,11 +100,13 @@ go test -fuzz=FuzzGroupKey -fuzztime=10s -run='^$' ./internal/exec
 # crossing real loopback sockets, as do the freshness tests: a partition's
 # generation must reach the leaf inside the task it runs. Reply strings are
 # cut from wire blobs there, so the result cache's chaos suite reruns too.
+# So do the EXPLAIN / EXPLAIN ANALYZE goldens: the leaves' and stems' spans
+# reach the master inside their replies.
 echo "== transport conformance (sim + tcp fabrics, race)"
 go test -race -count=1 ./internal/transport/
 
-echo "== differential + equivalence + freshness suites over TCP (FEISU_TRANSPORT=tcp)"
-FEISU_TRANSPORT=tcp go test -count=1 -run 'TestTCPTransport|TestDifferential|TestClusterMatchesSingleNode|TestEquivalenceUnderChaos|TestMetamorphic|TestRewriteRegisteredInCatalogOnly|TestReloadSameTableInvalidatesIndex|TestIngestRestartInvalidatesStaleReads|TestResultCacheInvalidatedByIngest|TestResultCacheEquivalenceUnderChaos' .
+echo "== differential + equivalence + freshness suites and EXPLAIN goldens over TCP (FEISU_TRANSPORT=tcp)"
+FEISU_TRANSPORT=tcp go test -count=1 -run 'TestTCPTransport|TestExplain|TestDifferential|TestClusterMatchesSingleNode|TestEquivalenceUnderChaos|TestMetamorphic|TestRewriteRegisteredInCatalogOnly|TestReloadSameTableInvalidatesIndex|TestIngestRestartInvalidatesStaleReads|TestResultCacheInvalidatedByIngest|TestResultCacheEquivalenceUnderChaos' .
 
 echo "== multi-process cluster (1 master / 2 stems / 4 leaves as OS processes on loopback)"
 go test -count=1 -run TestMultiProcessCluster ./cmd/feisu-node

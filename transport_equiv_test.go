@@ -2,10 +2,12 @@ package feisu
 
 import (
 	"context"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/events"
 	"repro/internal/plan"
 	"repro/internal/transport"
@@ -48,12 +50,14 @@ func newEquivSystem(t *testing.T, mode string) (*System, *plan.TableMeta) {
 	return sys, meta
 }
 
-// TestTCPTransportMatchesSim runs the same generated query battery through
-// two identical deployments — one on the deterministic sim fabric, one on
-// real loopback sockets — and requires bit-identical results and identical
-// simulated time per statement. This is the root-level transport-equivalence
-// gate: the wire codec, framing, pooling and server-side dispatch must be
-// invisible to query semantics and to the cost model.
+// TestTCPTransportMatchesSim runs the same generated query battery, traced,
+// through two identical deployments — one on the deterministic sim fabric,
+// one on real loopback sockets — and requires bit-identical results,
+// identical simulated time and the same span tree per statement (names,
+// order, counters, attributes and sim times; wall times blanked). This is the
+// root-level transport-equivalence gate: the wire codec, framing, pooling and
+// server-side dispatch must be invisible to query semantics, to the cost
+// model and to the trace, whose callee spans ride the replies.
 func TestTCPTransportMatchesSim(t *testing.T) {
 	simSys, _ := newEquivSystem(t, "sim")
 	tcpSys, _ := newEquivSystem(t, "tcp")
@@ -74,7 +78,7 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 	const multi = "SELECT grp, COUNT(*), SUM(v) FROM orders GROUP BY grp"
 	queries := append(generateEquivalenceQueries(40, 99), join, multi)
 	for _, q := range queries {
-		simRes, simStats, err := simSys.QueryStats(ctx, q)
+		simRes, simStats, err := simSys.QueryStats(ctx, q, WithTrace())
 		if err != nil {
 			t.Fatalf("sim %q: %v", q, err)
 		}
@@ -95,7 +99,7 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 				t.Fatalf("%q ran one task per leaf (%v), not a batch of several", q, perLeaf)
 			}
 		}
-		tcpRes, tcpStats, err := tcpSys.QueryStats(ctx, q)
+		tcpRes, tcpStats, err := tcpSys.QueryStats(ctx, q, WithTrace())
 		if err != nil {
 			t.Fatalf("tcp %q: %v", q, err)
 		}
@@ -106,6 +110,12 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 		// codec bill the same declared sizes.
 		if tcpStats.SimTime != simStats.SimTime {
 			t.Fatalf("sim prediction diverged on %q: tcp %v vs sim fabric %v", q, tcpStats.SimTime, simStats.SimTime)
+		}
+		if got, want := blankWall(tcpStats.Trace.Render()), blankWall(simStats.Trace.Render()); got != want {
+			t.Fatalf("trace diverged on %q:\ntcp:\n%s\nsim:\n%s", q, got, want)
+		}
+		if q == join && (simStats.Trace.Find("leaf/") == nil || simStats.Trace.Find("reduce/") == nil) {
+			t.Fatalf("%q: trace holds no leaf/ or reduce/ span:\n%s", q, simStats.Trace.Render())
 		}
 	}
 
@@ -119,6 +129,11 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 		t.Fatal("tcp system reported zero wire bytes — calls did not use the socket path")
 	}
 }
+
+// wallToken is a rendered span's wall time, which only the host decides.
+var wallToken = regexp.MustCompile(` wall=\S+`)
+
+func blankWall(tree string) string { return wallToken.ReplaceAllString(tree, " wall=") }
 
 // TestTCPTransportRejectsUnknownMode pins the config surface: a typo'd
 // transport name must fail loudly at construction, not fall back to sim.
@@ -235,6 +250,60 @@ func TestOneShuffleMessagePerReducer(t *testing.T) {
 				}
 				if got, want := calls.n.Load(), int64(stats.Tasks*len(sys.stems)); got != want || got == 0 {
 					t.Errorf("%s: %d shuffle messages for %d map tasks and %d reducers, want %d", st.name, got, stats.Tasks, len(sys.stems), want)
+				}
+			}
+		})
+	}
+}
+
+// TestDuplicateDeliveryTracesOnce: with every message delivered twice, a
+// traced scatter's tree holds only the spans of the replies that survived —
+// one stem/ span per stem, one task# span per task and exactly one leaf/
+// span under each — on both fabrics. A callee's run whose reply was dropped
+// wrote only into the holder span that reply carried.
+func TestDuplicateDeliveryTracesOnce(t *testing.T) {
+	for _, mode := range []string{"sim", "tcp"} {
+		t.Run(mode, func(t *testing.T) {
+			sys, err := New(Config{Leaves: 4, Stems: 2, Transport: mode, HeartbeatInterval: -1,
+				Chaos: &chaos.Config{Seed: 1, Transport: chaos.TransportChaos{Duplicate: 1}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(sys.Close)
+			ctx := context.Background()
+			spec := workload.T1Spec()
+			spec.Partitions, spec.RowsPerPart = 8, 128
+			meta, err := workload.Generate(ctx, sys.Router(), spec)
+			if err == nil {
+				err = sys.RegisterTable(ctx, meta)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, stats, err := sys.QueryStats(ctx, "SELECT COUNT(*), SUM(clicks) FROM T1 WHERE clicks > 3", WithTrace(), WithoutResultCache())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree := stats.Trace.Render()
+			stems := map[string]int{}
+			for _, s := range stats.Trace.FindAll("stem/") {
+				stems[s.Name()]++
+			}
+			if len(stems) == 0 {
+				t.Fatalf("no stem/ span:\n%s", tree)
+			}
+			for name, n := range stems {
+				if n != 1 {
+					t.Errorf("%d %s spans, want 1:\n%s", n, name, tree)
+				}
+			}
+			tasks := stats.Trace.FindAll("task#")
+			if len(tasks) != stats.Tasks {
+				t.Fatalf("%d task# spans for %d tasks:\n%s", len(tasks), stats.Tasks, tree)
+			}
+			for _, ts := range tasks {
+				if n := len(ts.FindAll("leaf/")); n != 1 {
+					t.Fatalf("%s holds %d leaf/ spans, want 1:\n%s", ts.Name(), n, tree)
 				}
 			}
 		})
