@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -285,6 +286,42 @@ func TestStorageCorruption(t *testing.T) {
 	}
 	if string(clean) != string(orig) {
 		t.Fatal("corruption leaked into the underlying store")
+	}
+}
+
+// TestStorageCorruptRangeLeavesStoreIntact: a range read is a view of the
+// inner store's bytes on MemFS and DFS, so a corrupting read must flip a
+// byte of a copy, never of the view.
+func TestStorageCorruptRangeLeavesStoreIntact(t *testing.T) {
+	ctx := context.Background()
+	orig := []byte("0123456789abcdef")
+	dfs := storage.NewHDFS("hdfs", nil)
+	dfs.AddNode("n0", "r0")
+	for _, inner := range []storage.Store{storage.NewMemFS("", nil), dfs, rangelessStore{storage.NewMemFS("", nil)}} {
+		if err := inner.WriteFile(ctx, "/f", orig); err != nil {
+			t.Fatal(err)
+		}
+		p := New(Config{Seed: 1, Storage: StorageChaos{Corrupt: 1}})
+		s := p.WrapStore(inner).(storage.RangeReader)
+		for off := int64(0); off < 12; off += 4 {
+			got, err := s.ReadRange(ctx, "/f", off, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(got, orig[off:off+4]) {
+				t.Fatalf("%T: Corrupt=1 left [%d,+4) intact", inner, off)
+			}
+		}
+		if p.Corruptions.Value() != 3 {
+			t.Fatalf("%T: %d corruptions, want 3", inner, p.Corruptions.Value())
+		}
+		clean, err := inner.ReadFile(ctx, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(clean, orig) {
+			t.Fatalf("%T: a corrupting range read wrote into the store: %q", inner, clean)
+		}
 	}
 }
 

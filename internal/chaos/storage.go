@@ -104,7 +104,8 @@ func (c *chaosStore) ReadFile(ctx context.Context, path string) ([]byte, error) 
 }
 
 // ReadRange implements storage.RangeReader, delegating to the inner store's
-// range support when present.
+// range support when present. The result is a read-only view, as the inner
+// store's is; a corrupted read is a copy.
 func (c *chaosStore) ReadRange(ctx context.Context, path string, off, length int64) ([]byte, error) {
 	if err := c.readFault(ctx, path, off); err != nil {
 		return nil, err
@@ -119,7 +120,7 @@ func (c *chaosStore) ReadRange(ctx context.Context, path string, off, length int
 			if off < 0 || length < 0 || off+length > int64(len(data)) {
 				return nil, fmt.Errorf("chaos: range [%d,%d) outside %s of %d bytes", off, off+length, path, len(data))
 			}
-			data = append([]byte(nil), data[off:off+length]...)
+			data = data[off : off+length : off+length]
 		}
 	}
 	if err != nil {

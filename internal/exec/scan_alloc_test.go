@@ -5,9 +5,11 @@ package exec
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"unsafe"
 
+	"repro/internal/colstore"
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -90,6 +92,53 @@ func TestSlabRowsAreIndependent(t *testing.T) {
 	for i := range rows {
 		if rows[i] == nil || back[i] == nil || len(back[i]) != 0 {
 			t.Fatalf("width-0 row %d: cut %#v, round-trips as %#v", i, rows[i], back[i])
+		}
+	}
+}
+
+// A column read allocates its decoded vector and little else: the range read
+// is a view of the stored block, not a copy of the extent. A DOUBLE extent is
+// as large as its decoded vector, so a copy would double the bytes.
+func TestColumnReadAllocatesOnlyTheDecodedVector(t *testing.T) {
+	const rows = 4096
+	ctx := context.Background()
+	w := colstore.NewWriter(types.MustSchema(types.Field{Name: "f", Type: types.Float64}), rows)
+	for i := 0; i < rows; i++ {
+		if err := w.Append(types.Row{types.NewFloat(float64(i) / 7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []storage.Store{storage.NewHDFS("hdfs", nil), storage.NewMemFS("mem", nil)} {
+		if d, ok := s.(*storage.DFS); ok {
+			d.AddNode("n0", "r0")
+		}
+		router := storage.NewRouter(nil)
+		router.Register(s)
+		path := "/" + s.Scheme() + "/t/p0"
+		if err := router.WriteFile(ctx, path, data); err != nil {
+			t.Fatal(err)
+		}
+		sr := NewStoreReader(router)
+		meta, err := sr.Meta(ctx, plan.PartitionMeta{Path: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const reads = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range reads {
+			if _, err := sr.Column(ctx, path, meta, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perRead, limit := (after.TotalAlloc-before.TotalAlloc)/reads, uint64(8*rows+1024)
+		if perRead > limit {
+			t.Errorf("%s: a column read allocates %d bytes, want at most the %d-byte vector plus 1 KiB", s.Scheme(), perRead, 8*rows)
 		}
 	}
 }

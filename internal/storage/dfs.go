@@ -42,6 +42,9 @@ type dfsFile struct {
 	holders []string // the union of the blocks' replicas, sorted
 }
 
+// dfsBlock is one stored block. Its data is never written after WriteFile
+// made it: a rewrite or truncation replaces the file's blocks, so a view
+// ReadRange handed out earlier keeps the bytes it was taken at.
 type dfsBlock struct {
 	data     []byte
 	replicas []string
@@ -151,10 +154,7 @@ func (d *DFS) WriteFile(ctx context.Context, path string, data []byte) error {
 	defer d.mu.Unlock()
 	f := &dfsFile{size: int64(len(data))}
 	for off := int64(0); off < int64(len(data)) || (off == 0 && len(data) == 0); off += d.blockSize {
-		end := off + d.blockSize
-		if end > int64(len(data)) {
-			end = int64(len(data))
-		}
+		end := min(off+d.blockSize, int64(len(data)))
 		reps, err := d.placeReplicas()
 		if err != nil {
 			return err
@@ -186,14 +186,7 @@ func (d *DFS) ReadFile(ctx context.Context, path string) ([]byte, error) {
 	}
 	out := make([]byte, 0, f.size)
 	for i, blk := range f.blocks {
-		live := ""
-		for _, r := range blk.replicas {
-			if !d.down[r] {
-				live = r
-				break
-			}
-		}
-		if live == "" && len(blk.replicas) > 0 {
+		if !d.readable(blk) {
 			d.mu.RUnlock()
 			return nil, fmt.Errorf("%w: %s block %d", ErrUnavailable, path, i)
 		}
@@ -229,6 +222,17 @@ func (d *DFS) List(ctx context.Context, prefix string) ([]string, error) {
 	return out, nil
 }
 
+// readable reports whether some replica of blk is up, or it has none.
+// Caller holds d.mu.
+func (d *DFS) readable(blk dfsBlock) bool {
+	for _, r := range blk.replicas {
+		if !d.down[r] {
+			return true
+		}
+	}
+	return len(blk.replicas) == 0
+}
+
 // Locations implements Store: the union of live replica holders across the
 // file's blocks, sorted, so the scheduler can prefer data-local leaves. The
 // union is kept from the write on; only while some node is down is it
@@ -253,7 +257,8 @@ func (d *DFS) Locations(path string) []string {
 }
 
 // ReadRange implements RangeReader: only the blocks overlapping the range
-// are touched, charging just the requested bytes.
+// are touched, charging just the requested bytes. A range inside one block
+// is a view of it; one that spans blocks is copied into a fresh buffer.
 func (d *DFS) ReadRange(ctx context.Context, path string, off, length int64) ([]byte, error) {
 	d.mu.RLock()
 	f, ok := d.files[path]
@@ -265,7 +270,7 @@ func (d *DFS) ReadRange(ctx context.Context, path string, off, length int64) ([]
 		d.mu.RUnlock()
 		return nil, fmt.Errorf("storage: range [%d,%d) outside %s of %d bytes", off, off+length, path, f.size)
 	}
-	out := make([]byte, 0, length)
+	var out []byte
 	pos := int64(0)
 	for i, blk := range f.blocks {
 		blkLen := int64(len(blk.data))
@@ -274,23 +279,17 @@ func (d *DFS) ReadRange(ctx context.Context, path string, off, length int64) ([]
 		if end <= off || start >= off+length {
 			continue
 		}
-		live := len(blk.replicas) == 0
-		for _, r := range blk.replicas {
-			if !d.down[r] {
-				live = true
-				break
-			}
-		}
-		if !live {
+		if !d.readable(blk) {
 			d.mu.RUnlock()
 			return nil, fmt.Errorf("%w: %s block %d", ErrUnavailable, path, i)
 		}
-		lo, hi := int64(0), blkLen
-		if off > start {
-			lo = off - start
+		lo, hi := max(off, start)-start, min(off+length, end)-start
+		if hi-lo == length { // the range lies inside this block
+			out = blk.data[lo:hi:hi]
+			break
 		}
-		if off+length < end {
-			hi = off + length - start
+		if out == nil {
+			out = make([]byte, 0, length)
 		}
 		out = append(out, blk.data[lo:hi]...)
 	}

@@ -136,6 +136,9 @@ func (l *LocalFS) ReadRange(ctx context.Context, path string, off, length int64)
 		return nil, err
 	}
 	defer f.Close()
+	if fi, err := f.Stat(); err != nil || off < 0 || length < 0 || off+length > fi.Size() {
+		return nil, fmt.Errorf("storage: range [%d,%d) outside %s", off, off+length, path)
+	}
 	out := make([]byte, length)
 	if _, err := io.ReadFull(io.NewSectionReader(f, off, length), out); err != nil {
 		return nil, fmt.Errorf("storage: range read %s: %w", path, err)

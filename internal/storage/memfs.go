@@ -95,7 +95,8 @@ func (m *MemFS) List(ctx context.Context, prefix string) ([]string, error) {
 // Locations implements Store.
 func (m *MemFS) Locations(string) []string { return m.loc }
 
-// ReadRange implements RangeReader, charging only the bytes read.
+// ReadRange implements RangeReader, charging only the bytes read: a view of
+// the store's private copy, which WriteFile replaces and never writes into.
 func (m *MemFS) ReadRange(ctx context.Context, path string, off, length int64) ([]byte, error) {
 	m.mu.RLock()
 	data, ok := m.files[path]

@@ -12,6 +12,11 @@
 // All plugins charge simulated I/O costs to the sim.Bill carried by the
 // context, which is how the benchmark harness reconstructs cluster-scale
 // response times.
+//
+// ReadFile returns a copy the caller owns; ReadRange, the read of every
+// column extent, a read-only view that the in-memory stores serve without a
+// copy (RangeReader). Decoders copy what they keep, and every extent's CRC
+// is checked, so a write into a view shows up as a checksum failure.
 package storage
 
 import (
@@ -193,12 +198,17 @@ func nodeLocation(id string) []string {
 // RangeReader is implemented by stores that can serve byte ranges without
 // reading the whole file — the capability that makes column-granular reads
 // (and thus SmartIndex's I/O savings) real.
+// ReadRange returns a read-only view of [off, off+length), billed length
+// bytes: it may alias the store's copy, so the caller never writes into it,
+// and its capacity is length, so an append reallocates instead of writing
+// over the next extent. A later write of the file leaves the view as it was.
 type RangeReader interface {
 	ReadRange(ctx context.Context, path string, off, length int64) ([]byte, error)
 }
 
-// ReadRange routes and reads [off, off+length). Stores without range
-// support fall back to a full read (and are billed for it).
+// ReadRange routes and reads [off, off+length), a read-only view
+// (RangeReader). Stores without range support fall back to a full read (and
+// are billed for it), which the view slices.
 func (r *Router) ReadRange(ctx context.Context, path string, off, length int64) ([]byte, error) {
 	s, p := r.Resolve(path)
 	if s == nil {
@@ -214,13 +224,12 @@ func (r *Router) ReadRange(ctx context.Context, path string, off, length int64) 
 	return sliceRange(data, off, length)
 }
 
+// sliceRange views [off, off+length) of data, its capacity clipped to length.
 func sliceRange(data []byte, off, length int64) ([]byte, error) {
 	if off < 0 || length < 0 || off+length > int64(len(data)) {
 		return nil, fmt.Errorf("storage: range [%d,%d) outside file of %d bytes", off, off+length, len(data))
 	}
-	out := make([]byte, length)
-	copy(out, data[off:off+length])
-	return out, nil
+	return data[off : off+length : off+length], nil
 }
 
 // Device returns the device class of the store holding path.

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"strconv"
 	"strings"
@@ -104,7 +105,8 @@ func (s *Server) Close() error {
 }
 
 func (h *handlers) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	fams := mergeFamilies(h.m.Metrics().Families(), append(healthFamilies(h.m.Health()), h.buildFamilies()...))
+	own := append(healthFamilies(h.m.Health()), h.buildFamilies()...)
+	fams := mergeFamilies(h.m.Metrics().Families(), append(own, runtimeFamilies()...))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = WriteText(w, fams)
 }
@@ -120,6 +122,40 @@ func (h *handlers) buildFamilies() []metrics.Family {
 	up := metrics.Family{Name: "feisu_uptime_seconds", Type: metrics.TypeGauge}
 	up.Samples = append(up.Samples, metrics.Sample{Value: time.Since(h.started).Seconds()})
 	return []metrics.Family{info, up}
+}
+
+// goRuntime maps the Go runtime metrics /metrics exports to their series:
+// the garbage collector's CPU, what the heap allocated, GC cycles and the
+// live heap. They are read once per scrape and cost nothing between scrapes.
+var goRuntime = []struct {
+	from, name string
+	typ        metrics.FamilyType
+}{
+	{"/cpu/classes/gc/total:cpu-seconds", "feisu_go_gc_cpu_seconds_total", metrics.TypeCounter},
+	{"/gc/heap/allocs:bytes", "feisu_go_heap_allocs_bytes_total", metrics.TypeCounter},
+	{"/gc/cycles/total:gc-cycles", "feisu_go_gc_cycles_total", metrics.TypeCounter},
+	{"/gc/heap/live:bytes", "feisu_go_heap_live_bytes", metrics.TypeGauge},
+}
+
+// runtimeFamilies reads goRuntime's metrics now.
+func runtimeFamilies() []metrics.Family {
+	samples := make([]rtmetrics.Sample, len(goRuntime))
+	for i, g := range goRuntime {
+		samples[i].Name = g.from
+	}
+	rtmetrics.Read(samples)
+	out := make([]metrics.Family, len(goRuntime))
+	for i, g := range goRuntime {
+		v := 0.0
+		switch samples[i].Value.Kind() {
+		case rtmetrics.KindUint64:
+			v = float64(samples[i].Value.Uint64())
+		case rtmetrics.KindFloat64:
+			v = samples[i].Value.Float64()
+		}
+		out[i] = metrics.Family{Name: g.name, Type: g.typ, Samples: []metrics.Sample{{Value: v}}}
+	}
+	return out
 }
 
 func (h *handlers) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -181,9 +183,18 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	runtime.GC() // so the GC series below have something to count
 	code, body := get("/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
+	}
+	for _, g := range goRuntime {
+		if !strings.Contains(body, "# TYPE "+g.name+" "+g.typ.String()+"\n") {
+			t.Errorf("/metrics lacks the %s series %s", g.typ, g.name)
+		}
+		if g.from != "/cpu/classes/gc/total:cpu-seconds" && !regexp.MustCompile(`(?m)^`+g.name+` [1-9]`).MatchString(body) {
+			t.Errorf("/metrics reads no %s (from %s)", g.name, g.from)
+		}
 	}
 	for _, want := range []string{
 		"feisu_queries_total 1",

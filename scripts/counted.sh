@@ -18,6 +18,12 @@
 # "worse" is BENCHMARK.json's direction. Each run's output is kept in
 # .bench_build/counted/. Times never go in the file. A read takes about two
 # minutes on a 2-vCPU box.
+#
+# Every run is pinned to one CPU (taskset -c 0), so the harness runs one
+# closed-loop client: two clients interleave differently on every run, and
+# which cache entries survive, and so every cache counter, moves with them.
+# The file records the commit whose code was read, so a rewrite needs a tree
+# whose tracked files, BENCH_counted.json aside, are committed.
 set -eu
 cd "$(dirname "$0")/.."
 mode=${1:-write}
@@ -35,6 +41,14 @@ if [ "$mode" = --check ] && [ ! -f "$file" ]; then
 	echo "counted: no $file to check against" >&2
 	exit 1
 fi
+if ! command -v taskset >/dev/null 2>&1; then
+	echo "counted: taskset not found; every read runs pinned to one CPU (taskset -c 0, util-linux)" >&2
+	exit 1
+fi
+if [ "$mode" != --check ] && [ -n "$(git status --porcelain --untracked-files=no -- . ":(exclude)$file")" ]; then
+	echo "counted: commit the change first; $file records the commit whose code was read" >&2
+	exit 1
+fi
 out=.bench_build/counted
 rm -rf "$out"
 mkdir -p "$out"
@@ -46,7 +60,7 @@ while [ "$i" -le "$reads" ]; do
 	for w in scan_hot scan_cold shuffle_tcp dash_ingest; do
 		for t in 0 1; do
 			f=$out/$w-trace$t-$i.txt
-			bash bench/run.sh --workload "$w" --seed 1 --seconds 2 --trace "$t" >"$f" 2>&1 ||
+			taskset -c 0 bash bench/run.sh --workload "$w" --seed 1 --seconds 2 --trace "$t" >"$f" 2>&1 ||
 				{ echo "counted: $w --trace $t failed, see $f" >&2; exit 1; }
 			keep=$untraced
 			[ "$t" -eq 1 ] && keep=$traced
@@ -58,8 +72,7 @@ while [ "$i" -le "$reads" ]; do
 	i=$((i + 1))
 done
 
-commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-[ -n "$(git status --porcelain --untracked-files=no 2>/dev/null)" ] && commit="$commit+working-tree"
+commit=$(git rev-parse --short HEAD)
 
 # Inputs, in order: BENCHMARK.json (the direction of each metric), the file
 # as it stands (values and bounds; absent on a first write), then the reads.
