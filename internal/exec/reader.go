@@ -101,7 +101,8 @@ func (sr *StoreReader) Meta(ctx context.Context, part plan.PartitionMeta) (*cols
 }
 
 // Column implements PartitionReader via a single range read of the column's
-// extent.
+// extent: a read-only view of the stored bytes, checked and decoded, never
+// written or kept.
 func (sr *StoreReader) Column(ctx context.Context, path string, meta *colstore.FileMeta, block, col int) (*colstore.Column, error) {
 	if block < 0 || block >= len(meta.Blocks) {
 		return nil, fmt.Errorf("exec: block %d out of range for %s", block, path)

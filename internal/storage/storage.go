@@ -198,6 +198,7 @@ func nodeLocation(id string) []string {
 // RangeReader is implemented by stores that can serve byte ranges without
 // reading the whole file — the capability that makes column-granular reads
 // (and thus SmartIndex's I/O savings) real.
+//
 // ReadRange returns a read-only view of [off, off+length), billed length
 // bytes: it may alias the store's copy, so the caller never writes into it,
 // and its capacity is length, so an append reallocates instead of writing

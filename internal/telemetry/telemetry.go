@@ -105,14 +105,14 @@ func (s *Server) Close() error {
 }
 
 func (h *handlers) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	own := append(healthFamilies(h.m.Health()), h.buildFamilies()...)
-	fams := mergeFamilies(h.m.Metrics().Families(), append(own, runtimeFamilies()...))
+	fams := mergeFamilies(h.m.Metrics().Families(), append(healthFamilies(h.m.Health()), h.buildFamilies()...))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = WriteText(w, fams)
 }
 
-// buildFamilies emits the exporter's own identity series: feisu_build_info
-// (constant 1, version/go labels) and feisu_uptime_seconds since NewMux.
+// buildFamilies emits the exporter's own series: feisu_build_info (constant
+// 1, version/go labels), feisu_uptime_seconds since NewMux and the Go
+// runtime's (goRuntime).
 func (h *handlers) buildFamilies() []metrics.Family {
 	info := metrics.Family{Name: "feisu_build_info", Type: metrics.TypeGauge}
 	info.Samples = append(info.Samples, metrics.Sample{
@@ -121,7 +121,7 @@ func (h *handlers) buildFamilies() []metrics.Family {
 	})
 	up := metrics.Family{Name: "feisu_uptime_seconds", Type: metrics.TypeGauge}
 	up.Samples = append(up.Samples, metrics.Sample{Value: time.Since(h.started).Seconds()})
-	return []metrics.Family{info, up}
+	return append([]metrics.Family{info, up}, runtimeFamilies()...)
 }
 
 // goRuntime maps the Go runtime metrics /metrics exports to their series:
