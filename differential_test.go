@@ -10,6 +10,15 @@ import (
 	"repro/internal/workload"
 )
 
+// joinSpec is the root suites' generated join pair: the default tables, with
+// the fact table's special-value columns (NaN, ±Inf, -0, NULL in f.x and
+// BIGINTs around ±2^53 in f.b) and the queries that read them.
+func joinSpec() workload.JoinSpec {
+	spec := workload.DefaultJoinSpec()
+	spec.Specials = true
+	return spec
+}
+
 // newJoinSystem builds a deployment with the generated fact/dimension
 // join pair registered, and hands back the same rows as in-memory tables
 // for the sqltest oracle. mut adjusts the config (e.g. to force the
@@ -27,7 +36,7 @@ func newJoinSystem(t *testing.T, mut func(*Config)) (*System, []*sqltest.Table) 
 	t.Cleanup(func() { sys.Close() })
 
 	ctx := context.Background()
-	spec := workload.DefaultJoinSpec()
+	spec := joinSpec()
 	factMeta, dimMeta, factRows, dimRows, err := workload.GenerateJoin(ctx, sys.Router(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +48,7 @@ func newJoinSystem(t *testing.T, mut func(*Config)) (*System, []*sqltest.Table) 
 		t.Fatal(err)
 	}
 	tables := []*sqltest.Table{
-		{Name: spec.FactName, Schema: workload.FactJoinSchema(), Rows: factRows},
+		{Name: spec.FactName, Schema: workload.FactJoinSchema(spec.Specials), Rows: factRows},
 		{Name: spec.DimName, Schema: workload.DimJoinSchema(), Rows: dimRows},
 	}
 	return sys, tables
@@ -67,8 +76,7 @@ func renderRefRows(res *sqltest.Result) string {
 // Queries are deterministic as bags by construction (LIMIT only appears
 // under an ORDER BY covering all selected columns).
 func TestDifferentialJoinOracle(t *testing.T) {
-	spec := workload.DefaultJoinSpec()
-	queries := workload.JoinQueries(spec.FactName, spec.DimName, 20250809, 520)
+	queries := workload.JoinQueries(joinSpec(), 20250809, 520)
 
 	shuffleSys, tables := newJoinSystem(t, forceShuffle)
 	broadcastSys, _ := newJoinSystem(t, nil)
@@ -97,8 +105,7 @@ func TestDifferentialJoinOracle(t *testing.T) {
 // strategies directly against each other on the same query stream — a
 // second, oracle-free differential axis.
 func TestDifferentialShuffleVsBroadcast(t *testing.T) {
-	spec := workload.DefaultJoinSpec()
-	queries := workload.JoinQueries(spec.FactName, spec.DimName, 995511, 60)
+	queries := workload.JoinQueries(joinSpec(), 995511, 60)
 
 	shuffleSys, _ := newJoinSystem(t, forceShuffle)
 	broadcastSys, _ := newJoinSystem(t, nil)

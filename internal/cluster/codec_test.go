@@ -474,18 +474,19 @@ func TestStemJobPlanAliasingOverWire(t *testing.T) {
 // field a receiver runs arrives equal and each task's plan is the job's.
 func TestDifferentialStreamPlansRoundTrip(t *testing.T) {
 	spec := workload.DefaultJoinSpec()
+	spec.Specials = true
 	// A fresh catalog per statement: the comparison zeroes the master-only
 	// fields of what the plan points at, its table entries included.
 	catalog := func() plan.MapCatalog {
 		return plan.MapCatalog{
-			spec.FactName: {Name: spec.FactName, Schema: workload.FactJoinSchema(), Version: 3,
+			spec.FactName: {Name: spec.FactName, Schema: workload.FactJoinSchema(spec.Specials), Version: 3,
 				Partitions: []plan.PartitionMeta{{Path: "/hdfs/f/0", Rows: 1000, Bytes: 1 << 20, Gen: 1}, {Path: "/hdfs/f/1", Rows: 1000, Bytes: 1 << 20, Gen: 2}}},
 			spec.DimName: {Name: spec.DimName, Schema: workload.DimJoinSchema(), Version: 4,
 				Partitions: []plan.PartitionMeta{{Path: "/hdfs/d/0", Rows: 100, Bytes: 1 << 16, Gen: 5}}},
 		}
 	}
 	opts := []plan.Options{{}, {BroadcastThreshold: 1, ShufflePartitions: 3, GroupShuffleRows: 1}}
-	for i, sql := range workload.JoinQueries(spec.FactName, spec.DimName, 20250809, 520) {
+	for i, sql := range workload.JoinQueries(spec, 20250809, 520) {
 		stmt, err := sqlparser.Parse(sql)
 		if err != nil {
 			t.Fatal(err)
@@ -662,7 +663,7 @@ func FuzzDecodePayload(f *testing.F) {
 func TestPackedPlanMessagesDecodeCheaply(t *testing.T) {
 	spec := workload.DefaultJoinSpec()
 	cat := plan.MapCatalog{
-		spec.FactName: {Name: spec.FactName, Schema: workload.FactJoinSchema(),
+		spec.FactName: {Name: spec.FactName, Schema: workload.FactJoinSchema(spec.Specials),
 			Partitions: []plan.PartitionMeta{{Path: "/hdfs/f/0"}, {Path: "/hdfs/f/1"}, {Path: "/hdfs/f/2"}, {Path: "/hdfs/f/3"}}},
 		spec.DimName: {Name: spec.DimName, Schema: workload.DimJoinSchema(),
 			Partitions: []plan.PartitionMeta{{Path: "/hdfs/d/0", Bytes: 1 << 20}, {Path: "/hdfs/d/1", Bytes: 1 << 20}}},

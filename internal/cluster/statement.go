@@ -368,7 +368,8 @@ func (q *statement) admit(ctx context.Context) (context.Context, error) {
 }
 
 // loadDims materializes the broadcast dimension tables at the master, on the
-// statement's own bill.
+// statement's own bill. A footer or extent that fails its checksum is read
+// again, as a leaf's task would be.
 func (q *statement) loadDims(ctx context.Context) error {
 	q.bill = sim.NewBill()
 	ctx, span := trace.StartSpan(ctx, "master/load-dims")
@@ -382,8 +383,11 @@ func (q *statement) loadDims(ctx context.Context) error {
 		}
 		var rows [][]types.Value
 		for _, part := range d.Table.Meta.Partitions {
-			meta, err := reader.Meta(ctx, part)
-			if err != nil {
+			var meta *colstore.FileMeta
+			if err := q.reread(func() (err error) {
+				meta, err = reader.Meta(ctx, part)
+				return err
+			}); err != nil {
 				return fmt.Errorf("cluster: dimension %s: %w", d.Table.Meta.Name, err)
 			}
 			ords := make([]int, len(cols))
@@ -395,7 +399,10 @@ func (q *statement) loadDims(ctx context.Context) error {
 			for bi := range meta.Blocks {
 				colData := make([]*colstore.Column, len(cols))
 				for i, ord := range ords {
-					if colData[i], err = reader.Column(ctx, part.Path, meta, bi, ord); err != nil {
+					if err := q.reread(func() (err error) {
+						colData[i], err = reader.Column(ctx, part.Path, meta, bi, ord)
+						return err
+					}); err != nil {
 						return err
 					}
 				}
@@ -413,6 +420,17 @@ func (q *statement) loadDims(ctx context.Context) error {
 	span.SetSim(q.bill.Time())
 	span.Finish()
 	return nil
+}
+
+// reread runs read, and runs it again while it fails with
+// colstore.ErrChecksum, up to MaxTaskRetries times: the budget a leaf task
+// has for the same fault.
+func (q *statement) reread(read func() error) error {
+	err := read()
+	for i := 0; i < q.m.cfg.MaxTaskRetries && errors.Is(err, colstore.ErrChecksum); i++ {
+		err = read()
+	}
+	return err
 }
 
 // recordValue reads record r of a column chunk; a repeated column surfaces

@@ -186,14 +186,18 @@ type Stats struct {
 }
 
 // BloomKey returns the bytes bloom membership hashes, the same for values equal
-// under types.Compare: a number's float64 bits (int64s that round to one
-// float64 collide: a false positive), a string's bytes, a bool as one byte.
+// under types.Compare: a number's float64 bits, with one NaN and one zero
+// (int64s that round to one float64 collide: a false positive), a string's
+// bytes, a bool as one byte.
 func BloomKey(v types.Value) []byte { return appendBloomKey(nil, v) }
 
 func appendBloomKey(dst []byte, v types.Value) []byte {
 	switch v.T {
 	case types.Int64, types.Float64:
 		f := v.AsFloat() + 0 // -0 + 0 is +0, which Compare calls equal to -0
+		if f != f {
+			f = math.NaN()
+		}
 		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 	case types.Bool:
 		return types.AppendBool(dst, v.B)

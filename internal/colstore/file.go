@@ -30,7 +30,9 @@ func verify(b []byte, want uint32) error {
 
 // File format:
 //
-//	magic "FEISU3\n" (files in older formats are rejected, not read)
+//	magic "FEISU4\n" (files in older formats are rejected, not read: a
+//	FEISU3 footer's min/max may follow an order in which NaN equals every
+//	number, and pruning by it under types.Compare's order drops rows)
 //	block payloads, back to back (integer chunks: encoding.EncodeInt64s)
 //	footer:
 //	  schema (types.AppendSchema): uvarint nFields, per field: name, type
@@ -41,7 +43,7 @@ func verify(b []byte, want uint32) error {
 //	    a uvarint length and the bloom filter of BloomKeys (bloom.Marshal)
 //	tail (FooterTailLen bytes):
 //	  uint32 footerLen, uint32 footer CRC-32 (both little-endian)
-//	  magic "FSU3"
+//	  magic "FSU4"
 //
 // Every part of a file a reader decodes is checksummed: each column payload
 // by its extent's CRC, the footer by the tail's. Readers decode through a
@@ -50,8 +52,8 @@ func verify(b []byte, want uint32) error {
 // cannot pay for.
 
 const (
-	fileMagic = "FEISU3\n"
-	tailMagic = "FSU3"
+	fileMagic = "FEISU4\n"
+	tailMagic = "FSU4"
 )
 
 // BlockMeta locates one block inside a partition file and carries its

@@ -158,18 +158,15 @@ func GroupKey(keys []types.Value) string {
 // self-delimiting, so no two tuples share a key by running together. One
 // canonicalisation step comes first: a DOUBLE that holds an integer in int64
 // range is written as that BIGINT, so 3.0 keys like 3 and -0 like 0, and
-// every NaN is written as one NaN. Equal keys are then types.Equal at every
-// position; the converse fails only where Compare is not transitive: a NaN
-// (Compare finds it equal to every number) and a BIGINT beyond ±2^53 against
-// the DOUBLE it rounds to.
+// every NaN is written as one NaN. Two tuples then share a key exactly when
+// they are types.Equal at every position.
 func AppendGroupKey(dst []byte, keys []types.Value) []byte {
 	for _, k := range keys {
 		if k.T == types.Float64 {
-			switch f := k.F; {
-			case f != f:
+			if i, ok := k.As(types.Int64); ok {
+				k = i
+			} else if k.F != k.F {
 				k.F = math.NaN()
-			case f >= -1<<63 && f < 1<<63 && f == math.Trunc(f):
-				k = types.NewInt(int64(f))
 			}
 		}
 		dst = types.AppendValue(dst, k)

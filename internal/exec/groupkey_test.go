@@ -60,28 +60,17 @@ func TestGroupKeyDeterministic(t *testing.T) {
 }
 
 // keyEqualityHolds checks the keys ka and kb of two tuples against SQL
-// equality: equal keys must mean types.Equal at every position, and equality
-// at every position must mean equal keys, except at a position where Compare
-// is not transitive: a NaN against a number that is not NaN (Compare finds
-// them equal), or a BIGINT beyond ±2^53 against a DOUBLE (Compare rounds the
-// BIGINT).
+// equality: the keys are equal exactly when the tuples are types.Equal at
+// every position.
 func keyEqualityHolds(a, b []types.Value, ka, kb string) string {
-	equal, exception := len(a) == len(b), false
+	equal := len(a) == len(b)
 	for i := 0; equal && i < len(a); i++ {
-		x, y := a[i], b[i]
-		equal = types.Equal(x, y)
-		nan := func(v types.Value) bool { return v.T == types.Float64 && math.IsNaN(v.F) }
-		wide := func(v, o types.Value) bool {
-			return v.T == types.Int64 && o.T == types.Float64 && (v.I > 1<<53 || v.I < -1<<53)
-		}
-		if x.T.Numeric() && y.T.Numeric() && (nan(x) != nan(y) || wide(x, y) || wide(y, x)) {
-			exception = true
-		}
+		equal = types.Equal(a[i], b[i])
 	}
 	switch {
 	case ka == kb && !equal:
 		return fmt.Sprintf("%v and %v share key %q but are not equal", a, b, ka)
-	case ka != kb && equal && !exception:
+	case ka != kb && equal:
 		return fmt.Sprintf("%v and %v are equal but key %q and %q", a, b, ka, kb)
 	}
 	return ""
@@ -89,7 +78,7 @@ func keyEqualityHolds(a, b []types.Value, ka, kb string) string {
 
 // TestGroupKeyIsSQLEquality: over a corpus of edge values, one- and
 // two-value tuples share a key exactly when they are SQL-equal at every
-// position, with the two exceptions keyEqualityHolds names.
+// position.
 func TestGroupKeyIsSQLEquality(t *testing.T) {
 	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff4000000000abc)
 	corpus := []types.Value{

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/bitmap"
@@ -131,6 +132,47 @@ func TestAtomImpossibleBoundaries(t *testing.T) {
 	// Bloom: equality on a value inside the range but absent from the chunk.
 	if !impossible(plan.Atom{Table: "t", Col: "c", Op: sqlparser.OpEq, Val: types.NewInt(3)}, plainStats) {
 		t.Error("bloom should prune c = 3 (in range 2..7 but absent)")
+	}
+}
+
+// TestAtomImpossibleSpecialValues: over every two-row block of NaN, ±Inf, -0,
+// 0 and numbers around ±2^53 (alone and beside a NULL), no atom over
+// specialLiterals, in either polarity, is pruned while a row satisfies it.
+// A block {NaN, 7} once recorded min = max = NaN and pruned x <> 5.
+func TestAtomImpossibleSpecialValues(t *testing.T) {
+	floats := []float64{math.NaN(), math.Inf(-1), -1.5, math.Copysign(0, -1), 0, 0.5, 2, 7, 1 << 53, 1<<53 + 2, math.Inf(1)}
+	ints := []int64{math.MinInt64, -1<<53 - 1, -1 << 53, 0, 2, 1 << 53, 1<<53 + 1, 1<<53 + 2, math.MaxInt64}
+	var blocks []*colstore.Column
+	for _, x := range floats {
+		for _, y := range floats {
+			blocks = append(blocks, &colstore.Column{Type: types.Float64, Floats: []float64{x, y}})
+		}
+	}
+	for _, x := range ints {
+		for _, y := range ints {
+			blocks = append(blocks, &colstore.Column{Type: types.Int64, Ints: []int64{x, y}})
+		}
+		withNull := &colstore.Column{Type: types.Int64, Ints: []int64{x, 0}, Nulls: bitmap.New(2)}
+		withNull.Nulls.Set(1)
+		blocks = append(blocks, withNull)
+	}
+	for _, x := range floats {
+		withNull := &colstore.Column{Type: types.Float64, Floats: []float64{0, x}, Nulls: bitmap.New(2)}
+		withNull.Nulls.Set(0)
+		blocks = append(blocks, withNull)
+	}
+	for _, c := range blocks {
+		st := c.ComputeStats()
+		for _, op := range kernelOps {
+			for _, lit := range specialLiterals {
+				for _, neg := range []bool{false, true} {
+					a := plan.Atom{Table: "t", Col: "c", Op: op, Val: lit, Negated: neg}
+					if impossible(a, st) && anyRowMatches(a, c) {
+						t.Fatalf("block [%v %v] (min %v, max %v): pruned %v but a row matches", c.Value(0), c.Value(1), st.Min, st.Max, a)
+					}
+				}
+			}
+		}
 	}
 }
 

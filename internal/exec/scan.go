@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -565,7 +566,8 @@ func foldFlat(cell *Cell, c *colstore.Column, sel *bitmap.Bitmap) bool {
 }
 
 // foldValues does what Cell.Update does value by value: the sum grows from
-// zero in row order, min and max move on < and > only (a leading NaN stays).
+// zero in row order, and min and max move in types.Compare's order, which is
+// cmp.Less's (a NaN is below every number).
 func foldValues[T int64 | float64](vals []T, sel *bitmap.Bitmap) (n int64, sum, lo, hi T) {
 	sel.ForEachSet(func(r int) {
 		v := vals[r]
@@ -574,10 +576,10 @@ func foldValues[T int64 | float64](vals []T, sel *bitmap.Bitmap) (n int64, sum, 
 		}
 		n++
 		sum += v
-		if v < lo {
+		if cmp.Less(v, lo) {
 			lo = v
 		}
-		if v > hi {
+		if cmp.Less(hi, v) {
 			hi = v
 		}
 	})

@@ -13,50 +13,33 @@ import (
 // one tight typed loop that accumulates match bits in a register word,
 // instead of boxing every row into a types.Value and walking the expression
 // tree. The kernels are exact drop-in replacements for the row-at-a-time
-// path: NULL rows never match, and float comparisons reproduce
-// types.Compare's ordering (including its NaN-compares-equal collapse) by
-// being written in terms of < and > only.
+// path: NULL rows never match, and the literal is one the column's type
+// holds exactly (types.Value.As), against which Go's operators order the
+// column's values as types.Compare does.
 
 // evalAtomKernel evaluates the atom over a flat (non-repeated) column in a
 // typed loop. ok=false means the caller must fall back to the row-wise path
-// (repeated columns, CONTAINS, negated atoms, boolean operands, or a length
-// mismatch). A type pairing that types.Compare rejects matches no row, so it
-// yields an all-false bitmap — exactly what per-row EvalAtom produces.
+// (repeated columns, CONTAINS, negated atoms, boolean columns, a literal the
+// column's type does not hold exactly, or a length mismatch).
 func evalAtomKernel(a plan.Atom, col *colstore.Column, n int) (*bitmap.Bitmap, bool) {
-	if a.Negated || a.Op == sqlparser.OpContains || col.Offsets != nil || col.Len() != n {
+	if a.Negated || !a.Op.Comparison() || a.Op == sqlparser.OpContains || col.Offsets != nil || col.Len() != n {
 		return nil, false
 	}
 	if col.Nulls != nil && col.Nulls.Len() != n {
 		return nil, false
 	}
-	switch a.Op {
-	case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
-	default:
+	lit, ok := a.Val.As(col.Type)
+	if !ok {
 		return nil, false
-	}
-	if a.Val.IsNull() {
-		// EvalAtom is false for every row against a NULL literal.
-		return bitmap.New(n), true
 	}
 	out := bitmap.New(n)
 	switch col.Type {
 	case types.Int64:
-		switch a.Val.T {
-		case types.Int64:
-			kernelCompare(col.Ints, a.Val.I, a.Op, out)
-		case types.Float64:
-			kernelCompareIntFloat(col.Ints, a.Val.F, a.Op, out)
-		default:
-			// Incomparable literal: no row matches.
-		}
+		kernelCompare(col.Ints, lit.I, a.Op, out)
 	case types.Float64:
-		if a.Val.T.Numeric() {
-			kernelCompare(col.Floats, a.Val.AsFloat(), a.Op, out)
-		}
+		kernelCompare(col.Floats, lit.F, a.Op, out)
 	case types.String:
-		if a.Val.T == types.String {
-			kernelCompare(col.Strs, a.Val.S, a.Op, out)
-		}
+		kernelCompare(col.Strs, lit.S, a.Op, out)
 	default:
 		return nil, false // booleans keep the row-wise path
 	}
@@ -69,9 +52,9 @@ func evalAtomKernel(a plan.Atom, col *colstore.Column, n int) (*bitmap.Bitmap, b
 }
 
 // kernelCompare runs one comparison over the whole value slice, flushing
-// match bits a word at a time. The predicates are expressed with < and >
-// only so that float semantics match types.Compare exactly: NaN is neither
-// below nor above any value, which Compare collapses to "equal".
+// match bits a word at a time, with one Go comparison per row. Against a
+// literal that is not NaN these are types.Compare's order on a float column
+// too: a NaN row fails ==, >= and >, so it is != v, < v and <= v.
 func kernelCompare[T int64 | float64 | string](vals []T, v T, op sqlparser.BinaryOp, out *bitmap.Bitmap) {
 	var w uint64
 	wi := 0
@@ -85,21 +68,21 @@ func kernelCompare[T int64 | float64 | string](vals []T, v T, op sqlparser.Binar
 	switch op {
 	case sqlparser.OpEq:
 		for i, x := range vals {
-			if !(x < v) && !(x > v) {
+			if x == v {
 				w |= 1 << uint(i&63)
 			}
 			flush(i)
 		}
 	case sqlparser.OpNe:
 		for i, x := range vals {
-			if x < v || x > v {
+			if x != v {
 				w |= 1 << uint(i&63)
 			}
 			flush(i)
 		}
 	case sqlparser.OpLt:
 		for i, x := range vals {
-			if x < v {
+			if !(x >= v) {
 				w |= 1 << uint(i&63)
 			}
 			flush(i)
@@ -120,70 +103,7 @@ func kernelCompare[T int64 | float64 | string](vals []T, v T, op sqlparser.Binar
 		}
 	case sqlparser.OpGe:
 		for i, x := range vals {
-			if !(x < v) {
-				w |= 1 << uint(i&63)
-			}
-			flush(i)
-		}
-	}
-	if len(vals)&63 != 0 {
-		out.SetWord(wi, w)
-	}
-}
-
-// kernelCompareIntFloat compares an INT column against a FLOAT literal in
-// the float domain, mirroring types.Compare's mixed-numeric promotion.
-func kernelCompareIntFloat(vals []int64, v float64, op sqlparser.BinaryOp, out *bitmap.Bitmap) {
-	var w uint64
-	wi := 0
-	flush := func(i int) {
-		if i&63 == 63 {
-			out.SetWord(wi, w)
-			wi++
-			w = 0
-		}
-	}
-	switch op {
-	case sqlparser.OpEq:
-		for i, x := range vals {
-			f := float64(x)
-			if !(f < v) && !(f > v) {
-				w |= 1 << uint(i&63)
-			}
-			flush(i)
-		}
-	case sqlparser.OpNe:
-		for i, x := range vals {
-			f := float64(x)
-			if f < v || f > v {
-				w |= 1 << uint(i&63)
-			}
-			flush(i)
-		}
-	case sqlparser.OpLt:
-		for i, x := range vals {
-			if float64(x) < v {
-				w |= 1 << uint(i&63)
-			}
-			flush(i)
-		}
-	case sqlparser.OpLe:
-		for i, x := range vals {
-			if !(float64(x) > v) {
-				w |= 1 << uint(i&63)
-			}
-			flush(i)
-		}
-	case sqlparser.OpGt:
-		for i, x := range vals {
-			if float64(x) > v {
-				w |= 1 << uint(i&63)
-			}
-			flush(i)
-		}
-	case sqlparser.OpGe:
-		for i, x := range vals {
-			if !(float64(x) < v) {
+			if x >= v {
 				w |= 1 << uint(i&63)
 			}
 			flush(i)

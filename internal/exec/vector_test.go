@@ -47,10 +47,10 @@ func withNulls(col *colstore.Column, n int) *colstore.Column {
 	return col
 }
 
-func intColumn(rng *rand.Rand, n int) *colstore.Column {
+func intColumn(rng *rand.Rand, n int, base int64) *colstore.Column {
 	c := &colstore.Column{Type: types.Int64, Ints: make([]int64, n)}
 	for i := range c.Ints {
-		c.Ints[i] = rng.Int63n(7) - 3
+		c.Ints[i] = base + rng.Int63n(7) - 3
 	}
 	if n > 1 {
 		c.Ints[0] = math.MaxInt64
@@ -59,15 +59,16 @@ func intColumn(rng *rand.Rand, n int) *colstore.Column {
 	return c
 }
 
-func floatColumn(rng *rand.Rand, n int) *colstore.Column {
+func floatColumn(rng *rand.Rand, n int, base float64) *colstore.Column {
 	c := &colstore.Column{Type: types.Float64, Floats: make([]float64, n)}
 	for i := range c.Floats {
-		c.Floats[i] = float64(rng.Intn(5)) - 1.5
+		c.Floats[i] = base + float64(rng.Intn(5)) - 1.5
 	}
-	if n > 3 {
+	if n > 4 {
 		c.Floats[1] = math.NaN()
 		c.Floats[2] = math.Inf(1)
 		c.Floats[3] = math.Inf(-1)
+		c.Floats[4] = math.Copysign(0, -1)
 	}
 	return c
 }
@@ -81,40 +82,48 @@ func stringColumn(rng *rand.Rand, n int) *colstore.Column {
 	return c
 }
 
+// specialLiterals are the awkward literals: NaN, ±Inf, -0, BIGINT/DOUBLE
+// pairs around ±2^53 and the ends of int64, and incomparable types.
+var specialLiterals = []types.Value{
+	types.NewInt(0), types.NewInt(2), types.NewInt(math.MaxInt64), types.NewInt(math.MinInt64),
+	types.NewFloat(-1.5), types.NewFloat(0.5), types.NewFloat(2), types.NewFloat(math.NaN()),
+	types.NewFloat(math.Inf(1)), types.NewFloat(math.Inf(-1)), types.NewFloat(math.Copysign(0, -1)),
+	types.NewInt(1 << 53), types.NewInt(1<<53 + 1), types.NewFloat(1 << 53), types.NewFloat(1<<53 + 2),
+	types.NewInt(-1<<53 - 1), types.NewFloat(-1 << 53), types.NewFloat(1 << 63), types.NewFloat(-1 << 63),
+	types.NewString("ab"), types.NewString("\x00"), types.NewString(""),
+	types.NewBool(true), types.NullValue(),
+}
+
 // TestKernelMatchesEvalAtom cross-checks every vectorizable operator over
-// every column type (with and without NULLs, at word-boundary lengths)
-// against the row-at-a-time EvalAtom path, including the awkward literals:
-// mixed int/float comparisons, NaN, and incomparable types.
+// every column type (with and without NULLs, at word-boundary lengths, and
+// around ±2^53 where a DOUBLE stops holding every BIGINT) against the
+// row-at-a-time EvalAtom path over specialLiterals. The kernel must run exactly when the column's type
+// holds the literal exactly; otherwise the row path answers.
 func TestKernelMatchesEvalAtom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	literals := []types.Value{
-		types.NewInt(0), types.NewInt(2), types.NewInt(math.MaxInt64),
-		types.NewFloat(-1.5), types.NewFloat(0.5), types.NewFloat(math.NaN()),
-		types.NewString("ab"), types.NewString("\x00"), types.NewString(""),
-		types.NewBool(true), types.NullValue(),
-	}
 	for _, n := range []int{0, 1, 63, 64, 65, 130} {
 		cols := []*colstore.Column{
-			intColumn(rng, n), floatColumn(rng, n), stringColumn(rng, n),
+			intColumn(rng, n, 0), intColumn(rng, n, 1<<53), intColumn(rng, n, -1<<53),
+			floatColumn(rng, n, 0), floatColumn(rng, n, 1<<53), stringColumn(rng, n),
 		}
 		if n > 0 {
 			cols = append(cols,
-				withNulls(intColumn(rng, n), n),
-				withNulls(floatColumn(rng, n), n),
+				withNulls(intColumn(rng, n, 0), n),
+				withNulls(floatColumn(rng, n, 0), n),
 				withNulls(stringColumn(rng, n), n),
 			)
 		}
 		for ci, col := range cols {
 			for _, op := range kernelOps {
-				for li, lit := range literals {
+				for _, lit := range specialLiterals {
 					a := plan.Atom{Table: "t", Col: "c", Op: op, Val: lit}
-					got, ok := evalAtomKernel(a, col, n)
-					if !ok {
-						t.Fatalf("n=%d col=%d op=%v lit=%d: kernel refused a flat comparison", n, ci, op, li)
+					_, exact := lit.As(col.Type)
+					if _, ok := evalAtomKernel(a, col, n); ok != exact {
+						t.Fatalf("n=%d col=%d op=%v lit=%v: kernel ran=%v, literal exact in %s=%v", n, ci, op, lit, ok, col.Type, exact)
 					}
-					want := rowWiseAtom(a, col, n)
+					got, want := evalAtomOverColumn(a, col, n), rowWiseAtom(a, col, n)
 					if !got.Equal(want) {
-						t.Fatalf("n=%d col=%d op=%v lit=%v: kernel %v != row-wise %v",
+						t.Fatalf("n=%d col=%d op=%v lit=%v: column path %v != row-wise %v",
 							n, ci, op, lit, got.Selected(), want.Selected())
 					}
 				}
@@ -157,8 +166,8 @@ func TestKernelFallbacks(t *testing.T) {
 }
 
 // TestFoldFlatMatchesUpdate: the typed fold leaves a cell exactly as
-// Cell.Update row by row does — sums in row order, a leading NaN kept as
-// both extremes, negative zero — and declines whatever it cannot do the same
+// Cell.Update row by row does — sums in row order, a NaN as the minimum
+// wherever it comes, negative zero — and declines whatever it cannot do the same
 // way (NULLs, a repeated column, a cell that already holds a value, so that
 // an int sum promoted mid-way goes through Update).
 func TestFoldFlatMatchesUpdate(t *testing.T) {

@@ -43,8 +43,11 @@ import (
 // changes, but shuffle routing hashes the binary equality key (exec's
 // AppendGroupKey), so a version-11 process would send a key to another
 // reducer. Version 13: the call header carries the caller's deadline, not a
-// relay ID, and traced requests' replies carry their span trees.
-const CodecVersion = 13
+// relay ID, and traced requests' replies carry their span trees. Version 14:
+// no layout changes, but types.Compare is a total order (NaN lowest, BIGINT
+// against DOUBLE exact), so a version-13 process would merge MIN/MAX and
+// evaluate atoms in another order.
+const CodecVersion = 14
 
 const frameMagic = 0xFE15
 

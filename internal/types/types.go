@@ -8,8 +8,10 @@
 package types
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -137,59 +139,78 @@ func (v Value) AppendString(dst []byte) []byte {
 	}
 }
 
-// Compare compares two values. NULLs compare less than everything and equal
-// to each other (total order for sorting). Numeric types compare across
-// Int64/Float64. Comparing incompatible non-null types returns an error.
+// Compare is the one order of values: every kernel, statistic, aggregate,
+// sort and index follows it. NULL sorts below everything and equals NULL.
+// Numbers compare across BIGINT and DOUBLE exactly: floats by cmp.Compare,
+// so NaN equals NaN and sorts below every other number and -0 equals 0, and
+// a BIGINT against a DOUBLE is never rounded. false sorts below true, and
+// strings compare by bytes. Comparing other types is an error.
 func Compare(a, b Value) (int, error) {
-	if a.T == Null || b.T == Null {
-		switch {
-		case a.T == Null && b.T == Null:
-			return 0, nil
-		case a.T == Null:
-			return -1, nil
-		default:
-			return 1, nil
-		}
-	}
-	if a.T.Numeric() && b.T.Numeric() {
-		if a.T == Int64 && b.T == Int64 {
-			switch {
-			case a.I < b.I:
-				return -1, nil
-			case a.I > b.I:
-				return 1, nil
-			default:
-				return 0, nil
-			}
-		}
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1, nil
-		case af > bf:
-			return 1, nil
-		default:
-			return 0, nil
-		}
-	}
-	if a.T != b.T {
+	switch {
+	case a.T == Null || b.T == Null:
+		return cmp.Compare(a.T, b.T), nil // Null is the lowest Type
+	case a.T == Float64 && b.T == Int64:
+		return -compareIntFloat(b.I, a.F), nil
+	case a.T == Int64 && b.T == Float64:
+		return compareIntFloat(a.I, b.F), nil
+	case a.T != b.T:
 		return 0, fmt.Errorf("types: cannot compare %s with %s", a.T, b.T)
 	}
 	switch a.T {
+	case Int64:
+		return cmp.Compare(a.I, b.I), nil
+	case Float64:
+		return cmp.Compare(a.F, b.F), nil
 	case Bool:
-		switch {
-		case !a.B && b.B:
-			return -1, nil
-		case a.B && !b.B:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return cmp.Compare(boolRank(a.B), boolRank(b.B)), nil
 	case String:
 		return strings.Compare(a.S, b.S), nil
 	default:
 		return 0, fmt.Errorf("types: cannot compare %s values", a.T)
 	}
+}
+
+// compareIntFloat compares i with f exactly. Past ±2^53 a float64 does not
+// hold every integer, so i is never converted: f is split into its integral
+// part, which fits int64 once f is in range, and its fraction.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f, f < -1<<63:
+		return 1 // NaN sorts below every number
+	case f >= 1<<63:
+		return -1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(t, f) // i == t: f's fraction decides
+}
+
+func boolRank(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// As returns v as a value of type t when t holds it exactly and Go's own
+// operators then order it against t's values as Compare does: a value of
+// type t, an integral DOUBLE in int64 range as that BIGINT, or a BIGINT that
+// converts to a DOUBLE and back unchanged as that DOUBLE. NULL and NaN hold
+// for no type: == and < do not order a NaN, and NULL matches no comparison.
+func (v Value) As(t Type) (Value, bool) {
+	switch {
+	case v.T == Float64 && v.F != v.F, v.T == Null:
+		return Value{}, false
+	case v.T == t:
+		return v, true
+	case v.T == Float64 && t == Int64 && v.F >= -1<<63 && v.F < 1<<63 && v.F == math.Trunc(v.F):
+		return NewInt(int64(v.F)), true
+	case v.T == Int64 && t == Float64 && float64(v.I) < 1<<63 && int64(float64(v.I)) == v.I:
+		return NewFloat(float64(v.I)), true
+	}
+	return Value{}, false
 }
 
 // Equal reports whether two values are equal under Compare semantics,

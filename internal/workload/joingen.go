@@ -3,6 +3,7 @@ package workload
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -35,6 +36,10 @@ type JoinSpec struct {
 	// PathPrefix places the partitions; fact and dim get subdirectories.
 	PathPrefix string
 	Seed       int64
+
+	// Specials adds the fact columns x and b (FactJoinSchema), and makes
+	// JoinQueries compare, group and aggregate them.
+	Specials bool
 }
 
 // DefaultJoinSpec is sized for tests: small enough that a nested-loop
@@ -57,15 +62,42 @@ func DefaultJoinSpec() JoinSpec {
 
 // FactJoinSchema is the generated fact table's schema: a row id, a
 // nullable join key, a numeric measure, a low-cardinality string and a
-// small grouping column.
-func FactJoinSchema() *types.Schema {
-	return types.MustSchema(
-		types.Field{Name: "id", Type: types.Int64},
-		types.Field{Name: "k", Type: types.Int64},
-		types.Field{Name: "v", Type: types.Int64},
-		types.Field{Name: "s", Type: types.String},
-		types.Field{Name: "grp", Type: types.Int64},
-	)
+// small grouping column; with specials, also a nullable DOUBLE of special
+// values (x) and a BIGINT around ±2^53 (b).
+func FactJoinSchema(specials bool) *types.Schema {
+	fields := []types.Field{
+		{Name: "id", Type: types.Int64},
+		{Name: "k", Type: types.Int64},
+		{Name: "v", Type: types.Int64},
+		{Name: "s", Type: types.String},
+		{Name: "grp", Type: types.Int64},
+	}
+	if specials {
+		fields = append(fields, types.Field{Name: "x", Type: types.Float64}, types.Field{Name: "b", Type: types.Int64})
+	}
+	return types.MustSchema(fields...)
+}
+
+// factFloats are the fact table's x values, each held by a run of 16 ids,
+// so a 64-row partition holds four of them; the first holds NaN, 7, 0.5 and
+// -Inf, a block whose min a NaN must be.
+// Every finite value is a small multiple of 0.5, so a SUM is exact in any
+// order. There is -0 but no +0: the two are equal, and MIN, MAX or a GROUP
+// BY key over both may return either, which a bag of rendered rows cannot
+// tell from a wrong answer.
+var factFloats = []float64{math.NaN(), 7, 0.5, math.Inf(-1), math.Copysign(0, -1), 2, math.Inf(1), -1.5, 2}
+
+// factSpecials returns the x and b of fact row id: b is ±(2^53-2 … 2^53+2),
+// where a DOUBLE stops holding every BIGINT, and x is NULL every 11th row.
+func factSpecials(id int64) (x, b types.Value) {
+	if id%11 != 10 {
+		x = types.NewFloat(factFloats[id/16%int64(len(factFloats))])
+	}
+	b = types.NewInt(1<<53 + id/8%5 - 2)
+	if id/32%2 == 1 {
+		b.I = -b.I
+	}
+	return x, b
 }
 
 // DimJoinSchema is the generated dimension's schema: a duplicated join
@@ -86,20 +118,25 @@ var factStrings = []string{"red", "green", "blue", "cyan", "plum"}
 // exact same data to an in-memory oracle.
 func GenerateJoin(ctx context.Context, router *storage.Router, spec JoinSpec) (factMeta, dimMeta *plan.TableMeta, factRows, dimRows []types.Row, err error) {
 	rng := rand.New(rand.NewSource(spec.Seed))
-	factSchema, dimSchema := FactJoinSchema(), DimJoinSchema()
+	factSchema, dimSchema := FactJoinSchema(spec.Specials), DimJoinSchema()
 
 	genFact := func(id int64) types.Row {
 		k := types.NullValue()
 		if rng.Float64() >= spec.NullFraction {
 			k = types.NewInt(rng.Int63n(2 * spec.Keyspace))
 		}
-		return types.Row{
+		row := types.Row{
 			types.NewInt(id),
 			k,
 			types.NewInt(rng.Int63n(1000)),
 			types.NewString(factStrings[rng.Intn(len(factStrings))]),
 			types.NewInt(id % 7),
 		}
+		if !spec.Specials {
+			return row
+		}
+		x, b := factSpecials(id)
+		return append(row, x, b)
 	}
 	genDim := func(i int64) types.Row {
 		k := i % spec.Keyspace
@@ -153,13 +190,24 @@ func GenerateJoin(ctx context.Context, router *storage.Router, spec JoinSpec) (f
 	return factMeta, dimMeta, factRows, dimRows, nil
 }
 
+var (
+	compareOps  = []string{"=", "<>", "<", "<=", ">", ">="}
+	floatProbes = []string{"0", "-0.0", "7", "0.5", "2", "5", "-1.5", "100"}
+	wideProbes  = []string{"9007199254740992.0", "9007199254740993", "9007199254740993.0", "9007199254740991", "-9007199254740992", "-9007199254740993.0"}
+)
+
 // JoinPredicate emits one random predicate over the generated pair's
 // columns (fact bound as f, dimension as d). Predicates hit both sides,
-// mix AND/OR, and include NULL-sensitive atoms, so three-valued logic is
-// exercised end to end.
-func JoinPredicate(rng *rand.Rand) string {
+// mix AND/OR, and include NULL-sensitive atoms and comparisons with the
+// special values of f.x and f.b, so three-valued logic and the order of
+// values are exercised end to end.
+func JoinPredicate(rng *rand.Rand, specials bool) string {
+	kinds := 8
+	if specials {
+		kinds = 11
+	}
 	atom := func() string {
-		switch rng.Intn(8) {
+		switch rng.Intn(kinds) {
 		case 0:
 			return fmt.Sprintf("f.v < %d", rng.Intn(1000))
 		case 1:
@@ -174,6 +222,10 @@ func JoinPredicate(rng *rand.Rand) string {
 			return fmt.Sprintf("d.w > %d", rng.Intn(500))
 		case 6:
 			return fmt.Sprintf("d.cat = %d", rng.Intn(5))
+		case 8, 9:
+			return fmt.Sprintf("f.x %s %s", compareOps[rng.Intn(len(compareOps))], floatProbes[rng.Intn(len(floatProbes))])
+		case 10:
+			return fmt.Sprintf("f.b %s %s", compareOps[rng.Intn(len(compareOps))], wideProbes[rng.Intn(len(wideProbes))])
 		default:
 			return fmt.Sprintf("f.k < %d", rng.Intn(60))
 		}
@@ -204,23 +256,37 @@ func joinClause(rng *rand.Rand, fact, dim string) (from string, comma bool) {
 	}
 }
 
-var joinScalarCols = []string{"f.id", "f.k", "f.v", "f.s", "f.grp", "d.k", "d.name", "d.w", "d.cat"}
-var joinGroupCols = []string{"f.grp", "f.s", "d.cat", "d.name"}
-var joinAggs = []string{"COUNT(*)", "SUM(f.v)", "AVG(f.v)", "MIN(f.v)", "MAX(f.v)", "SUM(d.w)", "MIN(d.w)", "MAX(d.w)", "COUNT(d.k)", "MIN(d.name)"}
+// The pools JoinQuery draws from, and what each gains with specials.
+var (
+	joinScalarCols    = []string{"f.id", "f.k", "f.v", "f.s", "f.grp", "d.k", "d.name", "d.w", "d.cat"}
+	joinGroupCols     = []string{"f.grp", "f.s", "d.cat", "d.name"}
+	joinAggs          = []string{"COUNT(*)", "SUM(f.v)", "AVG(f.v)", "MIN(f.v)", "MAX(f.v)", "SUM(d.w)", "MIN(d.w)", "MAX(d.w)", "COUNT(d.k)", "MIN(d.name)"}
+	specialScalarCols = []string{"f.x", "f.b"}
+	specialGroupCols  = []string{"f.x"}
+	specialAggs       = []string{"SUM(f.x)", "MIN(f.x)", "MAX(f.x)", "COUNT(f.x)", "MIN(f.b)", "MAX(f.b)", "SUM(f.b)"}
+)
+
+// pool is plain, followed by special when specials is set.
+func pool(plain, special []string, specials bool) []string {
+	if specials {
+		return append(plain[:len(plain):len(plain)], special...)
+	}
+	return plain
+}
 
 // JoinQuery emits one random join/aggregate query over the generated
 // pair. Every query is deterministic as a bag: ORDER BY always covers all
 // selected columns, and LIMIT appears only under such an ORDER BY (tied
 // rows are then identical, so any prefix is the same bag).
-func JoinQuery(rng *rand.Rand, fact, dim string) string {
-	from, comma := joinClause(rng, fact, dim)
+func JoinQuery(rng *rand.Rand, spec JoinSpec) string {
+	from, comma := joinClause(rng, spec.FactName, spec.DimName)
 
 	var where []string
 	if comma {
 		where = append(where, "f.k = d.k")
 	}
 	if rng.Intn(3) > 0 {
-		where = append(where, JoinPredicate(rng))
+		where = append(where, JoinPredicate(rng, spec.Specials))
 	}
 
 	var sb strings.Builder
@@ -230,8 +296,8 @@ func JoinQuery(rng *rand.Rand, fact, dim string) string {
 	agg := rng.Intn(2) == 0
 	if agg {
 		nKeys := rng.Intn(3) // 0 = global aggregate
-		keys := pickDistinct(rng, joinGroupCols, nKeys)
-		aggs := pickDistinct(rng, joinAggs, 1+rng.Intn(3))
+		keys := pickDistinct(rng, pool(joinGroupCols, specialGroupCols, spec.Specials), nKeys)
+		aggs := pickDistinct(rng, pool(joinAggs, specialAggs, spec.Specials), 1+rng.Intn(3))
 		items := make([]string, 0, len(keys)+len(aggs))
 		for i, k := range keys {
 			a := fmt.Sprintf("g%d", i)
@@ -256,7 +322,7 @@ func JoinQuery(rng *rand.Rand, fact, dim string) string {
 			sb.WriteString(fmt.Sprintf(" HAVING COUNT(*) > %d", rng.Intn(3)))
 		}
 	} else {
-		cols := pickDistinct(rng, joinScalarCols, 2+rng.Intn(3))
+		cols := pickDistinct(rng, pool(joinScalarCols, specialScalarCols, spec.Specials), 2+rng.Intn(3))
 		items := make([]string, len(cols))
 		for i, c := range cols {
 			a := fmt.Sprintf("c%d", i)
@@ -288,11 +354,11 @@ func JoinQuery(rng *rand.Rand, fact, dim string) string {
 }
 
 // JoinQueries emits n deterministic queries for the differential suite.
-func JoinQueries(fact, dim string, seed int64, n int) []string {
+func JoinQueries(spec JoinSpec, seed int64, n int) []string {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]string, n)
 	for i := range out {
-		out[i] = JoinQuery(rng, fact, dim)
+		out[i] = JoinQuery(rng, spec)
 	}
 	return out
 }

@@ -16,21 +16,27 @@ import (
 // TestQueriesNeverWriteIntoTheStore: a range read hands the leaf a view of
 // the store's own bytes, so a query that wrote into one would change the
 // stored file. Every stored file is hashed before and after the differential
-// join stream, run once clean and once with corrupted reads, and each must be
-// unchanged; under chaos each answer must also equal the clean one.
+// join stream, run once clean and then with corrupted reads on the
+// repartition path (every column read is a leaf's) and on the broadcast path
+// (the master reads each dimension), and each must be unchanged; under chaos
+// each answer must also equal the clean one. A corrupt read is retried on
+// both paths.
 func TestQueriesNeverWriteIntoTheStore(t *testing.T) {
-	spec := workload.DefaultJoinSpec()
-	queries := workload.JoinQueries(spec.FactName, spec.DimName, 20250809, 160)
+	queries := workload.JoinQueries(joinSpec(), 20250809, 160)
 	ctx := context.Background()
 	var clean []string
-	for _, corrupt := range []float64{0, 0.01} {
+	for _, arm := range []struct {
+		name    string
+		shuffle bool
+		corrupt float64
+	}{{"clean", true, 0}, {"shuffle", true, 0.01}, {"broadcast", false, 0.01}} {
 		sys, _ := newJoinSystem(t, func(c *Config) {
-			// Repartition joins: every column read is a leaf's, which a
-			// checksum failure retries.
-			forceShuffle(c)
-			if corrupt > 0 {
+			if arm.shuffle {
+				forceShuffle(c) // repartition joins: every column read is a leaf's
+			}
+			if arm.corrupt > 0 {
 				c.TaskTimeout = 250 * time.Millisecond
-				c.Chaos = &chaos.Config{Seed: 7, Storage: chaos.StorageChaos{Corrupt: corrupt}}
+				c.Chaos = &chaos.Config{Seed: 7, Storage: chaos.StorageChaos{Corrupt: arm.corrupt}}
 			}
 		})
 		// The unwrapped stores: a hash read through the chaos plane would
@@ -43,33 +49,33 @@ func TestQueriesNeverWriteIntoTheStore(t *testing.T) {
 		failed := 0
 		for i, q := range queries {
 			res, err := sys.Query(ctx, q)
-			if corrupt > 0 && errors.Is(err, cluster.ErrShuffleFailed) {
+			if arm.corrupt > 0 && errors.Is(err, cluster.ErrShuffleFailed) {
 				failed++ // the one typed failure a repartition join may give
 				continue
 			}
 			if err != nil {
-				t.Fatalf("corrupt %.2f #%d %q: %v", corrupt, i, q, err)
+				t.Fatalf("%s arm #%d %q: %v", arm.name, i, q, err)
 			}
-			if corrupt == 0 {
+			if arm.corrupt == 0 {
 				clean = append(clean, renderRows(res))
 			} else if got := renderRows(res); got != clean[i] {
-				t.Fatalf("corrupt %.2f #%d %q:\n got %s\nwant %s", corrupt, i, q, got, clean[i])
+				t.Fatalf("%s arm #%d %q:\n got %s\nwant %s", arm.name, i, q, got, clean[i])
 			}
 		}
-		if corrupt > 0 {
+		if arm.corrupt > 0 {
 			n := sys.Chaos().Corruptions.Value()
 			if n == 0 {
 				t.Fatal("no read was corrupted; the chaos arm proved nothing")
 			}
-			t.Logf("corrupt %.2f: %d corrupted reads, %d of %d statements failed typed", corrupt, n, failed, len(queries))
+			t.Logf("%s arm: %d corrupted reads, %d of %d statements failed typed", arm.name, n, failed, len(queries))
 		}
 		after := hashStoredFiles(t, stores)
 		if len(after) != len(before) {
-			t.Fatalf("corrupt %.2f: %d stored files before the stream, %d after", corrupt, len(before), len(after))
+			t.Fatalf("%s arm: %d stored files before the stream, %d after", arm.name, len(before), len(after))
 		}
 		for path, h := range before {
 			if after[path] != h {
-				t.Fatalf("corrupt %.2f: the stream changed the bytes of %s", corrupt, path)
+				t.Fatalf("%s arm: the stream changed the bytes of %s", arm.name, path)
 			}
 		}
 	}
