@@ -76,7 +76,8 @@ func renderRefRows(res *sqltest.Result) string {
 // Queries are deterministic as bags by construction (LIMIT only appears
 // under an ORDER BY covering all selected columns).
 func TestDifferentialJoinOracle(t *testing.T) {
-	queries := workload.JoinQueries(joinSpec(), 20250809, 520)
+	spec := workload.DefaultJoinSpec()
+	queries := workload.JoinQueries(spec.FactName, spec.DimName, 20250809, 520)
 
 	shuffleSys, tables := newJoinSystem(t, forceShuffle)
 	broadcastSys, _ := newJoinSystem(t, nil)
@@ -105,7 +106,8 @@ func TestDifferentialJoinOracle(t *testing.T) {
 // strategies directly against each other on the same query stream — a
 // second, oracle-free differential axis.
 func TestDifferentialShuffleVsBroadcast(t *testing.T) {
-	queries := workload.JoinQueries(joinSpec(), 995511, 60)
+	spec := workload.DefaultJoinSpec()
+	queries := workload.JoinQueries(spec.FactName, spec.DimName, 995511, 60)
 
 	shuffleSys, _ := newJoinSystem(t, forceShuffle)
 	broadcastSys, _ := newJoinSystem(t, nil)

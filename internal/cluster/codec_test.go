@@ -486,7 +486,7 @@ func TestDifferentialStreamPlansRoundTrip(t *testing.T) {
 		}
 	}
 	opts := []plan.Options{{}, {BroadcastThreshold: 1, ShufflePartitions: 3, GroupShuffleRows: 1}}
-	for i, sql := range workload.JoinQueries(spec, 20250809, 520) {
+	for i, sql := range workload.JoinQueries(spec.FactName, spec.DimName, 20250809, 520) {
 		stmt, err := sqlparser.Parse(sql)
 		if err != nil {
 			t.Fatal(err)

@@ -368,8 +368,8 @@ func (q *statement) admit(ctx context.Context) (context.Context, error) {
 }
 
 // loadDims materializes the broadcast dimension tables at the master, on the
-// statement's own bill. A footer or extent that fails its checksum is read
-// again, as a leaf's task would be.
+// statement's own bill. A footer or extent read that fails is read again, as
+// a leaf's task would be.
 func (q *statement) loadDims(ctx context.Context) error {
 	q.bill = sim.NewBill()
 	ctx, span := trace.StartSpan(ctx, "master/load-dims")
@@ -384,7 +384,7 @@ func (q *statement) loadDims(ctx context.Context) error {
 		var rows [][]types.Value
 		for _, part := range d.Table.Meta.Partitions {
 			var meta *colstore.FileMeta
-			if err := q.reread(func() (err error) {
+			if err := q.reread(ctx, func() (err error) {
 				meta, err = reader.Meta(ctx, part)
 				return err
 			}); err != nil {
@@ -399,7 +399,7 @@ func (q *statement) loadDims(ctx context.Context) error {
 			for bi := range meta.Blocks {
 				colData := make([]*colstore.Column, len(cols))
 				for i, ord := range ords {
-					if err := q.reread(func() (err error) {
+					if err := q.reread(ctx, func() (err error) {
 						colData[i], err = reader.Column(ctx, part.Path, meta, bi, ord)
 						return err
 					}); err != nil {
@@ -422,12 +422,12 @@ func (q *statement) loadDims(ctx context.Context) error {
 	return nil
 }
 
-// reread runs read, and runs it again while it fails with
-// colstore.ErrChecksum, up to MaxTaskRetries times: the budget a leaf task
-// has for the same fault.
-func (q *statement) reread(read func() error) error {
+// reread runs read, and runs it again while it fails and ctx is live, up to
+// MaxTaskRetries times: the budget a leaf task has for any failure, a corrupt
+// footer tail or extent included.
+func (q *statement) reread(ctx context.Context, read func() error) error {
 	err := read()
-	for i := 0; i < q.m.cfg.MaxTaskRetries && errors.Is(err, colstore.ErrChecksum); i++ {
+	for i := 0; i < q.m.cfg.MaxTaskRetries && err != nil && ctx.Err() == nil; i++ {
 		err = read()
 	}
 	return err

@@ -9,6 +9,7 @@ import (
 	"repro/internal/lru"
 	"repro/internal/plan"
 	"repro/internal/storage"
+	"repro/internal/types"
 )
 
 // footerBound caps the encoded footer bytes a StoreReader holds. All live
@@ -47,7 +48,8 @@ func NewStoreReader(r *storage.Router) *StoreReader {
 // tail, then range-read, checked against the tail's CRC and parsed once per
 // generation. A newer generation rereads it; an older one is served the
 // newer footer and never replaces it. A footer that fails its checksum is
-// colstore.ErrChecksum, retried like a corrupt extent, and never cached.
+// colstore.ErrChecksum and a tail that does not parse types.ErrCorrupt; each
+// is retried like a corrupt extent, and never cached.
 func (sr *StoreReader) Meta(ctx context.Context, part plan.PartitionMeta) (*colstore.FileMeta, error) {
 	path := part.Path
 	sr.mu.Lock()
@@ -63,7 +65,7 @@ func (sr *StoreReader) Meta(ctx context.Context, part plan.PartitionMeta) (*cols
 		return nil, err
 	}
 	if fi.Size < int64(colstore.FooterTailLen) {
-		return nil, fmt.Errorf("exec: %s too small to be a partition file", path)
+		return nil, fmt.Errorf("%w: exec: %s too small to be a partition file", types.ErrCorrupt, path)
 	}
 	tail, err := sr.Router.ReadRange(ctx, path, fi.Size-int64(colstore.FooterTailLen), int64(colstore.FooterTailLen))
 	if err != nil {
@@ -75,7 +77,7 @@ func (sr *StoreReader) Meta(ctx context.Context, part plan.PartitionMeta) (*cols
 	}
 	fstart := fi.Size - int64(colstore.FooterTailLen) - int64(flen)
 	if fstart < 0 {
-		return nil, fmt.Errorf("exec: %s footer larger than file", path)
+		return nil, fmt.Errorf("%w: exec: %s footer larger than file", types.ErrCorrupt, path)
 	}
 	footer, err := sr.Router.ReadRange(ctx, path, fstart, int64(flen))
 	if err != nil {

@@ -37,8 +37,8 @@ type JoinSpec struct {
 	PathPrefix string
 	Seed       int64
 
-	// Specials adds the fact columns x and b (FactJoinSchema), and makes
-	// JoinQueries compare, group and aggregate them.
+	// Specials adds the fact columns x and b (FactJoinSchema), which
+	// JoinQueries compares, groups and aggregates.
 	Specials bool
 }
 
@@ -196,18 +196,14 @@ var (
 	wideProbes  = []string{"9007199254740992.0", "9007199254740993", "9007199254740993.0", "9007199254740991", "-9007199254740992", "-9007199254740993.0"}
 )
 
-// JoinPredicate emits one random predicate over the generated pair's
-// columns (fact bound as f, dimension as d). Predicates hit both sides,
+// JoinPredicate emits one random predicate over the columns of the pair
+// generated with Specials (fact bound as f, dimension as d). Predicates hit both sides,
 // mix AND/OR, and include NULL-sensitive atoms and comparisons with the
 // special values of f.x and f.b, so three-valued logic and the order of
 // values are exercised end to end.
-func JoinPredicate(rng *rand.Rand, specials bool) string {
-	kinds := 8
-	if specials {
-		kinds = 11
-	}
+func JoinPredicate(rng *rand.Rand) string {
 	atom := func() string {
-		switch rng.Intn(kinds) {
+		switch rng.Intn(11) {
 		case 0:
 			return fmt.Sprintf("f.v < %d", rng.Intn(1000))
 		case 1:
@@ -256,37 +252,27 @@ func joinClause(rng *rand.Rand, fact, dim string) (from string, comma bool) {
 	}
 }
 
-// The pools JoinQuery draws from, and what each gains with specials.
+// The columns and aggregates JoinQuery draws from.
 var (
-	joinScalarCols    = []string{"f.id", "f.k", "f.v", "f.s", "f.grp", "d.k", "d.name", "d.w", "d.cat"}
-	joinGroupCols     = []string{"f.grp", "f.s", "d.cat", "d.name"}
-	joinAggs          = []string{"COUNT(*)", "SUM(f.v)", "AVG(f.v)", "MIN(f.v)", "MAX(f.v)", "SUM(d.w)", "MIN(d.w)", "MAX(d.w)", "COUNT(d.k)", "MIN(d.name)"}
-	specialScalarCols = []string{"f.x", "f.b"}
-	specialGroupCols  = []string{"f.x"}
-	specialAggs       = []string{"SUM(f.x)", "MIN(f.x)", "MAX(f.x)", "COUNT(f.x)", "MIN(f.b)", "MAX(f.b)", "SUM(f.b)"}
+	joinScalarCols = []string{"f.id", "f.k", "f.v", "f.s", "f.grp", "d.k", "d.name", "d.w", "d.cat", "f.x", "f.b"}
+	joinGroupCols  = []string{"f.grp", "f.s", "d.cat", "d.name", "f.x"}
+	joinAggs       = []string{"COUNT(*)", "SUM(f.v)", "AVG(f.v)", "MIN(f.v)", "MAX(f.v)", "SUM(d.w)", "MIN(d.w)", "MAX(d.w)", "COUNT(d.k)", "MIN(d.name)",
+		"SUM(f.x)", "MIN(f.x)", "MAX(f.x)", "COUNT(f.x)", "MIN(f.b)", "MAX(f.b)", "SUM(f.b)"}
 )
 
-// pool is plain, followed by special when specials is set.
-func pool(plain, special []string, specials bool) []string {
-	if specials {
-		return append(plain[:len(plain):len(plain)], special...)
-	}
-	return plain
-}
-
 // JoinQuery emits one random join/aggregate query over the generated
-// pair. Every query is deterministic as a bag: ORDER BY always covers all
+// pair, built with Specials. Every query is deterministic as a bag: ORDER BY always covers all
 // selected columns, and LIMIT appears only under such an ORDER BY (tied
 // rows are then identical, so any prefix is the same bag).
-func JoinQuery(rng *rand.Rand, spec JoinSpec) string {
-	from, comma := joinClause(rng, spec.FactName, spec.DimName)
+func JoinQuery(rng *rand.Rand, fact, dim string) string {
+	from, comma := joinClause(rng, fact, dim)
 
 	var where []string
 	if comma {
 		where = append(where, "f.k = d.k")
 	}
 	if rng.Intn(3) > 0 {
-		where = append(where, JoinPredicate(rng, spec.Specials))
+		where = append(where, JoinPredicate(rng))
 	}
 
 	var sb strings.Builder
@@ -296,8 +282,8 @@ func JoinQuery(rng *rand.Rand, spec JoinSpec) string {
 	agg := rng.Intn(2) == 0
 	if agg {
 		nKeys := rng.Intn(3) // 0 = global aggregate
-		keys := pickDistinct(rng, pool(joinGroupCols, specialGroupCols, spec.Specials), nKeys)
-		aggs := pickDistinct(rng, pool(joinAggs, specialAggs, spec.Specials), 1+rng.Intn(3))
+		keys := pickDistinct(rng, joinGroupCols, nKeys)
+		aggs := pickDistinct(rng, joinAggs, 1+rng.Intn(3))
 		items := make([]string, 0, len(keys)+len(aggs))
 		for i, k := range keys {
 			a := fmt.Sprintf("g%d", i)
@@ -322,7 +308,7 @@ func JoinQuery(rng *rand.Rand, spec JoinSpec) string {
 			sb.WriteString(fmt.Sprintf(" HAVING COUNT(*) > %d", rng.Intn(3)))
 		}
 	} else {
-		cols := pickDistinct(rng, pool(joinScalarCols, specialScalarCols, spec.Specials), 2+rng.Intn(3))
+		cols := pickDistinct(rng, joinScalarCols, 2+rng.Intn(3))
 		items := make([]string, len(cols))
 		for i, c := range cols {
 			a := fmt.Sprintf("c%d", i)
@@ -354,11 +340,11 @@ func JoinQuery(rng *rand.Rand, spec JoinSpec) string {
 }
 
 // JoinQueries emits n deterministic queries for the differential suite.
-func JoinQueries(spec JoinSpec, seed int64, n int) []string {
+func JoinQueries(fact, dim string, seed int64, n int) []string {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]string, n)
 	for i := range out {
-		out[i] = JoinQuery(rng, spec)
+		out[i] = JoinQuery(rng, fact, dim)
 	}
 	return out
 }

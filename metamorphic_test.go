@@ -37,7 +37,7 @@ func TestMetamorphicTLP(t *testing.T) {
 		q := fmt.Sprintf(base, spec.FactName, spec.DimName)
 		whole := queryBag(t, sys, q)
 		for i := 0; i < 12; i++ {
-			p := workload.JoinPredicate(rng, true)
+			p := workload.JoinPredicate(rng)
 			tru := queryBag(t, sys, q+" WHERE ("+p+")")
 			fls := queryBag(t, sys, q+" WHERE NOT ("+p+")")
 			unk := queryBag(t, sys, q+" WHERE ("+p+") IS NULL")
@@ -73,7 +73,7 @@ func TestMetamorphicTLPCount(t *testing.T) {
 	base := fmt.Sprintf("SELECT COUNT(*) AS n FROM %s f JOIN %s d ON f.k = d.k", spec.FactName, spec.DimName)
 	rng := rand.New(rand.NewSource(40490))
 	for i := 0; i < 15; i++ {
-		p := workload.JoinPredicate(rng, true)
+		p := workload.JoinPredicate(rng)
 		for name, sys := range map[string]*System{"shuffle": shuffleSys, "broadcast": broadcastSys} {
 			whole := countQuery(t, sys, base)
 			parts := countQuery(t, sys, base+" WHERE ("+p+")") +

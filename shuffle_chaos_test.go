@@ -23,7 +23,8 @@ import (
 // the engine refuses to degrade to partial results even when the query
 // explicitly allows them.
 func TestShuffleEquivalenceUnderChaos(t *testing.T) {
-	queries := workload.JoinQueries(joinSpec(), 31337, 25)
+	spec := workload.DefaultJoinSpec()
+	queries := workload.JoinQueries(spec.FactName, spec.DimName, 31337, 25)
 	ctx := context.Background()
 
 	// Fault-free baseline on the same forced-repartition configuration.

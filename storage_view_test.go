@@ -22,7 +22,8 @@ import (
 // each answer must also equal the clean one. A corrupt read is retried on
 // both paths.
 func TestQueriesNeverWriteIntoTheStore(t *testing.T) {
-	queries := workload.JoinQueries(joinSpec(), 20250809, 160)
+	spec := workload.DefaultJoinSpec()
+	queries := workload.JoinQueries(spec.FactName, spec.DimName, 20250809, 160)
 	ctx := context.Background()
 	var clean []string
 	for _, arm := range []struct {
