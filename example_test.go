@@ -206,7 +206,7 @@ func Example_productAnalysis() {
 
 	fmt.Println("-- interactive check with a response-time budget: accept a partial answer")
 	res, stats, err := sys.QueryStats(ctx,
-		"SELECT COUNT(*) FROM revenue_2015 WHERE revenue > 50",
+		"SELECT COUNT(*) FROM revenue_2015 WHERE revenue > 120",
 		feisu.WithTimeLimit(2*time.Second), feisu.WithMinProcessedRatio(0.5))
 	check(err)
 	fmt.Printf("   count=%s processed=%.0f%% partial=%v (sim %s)\n",
@@ -224,7 +224,7 @@ func Example_productAnalysis() {
 	//    "bj"	120.40	365
 	//
 	// -- interactive check with a response-time budget: accept a partial answer
-	//    count=3285 processed=100% partial=false (sim 44ms)
+	//    count=1972 processed=100% partial=false (sim 44ms)
 	// cold-tier bytes read: map[cold:26300]
 }
 

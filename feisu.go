@@ -141,8 +141,9 @@ type Config struct {
 	IndexTTL time.Duration
 	// IndexCompress parks index bitmaps RLE-compressed.
 	IndexCompress bool
-	// IndexNoDerivation disables SmartIndex's complement/range derived
-	// answers (ablation of the paper's Fig. 7 rewriting).
+	// IndexNoDerivation disables SmartIndex's complement answers, bit-NOT of
+	// the entry for the complementary comparison (ablation of the paper's
+	// Fig. 7 rewriting). What the block footer proves is read either way.
 	IndexNoDerivation bool
 	// CacheBytes enables the SSD column cache per leaf; 0 disables.
 	CacheBytes int64

@@ -443,6 +443,51 @@ func containsStr(s, sub string) bool {
 	return false
 }
 
+// TestRepeatedColumnIgnoresIndexState: an atom over a repeated column
+// matches a record when any element does (docs/SQL.md), whatever SmartIndex
+// holds. tags is {3, 7}, {9}, {1}, {} for ids 1-4. Once tags > 5 was cached,
+// bit-NOT served tags <= 5 and NOT (tags > 5) as ids 3 and 4, and the
+// entry's min/max served tags >= 1 as all four ids: the empty record 4 has
+// no element, and record 1 has one on each side of 5.
+func TestRepeatedColumnIgnoresIndexState(t *testing.T) {
+	for _, mode := range []string{"sim", "tcp"} {
+		t.Run(mode, func(t *testing.T) {
+			sys, err := New(Config{Leaves: 1, Transport: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(sys.Close)
+			ld, err := sys.NewLoader("tagged", MustSchema(Field{Name: "id", Type: Int64}, Field{Name: "tags", Type: Int64, Repeated: true}), "/hdfs/tagged")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tags := range [][]Value{{Int(3), Int(7)}, {Int(9)}, {Int(1)}, nil} {
+				if err := ld.AppendRecord([][]Value{{Int(int64(i + 1))}, tags}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ld.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct{ where, want string }{
+				{"tags > 5", "1 ; 2"},
+				{"tags <= 5", "1 ; 3"},
+				{"NOT (tags > 5)", "1 ; 3"},
+				{"tags >= 1", "1 ; 2 ; 3"},
+			} {
+				sql := "SELECT id FROM tagged WHERE " + c.where + " ORDER BY id"
+				res, err := sys.Query(context.Background(), sql, WithoutResultCache())
+				if err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+				if got := renderRows(res); got != c.want {
+					t.Errorf("%s = %s, want %s", sql, got, c.want)
+				}
+			}
+		})
+	}
+}
+
 func TestLoaderMultiplePartitionsAndRepeatedFields(t *testing.T) {
 	sys, err := New(Config{Leaves: 2})
 	if err != nil {

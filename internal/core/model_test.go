@@ -15,8 +15,8 @@ import (
 )
 
 // modelBlock is one data block of the reference: the column values every
-// stored bitmap is evaluated from, so that any hit — exact, complement,
-// negation or range-derived — can be checked against the data itself. The
+// stored bitmap is evaluated from, so that any hit — exact, complement or
+// negation — can be checked against the data itself. The
 // reference never evicts: it can always answer.
 type modelBlock struct {
 	id    string
@@ -40,8 +40,8 @@ func (b *modelBlock) regen(rng *rand.Rand, rows int) {
 			b.nulls[c][r] = c == 2 && rng.Intn(8) == 0
 		}
 	}
-	// Column 1 is constant in some blocks so that range metadata can prove
-	// an atom all-true.
+	// Column 1 is constant in some blocks, so that some vectors are
+	// all-true or all-false.
 	if rng.Intn(2) == 0 {
 		for r := range b.vals[1] {
 			b.vals[1][r] = 2
@@ -99,25 +99,13 @@ func (b *modelBlock) eval(col int, a plan.Atom) *bitmap.Bitmap {
 func key(blockID string, a plan.Atom) string { return blockID + "|" + a.Key() }
 
 // flat lists the two-level index as one map from "<block id>|<atom key>",
-// checking on the way that every entry is filed under its own block, key and
-// column and that no block is kept empty.
+// checking on the way that every entry is filed under its own block and key
+// and that no block is kept empty.
 func flat(t *testing.T, s *SmartIndex) map[string]*entry {
 	out := make(map[string]*entry)
 	for id, b := range s.blocks {
 		if b.id != id || len(b.byKey) == 0 {
 			t.Fatalf("block %q filed under %q with %d entries", b.id, id, len(b.byKey))
-		}
-		inCols := 0
-		for col, list := range b.byCol {
-			inCols += len(list)
-			for _, e := range list {
-				if e.col != col || b.byKey[e.key] != e {
-					t.Fatalf("block %s column %s lists a stranger: %s", id, col, e.key)
-				}
-			}
-		}
-		if inCols != len(b.byKey) {
-			t.Fatalf("block %s: %d entries by key, %d by column", id, len(b.byKey), inCols)
 		}
 		for k, e := range b.byKey {
 			if e.key != k || e.blk != b {

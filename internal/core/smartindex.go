@@ -6,7 +6,10 @@
 // predicates are answered by bit operations over cached vectors (Fig. 7).
 //
 // Entries follow the paper's index schema (Fig. 6): block id, the
-// op/colname/colvalue condition key, a compression flag, and range metadata.
+// op/colname/colvalue condition key and a compression flag. The schema's
+// range metadata stays in the block footer, which the executor reads before
+// it asks the index anything; an entry keeps only whether its column chunk
+// has a NULL, which gates bit-NOT.
 // Management follows §IV-C2: a memory budget with LRU eviction, a
 // time-to-live (72 h by default), and user preferences that can pin entries
 // past their TTL while memory lasts.
@@ -14,7 +17,6 @@ package core
 
 import (
 	"context"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -25,10 +27,8 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/sim"
-	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/trace"
-	"repro/internal/types"
 )
 
 // DefaultTTL is the paper's index time-to-live ("set to 72 hours based on
@@ -44,8 +44,9 @@ type Options struct {
 	// Compress parks entries in RLE form (the paper: "Feisu can compress
 	// the index to improve memory efficiency").
 	Compress bool
-	// DisableDerivation turns off complement/range derived answers
-	// (ablation of the Fig. 7 rewriting).
+	// DisableDerivation turns off complement answers, bit-NOT of the entry
+	// for the complementary comparison (ablation of the Fig. 7 rewriting).
+	// A negated atom still reads its positive form's entry.
 	DisableDerivation bool
 	// Model prices index lookups as in-memory reads; nil disables cost
 	// accounting.
@@ -57,7 +58,7 @@ type Options struct {
 // Stats reports the manager's counters.
 type Stats struct {
 	Hits        int64 // exact-entry hits
-	DerivedHits int64 // answered via complement entry, negation, or range metadata
+	DerivedHits int64 // answered by bit-NOT of a complement or positive-form entry
 	Misses      int64
 	Stored      int64
 	EvictedLRU  int64
@@ -83,12 +84,10 @@ type SmartIndex struct {
 	stored, evLRU, evTTL  metrics.Counter
 }
 
-// block holds one data block's entries. byCol lists them per column: the
-// candidates whose range metadata may answer another atom on that column.
+// block holds one data block's entries.
 type block struct {
 	id    string
 	byKey map[string]*entry
-	byCol map[string][]*entry
 }
 
 // entry is one cached predicate-evaluation result, held dense or — with
@@ -97,13 +96,10 @@ type entry struct {
 	lru.Node[*entry]
 	blk     *block
 	key     string // positive-form atom key
-	col     string
 	dense   *bitmap.Bitmap
 	packed  *bitmap.Compressed
 	numRows int
-	// stats is the column's block-level range metadata ("range" in the
-	// paper's index schema) used for derived answers.
-	stats   colstore.Stats
+	nulls   bool // the column chunk has a NULL: no bit-NOT of this vector
 	created time.Time
 	pinned  bool
 }
@@ -200,13 +196,12 @@ func (s *SmartIndex) prefixPinned(blockID, atomKey string) bool {
 
 // Lookup implements exec.IndexSource. The returned bitmap is owned by the
 // index and must not be mutated by the caller. It answers from an exact
-// entry, from a complementary entry via bit-NOT (Fig. 7), or from range
-// metadata when the stored stats prove an all-true result. A negated atom
+// entry or from a complementary entry via bit-NOT (Fig. 7). A negated atom
 // (NOT CONTAINS) is served by bit-NOT of its positive entry. Every bit-NOT
 // derivation requires the block's column to be NULL-free: NULL rows
 // satisfy neither a predicate nor its complement, so inverting a vector
-// over a column with NULLs would wrongly select them — the stored range
-// metadata carries the null count that gates this.
+// over a column with NULLs would wrongly select them — the entry's nulls
+// bit gates this. What the footer's min/max prove is the executor's to read.
 func (s *SmartIndex) Lookup(ctx context.Context, blockID string, a plan.Atom, n int) (*bitmap.Bitmap, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -246,12 +241,6 @@ func (s *SmartIndex) Lookup(ctx context.Context, blockID string, a plan.Atom, n 
 			return bm, s.derivedHit(ctx, n)
 		}
 	}
-	// Range metadata: any cached entry for the same block+column carries
-	// the column's min/max; if they prove the atom all-true, answer
-	// without a stored vector.
-	if bm, ok := s.rangeAnswer(b, a, n, now); ok {
-		return bm, s.derivedHit(ctx, n)
-	}
 	s.misses.Inc()
 	return nil, false
 }
@@ -267,7 +256,7 @@ func (s *SmartIndex) derivedHit(ctx context.Context, n int) bool {
 // fetchNegation answers NOT(e's atom) by bit-NOT over the stored vector
 // when that is sound (NULL-free column). Caller holds s.mu.
 func (s *SmartIndex) fetchNegation(e *entry, n int, now time.Time) (*bitmap.Bitmap, bool) {
-	if e != nil && e.stats.NullCount > 0 {
+	if e != nil && e.nulls {
 		return nil, false
 	}
 	bm, ok := s.fetch(e, n, now)
@@ -318,53 +307,8 @@ func (s *SmartIndex) fetch(e *entry, n int, now time.Time) (*bitmap.Bitmap, bool
 	return dense, true
 }
 
-// rangeAnswer scans the block+column's entries for range metadata proving
-// the atom matches all rows (min/max within the predicate and no NULLs).
-// The all-false case is already handled by the executor's stats pruning.
-func (s *SmartIndex) rangeAnswer(b *block, a plan.Atom, n int, now time.Time) (*bitmap.Bitmap, bool) {
-	if a.Negated || a.Op == sqlparser.OpContains || a.Op == sqlparser.OpNe {
-		return nil, false
-	}
-	for _, e := range b.byCol[a.Col] {
-		if s.expired(e, now) || e.numRows != n {
-			continue
-		}
-		if e.stats.NullCount > 0 || e.stats.Min.IsNull() {
-			continue
-		}
-		if atomAlwaysTrue(a, e.stats) {
-			return bitmap.NewFull(n), true
-		}
-	}
-	return nil, false
-}
-
-// atomAlwaysTrue reports whether stats prove every non-null row satisfies
-// the atom (and NullCount is zero, checked by the caller).
-func atomAlwaysTrue(a plan.Atom, st colstore.Stats) bool {
-	cmpMin, errMin := types.Compare(a.Val, st.Min)
-	cmpMax, errMax := types.Compare(a.Val, st.Max)
-	if errMin != nil || errMax != nil {
-		return false
-	}
-	switch a.Op {
-	case sqlparser.OpGt:
-		return cmpMin < 0 // val < min: all rows above val
-	case sqlparser.OpGe:
-		return cmpMin <= 0
-	case sqlparser.OpLt:
-		return cmpMax > 0
-	case sqlparser.OpLe:
-		return cmpMax >= 0
-	case sqlparser.OpEq:
-		return cmpMin == 0 && cmpMax == 0 // constant column equal to val
-	default:
-		return false
-	}
-}
-
 // Store implements exec.IndexSource: it caches the positive-form result for
-// the (block, atom) pair.
+// the (block, atom) pair. Of the stats it keeps only whether a NULL is there.
 func (s *SmartIndex) Store(blockID string, a plan.Atom, bm *bitmap.Bitmap, stats colstore.Stats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -376,10 +320,7 @@ func (s *SmartIndex) Store(blockID string, a plan.Atom, bm *bitmap.Bitmap, stats
 			s.drop(old)
 		}
 	}
-	// The column is cut from the entry's own key (which starts with it), so
-	// a long-lived entry never pins the caller's copy of the name: over a
-	// wire, that is the whole plan section the name was decoded from.
-	e := &entry{key: atomKey, col: atomKey[:len(a.Col)], numRows: bm.Len(), stats: stats, created: now}
+	e := &entry{key: atomKey, numRows: bm.Len(), nulls: stats.NullCount > 0, created: now}
 	// An entry is charged for its vector, its "<block id>|<atom key>"
 	// identity and a fixed overhead.
 	size := int64(len(blockID) + 1 + len(atomKey) + 96)
@@ -396,12 +337,11 @@ func (s *SmartIndex) Store(blockID string, a plan.Atom, bm *bitmap.Bitmap, stats
 		return
 	}
 	if b == nil {
-		b = &block{id: blockID, byKey: make(map[string]*entry), byCol: make(map[string][]*entry)}
+		b = &block{id: blockID, byKey: make(map[string]*entry)}
 	}
 	s.blocks[blockID] = b // new, or unfiled by the drop above when old was its only entry
 	e.blk = b
 	b.byKey[atomKey] = e
-	b.byCol[e.col] = append(b.byCol[e.col], e)
 	s.lru.PushFront(e, size)
 	s.stored.Inc()
 	s.enforceBudget(e)
@@ -457,7 +397,6 @@ func (s *SmartIndex) expired(e *entry, now time.Time) bool {
 func (s *SmartIndex) drop(e *entry) {
 	b := e.blk
 	delete(b.byKey, e.key)
-	b.byCol[e.col] = slices.DeleteFunc(b.byCol[e.col], func(x *entry) bool { return x == e })
 	if len(b.byKey) == 0 {
 		delete(s.blocks, b.id)
 	}

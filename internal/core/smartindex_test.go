@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/bitmap"
 	"repro/internal/colstore"
@@ -130,24 +132,27 @@ func TestNegationDerivationUnsoundWithNulls(t *testing.T) {
 	}
 }
 
-func TestRangeMetadataAnswer(t *testing.T) {
+// TestIndexEntryKeepsNoFooterStats: an entry holds nothing of the footer
+// stats it is stored with, so a block's bloom (~4.9 KB at 4 096 rows) is the
+// footer's to keep or release, outside the index budget.
+func TestIndexEntryKeepsNoFooterStats(t *testing.T) {
 	s := New(Options{})
-	// Stored entry for c2 > 100 carries min=3 max=9 nulls=0; the atom
-	// c2 <= 50 is therefore all-true for this block.
-	s.Store("b0", atom("c2", sqlparser.OpGt, 100), bm(8), stats(3, 9, 0))
-	got, ok := s.Lookup(ctxb, "b0", atom("c2", sqlparser.OpLe, 50), 8)
-	if !ok || !got.All() {
-		t.Fatalf("range answer = %v, %v", got, ok)
+	c := &colstore.Column{Type: types.Int64, Ints: make([]int64, 4096)}
+	for i := range c.Ints {
+		c.Ints[i] = int64(i)
 	}
-	if s.Stats().DerivedHits != 1 {
-		t.Errorf("stats = %+v", s.Stats())
+	st := c.ComputeStats()
+	bloom := weak.Make(st.Bloom)
+	s.Store("b0", atom("c", sqlparser.OpGt, 5), bm(4096), st)
+	st = colstore.Stats{}
+	runtime.GC()
+	if bloom.Value() != nil {
+		t.Error("the index keeps the stored stats' bloom alive")
 	}
-	// With NULLs present, the all-true shortcut is unsound and must miss.
-	s2 := New(Options{})
-	s2.Store("b0", atom("c2", sqlparser.OpGt, 100), bm(8), stats(3, 9, 2))
-	if _, ok := s2.Lookup(ctxb, "b0", atom("c2", sqlparser.OpLe, 50), 8); ok {
-		t.Error("NULLs must disable range answers")
+	if got := s.Stats().Entries; got != 1 {
+		t.Errorf("entries = %d, want 1", got)
 	}
+	runtime.KeepAlive(s)
 }
 
 func TestTTLExpiry(t *testing.T) {

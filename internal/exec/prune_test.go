@@ -176,17 +176,20 @@ func TestAtomImpossibleSpecialValues(t *testing.T) {
 	}
 }
 
-// impossible binds the atom as a task would and asks atomImpossible.
+// impossible binds the atom as a task would and asks its footer verdict.
 func impossible(a plan.Atom, st colstore.Stats) bool {
 	t := &Scanner{plan: &plan.PhysicalPlan{FactCols: []string{a.Col}}}
-	return atomImpossible(&t.bindClause(plan.Clause{Atoms: []plan.Atom{a}}).atoms[0], &st)
+	sa := &t.bindClause(plan.Clause{Atoms: []plan.Atom{a}}).atoms[0]
+	sa.verdict(&st, true)
+	return sa.never
 }
 
 // TestClauseImpossible: a clause is pruned only when every OR-leaf is
 // impossible and nothing opaque hides in it.
 func TestClauseImpossible(t *testing.T) {
 	_, stats := pruneColumn([]int64{2, 4, 7}, nil)
-	s := &Scanner{plan: &plan.PhysicalPlan{FactCols: []string{"c"}}, ords: []int{0}}
+	s := &Scanner{plan: &plan.PhysicalPlan{FactCols: []string{"c"}}, ords: []int{0},
+		meta: &colstore.FileMeta{Schema: types.MustSchema(types.Field{Name: "c", Type: types.Int64})}}
 	bm := &colstore.BlockMeta{Stats: colstore.BlockStats{NumRows: 3, Columns: []colstore.Stats{stats}}}
 
 	bound := func(cl plan.Clause) *scanClause {
@@ -196,21 +199,84 @@ func TestClauseImpossible(t *testing.T) {
 	below := plan.Atom{Table: "t", Col: "c", Op: sqlparser.OpLt, Val: types.NewInt(2)}
 	inside := plan.Atom{Table: "t", Col: "c", Op: sqlparser.OpEq, Val: types.NewInt(4)}
 
-	if !clauseImpossible(bound(plan.Clause{Atoms: []plan.Atom{below}}), s.ords, bm) {
+	if !s.footerNever(bound(plan.Clause{Atoms: []plan.Atom{below}}), bm) {
 		t.Error("clause with a single impossible atom not pruned")
 	}
-	if clauseImpossible(bound(plan.Clause{Atoms: []plan.Atom{below, inside}}), s.ords, bm) {
+	if s.footerNever(bound(plan.Clause{Atoms: []plan.Atom{below, inside}}), bm) {
 		t.Error("OR with a satisfiable leaf was pruned")
 	}
-	if clauseImpossible(bound(plan.Clause{}), s.ords, bm) {
+	if s.footerNever(bound(plan.Clause{}), bm) {
 		t.Error("empty clause pruned")
 	}
-	if clauseImpossible(bound(plan.Clause{Atoms: []plan.Atom{below}, Opaque: []sqlparser.Expr{&sqlparser.Literal{}}}), s.ords, bm) {
+	if s.footerNever(bound(plan.Clause{Atoms: []plan.Atom{below}, Opaque: []sqlparser.Expr{&sqlparser.Literal{}}}), bm) {
 		t.Error("clause with an opaque leaf pruned")
 	}
 	// Unknown column: stats unavailable, no pruning.
 	unknown := plan.Atom{Table: "t", Col: "zz", Op: sqlparser.OpLt, Val: types.NewInt(2)}
-	if clauseImpossible(bound(plan.Clause{Atoms: []plan.Atom{unknown}}), s.ords, bm) {
+	if s.footerNever(bound(plan.Clause{Atoms: []plan.Atom{unknown}}), bm) {
 		t.Error("clause over unknown column pruned")
 	}
+}
+
+// FuzzAtomVerdict checks the footer's verdicts against the scan's row path:
+// over a flat or repeated chunk drawn from NULL, NaN, ±0, ±Inf and plain
+// values (a repeated one with empty records), an atom the footer calls never
+// true matches no record, and one it calls always true matches every record.
+// data[0] picks the column type and shape, data[1] the operator and
+// polarity, data[2] the literal. In a flat chunk each later byte is a
+// record; in a repeated one a byte with the high bit set ends a record, and
+// any other byte is an element of it.
+func FuzzAtomVerdict(f *testing.F) {
+	f.Add([]byte{0, 4, 1, 1, 2, 3})
+	f.Add([]byte{1, 1, 7, 0, 1, 2, 0})
+	f.Add([]byte{4, 5, 2, 1, 0x80, 0x80, 3, 0x80})
+	f.Add([]byte{6, 0x86, 20, 1, 2, 0x80})
+	f.Add([]byte{5, 0, 0, 7, 0x80, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		palettes := [][]types.Value{
+			{types.NewInt(-1), types.NewInt(0), types.NewInt(2), types.NewInt(5), types.NewInt(1 << 53), types.NewInt(math.MaxInt64), types.NewInt(math.MinInt64), types.NullValue()},
+			{types.NewFloat(math.NaN()), types.NewFloat(math.Copysign(0, -1)), types.NewFloat(0), types.NewFloat(0.5), types.NewFloat(2), types.NewFloat(math.Inf(1)), types.NewFloat(math.Inf(-1)), types.NullValue()},
+			{types.NewString(""), types.NewString("a"), types.NewString("ab"), types.NewString("b"), types.NewString("\x00"), types.NullValue()},
+		}
+		palette := palettes[int(data[0]&3)%len(palettes)]
+		repeated := data[0]&4 != 0
+		ops := append(kernelOps[:len(kernelOps):len(kernelOps)], sqlparser.OpContains)
+		a := plan.Atom{Table: "t", Col: "c", Op: ops[int(data[1]&0x7f)%len(ops)], Negated: data[1]&0x80 != 0,
+			Val: specialLiterals[int(data[2])%len(specialLiterals)]}
+
+		c := colstore.NewColumn(palette[0].T)
+		if repeated {
+			c.Offsets = []int32{0}
+		}
+		for _, b := range data[3:] {
+			if repeated && b&0x80 != 0 {
+				c.Offsets = append(c.Offsets, int32(c.Len()))
+				continue
+			}
+			if err := c.Append(palette[int(b&0x7f)%len(palette)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := c.Len()
+		if repeated {
+			if int(c.Offsets[len(c.Offsets)-1]) != c.Len() {
+				c.Offsets = append(c.Offsets, int32(c.Len())) // the last record ends with the chunk
+			}
+			n = len(c.Offsets) - 1
+		}
+		st := c.ComputeStats()
+		s := &Scanner{plan: &plan.PhysicalPlan{FactCols: []string{"c"}}}
+		sa := &s.bindClause(plan.Clause{Atoms: []plan.Atom{a}}).atoms[0]
+		sa.verdict(&st, !repeated)
+		got := evalAtomRows(a, c, n).Count()
+		if sa.never && got > 0 {
+			t.Fatalf("%v over %d records (repeated %v, min %v, max %v, %d NULL): never true, but %d match", a, n, repeated, st.Min, st.Max, st.NullCount, got)
+		}
+		if sa.always && got < n {
+			t.Fatalf("%v over %d records (repeated %v, min %v, max %v, %d NULL): always true, but %d match", a, n, repeated, st.Min, st.Max, st.NullCount, got)
+		}
+	})
 }

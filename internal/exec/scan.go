@@ -29,16 +29,18 @@ type PartitionReader interface {
 // IndexSource is the SmartIndex seen from the executor: bitmaps of predicate
 // evaluation results per (block, atom). A nil IndexSource disables indexing.
 // Lookup may satisfy an atom from a complementary cached entry via bit-NOT
-// (paper Fig. 7); Store always receives the atom's positive form result.
+// (paper Fig. 7); Store always receives the atom's positive form result. The
+// scanner asks it only about atoms over flat columns that the block's footer
+// did not decide: what min/max and the bloom prove is the scanner's to read.
 type IndexSource interface {
-	// Lookup returns the positive-form evaluation bitmap for the atom over
-	// the block of n records, when the index can answer it (directly, via a
-	// complementary cached entry, or from range metadata). Implementations
-	// charge their simulated lookup cost to the context's bill.
+	// Lookup returns the evaluation bitmap for the atom over the block of n
+	// records, when the index can answer it (directly, or via bit-NOT of a
+	// complementary or positive-form entry). Implementations charge their
+	// simulated lookup cost to the context's bill.
 	Lookup(ctx context.Context, blockID string, atom plan.Atom, n int) (*bitmap.Bitmap, bool)
-	// Store offers the atom's freshly evaluated positive-form bitmap. The
-	// executor keeps using (and may mutate) bm after the call, so an index
-	// that retains it must copy it.
+	// Store offers the atom's freshly evaluated positive-form bitmap with the
+	// column chunk's footer stats. The executor keeps using (and may mutate)
+	// bm after the call, so an index that retains it must copy it.
 	Store(blockID string, atom plan.Atom, bm *bitmap.Bitmap, stats colstore.Stats)
 }
 
@@ -51,7 +53,7 @@ type ColumnObserver interface {
 // ScanStats counts what the scan did; the evaluation harness reports these.
 type ScanStats struct {
 	BlocksTotal   int64
-	BlocksPruned  int64 // skipped via footer min/max stats
+	BlocksPruned  int64 // skipped via footer min/max/bloom stats
 	BlocksEmpty   int64 // selection became empty before any output work
 	IndexHits     int64
 	IndexMisses   int64
@@ -264,11 +266,14 @@ type Scanner struct {
 // ordinal table is the (short) column list itself.
 func (s *Scanner) colPos(name string) int { return slices.Index(s.plan.FactCols, name) }
 
-// scanAtom is a filter atom resolved for the plan.
+// scanAtom is a filter atom resolved for the plan, with its footer verdict
+// for the block being scanned.
 type scanAtom struct {
 	plan.Atom        // as planned, negation intact
 	col       int    // position in plan.FactCols, -1 for an unknown column
-	bloom     []byte // equality atoms: the literal's bloom key
+	bloom     []byte // = and <> atoms: the literal's bloom key
+	never     bool   // the footer proves no record of the block matches
+	always    bool   // the footer proves every record does
 }
 
 type scanClause struct {
@@ -371,7 +376,7 @@ func (s *Scanner) bindClause(cl plan.Clause) scanClause {
 	out := scanClause{atoms: make([]scanAtom, len(cl.Atoms)), opaque: cl.Opaque}
 	for i, a := range cl.Atoms {
 		out.atoms[i] = scanAtom{Atom: a, col: s.colPos(a.Col)}
-		if a.Op == sqlparser.OpEq {
+		if a.Op == sqlparser.OpEq || a.Op == sqlparser.OpNe {
 			out.atoms[i].bloom = colstore.BloomKey(a.Val)
 		}
 	}
@@ -451,10 +456,10 @@ func (s *Scanner) scanBlock(bi int) (bool, error) {
 	s.block = bi
 	clear(s.cols)
 	part.stats.BlocksTotal++
-	// Footer-stats pruning: a block where some clause cannot be satisfied
-	// by any row is skipped without touching data or indexes.
+	// The footer decides what it can before any index or data is touched: a
+	// block where some clause no record can satisfy is skipped.
 	for i := range s.filter {
-		if clauseImpossible(&s.filter[i], s.ords, bm) {
+		if s.footerNever(&s.filter[i], bm) {
 			part.stats.BlocksPruned++
 			return false, nil
 		}
@@ -586,57 +591,61 @@ func foldValues[T int64 | float64](vals []T, sel *bitmap.Bitmap) (n int64, sum, 
 	return n, sum, lo, hi
 }
 
-// clauseImpossible prunes via footer min/max: true when every leaf of the
-// clause is an atom that no row in the block can satisfy.
-func clauseImpossible(cl *scanClause, ords []int, bm *colstore.BlockMeta) bool {
-	if len(cl.opaque) > 0 || len(cl.atoms) == 0 {
-		return false
-	}
+// footerNever sets the clause's atom verdicts for the block from its footer
+// and reports whether the clause is never true: every leaf is an atom no
+// record satisfies.
+func (s *Scanner) footerNever(cl *scanClause, bm *colstore.BlockMeta) bool {
+	never := len(cl.opaque) == 0 && len(cl.atoms) > 0
 	for i := range cl.atoms {
 		a := &cl.atoms[i]
-		if a.col < 0 || !atomImpossible(a, &bm.Stats.Columns[ords[a.col]]) {
-			return false
+		a.never, a.always = false, false
+		if a.col >= 0 {
+			ord := s.ords[a.col]
+			a.verdict(&bm.Stats.Columns[ord], !s.meta.Schema.Fields[ord].Repeated)
 		}
+		never = never && a.never
 	}
-	return true
+	return never
 }
 
-// atomImpossible reports whether stats prove no value satisfies the atom:
-// the min/max range for ordered comparisons, plus the block's bloom filter
-// for equality (the "range bloom" of paper Fig. 6). NULL handling leans on
-// EvalAtom's guard ordering: a NULL value (or NULL literal) is false before
-// negation applies, so NULL rows satisfy neither an atom nor its negation
-// and never block pruning on their own.
-func atomImpossible(a *scanAtom, st *colstore.Stats) bool {
-	if st.Min.IsNull() {
-		// Min is NULL exactly when the chunk has no non-NULL value; an
-		// all-NULL (or empty) chunk satisfies no atom, negated included.
+// verdict decides the atom over one column chunk from its footer stats. A
+// positive atom is never true when atomNever says so, and always true when
+// its complement is never true on a flat chunk with no NULL: every record
+// then holds one value, which satisfies the atom or its complement (it is
+// comparable with the literal: atomNever proves nothing otherwise). A
+// negated atom NOT p matches what p's complement does (EvalAtom rejects NULL
+// and incomparable values before negating), so it is decided as that; NOT
+// CONTAINS, with no complement, only by what no atom matches.
+func (a *scanAtom) verdict(st *colstore.Stats, flat bool) {
+	op := a.Op
+	comp, invertible := op.Negate()
+	if a.Negated && invertible {
+		op, comp = comp, op
+	}
+	a.never = atomNever(op, a.Val, a.bloom, st)
+	a.always = invertible && !a.never && flat && st.NullCount == 0 && atomNever(comp, a.Val, a.bloom, st)
+}
+
+// atomNever reports whether stats prove no value of the chunk satisfies
+// `op val`: the min/max range for ordered comparisons, plus the chunk's bloom
+// filter for equality (the "range bloom" of paper Fig. 6). NULL values
+// satisfy no comparison, so they never keep a chunk alive.
+func atomNever(op sqlparser.BinaryOp, val types.Value, bloomKey []byte, st *colstore.Stats) bool {
+	if st.Min.IsNull() || val.IsNull() {
+		// Min is NULL exactly when the chunk has no non-NULL value; a NULL
+		// literal matches nothing.
 		return true
 	}
-	if a.Val.IsNull() {
-		// A NULL literal matches nothing, for every operator.
-		return true
-	}
-	if a.Negated || a.Op == sqlparser.OpContains {
-		// Min/max say nothing about substring membership or about what a
-		// negation misses in a mixed-NULL chunk.
-		return false
-	}
-	if a.Op == sqlparser.OpEq && st.Bloom != nil && !st.Bloom.MayContain(a.bloom) {
-		return true
-	}
-	cmpMin, errMin := types.Compare(a.Val, st.Min)
-	cmpMax, errMax := types.Compare(a.Val, st.Max)
+	cmpMin, errMin := types.Compare(val, st.Min)
+	cmpMax, errMax := types.Compare(val, st.Max)
 	if errMin != nil || errMax != nil {
-		return false
+		return false // stats prove nothing about an incomparable literal
 	}
-	switch a.Op {
+	switch op {
 	case sqlparser.OpEq:
-		return cmpMin < 0 || cmpMax > 0
+		return cmpMin < 0 || cmpMax > 0 || st.Bloom != nil && !st.Bloom.MayContain(bloomKey)
 	case sqlparser.OpNe:
-		// Every non-NULL value equals val, so != matches no non-NULL row;
-		// NULL rows match nothing regardless.
-		return cmpMin == 0 && cmpMax == 0
+		return cmpMin == 0 && cmpMax == 0 // every value equals val
 	case sqlparser.OpLt:
 		return cmpMin <= 0 // val <= min: nothing below val
 	case sqlparser.OpLe:
@@ -646,18 +655,23 @@ func atomImpossible(a *scanAtom, st *colstore.Stats) bool {
 	case sqlparser.OpGe:
 		return cmpMax > 0
 	default:
-		return false
+		return false // min/max say nothing about substring membership
 	}
 }
 
-// selection computes the block's selection bitmap from the pushed-down CNF.
-// decided reports whether every clause was answered from bitmaps.
+// selection computes the block's selection bitmap from the pushed-down CNF:
+// a clause with an atom the footer proves always true selects every record,
+// and an atom it proves never true adds none. decided reports whether every
+// clause was answered from the footer or from bitmaps.
 func (s *Scanner) selection(n int) (*bitmap.Bitmap, bool, error) {
 	sel := &s.sel
 	sel.Fill(n)
 	allIndexed := true
 	for ci := range s.filter {
 		cl := &s.filter[ci]
+		if slices.ContainsFunc(cl.atoms, func(a scanAtom) bool { return a.always }) {
+			continue
+		}
 		// clauseBm accumulates the OR of the clause's leaves. Bitmaps
 		// fetched from the index are owned by the cache and must never be
 		// mutated; owned tracks whether clauseBm is safe to OR into, and a
@@ -676,6 +690,9 @@ func (s *Scanner) selection(n int) (*bitmap.Bitmap, bool, error) {
 			clauseBm.Or(bm)
 		}
 		for ai := range cl.atoms {
+			if cl.atoms[ai].never {
+				continue
+			}
 			abm, fromIndex, err := s.atomBitmap(&cl.atoms[ai], n)
 			if err != nil {
 				return nil, false, err
@@ -709,10 +726,19 @@ func (s *Scanner) selection(n int) (*bitmap.Bitmap, bool, error) {
 // fromIndex reports a cache hit. The atom is passed to the index with its
 // negation intact: only the index knows whether bit-NOT is sound for the
 // block (it is not when the column has NULLs, which satisfy neither the
-// predicate nor its negation).
+// predicate nor its negation). An atom over a repeated column never meets
+// the index: bit-NOT of ANY(p) is not ANY(NOT p), and a record with no
+// element satisfies neither.
 func (s *Scanner) atomBitmap(a *scanAtom, n int) (*bitmap.Bitmap, bool, error) {
-	if s.idx != nil {
-		if cached, ok := s.idx.Lookup(s.ctx, s.blockIDs[s.block], a.Atom, n); ok {
+	if a.col < 0 {
+		return nil, false, fmt.Errorf("exec: filter column %q is not among the plan's fact columns", a.Col)
+	}
+	idx, obs := s.idx, s.obs
+	if s.meta.Schema.Fields[s.ords[a.col]].Repeated {
+		idx, obs = nil, nil
+	}
+	if idx != nil {
+		if cached, ok := idx.Lookup(s.ctx, s.blockIDs[s.block], a.Atom, n); ok {
 			s.part.stats.IndexHits++
 			if cached.Len() != n {
 				return nil, false, fmt.Errorf("exec: index bitmap length %d != block rows %d", cached.Len(), n)
@@ -721,22 +747,19 @@ func (s *Scanner) atomBitmap(a *scanAtom, n int) (*bitmap.Bitmap, bool, error) {
 		}
 		s.part.stats.IndexMisses++
 	}
-	if a.col < 0 {
-		return nil, false, fmt.Errorf("exec: filter column %q is not among the plan's fact columns", a.Col)
-	}
 	col, err := s.column(a.col)
 	if err != nil {
 		return nil, false, err
 	}
-	if s.obs != nil {
-		s.obs.ObserveColumn(s.blockIDs[s.block], a.Col, col, n)
+	if obs != nil {
+		obs.ObserveColumn(s.blockIDs[s.block], a.Col, col, n)
 	}
 	// The index stores the canonical, positive form.
 	positive := a.Atom
 	positive.Negated = false
 	pos := evalAtomOverColumn(positive, col, n)
-	if s.idx != nil {
-		s.idx.Store(s.blockIDs[s.block], positive, pos, s.meta.Blocks[s.block].Stats.Columns[s.ords[a.col]])
+	if idx != nil {
+		idx.Store(s.blockIDs[s.block], positive, pos, s.meta.Blocks[s.block].Stats.Columns[s.ords[a.col]])
 	}
 	if a.Negated {
 		// Evaluate the negated form directly over the column: NULLs (and
@@ -755,6 +778,12 @@ func evalAtomOverColumn(a plan.Atom, col *colstore.Column, n int) *bitmap.Bitmap
 	if out, ok := evalAtomKernel(a, col, n); ok {
 		return out
 	}
+	return evalAtomRows(a, col, n)
+}
+
+// evalAtomRows evaluates the atom record by record with EvalAtom; a repeated
+// column's record matches when any of its elements does.
+func evalAtomRows(a plan.Atom, col *colstore.Column, n int) *bitmap.Bitmap {
 	out := bitmap.New(n)
 	if col.Offsets != nil {
 		for r := 0; r < n; r++ {

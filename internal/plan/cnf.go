@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"strings"
+
 	"repro/internal/sqlparser"
 	"repro/internal/types"
 )
@@ -226,7 +228,7 @@ func EvalAtom(a Atom, v types.Value) bool {
 		if v.T != types.String || a.Val.T != types.String {
 			return false
 		}
-		res = contains(v.S, a.Val.S)
+		res = strings.Contains(v.S, a.Val.S)
 	} else {
 		cmp, err := types.Compare(v, a.Val)
 		if err != nil || !a.Op.Comparison() {
@@ -238,18 +240,6 @@ func EvalAtom(a Atom, v types.Value) bool {
 		return !res
 	}
 	return res
-}
-
-func contains(s, sub string) bool {
-	if len(sub) == 0 {
-		return true
-	}
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // ColumnsOf collects the distinct (table, column) pairs referenced by the

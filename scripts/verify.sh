@@ -80,7 +80,7 @@ cov_floor internal/events 92.0
 cov_floor internal/exec 85.0
 cov_floor internal/core 85.0
 
-echo "== fuzz smoke (FuzzParse, FuzzDecodeBatch, FuzzWireStream, FuzzDecodePlan, FuzzDecodeShuffle, FuzzDecodePayload, FuzzParseFooter, FuzzDecodeColumn, FuzzFlattenJSON, FuzzInt64RoundTrip, FuzzLRU, FuzzGroupKey, FuzzCompare; 10s each)"
+echo "== fuzz smoke (FuzzParse, FuzzDecodeBatch, FuzzWireStream, FuzzDecodePlan, FuzzDecodeShuffle, FuzzDecodePayload, FuzzParseFooter, FuzzDecodeColumn, FuzzFlattenJSON, FuzzInt64RoundTrip, FuzzLRU, FuzzGroupKey, FuzzCompare, FuzzAtomVerdict; 10s each)"
 go test -fuzz=FuzzParse -fuzztime=10s -run='^$' ./internal/sqlparser
 go test -fuzz=FuzzDecodeBatch -fuzztime=10s -run='^$' ./internal/types
 go test -fuzz=FuzzWireStream -fuzztime=10s -run='^$' ./internal/transport
@@ -94,6 +94,7 @@ go test -fuzz=FuzzInt64RoundTrip -fuzztime=10s -run='^$' ./internal/encoding
 go test -fuzz=FuzzLRU -fuzztime=10s -run='^$' ./internal/lru
 go test -fuzz=FuzzGroupKey -fuzztime=10s -run='^$' ./internal/exec
 go test -fuzz=FuzzCompare -fuzztime=10s -run='^$' ./internal/types
+go test -fuzz=FuzzAtomVerdict -fuzztime=10s -run='^$' ./internal/exec
 
 # The TCP wire transport must be semantically invisible: the transport
 # conformance battery runs against both fabrics inside the transport package,
