@@ -6,9 +6,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
-	"weak"
 
 	"repro/internal/bitmap"
+	"repro/internal/bloom"
 	"repro/internal/colstore"
 	"repro/internal/plan"
 	"repro/internal/sqlparser"
@@ -134,7 +134,8 @@ func TestNegationDerivationUnsoundWithNulls(t *testing.T) {
 
 // TestIndexEntryKeepsNoFooterStats: an entry holds nothing of the footer
 // stats it is stored with, so a block's bloom (~4.9 KB at 4 096 rows) is the
-// footer's to keep or release, outside the index budget.
+// footer's to keep or release, outside the index budget. (A finalizer
+// stands in for weak.Pointer, which is newer than go.mod's Go version.)
 func TestIndexEntryKeepsNoFooterStats(t *testing.T) {
 	s := New(Options{})
 	c := &colstore.Column{Type: types.Int64, Ints: make([]int64, 4096)}
@@ -142,11 +143,20 @@ func TestIndexEntryKeepsNoFooterStats(t *testing.T) {
 		c.Ints[i] = int64(i)
 	}
 	st := c.ComputeStats()
-	bloom := weak.Make(st.Bloom)
+	freed := make(chan struct{})
+	runtime.SetFinalizer(st.Bloom, func(*bloom.Filter) { close(freed) })
 	s.Store("b0", atom("c", sqlparser.OpGt, 5), bm(4096), st)
 	st = colstore.Stats{}
-	runtime.GC()
-	if bloom.Value() != nil {
+	collected := false
+	for i := 0; i < 20 && !collected; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !collected {
 		t.Error("the index keeps the stored stats' bloom alive")
 	}
 	if got := s.Stats().Entries; got != 1 {
