@@ -267,13 +267,14 @@ type Scanner struct {
 func (s *Scanner) colPos(name string) int { return slices.Index(s.plan.FactCols, name) }
 
 // scanAtom is a filter atom resolved for the plan, with its footer verdict
-// for the block being scanned.
+// for the block being scanned. col is an int32 so that the atom, verdict
+// included, fits a 128-byte size class: every task allocates its clauses.
 type scanAtom struct {
 	plan.Atom        // as planned, negation intact
-	col       int    // position in plan.FactCols, -1 for an unknown column
-	bloom     []byte // = and <> atoms: the literal's bloom key
+	col       int32  // position in plan.FactCols, -1 for an unknown column
 	never     bool   // the footer proves no record of the block matches
 	always    bool   // the footer proves every record does
+	bloom     []byte // = and <> atoms: the literal's bloom key
 }
 
 type scanClause struct {
@@ -375,7 +376,7 @@ func BlockIDs(part plan.PartitionMeta, blocks int) []string {
 func (s *Scanner) bindClause(cl plan.Clause) scanClause {
 	out := scanClause{atoms: make([]scanAtom, len(cl.Atoms)), opaque: cl.Opaque}
 	for i, a := range cl.Atoms {
-		out.atoms[i] = scanAtom{Atom: a, col: s.colPos(a.Col)}
+		out.atoms[i] = scanAtom{Atom: a, col: int32(s.colPos(a.Col))}
 		if a.Op == sqlparser.OpEq || a.Op == sqlparser.OpNe {
 			out.atoms[i].bloom = colstore.BloomKey(a.Val)
 		}
@@ -747,7 +748,7 @@ func (s *Scanner) atomBitmap(a *scanAtom, n int) (*bitmap.Bitmap, bool, error) {
 		}
 		s.part.stats.IndexMisses++
 	}
-	col, err := s.column(a.col)
+	col, err := s.column(int(a.col))
 	if err != nil {
 		return nil, false, err
 	}
